@@ -75,8 +75,8 @@ int main() {
 
   std::printf("n = %lld, r = %lld, p = %d; modeled ms for one FusedMM\n",
               static_cast<long long>(n), static_cast<long long>(r), p);
-  std::printf("%-30s %6s %5s %10s %10s %10s %9s\n", "algorithm", "nnz/row",
-              "c", "bulk-sync", "overlap", "pipeline", "saving");
+  std::printf("%-30s %6s %5s %10s %10s %9s\n", "algorithm", "nnz/row",
+              "c", "bulk-sync", "overlap", "saving");
 
   for (const Index d : {2, 8, 32}) {
     const auto w = make_er_workload(n, d, r,
@@ -96,22 +96,19 @@ int main() {
       const auto m = machine();
       const double bulk = result.stats.modeled_kernel_seconds(m);
       const double overlapped = result.stats.modeled_overlap_seconds(m);
-      const double pipelined = result.stats.modeled_pipeline_seconds(m);
-      std::printf("%-30s %6lld %5d %9.4f %10.4f %10.4f %8.1f%%\n",
+      std::printf("%-30s %6lld %5d %9.4f %10.4f %8.1f%%\n",
                   variant.name, static_cast<long long>(d), best.c,
-                  1e3 * bulk, 1e3 * overlapped, 1e3 * pipelined,
-                  100.0 * (bulk - pipelined) / bulk);
+                  1e3 * bulk, 1e3 * overlapped,
+                  100.0 * (bulk - overlapped) / bulk);
     }
     std::printf("\n");
   }
 
   std::printf(
       "Reading: 'overlap' hides propagation behind local kernels "
-      "(double-buffered bound); 'pipeline' additionally streams\n"
-      "the replication collectives into the first shift step "
-      "(max(comp, repl + prop) per rank), so replication stops being\n"
-      "the unhideable prefix; 'saving' compares pipeline to bulk-sync. "
-      "The closed-form equivalents (Table III words) are in\n"
+      "(double-buffered bound, repl + max(prop, comp) per rank);\n"
+      "'saving' compares it to bulk-sync. The closed-form equivalents "
+      "(Table III words) are in\n"
       "model/cost_model.hpp:schedule_bounds.\n");
 
   // ---- Measured overlap: bulk-synchronous vs double-buffered schedule
@@ -120,8 +117,7 @@ int main() {
   // arithmetic, sets the wall-clock. The bulk-synchronous loop pays a
   // rendezvous per shift; the double-buffered loop forwards blocks
   // before computing and lets ranks pipeline across steps.
-  print_header("Measured: bulk-synchronous vs double-buffered vs "
-               "pipelined schedule");
+  print_header("Measured: bulk-synchronous vs double-buffered schedule");
   const Index nm = 1024 * env_scale();
   const auto wm = make_er_workload(nm, 4, r, /*seed=*/9008);
   std::printf("propagation-bound instance: n = %lld, nnz/row = 4, "
@@ -129,9 +125,8 @@ int main() {
               "5 runs; identical output required\n",
               static_cast<long long>(nm), static_cast<long long>(r), p,
               kRepeats);
-  std::printf("%-30s %5s %12s %12s %12s %8s %10s\n", "algorithm", "c",
-              "bulk-sync", "dbl-buffer", "pipelined", "saving",
-              "identical");
+  std::printf("%-30s %5s %12s %12s %8s %10s\n", "algorithm", "c",
+              "bulk-sync", "dbl-buffer", "saving", "identical");
   const int trials = 5;
   bool all_identical = true;
   bool buffered_wins = true;
@@ -157,65 +152,57 @@ int main() {
     const auto buffered =
         run_measured(cs.kind, cs.elision, p, cs.c,
                      ShiftSchedule::DoubleBuffered, wm, trials);
-    const auto pipelined =
-        run_measured(cs.kind, cs.elision, p, cs.c,
-                     ShiftSchedule::Pipelined, wm, trials);
     const bool identical =
-        bulk.output.max_abs_diff(buffered.output) == 0.0 &&
-        bulk.output.max_abs_diff(pipelined.output) == 0.0;
+        bulk.output.max_abs_diff(buffered.output) == 0.0;
     all_identical = all_identical && identical;
     buffered_wins =
         buffered_wins && buffered.wall_seconds <= bulk.wall_seconds;
-    std::printf("%-30s %5d %10.3fms %10.3fms %10.3fms %7.1f%% %10s\n",
-                cs.name, cs.c, 1e3 * bulk.wall_seconds,
-                1e3 * buffered.wall_seconds, 1e3 * pipelined.wall_seconds,
-                100.0 * (bulk.wall_seconds - pipelined.wall_seconds) /
+    std::printf("%-30s %5d %10.3fms %10.3fms %7.1f%% %10s\n", cs.name,
+                cs.c, 1e3 * bulk.wall_seconds, 1e3 * buffered.wall_seconds,
+                100.0 * (bulk.wall_seconds - buffered.wall_seconds) /
                     bulk.wall_seconds,
                 identical ? "yes" : "NO");
   }
-  std::printf("\nMeasured check: overlapping schedules <= "
+  std::printf("\nMeasured check: double-buffered <= "
               "bulk-synchronous with bit-identical output on every case "
               "— %s.\n",
               all_identical && buffered_wins ? "HOLDS" : "VIOLATED");
 
-  // ---- Measured pipelined-replication overlap on a REPLICATION-bound
-  // instance: large c (long fiber collectives) and a short shift ring
-  // (L = p/c = 2 steps), so the all-gather prefix — which neither BSP
-  // nor DB can hide — dominates. The pipelined schedule streams it into
-  // shift step 0. This is the acceptance gate: bit-identical output,
-  // word counts unchanged, and measured wall no worse than
-  // bulk-synchronous.
-  print_header("Measured: pipelined replication overlap "
+  // ---- Measured overlap on a REPLICATION-bound instance: large c (long
+  // fiber collectives) and a short shift ring (L = p/c = 2 steps), so
+  // the all-gather prefix — which neither schedule can hide — dominates
+  // and the propagation overlap has little to win. This is the
+  // acceptance gate: bit-identical output, word and message counts
+  // unchanged, and double-buffered wall no worse than bulk-synchronous.
+  print_header("Measured: double-buffered vs bulk-synchronous "
                "(replication-bound, c = 8)");
   const Index nr = 1024 * env_scale();
   const int cr = 8;
   const auto wr = make_rmat_workload(nr, 4, 64, /*seed=*/9010);
+  const int gate_trials = 7;
   std::printf("replication-bound instance: n = %lld, nnz/row ~ 4, "
               "r = 64, p = %d, c = %d (L = %d shifts); host wall for %d "
-              "FusedMM calls, best of %d runs\n",
+              "FusedMM calls, best of %d interleaved runs\n",
               static_cast<long long>(nr), p, cr, p / cr, kRepeats,
-              trials);
-  std::printf("%-30s %12s %12s %12s %8s\n", "replication mode",
-              "bulk-sync", "dbl-buffer", "pipelined", "saving");
+              gate_trials);
+  std::printf("%-30s %12s %12s %8s\n", "replication mode", "bulk-sync",
+              "dbl-buffer", "saving");
   bool repl_identical = true;
-  bool repl_words_unchanged = true;
+  bool repl_counts_unchanged = true;
   bool repl_nonregressing = true;
   for (const ReplicationMode mode :
        {ReplicationMode::Dense, ReplicationMode::SparseRows}) {
     const auto kind = AlgorithmKind::DenseShift15D;
     const auto elision = Elision::ReplicationReuse;
     // Interleave the trials (one of each schedule per round) so a slow
-    // host period hits every schedule equally instead of skewing
+    // host period hits both schedules equally instead of skewing
     // whichever one owned that time window; keep the per-schedule best.
-    Measured bulk, buffered, pipelined;
-    const int gate_trials = 7;
+    Measured bulk, buffered;
     for (int trial = 0; trial < gate_trials; ++trial) {
       auto b = run_measured(kind, elision, p, cr,
                             ShiftSchedule::BulkSynchronous, wr, 1, mode);
       auto d = run_measured(kind, elision, p, cr,
                             ShiftSchedule::DoubleBuffered, wr, 1, mode);
-      auto pl = run_measured(kind, elision, p, cr,
-                             ShiftSchedule::Pipelined, wr, 1, mode);
       const auto keep_best = [trial](Measured& best, Measured&& fresh) {
         if (trial == 0 || fresh.wall_seconds < best.wall_seconds) {
           best = std::move(fresh);
@@ -223,39 +210,41 @@ int main() {
       };
       keep_best(bulk, std::move(b));
       keep_best(buffered, std::move(d));
-      keep_best(pipelined, std::move(pl));
     }
     repl_identical = repl_identical &&
-                     bulk.output.max_abs_diff(buffered.output) == 0.0 &&
-                     bulk.output.max_abs_diff(pipelined.output) == 0.0;
+                     bulk.output.max_abs_diff(buffered.output) == 0.0;
     for (const Phase phase : {Phase::Replication, Phase::Propagation}) {
-      repl_words_unchanged =
-          repl_words_unchanged &&
-          pipelined.stats.max_words(phase) == bulk.stats.max_words(phase);
+      repl_counts_unchanged =
+          repl_counts_unchanged &&
+          buffered.stats.max_words(phase) == bulk.stats.max_words(phase) &&
+          buffered.stats.max_messages(phase) ==
+              bulk.stats.max_messages(phase);
     }
     // 5% headroom: interleaved best-of-7 is stable locally, but shared
-    // CI runners jitter at the sub-millisecond scale this instance
-    // runs at. The pre-chunk-copy-fix regression this gate exists to
-    // catch measured +6.4% vs bulk, comfortably outside the margin.
+    // CI runners jitter at the sub-millisecond scale this instance runs
+    // at. On a 4-core host double-buffered measures ~20% under
+    // bulk-synchronous here, so the margin only absorbs noise.
     repl_nonregressing =
         repl_nonregressing &&
-        pipelined.wall_seconds <= 1.05 * bulk.wall_seconds;
-    std::printf("%-30s %10.3fms %10.3fms %10.3fms %7.1f%%\n",
+        buffered.wall_seconds <= 1.05 * bulk.wall_seconds;
+    std::printf("%-30s %10.3fms %10.3fms %7.1f%%\n",
                 to_string(mode).c_str(), 1e3 * bulk.wall_seconds,
-                1e3 * buffered.wall_seconds, 1e3 * pipelined.wall_seconds,
-                100.0 * (bulk.wall_seconds - pipelined.wall_seconds) /
+                1e3 * buffered.wall_seconds,
+                100.0 * (bulk.wall_seconds - buffered.wall_seconds) /
                     bulk.wall_seconds);
   }
-  std::printf("\nPipelined gate: bit-identical output %s, word counts "
-              "unchanged %s, pipelined wall <= bulk-synchronous %s.\n",
+  std::printf("\nReplication-bound gate: bit-identical output %s, word "
+              "and message counts unchanged %s, double-buffered wall <= "
+              "1.05 x bulk-synchronous %s.\n",
               repl_identical ? "HOLDS" : "VIOLATED",
-              repl_words_unchanged ? "HOLDS" : "VIOLATED",
+              repl_counts_unchanged ? "HOLDS" : "VIOLATED",
               repl_nonregressing ? "HOLDS" : "VIOLATED");
-  // Numerics and word counts are hard failures, as is a pipelined
-  // schedule slower than bulk-synchronous on the replication-bound
-  // instance; wall-clock inversions in the general (propagation-bound)
-  // table above are reported but not gated — loaded hosts jitter.
-  return all_identical && repl_identical && repl_words_unchanged &&
+  // Numerics and word/message counts are hard failures, as is a
+  // double-buffered schedule slower than bulk-synchronous on the
+  // replication-bound instance; wall-clock inversions in the general
+  // (propagation-bound) table above are reported but not gated — loaded
+  // hosts jitter.
+  return all_identical && repl_identical && repl_counts_unchanged &&
                  repl_nonregressing
              ? 0
              : 1;

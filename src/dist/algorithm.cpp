@@ -317,7 +317,6 @@ ReplicationCache* usable_cache(const ExecContext& ctx,
                                const AlgorithmOptions& options) {
   if (ctx.cache == nullptr) return nullptr;
   if (options.faults != nullptr && options.faults->enabled()) return nullptr;
-  if (options.schedule == ShiftSchedule::Pipelined) return nullptr;
   return ctx.cache;
 }
 

@@ -26,15 +26,9 @@
 namespace dsk {
 
 /// Tuning knobs shared by every algorithm family. The schedule selects
-/// the propagation engine (see shift_loop.hpp); all schedules produce
+/// the propagation engine (see shift_loop.hpp); both schedules produce
 /// bit-identical outputs and identical word counts, so the default is
-/// the overlapping one. Pipelined additionally streams the replication
-/// all-gather into the first shift step in `chunk_rows`-row pieces
-/// (0 = auto: quarter blocks); the knob is rejected by run_shift_loop's
-/// callers only through the CLI — programmatically it is simply unused
-/// outside the Pipelined schedule. Families with no fiber replication
-/// of dense row blocks (2.5D sparse replicating, 1D baseline) treat
-/// Pipelined exactly as DoubleBuffered.
+/// the overlapping one.
 ///
 /// `replication` selects how the replication-phase fiber collectives
 /// move the A-side row blocks (SpComm3D direction): Dense ships whole
@@ -66,8 +60,6 @@ struct AlgorithmOptions {
   ShiftSchedule schedule = ShiftSchedule::DoubleBuffered;
   ReplicationMode replication = ReplicationMode::Dense;
   PropagationMode propagation = PropagationMode::Dense;
-  /// Pipelined schedule only: rows per replication chunk (0 = auto).
-  Index chunk_rows = 0;
   /// Borrowed fault plan (must outlive the run); null = fault-free.
   /// Every driver recovers injected rank crashes: the 2.5D families
   /// rebuild the lost shard from their replicas (falling back to the

@@ -166,25 +166,6 @@ class DenseShift15D final : public DistAlgorithm {
     return out;
   }
 
-  /// Pipelined replicate_a: same words and result, streamed in
-  /// chunk-row pieces with `deliver` fired per finalized working-block
-  /// row range. The deliver callbacks (which run computation) nest
-  /// inside this Replication scope; PhaseScope nesting is exclusive, so
-  /// the interleaved spans attribute correctly.
-  void replicate_a_pipelined(Comm& comm, const Setup& su, int u, int v,
-                             const DenseMatrix& a, DenseMatrix& dest,
-                             const ChunkFn& deliver,
-                             const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u));
-    const Index row0 = (static_cast<Index>(u) * c() + v) * su.a_blk;
-    fiber.allgatherv_rows_pipelined(
-        a.row_block(row0, row0 + su.a_blk), fiber_wants(su, u),
-        options().replication,
-        pipeline_chunk_rows(options().chunk_rows, su.a_blk), deliver,
-        dest, codec);
-  }
-
   /// Fiber reduce-scatter of the rank's layer-row partial; writes the
   /// rank's m/p output chunk.
   void reduce_partial(Comm& comm, const Setup& su, int u, int v,
@@ -194,24 +175,6 @@ class DenseShift15D final : public DistAlgorithm {
     Group fiber(comm, grid_.fiber_members(u));
     auto chunk = fiber.reduce_scatter_rows(partial, fiber_wants(su, u),
                                            options().replication, codec);
-    place_block(out, chunk,
-                static_cast<Index>(u) * su.mL + v * su.a_blk, 0);
-  }
-
-  /// Streaming reduce_partial: same words and result, but the collective
-  /// pulls partial rows just in time through `prepare` (the shift-loop
-  /// epilogue routes the final step's row-sliced kernel into it). The
-  /// partial is consumed.
-  void reduce_partial_pipelined(Comm& comm, const Setup& su, int u, int v,
-                                DenseMatrix& partial, DenseMatrix& out,
-                                const ChunkFn& prepare,
-                                const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u));
-    auto chunk = fiber.reduce_scatter_rows_pipelined(
-        partial, fiber_wants(su, u), options().replication,
-        pipeline_chunk_rows(options().chunk_rows, su.a_blk), prepare,
-        codec);
     place_block(out, chunk,
                 static_cast<Index>(u) * su.mL + v * su.a_blk, 0);
   }
@@ -242,7 +205,6 @@ class DenseShift15D final : public DistAlgorithm {
                       bool mutates, MessageWords start,
                       const std::function<void(int, MessageWords&)>& body,
                       const WireCodec& codec,
-                      const ShiftPrologue* prologue = nullptr,
                       const ShiftJournalHooks* state = nullptr) const {
     const int L = grid_.layer_size();
     const auto layer = grid_.layer_members(v);
@@ -252,7 +214,7 @@ class DenseShift15D final : public DistAlgorithm {
     ch.compression = &comp;
     run_shift_loop(comm, options().schedule, L, {&ch, 1}, [&](int t) {
       body((u + t) % L, ch.block);
-    }, prologue, nullptr, state);
+    }, state);
     return std::move(ch.block);
   }
 
@@ -315,48 +277,17 @@ class DenseShift15D final : public DistAlgorithm {
     return wo;
   }
 
-  bool pipelined() const {
-    return options().schedule == ShiftSchedule::Pipelined;
-  }
-
-  /// Replicate A into dest: blocking under BSP/DB; under Pipelined the
-  /// returned prologue streams it into the following loop's step 0
-  /// instead (monolithic step-0 compute — pass the prologue to the loop
-  /// unconditionally, an unarmed one is ignored).
-  ShiftPrologue replication_prologue(Comm& comm, const Setup& su, int u,
-                                     int v, const DenseMatrix& a,
-                                     DenseMatrix& dest,
-                                     const WireCodec& codec,
-                                     const CacheUse& cu = {}) const {
-    ShiftPrologue pro;
-    if (pipelined()) {
-      pro.replicate = [this, &comm, &su, u, v, &a, &dest,
-                       codec](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, a, dest, deliver, codec);
-      };
-    } else {
-      dest = replicate_a(comm, su, u, v, a, codec, cu);
-    }
-    return pro;
-  }
-
   /// Replicate A into the rank's working layer-row and run the SDDMM dot
-  /// loop (B input blocks circulate). Under the Pipelined schedule the
-  /// fiber all-gather streams as the loop's prologue: the step-0 B block
-  /// is forwarded before replication starts and the step-0 dots
-  /// accumulate chunk by chunk as working-block rows arrive (bit
-  /// identical — each entry's dot lives wholly in its row's chunk).
-  /// Returns the working block and dots[j] for the rank's L pieces.
+  /// loop (B input blocks circulate). Returns the working block and
+  /// dots[j] for the rank's L pieces.
   std::pair<DenseMatrix, std::vector<std::vector<Scalar>>>
   replicate_and_dots(Comm& comm, const Setup& su, int rank, int u, int v,
                      const DenseMatrix& a, const DenseMatrix& b,
                      const WireCodec& codec,
                      const CacheUse& cu = {}) const {
     const int L = grid_.layer_size();
-    DenseMatrix a_work;
+    DenseMatrix a_work = replicate_a(comm, su, u, v, a, codec, cu);
     std::vector<std::vector<Scalar>> dots(static_cast<std::size_t>(L));
-    const DenseMatrix b0 =
-        b.row_block(b_row0(su, v, u), b_row0(su, v, u) + su.b_blk);
     const auto body = [&](int j, MessageWords& block) {
       const auto bj = unpack_dense(block, su.b_blk, su.r);
       const auto& pc = piece(su, rank, j);
@@ -364,61 +295,39 @@ class DenseShift15D final : public DistAlgorithm {
       d.assign(pc.coo.size(), Scalar{0});
       comm.stats().add_flops(masked_dot_products(pc.csr, a_work, bj, d));
     };
-    if (pipelined()) {
-      const int j0 = u % L;
-      const auto& p0 = piece(su, rank, j0);
-      auto& d0 = dots[static_cast<std::size_t>(j0)];
-      d0.assign(p0.coo.size(), Scalar{0});
-      ShiftPrologue pro;
-      pro.replicate = [&](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, a, a_work, deliver, codec);
-      };
-      pro.compute_chunk = [&](Index row0, Index row1) {
-        comm.stats().add_flops(masked_dot_products_rows(
-            p0.csr, a_work, b0, d0, row0, row1));
-      };
-      b_loop(comm, su, u, v, /*mutates=*/false, pack_dense(b0), body,
-             codec, &pro);
-    } else {
-      a_work = replicate_a(comm, su, u, v, a, codec, cu);
-      // The per-piece dot vectors are stationary state (each dots[j] is
-      // written wholly at step j); journal them so a recovered attempt
-      // resumes with the completed pieces' dots intact.
-      ShiftJournalHooks hooks;
-      hooks.pack_state = [&] {
-        MessageWords words;
-        for (const auto& d : dots) {
-          const MessageWords packed =
-              pack_values(std::span<const Scalar>(d));
-          words.push_back(packed.size());
-          words.insert(words.end(), packed.begin(), packed.end());
-        }
-        return words;
-      };
-      hooks.unpack_state = [&](const MessageWords& words) {
-        std::size_t off = 0;
-        for (auto& d : dots) {
-          const auto len = static_cast<std::size_t>(words[off++]);
-          d = unpack_values(MessageWords(
-              words.begin() + static_cast<std::ptrdiff_t>(off),
-              words.begin() + static_cast<std::ptrdiff_t>(off + len)));
-          off += len;
-        }
-      };
-      b_loop(comm, su, u, v, /*mutates=*/false, pack_dense(b0), body,
-             codec, nullptr, &hooks);
-    }
+    // The per-piece dot vectors are stationary state (each dots[j] is
+    // written wholly at step j); journal them so a recovered attempt
+    // resumes with the completed pieces' dots intact.
+    ShiftJournalHooks hooks;
+    hooks.pack_state = [&] {
+      MessageWords words;
+      for (const auto& d : dots) {
+        const MessageWords packed = pack_values(std::span<const Scalar>(d));
+        words.push_back(packed.size());
+        words.insert(words.end(), packed.begin(), packed.end());
+      }
+      return words;
+    };
+    hooks.unpack_state = [&](const MessageWords& words) {
+      std::size_t off = 0;
+      for (auto& d : dots) {
+        const auto len = static_cast<std::size_t>(words[off++]);
+        d = unpack_values(MessageWords(
+            words.begin() + static_cast<std::ptrdiff_t>(off),
+            words.begin() + static_cast<std::ptrdiff_t>(off + len)));
+        off += len;
+      }
+    };
+    b_loop(comm, su, u, v, /*mutates=*/false,
+           pack_dense(b.row_block(b_row0(su, v, u),
+                                  b_row0(su, v, u) + su.b_blk)),
+           body, codec, &hooks);
     return {std::move(a_work), std::move(dots)};
   }
 
   /// SpMMA propagation AND reduction: accumulate the layer-row partial
   /// from circulating B blocks, then fiber reduce-scatter it into the
-  /// rank's output chunk. Blocking reduce under BSP/DB; under Pipelined
-  /// the reduce-scatter streams out of the loop's LAST step — its
-  /// prepare pulls run the final piece's spmm_a rows just in time, so
-  /// the earliest output chunks enter the wire while later rows are
-  /// still being computed (bit-identical: each output row's accumulation
-  /// is independent). values overridable for the FusedMM SpMM pass.
+  /// rank's output chunk. values overridable for the FusedMM SpMM pass.
   void spmma_pass(Comm& comm, const Setup& su, int rank, int u, int v,
                   const DenseMatrix& b,
                   const std::vector<std::vector<Scalar>>* values,
@@ -446,43 +355,13 @@ class DenseShift15D final : public DistAlgorithm {
             bj, partial));
       }
     };
-    ShiftEpilogue epi;
-    DenseMatrix b_last;
-    CsrMatrix s_revalued;
-    const CsrMatrix* s_last = nullptr;
-    if (pipelined()) {
-      const int j_last = (u + L - 1) % L;
-      epi.compute_chunk = [&, j_last](Index row0, Index row1) {
-        if (s_last == nullptr) {
-          // The final resident block (and, only when the values are
-          // overridden, a revalued copy of the final piece's CSR) are
-          // materialized once, on the first prepare pull.
-          b_last = unpack_dense(ch.block, su.b_blk, su.r);
-          if (values == nullptr) {
-            s_last = &piece(su, rank, j_last).csr;
-          } else {
-            s_revalued = csr_with_values(
-                piece(su, rank, j_last).csr,
-                (*values)[static_cast<std::size_t>(j_last)]);
-            s_last = &s_revalued;
-          }
-        }
-        comm.stats().add_flops(
-            spmm_a_rows(*s_last, b_last, partial, row0, row1));
-      };
-      epi.reduce = [&](const ChunkFn& prepare) {
-        reduce_partial_pipelined(comm, su, u, v, partial, out, prepare,
-                                 codec);
-      };
-    }
     ShiftJournalHooks hooks;
     hooks.pack_state = [&] { return pack_dense(partial); };
     hooks.unpack_state = [&](const MessageWords& words) {
       partial = unpack_dense(words, su.mL, su.r);
     };
-    run_shift_loop(comm, options().schedule, L, {&ch, 1}, body, nullptr,
-                   &epi, &hooks);
-    if (!pipelined()) reduce_partial(comm, su, u, v, partial, out, codec);
+    run_shift_loop(comm, options().schedule, L, {&ch, 1}, body, &hooks);
+    reduce_partial(comm, su, u, v, partial, out, codec);
   }
 
   Grid15D grid_;
@@ -552,12 +431,7 @@ KernelResult DenseShift15D::do_run_kernel(const ExecContext& ctx,
         return;
       }
       case Mode::SpMMB: {
-        // spmm_b accumulates across rows of the working block, so the
-        // step-0 kernel runs monolithically once the stream completes;
-        // the Pipelined gain here is the chunked fiber stream itself.
-        DenseMatrix a_work;
-        const ShiftPrologue pro =
-            replication_prologue(comm, su, u, v, a, a_work, codec, cu);
+        const DenseMatrix a_work = replicate_a(comm, su, u, v, a, codec, cu);
         const auto home = b_loop(
             comm, su, u, v, /*mutates=*/true,
             pack_dense(DenseMatrix(su.b_blk, su.r)),
@@ -566,7 +440,7 @@ KernelResult DenseShift15D::do_run_kernel(const ExecContext& ctx,
               comm.stats().add_flops(spmm_b(kernel_csr(j), a_work, acc));
               block = pack_dense(acc);
             },
-            codec, &pro);
+            codec);
         PhaseScope scope(comm.stats(), Phase::Computation);
         place_block(result.dense, unpack_dense(home, su.b_blk, su.r),
                     b_row0(su, v, u), 0);
@@ -629,14 +503,8 @@ FusedResult DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
     };
     for (int rep = 0; rep < repetitions; ++rep) {
       if (elision == Elision::LocalKernelFusion) {
-        // Single propagation loop with the fused local kernel. The fused
-        // kernel accumulates into the layer-row partial, so under the
-        // Pipelined schedule step 0 runs monolithically after the
-        // replication stream (the overlap is the early B forward plus
-        // the chunked fiber messages).
-        DenseMatrix fused_a;
-        const ShiftPrologue pro =
-            replication_prologue(comm, su, u, v, a, fused_a, codec);
+        // Single propagation loop with the fused local kernel.
+        const DenseMatrix fused_a = replicate_a(comm, su, u, v, a, codec);
         DenseMatrix partial(su.mL, su.r);
         ShiftJournalHooks hooks;
         hooks.pack_state = [&] { return pack_dense(partial); };
@@ -651,7 +519,7 @@ FusedResult DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
                  comm.stats().add_flops(
                      fusedmm_a(kernel_csr(j), fused_a, bj, partial));
                },
-               codec, &pro, &hooks);
+               codec, &hooks);
         reduce_partial(comm, su, u, v, partial, result.output, codec);
         continue;
       }
@@ -680,13 +548,8 @@ FusedResult DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
       } else {
         // Unelided sequence: the SpMM pass replicates A again instead
         // of reusing the SDDMM pass's copy (the gathered bits are the
-        // same, so the repeat's result is discarded). Pipelined streams
-        // the repeat into the SpMM-B loop's step 0 too.
-        DenseMatrix discard;
-        ShiftPrologue pro;
-        if (elision == Elision::None) {
-          pro = replication_prologue(comm, su, u, v, a, discard, codec);
-        }
+        // same, so the repeat's result is discarded).
+        if (elision == Elision::None) replicate_a(comm, su, u, v, a, codec);
         const auto home = b_loop(
             comm, su, u, v, /*mutates=*/true,
             pack_dense(DenseMatrix(su.b_blk, su.r)),
@@ -698,7 +561,7 @@ FusedResult DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
                   a_work, acc));
               block = pack_dense(acc);
             },
-            codec, &pro);
+            codec);
         PhaseScope scope(comm.stats(), Phase::Computation);
         place_block(result.output, unpack_dense(home, su.b_blk, su.r),
                     b_row0(su, v, u), 0);
@@ -829,47 +692,6 @@ class SparseShift15D final : public DistAlgorithm {
     return out;
   }
 
-  /// Pipelined replicate_a: same words and result, streamed in chunk-row
-  /// pieces with `deliver` fired per finalized slice row range.
-  void replicate_a_pipelined(Comm& comm, const Setup& su, int u, int v,
-                             const DenseMatrix& a, DenseMatrix& dest,
-                             const ChunkFn& deliver,
-                             const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u));
-    fiber.allgatherv_rows_pipelined(
-        dense_block(a, static_cast<Index>(v) * su.mc, su.mc,
-                    static_cast<Index>(u) * su.rL, su.rL),
-        su.layer_support, options().replication,
-        pipeline_chunk_rows(options().chunk_rows, su.mc), deliver, dest,
-        codec);
-  }
-
-  bool pipelined() const {
-    return options().schedule == ShiftSchedule::Pipelined;
-  }
-
-  /// Replicate A into dest: blocking under BSP/DB; under Pipelined the
-  /// returned prologue streams it into the following loop's step 0
-  /// instead (monolithic step-0 compute — pass the prologue to the loop
-  /// unconditionally, an unarmed one is ignored).
-  ShiftPrologue replication_prologue(Comm& comm, const Setup& su, int u,
-                                     int v, const DenseMatrix& a,
-                                     DenseMatrix& dest,
-                                     const WireCodec& codec,
-                                     const CacheUse& cu = {}) const {
-    ShiftPrologue pro;
-    if (pipelined()) {
-      pro.replicate = [this, &comm, &su, u, v, &a, &dest,
-                       codec](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, a, dest, deliver, codec);
-      };
-    } else {
-      dest = replicate_a(comm, su, u, v, a, codec, cu);
-    }
-    return pro;
-  }
-
   /// Fiber reduce-scatter of the full-m SpMM-A partial slice; writes the
   /// rank's mc x rL chunk of the output.
   void reduce_partial(Comm& comm, const Setup& su, int u, int v,
@@ -887,7 +709,6 @@ class SparseShift15D final : public DistAlgorithm {
   void s_loop(Comm& comm, int u, int v, bool mutates,
               MessageWords start,
               const std::function<void(int, MessageWords&)>& body,
-              const ShiftPrologue* prologue = nullptr,
               const ShiftJournalHooks* state = nullptr) const {
     const int L = grid_.layer_size();
     const auto layer = grid_.layer_members(v);
@@ -895,7 +716,7 @@ class SparseShift15D final : public DistAlgorithm {
         ring_channel(layer, u, kTagShift, mutates, std::move(start));
     run_shift_loop(comm, options().schedule, L, {&ch, 1}, [&](int t) {
       body((u + t) % L, ch.block);
-    }, prologue, nullptr, state);
+    }, state);
   }
 
   /// The rank's home piece values — the rank-local sparse memory the
@@ -934,18 +755,14 @@ class SparseShift15D final : public DistAlgorithm {
   }
 
   /// Replicate A and circulate the home piece's dot payload for L steps
-  /// (the SDDMM pass shared by the kernel and FusedMM). Under Pipelined
-  /// the fiber all-gather streams as the loop prologue: the step-0 dots
-  /// accumulate chunk by chunk as slice rows arrive, then the payload is
-  /// repacked — bit-identical to the monolithic step (dots start at
-  /// zero and every entry's additions are unchanged). Returns the
+  /// (the SDDMM pass shared by the kernel and FusedMM). Returns the
   /// replicated slice and the home piece's accumulated dot payload.
   std::pair<DenseMatrix, Triplets> sddmm_pass(
       Comm& comm, const Setup& su, int u, int v, const DenseMatrix& a,
       const DenseMatrix& b_local, const WireCodec& codec,
       const CacheUse& cu = {}) const {
     const int L = grid_.layer_size();
-    DenseMatrix a_work;
+    DenseMatrix a_work = replicate_a(comm, su, u, v, a, codec, cu);
     Triplets start = piece(su, v, u).coo;
     start.values.assign(start.size(), Scalar{0});
     const auto layer = grid_.layer_members(v);
@@ -958,27 +775,7 @@ class SparseShift15D final : public DistAlgorithm {
           piece(su, v, j).csr, a_work, b_local, payload.values));
       ch.block = pack_triplets(payload, codec);
     };
-    if (pipelined()) {
-      const auto& home = piece(su, v, u);
-      std::vector<Scalar> d0(home.coo.size(), Scalar{0});
-      ShiftPrologue pro;
-      pro.replicate = [&](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, a, a_work, deliver, codec);
-      };
-      pro.compute_chunk = [&](Index row0, Index row1) {
-        comm.stats().add_flops(masked_dot_products_rows(
-            home.csr, a_work, b_local, d0, row0, row1));
-      };
-      pro.finish_step0 = [&] {
-        auto payload = unpack_triplets(ch.block, codec);
-        payload.values = std::move(d0);
-        ch.block = pack_triplets(payload, codec);
-      };
-      run_shift_loop(comm, options().schedule, L, {&ch, 1}, body, &pro);
-    } else {
-      a_work = replicate_a(comm, su, u, v, a, codec, cu);
-      run_shift_loop(comm, options().schedule, L, {&ch, 1}, body);
-    }
+    run_shift_loop(comm, options().schedule, L, {&ch, 1}, body);
     return {std::move(a_work), unpack_triplets(ch.block, codec)};
   }
 
@@ -1034,7 +831,7 @@ KernelResult SparseShift15D::do_run_kernel(const ExecContext& ctx,
                  comm.stats().add_flops(
                      spmm_a(kernel_csr(j), b_local, partial));
                },
-               nullptr, &hooks);
+               &hooks);
         reduce_partial(comm, su, u, v, partial, result.dense, codec);
         return;
       }
@@ -1056,12 +853,7 @@ KernelResult SparseShift15D::do_run_kernel(const ExecContext& ctx,
         return;
       }
       case Mode::SpMMB: {
-        // spmm_b accumulates across slice rows, so step 0 runs
-        // monolithically after the stream; the read-only S piece is
-        // still forwarded before replication starts.
-        DenseMatrix a_work;
-        const ShiftPrologue pro =
-            replication_prologue(comm, su, u, v, a, a_work, codec, cu);
+        const DenseMatrix a_work = replicate_a(comm, su, u, v, a, codec, cu);
         DenseMatrix b_out(su.n / c(), su.rL);
         ShiftJournalHooks hooks;
         hooks.pack_state = [&] { return pack_dense(b_out); };
@@ -1074,7 +866,7 @@ KernelResult SparseShift15D::do_run_kernel(const ExecContext& ctx,
                  comm.stats().add_flops(
                      spmm_b(kernel_csr(j), a_work, b_out));
                },
-               &pro, &hooks);
+               &hooks);
         PhaseScope scope(comm.stats(), Phase::Computation);
         place_block(result.dense, b_out,
                     static_cast<Index>(v) * (su.n / c()),
@@ -1109,8 +901,7 @@ FusedResult SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
     // checkpoint store's live copy instead of the shared setup table.
     const std::vector<Scalar>* live = ckpt ? &ckpt->values(rank) : nullptr;
     for (int rep = 0; rep < repetitions; ++rep) {
-      // SDDMM pass: dot products circulate with the pieces (streamed
-      // replication prologue under Pipelined).
+      // SDDMM pass: dot products circulate with the pieces.
       const auto [a_work, dots] =
           sddmm_pass(comm, su, u, v, a, b_local, codec);
       std::vector<Scalar> r_values(piece(su, v, u).coo.size());
@@ -1140,19 +931,14 @@ FusedResult SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
                      csr_with_values(piece(su, v, j).csr, payload.values),
                      b_local, partial));
                },
-               nullptr, &hooks);
+               &hooks);
         reduce_partial(comm, su, u, v, partial, result.output, codec);
       } else {
         // Unelided sequence: the SpMM-B pass replicates A again instead
         // of reusing the SDDMM pass's copy (result discarded; orientation
         // A's SpMM pass never reads A, so it has nothing to
-        // re-replicate). Pipelined streams the repeat into this loop's
-        // step 0.
-        DenseMatrix discard;
-        ShiftPrologue pro;
-        if (elision == Elision::None) {
-          pro = replication_prologue(comm, su, u, v, a, discard, codec);
-        }
+        // re-replicate).
+        if (elision == Elision::None) replicate_a(comm, su, u, v, a, codec);
         DenseMatrix b_out(su.n / c(), su.rL);
         ShiftJournalHooks hooks;
         hooks.pack_state = [&] { return pack_dense(b_out); };
@@ -1166,7 +952,7 @@ FusedResult SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
                      csr_with_values(piece(su, v, j).csr, payload.values),
                      a_work, b_out));
                },
-               &pro, &hooks);
+               &hooks);
         PhaseScope scope(comm.stats(), Phase::Computation);
         place_block(result.output, b_out,
                     static_cast<Index>(v) * (su.n / c()),

@@ -158,47 +158,6 @@ class DenseRepl25D final : public DistAlgorithm {
     return out;
   }
 
-  /// Pipelined replicate_a: same words and result, streamed in chunk-row
-  /// pieces with `deliver` fired per finalized working-block row range.
-  void replicate_a_pipelined(Comm& comm, const Setup& su, int u, int v,
-                             int w, const DenseMatrix& a,
-                             DenseMatrix& dest, const ChunkFn& deliver,
-                             const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u, v));
-    fiber.allgatherv_rows_pipelined(
-        dense_block(a, static_cast<Index>(u) * su.mq + w * su.mqc, su.mqc,
-                    static_cast<Index>(v) * su.rq, su.rq),
-        fiber_wants(su, u), options().replication,
-        pipeline_chunk_rows(options().chunk_rows, su.mqc), deliver, dest,
-        codec);
-  }
-
-  bool pipelined() const {
-    return options().schedule == ShiftSchedule::Pipelined;
-  }
-
-  /// Replicate A into dest: blocking under BSP/DB; under Pipelined the
-  /// returned prologue streams it into the following loop's step 0
-  /// instead (monolithic step-0 compute — pass the prologue to the loop
-  /// unconditionally, an unarmed one is ignored).
-  ShiftPrologue replication_prologue(Comm& comm, const Setup& su, int u,
-                                     int v, int w, const DenseMatrix& a,
-                                     DenseMatrix& dest,
-                                     const WireCodec& codec,
-                                     const CacheUse& cu = {}) const {
-    ShiftPrologue pro;
-    if (pipelined()) {
-      pro.replicate = [this, &comm, &su, u, v, w, &a, &dest,
-                       codec](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, w, a, dest, deliver, codec);
-      };
-    } else {
-      dest = replicate_a(comm, su, u, v, w, a, codec, cu);
-    }
-    return pro;
-  }
-
   /// Fiber reduce-scatter of the rank's m/q x r/q partial; writes its
   /// canonical chunk of the A-shaped output.
   void reduce_partial(Comm& comm, const Setup& su, int u, int v, int w,
@@ -208,24 +167,6 @@ class DenseRepl25D final : public DistAlgorithm {
     Group fiber(comm, grid_.fiber_members(u, v));
     auto chunk = fiber.reduce_scatter_rows(partial, fiber_wants(su, u),
                                            options().replication, codec);
-    place_block(out, chunk,
-                static_cast<Index>(u) * su.mq + w * su.mqc,
-                static_cast<Index>(v) * su.rq);
-  }
-
-  /// Streaming reduce_partial: same words and result, but the collective
-  /// pulls partial rows just in time through `prepare` (the shift-loop
-  /// epilogue routes the final step's row-sliced kernel into it). The
-  /// partial is consumed.
-  void reduce_partial_pipelined(Comm& comm, const Setup& su, int u, int v,
-                                int w, DenseMatrix& partial,
-                                DenseMatrix& out, const ChunkFn& prepare,
-                                const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u, v));
-    auto chunk = fiber.reduce_scatter_rows_pipelined(
-        partial, fiber_wants(su, u), options().replication,
-        pipeline_chunk_rows(options().chunk_rows, su.mqc), prepare, codec);
     place_block(out, chunk,
                 static_cast<Index>(u) * su.mq + w * su.mqc,
                 static_cast<Index>(v) * su.rq);
@@ -319,11 +260,7 @@ class DenseRepl25D final : public DistAlgorithm {
 
   /// Replicate A and run the SDDMM dot loop (S dots circulate on the row
   /// ring, B blocks on the column ring) — shared by the SDDMM kernel and
-  /// the FusedMM SDDMM pass. Under Pipelined the fiber all-gather
-  /// streams as the loop prologue: step-0 dots accumulate chunk by chunk
-  /// as working-block rows arrive, then the circulating payload is
-  /// repacked (bit-identical — dots start at zero and every entry's
-  /// additions are unchanged). Returns the working block and the home
+  /// the FusedMM SDDMM pass. Returns the working block and the home
   /// piece's accumulated dot payload.
   std::pair<DenseMatrix, Triplets> sddmm_pass(Comm& comm, const Setup& su,
                                               int u, int v, int w,
@@ -335,15 +272,15 @@ class DenseRepl25D final : public DistAlgorithm {
     const int k0 = k_at(u, v, 0);
     const auto row_ring = grid_.row_members(u, w);
     const auto col_ring = grid_.col_members(v, w);
-    const DenseMatrix b0 = b0_block(su, k0, v, w, b);
-    DenseMatrix a_work;
+    DenseMatrix a_work = replicate_a(comm, su, u, v, w, a, codec, cu);
     Triplets start = piece(su, u, k0, w).coo;
     start.values.assign(start.size(), Scalar{0});
     ShiftChannel chs = ring_channel(row_ring, v, kTagShift,
                                     /*mutates=*/true,
                                     pack_triplets(start, codec));
-    ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                    /*mutates=*/false, pack_dense(b0));
+    ShiftChannel chb =
+        ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
+                     pack_dense(b0_block(su, k0, v, w, b)));
     const ShiftCompression bcomp =
         b_compression(su, u, v, w, /*mutates=*/false, codec);
     chb.compression = &bcomp;
@@ -356,28 +293,7 @@ class DenseRepl25D final : public DistAlgorithm {
           piece(su, u, k, w).csr, a_work, bk, payload.values));
       channels[0].block = pack_triplets(payload, codec);
     };
-    if (pipelined()) {
-      const auto& home = piece(su, u, k0, w);
-      std::vector<Scalar> d0(home.coo.size(), Scalar{0});
-      ShiftPrologue pro;
-      pro.replicate = [&](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, w, a, a_work, deliver,
-                              codec);
-      };
-      pro.compute_chunk = [&](Index row0, Index row1) {
-        comm.stats().add_flops(masked_dot_products_rows(
-            home.csr, a_work, b0, d0, row0, row1));
-      };
-      pro.finish_step0 = [&] {
-        auto payload = unpack_triplets(channels[0].block, codec);
-        payload.values = std::move(d0);
-        channels[0].block = pack_triplets(payload, codec);
-      };
-      run_shift_loop(comm, options().schedule, q, channels, body, &pro);
-    } else {
-      a_work = replicate_a(comm, su, u, v, w, a, codec, cu);
-      run_shift_loop(comm, options().schedule, q, channels, body);
-    }
+    run_shift_loop(comm, options().schedule, q, channels, body);
     return {std::move(a_work), unpack_triplets(channels[0].block, codec)};
   }
 
@@ -436,10 +352,7 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
     switch (mode) {
       case Mode::SpMMA: {
         // S pieces (with values) and B blocks circulate; the A-shaped
-        // partial stays put and is reduce-scattered along the fiber —
-        // blocking under BSP/DB; under Pipelined the reduce-scatter
-        // streams out of the loop's last step, pulling the final
-        // piece's spmm_a rows just in time.
+        // partial stays put and is reduce-scattered along the fiber.
         ShiftChannel chs =
             ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
                          pack_triplets(home_triplets(), codec));
@@ -454,24 +367,6 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
         chb.compression = &bcomp;
         ShiftChannel channels[] = {std::move(chs), std::move(chb)};
         DenseMatrix partial(su.mq, su.rq);
-        ShiftEpilogue epi;
-        DenseMatrix b_last;
-        bool last_ready = false;
-        if (pipelined()) {
-          const int k_last = k_at(u, v, q - 1);
-          epi.compute_chunk = [&, k_last](Index row0, Index row1) {
-            if (!last_ready) {
-              b_last = unpack_dense(channels[1].block, su.nqc, su.rq);
-              last_ready = true;
-            }
-            comm.stats().add_flops(spmm_a_rows(
-                kernel_csr(k_last), b_last, partial, row0, row1));
-          };
-          epi.reduce = [&](const ChunkFn& prepare) {
-            reduce_partial_pipelined(comm, su, u, v, w, partial,
-                                     result.dense, prepare, codec);
-          };
-        }
         ShiftJournalHooks hooks;
         hooks.pack_state = [&] { return pack_dense(partial); };
         hooks.unpack_state = [&](const MessageWords& words) {
@@ -481,10 +376,8 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
           const int k = k_at(u, v, t);
           const auto bk = unpack_dense(channels[1].block, su.nqc, su.rq);
           comm.stats().add_flops(spmm_a(kernel_csr(k), bk, partial));
-        }, nullptr, &epi, &hooks);
-        if (!pipelined()) {
-          reduce_partial(comm, su, u, v, w, partial, result.dense, codec);
-        }
+        }, &hooks);
+        reduce_partial(comm, su, u, v, w, partial, result.dense, codec);
         return;
       }
       case Mode::SDDMM: {
@@ -502,12 +395,8 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
         return;
       }
       case Mode::SpMMB: {
-        // spmm_b accumulates across working-block rows, so step 0 runs
-        // monolithically after the stream; the read-only S piece is
-        // still forwarded before replication starts.
-        DenseMatrix a_work;
-        const ShiftPrologue pro =
-            replication_prologue(comm, su, u, v, w, a, a_work, codec, cu);
+        const DenseMatrix a_work =
+            replicate_a(comm, su, u, v, w, a, codec, cu);
         ShiftChannel chs =
             ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
                          pack_triplets(home_triplets(), codec));
@@ -523,7 +412,7 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
           auto acc = unpack_dense(channels[1].block, su.nqc, su.rq);
           comm.stats().add_flops(spmm_b(kernel_csr(k), a_work, acc));
           channels[1].block = pack_dense(acc);
-        }, &pro);
+        });
         PhaseScope scope(comm.stats(), Phase::Computation);
         place_block(result.dense,
                     unpack_dense(channels[1].block, su.nqc, su.rq),
@@ -566,8 +455,7 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
     };
     for (int rep = 0; rep < repetitions; ++rep) {
       // SDDMM pass: dots circulate with the S pieces, B input blocks
-      // circulate on the column ring (streamed replication prologue
-      // under Pipelined).
+      // circulate on the column ring.
       const auto [a_work, dots] =
           sddmm_pass(comm, su, u, v, w, a, b, codec);
       std::vector<Scalar> r_values;
@@ -581,13 +469,8 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
         comm.stats().add_flops(home.nnz());
       }
       // Unelided sequence: the SpMM pass replicates A again (result
-      // discarded — the gathered bits are unchanged). Pipelined streams
-      // the repeat into the SpMM pass's step 0.
-      DenseMatrix discard;
-      ShiftPrologue pro;
-      if (elision == Elision::None) {
-        pro = replication_prologue(comm, su, u, v, w, a, discard, codec);
-      }
+      // discarded — the gathered bits are unchanged).
+      if (elision == Elision::None) replicate_a(comm, su, u, v, w, a, codec);
       // SpMM pass: the S pieces circulate carrying the SDDMM output.
       Triplets r_piece = piece(su, u, k0, w).coo;
       r_piece.values = r_values;
@@ -602,31 +485,6 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
         chb.compression = &bcomp;
         ShiftChannel channels[] = {std::move(chs), std::move(chb)};
         DenseMatrix partial(su.mq, su.rq);
-        // Streamed reduce out of the last step under Pipelined, exactly
-        // as in the SpMMA kernel; the final step's S payload and B
-        // block are materialized on the first prepare pull.
-        ShiftEpilogue epi;
-        DenseMatrix b_last;
-        CsrMatrix s_last;
-        bool last_ready = false;
-        if (pipelined()) {
-          const int k_last = k_at(u, v, q - 1);
-          epi.compute_chunk = [&, k_last](Index row0, Index row1) {
-            if (!last_ready) {
-              b_last = unpack_dense(channels[1].block, su.nqc, su.rq);
-              s_last = csr_with_values(
-                  piece(su, u, k_last, w).csr,
-                  unpack_triplets(channels[0].block, codec).values);
-              last_ready = true;
-            }
-            comm.stats().add_flops(
-                spmm_a_rows(s_last, b_last, partial, row0, row1));
-          };
-          epi.reduce = [&](const ChunkFn& prepare) {
-            reduce_partial_pipelined(comm, su, u, v, w, partial,
-                                     result.output, prepare, codec);
-          };
-        }
         ShiftJournalHooks hooks;
         hooks.pack_state = [&] { return pack_dense(partial); };
         hooks.unpack_state = [&](const MessageWords& words) {
@@ -640,10 +498,8 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
               spmm_a(csr_with_values(piece(su, u, k, w).csr,
                                      payload.values),
                      bk, partial));
-        }, &pro, &epi, &hooks);
-        if (!pipelined()) {
-          reduce_partial(comm, su, u, v, w, partial, result.output, codec);
-        }
+        }, &hooks);
+        reduce_partial(comm, su, u, v, w, partial, result.output, codec);
       } else {
         ShiftChannel chb = ring_channel(
             col_ring, u, kTagShiftDense, /*mutates=*/true,
@@ -661,7 +517,7 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
                                      payload.values),
                      a_work, acc));
           channels[1].block = pack_dense(acc);
-        }, &pro);
+        });
         PhaseScope scope(comm.stats(), Phase::Computation);
         place_block(result.output,
                     unpack_dense(channels[1].block, su.nqc, su.rq),
@@ -805,9 +661,8 @@ class SparseRepl25D final : public DistAlgorithm {
   /// The replication traffic of this family is already sparsity-sized
   /// (values and dot buffers, no dense row blocks), so the
   /// options().replication knob has nothing to elide here: SparseRows
-  /// and Auto behave exactly like Dense. The same goes for the Pipelined
-  /// schedule — there is no dense row stream to chunk, so it runs as
-  /// DoubleBuffered. The PROPAGATION knob, by contrast, bites twice in
+  /// and Auto behave exactly like Dense. The PROPAGATION knob, by
+  /// contrast, bites twice in
   /// this family: both circulating dense slices compress against the
   /// stationary cells' supports (A by rows, B by columns) — see
   /// a_compression / b_compression below.
@@ -974,7 +829,7 @@ KernelResult SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
               unpack_dense(channels[1].block, su.nq, su.rqc);
           comm.stats().add_flops(
               masked_dot_products(sc.csr, ak, bk, dots));
-        }, nullptr, nullptr, &hooks);
+        }, &hooks);
         std::vector<Scalar> dots_full;
         {
           PhaseScope scope(comm.stats(), Phase::Replication);
@@ -1118,7 +973,7 @@ FusedResult SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
               unpack_dense(channels[1].block, su.nq, su.rqc);
           comm.stats().add_flops(
               masked_dot_products(sc.csr, ak, bk, dots));
-        }, nullptr, nullptr, &hooks);
+        }, &hooks);
       }
       std::vector<Scalar> dots_full;
       {

@@ -41,9 +41,7 @@ WorldStats run_in(SimWorld* world, int num_ranks,
 
 /// The replication cache to consult for this run, or null. Cross-call
 /// caching is disabled whenever faults are armed (a crashed attempt
-/// could abandon a partial fill) and under the Pipelined schedule
-/// (whose replication is streamed into the shift loop, not a blocking
-/// gather that could be skipped wholesale).
+/// could abandon a partial fill).
 ReplicationCache* usable_cache(const ExecContext& ctx,
                                const AlgorithmOptions& options);
 

@@ -21,8 +21,7 @@
 /// The cache must be invalidated (or re-keyed) whenever the factor
 /// values change or the shards move (reshard / new Plan); the serving
 /// layer does this between batches, never while a world is running.
-/// Fault-armed and Pipelined-schedule runs bypass the cache (see
-/// detail::usable_cache).
+/// Fault-armed runs bypass the cache (see detail::usable_cache).
 
 #include <atomic>
 #include <cstdint>

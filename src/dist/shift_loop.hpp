@@ -16,21 +16,10 @@
 ///     mutates (circulating SDDMM dot accumulators) are forwarded right
 ///     after their compute instead, and no barrier closes the step.
 ///
-///   Pipelined — a superset of DoubleBuffered that additionally streams
-///     the replication collective preceding the loop INTO shift step 0
-///     (SpComm3D/SparCML direction): the step-0 read-only forwards are
-///     posted before replication even starts, the all-gather runs
-///     chunked (ChunkFn deliveries), and — when the step-0 kernel can be
-///     row-sliced bit-identically — compute starts on delivered chunks
-///     while later ones are still in flight. Without a ShiftPrologue the
-///     schedule degenerates to DoubleBuffered (nothing to stream).
-///
-/// All schedules execute the identical compute sequence on identical
-/// data, so their outputs are bit-identical; only waiting time moves.
-/// Word counts are identical too (same blocks over the same ring —
-/// chunking merely splits messages), so the exact word accounting is
-/// schedule-independent; only Pipelined's replication MESSAGE count
-/// grows, by the chunks-per-block factor.
+/// Both schedules execute the identical compute sequence on identical
+/// data and send the same messages over the same ring, so their outputs
+/// are bit-identical and the exact word and message accounting is
+/// schedule-independent; only waiting time moves.
 ///
 /// A ring of one rank (the degenerate c = p or q = 1 grids, and p = 1)
 /// is a self-shift: the block stays put and nothing is charged, matching
@@ -49,7 +38,6 @@ namespace dsk {
 enum class ShiftSchedule {
   BulkSynchronous,
   DoubleBuffered,
-  Pipelined,
 };
 
 /// Column-support compression of one circulating dense payload
@@ -102,55 +90,6 @@ struct ShiftChannel {
   const ShiftCompression* compression = nullptr;
 };
 
-/// Replication stage interleaved ahead of shift step 0 under the
-/// Pipelined schedule. The loop posts the step-0 read-only forwards,
-/// then runs `replicate`, routing every chunk delivery into
-/// `compute_chunk` under Phase::Computation (the driver's replicate
-/// closure keeps its own Phase::Replication scope — PhaseScope nesting
-/// is exclusive, so interleaved spans attribute exactly).
-struct ShiftPrologue {
-  /// Runs the pipelined replication collective, invoking its argument
-  /// once per finalized row range of the gathered working block, and
-  /// returns only when the block is fully materialized. Null marks the
-  /// whole prologue absent (run_shift_loop ignores it), so drivers can
-  /// build one unconditionally and arm it only under Pipelined.
-  std::function<void(const ChunkFn&)> replicate;
-  /// Incremental step-0 kernel over finalized working-block rows
-  /// [row0, row1). Non-null -> compute(0) is skipped: the chunk calls
-  /// plus finish_step0 must together perform exactly step 0's compute.
-  /// Null -> compute(0) runs monolithically once replicate returns (the
-  /// right choice for accumulating kernels whose within-step summation
-  /// order a row-sliced execution would reorder).
-  ChunkFn compute_chunk;
-  /// Runs after replicate returns when compute_chunk is set — payload
-  /// repacks and other step-0 epilogue work. May be null.
-  std::function<void()> finish_step0;
-};
-
-/// Reduction stage interleaved INTO the last shift step under the
-/// Pipelined schedule — the mirror image of ShiftPrologue: instead of
-/// waiting for the final kernel to finish before the output
-/// reduce-scatter starts, the collective pulls partial rows just in
-/// time through its `prepare` callback and the loop routes those pulls
-/// into the row-sliced final-step kernel, so the earliest chunks are on
-/// the wire while the later rows are still being computed.
-struct ShiftEpilogue {
-  /// Runs the streaming reduce-scatter
-  /// (Group::reduce_scatter_rows_pipelined behind the driver's
-  /// Phase::Replication scope), forwarding the collective's prepare
-  /// callback. Null marks the whole epilogue absent (run_shift_loop
-  /// ignores it), so drivers can build one unconditionally and arm it
-  /// only under Pipelined.
-  std::function<void(const ChunkFn&)> reduce;
-  /// Row-sliced final-step kernel over partial rows [row0, row1).
-  /// Non-null -> compute(steps-1) is skipped: the prepare-driven chunk
-  /// calls must together perform exactly the last step's compute (each
-  /// output row's accumulation is independent, so spmm_a_rows-style
-  /// slicing is bit-identical). Null -> compute(steps-1) runs
-  /// monolithically before the reduce.
-  ChunkFn compute_chunk;
-};
-
 /// Crash-recovery packing of the driver state that lives OUTSIDE the
 /// channels — stationary accumulators the kernels rewrite in place
 /// (dense-repl SpMM partials, sparse-repl SDDMM dots). With a fault-mode
@@ -160,9 +99,7 @@ struct ShiftEpilogue {
 /// snapshot through unpack_state and resumes at the next step — the
 /// outputs stay bit-identical because the replayed suffix starts from
 /// exactly the state the completed prefix left behind. Drivers without
-/// extra state pass nothing; loops with an armed prologue/epilogue are
-/// non-resumable (collectives interleave with the steps) and simply
-/// re-execute in full.
+/// extra state pass nothing.
 struct ShiftJournalHooks {
   std::function<MessageWords()> pack_state;
   std::function<void(const MessageWords&)> unpack_state;
@@ -174,23 +111,9 @@ struct ShiftJournalHooks {
 /// per-phase counters and measured spans line up with the paper's
 /// breakdown. With steps equal to the ring length every block ends up
 /// back home.
-///
-/// `prologue` (Pipelined schedule only, and only with steps >= 1)
-/// interleaves the preceding replication collective with step 0 as
-/// described above, and `epilogue` (same conditions) interleaves the
-/// trailing reduce-scatter with the last step; word and flop totals are
-/// unchanged relative to running the collectives outside the loop, so
-/// the exact cost accounting stays schedule-independent. When both land
-/// on the same step (steps == 1) the kernel can only be sliced from one
-/// end: the prologue drives the compute and the reduce runs right after
-/// it, un-streamed — unless the prologue has no compute_chunk of its
-/// own, in which case the replicate finishes first and the epilogue's
-/// sliced reduce takes over the step's compute.
 void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
                     std::span<ShiftChannel> channels,
                     const std::function<void(int)>& compute,
-                    const ShiftPrologue* prologue = nullptr,
-                    const ShiftEpilogue* epilogue = nullptr,
                     const ShiftJournalHooks* state = nullptr);
 
 /// Channel over a ring given in member order: receive from the next

@@ -130,29 +130,6 @@ std::uint64_t spmm_a(const CsrMatrix& s, const DenseMatrix& b,
          static_cast<std::uint64_t>(b.cols());
 }
 
-std::uint64_t spmm_a_rows(const CsrMatrix& s, const DenseMatrix& b,
-                          DenseMatrix& a_out, Index row_begin,
-                          Index row_end) {
-  check(b.rows() == s.cols(), "spmm_a_rows: B has ", b.rows(),
-        " rows, S has ", s.cols(), " cols");
-  check(a_out.rows() == s.rows(), "spmm_a_rows: output has ",
-        a_out.rows(), " rows, S has ", s.rows());
-  check(a_out.cols() == b.cols(), "spmm_a_rows: output width ",
-        a_out.cols(), " != B width ", b.cols());
-  check(0 <= row_begin && row_begin <= row_end && row_end <= s.rows(),
-        "spmm_a_rows: range [", row_begin, ", ", row_end,
-        ") outside [0, ", s.rows(), ")");
-  dispatch_width(b.cols(), [&](auto w) {
-    constexpr int W = decltype(w)::value;
-    spmm_a_rows<W>(s, b, a_out, row_begin, row_end);
-  });
-  const auto row_ptr = s.row_ptr();
-  const auto entries = static_cast<std::uint64_t>(
-      row_ptr[static_cast<std::size_t>(row_end)] -
-      row_ptr[static_cast<std::size_t>(row_begin)]);
-  return 2ULL * entries * static_cast<std::uint64_t>(b.cols());
-}
-
 std::uint64_t spmm_b(const CsrMatrix& s, const DenseMatrix& a,
                      DenseMatrix& b_out, ThreadPool* pool) {
   check(a.rows() == s.rows(), "spmm_b: A has ", a.rows(), " rows, S has ",

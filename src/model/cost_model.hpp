@@ -122,21 +122,14 @@ CommCost kernel_cost(AlgorithmKind kind, const CostInputs& in);
 /// ((4r + 1)·nnz/p per rank):
 ///   BulkSynchronous — repl + prop + comp, the serialized BSP sum;
 ///   DoubleBuffered  — repl + max(prop, comp): propagation hidden behind
-///                     local kernels, replication still up front;
-///   Pipelined       — max(repl + prop, comp): the replication stream
-///                     joins the overlap, so all communication can hide
-///                     behind compute (the SparCML-style upper bound).
+///                     local kernels, replication still up front.
 /// These are upper bounds on the benefit (perfect overlap, zero
-/// scheduling overhead). Word counts are schedule-invariant so the beta
-/// terms are exact; the alpha term uses the unchunked message count,
-/// which understates Pipelined's replication messages by its
-/// chunks-per-block factor (a runtime knob the closed form cannot see).
-/// bench_ablation_overlap prints these next to the measured schedule
-/// walls.
+/// scheduling overhead). Word and message counts are schedule-invariant,
+/// so the alpha and beta terms are exact. bench_ablation_overlap prints
+/// these next to the measured schedule walls.
 struct ScheduleBounds {
   double bulk_synchronous = 0;
   double double_buffered = 0;
-  double pipelined = 0;
 };
 ScheduleBounds schedule_bounds(AlgorithmKind kind, Elision elision,
                                const CostInputs& in, const MachineModel& m,

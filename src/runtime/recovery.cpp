@@ -9,7 +9,7 @@
 
 namespace dsk {
 
-int StepJournal::begin_loop(int rank, int steps, bool resumable) {
+int StepJournal::begin_loop(int rank, int steps) {
   auto& log = ranks_[static_cast<std::size_t>(rank)];
   const int id = log.cursor++;
   if (static_cast<std::size_t>(id) >= log.loops.size()) {
@@ -17,7 +17,6 @@ int StepJournal::begin_loop(int rank, int steps, bool resumable) {
   }
   auto& loop = log.loops[static_cast<std::size_t>(id)];
   loop.started = true;
-  loop.resumable = loop.resumable && resumable;
   loop.steps = steps;
   return id;
 }
@@ -32,7 +31,7 @@ int StepJournal::resume_step(int rank, int loop_id) const {
   const auto& log = ranks_[static_cast<std::size_t>(rank)];
   if (static_cast<std::size_t>(loop_id) >= log.loops.size()) return -1;
   const auto& loop = log.loops[static_cast<std::size_t>(loop_id)];
-  if (!loop.resumable || loop.last < resume) return -1;
+  if (loop.last < resume) return -1;
   return resume;
 }
 
@@ -50,7 +49,6 @@ void StepJournal::record_step(int rank, int loop_id, int step,
                               Snapshot snapshot) {
   auto& loop = ranks_[static_cast<std::size_t>(rank)]
                    .loops[static_cast<std::size_t>(loop_id)];
-  if (!loop.resumable) return;
   // Non-retained steps (checkpoint interval > 1) still advance the
   // completion watermark; seal() rounds the resume point down to a
   // retained snapshot.
@@ -74,7 +72,7 @@ void StepJournal::seal() {
       // A rank that never began this loop (it crashed, or aborted,
       // earlier) pins the resume point to "from scratch".
       if (id >= r.loops.size() || !r.loops[id].started ||
-          !r.loops[id].resumable || r.loops[id].last < 0) {
+          r.loops[id].last < 0) {
         ok = false;
         break;
       }

@@ -41,9 +41,8 @@ class StepJournal {
   explicit StepJournal(int num_ranks) : ranks_(num_ranks) {}
 
   /// Called by each rank at the top of every run_shift_loop; returns the
-  /// loop id. Non-resumable loops (armed prologue/epilogue interleave
-  /// collectives with the steps) journal nothing and always re-execute.
-  int begin_loop(int rank, int steps, bool resumable);
+  /// loop id.
+  int begin_loop(int rank, int steps);
 
   /// The step to resume AFTER (restore its snapshot, continue at
   /// resume+1), or -1 to execute the loop from the start.
@@ -83,7 +82,6 @@ class StepJournal {
  private:
   struct LoopLog {
     bool started = false;
-    bool resumable = true;
     int steps = 0;
     std::vector<Snapshot> done; ///< indexed by step; contiguous prefix
     int last = -1;              ///< last contiguously recorded step

@@ -140,15 +140,4 @@ double WorldStats::modeled_overlap_seconds(const MachineModel& m) const {
   return worst;
 }
 
-double WorldStats::modeled_pipeline_seconds(const MachineModel& m) const {
-  double worst = 0;
-  for (const auto& r : ranks_) {
-    const double repl = phase_seconds(r.phase(Phase::Replication), m);
-    const double prop = phase_seconds(r.phase(Phase::Propagation), m);
-    const double comp = phase_seconds(r.phase(Phase::Computation), m);
-    worst = std::max(worst, std::max(comp, repl + prop));
-  }
-  return worst;
-}
-
 } // namespace dsk

@@ -509,92 +509,52 @@ MessageWords decode_cols_block(const MessageWords& words, Index block_rows,
   return dense;
 }
 
-namespace {
-
-/// Index codec for chunk [k0, k1) of `rows`: the requested codec only
-/// when the chunk is the whole support (both endpoints see the same
-/// bounds, so they agree); partial chunks always ride Raw — gap and
-/// bitmap sections do not split at arbitrary boundaries.
-IndexCodec chunk_index_codec(std::span<const Index> rows, std::size_t k0,
-                             std::size_t k1, Index block_rows,
-                             IndexCodec requested) {
-  if (k0 != 0 || k1 != rows.size()) return IndexCodec::Raw;
-  return choose_index_codec(rows, block_rows, requested);
-}
-
-} // namespace
-
-std::uint64_t encoded_rows_chunk_words(std::span<const Index> rows,
-                                       std::size_t k0, std::size_t k1,
-                                       Index block_rows, Index width,
-                                       const WireCodec& codec) {
-  check(k0 <= k1 && k1 <= rows.size(), "encoded_rows_chunk_words: chunk [",
-        k0, ", ", k1, ") outside support of ", rows.size());
-  const IndexCodec section =
-      chunk_index_codec(rows, k0, k1, block_rows, codec.index_codec);
-  return (k0 == 0 ? 1 : 0) +
-         index_section_words(rows.subspan(k0, k1 - k0), block_rows,
-                             section) +
-         row_values_words(static_cast<std::int64_t>(k1 - k0), width,
-                          codec.precision);
-}
-
 std::uint64_t encoded_rows_words(std::span<const Index> rows,
                                  Index block_rows, Index width,
                                  const WireCodec& codec) {
-  if (rows.empty()) return 0;
-  return encoded_rows_chunk_words(rows, 0, rows.size(), block_rows, width,
-                                  codec);
+  // A rows message is laid out exactly like a col-support message.
+  return encoded_cols_words(rows, block_rows, width, codec);
 }
 
-MessageWords encode_rows_chunk(std::span<const Index> rows, std::size_t k0,
-                               std::size_t k1, Index block_rows, Index width,
-                               std::span<const Scalar> values,
-                               const WireCodec& codec) {
-  check(k0 <= k1 && k1 <= rows.size(), "encode_rows_chunk: chunk [", k0,
-        ", ", k1, ") outside support of ", rows.size());
-  check(values.size() == (k1 - k0) * static_cast<std::size_t>(width),
-        "encode_rows_chunk: ", values.size(), " values do not fill ",
-        k1 - k0, " rows of width ", width);
+MessageWords encode_rows(std::span<const Index> rows, Index block_rows,
+                         Index width, std::span<const Scalar> values,
+                         const WireCodec& codec) {
+  check(values.size() == rows.size() * static_cast<std::size_t>(width),
+        "encode_rows: ", values.size(), " values do not fill ",
+        rows.size(), " rows of width ", width);
   const IndexCodec section =
-      chunk_index_codec(rows, k0, k1, block_rows, codec.index_codec);
+      choose_index_codec(rows, block_rows, codec.index_codec);
   MessageWords out;
-  out.reserve(static_cast<std::size_t>(
-      encoded_rows_chunk_words(rows, k0, k1, block_rows, width, codec)));
-  if (k0 == 0) out.push_back(static_cast<std::uint64_t>(rows.size()));
-  put_index_section(out, rows.subspan(k0, k1 - k0), block_rows, section);
-  for (std::size_t k = k0; k < k1; ++k) {
-    put_row(out,
-            values.data() + (k - k0) * static_cast<std::size_t>(width),
+  out.reserve(static_cast<std::size_t>(std::max<std::uint64_t>(
+      encoded_rows_words(rows, block_rows, width, codec), 1)));
+  out.push_back(static_cast<std::uint64_t>(rows.size()));
+  put_index_section(out, rows, block_rows, section);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    put_row(out, values.data() + k * static_cast<std::size_t>(width),
             width, codec.precision);
   }
   return out;
 }
 
-std::vector<Scalar> decode_rows_chunk(const MessageWords& words,
-                                      std::span<const Index> rows,
-                                      std::size_t k0, std::size_t k1,
-                                      Index block_rows, Index width,
-                                      const WireCodec& codec) {
-  check(k0 <= k1 && k1 <= rows.size(), "decode_rows_chunk: chunk [", k0,
-        ", ", k1, ") outside support of ", rows.size());
+std::vector<Scalar> decode_rows(const MessageWords& words,
+                                std::span<const Index> rows,
+                                Index block_rows, Index width,
+                                const WireCodec& codec) {
+  check(!words.empty(), "decode_rows: empty message");
   std::size_t cursor = 0;
-  if (k0 == 0) {
-    check(!words.empty(), "decode_rows_chunk: empty message");
-    const auto count = words[cursor++];
-    check(count == rows.size(), "decode_rows_chunk: peer sent ", count,
-          " rows, support expects ", rows.size());
-  }
-  take_index_section(
-      words, cursor, rows.subspan(k0, k1 - k0), block_rows,
-      chunk_index_codec(rows, k0, k1, block_rows, codec.index_codec));
-  std::vector<Scalar> values((k1 - k0) * static_cast<std::size_t>(width));
-  for (std::size_t k = k0; k < k1; ++k) {
+  const auto count = words[cursor++];
+  check(count == rows.size(), "decode_rows: peer sent ", count,
+        " rows, support expects ", rows.size());
+  take_index_section(words, cursor, rows, block_rows,
+                     choose_index_codec(rows, block_rows,
+                                        codec.index_codec));
+  std::vector<Scalar> values(rows.size() * static_cast<std::size_t>(width));
+  for (std::size_t k = 0; k < rows.size(); ++k) {
     take_row(words, cursor,
-             values.data() + (k - k0) * static_cast<std::size_t>(width),
-             width, codec.precision);
+             values.data() + k * static_cast<std::size_t>(width), width,
+             codec.precision);
   }
-  check(cursor == words.size(), "decode_rows_chunk: oversized row chunk");
+  check(cursor == words.size(), "decode_rows: oversized message");
   return values;
 }
 

@@ -2,7 +2,7 @@
 /// \file wire.hpp
 /// The wire-codec layer: every message class the runtime and the drivers
 /// put on the simulated wire — dense blocks, COO triplets, flat value
-/// vectors, row-support chunks `[count, rows..., values...]`, and
+/// vectors, row-support messages `[count, rows..., values...]`, and
 /// col-support blocks `[count, cols..., values...]` — is encoded and
 /// decoded here, and only here. The legacy `pack_*`/`unpack_*` helpers
 /// in dist/shards and runtime/collectives are thin delegates into this
@@ -17,8 +17,7 @@
 ///
 ///  - `WirePrecision::F32` / `BF16` truncate each value to 32/16 bits
 ///    and pack 2/4 per word. Values are packed **per logical row** (the
-///    last word of each row is padded), so splitting a message into
-///    chunks at row boundaries never changes the total word count.
+///    last word of each row is padded), so rows stay independent.
 ///    Decoding widens back to `Scalar`; all downstream accumulation is
 ///    in full precision. Quantization is idempotent — re-encoding an
 ///    already-quantized value is exact — so forwarding an unmodified
@@ -27,9 +26,7 @@
 ///    index section; `Auto` picks the smallest per message (ties
 ///    resolved Raw < DeltaVarint < Bitmap), so Auto never exceeds Raw.
 ///    Both endpoints resolve the choice from the shared support tables —
-///    no descriptor word travels. Multi-chunk row messages (a chunk that
-///    is not the whole support) always use Raw indices; both ends see
-///    the same `[k0, k1)` bounds, so the formats agree.
+///    no descriptor word travels.
 ///
 /// Decoders validate everything against the expected support: count
 /// headers, every index, exact payload length (truncated or
@@ -122,35 +119,23 @@ MessageWords decode_cols_block(const MessageWords& words, Index block_rows,
                                Index width, std::span<const Index> cols,
                                const WireCodec& codec);
 
-// --- row-support chunk messages [count?, rows-section, values...] ------
-// One (sender, receiver) pair's support `rows` may be split into chunks
-// [k0, k1); the count header (the full support size) rides only on the
-// first chunk. A chunk spanning the whole support uses the requested
-// index codec; partial chunks always use Raw (see file comment).
+// --- row-support messages [count, rows-section, values...] -------------
+// One (sender, receiver) pair's whole support `rows` in one message; the
+// layout (and so the word count) is that of a col-support message.
 
-std::uint64_t encoded_rows_chunk_words(std::span<const Index> rows,
-                                       std::size_t k0, std::size_t k1,
-                                       Index block_rows, Index width,
-                                       const WireCodec& codec);
-/// Whole-support convenience: the words of the unchunked message
-/// (equivalently, the sum over any chunking — row-padded value packing
-/// makes the total chunk-invariant).
 std::uint64_t encoded_rows_words(std::span<const Index> rows,
                                  Index block_rows, Index width,
                                  const WireCodec& codec);
-/// `values` holds the chunk's (k1-k0)*width scalars, row-major in
-/// support order.
-MessageWords encode_rows_chunk(std::span<const Index> rows, std::size_t k0,
-                               std::size_t k1, Index block_rows, Index width,
-                               std::span<const Scalar> values,
-                               const WireCodec& codec);
-/// Inverse: validates the header (first chunk only), every index, and
-/// the exact length against the expected support, then returns the
-/// chunk's (k1-k0)*width scalars in support order.
-std::vector<Scalar> decode_rows_chunk(const MessageWords& words,
-                                      std::span<const Index> rows,
-                                      std::size_t k0, std::size_t k1,
-                                      Index block_rows, Index width,
-                                      const WireCodec& codec);
+/// `values` holds rows.size()*width scalars, row-major in support order.
+MessageWords encode_rows(std::span<const Index> rows, Index block_rows,
+                         Index width, std::span<const Scalar> values,
+                         const WireCodec& codec);
+/// Inverse: validates the count header, every index, and the exact
+/// length against the expected support, then returns the rows.size()*width
+/// scalars in support order.
+std::vector<Scalar> decode_rows(const MessageWords& words,
+                                std::span<const Index> rows,
+                                Index block_rows, Index width,
+                                const WireCodec& codec);
 
 } // namespace dsk

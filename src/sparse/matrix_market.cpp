@@ -60,9 +60,19 @@ CooMatrix read_matrix_market(std::istream& in) {
   check(!dims.fail() && rows > 0 && cols > 0 && count >= 0,
         "matrix market: bad size line '", line, "'");
   reject_trailing(dims, line, "size");
+  // A coordinate file lists each position at most once, so count is at
+  // most rows * cols — checked as ceil(count / rows) <= cols, which
+  // cannot overflow.
+  check(count / rows + (count % rows != 0 ? 1 : 0) <= cols,
+        "matrix market: size line '", line, "' declares ", count,
+        " entries for a ", rows, " x ", cols, " matrix");
 
+  // The header is still only a claim: reserve at most kReserveCap
+  // entries up front and let a genuinely large file grow the arrays.
+  constexpr Index kReserveCap = Index{1} << 20;
   CooMatrix out(rows, cols);
-  out.reserve(symmetry == "symmetric" ? 2 * count : count);
+  out.reserve(std::min(count, kReserveCap) *
+              (symmetry == "symmetric" ? 2 : 1));
   for (Index k = 0; k < count; ++k) {
     check(static_cast<bool>(std::getline(in, line)),
           "matrix market: expected ", count, " entries, got ", k);

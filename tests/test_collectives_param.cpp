@@ -167,6 +167,19 @@ DenseMatrix member_block(int member) {
   return block;
 }
 
+/// Member `member`'s reduce-scatter partial: random values on the rows of
+/// its own support, zero elsewhere — exactly the contract the SpMM-A
+/// drivers satisfy.
+DenseMatrix member_partial(const std::vector<std::vector<Index>>& wants,
+                           int member, Index total_rows, unsigned seed) {
+  DenseMatrix partial(total_rows, kWidth);
+  Rng rng(seed + static_cast<unsigned>(member));
+  for (const Index row : wants[static_cast<std::size_t>(member)]) {
+    for (Index j = 0; j < kWidth; ++j) partial(row, j) = rng.next_in(-1, 1);
+  }
+  return partial;
+}
+
 TEST_P(CollectiveSweep, AllgathervRowsDeliversSupportedRowsExactly) {
   const int g = GetParam();
   const Index total_rows = static_cast<Index>(g) * kBlockRows;
@@ -243,25 +256,14 @@ TEST_P(CollectiveSweep, ReduceScatterRowsBitIdenticalToDense) {
   for (const Support regime :
        {Support::Empty, Support::SingleRow, Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
-    // Partials with nonzero rows confined to the member's own support —
-    // exactly the contract the SpMM-A drivers satisfy.
-    const auto member_partial = [&](int member) {
-      DenseMatrix partial(total_rows, kWidth);
-      Rng rng(800 + static_cast<unsigned>(member));
-      for (const Index row : wants[static_cast<std::size_t>(member)]) {
-        for (Index j = 0; j < kWidth; ++j) {
-          partial(row, j) = rng.next_in(-1, 1);
-        }
-      }
-      return partial;
-    };
     const auto run_mode = [&](ReplicationMode mode) {
       std::vector<DenseMatrix> chunks(static_cast<std::size_t>(g));
       run_spmd(g, [&](Comm& comm) {
         Group group(comm, all_ranks(g));
         chunks[static_cast<std::size_t>(comm.rank())] =
-            group.reduce_scatter_rows(member_partial(comm.rank()), wants,
-                                      mode);
+            group.reduce_scatter_rows(
+                member_partial(wants, comm.rank(), total_rows, 800), wants,
+                mode);
       });
       return chunks;
     };
@@ -286,164 +288,149 @@ TEST_P(CollectiveSweep, ReduceScatterRowsBitIdenticalToDense) {
   }
 }
 
-/// The pipelined all-gathers must be drop-in equivalents of the
-/// unchunked collectives for every chunk size — including chunk = 1
-/// (per-row streaming) and chunk >= block_rows (one chunk per block) —
-/// across all support regimes and replication modes. Three properties
-/// per combination: bit-identical result matrix, identical per-rank
-/// word counts, and chunk callbacks that tile the result exactly once.
-TEST_P(CollectiveSweep, PipelinedAllgatherMatchesUnchunked) {
+/// True when the sorted `support` holds a row of member `block`'s block —
+/// the row-sparse plans mail one message per such (sender, receiver)
+/// pair and nothing for an empty intersection.
+bool meets_block(const std::vector<Index>& support, int block) {
+  const Index row0 = static_cast<Index>(block) * kBlockRows;
+  const auto lo = std::lower_bound(support.begin(), support.end(), row0);
+  return lo != support.end() && *lo < row0 + kBlockRows;
+}
+
+/// allgatherv_rows against the generic ring all-gather of the flattened
+/// blocks, across every support regime (empty included) and mode: the
+/// dense plan reproduces the ring bit for bit with identical per-rank
+/// words and messages (one message per hop); the row-sparse plan
+/// delivers the same bits on every row it ships and mails exactly one
+/// message per non-empty (sender, receiver) pair.
+TEST_P(CollectiveSweep, AllgathervRowsMatchesRingAllgather) {
   const int g = GetParam();
   const Index total_rows = static_cast<Index>(g) * kBlockRows;
   for (const Support regime :
        {Support::Empty, Support::SingleRow, Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
+    std::vector<std::vector<Scalar>> ring(static_cast<std::size_t>(g));
+    const auto ring_stats = run_spmd(g, [&](Comm& comm) {
+      PhaseScope scope(comm.stats(), Phase::Replication);
+      Group group(comm, all_ranks(g));
+      ring[static_cast<std::size_t>(comm.rank())] =
+          group.allgather(member_block(comm.rank()).data());
+    });
     for (const ReplicationMode mode :
-         {ReplicationMode::Dense, ReplicationMode::SparseRows,
-          ReplicationMode::Auto}) {
-      for (const Index chunk_rows :
-           {Index{1}, Index{2}, kBlockRows, kBlockRows + 5}) {
-        std::vector<WorldStats> stats(2);
-        std::vector<DenseMatrix> plain(static_cast<std::size_t>(g));
-        std::vector<DenseMatrix> piped(static_cast<std::size_t>(g));
-        stats[0] = run_spmd(g, [&](Comm& comm) {
-          PhaseScope scope(comm.stats(), Phase::Replication);
-          Group group(comm, all_ranks(g));
-          plain[static_cast<std::size_t>(comm.rank())] =
-              group.allgatherv_rows(member_block(comm.rank()), wants,
-                                    mode);
-        });
-        std::vector<std::vector<std::pair<Index, Index>>> chunks(
-            static_cast<std::size_t>(g));
-        stats[1] = run_spmd(g, [&](Comm& comm) {
-          PhaseScope scope(comm.stats(), Phase::Replication);
-          Group group(comm, all_ranks(g));
-          auto& seen = chunks[static_cast<std::size_t>(comm.rank())];
-          group.allgatherv_rows_pipelined(
-              member_block(comm.rank()), wants, mode, chunk_rows,
-              [&](Index row0, Index row1) {
-                seen.emplace_back(row0, row1);
-              },
-              piped[static_cast<std::size_t>(comm.rank())]);
-        });
-        for (int rank = 0; rank < g; ++rank) {
-          const auto& want = plain[static_cast<std::size_t>(rank)];
-          const auto& have = piped[static_cast<std::size_t>(rank)];
-          ASSERT_EQ(have.rows(), want.rows());
-          EXPECT_EQ(want.max_abs_diff(have), 0.0)
-              << to_string(mode) << " chunk " << chunk_rows << " rank "
-              << rank;
-          // Identical words per rank (messages may differ — that is the
-          // chunking); the cost model's word accounting cannot drift.
-          EXPECT_EQ(
-              stats[0].rank(rank).phase(Phase::Replication).words_sent,
-              stats[1].rank(rank).phase(Phase::Replication).words_sent)
-              << to_string(mode) << " chunk " << chunk_rows << " rank "
-              << rank;
-          // The delivered ranges tile [0, total_rows) exactly once.
-          auto seen = chunks[static_cast<std::size_t>(rank)];
-          std::sort(seen.begin(), seen.end());
-          Index covered = 0;
-          for (const auto& [row0, row1] : seen) {
-            EXPECT_EQ(row0, covered)
-                << to_string(mode) << " chunk " << chunk_rows << " rank "
-                << rank;
-            EXPECT_LT(row0, row1);
-            covered = row1;
+         {ReplicationMode::Dense, ReplicationMode::SparseRows}) {
+      std::vector<DenseMatrix> got(static_cast<std::size_t>(g));
+      const auto stats = run_spmd(g, [&](Comm& comm) {
+        PhaseScope scope(comm.stats(), Phase::Replication);
+        Group group(comm, all_ranks(g));
+        got[static_cast<std::size_t>(comm.rank())] =
+            group.allgatherv_rows(member_block(comm.rank()), wants, mode);
+      });
+      for (int rank = 0; rank < g; ++rank) {
+        const auto& want = ring[static_cast<std::size_t>(rank)];
+        const auto& have = got[static_cast<std::size_t>(rank)];
+        ASSERT_EQ(have.rows(), total_rows);
+        std::vector<char> shipped(static_cast<std::size_t>(total_rows),
+                                  mode == ReplicationMode::Dense ? 1 : 0);
+        for (Index i = 0; i < kBlockRows; ++i) {
+          shipped[static_cast<std::size_t>(rank * kBlockRows + i)] = 1;
+        }
+        for (const Index row : wants[static_cast<std::size_t>(rank)]) {
+          shipped[static_cast<std::size_t>(row)] = 1;
+        }
+        for (Index i = 0; i < total_rows; ++i) {
+          for (Index j = 0; j < kWidth; ++j) {
+            const Scalar expect =
+                shipped[static_cast<std::size_t>(i)] != 0
+                    ? want[static_cast<std::size_t>(i * kWidth + j)]
+                    : Scalar{0};
+            EXPECT_EQ(have(i, j), expect)
+                << to_string(mode) << " rank " << rank << " row " << i;
           }
-          EXPECT_EQ(covered, total_rows)
-              << to_string(mode) << " chunk " << chunk_rows << " rank "
-              << rank;
+        }
+        const auto& counters = stats.rank(rank).phase(Phase::Replication);
+        if (mode == ReplicationMode::Dense) {
+          const auto& ring_counters =
+              ring_stats.rank(rank).phase(Phase::Replication);
+          EXPECT_EQ(counters.words_sent, ring_counters.words_sent)
+              << "rank " << rank;
+          EXPECT_EQ(counters.messages_sent, ring_counters.messages_sent)
+              << "rank " << rank;
+        } else {
+          std::uint64_t messages = 0;
+          for (int t = 0; t < g; ++t) {
+            if (t != rank && meets_block(wants[static_cast<std::size_t>(t)],
+                                         rank)) {
+              ++messages;
+            }
+          }
+          EXPECT_EQ(counters.messages_sent, messages) << "rank " << rank;
         }
       }
     }
   }
 }
 
-/// The streaming reduce-scatter must be a drop-in equivalent of the
-/// unchunked collective for every chunk size — including chunk = 1
-/// (per-row streaming) and chunk >= block rows (one message per pair) —
-/// across all support regimes and replication modes. Three properties
-/// per combination: bit-identical result chunk, identical per-rank word
-/// counts, and prepare callbacks whose ranges tile the partial exactly
-/// once, each fired before the collective first reads those rows.
-TEST_P(CollectiveSweep, PipelinedReduceScatterMatchesUnchunked) {
+/// reduce_scatter_rows against the generic ring reduce-scatter of the
+/// flattened partial, across every support regime (empty included): the
+/// dense plan reproduces it bit for bit with identical per-rank words
+/// and messages (one message per hop), and the row-sparse plan — which
+/// folds in the same order (see ReduceScatterRowsBitIdenticalToDense) —
+/// mails exactly one message per non-empty (sender, receiver) pair.
+TEST_P(CollectiveSweep, ReduceScatterRowsMatchesRingReduceScatter) {
   const int g = GetParam();
   const Index total_rows = static_cast<Index>(g) * kBlockRows;
   for (const Support regime :
        {Support::Empty, Support::SingleRow, Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
-    const auto member_partial = [&](int member) {
-      DenseMatrix partial(total_rows, kWidth);
-      Rng rng(900 + static_cast<unsigned>(member));
-      for (const Index row : wants[static_cast<std::size_t>(member)]) {
-        for (Index j = 0; j < kWidth; ++j) {
-          partial(row, j) = rng.next_in(-1, 1);
-        }
-      }
-      return partial;
-    };
+    std::vector<std::vector<Scalar>> ring(static_cast<std::size_t>(g));
+    const auto ring_stats = run_spmd(g, [&](Comm& comm) {
+      PhaseScope scope(comm.stats(), Phase::Replication);
+      Group group(comm, all_ranks(g));
+      ring[static_cast<std::size_t>(comm.rank())] = group.reduce_scatter(
+          member_partial(wants, comm.rank(), total_rows, 900).data());
+    });
     for (const ReplicationMode mode :
-         {ReplicationMode::Dense, ReplicationMode::SparseRows,
-          ReplicationMode::Auto}) {
-      std::vector<DenseMatrix> plain(static_cast<std::size_t>(g));
-      const auto plain_stats = run_spmd(g, [&](Comm& comm) {
+         {ReplicationMode::Dense, ReplicationMode::SparseRows}) {
+      std::vector<DenseMatrix> got(static_cast<std::size_t>(g));
+      const auto stats = run_spmd(g, [&](Comm& comm) {
         PhaseScope scope(comm.stats(), Phase::Replication);
         Group group(comm, all_ranks(g));
-        plain[static_cast<std::size_t>(comm.rank())] =
-            group.reduce_scatter_rows(member_partial(comm.rank()), wants,
-                                      mode);
+        got[static_cast<std::size_t>(comm.rank())] =
+            group.reduce_scatter_rows(
+                member_partial(wants, comm.rank(), total_rows, 900), wants,
+                mode);
       });
-      for (const Index chunk_rows :
-           {Index{1}, Index{2}, kBlockRows, kBlockRows + 5}) {
-        std::vector<DenseMatrix> piped(static_cast<std::size_t>(g));
-        std::vector<std::vector<std::pair<Index, Index>>> prepared(
-            static_cast<std::size_t>(g));
-        const auto piped_stats = run_spmd(g, [&](Comm& comm) {
-          PhaseScope scope(comm.stats(), Phase::Replication);
-          Group group(comm, all_ranks(g));
-          DenseMatrix partial = member_partial(comm.rank());
-          auto& seen = prepared[static_cast<std::size_t>(comm.rank())];
-          piped[static_cast<std::size_t>(comm.rank())] =
-              group.reduce_scatter_rows_pipelined(
-                  partial, wants, mode, chunk_rows,
-                  [&](Index row0, Index row1) {
-                    seen.emplace_back(row0, row1);
-                  });
-        });
-        for (int rank = 0; rank < g; ++rank) {
-          const auto& want = plain[static_cast<std::size_t>(rank)];
-          const auto& have = piped[static_cast<std::size_t>(rank)];
-          ASSERT_EQ(have.rows(), want.rows());
-          for (Index i = 0; i < want.rows(); ++i) {
-            for (Index j = 0; j < want.cols(); ++j) {
-              // Bit-identical, not merely close: chunking must not
-              // reorder any row's accumulation.
-              EXPECT_EQ(have(i, j), want(i, j))
-                  << to_string(mode) << " chunk " << chunk_rows
-                  << " rank " << rank;
+      for (int rank = 0; rank < g; ++rank) {
+        const auto& counters = stats.rank(rank).phase(Phase::Replication);
+        if (mode == ReplicationMode::SparseRows) {
+          // This member mails its own support, split by receiver block —
+          // the transpose of the all-gather plan.
+          std::uint64_t messages = 0;
+          for (int t = 0; t < g; ++t) {
+            if (t != rank && meets_block(wants[static_cast<std::size_t>(rank)],
+                                         t)) {
+              ++messages;
             }
           }
-          EXPECT_EQ(
-              plain_stats.rank(rank).phase(Phase::Replication).words_sent,
-              piped_stats.rank(rank).phase(Phase::Replication).words_sent)
-              << to_string(mode) << " chunk " << chunk_rows << " rank "
-              << rank;
-          // The prepare ranges tile [0, total_rows) exactly once.
-          auto seen = prepared[static_cast<std::size_t>(rank)];
-          std::sort(seen.begin(), seen.end());
-          Index covered = 0;
-          for (const auto& [row0, row1] : seen) {
-            EXPECT_EQ(row0, covered)
-                << to_string(mode) << " chunk " << chunk_rows << " rank "
-                << rank;
-            EXPECT_LT(row0, row1);
-            covered = row1;
-          }
-          EXPECT_EQ(covered, total_rows)
-              << to_string(mode) << " chunk " << chunk_rows << " rank "
-              << rank;
+          EXPECT_EQ(counters.messages_sent, messages) << "rank " << rank;
+          continue;
         }
+        const auto& want = ring[static_cast<std::size_t>(rank)];
+        const auto& have = got[static_cast<std::size_t>(rank)];
+        ASSERT_EQ(have.rows(), kBlockRows);
+        for (Index i = 0; i < kBlockRows; ++i) {
+          for (Index j = 0; j < kWidth; ++j) {
+            EXPECT_EQ(have(i, j),
+                      want[static_cast<std::size_t>(i * kWidth + j)])
+                << "rank " << rank;
+          }
+        }
+        const auto& ring_counters =
+            ring_stats.rank(rank).phase(Phase::Replication);
+        EXPECT_EQ(counters.words_sent, ring_counters.words_sent)
+            << "rank " << rank;
+        EXPECT_EQ(counters.messages_sent, ring_counters.messages_sent)
+            << "rank " << rank;
       }
     }
   }
@@ -578,35 +565,6 @@ TEST(ColsBlockWire, PackUnpackWordsStayInLockstep) {
   corrupt.push_back(0);
   EXPECT_THROW(unpack_cols_block(corrupt, kBlockRows, kWidth, support),
                Error);
-}
-
-/// A rank that throws inside a chunk callback mid-pipeline (its peers
-/// still blocked receiving later chunks) must abort the world instead of
-/// deadlocking — the prologue path of the shift loop relies on this.
-TEST(SparseCollectives, ThrowInChunkCallbackAbortsWorld) {
-  const int g = 4;
-  try {
-    run_spmd(g, [&](Comm& comm) {
-      Group group(comm, all_ranks(g));
-      DenseMatrix out;
-      int delivered = 0;
-      group.allgatherv_pipelined(
-          member_block(comm.rank()), /*chunk_rows=*/2,
-          [&](Index, Index) {
-            // Fail after the resident rows, while remote chunks from the
-            // ring are still in flight toward the other members.
-            if (comm.rank() == 1 && ++delivered == 4) {
-              fail("injected failure mid-pipeline");
-            }
-          },
-          out);
-    });
-    FAIL() << "expected the injected failure to propagate";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("mid-pipeline"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(SparseCollectives, AutoDecidesPerRankNotOnGroupTotals) {

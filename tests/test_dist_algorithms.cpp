@@ -343,8 +343,8 @@ TEST(ReplicationModes, BitIdenticalOutputsAcrossAllDrivers) {
 /// regardless of schedule, replication mode, and propagation mode —
 /// transport choices may change the words on the wire, never the
 /// decoded values (quantization is per value and idempotent, so
-/// chunking, re-forwarding, and the sparse/dense crossovers all see
-/// the same payloads). The lossy codecs must also stay within their
+/// re-forwarding and the sparse/dense crossovers all see the same
+/// payloads). The lossy codecs must also stay within their
 /// quantization error bounds of the exact default-codec output.
 TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
   const auto problem = make_rmat_problem(128, 128, 32, 256, 7071);
@@ -381,8 +381,7 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
       EXPECT_LE(rel_diff(reference.output, exact.output), tol)
           << to_string(cfg.kind) << " " << to_string(codec.precision);
       for (const ShiftSchedule schedule :
-           {ShiftSchedule::DoubleBuffered, ShiftSchedule::BulkSynchronous,
-            ShiftSchedule::Pipelined}) {
+           {ShiftSchedule::DoubleBuffered, ShiftSchedule::BulkSynchronous}) {
         for (const ReplicationMode repl :
              {ReplicationMode::Dense, ReplicationMode::Auto}) {
           for (const PropagationMode prop :
@@ -401,11 +400,11 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
   }
 }
 
-/// The pipelined schedule against the serial references: not just
-/// schedule-vs-schedule identity (test_overlap pins that) but absolute
-/// correctness of every kernel mode under the streamed replication
-/// prologue, across replication modes and an awkward chunk size.
-TEST(PipelinedSchedule, KernelsMatchReference) {
+/// The compressed transports against the serial references: not just
+/// mode-vs-mode identity (test_overlap pins that) but absolute
+/// correctness of every kernel mode with the row-sparse collectives and
+/// column-support hops in play.
+TEST(CompressedTransport, KernelsMatchReference) {
   const auto problem = make_problem(64, 128, 16, /*seed=*/81);
   const auto want_a = reference_spmm_a(problem.s, problem.b);
   const auto want_b = reference_spmm_b(problem.s, problem.a);
@@ -418,9 +417,9 @@ TEST(PipelinedSchedule, KernelsMatchReference) {
       {AlgorithmKind::SparseRepl25D, 8, 2},
   };
   // Propagation compression rides along with each replication mode, so
-  // the sweep also pins the column-support wire paths (and the streamed
-  // reduce-scatter epilogue that SpMMA takes under Pipelined) against
-  // the serial references.
+  // the sweep also pins the column-support wire paths (and the
+  // row-sparse reduce-scatter SpMMA ends with) against the serial
+  // references.
   const std::pair<ReplicationMode, PropagationMode> mode_pairs[] = {
       {ReplicationMode::Dense, PropagationMode::SparseCols},
       {ReplicationMode::Auto, PropagationMode::Auto},
@@ -428,10 +427,8 @@ TEST(PipelinedSchedule, KernelsMatchReference) {
   for (const auto& cfg : configs) {
     for (const auto& [mode, propagation] : mode_pairs) {
       AlgorithmOptions options;
-      options.schedule = ShiftSchedule::Pipelined;
       options.replication = mode;
       options.propagation = propagation;
-      options.chunk_rows = 5; // misaligned with every block height
       auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
       EXPECT_LE(rel_diff(algo->run_kernel(Mode::SpMMA, problem.s,
                                           problem.a, problem.b)

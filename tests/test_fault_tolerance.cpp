@@ -600,64 +600,52 @@ TEST(FaultTolerance, ShrinkConfigFindsLargestValidSmallerGrid) {
   EXPECT_THROW(shrink_config(AlgorithmKind::Baseline1D, 1, 1), Error);
 }
 
-TEST(FaultTolerance, PipelinedAllgatherChunkCrashSweepHealsBitIdentically) {
-  // Under the Pipelined schedule the replication all-gather streams in
-  // chunk messages, each a Replication-phase comm op: crash rank 3 at
-  // every such op in turn and demand bit-identity every time.
+/// Crash rank 3 at Replication-phase comm op `op` of a DenseRepl25D
+/// kernel under the default (double-buffered) schedule; returns the run.
+KernelResult run_with_replication_crash(Mode mode, const Problem& pr,
+                                        int op) {
+  FaultPlan plan;
+  CrashSpec spec;
+  spec.rank = 3;
+  spec.any_phase = false;
+  spec.phase = Phase::Replication;
+  spec.op_index = op;
+  plan.crashes.push_back(spec);
+  return run_kernel_with(AlgorithmKind::DenseRepl25D, 8, 2, mode, pr, &plan);
+}
+
+TEST(FaultTolerance, DoubleBufferedAllgatherCrashSweepHealsBitIdentically) {
+  // SDDMM's Replication phase is the fiber all-gather ahead of the shift
+  // loop: crash rank 3 at each of its comm ops in turn (indices past the
+  // last op never fire) and demand bit-identity every time.
   const Problem pr = make_problem(32, 48, 8, 43);
-  AlgorithmOptions base;
-  base.schedule = ShiftSchedule::Pipelined;
-  base.chunk_rows = 2;
-  const KernelResult clean = run_kernel_opts(
-      AlgorithmKind::DenseRepl25D, 8, 2, Mode::SDDMM, pr, base);
+  const KernelResult clean = run_kernel_with(
+      AlgorithmKind::DenseRepl25D, 8, 2, Mode::SDDMM, pr, nullptr);
   ASSERT_FALSE(clean.sddmm_values.empty());
   int fired = 0;
-  for (int op = 0; op < 12; ++op) {
-    FaultPlan plan;
-    CrashSpec spec;
-    spec.rank = 3;
-    spec.any_phase = false;
-    spec.phase = Phase::Replication;
-    spec.op_index = op;
-    plan.crashes.push_back(spec);
-    AlgorithmOptions options = base;
-    options.faults = &plan;
-    const KernelResult got = run_kernel_opts(
-        AlgorithmKind::DenseRepl25D, 8, 2, Mode::SDDMM, pr, options);
+  for (int op = 0; op < 8; ++op) {
+    const KernelResult got = run_with_replication_crash(Mode::SDDMM, pr, op);
     EXPECT_EQ(got.sddmm_values, clean.sddmm_values) << "crash=3@repl:" << op;
     fired += got.stats.recoveries();
   }
-  // The sweep must actually have crashed inside the chunk stream.
-  EXPECT_GT(fired, 1);
+  // The sweep must actually have crashed inside the all-gather.
+  EXPECT_GE(fired, 1);
 }
 
-TEST(FaultTolerance, PipelinedReduceScatterChunkCrashSweepHealsBitIdentically) {
-  // SpMMA's epilogue streams the reduce-scatter chunk by chunk; sweeping
-  // deeper Replication-phase op indices lands crashes inside it.
+TEST(FaultTolerance, DoubleBufferedReduceScatterCrashSweepHealsBitIdentically) {
+  // SpMMA's Replication phase is the fiber reduce-scatter after the
+  // shift loop, so these crashes land after journaled steps.
   const Problem pr = make_problem(32, 48, 8, 43);
-  AlgorithmOptions base;
-  base.schedule = ShiftSchedule::Pipelined;
-  base.chunk_rows = 2;
-  const KernelResult clean = run_kernel_opts(
-      AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, base);
+  const KernelResult clean = run_kernel_with(
+      AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, nullptr);
   int fired = 0;
-  for (int op = 0; op < 20; ++op) {
-    FaultPlan plan;
-    CrashSpec spec;
-    spec.rank = 3;
-    spec.any_phase = false;
-    spec.phase = Phase::Replication;
-    spec.op_index = op;
-    plan.crashes.push_back(spec);
-    AlgorithmOptions options = base;
-    options.faults = &plan;
-    const KernelResult got = run_kernel_opts(
-        AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, options);
+  for (int op = 0; op < 8; ++op) {
+    const KernelResult got = run_with_replication_crash(Mode::SpMMA, pr, op);
     EXPECT_EQ(got.dense.max_abs_diff(clean.dense), 0.0)
         << "crash=3@repl:" << op;
     fired += got.stats.recoveries();
   }
-  EXPECT_GT(fired, 2);
+  EXPECT_GE(fired, 1);
 }
 
 // ---------------------------------------------------------------------

@@ -154,6 +154,22 @@ TEST(MatrixMarket, RejectsMalformedInput) {
   std::stringstream truncated(
       "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 5.0\n");
   EXPECT_THROW(read_matrix_market(truncated), Error);
+  // Entry counts beyond rows * cols are structured errors, not an
+  // attempt to reserve the claimed size (std::bad_alloc) or a doubled
+  // symmetric count that overflows (std::length_error).
+  std::stringstream huge_count(
+      "%%MatrixMarket matrix coordinate real general\n2 2 100000000000\n");
+  EXPECT_THROW(read_matrix_market(huge_count), Error);
+  std::stringstream overflowing_count(
+      "%%MatrixMarket matrix coordinate real symmetric\n"
+      "3 3 4611686018427387904\n");
+  EXPECT_THROW(read_matrix_market(overflowing_count), Error);
+  // A count within rows * cols but far beyond the entries present fails
+  // on the missing lines, without a header-sized allocation.
+  std::stringstream short_file(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "100000 100000 10000000000\n1 1 5.0\n");
+  EXPECT_THROW(read_matrix_market(short_file), Error);
 }
 
 TEST(MatrixMarket, RejectsOutOfRangeIndices) {

@@ -2,9 +2,9 @@
 /// message class under every precision x index-codec combination,
 /// adversarial support shapes, corrupt-message rejection (truncation,
 /// trailing garbage, tampered headers), quantization error bounds, the
-/// idempotence the multi-hop rings rely on, and the chunk-invariant
-/// totals the pipelined schedule relies on. These tests also pin the
-/// encode/decode/words triples for dsk_lint's P1 protocol account.
+/// idempotence the multi-hop rings rely on, and the single support
+/// layout the row- and col-support messages share. These tests also pin
+/// the encode/decode/words triples for dsk_lint's P1 protocol account.
 
 #include <gtest/gtest.h>
 
@@ -341,75 +341,60 @@ TEST(WireColsBlock, RejectsCorruptMessages) {
   }
 }
 
-TEST(WireRowsChunks, WholeAndChunkedDecodesAgree) {
-  const Index block_rows = 64;
-  const Index width = 3;
-  const std::vector<Index> rows = {1, 7, 8, 20, 40, 41, 63};
-  const auto values = gaussian_values(
-      rows.size() * static_cast<std::size_t>(width), 101);
-  for (const WirePrecision precision : kPrecisions) {
-    for (const IndexCodec index_codec : kIndexCodecs) {
-      const WireCodec codec{precision, index_codec};
-      // Whole-support message.
-      const auto whole = encode_rows_chunk(rows, 0, rows.size(),
-                                           block_rows, width, values,
-                                           codec);
-      EXPECT_EQ(whole.size(),
-                encoded_rows_words(rows, block_rows, width, codec));
-      const auto whole_decoded = decode_rows_chunk(
-          whole, rows, 0, rows.size(), block_rows, width, codec);
-      expect_within_bound(whole_decoded, values, precision);
-      // Split into chunks; the count header rides only on the first.
-      std::vector<Scalar> reassembled;
-      for (const auto& [k0, k1] :
-           std::vector<std::pair<std::size_t, std::size_t>>{
-               {0, 3}, {3, 4}, {4, rows.size()}}) {
-        const std::span<const Scalar> chunk_values(
-            values.data() + k0 * static_cast<std::size_t>(width),
-            (k1 - k0) * static_cast<std::size_t>(width));
-        const auto chunk = encode_rows_chunk(rows, k0, k1, block_rows,
-                                             width, chunk_values, codec);
-        EXPECT_EQ(chunk.size(),
-                  encoded_rows_chunk_words(rows, k0, k1, block_rows,
-                                           width, codec));
-        const auto decoded = decode_rows_chunk(chunk, rows, k0, k1,
-                                               block_rows, width, codec);
-        reassembled.insert(reassembled.end(), decoded.begin(),
-                           decoded.end());
+TEST(WireRows, RoundTripEveryCodecAndSupportShape) {
+  for (const auto& sc : support_cases()) {
+    const Index width = 3;
+    const auto values = gaussian_values(
+        sc.rows.size() * static_cast<std::size_t>(width), 101);
+    for (const WirePrecision precision : kPrecisions) {
+      for (const IndexCodec index_codec : kIndexCodecs) {
+        const WireCodec codec{precision, index_codec};
+        const auto words =
+            encode_rows(sc.rows, sc.block_rows, width, values, codec);
+        EXPECT_EQ(words.size(),
+                  encoded_rows_words(sc.rows, sc.block_rows, width, codec))
+            << sc.name;
+        expect_within_bound(
+            decode_rows(words, sc.rows, sc.block_rows, width, codec),
+            values, precision);
       }
-      EXPECT_EQ(reassembled, whole_decoded)
-          << to_string(precision) << " " << to_string(index_codec);
     }
   }
 }
 
-/// Row-padded value packing makes the value payload split-invariant:
-/// under Raw indices (chunking forces partial chunks to Raw anyway) the
-/// total words of any chunking equal the unchunked message exactly.
-TEST(WireRowsChunks, TotalsAreChunkInvariantUnderRawIndices) {
+/// A row-support message is byte-for-byte the col-support message of
+/// the same rows — one layout, one price — so the replication and
+/// propagation paths cannot drift apart on the wire.
+TEST(WireRows, WireImageMatchesColsBlock) {
   const Index block_rows = 96;
   const Index width = 5;
   std::vector<Index> rows;
   for (Index i = 0; i < 90; i += 2) rows.push_back(i);
+  const auto image_values = gaussian_values(
+      static_cast<std::size_t>(block_rows * width), 103);
+  MessageWords image(image_values.size());
+  std::memcpy(image.data(), image_values.data(),
+              image_values.size() * sizeof(Scalar));
+  std::vector<Scalar> values;
+  for (const Index row : rows) {
+    values.insert(values.end(),
+                  image_values.begin() + row * width,
+                  image_values.begin() + (row + 1) * width);
+  }
   for (const WirePrecision precision : kPrecisions) {
-    const WireCodec codec{precision, IndexCodec::Raw};
-    const auto whole =
-        encoded_rows_words(rows, block_rows, width, codec);
-    for (const std::size_t step : {std::size_t{1}, std::size_t{7},
-                                   std::size_t{16}}) {
-      std::uint64_t total = 0;
-      for (std::size_t k0 = 0; k0 < rows.size(); k0 += step) {
-        const std::size_t k1 = std::min(rows.size(), k0 + step);
-        total += encoded_rows_chunk_words(rows, k0, k1, block_rows,
-                                          width, codec);
-      }
-      EXPECT_EQ(total, whole)
-          << to_string(precision) << " step " << step;
+    for (const IndexCodec index_codec : kIndexCodecs) {
+      const WireCodec codec{precision, index_codec};
+      EXPECT_EQ(encode_rows(rows, block_rows, width, values, codec),
+                encode_cols_block(image, block_rows, width, rows, codec))
+          << to_string(precision) << " " << to_string(index_codec);
+      EXPECT_EQ(encoded_rows_words(rows, block_rows, width, codec),
+                encoded_cols_words(rows, block_rows, width, codec));
     }
   }
+  EXPECT_EQ(encoded_rows_words({}, block_rows, width, WireCodec{}), 0u);
 }
 
-TEST(WireRowsChunks, RejectsCorruptMessages) {
+TEST(WireRows, RejectsCorruptMessages) {
   const Index block_rows = 32;
   const Index width = 2;
   const std::vector<Index> rows = {0, 5, 9, 30};
@@ -417,25 +402,26 @@ TEST(WireRowsChunks, RejectsCorruptMessages) {
       rows.size() * static_cast<std::size_t>(width), 111);
   for (const IndexCodec index_codec : kIndexCodecs) {
     const WireCodec codec{WirePrecision::F32, index_codec};
-    const auto good = encode_rows_chunk(rows, 0, rows.size(), block_rows,
-                                        width, values, codec);
+    const auto good = encode_rows(rows, block_rows, width, values, codec);
+    ASSERT_NO_THROW(decode_rows(good, rows, block_rows, width, codec));
     auto tampered = good;
     tampered[0] += 1; // count header disagrees with the support
-    EXPECT_THROW(decode_rows_chunk(tampered, rows, 0, rows.size(),
-                                   block_rows, width, codec),
+    EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
+                 Error);
+    tampered = good;
+    tampered[1] ^= 2; // index section disagrees with the support table
+    EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
                  Error);
     tampered = good;
     tampered.push_back(7); // trailing garbage
-    EXPECT_THROW(decode_rows_chunk(tampered, rows, 0, rows.size(),
-                                   block_rows, width, codec),
+    EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
                  Error);
     tampered = good;
     tampered.pop_back(); // truncated values
-    EXPECT_THROW(decode_rows_chunk(tampered, rows, 0, rows.size(),
-                                   block_rows, width, codec),
+    EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
                  Error);
-    EXPECT_THROW(decode_rows_chunk(MessageWords{}, rows, 0, rows.size(),
-                                   block_rows, width, codec),
+    EXPECT_THROW(decode_rows(MessageWords{}, rows, block_rows, width,
+                             codec),
                  Error);
   }
 }

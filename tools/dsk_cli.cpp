@@ -19,11 +19,14 @@
 /// tools/check_options_doc.py in CI.
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/serve_als.hpp"
@@ -72,7 +75,7 @@ constexpr FlagSpec kFlags[] = {
     {"--propagation", "MODE", FlagScope::Common, "dense",
      "dense | sparse | auto: how cyclic shifts move dense B-side blocks"},
     {"--schedule", "NAME", FlagScope::Common, "db",
-     "db | bsp | pipeline: propagation engine (all bit-identical)"},
+     "db | bsp: propagation engine (both bit-identical)"},
     {"--wire-precision", "PREC", FlagScope::Common, "full",
      "full | f32 | bf16: value precision on the wire (lossy below full)"},
     {"--index-codec", "CODEC", FlagScope::Common, "raw",
@@ -96,8 +99,6 @@ constexpr FlagSpec kFlags[] = {
     {"--rmat", "", FlagScope::Kernel, "",
      "generate R-MAT instead of Erdos-Renyi"},
     {"--reps", "N", FlagScope::Kernel, "1", "FusedMM repetitions"},
-    {"--chunk-rows", "N", FlagScope::Kernel, "0",
-     "pipeline-schedule replication chunk rows (0 = auto)"},
     {"--no-verify", "", FlagScope::Kernel, "",
      "skip the serial reference check (large inputs)"},
     {"--users", "N", FlagScope::Serve, "96",
@@ -133,8 +134,6 @@ struct Options {
   Index n = 8192;
   Index d = 8;
   Index r = 32;
-  Index chunk_rows = 0;
-  bool chunk_rows_set = false;
   int checkpoint_interval = 0;
   bool checkpoint_interval_set = false;
   int max_recoveries = 4;
@@ -185,7 +184,7 @@ const char* scope_title(FlagScope scope) {
       "  dsk_cli --op fusedmm-a --algo dense-shift --elision fusion --p 64 "
       "--c 4\n"
       "  dsk_cli --mtx graph.mtx --algo sparse-shift --elision reuse\n"
-      "  dsk_cli --c 8 --schedule pipeline --chunk-rows 64\n"
+      "  dsk_cli --c 8 --schedule bsp\n"
       "  dsk_cli serve --users 96 --items 64 --requests 8 --batch-width "
       "32\n");
   std::exit(0);
@@ -196,6 +195,26 @@ const char* scope_title(FlagScope scope) {
                "dsk_cli: %s\nRun dsk_cli --help for the flag table.\n",
                message);
   std::exit(2);
+}
+
+/// Strict numeric flag value: the whole token must parse as a T no
+/// smaller than `lo` (and inside T's range; NaN and infinities never
+/// qualify), else a usage error — "16junk", "abc" and "" are rejected,
+/// not read as 16 or 0.
+template <typename T>
+T parse_number(const std::string& flag, const char* text, T lo) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && stop == end && lo <= value;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::ostringstream message;
+    message << "invalid value '" << text << "' for " << flag
+            << ": expected a number >= " << lo;
+    usage_and_exit(message.str().c_str());
+  }
+  return value;
 }
 
 const FlagSpec* find_flag(const std::string& arg) {
@@ -235,6 +254,7 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage_and_exit(("missing value for " + arg).c_str());
       return argv[++i];
     };
+    const auto number = [&](auto lo) { return parse_number(arg, next(), lo); };
     if (arg == "--op") opt.op = next();
     else if (arg == "--algo") opt.algo = next();
     else if (arg == "--elision") opt.elision = next();
@@ -247,34 +267,28 @@ Options parse(int argc, char** argv) {
     else if (arg == "--mtx") opt.matrix_path = next();
     else if (arg == "--rmat") opt.use_rmat = true;
     else if (arg == "--no-verify") opt.verify = false;
-    else if (arg == "--p") opt.p = std::atoi(next());
-    else if (arg == "--c") opt.c = std::atoi(next());
-    else if (arg == "--n") opt.n = std::atoll(next());
-    else if (arg == "--d") opt.d = std::atoll(next());
-    else if (arg == "--r") opt.r = std::atoll(next());
-    else if (arg == "--chunk-rows") {
-      opt.chunk_rows = std::atoll(next());
-      opt.chunk_rows_set = true;
-    }
+    else if (arg == "--p") opt.p = number(1);
+    else if (arg == "--c") opt.c = number(1);
+    else if (arg == "--n") opt.n = number(Index{1});
+    else if (arg == "--d") opt.d = number(Index{0});
+    else if (arg == "--r") opt.r = number(Index{1});
     else if (arg == "--checkpoint-interval") {
-      opt.checkpoint_interval = std::atoi(next());
+      opt.checkpoint_interval = number(0);
       opt.checkpoint_interval_set = true;
     }
     else if (arg == "--max-recoveries") {
-      opt.max_recoveries = std::atoi(next());
+      opt.max_recoveries = number(0);
       opt.max_recoveries_set = true;
     }
     else if (arg == "--degrade") opt.degrade = true;
-    else if (arg == "--seed") opt.seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--reps") opt.reps = std::atoi(next());
-    else if (arg == "--users") opt.users = std::atoll(next());
-    else if (arg == "--items") opt.items = std::atoll(next());
-    else if (arg == "--requests") opt.requests = std::atoi(next());
-    else if (arg == "--batch-width") opt.batch_width = std::atoll(next());
-    else if (arg == "--top-k") opt.top_k = std::atoi(next());
-    else if (arg == "--reshard-threshold") {
-      opt.reshard_threshold = std::atof(next());
-    }
+    else if (arg == "--seed") opt.seed = number(std::uint64_t{0});
+    else if (arg == "--reps") opt.reps = number(1);
+    else if (arg == "--users") opt.users = number(Index{1});
+    else if (arg == "--items") opt.items = number(Index{1});
+    else if (arg == "--requests") opt.requests = number(1);
+    else if (arg == "--batch-width") opt.batch_width = number(Index{1});
+    else if (arg == "--top-k") opt.top_k = number(1);
+    else if (arg == "--reshard-threshold") opt.reshard_threshold = number(0.0);
     else usage_and_exit(("unhandled option " + arg).c_str());
   }
   return opt;
@@ -332,9 +346,6 @@ ShiftSchedule parse_schedule(const std::string& name) {
   if (name == "bsp" || name == "bulk-synchronous") {
     return ShiftSchedule::BulkSynchronous;
   }
-  if (name == "pipeline" || name == "pipelined") {
-    return ShiftSchedule::Pipelined;
-  }
   usage_and_exit(("unknown schedule " + name).c_str());
 }
 
@@ -346,30 +357,12 @@ AlgorithmOptions validate_common(const Options& opt) {
   algo_options.schedule = parse_schedule(opt.schedule);
   algo_options.wire_precision = parse_wire_precision(opt.wire_precision);
   algo_options.index_codec = parse_index_codec(opt.index_codec);
-  if (opt.chunk_rows_set &&
-      algo_options.schedule != ShiftSchedule::Pipelined) {
-    usage_and_exit(("--chunk-rows only applies to --schedule pipeline "
-                    "(got --schedule " + opt.schedule +
-                    "); refusing to silently ignore it")
-                       .c_str());
-  }
-  if (opt.chunk_rows_set && opt.chunk_rows < 0) {
-    usage_and_exit("--chunk-rows must be a row count (or 0 for auto)");
-  }
-  algo_options.chunk_rows = opt.chunk_rows;
   if (opt.faults.empty() &&
       (opt.checkpoint_interval_set || opt.max_recoveries_set ||
        opt.degrade)) {
     usage_and_exit("--checkpoint-interval, --max-recoveries, and --degrade "
                    "only apply with --faults; refusing to silently ignore "
                    "them");
-  }
-  if (opt.checkpoint_interval_set && opt.checkpoint_interval < 0) {
-    usage_and_exit("--checkpoint-interval must be a step count "
-                   "(or 0 for every step)");
-  }
-  if (opt.max_recoveries_set && opt.max_recoveries < 0) {
-    usage_and_exit("--max-recoveries must be >= 0");
   }
   algo_options.checkpoint_interval = opt.checkpoint_interval;
   algo_options.max_recoveries = opt.max_recoveries;
@@ -407,16 +400,6 @@ int serve_main(const Options& opt, AlgorithmOptions algo_options) {
       opt.batch_width != 128) {
     usage_and_exit("--batch-width must be one of the kernel sweet spots "
                    "32, 64, or 128");
-  }
-  if (algo_options.schedule == ShiftSchedule::Pipelined) {
-    usage_and_exit("serve mode requires a blocking replication schedule "
-                   "(db or bsp): the pipelined stream bypasses the "
-                   "cross-call replication cache the server relies on");
-  }
-  if (opt.requests < 1) usage_and_exit("--requests must be >= 1");
-  if (opt.top_k < 1) usage_and_exit("--top-k must be >= 1");
-  if (opt.reshard_threshold < 0) {
-    usage_and_exit("--reshard-threshold must be >= 0 (0 = never)");
   }
 
   FaultPlan fault_plan;
