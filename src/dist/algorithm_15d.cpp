@@ -16,6 +16,7 @@
 #include <optional>
 
 #include "common/error.hpp"
+#include "common/timer.hpp"
 #include "dist/families.hpp"
 #include "dist/grid.hpp"
 #include "dist/replication_cache.hpp"
@@ -465,14 +466,18 @@ FusedResult DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
     // matrix; for a B-shaped output that is the transposed problem:
     // FusedMMB(S, A, B) = FusedMMA(S^T, B, A). The transposed problem
     // needs its own setup snapshot (the caller's plan describes s, not
-    // s^T), built here per call.
+    // s^T), built here per call and reported as this call's setup build.
+    Timer timer;
     auto st = s.transposed();
     st.sort_and_combine();
     const auto tplan = do_make_plan(st, b.cols());
+    const double setup_seconds = timer.seconds();
     ExecContext tctx = ctx;
     tctx.plan = tplan.get();
-    return do_run_fusedmm(tctx, FusedOrientation::A, elision, st, b, a,
-                          repetitions);
+    FusedResult out = do_run_fusedmm(tctx, FusedOrientation::A, elision, st,
+                                     b, a, repetitions);
+    out.stats.add_setup(1, setup_seconds);
+    return out;
   }
   const Setup& su = setup_of(ctx);
   const int L = grid_.layer_size();

@@ -3,6 +3,8 @@
 
 #include "dist/plan.hpp"
 
+#include <bit>
+
 #include "common/error.hpp"
 #include "common/timer.hpp"
 
@@ -12,34 +14,40 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-void fnv1a(std::uint64_t& h, const void* bytes, std::size_t count) {
-  const auto* p = static_cast<const unsigned char*>(bytes);
-  for (std::size_t i = 0; i < count; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
+/// One fingerprint step over a 64-bit word. For a fixed h it is a
+/// bijection of w, and for a fixed w a bijection of h, so changing any
+/// single word always changes every later hash. The rotate is what lets
+/// a high bit reach later steps: the multiply only carries upward, so
+/// without it a flipped bit 63 (a negated double) stays bit 63 for the
+/// rest of the chain and two such flips cancel.
+constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t w) {
+  return std::rotl((h ^ w) * kFnvPrime, 29);
 }
 
-template <typename T>
-void fnv1a_value(std::uint64_t& h, const T& value) {
-  fnv1a(h, &value, sizeof(value));
-}
+constexpr std::uint64_t word(Index i) { return static_cast<std::uint64_t>(i); }
 
 } // namespace
 
 std::uint64_t plan_fingerprint(const CooMatrix& s, Index r) {
   std::uint64_t h = kFnvOffset;
-  fnv1a_value(h, s.rows());
-  fnv1a_value(h, s.cols());
-  fnv1a_value(h, s.nnz());
-  fnv1a_value(h, r);
+  h = mix(h, word(s.rows()));
+  h = mix(h, word(s.cols()));
+  h = mix(h, word(s.nnz()));
+  h = mix(h, word(r));
   const auto rows = s.row_idx();
   const auto cols = s.col_idx();
   const auto vals = s.values();
-  fnv1a(h, rows.data(), rows.size_bytes());
-  fnv1a(h, cols.data(), cols.size_bytes());
-  fnv1a(h, vals.data(), vals.size_bytes());
-  return h;
+  // Three independent chains, so the multiplies of one entry overlap
+  // instead of waiting on each other.
+  std::uint64_t hr = kFnvOffset, hc = kFnvOffset, hv = kFnvOffset;
+  for (std::size_t k = 0; k < vals.size(); ++k) {
+    hr = mix(hr, word(rows[k]));
+    hc = mix(hc, word(cols[k]));
+    hv = mix(hv, std::bit_cast<std::uint64_t>(vals[k]));
+  }
+  h = mix(h, hr);
+  h = mix(h, hc);
+  return mix(h, hv);
 }
 
 ExecContext Plan::context(const CooMatrix& s, Index r,

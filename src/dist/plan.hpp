@@ -44,9 +44,11 @@ struct ExecuteOptions {
   std::optional<IndexCodec> index_codec;
 };
 
-/// FNV-1a fingerprint of (s, r): dims, nnz, entry coordinates and
-/// values, and the requested width. The Plan stores it at build time
-/// and every execute checks it.
+/// Fingerprint of (s, r): dims, nnz, the requested width, and every
+/// entry's row index, column index and value bits (so +0.0 and -0.0
+/// differ), hashed a 64-bit word at a time. Changing any single word
+/// always changes it. The Plan stores it at build time and every execute
+/// recomputes and checks it.
 std::uint64_t plan_fingerprint(const CooMatrix& s, Index r);
 
 class Plan {

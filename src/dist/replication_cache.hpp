@@ -7,7 +7,7 @@
 /// rank parks its gathered working block here; later calls against the
 /// same factor skip the replication collective entirely — zero
 /// replication words and messages — as long as the cache is complete
-/// and keyed to the same (plan, factor) generation.
+/// and has not been invalidated since it was filled.
 ///
 /// Fill discipline makes this safe under the simulated SPMD runtime:
 /// the hit/miss decision is taken ONCE per run, on the driver thread,
@@ -18,9 +18,9 @@
 /// completion counter is only consulted by the NEXT run, after the
 /// world joined.
 ///
-/// The cache must be invalidated (or re-keyed) whenever the factor
-/// values change or the shards move (reshard / new Plan); the serving
-/// layer does this between batches, never while a world is running.
+/// The cache must be invalidated whenever the factor values change or
+/// the shards move (reshard / new Plan); the serving layer does this
+/// between batches, never while a world is running.
 /// Fault-armed runs bypass the cache (see detail::usable_cache).
 
 #include <atomic>
@@ -39,14 +39,6 @@ class ReplicationCache {
       : slots_(static_cast<std::size_t>(num_ranks)) {}
 
   int num_ranks() const { return static_cast<int>(slots_.size()); }
-
-  /// Generation key (plan fingerprint + factor version). Changing the
-  /// key drops every cached block. Call between runs only.
-  void set_key(std::uint64_t key) {
-    if (key != key_) invalidate();
-    key_ = key;
-  }
-  std::uint64_t key() const { return key_; }
 
   /// Drop all cached blocks. Call between runs only (the serving layer
   /// invalidates on reshard and on factor updates).
@@ -85,7 +77,6 @@ class ReplicationCache {
  private:
   std::vector<std::optional<DenseMatrix>> slots_;
   std::atomic<int> filled_{0};
-  std::uint64_t key_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -254,11 +254,19 @@ class WorldStats {
   /// schedules) and how long those builds took. A fresh `run_kernel` /
   /// `run_fusedmm` call reports (1, measured); executing a prebuilt
   /// `Plan` reports (0, 0.0) — the setup was paid once at plan time.
+  /// 1.5D dense shifting's orientation-B `LocalKernelFusion` also builds
+  /// a setup of Sᵀ on every call and adds (1, measured) to either
+  /// report. A degraded run's re-plan onto the smaller world is reported
+  /// by degraded(), not here.
   int setup_builds() const { return setup_builds_; }
   double setup_seconds() const { return setup_seconds_; }
   void set_setup(int builds, double seconds) {
     setup_builds_ = builds;
     setup_seconds_ = seconds;
+  }
+  void add_setup(int builds, double seconds) {
+    setup_builds_ += builds;
+    setup_seconds_ += seconds;
   }
 
   /// Load-imbalance ratio: max over ranks of (total words sent + flops)

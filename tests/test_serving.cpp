@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "apps/serve_als.hpp"
 #include "apps/serving.hpp"
@@ -146,6 +149,25 @@ TEST(Plan, FusedmmExecuteMatchesFreshCall) {
         << to_string(cfg.kind);
     EXPECT_EQ(planned.stats.setup_builds(), 0);
   }
+  // 1.5D dense shifting runs orientation-B LocalKernelFusion as the
+  // transposed problem and builds that problem's setup on every call;
+  // the stats count that build on top of the call's own.
+  const Config cfg = kFamilies[0];
+  const auto prob = small_problem(cfg);
+  const Plan plan =
+      make_plan(cfg.kind, cfg.p, cfg.c, prob.s, prob.a.cols());
+  auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c);
+  const auto planned = plan.execute_fusedmm(
+      FusedOrientation::B, Elision::LocalKernelFusion, prob.s, prob.a,
+      prob.b);
+  const auto fresh = algo->run_fusedmm(
+      FusedOrientation::B, Elision::LocalKernelFusion, prob.s, prob.a,
+      prob.b);
+  EXPECT_EQ(planned.output.max_abs_diff(fresh.output), 0.0);
+  EXPECT_EQ(planned.stats.setup_builds(), 1);
+  EXPECT_GT(planned.stats.setup_seconds(), 0.0);
+  EXPECT_EQ(fresh.stats.setup_builds(), 2);
+  EXPECT_GT(fresh.stats.setup_seconds(), 0.0);
 }
 
 /// A resident SimWorld serves many executes; each reports zero setup.
@@ -173,16 +195,73 @@ TEST(Plan, ResidentWorldServesRepeatedExecutes) {
 TEST(Plan, RejectsMismatchedMatrixOrWidth) {
   const Config cfg = kFamilies[0];
   const auto prob = small_problem(cfg);
-  const Plan plan =
-      make_plan(cfg.kind, cfg.p, cfg.c, prob.s, prob.a.cols());
-  // Same shape, one value nudged: the fingerprint must catch it.
-  CooMatrix tweaked = prob.s;
-  tweaked.values()[0] += 1.0;
-  EXPECT_THROW(plan.execute(Mode::SpMMB, tweaked, prob.a, prob.b), Error);
+  const Index width = prob.a.cols();
+  const Plan plan = make_plan(cfg.kind, cfg.p, cfg.c, prob.s, width);
+  // The fingerprint itself must differ, so the throw is the Plan's check
+  // and not a later input validation.
+  const auto expect_rejected = [&](const Plan& built, const CooMatrix& s,
+                                   const std::string& what) {
+    EXPECT_NE(plan_fingerprint(s, width), built.fingerprint()) << what;
+    EXPECT_THROW(built.execute(Mode::SpMMB, s, prob.a, prob.b), Error)
+        << what;
+  };
+  // S with one entry's row (or column) index moved by one, in range.
+  const auto moved = [&](std::size_t at, bool row) {
+    const CooMatrix& s = prob.s;
+    std::vector<Index> rows(s.row_idx().begin(), s.row_idx().end());
+    std::vector<Index> cols(s.col_idx().begin(), s.col_idx().end());
+    auto& idx = row ? rows : cols;
+    idx[at] = (idx[at] + 1) % (row ? s.rows() : s.cols());
+    return CooMatrix(s.rows(), s.cols(), std::move(rows), std::move(cols),
+                     {s.values().begin(), s.values().end()});
+  };
+  const Index nnz = prob.s.nnz();
+  ASSERT_GE(nnz, 3);
+  for (const Index k : {Index{0}, nnz / 2, nnz - 1}) {
+    const auto at = static_cast<std::size_t>(k);
+    const std::string entry = "entry " + std::to_string(k);
+    // Same shape, one bit of one value flipped: low mantissa, mid
+    // mantissa, lowest exponent bit, sign.
+    for (const int bit : {0, 31, 52, 63}) {
+      CooMatrix flipped = prob.s;
+      flipped.values()[at] = std::bit_cast<Scalar>(
+          std::bit_cast<std::uint64_t>(flipped.values()[at]) ^
+          (std::uint64_t{1} << bit));
+      expect_rejected(plan, flipped, entry + " bit " + std::to_string(bit));
+    }
+    expect_rejected(plan, moved(at, true), entry + " row");
+    expect_rejected(plan, moved(at, false), entry + " col");
+  }
+  // +0.0 and -0.0 compare equal but are different inputs.
+  CooMatrix plus_zero = prob.s;
+  plus_zero.values()[static_cast<std::size_t>(nnz / 2)] = 0.0;
+  const Plan zero_plan =
+      make_plan(cfg.kind, cfg.p, cfg.c, plus_zero, width);
+  CooMatrix minus_zero = plus_zero;
+  minus_zero.values()[static_cast<std::size_t>(nnz / 2)] = -0.0;
+  expect_rejected(zero_plan, minus_zero, "-0.0 for +0.0");
+  // Two sign flips: a word step that never moves bit 63 down lets them
+  // cancel.
+  CooMatrix negated = prob.s;
+  negated.values()[0] = -negated.values()[0];
+  negated.values()[static_cast<std::size_t>(nnz - 1)] =
+      -negated.values()[static_cast<std::size_t>(nnz - 1)];
+  expect_rejected(plan, negated, "two values negated");
+  // Two unequal values swapped.
+  CooMatrix swapped = prob.s;
+  ASSERT_NE(swapped.values()[0], swapped.values()[1]);
+  std::swap(swapped.values()[0], swapped.values()[1]);
+  expect_rejected(plan, swapped, "two values swapped");
   // Wrong width.
   DenseMatrix wide_a(prob.a.rows(), prob.a.cols() * 2);
   DenseMatrix wide_b(prob.b.rows(), prob.b.cols() * 2);
   EXPECT_THROW(plan.execute(Mode::SpMMB, prob.s, wide_a, wide_b), Error);
+  // Equal contents are the same input: a Plan built from a copy of S
+  // accepts S.
+  const CooMatrix copy = prob.s;
+  const Plan copy_plan = make_plan(cfg.kind, cfg.p, cfg.c, copy, width);
+  EXPECT_EQ(copy_plan.fingerprint(), plan.fingerprint());
+  EXPECT_NO_THROW(copy_plan.execute(Mode::SpMMB, prob.s, prob.a, prob.b));
 }
 
 /// ExecuteOptions wire overrides reach the kernels: a Plan built with
