@@ -1,24 +1,24 @@
 /// Local (shared-memory) kernel microbenchmarks — the Section III-A
 /// substrate: CSR SDDMM, SpMM in both orientations, and the fused
-/// FusedMM kernel. Each kernel is measured in three implementations on a
-/// power-law (R-MAT) matrix:
+/// FusedMM kernel. Each kernel is measured serially in two
+/// implementations on a power-law (R-MAT) matrix:
 ///
-///   seed      — the seed repo's kernels: generic scalar inner loop,
-///               equal-*row* thread partitioning, serial SpMM-B
+///   seed      — the seed repo's kernels: generic scalar inner loop
 ///               (replicated here verbatim as the baseline)
-///   tuned     — the current library kernels: nnz-balanced scheduling,
-///               width-specialized (r in {32,64,128}) inner loops,
-///               parallel SpMM-B with private scatter buffers
+///   tuned     — the current library kernels: width-specialized
+///               (r in {32,64,128}) inner loops
 ///
 /// Results are printed as a table and written as a flat JSON array
-/// (default BENCH_local_kernels.json) with one record per measurement:
-/// kernel, impl, n, nnz, r, threads, seconds, gflops — the repo's
+/// (default BENCH_local_kernels.json) with one record per (kernel, impl,
+/// r): kernel, impl, n, nnz, r, seconds, gflops — the repo's
 /// perf-trajectory format.
 ///
 /// Usage: bench_local_kernels [--n N] [--edges-per-row E]
 ///                            [--out PATH] [--quick]
+/// N and E are integers >= 1.
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -26,10 +26,8 @@
 #include "bench_common.hpp"
 #include "common/timer.hpp"
 #include "local/fused.hpp"
-#include "local/schedule.hpp"
 #include "local/sddmm.hpp"
 #include "local/spmm.hpp"
-#include "local/thread_pool.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/generate.hpp"
 
@@ -38,17 +36,16 @@ namespace {
 using namespace dsk;
 
 // ------------------------------------------------------------------
-// Seed-kernel replicas: the exact inner loops and scheduling the repo
-// shipped with, kept here as the fixed baseline the tuned kernels are
-// measured against.
+// Seed-kernel replicas: the exact inner loops the repo shipped with,
+// kept here as the fixed baseline the tuned kernels are measured against.
 
-void seed_spmm_a_rows(const CsrMatrix& s, const DenseMatrix& b,
-                      DenseMatrix& a_out, Index row_begin, Index row_end) {
+void seed_spmm_a(const CsrMatrix& s, const DenseMatrix& b,
+                 DenseMatrix& a_out) {
   const auto row_ptr = s.row_ptr();
   const auto col_idx = s.col_idx();
   const auto values = s.values();
   const Index r = b.cols();
-  for (Index i = row_begin; i < row_end; ++i) {
+  for (Index i = 0; i < s.rows(); ++i) {
     auto acc = a_out.row(i);
     for (Index k = row_ptr[static_cast<std::size_t>(i)];
          k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
@@ -59,18 +56,6 @@ void seed_spmm_a_rows(const CsrMatrix& s, const DenseMatrix& b,
             v * b_row[static_cast<std::size_t>(f)];
       }
     }
-  }
-}
-
-void seed_spmm_a(const CsrMatrix& s, const DenseMatrix& b,
-                 DenseMatrix& a_out, ThreadPool* pool) {
-  if (pool != nullptr) {
-    // Seed scheduling: equal row counts per thread.
-    pool->parallel_for(0, s.rows(), [&](Index begin, Index end) {
-      seed_spmm_a_rows(s, b, a_out, begin, end);
-    });
-  } else {
-    seed_spmm_a_rows(s, b, a_out, 0, s.rows());
   }
 }
 
@@ -94,13 +79,12 @@ void seed_spmm_b(const CsrMatrix& s, const DenseMatrix& a,
   }
 }
 
-void seed_sddmm_rows(const CsrMatrix& pattern, const DenseMatrix& a,
-                     const DenseMatrix& b, std::span<Scalar> dots,
-                     Index row_begin, Index row_end) {
+void seed_sddmm(const CsrMatrix& pattern, const DenseMatrix& a,
+                const DenseMatrix& b, std::span<Scalar> dots) {
   const auto row_ptr = pattern.row_ptr();
   const auto col_idx = pattern.col_idx();
   const Index r = a.cols();
-  for (Index i = row_begin; i < row_end; ++i) {
+  for (Index i = 0; i < pattern.rows(); ++i) {
     const auto a_row = a.row(i);
     for (Index k = row_ptr[static_cast<std::size_t>(i)];
          k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
@@ -115,26 +99,13 @@ void seed_sddmm_rows(const CsrMatrix& pattern, const DenseMatrix& a,
   }
 }
 
-void seed_sddmm(const CsrMatrix& pattern, const DenseMatrix& a,
-                const DenseMatrix& b, std::span<Scalar> dots,
-                ThreadPool* pool) {
-  if (pool != nullptr) {
-    pool->parallel_for(0, pattern.rows(), [&](Index begin, Index end) {
-      seed_sddmm_rows(pattern, a, b, dots, begin, end);
-    });
-  } else {
-    seed_sddmm_rows(pattern, a, b, dots, 0, pattern.rows());
-  }
-}
-
-void seed_fused_rows(const CsrMatrix& s, const DenseMatrix& a_in,
-                     const DenseMatrix& b, DenseMatrix& a_out,
-                     Index row_begin, Index row_end) {
+void seed_fusedmm_a(const CsrMatrix& s, const DenseMatrix& a_in,
+                    const DenseMatrix& b, DenseMatrix& a_out) {
   const auto row_ptr = s.row_ptr();
   const auto col_idx = s.col_idx();
   const auto values = s.values();
   const Index r = b.cols();
-  for (Index i = row_begin; i < row_end; ++i) {
+  for (Index i = 0; i < s.rows(); ++i) {
     const auto a_row = a_in.row(i);
     auto acc = a_out.row(i);
     for (Index k = row_ptr[static_cast<std::size_t>(i)];
@@ -151,18 +122,6 @@ void seed_fused_rows(const CsrMatrix& s, const DenseMatrix& a_in,
             weight * b_row[static_cast<std::size_t>(f)];
       }
     }
-  }
-}
-
-void seed_fusedmm_a(const CsrMatrix& s, const DenseMatrix& a_in,
-                    const DenseMatrix& b, DenseMatrix& a_out,
-                    ThreadPool* pool) {
-  if (pool != nullptr) {
-    pool->parallel_for(0, s.rows(), [&](Index begin, Index end) {
-      seed_fused_rows(s, a_in, b, a_out, begin, end);
-    });
-  } else {
-    seed_fused_rows(s, a_in, b, a_out, 0, s.rows());
   }
 }
 
@@ -214,7 +173,7 @@ struct Harness {
   int max_iters;
 
   void report(const std::string& kernel, const std::string& impl,
-              const Instance& inst, Index r, int threads, double seconds,
+              const Instance& inst, Index r, double seconds,
               std::uint64_t flops) {
     const double gflops = static_cast<double>(flops) / seconds * 1e-9;
     records.add()
@@ -223,79 +182,26 @@ struct Harness {
         .field("n", static_cast<std::int64_t>(inst.s.rows()))
         .field("nnz", static_cast<std::int64_t>(inst.s.nnz()))
         .field("r", static_cast<std::int64_t>(r))
-        .field("threads", threads)
         .field("seconds", seconds)
         .field("gflops", gflops);
-    std::printf("%-10s %-6s r=%-4lld threads=%d  %8.4fs  %7.2f GFLOP/s\n",
-                kernel.c_str(), impl.c_str(),
-                static_cast<long long>(r), threads, seconds, gflops);
+    std::printf("%-10s %-6s r=%-4lld  %8.4fs  %7.2f GFLOP/s\n",
+                kernel.c_str(), impl.c_str(), static_cast<long long>(r),
+                seconds, gflops);
   }
 
   template <typename Fn>
   void run(const std::string& kernel, const std::string& impl,
-           const Instance& inst, Index r, int threads,
-           std::uint64_t flops, const Fn& fn) {
-    report(kernel, impl, inst, r, threads,
-           measure_seconds(fn, min_total, max_iters), flops);
+           const Instance& inst, Index r, std::uint64_t flops,
+           const Fn& fn) {
+    report(kernel, impl, inst, r, measure_seconds(fn, min_total, max_iters),
+           flops);
   }
 };
 
-/// Partition quality: max part nnz over the mean (1.0 = perfectly
-/// balanced). This is the thread-count-independent predictor of parallel
-/// kernel speedup — wall-clock scaling itself needs real cores, which CI
-/// containers may not have, so the imbalance ratio is recorded alongside
-/// the timings.
-double imbalance(const CsrMatrix& s, std::span<const Index> bounds) {
-  const auto row_ptr = s.row_ptr();
-  const auto parts = static_cast<int>(bounds.size()) - 1;
-  Index max_part = 0;
-  for (int p = 0; p < parts; ++p) {
-    max_part = std::max(
-        max_part,
-        row_ptr[static_cast<std::size_t>(bounds[static_cast<std::size_t>(p) +
-                                                1])] -
-            row_ptr[static_cast<std::size_t>(
-                bounds[static_cast<std::size_t>(p)])]);
-  }
-  return s.nnz() > 0
-             ? static_cast<double>(max_part) * parts /
-                   static_cast<double>(s.nnz())
-             : 1.0;
-}
-
-void bench_partition_quality(Harness& h, const Instance& inst,
-                             const std::vector<int>& thread_counts) {
-  for (const int threads : thread_counts) {
-    if (threads < 2) continue;
-    const double seed_rows =
-        imbalance(inst.s, partition_uniform(inst.s.rows(), threads));
-    const double nnz_balanced =
-        imbalance(inst.s, partition_rows_by_nnz(inst.s.row_ptr(), threads));
-    h.records.add()
-        .field("kernel", "partition")
-        .field("impl", "seed")
-        .field("n", static_cast<std::int64_t>(inst.s.rows()))
-        .field("nnz", static_cast<std::int64_t>(inst.s.nnz()))
-        .field("threads", threads)
-        .field("imbalance", seed_rows);
-    h.records.add()
-        .field("kernel", "partition")
-        .field("impl", "tuned")
-        .field("n", static_cast<std::int64_t>(inst.s.rows()))
-        .field("nnz", static_cast<std::int64_t>(inst.s.nnz()))
-        .field("threads", threads)
-        .field("imbalance", nnz_balanced);
-    std::printf("partition  threads=%d  equal-rows imbalance %.2fx, "
-                "nnz-balanced %.3fx\n",
-                threads, seed_rows, nnz_balanced);
-  }
-}
-
-void bench_width(Harness& h, const Options& opt, Index r,
-                 const std::vector<int>& thread_counts) {
-  const Instance inst = make_instance(opt.quick ? opt.n / 8 : opt.n,
-                                      opt.edges_per_row, r);
-  if (r == 32) bench_partition_quality(h, inst, thread_counts);
+void bench_width(Harness& h, const Options& opt, Index r) {
+  const Instance inst = make_instance(
+      opt.quick ? std::max<Index>(opt.n / 8, 1) : opt.n, opt.edges_per_row,
+      r);
   const auto nnz = static_cast<std::uint64_t>(inst.s.nnz());
   const std::uint64_t flops2 = 2 * nnz * static_cast<std::uint64_t>(r);
   const std::uint64_t flops4 = 2 * flops2;
@@ -308,60 +214,59 @@ void bench_width(Harness& h, const Options& opt, Index r,
   DenseMatrix b_out(inst.s.cols(), r);
   std::vector<Scalar> dots(static_cast<std::size_t>(inst.s.nnz()));
 
-  // Serial baselines (seed had no parallel SpMM-B at all).
-  h.run("spmm_a", "seed", inst, r, 1, flops2, [&] {
+  h.run("spmm_a", "seed", inst, r, flops2, [&] {
     a_out.fill(0);
-    seed_spmm_a(inst.s, inst.b, a_out, nullptr);
+    seed_spmm_a(inst.s, inst.b, a_out);
   });
-  h.run("spmm_b", "seed", inst, r, 1, flops2, [&] {
+  h.run("spmm_b", "seed", inst, r, flops2, [&] {
     b_out.fill(0);
     seed_spmm_b(inst.s, inst.a, b_out);
   });
-  h.run("sddmm", "seed", inst, r, 1, flops2, [&] {
+  h.run("sddmm", "seed", inst, r, flops2, [&] {
     std::fill(dots.begin(), dots.end(), Scalar{0});
-    seed_sddmm(inst.s, inst.a, inst.b, dots, nullptr);
+    seed_sddmm(inst.s, inst.a, inst.b, dots);
   });
-  h.run("fusedmm_a", "seed", inst, r, 1, flops4, [&] {
+  h.run("fusedmm_a", "seed", inst, r, flops4, [&] {
     a_out.fill(0);
-    seed_fusedmm_a(inst.s, inst.a, inst.b, a_out, nullptr);
+    seed_fusedmm_a(inst.s, inst.a, inst.b, a_out);
   });
 
-  for (const int threads : thread_counts) {
-    ThreadPool pool(threads);
-    ThreadPool* p = &pool;
+  h.run("spmm_a", "tuned", inst, r, flops2, [&] {
+    a_out.fill(0);
+    spmm_a(inst.s, inst.b, a_out);
+  });
+  h.run("spmm_b", "tuned", inst, r, flops2, [&] {
+    b_out.fill(0);
+    spmm_b(inst.s, inst.a, b_out);
+  });
+  h.run("sddmm", "tuned", inst, r, flops2, [&] {
+    std::fill(dots.begin(), dots.end(), Scalar{0});
+    masked_dot_products(inst.s, inst.a, inst.b, dots);
+  });
+  h.run("fusedmm_a", "tuned", inst, r, flops4, [&] {
+    a_out.fill(0);
+    fusedmm_a(inst.s, inst.a, inst.b, a_out);
+  });
+}
 
-    // Seed scheduling (equal rows) at this thread count.
-    h.run("spmm_a", "seed", inst, r, threads, flops2, [&] {
-      a_out.fill(0);
-      seed_spmm_a(inst.s, inst.b, a_out, p);
-    });
-    h.run("sddmm", "seed", inst, r, threads, flops2, [&] {
-      std::fill(dots.begin(), dots.end(), Scalar{0});
-      seed_sddmm(inst.s, inst.a, inst.b, dots, p);
-    });
-    h.run("fusedmm_a", "seed", inst, r, threads, flops4, [&] {
-      a_out.fill(0);
-      seed_fusedmm_a(inst.s, inst.a, inst.b, a_out, p);
-    });
+/// Strict integer flag value: the whole token must parse and be >= 1, so
+/// "abc", "-3" and "16junk" are rejected rather than read as 0, -3 or 16.
+bool parse_count(const char* flag, const char* text, Index& out) {
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, out);
+  if (ec == std::errc() && stop == end && out >= 1) return true;
+  std::fprintf(stderr,
+               "invalid value '%s' for %s: expected an integer >= 1\n", text,
+               flag);
+  return false;
+}
 
-    // Tuned: nnz-balanced + width-specialized (+ parallel SpMM-B).
-    h.run("spmm_a", "tuned", inst, r, threads, flops2, [&] {
-      a_out.fill(0);
-      spmm_a(inst.s, inst.b, a_out, p);
-    });
-    h.run("spmm_b", "tuned", inst, r, threads, flops2, [&] {
-      b_out.fill(0);
-      spmm_b(inst.s, inst.a, b_out, p);
-    });
-    h.run("sddmm", "tuned", inst, r, threads, flops2, [&] {
-      std::fill(dots.begin(), dots.end(), Scalar{0});
-      masked_dot_products(inst.s, inst.a, inst.b, dots, p);
-    });
-    h.run("fusedmm_a", "tuned", inst, r, threads, flops4, [&] {
-      a_out.fill(0);
-      fusedmm_a(inst.s, inst.a, inst.b, a_out, p);
-    });
-  }
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--n N] [--edges-per-row E] [--out PATH] "
+               "[--quick]\n",
+               argv0);
+  return 2;
 }
 
 } // namespace
@@ -373,30 +278,25 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : "";
     };
     if (std::strcmp(argv[i], "--n") == 0) {
-      opt.n = std::atoll(next());
+      if (!parse_count("--n", next(), opt.n)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--edges-per-row") == 0) {
-      opt.edges_per_row = std::atoll(next());
+      if (!parse_count("--edges-per-row", next(), opt.edges_per_row)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--out") == 0) {
       opt.out = next();
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       opt.quick = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--n N] [--edges-per-row E] [--out PATH] "
-                   "[--quick]\n",
-                   argv[0]);
-      return 2;
+      return usage(argv[0]);
     }
   }
 
   Harness h;
   h.min_total = opt.quick ? 0.05 : 0.5;
   h.max_iters = opt.quick ? 3 : 10;
-  const std::vector<int> thread_counts = opt.quick ? std::vector<int>{2}
-                                                   : std::vector<int>{1, 2,
-                                                                      4, 8};
   for (const Index r : {Index{32}, Index{64}, Index{128}}) {
-    bench_width(h, opt, r, thread_counts);
+    bench_width(h, opt, r);
   }
   if (!h.records.write(opt.out)) {
     std::fprintf(stderr, "error: could not write %s\n", opt.out.c_str());

@@ -85,9 +85,6 @@ CooMatrix attention_matrix(const CooMatrix& adjacency,
   for (std::size_t k = 0; k < values.size(); ++k) {
     values[k] = logits[k];
   }
-  // The local GAT kernels accept a ThreadPool for nnz-balanced row
-  // scheduling, but simulated ranks are already one thread each, so the
-  // per-rank calls stay serial (pool = nullptr).
   leaky_relu(values, config.negative_slope);
   if (config.softmax) {
     CsrMatrix csr = coo_to_csr(attn); // sorted input: same entry order

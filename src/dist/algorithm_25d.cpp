@@ -22,13 +22,13 @@
 #include "dist/families.hpp"
 #include "dist/replication_cache.hpp"
 #include "dist/grid.hpp"
-#include "local/schedule.hpp"
 #include "local/sddmm.hpp"
 #include "local/spmm.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/world.hpp"
+#include "sparse/partition.hpp"
 
 namespace dsk::detail {
 namespace {

@@ -1,8 +1,6 @@
 #include "local/fused.hpp"
 
 #include "common/error.hpp"
-#include "local/schedule.hpp"
-#include "local/thread_pool.hpp"
 #include "local/width_dispatch.hpp"
 
 namespace dsk {
@@ -12,12 +10,12 @@ namespace {
 template <int W>
 void fused_rows(const CsrMatrix& s, const DenseMatrix& a_in,
                 const DenseMatrix& b, DenseMatrix& a_out,
-                std::span<Scalar> r_values, Index row_begin, Index row_end) {
+                std::span<Scalar> r_values) {
   const auto row_ptr = s.row_ptr();
   const auto col_idx = s.col_idx();
   const auto values = s.values();
   const Index r = b.cols();
-  for (Index i = row_begin; i < row_end; ++i) {
+  for (Index i = 0; i < s.rows(); ++i) {
     const Scalar* a_row = a_in.row(i).data();
     Scalar* acc = a_out.row(i).data();
     for (Index k = row_ptr[static_cast<std::size_t>(i)];
@@ -48,28 +46,18 @@ void validate(const CsrMatrix& s, const DenseMatrix& a_in,
 
 void run_fused(const CsrMatrix& s, const DenseMatrix& a_in,
                const DenseMatrix& b, DenseMatrix& a_out,
-               std::span<Scalar> r_values, ThreadPool* pool) {
+               std::span<Scalar> r_values) {
   dispatch_width(b.cols(), [&](auto w) {
-    constexpr int W = decltype(w)::value;
-    if (pool != nullptr) {
-      const auto bounds = partition_rows_by_nnz(
-          s.row_ptr(), pool->num_threads() * over_decomposition());
-      pool->parallel_for_dynamic(bounds, [&](Index begin, Index end) {
-        fused_rows<W>(s, a_in, b, a_out, r_values, begin, end);
-      });
-    } else {
-      fused_rows<W>(s, a_in, b, a_out, r_values, 0, s.rows());
-    }
+    fused_rows<decltype(w)::value>(s, a_in, b, a_out, r_values);
   });
 }
 
 } // namespace
 
 std::uint64_t fusedmm_a(const CsrMatrix& s, const DenseMatrix& a_in,
-                        const DenseMatrix& b, DenseMatrix& a_out,
-                        ThreadPool* pool) {
+                        const DenseMatrix& b, DenseMatrix& a_out) {
   validate(s, a_in, b, a_out);
-  run_fused(s, a_in, b, a_out, {}, pool);
+  run_fused(s, a_in, b, a_out, {});
   return 4ULL * static_cast<std::uint64_t>(s.nnz()) *
          static_cast<std::uint64_t>(b.cols());
 }
@@ -77,13 +65,12 @@ std::uint64_t fusedmm_a(const CsrMatrix& s, const DenseMatrix& a_in,
 std::uint64_t fusedmm_a_with_values(const CsrMatrix& s,
                                     const DenseMatrix& a_in,
                                     const DenseMatrix& b, DenseMatrix& a_out,
-                                    std::span<Scalar> r_values,
-                                    ThreadPool* pool) {
+                                    std::span<Scalar> r_values) {
   validate(s, a_in, b, a_out);
   check(static_cast<Index>(r_values.size()) == s.nnz(),
         "fusedmm_a_with_values: r_values length ", r_values.size(),
         " != nnz ", s.nnz());
-  run_fused(s, a_in, b, a_out, r_values, pool);
+  run_fused(s, a_in, b, a_out, r_values);
   return 4ULL * static_cast<std::uint64_t>(s.nnz()) *
          static_cast<std::uint64_t>(b.cols());
 }

@@ -15,14 +15,11 @@
 
 namespace dsk {
 
-class ThreadPool;
-
 /// a_out_i += sum over stored (i,j) of s_ij * <a_in_i, b_j> * b_j.
 /// a_in and a_out have s.rows() rows; b has s.cols() rows.
 /// Returns FLOPs (4 * nnz * r: dot + scaled accumulate).
 std::uint64_t fusedmm_a(const CsrMatrix& s, const DenseMatrix& a_in,
-                        const DenseMatrix& b, DenseMatrix& a_out,
-                        ThreadPool* pool = nullptr);
+                        const DenseMatrix& b, DenseMatrix& a_out);
 
 /// As fusedmm_a but also records the intermediate SDDMM values
 /// (r_values[k] = s_ij * <a_in_i, b_j>) — used by tests to confirm the
@@ -32,7 +29,6 @@ std::uint64_t fusedmm_a_with_values(const CsrMatrix& s,
                                     const DenseMatrix& a_in,
                                     const DenseMatrix& b,
                                     DenseMatrix& a_out,
-                                    std::span<Scalar> r_values,
-                                    ThreadPool* pool = nullptr);
+                                    std::span<Scalar> r_values);
 
 } // namespace dsk

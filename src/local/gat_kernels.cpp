@@ -1,38 +1,18 @@
 #include "local/gat_kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
-#include "local/schedule.hpp"
-#include "local/thread_pool.hpp"
 
 namespace dsk {
-
-namespace {
-
-/// Run fn over row ranges of matrix, split by nnz across the pool when
-/// one is provided (these kernels all do O(row nnz) work per row).
-template <typename Fn>
-void for_rows_nnz_balanced(const CsrMatrix& matrix, ThreadPool* pool,
-                           const Fn& fn) {
-  if (pool != nullptr) {
-    const auto bounds = partition_rows_by_nnz(matrix.row_ptr(),
-                                              pool->num_threads());
-    pool->parallel_for_balanced(bounds, [&](Index begin, Index end) {
-      fn(begin, end);
-    });
-  } else {
-    fn(Index{0}, matrix.rows());
-  }
-}
-
-} // namespace
 
 std::uint64_t gat_edge_logits(const CsrMatrix& pattern,
                               std::span<const Scalar> u,
                               std::span<const Scalar> v,
-                              std::span<Scalar> scores, ThreadPool* pool) {
+                              std::span<Scalar> scores) {
   check(static_cast<Index>(u.size()) == pattern.rows(),
         "gat_edge_logits: u length ", u.size(), " != rows ", pattern.rows());
   check(static_cast<Index>(v.size()) == pattern.cols(),
@@ -41,89 +21,71 @@ std::uint64_t gat_edge_logits(const CsrMatrix& pattern,
         "gat_edge_logits: scores length mismatch");
   const auto row_ptr = pattern.row_ptr();
   const auto col_idx = pattern.col_idx();
-  for_rows_nnz_balanced(pattern, pool, [&](Index row_begin, Index row_end) {
-    for (Index i = row_begin; i < row_end; ++i) {
-      const Scalar ui = u[static_cast<std::size_t>(i)];
-      for (Index k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-        scores[static_cast<std::size_t>(k)] +=
-            ui + v[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(
-                     k)])];
-      }
+  for (Index i = 0; i < pattern.rows(); ++i) {
+    const Scalar ui = u[static_cast<std::size_t>(i)];
+    for (Index k = row_ptr[static_cast<std::size_t>(i)];
+         k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+      scores[static_cast<std::size_t>(k)] +=
+          ui + v[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(
+                   k)])];
     }
-  });
+  }
   return 2ULL * static_cast<std::uint64_t>(pattern.nnz());
 }
 
-void leaky_relu(std::span<Scalar> values, Scalar negative_slope,
-                ThreadPool* pool) {
-  const auto apply = [&](Index begin, Index end) {
-    for (Index k = begin; k < end; ++k) {
-      auto& x = values[static_cast<std::size_t>(k)];
-      if (x < 0) x *= negative_slope;
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, static_cast<Index>(values.size()), apply);
-  } else {
-    apply(0, static_cast<Index>(values.size()));
+void leaky_relu(std::span<Scalar> values, Scalar negative_slope) {
+  for (auto& x : values) {
+    if (x < 0) x *= negative_slope;
   }
 }
 
-void row_softmax(CsrMatrix& matrix, ThreadPool* pool) {
+void row_softmax(CsrMatrix& matrix) {
   std::vector<Scalar> shift(static_cast<std::size_t>(matrix.rows()));
-  row_max(matrix, shift, pool);
+  row_max(matrix, shift);
   std::vector<Scalar> denom(static_cast<std::size_t>(matrix.rows()),
                             Scalar{0});
-  row_exp_sum(matrix, shift, denom, pool);
-  apply_softmax(matrix, shift, denom, pool);
+  row_exp_sum(matrix, shift, denom);
+  apply_softmax(matrix, shift, denom);
 }
 
-void row_max(const CsrMatrix& matrix, std::span<Scalar> out,
-             ThreadPool* pool) {
+void row_max(const CsrMatrix& matrix, std::span<Scalar> out) {
   check(static_cast<Index>(out.size()) == matrix.rows(),
         "row_max: output length mismatch");
-  for_rows_nnz_balanced(matrix, pool, [&](Index row_begin, Index row_end) {
-    for (Index i = row_begin; i < row_end; ++i) {
-      Scalar best = -std::numeric_limits<Scalar>::infinity();
-      for (const Scalar x : matrix.row_values(i)) {
-        best = std::max(best, x);
-      }
-      out[static_cast<std::size_t>(i)] = best;
+  for (Index i = 0; i < matrix.rows(); ++i) {
+    Scalar best = -std::numeric_limits<Scalar>::infinity();
+    for (const Scalar x : matrix.row_values(i)) {
+      best = std::max(best, x);
     }
-  });
+    out[static_cast<std::size_t>(i)] = best;
+  }
 }
 
 void row_exp_sum(const CsrMatrix& matrix, std::span<const Scalar> shift,
-                 std::span<Scalar> out, ThreadPool* pool) {
+                 std::span<Scalar> out) {
   check(static_cast<Index>(shift.size()) == matrix.rows() &&
             static_cast<Index>(out.size()) == matrix.rows(),
         "row_exp_sum: length mismatch");
-  for_rows_nnz_balanced(matrix, pool, [&](Index row_begin, Index row_end) {
-    for (Index i = row_begin; i < row_end; ++i) {
-      Scalar sum = 0;
-      for (const Scalar x : matrix.row_values(i)) {
-        sum += std::exp(x - shift[static_cast<std::size_t>(i)]);
-      }
-      out[static_cast<std::size_t>(i)] += sum;
+  for (Index i = 0; i < matrix.rows(); ++i) {
+    Scalar sum = 0;
+    for (const Scalar x : matrix.row_values(i)) {
+      sum += std::exp(x - shift[static_cast<std::size_t>(i)]);
     }
-  });
+    out[static_cast<std::size_t>(i)] += sum;
+  }
 }
 
 void apply_softmax(CsrMatrix& matrix, std::span<const Scalar> shift,
-                   std::span<const Scalar> denom, ThreadPool* pool) {
+                   std::span<const Scalar> denom) {
   check(static_cast<Index>(shift.size()) == matrix.rows() &&
             static_cast<Index>(denom.size()) == matrix.rows(),
         "apply_softmax: length mismatch");
-  for_rows_nnz_balanced(matrix, pool, [&](Index row_begin, Index row_end) {
-    for (Index i = row_begin; i < row_end; ++i) {
-      const Scalar s = shift[static_cast<std::size_t>(i)];
-      const Scalar d = denom[static_cast<std::size_t>(i)];
-      for (auto& x : matrix.row_values(i)) {
-        x = d > 0 ? std::exp(x - s) / d : Scalar{0};
-      }
+  for (Index i = 0; i < matrix.rows(); ++i) {
+    const Scalar s = shift[static_cast<std::size_t>(i)];
+    const Scalar d = denom[static_cast<std::size_t>(i)];
+    for (auto& x : matrix.row_values(i)) {
+      x = d > 0 ? std::exp(x - s) / d : Scalar{0};
     }
-  });
+  }
 }
 
 } // namespace dsk

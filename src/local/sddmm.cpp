@@ -1,8 +1,8 @@
 #include "local/sddmm.hpp"
 
+#include <vector>
+
 #include "common/error.hpp"
-#include "local/schedule.hpp"
-#include "local/thread_pool.hpp"
 #include "local/width_dispatch.hpp"
 
 namespace dsk {
@@ -11,12 +11,11 @@ namespace {
 
 template <int W>
 void sddmm_rows(const CsrMatrix& pattern, const DenseMatrix& a,
-                const DenseMatrix& b, std::span<Scalar> dots,
-                Index row_begin, Index row_end) {
+                const DenseMatrix& b, std::span<Scalar> dots) {
   const auto row_ptr = pattern.row_ptr();
   const auto col_idx = pattern.col_idx();
   const Index r = a.cols();
-  for (Index i = row_begin; i < row_end; ++i) {
+  for (Index i = 0; i < pattern.rows(); ++i) {
     const Scalar* a_row = a.row(i).data();
     for (Index k = row_ptr[static_cast<std::size_t>(i)];
          k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
@@ -30,7 +29,7 @@ void sddmm_rows(const CsrMatrix& pattern, const DenseMatrix& a,
 
 std::uint64_t masked_dot_products(const CsrMatrix& pattern,
                                   const DenseMatrix& a, const DenseMatrix& b,
-                                  std::span<Scalar> dots, ThreadPool* pool) {
+                                  std::span<Scalar> dots) {
   check(a.rows() == pattern.rows(), "masked_dot_products: A has ", a.rows(),
         " rows, S has ", pattern.rows());
   check(b.rows() == pattern.cols(), "masked_dot_products: B has ", b.rows(),
@@ -42,16 +41,7 @@ std::uint64_t masked_dot_products(const CsrMatrix& pattern,
         pattern.nnz());
 
   dispatch_width(a.cols(), [&](auto w) {
-    constexpr int W = decltype(w)::value;
-    if (pool != nullptr) {
-      const auto bounds = partition_rows_by_nnz(
-          pattern.row_ptr(), pool->num_threads() * over_decomposition());
-      pool->parallel_for_dynamic(bounds, [&](Index begin, Index end) {
-        sddmm_rows<W>(pattern, a, b, dots, begin, end);
-      });
-    } else {
-      sddmm_rows<W>(pattern, a, b, dots, 0, pattern.rows());
-    }
+    sddmm_rows<decltype(w)::value>(pattern, a, b, dots);
   });
   return 2ULL * static_cast<std::uint64_t>(pattern.nnz()) *
          static_cast<std::uint64_t>(a.cols());
@@ -67,10 +57,10 @@ void hadamard_values(std::span<const Scalar> s_values,
 }
 
 CsrMatrix sddmm(const CsrMatrix& s, const DenseMatrix& a,
-                const DenseMatrix& b, ThreadPool* pool) {
+                const DenseMatrix& b) {
   CsrMatrix out = s;
   std::vector<Scalar> dots(static_cast<std::size_t>(s.nnz()), Scalar{0});
-  masked_dot_products(s, a, b, dots, pool);
+  masked_dot_products(s, a, b, dots);
   hadamard_values(s.values(), dots, out.values());
   return out;
 }

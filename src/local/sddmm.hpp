@@ -12,17 +12,13 @@
 
 namespace dsk {
 
-class ThreadPool;
-
 /// dots[k] += <A_i, B_j> for the k-th stored nonzero (i,j) of pattern.
 /// A has pattern.rows() rows, B has pattern.cols() rows, equal widths.
 /// Returns the FLOPs performed (2 * nnz * r).
-/// When pool is non-null the row loop is split across the pool.
 std::uint64_t masked_dot_products(const CsrMatrix& pattern,
                                   const DenseMatrix& a,
                                   const DenseMatrix& b,
-                                  std::span<Scalar> dots,
-                                  ThreadPool* pool = nullptr);
+                                  std::span<Scalar> dots);
 
 /// out[k] = s_values[k] * dots[k] (the SDDMM post-multiply).
 void hadamard_values(std::span<const Scalar> s_values,
@@ -31,6 +27,6 @@ void hadamard_values(std::span<const Scalar> s_values,
 /// Full local SDDMM: returns R with the pattern of s and values
 /// s_ij * <A_i, B_j>. Convenience wrapper over the two primitives.
 CsrMatrix sddmm(const CsrMatrix& s, const DenseMatrix& a,
-                const DenseMatrix& b, ThreadPool* pool = nullptr);
+                const DenseMatrix& b);
 
 } // namespace dsk

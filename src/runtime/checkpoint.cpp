@@ -64,15 +64,21 @@ std::vector<Scalar> CheckpointStore::read_disk(int rank) const {
   const std::string path = shard_path(rank);
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) restore_error(rank, "missing checkpoint file " + path);
+  // The file's count word is untrusted: nothing is sized from it until
+  // the whole header matches what save_shard recorded for this rank.
   std::uint64_t header[4] = {0, 0, 0, 0};
-  bool ok = std::fread(header, sizeof(std::uint64_t), 4, f) == 4;
-  ok = ok && header[0] == kCkptMagic &&
-       header[1] == static_cast<std::uint64_t>(rank) &&
-       header[2] == e.digest;
-  std::vector<Scalar> values(static_cast<std::size_t>(header[3]));
-  ok = ok && (values.empty() ||
-              std::fread(values.data(), sizeof(Scalar), values.size(),
-                         f) == values.size());
+  bool ok = std::fread(header, sizeof(std::uint64_t), 4, f) == 4 &&
+            header[0] == kCkptMagic &&
+            header[1] == static_cast<std::uint64_t>(rank) &&
+            header[2] == e.digest &&
+            header[3] == static_cast<std::uint64_t>(e.stable.size());
+  std::vector<Scalar> values;
+  if (ok) {
+    values.resize(e.stable.size());
+    ok = values.empty() ||
+         std::fread(values.data(), sizeof(Scalar), values.size(), f) ==
+             values.size();
+  }
   std::fclose(f);
   if (!ok) restore_error(rank, "corrupted checkpoint file " + path);
   return values;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace dsk {
@@ -51,11 +52,16 @@ const char* kind_token(FaultKind kind) {
   return "drop";
 }
 
-long parse_long(const std::string& text, const char* what) {
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  check(end != nullptr && *end == '\0' && !text.empty(),
-        "fault spec: bad ", what, " '", text, "'");
+/// The whole token as a decimal T in [lo, T's max]: trailing garbage,
+/// signs and out-of-range values are errors, never clamped or narrowed.
+template <typename T>
+T parse_int(const std::string& text, const char* what, T lo) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  check(ec == std::errc() && stop == end && value >= lo, "fault spec: ",
+        what, " '", text, "' is not an integer in [", lo, ", ",
+        std::numeric_limits<T>::max(), "]");
   return value;
 }
 
@@ -89,28 +95,24 @@ CrashSpec parse_crash(const std::string& text) {
   check(at != std::string::npos, "fault spec: crash trigger '", text,
         "' needs <rank>@<where>:<n>");
   CrashSpec spec;
-  spec.rank = static_cast<int>(parse_long(text.substr(0, at), "crash rank"));
-  check(spec.rank >= 0, "fault spec: crash rank must be >= 0 in '", text,
-        "'");
+  spec.rank = parse_int(text.substr(0, at), "crash rank", 0);
   const std::string where = text.substr(at + 1);
   const std::size_t colon = where.find(':');
   check(colon != std::string::npos, "fault spec: crash trigger '", text,
         "' needs <rank>@<where>:<n>");
   const std::string kind = where.substr(0, colon);
-  const long n = parse_long(where.substr(colon + 1), "crash trigger index");
-  check(n >= 0, "fault spec: crash trigger index must be >= 0 in '", text,
-        "'");
+  const int n = parse_int(where.substr(colon + 1), "crash trigger index", 0);
   if (kind == "step") {
-    spec.step = static_cast<int>(n);
+    spec.step = n;
   } else if (kind == "any") {
     spec.any_phase = true;
-    spec.op_index = static_cast<int>(n);
+    spec.op_index = n;
   } else {
     check(parse_phase_token(kind, spec.phase),
           "fault spec: unknown crash trigger '", kind,
           "' (want step|any|repl|prop|comp|app|other)");
     spec.any_phase = false;
-    spec.op_index = static_cast<int>(n);
+    spec.op_index = n;
   }
   return spec;
 }
@@ -125,16 +127,10 @@ MessageFaultSpec parse_message(const std::string& text) {
   const std::size_t arrow = parts[1].find("->");
   check(arrow != std::string::npos, "fault spec: message fault '", text,
         "' needs <src>-><dst>");
-  spec.source =
-      static_cast<int>(parse_long(parts[1].substr(0, arrow), "source"));
-  spec.dest =
-      static_cast<int>(parse_long(parts[1].substr(arrow + 2), "dest"));
-  spec.tag = static_cast<int>(parse_long(parts[2], "tag"));
-  const long seq = parse_long(parts[3], "sequence number");
-  check(spec.source >= 0 && spec.dest >= 0 && spec.tag >= 0 && seq >= 0,
-        "fault spec: message fault '", text,
-        "' endpoints, tag, and sequence number must be >= 0");
-  spec.seq = static_cast<std::uint64_t>(seq);
+  spec.source = parse_int(parts[1].substr(0, arrow), "source", 0);
+  spec.dest = parse_int(parts[1].substr(arrow + 2), "dest", 0);
+  spec.tag = parse_int(parts[2], "tag", 0);
+  spec.seq = parse_int(parts[3], "sequence number", std::uint64_t{0});
   return spec;
 }
 
@@ -169,11 +165,7 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     const std::string value = field.substr(eq + 1);
     if (key == "seed") {
       once(0, "seed");
-      const long seed = parse_long(value, "seed");
-      // A negative seed would print back as a huge unsigned value and
-      // break the exact replay round trip.
-      check(seed >= 0, "fault spec: seed must be >= 0");
-      plan.seed = static_cast<std::uint64_t>(seed);
+      plan.seed = parse_int(value, "seed", std::uint64_t{0});
     } else if (key == "drop") {
       once(1, "drop");
       plan.drop_rate = parse_rate(value, "drop");
@@ -188,12 +180,10 @@ FaultPlan parse_fault_plan(const std::string& spec) {
       plan.delay_rate = parse_rate(value, "delay");
     } else if (key == "timeout_ms") {
       once(5, "timeout_ms");
-      plan.timeout_ms = static_cast<int>(parse_long(value, "timeout_ms"));
-      check(plan.timeout_ms > 0, "fault spec: timeout_ms must be > 0");
+      plan.timeout_ms = parse_int(value, "timeout_ms", 1);
     } else if (key == "attempts") {
       once(6, "attempts");
-      plan.max_attempts = static_cast<int>(parse_long(value, "attempts"));
-      check(plan.max_attempts > 0, "fault spec: attempts must be > 0");
+      plan.max_attempts = parse_int(value, "attempts", 1);
     } else if (key == "crash") {
       const CrashSpec crash = parse_crash(value);
       check(std::find(plan.crashes.begin(), plan.crashes.end(), crash) ==

@@ -102,8 +102,9 @@ struct FaultPlan {
 /// Crash triggers: <rank>@step:<s>, or <rank>@{repl|prop|comp|any}:<n>
 /// (the rank's n-th comm operation in that phase). Throws dsk::Error on
 /// anything malformed: unknown or repeated scalar keys, empty fields
-/// (trailing commas), negative ranks / endpoints / rates, and duplicate
-/// crash or message specs.
+/// (trailing commas), negative ranks / endpoints / rates, integers
+/// outside their field's type (seed and sequence numbers are uint64,
+/// the rest int), and duplicate crash or message specs.
 FaultPlan parse_fault_plan(const std::string& spec);
 
 /// Inverse of parse_fault_plan for the deterministic replay string

@@ -40,6 +40,12 @@ class BlockPartition {
   std::vector<Index> offsets_;
 };
 
+/// Split [0, count) into num_parts contiguous near-equal ranges (sizes
+/// differ by at most one; count need not divide evenly). Returns
+/// num_parts + 1 monotone boundaries with front() == 0 and
+/// back() == count; part p is [bounds[p], bounds[p+1]).
+std::vector<Index> partition_uniform(Index count, int num_parts);
+
 /// Bucket a COO matrix into a grid of (row blocks x col blocks) rebased
 /// COO blocks in a single pass over the nonzeros.
 /// Result is indexed [row_block][col_block].

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -700,6 +701,31 @@ TEST(CheckpointStoreTest, DiskBackendRestoresAndDetectsCorruption) {
     }
     store.scrub(0);
     EXPECT_THROW(store.restore(0), WorldError);
+    // A rotted header must be rejected before its count word sizes any
+    // allocation: 2^59 doubles is 4 EiB, 2^62 exceeds max_size().
+    const auto rewrite_header_word = [&](long index, std::uint64_t word) {
+      store.save_shard(0, {4.0, 5.0});
+      std::FILE* f = std::fopen(file.c_str(), "rb+");
+      ASSERT_NE(f, nullptr);
+      std::fseek(f, index * 8, SEEK_SET);
+      std::fwrite(&word, sizeof word, 1, f);
+      std::fclose(f);
+    };
+    for (const std::uint64_t count : {std::uint64_t{1} << 59,
+                                      std::uint64_t{1} << 62}) {
+      rewrite_header_word(3, count);
+      store.scrub(0);
+      EXPECT_THROW(store.restore(0), WorldError) << "count " << count;
+    }
+    rewrite_header_word(3, std::uint64_t{1} << 59);
+    {
+      std::FILE* f = std::fopen(file.c_str(), "rb+");
+      ASSERT_NE(f, nullptr);
+      std::fputc(0x00, f); // first byte of the magic word
+      std::fclose(f);
+    }
+    store.scrub(0);
+    EXPECT_THROW(store.restore(0), WorldError) << "bad magic, huge count";
   }
   ::unsetenv("DSK_CKPT_DIR");
   fs::remove_all(dir);
@@ -734,6 +760,12 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
       "msg=drop:-1->0:0:0",            // negative endpoint
       "msg=flip:1->0:0:0",             // unknown kind
       "msg=drop:1->0:0:0,msg=drop:1->0:0:0", // duplicate message fault
+      "timeout_ms=4294967297",         // out of int range (was 1)
+      "attempts=4294967297",           // out of int range (was 1)
+      "crash=4294967296@step:0",       // out of int range (was rank 0)
+      "crash=0@step:4294967297",       // out of int range (was step 1)
+      "msg=drop:4294967296->1:0:0",    // out of int range (was source 0)
+      "seed=99999999999999999999",     // out of uint64 range (was 2^63-1)
   };
   for (const char* spec : bad) {
     EXPECT_THROW(parse_fault_plan(spec), Error) << spec;
@@ -757,6 +789,10 @@ TEST(FaultPlanParse, ReplayStringRoundTripsExactly) {
   msg.tag = 2;
   msg.seq = 9;
   plan.messages.push_back(msg);
+  EXPECT_EQ(parse_fault_plan(to_replay_string(plan)), plan)
+      << to_replay_string(plan);
+  // Seeds span the whole uint64 range, not just its signed half.
+  plan.seed = std::numeric_limits<std::uint64_t>::max();
   EXPECT_EQ(parse_fault_plan(to_replay_string(plan)), plan)
       << to_replay_string(plan);
 }

@@ -10,7 +10,7 @@
 #include "local/reference.hpp"
 #include "local/sddmm.hpp"
 #include "local/spmm.hpp"
-#include "local/thread_pool.hpp"
+#include "local/width_dispatch.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/generate.hpp"
 
@@ -195,39 +195,135 @@ TEST(CooKernels, OffsetsTranslateBlocks) {
                Error);
 }
 
-TEST(ThreadPool, ParallelKernelsMatchSerial) {
-  auto f = make_fixture(64, 64, 16);
-  ThreadPool pool(4);
-  DenseMatrix serial(f.csr.rows(), 16), parallel_out(f.csr.rows(), 16);
-  spmm_a(f.csr, f.b, serial);
-  spmm_a(f.csr, f.b, parallel_out, &pool);
-  EXPECT_LT(serial.max_abs_diff(parallel_out), kTol);
+TEST(WidthDispatch, PicksSpecializedInstances) {
+  EXPECT_EQ(dispatch_width(32, [](auto w) { return decltype(w)::value; }),
+            32);
+  EXPECT_EQ(dispatch_width(64, [](auto w) { return decltype(w)::value; }),
+            64);
+  EXPECT_EQ(dispatch_width(128, [](auto w) { return decltype(w)::value; }),
+            128);
+  EXPECT_EQ(dispatch_width(33, [](auto w) { return decltype(w)::value; }), 0);
+  EXPECT_EQ(dispatch_width(1, [](auto w) { return decltype(w)::value; }), 0);
+}
 
-  std::vector<Scalar> d1(static_cast<std::size_t>(f.csr.nnz()), 0.0);
-  std::vector<Scalar> d2(static_cast<std::size_t>(f.csr.nnz()), 0.0);
-  masked_dot_products(f.csr, f.a, f.b, d1);
-  masked_dot_products(f.csr, f.a, f.b, d2, &pool);
-  for (std::size_t k = 0; k < d1.size(); ++k) {
-    EXPECT_NEAR(d1[k], d2[k], kTol);
+// ------------------------------------------------------------------
+// BalancedKernels: every CSR kernel vs the serial COO reference on
+// badly balanced and degenerate row shapes (power-law rows, all
+// nonzeros in one row, empty first and last rows, the empty matrix),
+// across specialized and generic widths.
+
+/// The width-specialized dot product reorders the summation.
+constexpr Scalar kReorderTol = 1e-10;
+
+Fixture make_power_law(Index n, Index r, std::uint64_t seed) {
+  Rng rng(seed);
+  Fixture f{rmat(n, n, 8 * n, rng), {}, DenseMatrix(n, r),
+            DenseMatrix(n, r)};
+  f.csr = coo_to_csr(f.coo);
+  f.a.fill_random(rng);
+  f.b.fill_random(rng);
+  return f;
+}
+
+/// A matrix whose entire nnz sits in one row.
+Fixture make_one_hot_row(Index n, Index r, std::uint64_t seed) {
+  Rng rng(seed);
+  CooMatrix coo(n, n);
+  coo.reserve(n);
+  for (Index j = 0; j < n; ++j) {
+    coo.push_back(n / 2, j, rng.next_in(-1, 1));
+  }
+  Fixture f{std::move(coo), {}, DenseMatrix(n, r), DenseMatrix(n, r)};
+  f.csr = coo_to_csr(f.coo);
+  f.a.fill_random(rng);
+  f.b.fill_random(rng);
+  return f;
+}
+
+/// First and last rows (and a band in the middle) empty.
+Fixture make_holey(Index n, Index r, std::uint64_t seed) {
+  Rng rng(seed);
+  CooMatrix coo(n, n);
+  for (Index i = n / 4; i < n / 2; ++i) {
+    for (Index k = 0; k < 6; ++k) {
+      coo.push_back(i, rng.next_index(0, n), rng.next_in(-1, 1));
+    }
+  }
+  coo.sort_and_combine();
+  Fixture f{std::move(coo), {}, DenseMatrix(n, r), DenseMatrix(n, r)};
+  f.csr = coo_to_csr(f.coo);
+  f.a.fill_random(rng);
+  f.b.fill_random(rng);
+  return f;
+}
+
+void expect_kernels_match_reference(const Fixture& f) {
+  // SpMM-A
+  DenseMatrix a_out(f.csr.rows(), f.b.cols());
+  spmm_a(f.csr, f.b, a_out);
+  EXPECT_LT(a_out.max_abs_diff(reference_spmm_a(f.coo, f.b)), kReorderTol);
+
+  // SpMM-B
+  DenseMatrix b_out(f.csr.cols(), f.a.cols());
+  spmm_b(f.csr, f.a, b_out);
+  EXPECT_LT(b_out.max_abs_diff(reference_spmm_b(f.coo, f.a)), kReorderTol);
+
+  // SpMM-B accumulates into prior contents.
+  DenseMatrix b_acc(f.csr.cols(), f.a.cols());
+  b_acc.fill(1.0);
+  spmm_b(f.csr, f.a, b_acc);
+  for (Index i = 0; i < b_acc.rows(); ++i) {
+    for (Index j = 0; j < b_acc.cols(); ++j) {
+      EXPECT_NEAR(b_acc(i, j), b_out(i, j) + 1.0, kReorderTol);
+    }
+  }
+
+  // SDDMM
+  const auto ref = reference_sddmm(f.coo, f.a, f.b);
+  std::vector<Scalar> dots(static_cast<std::size_t>(f.csr.nnz()), 0.0);
+  masked_dot_products(f.csr, f.a, f.b, dots);
+  const auto s_values = f.csr.values();
+  for (Index k = 0; k < f.csr.nnz(); ++k) {
+    EXPECT_NEAR(s_values[static_cast<std::size_t>(k)] *
+                    dots[static_cast<std::size_t>(k)],
+                ref.entry(k).value, kReorderTol);
+  }
+
+  // FusedMM-A
+  DenseMatrix fused_out(f.csr.rows(), f.b.cols());
+  fusedmm_a(f.csr, f.a, f.b, fused_out);
+  EXPECT_LT(fused_out.max_abs_diff(reference_fusedmm_a(f.coo, f.a, f.b)),
+            kReorderTol);
+}
+
+TEST(BalancedKernels, MatchReferenceAcrossWidths) {
+  for (const Index r : {1, 32, 33, 128}) {
+    expect_kernels_match_reference(
+        make_power_law(256, r, 1000 + static_cast<std::uint64_t>(r)));
   }
 }
 
-TEST(ThreadPool, ParallelForCoversRangeOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, [&](Index begin, Index end) {
-    for (Index i = begin; i < end; ++i) {
-      hits[static_cast<std::size_t>(i)]++;
-    }
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(BalancedKernels, AllNnzInOneRow) {
+  for (const Index r : {32, 33}) {
+    expect_kernels_match_reference(make_one_hot_row(128, r, 7));
+  }
 }
 
-TEST(ThreadPool, EmptyRangeIsFine) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for(5, 5, [&](Index, Index) { ran = true; });
-  EXPECT_FALSE(ran);
+TEST(BalancedKernels, EmptyRowsAtBothEnds) {
+  const auto f = make_holey(128, 32, 21);
+  ASSERT_EQ(f.csr.row_nnz(0), 0);
+  ASSERT_EQ(f.csr.row_nnz(f.csr.rows() - 1), 0);
+  expect_kernels_match_reference(f);
+}
+
+TEST(BalancedKernels, EmptyMatrix) {
+  CooMatrix coo(64, 64);
+  Fixture f{std::move(coo), {}, DenseMatrix(64, 32), DenseMatrix(64, 32)};
+  f.csr = coo_to_csr(f.coo);
+  Rng rng(3);
+  f.a.fill_random(rng);
+  f.b.fill_random(rng);
+  expect_kernels_match_reference(f);
 }
 
 TEST(GatKernels, LogitsDecomposeAttention) {

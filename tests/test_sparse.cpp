@@ -296,6 +296,18 @@ TEST(Partition, UniformBlocks) {
   EXPECT_THROW(BlockPartition::uniform(10, 3), Error);
 }
 
+TEST(PartitionUniform, CoversRangeEvenly) {
+  const auto bounds = partition_uniform(10, 4);
+  EXPECT_EQ(bounds.front(), 0);
+  EXPECT_EQ(bounds.back(), 10);
+  for (std::size_t p = 0; p + 1 < bounds.size(); ++p) {
+    const Index len = bounds[p + 1] - bounds[p];
+    EXPECT_GE(len, 2);
+    EXPECT_LE(len, 3);
+  }
+  EXPECT_EQ(partition_uniform(0, 3), (std::vector<Index>{0, 0, 0, 0}));
+}
+
 TEST(Partition, GridSplitCoversEverything) {
   Rng rng(8);
   CooMatrix coo(8, 12);

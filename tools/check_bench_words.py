@@ -54,7 +54,6 @@ KEY_FIELDS = (
     "index_codec",
     "kernel",
     "impl",
-    "threads",
     "p",
     "c",
     "n",
@@ -140,17 +139,15 @@ def schema_problems(path, records):
             problems.append(
                 f"{where}: record carries none of the key fields "
                 f"{KEY_FIELDS}")
-        # Uniqueness matters only for the diff-gated interchange records
-        # (tagged with "bench"); measurement logs like
-        # BENCH_local_kernels.json repeat configurations on purpose.
-        if "bench" in record:
-            key = record_key(record)
-            if key in seen:
-                problems.append(
-                    f"{where}: duplicate record key (first at index "
-                    f"{seen[key]}): {describe(key)}")
-            else:
-                seen[key] = i
+        # Every bench, the measurement log BENCH_local_kernels.json
+        # included, writes one record per configuration.
+        key = record_key(record)
+        if key in seen:
+            problems.append(
+                f"{where}: duplicate record key (first at index "
+                f"{seen[key]}): {describe(key)}")
+        else:
+            seen[key] = i
     return problems
 
 
