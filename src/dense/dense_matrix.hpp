@@ -5,7 +5,10 @@
 /// that row-granular communication (block rows, all-gathers of row blocks)
 /// is a single memcpy per block.
 
+#include <algorithm>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,6 +17,29 @@
 
 namespace dsk {
 
+/// std::allocator whose value-less construct() default-initializes: a
+/// vector resized through it leaves Scalars unwritten instead of
+/// zero-filling them. Explicit fills (assign(n, 0)) still write.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 class DenseMatrix {
  public:
   DenseMatrix() = default;
@@ -21,21 +47,39 @@ class DenseMatrix {
   /// Zero-initialized rows x cols matrix. Dimensions are validated
   /// before the storage is sized: a negative product cast to size_t
   /// would otherwise request an enormous allocation.
-  DenseMatrix(Index rows, Index cols) : rows_(rows), cols_(cols) {
-    check(rows >= 0 && cols >= 0, "DenseMatrix: negative dimensions (",
-          rows, " x ", cols, ")");
-    data_.assign(static_cast<std::size_t>(rows) *
-                     static_cast<std::size_t>(cols),
-                 Scalar{0});
+  DenseMatrix(Index rows, Index cols) : DenseMatrix(rows, cols, Shape{}) {
+    data_.assign(data_.size(), Scalar{0});
   }
 
-  /// Matrix wrapping existing values (row-major, size rows*cols).
-  DenseMatrix(Index rows, Index cols, std::vector<Scalar> values)
-      : rows_(rows), cols_(cols), data_(std::move(values)) {
-    check(static_cast<std::size_t>(rows * cols) == data_.size(),
-          "DenseMatrix: value count ", data_.size(), " != ", rows, " x ",
-          cols);
+  /// Matrix holding a copy of `values` (row-major, size rows*cols).
+  DenseMatrix(Index rows, Index cols, std::span<const Scalar> values)
+      : DenseMatrix(rows, cols, Shape{}) {
+    check(values.size() == data_.size(), "DenseMatrix: value count ",
+          values.size(), " != ", rows, " x ", cols);
+    std::copy(values.begin(), values.end(), data_.begin());
   }
+
+  DenseMatrix(const DenseMatrix&) = default;
+  DenseMatrix& operator=(const DenseMatrix&) = default;
+  /// A moved-from matrix is empty (0 x 0), never a shape without
+  /// storage.
+  DenseMatrix(DenseMatrix&& other) noexcept
+      : rows_(std::exchange(other.rows_, 0)),
+        cols_(std::exchange(other.cols_, 0)),
+        data_(std::move(other.data_)) {}
+  DenseMatrix& operator=(DenseMatrix&& other) noexcept {
+    rows_ = std::exchange(other.rows_, 0);
+    cols_ = std::exchange(other.cols_, 0);
+    data_ = std::move(other.data_);
+    return *this;
+  }
+
+  /// rows x cols matrix whose entries are left unwritten — for buffers
+  /// the caller overwrites in full before reading (gather outputs,
+  /// landing blocks, outputs every rank writes a disjoint part of).
+  /// Debug builds fill it with quiet NaNs, so an element some path
+  /// forgets to write fails every reference comparison.
+  static DenseMatrix uninitialized(Index rows, Index cols);
 
   Index rows() const { return rows_; }
   Index cols() const { return cols_; }
@@ -87,6 +131,9 @@ class DenseMatrix {
   Scalar frobenius_norm() const;
 
   /// Largest absolute entry difference against other (same shape).
+  /// Bit-identical entries contribute 0; any other pair whose
+  /// difference is NaN (a NaN on either side) makes the result NaN, so
+  /// `== 0.0` and `< tol` checks cannot pass over a NaN.
   Scalar max_abs_diff(const DenseMatrix& other) const;
 
   bool same_shape(const DenseMatrix& other) const {
@@ -94,9 +141,14 @@ class DenseMatrix {
   }
 
  private:
+  struct Shape {};
+  /// Validated shape with unwritten storage; the public constructors
+  /// fill it.
+  DenseMatrix(Index rows, Index cols, Shape);
+
   Index rows_ = 0;
   Index cols_ = 0;
-  std::vector<Scalar> data_;
+  std::vector<Scalar, DefaultInitAllocator<Scalar>> data_;
 };
 
 } // namespace dsk

@@ -360,7 +360,8 @@ class Baseline1D final : public DistAlgorithm {
           "1D-Baseline supports SpMMA only (the paper's baseline runs "
           "FusedMM as two SpMM calls)");
     KernelResult result;
-    result.dense = DenseMatrix(s.rows(), b.cols());
+    // Every rank writes its own block rows.
+    result.dense = DenseMatrix::uninitialized(s.rows(), b.cols());
     result.stats = run(ctx, a, b, /*fused=*/false, /*repetitions=*/1,
                        result.dense);
     return result;
@@ -374,7 +375,7 @@ class Baseline1D final : public DistAlgorithm {
     check(orientation == FusedOrientation::A,
           "1D-Baseline supports FusedMM orientation A only");
     FusedResult result;
-    result.output = DenseMatrix(s.rows(), b.cols());
+    result.output = DenseMatrix::uninitialized(s.rows(), b.cols());
     result.stats = run(ctx, a, b, /*fused=*/true, repetitions,
                        result.output);
     return result;

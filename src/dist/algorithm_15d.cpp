@@ -13,6 +13,7 @@
 /// in the circulating payload one width-slice at a time until the block
 /// returns home (paper Section IV-A).
 
+#include <memory>
 #include <optional>
 
 #include "common/error.hpp"
@@ -148,21 +149,22 @@ class DenseShift15D final : public DistAlgorithm {
     return (static_cast<Index>(v) * grid_.layer_size() + j) * su.b_blk;
   }
 
-  /// Fiber all-gather of the rank's canonical A block into its full
-  /// layer-row of A (row-sparse per options().replication: only rows the
-  /// fiber members' pieces touch need to travel). On a cache-hit run the
-  /// parked working block comes back with zero replication traffic; on a
-  /// miss run the gathered block is parked for the next call.
-  DenseMatrix replicate_a(Comm& comm, const Setup& su, int u, int v,
-                          const DenseMatrix& a, const WireCodec& codec,
-                          const CacheUse& cu = {}) const {
+  /// Fiber all-gather of the rank's canonical A block — read in place
+  /// from A — into its full layer-row of A (row-sparse per
+  /// options().replication: only rows the fiber members' pieces touch
+  /// need to travel). On a cache-hit run the parked working block itself
+  /// comes back with zero replication traffic; on a miss run the
+  /// gathered block is parked (shared, not copied) for the next call.
+  std::shared_ptr<const DenseMatrix> replicate_a(
+      Comm& comm, const Setup& su, int u, int v, const DenseMatrix& a,
+      const WireCodec& codec, const CacheUse& cu = {}) const {
     if (cu.hit) return cu.cache->block(comm.rank());
     PhaseScope scope(comm.stats(), Phase::Replication);
     Group fiber(comm, grid_.fiber_members(u));
     const Index row0 = (static_cast<Index>(u) * c() + v) * su.a_blk;
-    DenseMatrix out = fiber.allgatherv_rows(
-        a.row_block(row0, row0 + su.a_blk), fiber_wants(su, u),
-        options().replication, codec);
+    auto out = std::make_shared<const DenseMatrix>(
+        fiber.allgatherv_rows(a, row0, su.a_blk, fiber_wants(su, u),
+                              options().replication, codec));
     if (cu.cache != nullptr) cu.cache->store(comm.rank(), out);
     return out;
   }
@@ -198,25 +200,31 @@ class DenseShift15D final : public DistAlgorithm {
   }
 
   /// Circulate the layer's B blocks (or B-shaped accumulators) for L
-  /// steps; body(j, resident) sees ring index j and may rewrite the
-  /// resident block when mutates is set. Returns the final resident
-  /// block — after the full ring trip that is the home block again,
-  /// which the accumulator (mutating) loops write to the output.
-  MessageWords b_loop(Comm& comm, const Setup& su, int u, int v,
-                      bool mutates, MessageWords start,
-                      const std::function<void(int, MessageWords&)>& body,
-                      const WireCodec& codec,
-                      const ShiftJournalHooks* state = nullptr) const {
+  /// steps; body(j, resident) sees ring index j and reads — or, when
+  /// mutates is set, updates — the resident block in place. Returns the
+  /// final resident block — after the full ring trip that is the home
+  /// block again, which the accumulator (mutating) loops write to the
+  /// output.
+  DenseMatrix b_loop(Comm& comm, const Setup& su, int u, int v,
+                     bool mutates, DenseMatrix start,
+                     const std::function<void(int, DenseMatrix&)>& body,
+                     const WireCodec& codec,
+                     const ShiftJournalHooks* state = nullptr) const {
     const int L = grid_.layer_size();
     const auto layer = grid_.layer_members(v);
-    ShiftChannel ch =
-        ring_channel(layer, u, kTagShift, mutates, std::move(start));
     const ShiftCompression comp = b_compression(su, u, v, mutates, codec);
-    ch.compression = &comp;
+    ShiftChannel ch = ring_channel(layer, u, kTagShift, mutates,
+                                   std::move(start), comp);
     run_shift_loop(comm, options().schedule, L, {&ch, 1}, [&](int t) {
-      body((u + t) % L, ch.block);
+      body((u + t) % L, ch.dense);
     }, state);
-    return std::move(ch.block);
+    return std::move(ch.dense);
+  }
+
+  /// The B block resident on rank (u, v) at step 0, copied out of B.
+  DenseMatrix home_b(const Setup& su, int u, int v,
+                     const DenseMatrix& b) const {
+    return b.row_block(b_row0(su, v, u), b_row0(su, v, u) + su.b_blk);
   }
 
   /// Concatenation of the rank's L piece value slices — the rank-local
@@ -281,20 +289,20 @@ class DenseShift15D final : public DistAlgorithm {
   /// Replicate A into the rank's working layer-row and run the SDDMM dot
   /// loop (B input blocks circulate). Returns the working block and
   /// dots[j] for the rank's L pieces.
-  std::pair<DenseMatrix, std::vector<std::vector<Scalar>>>
+  std::pair<std::shared_ptr<const DenseMatrix>,
+            std::vector<std::vector<Scalar>>>
   replicate_and_dots(Comm& comm, const Setup& su, int rank, int u, int v,
                      const DenseMatrix& a, const DenseMatrix& b,
                      const WireCodec& codec,
                      const CacheUse& cu = {}) const {
     const int L = grid_.layer_size();
-    DenseMatrix a_work = replicate_a(comm, su, u, v, a, codec, cu);
+    auto a_work = replicate_a(comm, su, u, v, a, codec, cu);
     std::vector<std::vector<Scalar>> dots(static_cast<std::size_t>(L));
-    const auto body = [&](int j, MessageWords& block) {
-      const auto bj = unpack_dense(block, su.b_blk, su.r);
+    const auto body = [&](int j, DenseMatrix& bj) {
       const auto& pc = piece(su, rank, j);
       auto& d = dots[static_cast<std::size_t>(j)];
       d.assign(pc.coo.size(), Scalar{0});
-      comm.stats().add_flops(masked_dot_products(pc.csr, a_work, bj, d));
+      comm.stats().add_flops(masked_dot_products(pc.csr, *a_work, bj, d));
     };
     // The per-piece dot vectors are stationary state (each dots[j] is
     // written wholly at step j); journal them so a recovered attempt
@@ -319,10 +327,8 @@ class DenseShift15D final : public DistAlgorithm {
         off += len;
       }
     };
-    b_loop(comm, su, u, v, /*mutates=*/false,
-           pack_dense(b.row_block(b_row0(su, v, u),
-                                  b_row0(su, v, u) + su.b_blk)),
-           body, codec, &hooks);
+    b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b), body,
+           codec, &hooks);
     return {std::move(a_work), std::move(dots)};
   }
 
@@ -333,19 +339,8 @@ class DenseShift15D final : public DistAlgorithm {
                   const DenseMatrix& b,
                   const std::vector<std::vector<Scalar>>* values,
                   DenseMatrix& out, const WireCodec& codec) const {
-    const int L = grid_.layer_size();
-    const auto layer = grid_.layer_members(v);
     DenseMatrix partial(su.mL, su.r);
-    ShiftChannel ch = ring_channel(
-        layer, u, kTagShift, /*mutates=*/false,
-        pack_dense(b.row_block(b_row0(su, v, u),
-                               b_row0(su, v, u) + su.b_blk)));
-    const ShiftCompression comp =
-        b_compression(su, u, v, /*mutates=*/false, codec);
-    ch.compression = &comp;
-    const auto body = [&](int t) {
-      const int j = (u + t) % L;
-      const auto bj = unpack_dense(ch.block, su.b_blk, su.r);
+    const auto body = [&](int j, DenseMatrix& bj) {
       const auto& pc = piece(su, rank, j);
       if (values == nullptr) {
         comm.stats().add_flops(spmm_a(pc.csr, bj, partial));
@@ -361,7 +356,8 @@ class DenseShift15D final : public DistAlgorithm {
     hooks.unpack_state = [&](const MessageWords& words) {
       partial = unpack_dense(words, su.mL, su.r);
     };
-    run_shift_loop(comm, options().schedule, L, {&ch, 1}, body, &hooks);
+    b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b), body,
+           codec, &hooks);
     reduce_partial(comm, su, u, v, partial, out, codec);
   }
 
@@ -374,10 +370,12 @@ KernelResult DenseShift15D::do_run_kernel(const ExecContext& ctx,
                                           const DenseMatrix& b) const {
   const Setup& su = setup_of(ctx);
   KernelResult result;
+  // Every rank writes its disjoint block of the dense outputs, which
+  // together cover every row, so they start unwritten.
   if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix(su.m, su.r);
+    result.dense = DenseMatrix::uninitialized(su.m, su.r);
   } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix(su.n, su.r);
+    result.dense = DenseMatrix::uninitialized(su.n, su.r);
   } else {
     result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
                                Scalar{0});
@@ -432,19 +430,15 @@ KernelResult DenseShift15D::do_run_kernel(const ExecContext& ctx,
         return;
       }
       case Mode::SpMMB: {
-        const DenseMatrix a_work = replicate_a(comm, su, u, v, a, codec, cu);
+        const auto a_work = replicate_a(comm, su, u, v, a, codec, cu);
         const auto home = b_loop(
-            comm, su, u, v, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.b_blk, su.r)),
-            [&](int j, MessageWords& block) {
-              auto acc = unpack_dense(block, su.b_blk, su.r);
-              comm.stats().add_flops(spmm_b(kernel_csr(j), a_work, acc));
-              block = pack_dense(acc);
+            comm, su, u, v, /*mutates=*/true, DenseMatrix(su.b_blk, su.r),
+            [&](int j, DenseMatrix& acc) {
+              comm.stats().add_flops(spmm_b(kernel_csr(j), *a_work, acc));
             },
             codec);
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense, unpack_dense(home, su.b_blk, su.r),
-                    b_row0(su, v, u), 0);
+        place_block(result.dense, home, b_row0(su, v, u), 0);
         return;
       }
     }
@@ -483,7 +477,8 @@ FusedResult DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
   const int L = grid_.layer_size();
   const WireCodec codec = effective_wire_codec(options(), ctx);
   FusedResult result;
-  result.output = DenseMatrix(
+  // Every rank writes its disjoint block, covering every row.
+  result.output = DenseMatrix::uninitialized(
       orientation == FusedOrientation::A ? su.m : su.n, su.r);
   std::optional<CheckpointStore> ckpt;
   const WorldOptions wo = fault_options(su, ckpt);
@@ -509,20 +504,17 @@ FusedResult DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
     for (int rep = 0; rep < repetitions; ++rep) {
       if (elision == Elision::LocalKernelFusion) {
         // Single propagation loop with the fused local kernel.
-        const DenseMatrix fused_a = replicate_a(comm, su, u, v, a, codec);
+        const auto fused_a = replicate_a(comm, su, u, v, a, codec);
         DenseMatrix partial(su.mL, su.r);
         ShiftJournalHooks hooks;
         hooks.pack_state = [&] { return pack_dense(partial); };
         hooks.unpack_state = [&](const MessageWords& words) {
           partial = unpack_dense(words, su.mL, su.r);
         };
-        b_loop(comm, su, u, v, /*mutates=*/false,
-               pack_dense(b.row_block(b_row0(su, v, u),
-                                      b_row0(su, v, u) + su.b_blk)),
-               [&](int j, MessageWords& block) {
-                 const auto bj = unpack_dense(block, su.b_blk, su.r);
+        b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b),
+               [&](int j, DenseMatrix& bj) {
                  comm.stats().add_flops(
-                     fusedmm_a(kernel_csr(j), fused_a, bj, partial));
+                     fusedmm_a(kernel_csr(j), *fused_a, bj, partial));
                },
                codec, &hooks);
         reduce_partial(comm, su, u, v, partial, result.output, codec);
@@ -556,20 +548,16 @@ FusedResult DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
         // same, so the repeat's result is discarded).
         if (elision == Elision::None) replicate_a(comm, su, u, v, a, codec);
         const auto home = b_loop(
-            comm, su, u, v, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.b_blk, su.r)),
-            [&](int j, MessageWords& block) {
-              auto acc = unpack_dense(block, su.b_blk, su.r);
+            comm, su, u, v, /*mutates=*/true, DenseMatrix(su.b_blk, su.r),
+            [&](int j, DenseMatrix& acc) {
               comm.stats().add_flops(spmm_b(
                   csr_with_values(piece(su, rank, j).csr,
                                   r_values[static_cast<std::size_t>(j)]),
-                  a_work, acc));
-              block = pack_dense(acc);
+                  *a_work, acc));
             },
             codec);
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output, unpack_dense(home, su.b_blk, su.r),
-                    b_row0(su, v, u), 0);
+        place_block(result.output, home, b_row0(su, v, u), 0);
       }
     }
   }, wo);
@@ -681,18 +669,19 @@ class SparseShift15D final : public DistAlgorithm {
 
   /// Fiber all-gather of the canonical A blocks into the full-m slice
   /// A[:, u-th width slice] (row-sparse per options().replication).
-  /// Cache-hit runs return the parked slice with zero replication
-  /// traffic; miss runs park the gathered slice for the next call.
-  DenseMatrix replicate_a(Comm& comm, const Setup& su, int u, int v,
-                          const DenseMatrix& a, const WireCodec& codec,
-                          const CacheUse& cu = {}) const {
+  /// Cache-hit runs return the parked slice itself with zero replication
+  /// traffic; miss runs park the gathered slice (shared) for the next
+  /// call.
+  std::shared_ptr<const DenseMatrix> replicate_a(
+      Comm& comm, const Setup& su, int u, int v, const DenseMatrix& a,
+      const WireCodec& codec, const CacheUse& cu = {}) const {
     if (cu.hit) return cu.cache->block(comm.rank());
     PhaseScope scope(comm.stats(), Phase::Replication);
     Group fiber(comm, grid_.fiber_members(u));
-    DenseMatrix out = fiber.allgatherv_rows(
+    auto out = std::make_shared<const DenseMatrix>(fiber.allgatherv_rows(
         dense_block(a, static_cast<Index>(v) * su.mc, su.mc,
                     static_cast<Index>(u) * su.rL, su.rL),
-        su.layer_support, options().replication, codec);
+        su.layer_support, options().replication, codec));
     if (cu.cache != nullptr) cu.cache->store(comm.rank(), out);
     return out;
   }
@@ -762,12 +751,12 @@ class SparseShift15D final : public DistAlgorithm {
   /// Replicate A and circulate the home piece's dot payload for L steps
   /// (the SDDMM pass shared by the kernel and FusedMM). Returns the
   /// replicated slice and the home piece's accumulated dot payload.
-  std::pair<DenseMatrix, Triplets> sddmm_pass(
+  std::pair<std::shared_ptr<const DenseMatrix>, Triplets> sddmm_pass(
       Comm& comm, const Setup& su, int u, int v, const DenseMatrix& a,
       const DenseMatrix& b_local, const WireCodec& codec,
       const CacheUse& cu = {}) const {
     const int L = grid_.layer_size();
-    DenseMatrix a_work = replicate_a(comm, su, u, v, a, codec, cu);
+    auto a_work = replicate_a(comm, su, u, v, a, codec, cu);
     Triplets start = piece(su, v, u).coo;
     start.values.assign(start.size(), Scalar{0});
     const auto layer = grid_.layer_members(v);
@@ -777,7 +766,7 @@ class SparseShift15D final : public DistAlgorithm {
       const int j = (u + t) % L;
       auto payload = unpack_triplets(ch.block, codec);
       comm.stats().add_flops(masked_dot_products(
-          piece(su, v, j).csr, a_work, b_local, payload.values));
+          piece(su, v, j).csr, *a_work, b_local, payload.values));
       ch.block = pack_triplets(payload, codec);
     };
     run_shift_loop(comm, options().schedule, L, {&ch, 1}, body);
@@ -793,10 +782,12 @@ KernelResult SparseShift15D::do_run_kernel(const ExecContext& ctx,
                                            const DenseMatrix& b) const {
   const Setup& su = setup_of(ctx);
   KernelResult result;
+  // Every rank writes its disjoint block of the dense outputs, which
+  // together cover every row, so they start unwritten.
   if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix(su.m, su.r);
+    result.dense = DenseMatrix::uninitialized(su.m, su.r);
   } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix(su.n, su.r);
+    result.dense = DenseMatrix::uninitialized(su.n, su.r);
   } else {
     result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
                                Scalar{0});
@@ -858,7 +849,7 @@ KernelResult SparseShift15D::do_run_kernel(const ExecContext& ctx,
         return;
       }
       case Mode::SpMMB: {
-        const DenseMatrix a_work = replicate_a(comm, su, u, v, a, codec, cu);
+        const auto a_work = replicate_a(comm, su, u, v, a, codec, cu);
         DenseMatrix b_out(su.n / c(), su.rL);
         ShiftJournalHooks hooks;
         hooks.pack_state = [&] { return pack_dense(b_out); };
@@ -869,7 +860,7 @@ KernelResult SparseShift15D::do_run_kernel(const ExecContext& ctx,
                pack_triplets(piece(su, v, u).coo, codec),
                [&](int j, MessageWords&) {
                  comm.stats().add_flops(
-                     spmm_b(kernel_csr(j), a_work, b_out));
+                     spmm_b(kernel_csr(j), *a_work, b_out));
                },
                &hooks);
         PhaseScope scope(comm.stats(), Phase::Computation);
@@ -894,7 +885,8 @@ FusedResult SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
   const Setup& su = setup_of(ctx);
   const WireCodec codec = effective_wire_codec(options(), ctx);
   FusedResult result;
-  result.output = DenseMatrix(
+  // Every rank writes its disjoint block, covering every row.
+  result.output = DenseMatrix::uninitialized(
       orientation == FusedOrientation::A ? su.m : su.n, su.r);
   std::optional<CheckpointStore> ckpt;
   const WorldOptions wo = fault_options(su, ckpt);
@@ -955,7 +947,7 @@ FusedResult SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
                  const auto payload = unpack_triplets(block, codec);
                  comm.stats().add_flops(spmm_b(
                      csr_with_values(piece(su, v, j).csr, payload.values),
-                     a_work, b_out));
+                     *a_work, b_out));
                },
                &hooks);
         PhaseScope scope(comm.stats(), Phase::Computation);

@@ -16,6 +16,7 @@
 /// the same width range. SDDMM dot products accumulate in a stationary
 /// per-cell buffer and are summed across the fiber with one all-reduce.
 
+#include <memory>
 #include <optional>
 
 #include "common/error.hpp"
@@ -141,19 +142,20 @@ class DenseRepl25D final : public DistAlgorithm {
 
   /// Fiber all-gather of the rank's canonical A chunk into its m/q x r/q
   /// working block (row-sparse per options().replication). On a cache
-  /// hit the parked block is returned without touching the wire; on a
-  /// filling run the gathered block is parked for the next call.
-  DenseMatrix replicate_a(Comm& comm, const Setup& su, int u, int v,
-                          int w, const DenseMatrix& a,
-                          const WireCodec& codec,
-                          const CacheUse& cu = {}) const {
+  /// hit the parked block itself is returned without touching the wire;
+  /// on a filling run the gathered block is parked (shared) for the next
+  /// call.
+  std::shared_ptr<const DenseMatrix> replicate_a(
+      Comm& comm, const Setup& su, int u, int v, int w,
+      const DenseMatrix& a, const WireCodec& codec,
+      const CacheUse& cu = {}) const {
     if (cu.hit) return cu.cache->block(comm.rank());
     PhaseScope scope(comm.stats(), Phase::Replication);
     Group fiber(comm, grid_.fiber_members(u, v));
-    DenseMatrix out = fiber.allgatherv_rows(
+    auto out = std::make_shared<const DenseMatrix>(fiber.allgatherv_rows(
         dense_block(a, static_cast<Index>(u) * su.mq + w * su.mqc, su.mqc,
                     static_cast<Index>(v) * su.rq, su.rq),
-        fiber_wants(su, u), options().replication, codec);
+        fiber_wants(su, u), options().replication, codec));
     if (cu.cache != nullptr) cu.cache->store(comm.rank(), out);
     return out;
   }
@@ -253,44 +255,38 @@ class DenseRepl25D final : public DistAlgorithm {
   /// on rank (u, v, w) at step 0.
   DenseMatrix b0_block(const Setup& su, int k0, int v, int w,
                        const DenseMatrix& b) const {
-    return b.row_block(b_row0(su, k0, w), b_row0(su, k0, w) + su.nqc)
-        .col_block(static_cast<Index>(v) * su.rq,
-                   (v + 1) * static_cast<Index>(su.rq));
+    return dense_block(b, b_row0(su, k0, w), su.nqc,
+                       static_cast<Index>(v) * su.rq, su.rq);
   }
 
   /// Replicate A and run the SDDMM dot loop (S dots circulate on the row
   /// ring, B blocks on the column ring) — shared by the SDDMM kernel and
   /// the FusedMM SDDMM pass. Returns the working block and the home
   /// piece's accumulated dot payload.
-  std::pair<DenseMatrix, Triplets> sddmm_pass(Comm& comm, const Setup& su,
-                                              int u, int v, int w,
-                                              const DenseMatrix& a,
-                                              const DenseMatrix& b,
-                                              const WireCodec& codec,
-                                              const CacheUse& cu = {}) const {
+  std::pair<std::shared_ptr<const DenseMatrix>, Triplets> sddmm_pass(
+      Comm& comm, const Setup& su, int u, int v, int w,
+      const DenseMatrix& a, const DenseMatrix& b, const WireCodec& codec,
+      const CacheUse& cu = {}) const {
     const int q = grid_.q();
     const int k0 = k_at(u, v, 0);
     const auto row_ring = grid_.row_members(u, w);
     const auto col_ring = grid_.col_members(v, w);
-    DenseMatrix a_work = replicate_a(comm, su, u, v, w, a, codec, cu);
+    auto a_work = replicate_a(comm, su, u, v, w, a, codec, cu);
     Triplets start = piece(su, u, k0, w).coo;
     start.values.assign(start.size(), Scalar{0});
-    ShiftChannel chs = ring_channel(row_ring, v, kTagShift,
-                                    /*mutates=*/true,
-                                    pack_triplets(start, codec));
-    ShiftChannel chb =
-        ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
-                     pack_dense(b0_block(su, k0, v, w, b)));
     const ShiftCompression bcomp =
         b_compression(su, u, v, w, /*mutates=*/false, codec);
-    chb.compression = &bcomp;
-    ShiftChannel channels[] = {std::move(chs), std::move(chb)};
+    ShiftChannel channels[] = {
+        ring_channel(row_ring, v, kTagShift, /*mutates=*/true,
+                     pack_triplets(start, codec)),
+        ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
+                     b0_block(su, k0, v, w, b), bcomp)};
     const auto body = [&](int t) {
       const int k = k_at(u, v, t);
       auto payload = unpack_triplets(channels[0].block, codec);
-      const auto bk = unpack_dense(channels[1].block, su.nqc, su.rq);
-      comm.stats().add_flops(masked_dot_products(
-          piece(su, u, k, w).csr, a_work, bk, payload.values));
+      comm.stats().add_flops(
+          masked_dot_products(piece(su, u, k, w).csr, *a_work,
+                              channels[1].dense, payload.values));
       channels[0].block = pack_triplets(payload, codec);
     };
     run_shift_loop(comm, options().schedule, q, channels, body);
@@ -306,10 +302,12 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
                                          const DenseMatrix& b) const {
   const Setup& su = setup_of(ctx);
   KernelResult result;
+  // Every rank writes its disjoint block of the dense outputs, which
+  // together cover every row, so they start unwritten.
   if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix(su.m, su.r);
+    result.dense = DenseMatrix::uninitialized(su.m, su.r);
   } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix(su.n, su.r);
+    result.dense = DenseMatrix::uninitialized(su.n, su.r);
   } else {
     result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
                                Scalar{0});
@@ -353,19 +351,13 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
       case Mode::SpMMA: {
         // S pieces (with values) and B blocks circulate; the A-shaped
         // partial stays put and is reduce-scattered along the fiber.
-        ShiftChannel chs =
-            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
-                         pack_triplets(home_triplets(), codec));
-        ShiftChannel chb = ring_channel(
-            col_ring, u, kTagShiftDense, /*mutates=*/false,
-            pack_dense(b.row_block(b_row0(su, k0, w),
-                                   b_row0(su, k0, w) + su.nqc)
-                           .col_block(static_cast<Index>(v) * su.rq,
-                                      (v + 1) * static_cast<Index>(su.rq))));
         const ShiftCompression bcomp =
             b_compression(su, u, v, w, /*mutates=*/false, codec);
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(chs), std::move(chb)};
+        ShiftChannel channels[] = {
+            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
+                         pack_triplets(home_triplets(), codec)),
+            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
+                         b0_block(su, k0, v, w, b), bcomp)};
         DenseMatrix partial(su.mq, su.rq);
         ShiftJournalHooks hooks;
         hooks.pack_state = [&] { return pack_dense(partial); };
@@ -374,8 +366,8 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
         };
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
-          const auto bk = unpack_dense(channels[1].block, su.nqc, su.rq);
-          comm.stats().add_flops(spmm_a(kernel_csr(k), bk, partial));
+          comm.stats().add_flops(
+              spmm_a(kernel_csr(k), channels[1].dense, partial));
         }, &hooks);
         reduce_partial(comm, su, u, v, w, partial, result.dense, codec);
         return;
@@ -395,28 +387,22 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
         return;
       }
       case Mode::SpMMB: {
-        const DenseMatrix a_work =
-            replicate_a(comm, su, u, v, w, a, codec, cu);
-        ShiftChannel chs =
-            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
-                         pack_triplets(home_triplets(), codec));
-        ShiftChannel chb = ring_channel(
-            col_ring, u, kTagShiftDense, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.nqc, su.rq)));
+        const auto a_work = replicate_a(comm, su, u, v, w, a, codec, cu);
         const ShiftCompression bcomp =
             b_compression(su, u, v, w, /*mutates=*/true, codec);
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(chs), std::move(chb)};
+        ShiftChannel channels[] = {
+            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
+                         pack_triplets(home_triplets(), codec)),
+            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/true,
+                         DenseMatrix(su.nqc, su.rq), bcomp)};
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
-          auto acc = unpack_dense(channels[1].block, su.nqc, su.rq);
-          comm.stats().add_flops(spmm_b(kernel_csr(k), a_work, acc));
-          channels[1].block = pack_dense(acc);
+          comm.stats().add_flops(
+              spmm_b(kernel_csr(k), *a_work, channels[1].dense));
         });
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense,
-                    unpack_dense(channels[1].block, su.nqc, su.rq),
-                    b_row0(su, k0, w), static_cast<Index>(v) * su.rq);
+        place_block(result.dense, channels[1].dense, b_row0(su, k0, w),
+                    static_cast<Index>(v) * su.rq);
         return;
       }
     }
@@ -436,7 +422,8 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
   const int q = grid_.q();
   const WireCodec codec = effective_wire_codec(options(), ctx);
   FusedResult result;
-  result.output = DenseMatrix(
+  // Every rank writes its disjoint block, covering every row.
+  result.output = DenseMatrix::uninitialized(
       orientation == FusedOrientation::A ? su.m : su.n, su.r);
   std::optional<ReplicaStore> store;
   std::optional<CheckpointStore> ckpt;
@@ -450,9 +437,6 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
     const auto col_ring = grid_.col_members(v, w);
     const std::vector<Scalar>* live =
         store ? &store->values(rank) : nullptr;
-    const auto b_block = [&] {
-      return pack_dense(b0_block(su, k0, v, w, b));
-    };
     for (int rep = 0; rep < repetitions; ++rep) {
       // SDDMM pass: dots circulate with the S pieces, B input blocks
       // circulate on the column ring.
@@ -478,12 +462,12 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
                                       /*mutates=*/false,
                                       pack_triplets(r_piece, codec));
       if (orientation == FusedOrientation::A) {
-        ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                        /*mutates=*/false, b_block());
         const ShiftCompression bcomp =
             b_compression(su, u, v, w, /*mutates=*/false, codec);
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(chs), std::move(chb)};
+        ShiftChannel channels[] = {
+            std::move(chs),
+            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
+                         b0_block(su, k0, v, w, b), bcomp)};
         DenseMatrix partial(su.mq, su.rq);
         ShiftJournalHooks hooks;
         hooks.pack_state = [&] { return pack_dense(partial); };
@@ -493,35 +477,30 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
           const auto payload = unpack_triplets(channels[0].block, codec);
-          const auto bk = unpack_dense(channels[1].block, su.nqc, su.rq);
           comm.stats().add_flops(
               spmm_a(csr_with_values(piece(su, u, k, w).csr,
                                      payload.values),
-                     bk, partial));
+                     channels[1].dense, partial));
         }, &hooks);
         reduce_partial(comm, su, u, v, w, partial, result.output, codec);
       } else {
-        ShiftChannel chb = ring_channel(
-            col_ring, u, kTagShiftDense, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.nqc, su.rq)));
         const ShiftCompression bcomp =
             b_compression(su, u, v, w, /*mutates=*/true, codec);
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(chs), std::move(chb)};
+        ShiftChannel channels[] = {
+            std::move(chs),
+            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/true,
+                         DenseMatrix(su.nqc, su.rq), bcomp)};
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
           const auto payload = unpack_triplets(channels[0].block, codec);
-          auto acc = unpack_dense(channels[1].block, su.nqc, su.rq);
           comm.stats().add_flops(
               spmm_b(csr_with_values(piece(su, u, k, w).csr,
                                      payload.values),
-                     a_work, acc));
-          channels[1].block = pack_dense(acc);
+                     *a_work, channels[1].dense));
         });
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output,
-                    unpack_dense(channels[1].block, su.nqc, su.rq),
-                    b_row0(su, k0, w), static_cast<Index>(v) * su.rq);
+        place_block(result.output, channels[1].dense, b_row0(su, k0, w),
+                    static_cast<Index>(v) * su.rq);
       }
     }
   }, wo);
@@ -767,10 +746,12 @@ KernelResult SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
                                           const DenseMatrix& b) const {
   const Setup& su = setup_of(ctx);
   KernelResult result;
+  // Every rank writes its disjoint block of the dense outputs, which
+  // together cover every row, so they start unwritten.
   if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix(su.m, su.r);
+    result.dense = DenseMatrix::uninitialized(su.m, su.r);
   } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix(su.n, su.r);
+    result.dense = DenseMatrix::uninitialized(su.n, su.r);
   } else {
     result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
                                Scalar{0});
@@ -791,12 +772,12 @@ KernelResult SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
     const std::vector<Scalar>* live =
         store ? &store->values(rank) : nullptr;
     const auto a_piece = [&] {
-      return pack_dense(dense_block(a, static_cast<Index>(u) * su.mq,
-                                    su.mq, s0 * su.rqc, su.rqc));
+      return dense_block(a, static_cast<Index>(u) * su.mq, su.mq,
+                         s0 * su.rqc, su.rqc);
     };
     const auto b_piece = [&] {
-      return pack_dense(dense_block(b, static_cast<Index>(v) * su.nq,
-                                    su.nq, s0 * su.rqc, su.rqc));
+      return dense_block(b, static_cast<Index>(v) * su.nq, su.nq,
+                         s0 * su.rqc, su.rqc);
     };
     // The cell's values are canonically split across the fiber; every
     // kernel starts by assembling the full value vector.
@@ -804,17 +785,15 @@ KernelResult SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
     switch (mode) {
       case Mode::SDDMM: {
         std::vector<Scalar> dots(sc.coo.size(), Scalar{0});
-        ShiftChannel cha = ring_channel(row_ring, v, kTagShift,
-                                        /*mutates=*/false, a_piece());
-        ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                        /*mutates=*/false, b_piece());
         const ShiftCompression acomp =
             a_compression(su, u, v, /*mutates=*/false, codec);
         const ShiftCompression bcomp =
             b_compression(su, u, v, /*mutates=*/false, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
+        ShiftChannel channels[] = {
+            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
+                         a_piece(), acomp),
+            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
+                         b_piece(), bcomp)};
         ShiftJournalHooks hooks;
         hooks.pack_state = [&] {
           return pack_values(std::span<const Scalar>(dots));
@@ -823,12 +802,8 @@ KernelResult SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
           dots = unpack_values(words);
         };
         run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          const auto ak =
-              unpack_dense(channels[0].block, su.mq, su.rqc);
-          const auto bk =
-              unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(
-              masked_dot_products(sc.csr, ak, bk, dots));
+          comm.stats().add_flops(masked_dot_products(
+              sc.csr, channels[0].dense, channels[1].dense, dots));
         }, &hooks);
         std::vector<Scalar> dots_full;
         {
@@ -851,55 +826,41 @@ KernelResult SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
       }
       case Mode::SpMMA: {
         const auto cell_csr = csr_with_values(sc.csr, values_full);
-        ShiftChannel cha = ring_channel(
-            row_ring, v, kTagShift, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.mq, su.rqc)));
-        ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                        /*mutates=*/false, b_piece());
         const ShiftCompression acomp =
             a_compression(su, u, v, /*mutates=*/true, codec);
         const ShiftCompression bcomp =
             b_compression(su, u, v, /*mutates=*/false, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
+        ShiftChannel channels[] = {
+            ring_channel(row_ring, v, kTagShift, /*mutates=*/true,
+                         DenseMatrix(su.mq, su.rqc), acomp),
+            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
+                         b_piece(), bcomp)};
         run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          auto acc = unpack_dense(channels[0].block, su.mq, su.rqc);
-          const auto bk =
-              unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(spmm_a(cell_csr, bk, acc));
-          channels[0].block = pack_dense(acc);
+          comm.stats().add_flops(
+              spmm_a(cell_csr, channels[1].dense, channels[0].dense));
         });
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense,
-                    unpack_dense(channels[0].block, su.mq, su.rqc),
+        place_block(result.dense, channels[0].dense,
                     static_cast<Index>(u) * su.mq, s0 * su.rqc);
         return;
       }
       case Mode::SpMMB: {
         const auto cell_csr = csr_with_values(sc.csr, values_full);
-        ShiftChannel cha = ring_channel(row_ring, v, kTagShift,
-                                        /*mutates=*/false, a_piece());
-        ShiftChannel chb = ring_channel(
-            col_ring, u, kTagShiftDense, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.nq, su.rqc)));
         const ShiftCompression acomp =
             a_compression(su, u, v, /*mutates=*/false, codec);
         const ShiftCompression bcomp =
             b_compression(su, u, v, /*mutates=*/true, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
+        ShiftChannel channels[] = {
+            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
+                         a_piece(), acomp),
+            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/true,
+                         DenseMatrix(su.nq, su.rqc), bcomp)};
         run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          const auto ak =
-              unpack_dense(channels[0].block, su.mq, su.rqc);
-          auto acc = unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(spmm_b(cell_csr, ak, acc));
-          channels[1].block = pack_dense(acc);
+          comm.stats().add_flops(
+              spmm_b(cell_csr, channels[0].dense, channels[1].dense));
         });
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense,
-                    unpack_dense(channels[1].block, su.nq, su.rqc),
+        place_block(result.dense, channels[1].dense,
                     static_cast<Index>(v) * su.nq, s0 * su.rqc);
         return;
       }
@@ -919,7 +880,8 @@ FusedResult SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
   const int q = grid_.q();
   const WireCodec codec = effective_wire_codec(options(), ctx);
   FusedResult result;
-  result.output = DenseMatrix(
+  // Every rank writes its disjoint block, covering every row.
+  result.output = DenseMatrix::uninitialized(
       orientation == FusedOrientation::A ? su.m : su.n, su.r);
   std::optional<ReplicaStore> store;
   std::optional<CheckpointStore> ckpt;
@@ -935,12 +897,12 @@ FusedResult SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
     const std::vector<Scalar>* live =
         store ? &store->values(rank) : nullptr;
     const auto a_piece = [&] {
-      return pack_dense(dense_block(a, static_cast<Index>(u) * su.mq,
-                                    su.mq, s0 * su.rqc, su.rqc));
+      return dense_block(a, static_cast<Index>(u) * su.mq, su.mq,
+                         s0 * su.rqc, su.rqc);
     };
     const auto b_piece = [&] {
-      return pack_dense(dense_block(b, static_cast<Index>(v) * su.nq,
-                                    su.nq, s0 * su.rqc, su.rqc));
+      return dense_block(b, static_cast<Index>(v) * su.nq, su.nq,
+                         s0 * su.rqc, su.rqc);
     };
     for (int rep = 0; rep < repetitions; ++rep) {
       // SDDMM pass: both dense slices circulate, the dot buffer stays.
@@ -948,17 +910,15 @@ FusedResult SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
           gather_values(comm, su, u, v, w, live, codec);
       std::vector<Scalar> dots(sc.coo.size(), Scalar{0});
       {
-        ShiftChannel cha = ring_channel(row_ring, v, kTagShift,
-                                        /*mutates=*/false, a_piece());
-        ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                        /*mutates=*/false, b_piece());
         const ShiftCompression acomp =
             a_compression(su, u, v, /*mutates=*/false, codec);
         const ShiftCompression bcomp =
             b_compression(su, u, v, /*mutates=*/false, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
+        ShiftChannel channels[] = {
+            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
+                         a_piece(), acomp),
+            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
+                         b_piece(), bcomp)};
         ShiftJournalHooks hooks;
         hooks.pack_state = [&] {
           return pack_values(std::span<const Scalar>(dots));
@@ -967,12 +927,8 @@ FusedResult SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
           dots = unpack_values(words);
         };
         run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          const auto ak =
-              unpack_dense(channels[0].block, su.mq, su.rqc);
-          const auto bk =
-              unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(
-              masked_dot_products(sc.csr, ak, bk, dots));
+          comm.stats().add_flops(masked_dot_products(
+              sc.csr, channels[0].dense, channels[1].dense, dots));
         }, &hooks);
       }
       std::vector<Scalar> dots_full;
@@ -991,52 +947,38 @@ FusedResult SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
       // SpMM pass: the input slices circulate again, now alongside the
       // circulating output accumulators.
       if (orientation == FusedOrientation::A) {
-        ShiftChannel cha = ring_channel(
-            row_ring, v, kTagShift, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.mq, su.rqc)));
-        ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                        /*mutates=*/false, b_piece());
         const ShiftCompression acomp =
             a_compression(su, u, v, /*mutates=*/true, codec);
         const ShiftCompression bcomp =
             b_compression(su, u, v, /*mutates=*/false, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
+        ShiftChannel channels[] = {
+            ring_channel(row_ring, v, kTagShift, /*mutates=*/true,
+                         DenseMatrix(su.mq, su.rqc), acomp),
+            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
+                         b_piece(), bcomp)};
         run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          auto acc = unpack_dense(channels[0].block, su.mq, su.rqc);
-          const auto bk =
-              unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(spmm_a(r_csr, bk, acc));
-          channels[0].block = pack_dense(acc);
+          comm.stats().add_flops(
+              spmm_a(r_csr, channels[1].dense, channels[0].dense));
         });
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output,
-                    unpack_dense(channels[0].block, su.mq, su.rqc),
+        place_block(result.output, channels[0].dense,
                     static_cast<Index>(u) * su.mq, s0 * su.rqc);
       } else {
-        ShiftChannel cha = ring_channel(row_ring, v, kTagShift,
-                                        /*mutates=*/false, a_piece());
-        ShiftChannel chb = ring_channel(
-            col_ring, u, kTagShiftDense, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.nq, su.rqc)));
         const ShiftCompression acomp =
             a_compression(su, u, v, /*mutates=*/false, codec);
         const ShiftCompression bcomp =
             b_compression(su, u, v, /*mutates=*/true, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
+        ShiftChannel channels[] = {
+            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
+                         a_piece(), acomp),
+            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/true,
+                         DenseMatrix(su.nq, su.rqc), bcomp)};
         run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          const auto ak =
-              unpack_dense(channels[0].block, su.mq, su.rqc);
-          auto acc = unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(spmm_b(r_csr, ak, acc));
-          channels[1].block = pack_dense(acc);
+          comm.stats().add_flops(
+              spmm_b(r_csr, channels[0].dense, channels[1].dense));
         });
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output,
-                    unpack_dense(channels[1].block, su.nq, su.rqc),
+        place_block(result.output, channels[1].dense,
                     static_cast<Index>(v) * su.nq, s0 * su.rqc);
       }
     }

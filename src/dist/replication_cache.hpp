@@ -25,7 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
@@ -52,20 +52,23 @@ class ReplicationCache {
     return filled_.load(std::memory_order_acquire) == num_ranks();
   }
 
-  /// The cached replicated block for `rank`. Only valid when complete().
-  const DenseMatrix& block(int rank) const {
+  /// The cached replicated block for `rank`, shared: a hit hands the
+  /// kernels the parked block itself, not a copy. Only valid when
+  /// complete().
+  std::shared_ptr<const DenseMatrix> block(int rank) const {
     const auto& slot = slots_[static_cast<std::size_t>(rank)];
-    check(slot.has_value(), "ReplicationCache: no block cached for rank ",
+    check(slot != nullptr, "ReplicationCache: no block cached for rank ",
           rank);
-    return *slot;
+    return slot;
   }
 
-  /// Park `rank`'s freshly gathered block (called from rank threads on a
-  /// miss run; each rank writes only its own slot, first write wins).
-  void store(int rank, DenseMatrix parked) {
+  /// Park `rank`'s freshly gathered block, shared with the run that
+  /// gathered it (called from rank threads on a miss run; each rank
+  /// writes only its own slot, first write wins).
+  void store(int rank, std::shared_ptr<const DenseMatrix> parked) {
     auto& slot = slots_[static_cast<std::size_t>(rank)];
-    if (slot.has_value()) return;
-    slot.emplace(std::move(parked));
+    if (slot != nullptr) return;
+    slot = std::move(parked);
     filled_.fetch_add(1, std::memory_order_release);
   }
 
@@ -75,7 +78,7 @@ class ReplicationCache {
   std::uint64_t misses() const { return misses_; }
 
  private:
-  std::vector<std::optional<DenseMatrix>> slots_;
+  std::vector<std::shared_ptr<const DenseMatrix>> slots_;
   std::atomic<int> filled_{0};
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

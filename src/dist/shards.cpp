@@ -26,17 +26,16 @@ Triplets unpack_triplets(const MessageWords& words, const WireCodec& codec) {
 }
 
 MessageWords pack_dense(const DenseMatrix& m) {
-  return encode_values(m.data(), WireCodec{});
+  return encode_dense(m, WireCodec{});
 }
 
 DenseMatrix unpack_dense(const MessageWords& words, Index rows, Index cols) {
   check(dense_words(rows, cols) == words.size(),
         "unpack_dense: ", words.size(), " words do not form a ", rows, " x ",
         cols, " matrix");
-  return DenseMatrix(
-      rows, cols,
-      decode_values(words, static_cast<std::int64_t>(words.size()),
-                    WireCodec{}));
+  DenseMatrix m = DenseMatrix::uninitialized(rows, cols);
+  decode_dense(words, m, WireCodec{});
+  return m;
 }
 
 MessageWords pack_values(std::span<const Scalar> values,

@@ -59,10 +59,10 @@ inline std::uint64_t dense_words(Index rows, Index cols) {
 }
 
 /// Serialize a dense matrix's values (row-major, no header) — the raw
-/// full-precision image the resident shift blocks and checkpoints hold.
-/// Wire-precision encoding happens at the hop boundary (shift_loop /
-/// collectives), never in the resident representation, so this pair has
-/// no codec parameter. Delegates into runtime/wire.hpp.
+/// full-precision image the journal snapshots of resident shift blocks
+/// and stationary accumulators hold. Wire-precision encoding happens at
+/// the hop boundary (shift_loop / collectives), never in a snapshot, so
+/// this pair has no codec parameter. Delegates into runtime/wire.hpp.
 MessageWords pack_dense(const DenseMatrix& m);
 
 /// Deserialize into a rows x cols matrix; throws on size mismatch.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "dist/shards.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/stats.hpp"
 
@@ -14,89 +15,86 @@ bool is_self(const Comm& comm, const ShiftChannel& ch) {
   return ch.send_to == comm.rank() && ch.recv_from == comm.rank();
 }
 
-/// Compression is in force for a channel when armed with a non-Dense
-/// mode (drivers attach an inactive Dense compression for free) — or
-/// with a non-default wire codec, which must encode even full-dense
-/// hops.
-const ShiftCompression* active_compression(const ShiftChannel& ch) {
-  if (ch.compression == nullptr ||
-      (ch.compression->mode == PropagationMode::Dense &&
-       ch.compression->codec.is_default())) {
-    return nullptr;
-  }
-  return ch.compression;
-}
-
 /// The per-hop plan choice — the shared propagation_hop_is_sparse rule
 /// on this channel's shape; sender and receiver evaluate it on the same
 /// support list (their schedules are slices of one shared plan), so the
-/// wire format always agrees.
+/// wire format always agrees. Dense mode has no schedules: every hop is
+/// a full block.
 bool hop_is_sparse(const ShiftCompression& comp,
-                   const std::vector<Index>& rows) {
-  return propagation_hop_is_sparse(comp.mode, rows, comp.block_rows,
-                                   comp.width, comp.codec);
+                   const std::vector<std::vector<Index>>& schedule,
+                   int step) {
+  return comp.mode != PropagationMode::Dense &&
+         propagation_hop_is_sparse(
+             comp.mode, schedule[static_cast<std::size_t>(step)],
+             comp.block_rows, comp.width, comp.codec);
 }
 
-/// Forward the channel's resident block for the hop of `step`:
-/// support-compressed when the plan says so (an empty support sends
-/// nothing at all — the receiver reconstructs a zero block), the full
-/// dense payload otherwise. `may_move` lets the trailing sends hand the
-/// resident words over without a copy, as before.
+/// Forward the channel's resident payload for the hop of `step`. A dense
+/// payload goes support-compressed, straight from the block's rows, when
+/// the plan says so (an empty support sends nothing at all — the
+/// receiver reconstructs a zero block); otherwise the block itself
+/// crosses. `may_move` lets the trailing sends hand the resident storage
+/// over without a copy.
 void send_hop(Comm& comm, ShiftChannel& ch, int step, bool may_move) {
-  const ShiftCompression* comp = active_compression(ch);
+  const ShiftCompression* comp = ch.compression;
   if (comp == nullptr) {
     comm.send_words(ch.send_to, ch.tag,
                     may_move ? std::move(ch.block) : MessageWords(ch.block));
     return;
   }
-  if (comp->mode != PropagationMode::Dense) {
-    const auto& rows =
-        comp->send_rows[static_cast<std::size_t>(step)];
-    if (hop_is_sparse(*comp, rows)) {
-      if (!rows.empty()) {
-        comm.send_words(ch.send_to, ch.tag,
-                        encode_cols_block(ch.block, comp->block_rows,
-                                          comp->width, rows, comp->codec));
-      }
-      return;
+  if (hop_is_sparse(*comp, comp->send_rows, step)) {
+    const auto& rows = comp->send_rows[static_cast<std::size_t>(step)];
+    if (!rows.empty()) {
+      comm.send_words(ch.send_to, ch.tag,
+                      encode_cols_block(ch.dense, rows, comp->codec));
     }
+    return;
   }
-  // Full-dense hop; the codec still encodes the payload (a no-op move
-  // under the default codec, so the pre-codec fast path is preserved).
-  comm.send_words(ch.send_to, ch.tag,
-                  encode_dense(may_move ? std::move(ch.block)
-                                        : MessageWords(ch.block),
-                               comp->block_rows, comp->width, comp->codec));
+  comm.send_block(ch.send_to, ch.tag,
+                  may_move ? std::move(ch.dense) : DenseMatrix(ch.dense),
+                  comp->codec);
 }
 
 /// Receive the hop of `step` into the channel: a compressed hop is
-/// expanded back to the full dense payload (zeros outside the support,
-/// indices validated against the shared plan), and a skipped hop — an
-/// empty support — lands as an all-zero block without any message.
+/// decoded into a zeroed block (indices validated against the shared
+/// plan; the resident storage is reused when it is still there), and a
+/// skipped hop — an empty support — lands as an all-zero block without
+/// any message.
 void recv_hop(Comm& comm, ShiftChannel& ch, int step) {
-  const ShiftCompression* comp = active_compression(ch);
+  const ShiftCompression* comp = ch.compression;
   if (comp == nullptr) {
     ch.block = comm.recv_words(ch.recv_from, ch.tag);
     return;
   }
-  if (comp->mode != PropagationMode::Dense) {
-    const auto& rows =
-        comp->recv_rows[static_cast<std::size_t>(step)];
-    if (hop_is_sparse(*comp, rows)) {
-      if (rows.empty()) {
-        ch.block.assign(static_cast<std::size_t>(comp->block_rows) *
-                            static_cast<std::size_t>(comp->width),
-                        0);
-      } else {
-        ch.block = decode_cols_block(
-            comm.recv_words(ch.recv_from, ch.tag), comp->block_rows,
-            comp->width, rows, comp->codec);
-      }
-      return;
+  if (hop_is_sparse(*comp, comp->recv_rows, step)) {
+    if (ch.dense.rows() == comp->block_rows && ch.dense.cols() == comp->width) {
+      ch.dense.fill(Scalar{0});
+    } else {
+      ch.dense = DenseMatrix(comp->block_rows, comp->width);
     }
+    const auto& rows = comp->recv_rows[static_cast<std::size_t>(step)];
+    if (!rows.empty()) {
+      decode_cols_block(comm.recv_words(ch.recv_from, ch.tag), rows,
+                        ch.dense, comp->codec);
+    }
+    return;
   }
-  ch.block = decode_dense(comm.recv_words(ch.recv_from, ch.tag),
-                          comp->block_rows, comp->width, comp->codec);
+  ch.dense = comm.recv_block(ch.recv_from, ch.tag, comp->block_rows,
+                             comp->width, comp->codec);
+}
+
+/// Journal image of a channel's resident payload, and its inverse.
+MessageWords snapshot_payload(const ShiftChannel& ch) {
+  return ch.compression != nullptr ? pack_dense(ch.dense) : ch.block;
+}
+
+void restore_payload(ShiftChannel& ch, const MessageWords& words) {
+  if (ch.compression == nullptr) {
+    ch.block = words;
+  } else {
+    ch.dense = unpack_dense(words, ch.compression->block_rows,
+                            ch.compression->width);
+  }
 }
 
 } // namespace
@@ -110,9 +108,12 @@ void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
                                 ch.recv_from != comm.rank()),
           "run_shift_loop: channel is half-self (send_to ", ch.send_to,
           ", recv_from ", ch.recv_from, " on rank ", comm.rank(), ")");
-    if (const ShiftCompression* comp = active_compression(ch)) {
-      // A Dense-mode compression armed only by a non-default codec has
-      // no support schedules — every hop ships the full encoded block.
+    if (const ShiftCompression* comp = ch.compression) {
+      check(ch.dense.rows() == comp->block_rows &&
+                ch.dense.cols() == comp->width,
+            "run_shift_loop: resident block is ", ch.dense.rows(), " x ",
+            ch.dense.cols(), ", channel carries ", comp->block_rows, " x ",
+            comp->width);
       check(comp->mode == PropagationMode::Dense ||
                 (static_cast<int>(comp->send_rows.size()) == steps &&
                  static_cast<int>(comp->recv_rows.size()) == steps),
@@ -135,7 +136,7 @@ void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
             "run_shift_loop: journal snapshot has ", snap.blocks.size(),
             " blocks for ", channels.size(), " channels");
       for (std::size_t i = 0; i < channels.size(); ++i) {
-        channels[i].block = snap.blocks[i];
+        restore_payload(channels[i], snap.blocks[i]);
       }
       if (state != nullptr && state->unpack_state) {
         state->unpack_state(snap.state);
@@ -182,7 +183,9 @@ void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
       // still record completion, advancing the resume watermark.
       if (journal->wants_snapshot(step)) {
         snap.blocks.reserve(channels.size());
-        for (const auto& ch : channels) snap.blocks.push_back(ch.block);
+        for (const auto& ch : channels) {
+          snap.blocks.push_back(snapshot_payload(ch));
+        }
         if (state != nullptr && state->pack_state) {
           snap.state = state->pack_state();
         }
@@ -203,6 +206,20 @@ ShiftChannel ring_channel(std::span<const int> members, int pos, int tag,
   ch.tag = tag;
   ch.mutates = mutates;
   ch.block = std::move(block);
+  return ch;
+}
+
+ShiftChannel ring_channel(std::span<const int> members, int pos, int tag,
+                          bool mutates, DenseMatrix block,
+                          const ShiftCompression& compression) {
+  check(block.rows() == compression.block_rows &&
+            block.cols() == compression.width,
+        "ring_channel: ", block.rows(), " x ", block.cols(),
+        " block on a ", compression.block_rows, " x ", compression.width,
+        " channel");
+  ShiftChannel ch = ring_channel(members, pos, tag, mutates, MessageWords{});
+  ch.dense = std::move(block);
+  ch.compression = &compression;
   return ch;
 }
 

@@ -40,8 +40,9 @@ enum class ShiftSchedule {
   DoubleBuffered,
 };
 
-/// Column-support compression of one circulating dense payload
-/// (PropagationMode::SparseCols / Auto): per hop, only the block rows
+/// The wire description of one circulating dense payload: its shape and
+/// codec, plus — under PropagationMode::SparseCols / Auto — its
+/// column-support compression: per hop, only the block rows
 /// the rest of the ring trip still needs travel, as
 /// [count, cols..., values...] messages (shards.hpp's col_support is
 /// where the lists come from — the rows of a circulating B-side block a
@@ -65,17 +66,24 @@ struct ShiftCompression {
   PropagationMode mode = PropagationMode::Dense;
   Index block_rows = 0;
   Index width = 0;
-  /// Wire codec every hop of this channel is encoded with. A non-default
-  /// codec arms the compression even in Dense mode (hops then travel as
-  /// precision-encoded full blocks); the resident block always stays a
-  /// full-precision dense image — encoding happens at the hop boundary.
+  /// Wire codec every hop of this channel is encoded with. The resident
+  /// block always stays a full-precision matrix — encoding happens at
+  /// the hop boundary (a full-block hop at a lossy precision travels
+  /// precision-encoded; at Full precision it travels as the block).
   WireCodec codec;
   std::vector<std::vector<Index>> send_rows;
   std::vector<std::vector<Index>> recv_rows;
 };
 
-/// One circulating payload stream. The loop replaces `block` with the
-/// incoming block after each step.
+/// One circulating payload stream. The loop replaces the resident
+/// payload with the incoming one after each step. A word channel
+/// (COO triplets) circulates `block`; a dense channel — one built with a
+/// ShiftCompression — keeps its payload resident as `dense`, its own
+/// storage, which the kernels read or update in place. A full-block hop
+/// moves that storage to the peer (Comm::send_block): an accumulator, or
+/// a read-only block forwarded after the kernel, goes without a copy; a
+/// read-only block forwarded before the kernel (DoubleBuffered) costs
+/// the sender one copy.
 struct ShiftChannel {
   int send_to = -1;
   int recv_from = -1;
@@ -84,9 +92,10 @@ struct ShiftChannel {
   /// payloads); such blocks can only be forwarded after the kernel.
   bool mutates = false;
   MessageWords block;
-  /// Non-null with mode != Dense => the resident block stays a full
-  /// dense payload but hops are support-compressed on the wire. Must
-  /// outlive the loop (the drivers keep it next to the channel).
+  DenseMatrix dense;
+  /// Shape, codec and support schedules of a dense channel; null for a
+  /// word channel. Must outlive the loop (the drivers keep it next to
+  /// the channel).
   const ShiftCompression* compression = nullptr;
 };
 
@@ -123,6 +132,12 @@ void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
 ShiftChannel ring_channel(std::span<const int> members, int pos, int tag,
                           bool mutates, MessageWords block);
 
+/// Dense channel over the same ring: `block` (compression.block_rows x
+/// compression.width) circulates as its own storage.
+ShiftChannel ring_channel(std::span<const int> members, int pos, int tag,
+                          bool mutates, DenseMatrix block,
+                          const ShiftCompression& compression);
+
 /// Build the wire-support schedules of one compressed ring channel for
 /// the rank holding block origin `origin0` at step 0 (ring_channel's
 /// direction: origin advances by one per step, so the block resident at
@@ -132,10 +147,7 @@ ShiftChannel ring_channel(std::span<const int> members, int pos, int tag,
 /// it then — reads (read-only payloads) or writes (accumulators); it is
 /// evaluated on the shared setup tables, so every rank derives the same
 /// per-(block, hop) plan and sender/receiver schedules always agree.
-/// Dense mode with the default codec returns an inactive compression
-/// (no schedules), which the loop treats as absent — attaching it is
-/// then free; a non-default `codec` keeps it armed so every hop routes
-/// through the wire-codec layer.
+/// Dense mode returns no schedules: every hop ships the full block.
 ShiftCompression make_ring_compression(
     PropagationMode mode, Index block_rows, Index width, int ring,
     int origin0, bool mutates,

@@ -165,14 +165,14 @@ std::span<const Index> support_in_range(const std::vector<Index>& support,
 /// pricing site rebases its slice by the block origin first. Sender and
 /// receiver derive the same base from the shared plan, so the rebased
 /// lists always agree.
-/// Rows `rows` of `m`, concatenated in list order — the value payload of
-/// one row-support message.
+/// Rows `base + rows[k]` of `m`, concatenated in list order — the value
+/// payload of one row-support message.
 std::vector<Scalar> gather_rows(const DenseMatrix& m,
-                                std::span<const Index> rows) {
+                                std::span<const Index> rows, Index base) {
   std::vector<Scalar> values;
   values.reserve(rows.size() * static_cast<std::size_t>(m.cols()));
   for (const Index row : rows) {
-    const auto src = m.row(row);
+    const auto src = m.row(base + row);
     values.insert(values.end(), src.begin(), src.end());
   }
   return values;
@@ -285,45 +285,59 @@ ReplicationMode resolve_mode(ReplicationMode mode,
 
 } // namespace
 
-DenseMatrix Group::allgatherv_rows(const DenseMatrix& local,
+DenseMatrix Group::allgatherv_rows(const DenseMatrix& src, Index row0,
+                                   Index block_rows,
                                    std::span<const std::vector<Index>> wants,
                                    ReplicationMode mode,
                                    const WireCodec& codec) {
   const int g = size();
-  const Index block_rows = local.rows();
-  const Index width = local.cols();
+  const Index width = src.cols();
+  check(0 <= row0 && 0 <= block_rows && row0 + block_rows <= src.rows(),
+        "allgatherv_rows: rows [", row0, ", ", row0 + block_rows,
+        ") outside a ", src.rows(), "-row input");
   validate_support_table(wants, g, static_cast<Index>(g) * block_rows,
                          mode);
   mode = resolve_mode(mode, wants, block_rows, width, g, codec);
-  DenseMatrix out(static_cast<Index>(g) * block_rows, width);
-  out.place(local, static_cast<Index>(pos_) * block_rows, 0);
+  const auto block_words = static_cast<std::size_t>(block_rows) *
+                           static_cast<std::size_t>(width);
+  const auto own = src.data().subspan(
+      static_cast<std::size_t>(row0) * static_cast<std::size_t>(width),
+      block_words);
+  const auto place = [&](DenseMatrix& out, int origin,
+                         std::span<const Scalar> rows) {
+    std::copy(rows.begin(), rows.end(),
+              out.data().begin() +
+                  static_cast<std::ptrdiff_t>(
+                      static_cast<std::size_t>(origin) * block_words));
+  };
   if (mode == ReplicationMode::Dense) {
-    // The ring of allgather_words: at step s, forward the block that
-    // originated at (pos - s) and receive the block from (pos - s - 1).
-    // Blocks are contiguous in the row-major result, so each packs and
-    // lands with one flat copy. Empty blocks send nothing.
-    const auto block_words = static_cast<std::size_t>(block_rows * width);
-    for (int s = 0; s < g - 1 && block_rows > 0; ++s) {
-      const auto send0 =
-          static_cast<std::size_t>((pos_ - s + g) % g) * block_words;
-      const auto recv0 =
-          static_cast<std::size_t>((pos_ - s - 1 + g) % g) * block_words;
-      // Hop-boundary encode/decode (no-op moves under the default
-      // codec). Quantization is idempotent, so a low-precision block
-      // forwarded unchanged around the ring re-encodes bit-identically
-      // at every hop.
-      comm_.send_words(
-          right(), kTagAllgather,
-          encode_dense(to_words(out.data().subspan(send0, block_words)),
-                       block_rows, width, codec));
-      const MessageWords words =
-          decode_dense(comm_.recv_words(left(), kTagAllgather), block_rows,
-                       width, codec);
-      std::memcpy(out.data().data() + recv0, words.data(),
-                  block_words * sizeof(Scalar));
+    // Every row of the result gets written (this member's rows, then
+    // each peer's block as it lands), so it starts unwritten. The ring
+    // of allgather_words: at step s, forward the block that originated
+    // at (pos - s) — a copy of this member's rows at s = 0, after that
+    // the block that landed at step s - 1 — and land the block from
+    // (pos - s - 1) with one copy. Quantization is idempotent, so at a
+    // lossy precision a forwarded block re-encodes bit-identically at
+    // every hop. Empty blocks send nothing.
+    DenseMatrix out =
+        DenseMatrix::uninitialized(static_cast<Index>(g) * block_rows, width);
+    place(out, pos_, own);
+    if (g > 1 && block_rows > 0) {
+      DenseMatrix travelling = DenseMatrix::uninitialized(block_rows, width);
+      std::copy(own.begin(), own.end(), travelling.data().begin());
+      for (int s = 0; s < g - 1; ++s) {
+        comm_.send_block(right(), kTagAllgather, std::move(travelling),
+                         codec);
+        travelling = comm_.recv_block(left(), kTagAllgather, block_rows,
+                                      width, codec);
+        place(out, (pos_ - s - 1 + g) % g, travelling.data());
+      }
     }
     return out;
   }
+  // Unsupported remote rows stay zero.
+  DenseMatrix out(static_cast<Index>(g) * block_rows, width);
+  place(out, pos_, own);
   // Buffered sends first (deadlock-free), then blocking receives.
   const Index own0 = static_cast<Index>(pos_) * block_rows;
   for (int t = 0; t < g; ++t) {
@@ -334,7 +348,7 @@ DenseMatrix Group::allgatherv_rows(const DenseMatrix& local,
     const auto wire_rows = rebase_rows(rows, own0);
     comm_.send_words(member(t), kTagSparseGather,
                      encode_rows(wire_rows, block_rows, width,
-                                 gather_rows(local, wire_rows), codec));
+                                 gather_rows(src, wire_rows, row0), codec));
   }
   const auto& mine = wants[static_cast<std::size_t>(pos_)];
   for (int q = 0; q < g; ++q) {
@@ -348,8 +362,8 @@ DenseMatrix Group::allgatherv_rows(const DenseMatrix& local,
         decode_rows(comm_.recv_words(member(q), kTagSparseGather),
                     rebase_rows(expected, q0), block_rows, width, codec);
     for (std::size_t k = 0; k < expected.size(); ++k) {
-      const auto* src = values.data() + k * static_cast<std::size_t>(width);
-      std::copy(src, src + width, out.row(expected[k]).begin());
+      const auto* row = values.data() + k * static_cast<std::size_t>(width);
+      std::copy(row, row + width, out.row(expected[k]).begin());
     }
   }
   return out;
@@ -367,31 +381,40 @@ DenseMatrix Group::reduce_scatter_rows(
   mode = resolve_mode(mode, wants, block_rows, width, g, codec);
   const Index chunk0 = static_cast<Index>(pos_) * block_rows;
   if (mode == ReplicationMode::Dense) {
-    // The ring of reduce_scatter, accumulating into a working copy of the
-    // partial: at step s this member forwards chunk (pos-1-s) — already
-    // folded at step s-1, or fresh local rows at s=0 — and folds the
-    // incoming chunk (pos-2-s) as work += words, so every row's sum is
-    // grouped exactly as in reduce_scatter. Empty chunks send nothing.
-    DenseMatrix work = partial;
-    const auto block_words = static_cast<std::size_t>(block_rows * width);
-    for (int s = 0; s < g - 1 && block_rows > 0; ++s) {
-      const auto send0 =
-          static_cast<std::size_t>((pos_ - 1 - s + 2 * g) % g) * block_words;
-      const auto recv0 =
-          static_cast<std::size_t>((pos_ - 2 - s + 2 * g) % g) * block_words;
-      // Encode at the hop boundary (a no-op move under the default
-      // codec); the running partial sums re-quantize per hop at low
-      // precision — the one wire path whose rounding depends on the
-      // replication mode.
-      comm_.send_words(
-          right(), kTagReduceScatter,
-          encode_dense(to_words(work.data().subspan(send0, block_words)),
-                       block_rows, width, codec));
-      add_scalars(work.data().subspan(recv0, block_words),
-                  decode_dense(comm_.recv_words(left(), kTagReduceScatter),
-                               block_rows, width, codec));
+    if (g == 1 || block_rows == 0) {
+      return partial.row_block(chunk0, chunk0 + block_rows);
     }
-    return work.row_block(chunk0, chunk0 + block_rows);
+    // The ring of reduce_scatter, reading the partial in place: at step
+    // s this member forwards chunk (pos-1-s) — a copy of its partial
+    // rows at s = 0, after that the sum that landed at step s-1 — and
+    // folds the incoming chunk (pos-2-s) once, as partial + incoming.
+    // That is the same a + b per element, in the same ring order, as a
+    // running `work += incoming`, so every row's sum is grouped and
+    // rounded exactly as in reduce_scatter. The last chunk folded is
+    // this member's own. At a lossy precision the running sums
+    // re-quantize per hop — the one wire path whose rounding depends on
+    // the replication mode. Empty chunks send nothing.
+    const auto block_words = static_cast<std::size_t>(block_rows) *
+                             static_cast<std::size_t>(width);
+    const auto chunk = [&](int idx) {
+      return partial.data().subspan(
+          static_cast<std::size_t>((idx + 2 * g) % g) * block_words,
+          block_words);
+    };
+    DenseMatrix acc = DenseMatrix::uninitialized(block_rows, width);
+    const auto first = chunk(pos_ - 1);
+    std::copy(first.begin(), first.end(), acc.data().begin());
+    for (int s = 0; s < g - 1; ++s) {
+      comm_.send_block(right(), kTagReduceScatter, std::move(acc), codec);
+      acc = comm_.recv_block(left(), kTagReduceScatter, block_rows, width,
+                             codec);
+      const auto mine = chunk(pos_ - 2 - s);
+      const auto sum = acc.data();
+      for (std::size_t k = 0; k < block_words; ++k) {
+        sum[k] = mine[k] + sum[k];
+      }
+    }
+    return acc;
   }
   const auto& mine = wants[static_cast<std::size_t>(pos_)];
   // Buffered sends first (deadlock-free), in the dense ring's send order
@@ -404,7 +427,7 @@ DenseMatrix Group::reduce_scatter_rows(
     if (rows.empty()) continue;
     comm_.send_words(member(t), kTagSparseReduce,
                      encode_rows(rebase_rows(rows, t0), block_rows, width,
-                                 gather_rows(partial, rows), codec));
+                                 gather_rows(partial, rows, 0), codec));
   }
   // Fold contributions in the ring reduce-scatter's order — members
   // pos+1, pos+2, ..., pos+g-1, then this member's own block last — so
@@ -449,49 +472,23 @@ DenseMatrix Group::sendrecv_cols(int to_pos, int from_pos,
   const auto hop_sparse = [&](std::span<const Index> cols) {
     return propagation_hop_is_sparse(mode, cols, block_rows, width, codec);
   };
-  MessageWords raw(static_cast<std::size_t>(block_rows) *
-                   static_cast<std::size_t>(width));
-  if (!raw.empty()) {
-    std::memcpy(raw.data(), block.data().data(),
-                raw.size() * sizeof(Scalar));
-  }
   // Buffered send first (deadlock-free for any exchange pattern), then
   // the blocking receive.
-  if (hop_sparse(send_cols)) {
-    if (!send_cols.empty()) {
-      comm_.send_words(member(to_pos), tag,
-                       encode_cols_block(raw, block_rows, width, send_cols,
-                                         codec));
-    }
-  } else {
+  if (!hop_sparse(send_cols)) {
+    comm_.send_block(member(to_pos), tag, block, codec);
+  } else if (!send_cols.empty()) {
     comm_.send_words(member(to_pos), tag,
-                     encode_dense(std::move(raw), block_rows, width,
-                                  codec));
+                     encode_cols_block(block, send_cols, codec));
   }
-  MessageWords landed;
-  if (hop_sparse(recv_cols)) {
-    if (recv_cols.empty()) {
-      landed.assign(static_cast<std::size_t>(block_rows) *
-                        static_cast<std::size_t>(width),
-                    0);
-    } else {
-      landed = decode_cols_block(comm_.recv_words(member(from_pos), tag),
-                                 block_rows, width, recv_cols, codec);
-    }
-  } else {
-    landed = decode_dense(comm_.recv_words(member(from_pos), tag),
-                          block_rows, width, codec);
-    check(landed.size() == static_cast<std::size_t>(block_rows) *
-                               static_cast<std::size_t>(width),
-          "sendrecv_cols: dense block of ", landed.size(),
-          " words, expected ", block_rows, " x ", width);
+  if (!hop_sparse(recv_cols)) {
+    return comm_.recv_block(member(from_pos), tag, block_rows, width, codec);
   }
-  std::vector<Scalar> values(landed.size());
-  if (!values.empty()) {
-    std::memcpy(values.data(), landed.data(),
-                landed.size() * sizeof(Scalar));
+  DenseMatrix landed(block_rows, width); // zeros outside the support
+  if (!recv_cols.empty()) {
+    decode_cols_block(comm_.recv_words(member(from_pos), tag), recv_cols,
+                      landed, codec);
   }
-  return DenseMatrix(block_rows, width, std::move(values));
+  return landed;
 }
 
 std::vector<Scalar> Group::allreduce(std::span<const Scalar> local) {

@@ -141,6 +141,16 @@ class Group {
   DenseMatrix allgatherv_rows(const DenseMatrix& local,
                               std::span<const std::vector<Index>> wants,
                               ReplicationMode mode,
+                              const WireCodec& codec = {}) {
+    return allgatherv_rows(local, 0, local.rows(), wants, mode, codec);
+  }
+
+  /// The same collective with this member's block read in place as rows
+  /// [row0, row0 + block_rows) of `src` — no copy of it on the way in.
+  DenseMatrix allgatherv_rows(const DenseMatrix& src, Index row0,
+                              Index block_rows,
+                              std::span<const std::vector<Index>> wants,
+                              ReplicationMode mode,
                               const WireCodec& codec = {});
 
   /// Row-sparse reduce-scatter, the inverse: partial is a

@@ -60,6 +60,20 @@ class Comm {
   void send_words(int destination, int tag, MessageWords words);
   MessageWords recv_words(int source, int tag);
 
+  /// Dense-block send/receive: the block crosses the hop as its own
+  /// storage — no word image is built — and is charged rows x cols words
+  /// and one message at both endpoints, exactly as its Full-precision
+  /// image would be. Two cases still encode to words at this boundary: a
+  /// world with reliable envelopes (fault mode), whose checksums cover
+  /// the encoded payload, and a non-Full `codec` precision (the lossy
+  /// codecs). Shapes travel out of band: the receiver names the shape it
+  /// expects, and a block of another shape — or a word message where a
+  /// block is due, and the reverse — is a structured Error.
+  void send_block(int destination, int tag, DenseMatrix block,
+                  const WireCodec& codec = {});
+  DenseMatrix recv_block(int source, int tag, Index rows, Index cols,
+                         const WireCodec& codec = {});
+
   /// Typed span send/receive for 8-byte trivially copyable types
   /// (Scalar, Index).
   template <typename T>
@@ -118,6 +132,13 @@ class Comm {
   int next_loop_id() { return next_loop_id_++; }
 
  private:
+  /// Range-check the peer and give the injector its crash trigger.
+  void begin_op(int peer, const char* what);
+  /// Blocks encode to words in fault mode and at lossy precisions.
+  bool encodes_blocks(const WireCodec& codec) const {
+    return transport_ != nullptr || codec.precision != WirePrecision::Full;
+  }
+
   SimWorld* world_;
   int rank_;
   RankStats* stats_;

@@ -13,10 +13,10 @@ namespace dsk {
 // reverse — abort_all releases the world state lock before touching any
 // mailbox.
 
-void Mailbox::deliver(int source, int tag, MessageWords words) {
+void Mailbox::deliver(int source, int tag, MessagePayload payload) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queues_[Key{source, tag}].push_back(std::move(words));
+    queues_[Key{source, tag}].push_back(std::move(payload));
     if (world_ != nullptr) {
       // Unblock the matching waiter in the registry before it even wakes
       // up, so a concurrent deadlock check never counts a rank with a
@@ -35,7 +35,7 @@ void Mailbox::throw_aborted(int source, int tag) const {
   throw WorldAbortError(out.str());
 }
 
-MessageWords Mailbox::receive(int source, int tag) {
+MessagePayload Mailbox::receive(int source, int tag) {
   std::unique_lock<std::mutex> lock(mutex_);
   const Key key{source, tag};
   bool marked = false;
@@ -47,7 +47,7 @@ MessageWords Mailbox::receive(int source, int tag) {
     const auto it = queues_.find(key);
     if (it != queues_.end() && !it->second.empty()) {
       if (marked) world_->note_wake(rank_);
-      MessageWords out = std::move(it->second.front());
+      MessagePayload out = std::move(it->second.front());
       it->second.pop_front();
       return out;
     }
@@ -69,7 +69,7 @@ MessageWords Mailbox::receive(int source, int tag) {
   }
 }
 
-std::optional<MessageWords> Mailbox::receive_for(
+std::optional<MessagePayload> Mailbox::receive_for(
     int source, int tag, std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(mutex_);
   const Key key{source, tag};
@@ -83,7 +83,7 @@ std::optional<MessageWords> Mailbox::receive_for(
     const auto it = queues_.find(key);
     if (it != queues_.end() && !it->second.empty()) {
       if (marked) world_->note_wake(rank_);
-      MessageWords out = std::move(it->second.front());
+      MessagePayload out = std::move(it->second.front());
       it->second.pop_front();
       return out;
     }

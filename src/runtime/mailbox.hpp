@@ -1,7 +1,8 @@
 #pragma once
 /// \file mailbox.hpp
 /// Point-to-point message transport between simulated ranks. Each rank
-/// owns a mailbox; a send enqueues a word vector under (source, tag) and
+/// owns a mailbox; a send enqueues a payload (a word vector, or a dense
+/// block moved in as its own storage) under (source, tag) and
 /// never blocks (buffered sends, like MPI_Isend with ample buffering); a
 /// receive blocks until a matching message arrives. An abort flag lets the
 /// world wake every blocked receiver when some rank throws, so failures
@@ -19,12 +20,26 @@
 #include <optional>
 #include <vector>
 
+#include "dense/dense_matrix.hpp"
+
 namespace dsk {
 
 class SimWorld;
 
 /// Message payload: 8-byte words (Scalar or Index bit patterns).
 using MessageWords = std::vector<std::uint64_t>;
+
+/// What one message carries: a word image, or — `is_block` — a dense
+/// block that crosses the hop as its own storage (Comm::send_block), no
+/// word image built for it.
+struct MessagePayload {
+  MessagePayload(MessageWords w) : words(std::move(w)) {}
+  MessagePayload(DenseMatrix b) : block(std::move(b)), is_block(true) {}
+
+  MessageWords words;
+  DenseMatrix block;
+  bool is_block = false;
+};
 
 class Mailbox {
  public:
@@ -36,19 +51,19 @@ class Mailbox {
   }
 
   /// Enqueue a message from source with the given tag.
-  void deliver(int source, int tag, MessageWords words);
+  void deliver(int source, int tag, MessagePayload payload);
 
   /// Block until a message from (source, tag) is available and return it.
   /// Throws WorldAbortError if the world aborts while waiting (naming
   /// this rank, the awaited channel, and the abort's root cause) and
   /// WorldError when blocking here completes a deadlock.
-  MessageWords receive(int source, int tag);
+  MessagePayload receive(int source, int tag);
 
   /// Like receive, but give up after `timeout` and return nullopt. Timed
   /// waiters never trip the deadlock watchdog — their callers make
   /// progress on their own (the retransmit layer's NACK path).
-  std::optional<MessageWords> receive_for(int source, int tag,
-                                          std::chrono::milliseconds timeout);
+  std::optional<MessagePayload> receive_for(
+      int source, int tag, std::chrono::milliseconds timeout);
 
   /// Wake all blocked receivers with an abort error.
   void abort();
@@ -70,7 +85,7 @@ class Mailbox {
   int rank_ = -1;
   mutable std::mutex mutex_;
   std::condition_variable available_;
-  std::map<Key, std::deque<MessageWords>> queues_;
+  std::map<Key, std::deque<MessagePayload>> queues_;
   bool aborted_ = false;
 };
 

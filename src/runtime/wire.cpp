@@ -355,45 +355,28 @@ std::uint64_t encoded_dense_words(Index rows, Index width,
   return row_values_words(rows, width, codec.precision);
 }
 
-MessageWords encode_dense(MessageWords image, Index rows, Index width,
-                          const WireCodec& codec) {
-  check(image.size() == static_cast<std::size_t>(rows) *
-                            static_cast<std::size_t>(width),
-        "encode_dense: payload has ", image.size(), " words, expected ",
-        rows, " x ", width);
-  if (codec.precision == WirePrecision::Full) return image;
+MessageWords encode_dense(const DenseMatrix& block, const WireCodec& codec) {
   MessageWords out;
   out.reserve(static_cast<std::size_t>(
-      encoded_dense_words(rows, width, codec)));
-  for (Index i = 0; i < rows; ++i) {
-    put_row_bits(out,
-                 image.data() + static_cast<std::size_t>(i) *
-                                    static_cast<std::size_t>(width),
-                 width, codec.precision);
+      encoded_dense_words(block.rows(), block.cols(), codec)));
+  for (Index i = 0; i < block.rows(); ++i) {
+    put_row(out, block.row(i).data(), block.cols(), codec.precision);
   }
   return out;
 }
 
-MessageWords decode_dense(MessageWords wire, Index rows, Index width,
-                          const WireCodec& codec) {
-  check(wire.size() == encoded_dense_words(rows, width, codec),
-        "decode_dense: ", wire.size(), " words do not form a ", rows,
-        " x ", width, " block at ", to_string(codec.precision));
-  if (codec.precision == WirePrecision::Full) return wire;
-  MessageWords image(static_cast<std::size_t>(rows) *
-                     static_cast<std::size_t>(width));
+void decode_dense(const MessageWords& wire, DenseMatrix& block,
+                  const WireCodec& codec) {
+  check(wire.size() ==
+            encoded_dense_words(block.rows(), block.cols(), codec),
+        "decode_dense: ", wire.size(), " words do not form a ",
+        block.rows(), " x ", block.cols(), " block at ",
+        to_string(codec.precision));
   std::size_t cursor = 0;
-  std::vector<Scalar> row(static_cast<std::size_t>(width));
-  for (Index i = 0; i < rows; ++i) {
-    take_row(wire, cursor, row.data(), width, codec.precision);
-    for (Index j = 0; j < width; ++j) {
-      image[static_cast<std::size_t>(i) * static_cast<std::size_t>(width) +
-            static_cast<std::size_t>(j)] =
-          scalar_bits(row[static_cast<std::size_t>(j)]);
-    }
+  for (Index i = 0; i < block.rows(); ++i) {
+    take_row(wire, cursor, block.row(i).data(), block.cols(),
+             codec.precision);
   }
-  check(cursor == wire.size(), "decode_dense: oversized message");
-  return image;
 }
 
 std::uint64_t encoded_triplets_words(std::int64_t count,
@@ -423,6 +406,11 @@ MessageWords encode_triplets(std::span<const Index> rows,
 WireTriplets decode_triplets(const MessageWords& words,
                              const WireCodec& codec) {
   check(!words.empty(), "decode_triplets: empty message");
+  // Bound the count by the message before any arithmetic on it: each
+  // triplet needs at least its two index words, and a larger header
+  // would wrap the expected length (or overflow the value-word count).
+  check(words[0] <= (words.size() - 1) / 2, "decode_triplets: count ",
+        words[0], " does not fit a ", words.size(), "-word message");
   const auto n = static_cast<std::size_t>(words[0]);
   check(words.size() ==
             encoded_triplets_words(static_cast<std::int64_t>(n), codec),
@@ -455,58 +443,104 @@ std::uint64_t encoded_cols_words(std::span<const Index> cols,
                           codec.precision);
 }
 
+namespace {
+
+/// One support message, [count, index section, values...] — the layout
+/// of every col-support and row-support message: `put(out, k)` appends
+/// the k-th support row's values.
+template <typename PutRow>
+MessageWords write_support(std::span<const Index> support, Index block_rows,
+                           Index width, const WireCodec& codec, PutRow put) {
+  MessageWords out;
+  out.reserve(static_cast<std::size_t>(std::max<std::uint64_t>(
+      encoded_cols_words(support, block_rows, width, codec), 1)));
+  out.push_back(static_cast<std::uint64_t>(support.size()));
+  put_index_section(out, support, block_rows,
+                    choose_index_codec(support, block_rows,
+                                       codec.index_codec));
+  for (std::size_t k = 0; k < support.size(); ++k) put(out, k);
+  return out;
+}
+
+/// Inverse: validates the count header, every index, and the exact
+/// length against the expected `support`; `take(words, cursor, k)`
+/// consumes the k-th support row's values.
+template <typename TakeRow>
+void read_support(const MessageWords& words, std::span<const Index> support,
+                  Index block_rows, const WireCodec& codec, const char* what,
+                  TakeRow take) {
+  check(!words.empty(), what, ": empty message");
+  std::size_t cursor = 0;
+  const auto count = words[cursor++];
+  check(count == support.size(), what, ": message carries ", count,
+        " rows, support expects ", support.size());
+  check_index_range(support, block_rows);
+  take_index_section(words, cursor, support, block_rows,
+                     choose_index_codec(support, block_rows,
+                                        codec.index_codec));
+  for (std::size_t k = 0; k < support.size(); ++k) take(words, cursor, k);
+  check(cursor == words.size(), what, ": oversized message");
+}
+
+std::size_t row_offset(Index row, Index width) {
+  return static_cast<std::size_t>(row) * static_cast<std::size_t>(width);
+}
+
+} // namespace
+
 MessageWords encode_cols_block(const MessageWords& image, Index block_rows,
                                Index width, std::span<const Index> cols,
                                const WireCodec& codec) {
-  check(image.size() == static_cast<std::size_t>(block_rows) *
-                            static_cast<std::size_t>(width),
+  check(image.size() == row_offset(block_rows, width),
         "encode_cols_block: payload has ", image.size(),
         " words, expected ", block_rows, " x ", width);
-  const IndexCodec section =
-      choose_index_codec(cols, block_rows, codec.index_codec);
-  MessageWords out;
-  out.reserve(static_cast<std::size_t>(
-      std::max<std::uint64_t>(
-          encoded_cols_words(cols, block_rows, width, codec), 1)));
-  out.push_back(static_cast<std::uint64_t>(cols.size()));
-  put_index_section(out, cols, block_rows, section);
-  for (const Index c : cols) {
-    put_row_bits(out,
-                 image.data() + static_cast<std::size_t>(c) *
-                                    static_cast<std::size_t>(width),
-                 width, codec.precision);
-  }
-  return out;
+  return write_support(
+      cols, block_rows, width, codec, [&](MessageWords& out, std::size_t k) {
+        put_row_bits(out, image.data() + row_offset(cols[k], width), width,
+                     codec.precision);
+      });
 }
 
 MessageWords decode_cols_block(const MessageWords& words, Index block_rows,
                                Index width, std::span<const Index> cols,
                                const WireCodec& codec) {
-  MessageWords dense(static_cast<std::size_t>(block_rows) *
-                         static_cast<std::size_t>(width),
-                     0);
   // A zero word is the bit pattern of Scalar{0}, so unsupported rows are
   // exactly the zeros a dense accumulator (or a never-read input row)
   // would hold.
-  check(!words.empty(), "decode_cols_block: empty message");
-  std::size_t cursor = 0;
-  const auto count = words[cursor++];
-  check(count == cols.size(), "decode_cols_block: message carries ", count,
-        " rows, support expects ", cols.size());
-  take_index_section(words, cursor, cols, block_rows,
-                     choose_index_codec(cols, block_rows,
-                                        codec.index_codec));
+  MessageWords dense(row_offset(block_rows, width), 0);
   std::vector<Scalar> row(static_cast<std::size_t>(width));
-  for (const Index c : cols) {
-    take_row(words, cursor, row.data(), width, codec.precision);
-    for (Index j = 0; j < width; ++j) {
-      dense[static_cast<std::size_t>(c) * static_cast<std::size_t>(width) +
-            static_cast<std::size_t>(j)] =
-          scalar_bits(row[static_cast<std::size_t>(j)]);
-    }
-  }
-  check(cursor == words.size(), "decode_cols_block: oversized message");
+  read_support(words, cols, block_rows, codec, "decode_cols_block",
+               [&](const MessageWords& w, std::size_t& cursor,
+                   std::size_t k) {
+                 take_row(w, cursor, row.data(), width, codec.precision);
+                 const std::size_t base = row_offset(cols[k], width);
+                 for (std::size_t j = 0; j < row.size(); ++j) {
+                   dense[base + j] = scalar_bits(row[j]);
+                 }
+               });
   return dense;
+}
+
+MessageWords encode_cols_block(const DenseMatrix& block,
+                               std::span<const Index> cols,
+                               const WireCodec& codec) {
+  return write_support(
+      cols, block.rows(), block.cols(), codec,
+      [&](MessageWords& out, std::size_t k) {
+        put_row(out, block.row(cols[k]).data(), block.cols(),
+                codec.precision);
+      });
+}
+
+void decode_cols_block(const MessageWords& words,
+                       std::span<const Index> cols, DenseMatrix& block,
+                       const WireCodec& codec) {
+  read_support(words, cols, block.rows(), codec, "decode_cols_block",
+               [&](const MessageWords& w, std::size_t& cursor,
+                   std::size_t k) {
+                 take_row(w, cursor, block.row(cols[k]).data(),
+                          block.cols(), codec.precision);
+               });
 }
 
 std::uint64_t encoded_rows_words(std::span<const Index> rows,
@@ -522,39 +556,26 @@ MessageWords encode_rows(std::span<const Index> rows, Index block_rows,
   check(values.size() == rows.size() * static_cast<std::size_t>(width),
         "encode_rows: ", values.size(), " values do not fill ",
         rows.size(), " rows of width ", width);
-  const IndexCodec section =
-      choose_index_codec(rows, block_rows, codec.index_codec);
-  MessageWords out;
-  out.reserve(static_cast<std::size_t>(std::max<std::uint64_t>(
-      encoded_rows_words(rows, block_rows, width, codec), 1)));
-  out.push_back(static_cast<std::uint64_t>(rows.size()));
-  put_index_section(out, rows, block_rows, section);
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    put_row(out, values.data() + k * static_cast<std::size_t>(width),
-            width, codec.precision);
-  }
-  return out;
+  return write_support(
+      rows, block_rows, width, codec, [&](MessageWords& out, std::size_t k) {
+        put_row(out, values.data() + row_offset(static_cast<Index>(k), width),
+                width, codec.precision);
+      });
 }
 
 std::vector<Scalar> decode_rows(const MessageWords& words,
                                 std::span<const Index> rows,
                                 Index block_rows, Index width,
                                 const WireCodec& codec) {
-  check(!words.empty(), "decode_rows: empty message");
-  std::size_t cursor = 0;
-  const auto count = words[cursor++];
-  check(count == rows.size(), "decode_rows: peer sent ", count,
-        " rows, support expects ", rows.size());
-  take_index_section(words, cursor, rows, block_rows,
-                     choose_index_codec(rows, block_rows,
-                                        codec.index_codec));
   std::vector<Scalar> values(rows.size() * static_cast<std::size_t>(width));
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    take_row(words, cursor,
-             values.data() + k * static_cast<std::size_t>(width), width,
-             codec.precision);
-  }
-  check(cursor == words.size(), "decode_rows: oversized message");
+  read_support(words, rows, block_rows, codec, "decode_rows",
+               [&](const MessageWords& w, std::size_t& cursor,
+                   std::size_t k) {
+                 take_row(w, cursor,
+                          values.data() +
+                              row_offset(static_cast<Index>(k), width),
+                          width, codec.precision);
+               });
   return values;
 }
 

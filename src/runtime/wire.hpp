@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "dense/dense_matrix.hpp"
 #include "runtime/mailbox.hpp"
 
 namespace dsk {
@@ -73,17 +74,19 @@ std::vector<Scalar> decode_values(const MessageWords& words,
                                   std::int64_t count,
                                   const WireCodec& codec);
 
-// --- dense blocks (row-major raw word image, values only, no header) ---
+// --- dense blocks (row-major values, no header) ----------------------
 
 std::uint64_t encoded_dense_words(Index rows, Index width,
                                   const WireCodec& codec);
-/// `image` is the historical raw layout (rows*width Scalar words); the
-/// default codec returns it unchanged (moved, no copy).
-MessageWords encode_dense(MessageWords image, Index rows, Index width,
-                          const WireCodec& codec);
-/// Inverse: wire image back to the raw rows*width-word layout.
-MessageWords decode_dense(MessageWords wire, Index rows, Index width,
-                          const WireCodec& codec);
+/// Encode a block straight from its rows (row-padded at the lossy
+/// precisions) — what Comm::send_block does on hops that must encode
+/// (fault mode, lossy precisions); a Full-precision block in a
+/// fault-free run travels as its storage instead.
+MessageWords encode_dense(const DenseMatrix& block, const WireCodec& codec);
+/// Inverse: writes every entry of `block`, whose shape is the expected
+/// one; the message must be exactly encoded_dense_words long.
+void decode_dense(const MessageWords& wire, DenseMatrix& block,
+                  const WireCodec& codec);
 
 // --- COO triplets [count, rows..., cols..., values...] -----------------
 
@@ -118,6 +121,15 @@ MessageWords encode_cols_block(const MessageWords& image, Index block_rows,
 MessageWords decode_cols_block(const MessageWords& words, Index block_rows,
                                Index width, std::span<const Index> cols,
                                const WireCodec& codec);
+/// Block forms: encode rows `cols` straight from a resident matrix, and
+/// decode into one, writing only the support rows — the caller passes a
+/// zeroed block when the rows outside the support must read as zeros.
+MessageWords encode_cols_block(const DenseMatrix& block,
+                               std::span<const Index> cols,
+                               const WireCodec& codec);
+void decode_cols_block(const MessageWords& words,
+                       std::span<const Index> cols, DenseMatrix& block,
+                       const WireCodec& codec);
 
 // --- row-support messages [count, rows-section, values...] -------------
 // One (sender, receiver) pair's whole support `rows` in one message; the

@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "runtime/recovery.hpp"
+#include "runtime/wire.hpp"
 
 namespace dsk {
 
@@ -93,8 +94,11 @@ class ReliableTransport {
       const auto timeout =
           std::chrono::milliseconds(static_cast<long>(plan_.timeout_ms)
                                     << shift);
-      auto msg = world_.mailbox(dst).receive_for(source, tag, timeout);
-      if (!msg) {
+      // Fault mode sends every block encoded (Comm::send_block), so
+      // every payload here is words.
+      auto received = world_.mailbox(dst).receive_for(source, tag, timeout);
+      MessageWords* msg = received ? &received->words : nullptr;
+      if (msg == nullptr) {
         ++stats.retry().timeouts;
         if (retransmit(source, dst, tag, st.expected, stats)) {
           ++stats.retry().nacks;
@@ -204,12 +208,16 @@ class ReliableTransport {
 
 int Comm::size() const { return world_->size(); }
 
-void Comm::send_words(int destination, int tag, MessageWords words) {
-  check(0 <= destination && destination < size(),
-        "Comm::send_words: destination ", destination, " out of range");
+void Comm::begin_op(int peer, const char* what) {
+  check(0 <= peer && peer < size(), "Comm::", what, ": peer ", peer,
+        " out of range");
   if (injector_ != nullptr) {
     injector_->on_comm_op(rank_, stats_->current_phase());
   }
+}
+
+void Comm::send_words(int destination, int tag, MessageWords words) {
+  begin_op(destination, "send_words");
   // The logical payload is charged to the phase counters exactly once,
   // faults or not — fault-free word exactness is an invariant, and under
   // faults every envelope/retry word goes to RetryCounters instead.
@@ -222,17 +230,52 @@ void Comm::send_words(int destination, int tag, MessageWords words) {
 }
 
 MessageWords Comm::recv_words(int source, int tag) {
-  check(0 <= source && source < size(), "Comm::recv_words: source ", source,
-        " out of range");
-  if (injector_ != nullptr) {
-    injector_->on_comm_op(rank_, stats_->current_phase());
+  begin_op(source, "recv_words");
+  MessageWords words;
+  if (transport_ != nullptr) {
+    words = transport_->recv(rank_, source, tag, *stats_);
+  } else {
+    MessagePayload payload = world_->mailbox(rank_).receive(source, tag);
+    check(!payload.is_block, "Comm::recv_words: rank ", rank_,
+          " expected words from ", source, " (tag ", tag,
+          ") but received a dense block");
+    words = std::move(payload.words);
   }
-  MessageWords words =
-      transport_ != nullptr
-          ? transport_->recv(rank_, source, tag, *stats_)
-          : world_->mailbox(rank_).receive(source, tag);
   stats_->record_receive(words.size());
   return words;
+}
+
+void Comm::send_block(int destination, int tag, DenseMatrix block,
+                      const WireCodec& codec) {
+  if (encodes_blocks(codec)) {
+    send_words(destination, tag, encode_dense(block, codec));
+    return;
+  }
+  begin_op(destination, "send_block");
+  stats_->record_send(static_cast<std::uint64_t>(block.size()));
+  world_->mailbox(destination).deliver(rank_, tag, std::move(block));
+}
+
+DenseMatrix Comm::recv_block(int source, int tag, Index rows, Index cols,
+                             const WireCodec& codec) {
+  if (encodes_blocks(codec)) {
+    const MessageWords wire = recv_words(source, tag);
+    DenseMatrix block = DenseMatrix::uninitialized(rows, cols);
+    decode_dense(wire, block, codec);
+    return block;
+  }
+  begin_op(source, "recv_block");
+  MessagePayload payload = world_->mailbox(rank_).receive(source, tag);
+  check(payload.is_block, "Comm::recv_block: rank ", rank_,
+        " expected a dense block from ", source, " (tag ", tag,
+        ") but received words");
+  const DenseMatrix& block = payload.block;
+  check(block.rows() == rows && block.cols() == cols,
+        "Comm::recv_block: rank ", rank_, " received a ", block.rows(),
+        " x ", block.cols(), " block from ", source, ", expected ", rows,
+        " x ", cols);
+  stats_->record_receive(static_cast<std::uint64_t>(block.size()));
+  return std::move(payload.block);
 }
 
 MessageWords Comm::shift_exchange(int destination, int source,

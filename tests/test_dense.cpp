@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dense/dense_matrix.hpp"
@@ -27,6 +30,38 @@ TEST(DenseMatrix, NegativeDimensionsThrowBeforeAllocating) {
   EXPECT_THROW(DenseMatrix(-1, 4), Error);
   EXPECT_THROW(DenseMatrix(4, -1), Error);
   EXPECT_THROW(DenseMatrix(-3, -5), Error);
+}
+
+TEST(DenseMatrix, ValueConstructorRejectsNegativeDimensions) {
+  // (-1) x (-6) has the right product for 6 values; the shape is still
+  // invalid and must be rejected before the count is compared.
+  EXPECT_THROW(DenseMatrix(-1, -6, std::vector<Scalar>(6, 1.0)), Error);
+  EXPECT_THROW(DenseMatrix(2, 3, std::vector<Scalar>(5, 1.0)), Error);
+  const DenseMatrix ok(2, 3, std::vector<Scalar>(6, 1.5));
+  EXPECT_EQ(ok(1, 2), 1.5);
+}
+
+TEST(DenseMatrix, UninitializedHasTheShapeAndIsPoisonedInDebug) {
+  auto m = DenseMatrix::uninitialized(3, 5);
+  EXPECT_EQ(m.rows(), 3);
+  EXPECT_EQ(m.cols(), 5);
+  EXPECT_EQ(m.data().size(), 15u);
+#ifndef NDEBUG
+  for (const Scalar x : m.data()) EXPECT_TRUE(std::isnan(x));
+#endif
+  EXPECT_THROW(DenseMatrix::uninitialized(-1, 2), Error);
+}
+
+TEST(DenseMatrix, MovedFromMatrixIsEmpty) {
+  DenseMatrix m(3, 4);
+  const DenseMatrix taken = std::move(m);
+  EXPECT_EQ(taken.rows(), 3);
+  // NOLINTBEGIN(bugprone-use-after-move): the moved-from state is the
+  // property under test.
+  EXPECT_EQ(m.rows(), 0);
+  EXPECT_EQ(m.cols(), 0);
+  EXPECT_TRUE(m.data().empty());
+  // NOLINTEND(bugprone-use-after-move)
 }
 
 TEST(DenseMatrix, RowViewsAlias) {
@@ -64,6 +99,9 @@ TEST(DenseMatrix, PlaceWritesSubmatrix) {
   EXPECT_EQ(big(2, 3), 2.0);
   EXPECT_EQ(big(0, 0), 0.0);
   EXPECT_THROW(big.place(small, 3, 3), Error);
+  // Negative offsets would write before the buffer.
+  EXPECT_THROW(big.place(small, -1, 0), Error);
+  EXPECT_THROW(big.place(small, 0, -1), Error);
 }
 
 TEST(DenseMatrix, NormAndDiff) {
@@ -75,6 +113,31 @@ TEST(DenseMatrix, NormAndDiff) {
   other(0, 0) = 3.5;
   other(0, 1) = 4;
   EXPECT_DOUBLE_EQ(m.max_abs_diff(other), 0.5);
+}
+
+TEST(DenseMatrix, MaxAbsDiffSeesNaN) {
+  const Scalar nan = std::numeric_limits<Scalar>::quiet_NaN();
+  DenseMatrix clean(1, 3), poisoned(1, 3);
+  clean(0, 1) = 2.0;
+  poisoned(0, 1) = 2.0;
+  poisoned(0, 2) = nan;
+  // A NaN on either side is a difference, never distance 0.
+  EXPECT_TRUE(std::isnan(clean.max_abs_diff(poisoned)));
+  EXPECT_TRUE(std::isnan(poisoned.max_abs_diff(clean)));
+  EXPECT_NE(clean.max_abs_diff(poisoned), 0.0);
+  EXPECT_FALSE(poisoned.max_abs_diff(clean) < 1e-9);
+  // Identical NaN bits are bit-identical entries: distance 0.
+  DenseMatrix same(1, 3);
+  same(0, 1) = 2.0;
+  same(0, 2) = nan;
+  EXPECT_EQ(poisoned.max_abs_diff(same), 0.0);
+  // Infinities of the same sign match; of opposite signs they differ.
+  DenseMatrix inf(1, 1), neg_inf(1, 1);
+  inf(0, 0) = std::numeric_limits<Scalar>::infinity();
+  neg_inf(0, 0) = -inf(0, 0);
+  EXPECT_EQ(inf.max_abs_diff(inf), 0.0);
+  EXPECT_EQ(inf.max_abs_diff(neg_inf),
+            std::numeric_limits<Scalar>::infinity());
 }
 
 TEST(DenseMatrix, FillRandomDeterministic) {

@@ -196,30 +196,65 @@ bool all_zero(const RetryCounters& retry) {
          retry.corrupt_dropped == 0 && retry.reordered == 0;
 }
 
+/// The healed run's output matches the clean one bit for bit, its
+/// per-phase word and message maxima are identical, and its envelopes
+/// were paid for (fault mode really carried the traffic).
+void expect_faults_invisible(const DenseMatrix& clean_out,
+                             const WorldStats& clean,
+                             const DenseMatrix& faulty_out,
+                             const WorldStats& faulty) {
+  EXPECT_TRUE(all_zero(clean.total_retry()));
+  EXPECT_EQ(faulty_out.max_abs_diff(clean_out), 0.0);
+  for (const Phase phase :
+       {Phase::Replication, Phase::Propagation, Phase::Computation,
+        Phase::Other}) {
+    EXPECT_EQ(faulty.max_words(phase), clean.max_words(phase));
+    EXPECT_EQ(faulty.max_messages(phase), clean.max_messages(phase));
+  }
+  EXPECT_GT(faulty.total_retry().envelope_words, 0u);
+}
+
 TEST(FaultTolerance, MessageFaultsAreInvisibleToCostAccounting) {
   // Retry traffic lives in its own counters: the per-phase word and
   // message maxima the cost-model gates pin must be identical with and
   // without injected message faults, and the healed output bit-exact.
   const Problem pr = make_problem(32, 48, 8, 11);
-  const KernelResult clean = run_kernel_with(
-      AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, nullptr);
-  EXPECT_TRUE(all_zero(clean.stats.total_retry()));
-
   const FaultPlan plan = parse_fault_plan(
       "seed=3,drop=0.05,dup=0.02,corrupt=0.02,delay=0.02,timeout_ms=10");
-  const KernelResult faulty = run_kernel_with(
-      AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, &plan);
-
-  EXPECT_EQ(faulty.dense.max_abs_diff(clean.dense), 0.0);
-  for (const Phase phase :
-       {Phase::Replication, Phase::Propagation, Phase::Computation,
-        Phase::Other}) {
-    EXPECT_EQ(faulty.stats.max_words(phase), clean.stats.max_words(phase));
-    EXPECT_EQ(faulty.stats.max_messages(phase),
-              clean.stats.max_messages(phase));
+  {
+    SCOPED_TRACE("2.5D dense-replicating SpMMA");
+    const KernelResult clean = run_kernel_with(
+        AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, nullptr);
+    const KernelResult faulty = run_kernel_with(
+        AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, &plan);
+    expect_faults_invisible(clean.dense, clean.stats, faulty.dense,
+                            faulty.stats);
   }
-  // Every send paid the envelope header, and something was healed.
-  EXPECT_GT(faulty.stats.total_retry().envelope_words, 0u);
+  {
+    // The fused dense-shift ring: blocks that travel as their own
+    // storage fault-free go encoded through the envelopes here.
+    SCOPED_TRACE("1.5D dense-shift fused FusedMM-A");
+    const auto fused = [&](const FaultPlan* faults) {
+      AlgorithmOptions options;
+      options.faults = faults;
+      return make_algorithm(AlgorithmKind::DenseShift15D, 8, 2, options)
+          ->run_fusedmm(FusedOrientation::A, Elision::LocalKernelFusion,
+                        pr.s, pr.a, pr.b);
+    };
+    const FusedResult clean = fused(nullptr);
+    const FusedResult faulty = fused(&plan);
+    expect_faults_invisible(clean.output, clean.stats, faulty.output,
+                            faulty.stats);
+  }
+  {
+    SCOPED_TRACE("1.5D dense-shift SpMMB (accumulator ring)");
+    const KernelResult clean = run_kernel_with(
+        AlgorithmKind::DenseShift15D, 8, 2, Mode::SpMMB, pr, nullptr);
+    const KernelResult faulty = run_kernel_with(
+        AlgorithmKind::DenseShift15D, 8, 2, Mode::SpMMB, pr, &plan);
+    expect_faults_invisible(clean.dense, clean.stats, faulty.dense,
+                            faulty.stats);
+  }
 }
 
 TEST(FaultTolerance, DenseReplCrashSweepRecoversBitIdentically) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <numeric>
 #include <thread>
 
+#include "common/rng.hpp"
 #include "runtime/collectives.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/world.hpp"
 
 namespace dsk {
@@ -113,6 +116,99 @@ TEST(World, ShiftExchangeCyclesARing) {
     std::memcpy(&back, words.data(), sizeof(Scalar));
     EXPECT_EQ(back, static_cast<Scalar>(r));
   });
+}
+
+DenseMatrix sample_block(Index rows, Index cols, std::uint64_t seed) {
+  Rng rng(seed);
+  DenseMatrix block(rows, cols);
+  block.fill_random(rng);
+  return block;
+}
+
+bool bit_identical(const DenseMatrix& x, const DenseMatrix& y) {
+  return x.same_shape(y) &&
+         std::memcmp(x.data().data(), y.data().data(),
+                     x.data().size() * sizeof(Scalar)) == 0;
+}
+
+/// Sends rank 0's block to rank 1 under `options` and checks the block
+/// arrives bit-identical, charged `words` and one message at both ends.
+void expect_block_round_trip(const WorldOptions& options,
+                             const WireCodec& codec, std::uint64_t words) {
+  const DenseMatrix sent = sample_block(7, 5, 41);
+  SimWorld world(2);
+  const auto stats = world.run(
+      [&](Comm& comm) {
+        PhaseScope scope(comm.stats(), Phase::Propagation);
+        if (comm.rank() == 0) {
+          comm.send_block(1, kTagUser, sent, codec);
+        } else {
+          const DenseMatrix got = comm.recv_block(0, kTagUser, 7, 5, codec);
+          if (codec.precision == WirePrecision::Full) {
+            EXPECT_TRUE(bit_identical(got, sent));
+          } else {
+            EXPECT_LT(got.max_abs_diff(sent), 1e-6);
+          }
+        }
+      },
+      options);
+  const auto& sender = stats.rank(0).phase(Phase::Propagation);
+  const auto& receiver = stats.rank(1).phase(Phase::Propagation);
+  EXPECT_EQ(sender.words_sent, words);
+  EXPECT_EQ(sender.messages_sent, 1u);
+  EXPECT_EQ(receiver.words_received, words);
+  EXPECT_EQ(receiver.messages_received, 1u);
+}
+
+TEST(DenseBlockTransport, RoundTripChargesRowsTimesColsAndOneMessage) {
+  expect_block_round_trip(WorldOptions{}, WireCodec{}, 7 * 5);
+}
+
+/// Fault mode encodes the block so the envelopes checksum its words, and
+/// the lossy codecs encode it at the hop boundary; the Full-precision
+/// charge is unchanged under faults, the F32 one is the packed image.
+TEST(DenseBlockTransport, FaultModeAndLossyPrecisionsEncodeTheBlock) {
+  const FaultPlan plan = parse_fault_plan(
+      "seed=5,drop=0.3,dup=0.2,corrupt=0.2,delay=0.2,timeout_ms=5");
+  WorldOptions faulty;
+  faulty.faults = &plan;
+  expect_block_round_trip(faulty, WireCodec{}, 7 * 5);
+  const WireCodec f32{WirePrecision::F32, IndexCodec::Raw};
+  expect_block_round_trip(WorldOptions{}, f32, 7 * 3);
+  expect_block_round_trip(faulty, f32, 7 * 3);
+}
+
+TEST(DenseBlockTransport, MismatchedPayloadIsStructuredError) {
+  // A block where words are expected.
+  EXPECT_THROW(run_spmd(2,
+                        [](Comm& comm) {
+                          if (comm.rank() == 0) {
+                            comm.send_block(1, kTagUser, DenseMatrix(2, 2));
+                          } else {
+                            comm.recv_words(0, kTagUser);
+                          }
+                        }),
+               Error);
+  // Words where a block is expected.
+  EXPECT_THROW(run_spmd(2,
+                        [](Comm& comm) {
+                          if (comm.rank() == 0) {
+                            comm.send_words(1, kTagUser, MessageWords(4, 0));
+                          } else {
+                            comm.recv_block(0, kTagUser, 2, 2);
+                          }
+                        }),
+               Error);
+  // A block of another shape than the receiver expects.
+  EXPECT_THROW(run_spmd(2,
+                        [](Comm& comm) {
+                          if (comm.rank() == 0) {
+                            comm.send_block(1, kTagUser, DenseMatrix(2, 3));
+                          } else {
+                            comm.recv_block(0, kTagUser, 3, 2);
+                          }
+                        }),
+               Error);
 }
 
 TEST(Collectives, AllgatherOrdersByPosition) {

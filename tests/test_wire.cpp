@@ -123,34 +123,37 @@ TEST(WireDense, RoundTripAllPrecisions) {
   const Index width = 3;
   const auto values =
       gaussian_values(static_cast<std::size_t>(rows * width), 51);
-  MessageWords image(values.size());
-  std::memcpy(image.data(), values.data(),
-              values.size() * sizeof(Scalar));
+  const DenseMatrix block(rows, width, values);
   for (const WirePrecision precision : kPrecisions) {
     const WireCodec codec{precision, IndexCodec::Raw};
-    const auto wire = encode_dense(image, rows, width, codec);
+    const auto wire = encode_dense(block, codec);
     EXPECT_EQ(wire.size(), encoded_dense_words(rows, width, codec));
-    const auto back = decode_dense(wire, rows, width, codec);
-    ASSERT_EQ(back.size(), image.size());
-    std::vector<Scalar> decoded(values.size());
-    std::memcpy(decoded.data(), back.data(),
-                decoded.size() * sizeof(Scalar));
-    expect_within_bound(decoded, values, precision);
+    DenseMatrix back = DenseMatrix::uninitialized(rows, width);
+    decode_dense(wire, back, codec);
+    expect_within_bound({back.data().begin(), back.data().end()}, values,
+                        precision);
   }
-  // The default codec is the identity on the raw image.
-  EXPECT_EQ(encode_dense(image, rows, width, WireCodec{}), image);
+  // The default codec's wire image is the block's raw bits.
+  const auto image = encode_dense(block, WireCodec{});
+  ASSERT_EQ(image.size(), values.size());
+  EXPECT_EQ(std::memcmp(image.data(), values.data(),
+                        values.size() * sizeof(Scalar)),
+            0);
 }
 
 TEST(WireDense, RejectsWrongSizes) {
   const WireCodec bf16{WirePrecision::BF16, IndexCodec::Raw};
-  MessageWords image(6, 0);
-  EXPECT_THROW(encode_dense(image, 2, 4, bf16), Error); // 6 != 2x4
-  auto wire = encode_dense(std::move(image), 2, 3, bf16);
+  const DenseMatrix block(2, 3);
+  auto wire = encode_dense(block, bf16);
+  DenseMatrix back(2, 3);
   wire.push_back(0);
-  EXPECT_THROW(decode_dense(wire, 2, 3, bf16), Error);
+  EXPECT_THROW(decode_dense(wire, back, bf16), Error);
   wire.pop_back();
   wire.pop_back();
-  EXPECT_THROW(decode_dense(wire, 2, 3, bf16), Error);
+  EXPECT_THROW(decode_dense(wire, back, bf16), Error);
+  // A block image of another shape than the receiving block.
+  DenseMatrix wider(2, 5);
+  EXPECT_THROW(decode_dense(encode_dense(block, bf16), wider, bf16), Error);
 }
 
 TEST(WireTripletsCodec, RoundTripAllPrecisions) {
@@ -189,6 +192,22 @@ TEST(WireTripletsCodec, RejectsCorruptMessages) {
     EXPECT_THROW(decode_triplets(words, codec), Error);
     EXPECT_THROW(decode_triplets(MessageWords{}, codec), Error);
   }
+}
+
+/// A count header whose expected length wraps modulo 2^64 must not pass
+/// the size check (and then reach an unvalidated reserve): at Full
+/// precision 1 + 3n wraps to the message size for these counts, at F32
+/// 1 + 2n + ceil(n/2) does, and a count near 2^63 would overflow the
+/// signed value-word arithmetic.
+TEST(WireTripletsCodec, RejectsCountsWhoseLengthWraps) {
+  const WireCodec full{};
+  EXPECT_THROW(decode_triplets({0xAAAAAAAAAAAAAAABull, 0}, full), Error);
+  EXPECT_THROW(decode_triplets({0x5555555555555556ull, 0, 0}, full), Error);
+  const WireCodec f32{WirePrecision::F32, IndexCodec::Raw};
+  EXPECT_THROW(decode_triplets({0x6666666666666667ull, 0, 0}, f32), Error);
+  EXPECT_THROW(decode_triplets({0x7FFFFFFFFFFFFFFFull, 0, 0}, f32), Error);
+  const WireCodec bf16{WirePrecision::BF16, IndexCodec::Raw};
+  EXPECT_THROW(decode_triplets({0x7FFFFFFFFFFFFFFFull, 0, 0}, bf16), Error);
 }
 
 /// Support shapes chosen to favor each codec: a lone row (Raw), a tight
