@@ -1,7 +1,6 @@
 #include "dist/algorithm.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -57,32 +56,58 @@ void validate_inputs(const DistAlgorithm& algo, const CooMatrix& s,
   algo.validate_dims(s.rows(), s.cols(), a.cols());
 }
 
-/// Degradation only arms itself when the options ask for it AND the plan
-/// can actually crash a rank — fault-free runs never pay for the input
-/// checkpoint.
-bool degrade_armed(const AlgorithmOptions& options) {
-  return options.degrade && options.faults != nullptr &&
-         options.faults->enabled() && !options.faults->crashes.empty();
+/// True when the options' fault plan injects rank crashes — the only
+/// runs that build recovery stores or arm degradation.
+bool can_crash(const AlgorithmOptions& options) {
+  return options.faults != nullptr && options.faults->enabled() &&
+         !options.faults->crashes.empty();
 }
 
-/// The shrunken world runs fault-free: the dead rank is gone from the
-/// new grid, and replaying the crash plan against renumbered ranks would
-/// be meaningless.
-AlgorithmOptions degraded_options(const AlgorithmOptions& options) {
-  AlgorithmOptions out = options;
-  out.faults = nullptr;
-  out.degrade = false;
-  return out;
-}
-
-/// Restore the sparse input through the digest-verified stable store —
-/// the degraded re-plan must not trust memory a crashed world touched.
-CooMatrix checkpointed_input(const CooMatrix& s, CheckpointStore& inputs) {
-  inputs.restore(0);
-  CooMatrix healed = s;
-  const auto& values = inputs.values(0);
-  std::copy(values.begin(), values.end(), healed.values().begin());
-  return healed;
+/// Run `attempt` and, when degradation is armed and the run loses a rank
+/// for good, re-shard the padded problem onto the largest valid smaller
+/// grid and re-run there, fault-free, from a digest-verified checkpoint
+/// of the sparse input. `rerun(sub, padded)` runs the call on the smaller
+/// driver and `unpad(out)` trims its output back to the caller's shape.
+template <class Result, class Attempt, class Rerun, class Unpad>
+Result run_degradable(const DistAlgorithm& algo, const ExecContext& ctx,
+                      const CooMatrix& s, const DenseMatrix& a,
+                      const DenseMatrix& b, const Attempt& attempt,
+                      const Rerun& rerun, const Unpad& unpad) {
+  const AlgorithmOptions& options = algo.options();
+  if (!options.degrade || !can_crash(options)) return attempt();
+  // Its own file stem: the run's per-rank checkpoints must not overwrite
+  // the input's file under DSK_CKPT_DIR.
+  CheckpointStore inputs(1, "degrade_input");
+  inputs.save_shard(0, {s.values().begin(), s.values().end()});
+  try {
+    return attempt();
+  } catch (const WorldError& e) {
+    if (e.crash().rank < 0) throw;
+    const auto [p2, c2] = shrink_config(algo.kind(), algo.p(), algo.c());
+    // The re-plan must not trust memory a crashed world touched.
+    inputs.restore(0);
+    const auto& saved = inputs.values(0);
+    CooMatrix healed = s;
+    std::copy(saved.begin(), saved.end(), healed.values().begin());
+    // The dead rank is gone from the new grid, so the shrunken world runs
+    // fault-free. Per-call codec overrides would be lost across the
+    // re-plan; the effective codec is baked into its options instead.
+    AlgorithmOptions sub_options = options;
+    sub_options.faults = nullptr;
+    sub_options.degrade = false;
+    const WireCodec codec = effective_wire_codec(options, ctx);
+    sub_options.wire_precision = codec.precision;
+    sub_options.index_codec = codec.index_codec;
+    const auto sub = make_algorithm(algo.kind(), p2, c2, sub_options);
+    Result out =
+        rerun(*sub, pad_problem(algo.kind(), p2, c2, healed, a, b));
+    unpad(out);
+    // The smaller world's re-plan is reported by degraded(), not as a
+    // setup build of this call.
+    out.stats.set_setup(0, 0.0);
+    out.stats.set_degradation(e.crash().rank, algo.p(), p2);
+    return out;
+  }
 }
 
 } // namespace
@@ -124,46 +149,36 @@ KernelResult DistAlgorithm::run_planned_kernel(const ExecContext& ctx,
                                                Mode mode, const CooMatrix& s,
                                                const DenseMatrix& a,
                                                const DenseMatrix& b) const {
-  if (!degrade_armed(options_)) return do_run_kernel(ctx, mode, s, a, b);
-  CheckpointStore inputs(1);
-  inputs.save_shard(0, std::vector<Scalar>(s.values().begin(),
-                                           s.values().end()));
-  try {
-    return do_run_kernel(ctx, mode, s, a, b);
-  } catch (const WorldError& e) {
-    if (e.crash().rank < 0) throw;
-    // shrink_and_replan: the crashed rank is permanently lost; re-shard
-    // the padded problem onto the largest valid surviving grid and
-    // re-run from the checkpointed inputs.
-    const auto [p2, c2] = shrink_config(kind_, p_, c_);
-    const CooMatrix healed = checkpointed_input(s, inputs);
-    // Per-call codec overrides would be lost across the re-plan; bake
-    // the effective codec into the degraded driver's options instead.
-    AlgorithmOptions dopts = degraded_options(options_);
-    const WireCodec wc = effective_wire_codec(options_, ctx);
-    dopts.wire_precision = wc.precision;
-    dopts.index_codec = wc.index_codec;
-    const auto sub = make_algorithm(kind_, p2, c2, dopts);
-    const PaddedProblem padded = pad_problem(kind_, p2, c2, healed, a, b);
-    KernelResult out = sub->run_kernel(mode, padded.s, padded.a, padded.b);
-    if (mode == Mode::SpMMA) {
-      out.dense = unpad_dense(out.dense, s.rows(), a.cols());
-    } else if (mode == Mode::SpMMB) {
-      out.dense = unpad_dense(out.dense, s.cols(), a.cols());
+  const auto attempt = [&] {
+    KernelResult out;
+    if (mode == Mode::SDDMM) {
+      out.sddmm_values.assign(static_cast<std::size_t>(s.nnz()), Scalar{0});
     } else {
-      // Padding adds no nonzeros, so the SDDMM values come back in the
-      // original entry order already.
-      check(out.sddmm_values.size() ==
-                static_cast<std::size_t>(s.nnz()),
-            "degraded SDDMM returned ", out.sddmm_values.size(),
-            " values for ", s.nnz(), " nonzeros");
+      out.dense = DenseMatrix::uninitialized(
+          mode == Mode::SpMMA ? s.rows() : s.cols(), a.cols());
     }
-    // The smaller world's re-plan is reported by degraded(), not as a
-    // setup build of this call.
-    out.stats.set_setup(0, 0.0);
-    out.stats.set_degradation(e.crash().rank, p_, p2);
+    do_run_kernel(ctx, mode, s, a, b, out);
     return out;
-  }
+  };
+  return run_degradable<KernelResult>(
+      *this, ctx, s, a, b, attempt,
+      [&](const DistAlgorithm& sub, const PaddedProblem& padded) {
+        return sub.run_kernel(mode, padded.s, padded.a, padded.b);
+      },
+      [&](KernelResult& out) {
+        if (mode == Mode::SpMMA) {
+          out.dense = unpad_dense(out.dense, s.rows(), a.cols());
+        } else if (mode == Mode::SpMMB) {
+          out.dense = unpad_dense(out.dense, s.cols(), a.cols());
+        } else {
+          // Padding adds no nonzeros, so the SDDMM values come back in
+          // the original entry order already.
+          check(out.sddmm_values.size() ==
+                    static_cast<std::size_t>(s.nnz()),
+                "degraded SDDMM returned ", out.sddmm_values.size(),
+                " values for ", s.nnz(), " nonzeros");
+        }
+      });
 }
 
 FusedResult DistAlgorithm::run_fusedmm(FusedOrientation orientation,
@@ -208,33 +223,23 @@ FusedResult DistAlgorithm::run_planned_fusedmm(
     const ExecContext& ctx, FusedOrientation orientation, Elision elision,
     const CooMatrix& s, const DenseMatrix& a, const DenseMatrix& b,
     int repetitions) const {
-  if (!degrade_armed(options_)) {
-    return do_run_fusedmm(ctx, orientation, elision, s, a, b, repetitions);
-  }
-  CheckpointStore inputs(1);
-  inputs.save_shard(0, std::vector<Scalar>(s.values().begin(),
-                                           s.values().end()));
-  try {
-    return do_run_fusedmm(ctx, orientation, elision, s, a, b, repetitions);
-  } catch (const WorldError& e) {
-    if (e.crash().rank < 0) throw;
-    const auto [p2, c2] = shrink_config(kind_, p_, c_);
-    const CooMatrix healed = checkpointed_input(s, inputs);
-    AlgorithmOptions dopts = degraded_options(options_);
-    const WireCodec wc = effective_wire_codec(options_, ctx);
-    dopts.wire_precision = wc.precision;
-    dopts.index_codec = wc.index_codec;
-    const auto sub = make_algorithm(kind_, p2, c2, dopts);
-    const PaddedProblem padded = pad_problem(kind_, p2, c2, healed, a, b);
-    FusedResult out = sub->run_fusedmm(orientation, elision, padded.s,
-                                       padded.a, padded.b, repetitions);
-    const Index out_rows =
-        orientation == FusedOrientation::A ? s.rows() : s.cols();
-    out.output = unpad_dense(out.output, out_rows, a.cols());
-    out.stats.set_setup(0, 0.0);  // as in run_planned_kernel
-    out.stats.set_degradation(e.crash().rank, p_, p2);
+  const Index out_rows =
+      orientation == FusedOrientation::A ? s.rows() : s.cols();
+  const auto attempt = [&] {
+    FusedResult out;
+    out.output = DenseMatrix::uninitialized(out_rows, a.cols());
+    do_run_fusedmm(ctx, orientation, elision, s, a, b, repetitions, out);
     return out;
-  }
+  };
+  return run_degradable<FusedResult>(
+      *this, ctx, s, a, b, attempt,
+      [&](const DistAlgorithm& sub, const PaddedProblem& padded) {
+        return sub.run_fusedmm(orientation, elision, padded.s, padded.a,
+                               padded.b, repetitions);
+      },
+      [&](FusedResult& out) {
+        out.output = unpad_dense(out.output, out_rows, a.cols());
+      });
 }
 
 bool valid_config(AlgorithmKind kind, int p, int c) {
@@ -291,6 +296,41 @@ CsrMatrix csr_with_values(const CsrMatrix& pattern,
         out.values().size(), " nonzeros");
   std::copy(values.begin(), values.end(), out.values().begin());
   return out;
+}
+
+ShardView::ShardView(const SparseShard& shard,
+                     const std::vector<Scalar>* values, std::size_t offset)
+    : shard_(&shard), values_(shard.coo.values) {
+  if (values == nullptr) return;
+  values_ = std::span<const Scalar>(*values).subspan(offset,
+                                                     shard.coo.size());
+  own_ = csr_with_values(shard.csr, values_);
+}
+
+Recovery::Recovery(const AlgorithmOptions& options, int p,
+                   const std::function<StationaryShard(int rank)>& shard) {
+  world_.faults = options.faults;
+  world_.max_recoveries = options.max_recoveries;
+  world_.checkpoint_interval = options.checkpoint_interval;
+  if (!can_crash(options)) return;
+  replicas_.emplace(p);
+  checkpoints_.emplace(p);
+  for (int rank = 0; rank < p; ++rank) {
+    StationaryShard mine = shard(rank);
+    checkpoints_->save_shard(rank, mine.values);
+    replicas_->set_shard(rank, std::move(mine.values),
+                         std::move(mine.peers));
+  }
+  replicas_->finalize();
+  world_.on_crash = [this](const CrashInfo& crash) {
+    replicas_->scrub(crash.rank);
+    if (replicas_->can_reconstruct(crash.rank)) {
+      replicas_->reconstruct(crash.rank);
+    } else {
+      checkpoints_->restore(crash.rank);
+      replicas_->adopt(crash.rank, checkpoints_->values(crash.rank));
+    }
+  };
 }
 
 void scatter_values(std::span<const Scalar> local,
@@ -350,35 +390,26 @@ class Baseline1D final : public DistAlgorithm {
  protected:
   std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
                                                Index r) const override {
-    return std::make_shared<Snapshot>(make_setup(s, r));
+    return freeze_setup(make_setup(s, r));
   }
 
-  KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b) const override {
+  void do_run_kernel(const ExecContext& ctx, Mode mode, const CooMatrix&,
+                     const DenseMatrix& a, const DenseMatrix& b,
+                     KernelResult& out) const override {
     check(mode == Mode::SpMMA,
           "1D-Baseline supports SpMMA only (the paper's baseline runs "
           "FusedMM as two SpMM calls)");
-    KernelResult result;
-    // Every rank writes its own block rows.
-    result.dense = DenseMatrix::uninitialized(s.rows(), b.cols());
-    result.stats = run(ctx, a, b, /*fused=*/false, /*repetitions=*/1,
-                       result.dense);
-    return result;
+    out.stats = run(ctx, a, b, /*fused=*/false, /*repetitions=*/1,
+                    out.dense);
   }
 
-  FusedResult do_run_fusedmm(const ExecContext& ctx,
-                             FusedOrientation orientation, Elision,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b,
-                             int repetitions) const override {
+  void do_run_fusedmm(const ExecContext& ctx, FusedOrientation orientation,
+                      Elision, const CooMatrix&, const DenseMatrix& a,
+                      const DenseMatrix& b, int repetitions,
+                      FusedResult& out) const override {
     check(orientation == FusedOrientation::A,
           "1D-Baseline supports FusedMM orientation A only");
-    FusedResult result;
-    result.output = DenseMatrix::uninitialized(s.rows(), b.cols());
-    result.stats = run(ctx, a, b, /*fused=*/true, repetitions,
-                       result.output);
-    return result;
+    out.stats = run(ctx, a, b, /*fused=*/true, repetitions, out.output);
   }
 
  private:
@@ -392,18 +423,6 @@ class Baseline1D final : public DistAlgorithm {
     /// needs[k][o]: global B rows rank k fetches from owner o.
     std::vector<std::vector<std::vector<Index>>> needs;
   };
-
-  struct Snapshot final : PlanData {
-    explicit Snapshot(Setup setup) : su(std::move(setup)) {}
-    Setup su;
-  };
-
-  const Setup& setup_of(const ExecContext& ctx) const {
-    const auto* snap = dynamic_cast<const Snapshot*>(ctx.plan);
-    check(snap != nullptr,
-          "1D-Baseline: ExecContext plan was not built by this driver");
-    return snap->su;
-  }
 
   Setup make_setup(const CooMatrix& s, Index r) const {
     Setup su;
@@ -522,54 +541,26 @@ class Baseline1D final : public DistAlgorithm {
     return work;
   }
 
-  /// Crash recovery: the 1D baseline holds no redundancy at all, so the
-  /// checkpoint store is the only restart path — each rank's CSR values
-  /// are snapshotted before the world runs, and on_crash restores the
-  /// scrubbed shard through the digest check. The body re-runs in full
-  /// (the baseline has no shift loops to journal); the one-shot crash
-  /// triggers never re-fire.
-  WorldOptions fault_options(const Setup& su,
-                             std::optional<CheckpointStore>& ckpt) const {
-    WorldOptions wo;
-    wo.faults = options().faults;
-    wo.max_recoveries = options().max_recoveries;
-    wo.checkpoint_interval = options().checkpoint_interval;
-    if (wo.faults == nullptr || !wo.faults->enabled() ||
-        wo.faults->crashes.empty()) {
-      return wo;
-    }
-    ckpt.emplace(p());
-    for (int rank = 0; rank < p(); ++rank) {
-      const auto values =
-          su.shards[static_cast<std::size_t>(rank)].csr.values();
-      ckpt->save_shard(rank,
-                       std::vector<Scalar>(values.begin(), values.end()));
-    }
-    CheckpointStore* cp = &*ckpt;
-    wo.on_crash = [cp](const CrashInfo& crash) {
-      cp->scrub(crash.rank);
-      cp->restore(crash.rank);
-    };
-    return wo;
+  /// The rank's stationary shard: its CSR values. The baseline holds no
+  /// replicas, so it names no peers and a crash restores the checkpoint;
+  /// the body then re-runs in full (the baseline has no shift loops to
+  /// journal, and the one-shot crash triggers never re-fire).
+  StationaryShard shard(const Setup& su, int rank) const {
+    const auto values = su.shards[static_cast<std::size_t>(rank)].csr.values();
+    return {{values.begin(), values.end()}, {}};
   }
 
   WorldStats run(const ExecContext& ctx, const DenseMatrix& a,
                  const DenseMatrix& b, bool fused, int repetitions,
                  DenseMatrix& out) const {
-    const Setup& su = setup_of(ctx);
+    const auto& su = planned_setup<Setup>(ctx, kind());
     const WireCodec codec = effective_wire_codec(options(), ctx);
-    std::optional<CheckpointStore> ckpt;
-    const WorldOptions wo = fault_options(su, ckpt);
+    Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
     return run_in(ctx.world, p(), [&](Comm& comm) {
       const int rank = comm.rank();
       const auto& shard = su.shards[static_cast<std::size_t>(rank)];
-      // Fault mode reads the shard values through the checkpoint store's
-      // live copy instead of the shared setup table.
-      const std::vector<Scalar>* live =
-          ckpt ? &ckpt->values(rank) : nullptr;
-      const CsrMatrix live_csr =
-          live != nullptr ? csr_with_values(shard.csr, *live) : CsrMatrix();
-      const CsrMatrix& scsr = live != nullptr ? live_csr : shard.csr;
+      const ShardView mine(shard, rec.live(rank));
+      const CsrMatrix& scsr = mine.csr();
       for (int rep = 0; rep < repetitions; ++rep) {
         DenseMatrix work = fetch_b(comm, su, b, codec);
         if (fused) {
@@ -594,7 +585,7 @@ class Baseline1D final : public DistAlgorithm {
         }
         place_block(out, block, rank * su.row_blk, 0);
       }
-    }, wo);
+    }, rec.world_options());
   }
 };
 

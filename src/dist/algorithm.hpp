@@ -104,11 +104,11 @@ struct KernelResult {
 class SimWorld;
 class ReplicationCache;
 
-/// Type-erased per-driver setup snapshot (grid, shards, support unions,
-/// compression schedules) built once by `DistAlgorithm::make_plan_data`
-/// and reusable across calls. Each driver derives its own snapshot and
-/// rejects foreign ones, so a plan can only be executed by the driver
-/// configuration that built it. Immutable after construction.
+/// Type-erased per-driver setup snapshot (grid, shards, support unions)
+/// built once by `DistAlgorithm::make_plan_data` and reusable across
+/// calls. Each driver derives its own snapshot and rejects foreign ones,
+/// so a plan can only be executed by the driver configuration that built
+/// it. Immutable after construction.
 struct PlanData {
   PlanData() = default;
   PlanData(const PlanData&) = delete;
@@ -168,9 +168,10 @@ class DistAlgorithm {
   void validate_dims(Index m, Index n, Index r) const;
 
   /// Build this driver's setup snapshot for (s, r) without running
-  /// anything: grid placement, shards, row/col support unions, and
-  /// compression schedules. The snapshot is immutable and reusable —
-  /// pass it back through ExecContext::plan to skip per-call setup.
+  /// anything: grid placement, shards, and row/col support unions (each
+  /// execute still derives its propagation compression schedules from
+  /// them). The snapshot is immutable and reusable — pass it back
+  /// through ExecContext::plan to skip per-call setup.
   /// Prefer the `Plan` wrapper in dist/plan.hpp, which also fingerprints
   /// the inputs the snapshot was built from.
   std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
@@ -209,16 +210,18 @@ class DistAlgorithm {
  protected:
   virtual std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
                                                        Index r) const = 0;
-  virtual KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                                     const CooMatrix& s,
-                                     const DenseMatrix& a,
-                                     const DenseMatrix& b) const = 0;
-  virtual FusedResult do_run_fusedmm(const ExecContext& ctx,
-                                     FusedOrientation orientation,
-                                     Elision elision, const CooMatrix& s,
-                                     const DenseMatrix& a,
-                                     const DenseMatrix& b,
-                                     int repetitions) const = 0;
+  /// Run one call into `out`, whose output arrives allocated: a dense
+  /// result unwritten (the ranks' disjoint blocks cover every row), SDDMM
+  /// values zeroed. The family fills it and sets out.stats.
+  virtual void do_run_kernel(const ExecContext& ctx, Mode mode,
+                             const CooMatrix& s, const DenseMatrix& a,
+                             const DenseMatrix& b,
+                             KernelResult& out) const = 0;
+  virtual void do_run_fusedmm(const ExecContext& ctx,
+                              FusedOrientation orientation, Elision elision,
+                              const CooMatrix& s, const DenseMatrix& a,
+                              const DenseMatrix& b, int repetitions,
+                              FusedResult& out) const = 0;
 
  private:
   KernelResult run_planned_kernel(const ExecContext& ctx, Mode mode,

@@ -14,7 +14,6 @@
 /// returns home (paper Section IV-A).
 
 #include <memory>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -25,7 +24,6 @@
 #include "local/sddmm.hpp"
 #include "local/spmm.hpp"
 #include "local/fused.hpp"
-#include "runtime/checkpoint.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/world.hpp"
 
@@ -45,16 +43,15 @@ class DenseShift15D final : public DistAlgorithm {
  protected:
   std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
                                                Index r) const override {
-    return std::make_shared<Snapshot>(make_setup(s, r));
+    return freeze_setup(make_setup(s, r));
   }
-  KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b) const override;
-  FusedResult do_run_fusedmm(const ExecContext& ctx,
-                             FusedOrientation orientation, Elision elision,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b,
-                             int repetitions) const override;
+  void do_run_kernel(const ExecContext& ctx, Mode mode, const CooMatrix& s,
+                     const DenseMatrix& a, const DenseMatrix& b,
+                     KernelResult& out) const override;
+  void do_run_fusedmm(const ExecContext& ctx, FusedOrientation orientation,
+                      Elision elision, const CooMatrix& s,
+                      const DenseMatrix& a, const DenseMatrix& b,
+                      int repetitions, FusedResult& out) const override;
 
  private:
   struct Setup {
@@ -70,18 +67,6 @@ class DenseShift15D final : public DistAlgorithm {
     /// contiguous — the wants table of the row-sparse collectives.
     std::vector<std::vector<Index>> support;
   };
-
-  struct Snapshot final : PlanData {
-    explicit Snapshot(Setup setup) : su(std::move(setup)) {}
-    Setup su;
-  };
-
-  const Setup& setup_of(const ExecContext& ctx) const {
-    const auto* snap = dynamic_cast<const Snapshot*>(ctx.plan);
-    check(snap != nullptr,
-          "1.5D-DenseShift: ExecContext plan was not built by this driver");
-    return snap->su;
-  }
 
   Setup make_setup(const CooMatrix& s, Index r) const {
     const int L = grid_.layer_size();
@@ -227,189 +212,142 @@ class DenseShift15D final : public DistAlgorithm {
     return b.row_block(b_row0(su, v, u), b_row0(su, v, u) + su.b_blk);
   }
 
-  /// Concatenation of the rank's L piece value slices — the rank-local
-  /// sparse memory the checkpoint store snapshots (the 1.5D family has
-  /// no replicas; the checkpoint IS its redundancy).
-  std::vector<Scalar> shard_values(const Setup& su, int rank) const {
-    std::vector<Scalar> out;
+  /// Where the rank's pieces sit in its flat value vectors (the
+  /// checkpointed shard, the SDDMM dots and outputs), which concatenate
+  /// the L pieces in ring-index order: piece j spans [off[j], off[j+1]).
+  std::vector<std::size_t> piece_offsets(const Setup& su, int rank) const {
+    std::vector<std::size_t> off{0};
+    for (int j = 0; j < grid_.layer_size(); ++j) {
+      off.push_back(off.back() + piece(su, rank, j).coo.size());
+    }
+    return off;
+  }
+
+  /// The rank's stationary shard: its L piece value slices, flat. The
+  /// 1.5D family holds no replicas, so it names no peers and a crash
+  /// restores the checkpoint, then the journaled loops resume.
+  StationaryShard shard(const Setup& su, int rank) const {
+    StationaryShard out;
     for (int j = 0; j < grid_.layer_size(); ++j) {
       const auto& v = piece(su, rank, j).coo.values;
-      out.insert(out.end(), v.begin(), v.end());
+      out.values.insert(out.values.end(), v.begin(), v.end());
     }
     return out;
   }
 
-  /// Split the rank's live checkpoint slice back into per-piece value
-  /// vectors (empty when live is null — fault-free kernels read the
-  /// setup tables directly).
-  std::vector<std::vector<Scalar>> live_piece_values(
-      const Setup& su, int rank, const std::vector<Scalar>* live) const {
-    std::vector<std::vector<Scalar>> out;
-    if (live == nullptr) return out;
-    const int L = grid_.layer_size();
-    out.resize(static_cast<std::size_t>(L));
+  /// The rank's L pieces carrying `values` — flat as piece_offsets — or
+  /// their planned values when `values` is null.
+  std::vector<ShardView> pieces_with(const Setup& su, int rank,
+                                     const std::vector<Scalar>* values) const {
+    std::vector<ShardView> out;
     std::size_t off = 0;
-    for (int j = 0; j < L; ++j) {
-      const std::size_t count = piece(su, rank, j).coo.size();
-      out[static_cast<std::size_t>(j)].assign(
-          live->begin() + static_cast<std::ptrdiff_t>(off),
-          live->begin() + static_cast<std::ptrdiff_t>(off + count));
-      off += count;
+    for (int j = 0; j < grid_.layer_size(); ++j) {
+      const auto& pc = piece(su, rank, j);
+      out.emplace_back(pc, values, off);
+      off += pc.coo.size();
     }
     return out;
-  }
-
-  /// Crash recovery for the unreplicated dense-shift family: snapshot
-  /// every rank's piece values into the checkpoint store before the
-  /// world runs; on_crash restores the scrubbed shard through the
-  /// digest check and the journaled shift loops resume past the last
-  /// jointly completed step.
-  WorldOptions fault_options(const Setup& su,
-                             std::optional<CheckpointStore>& ckpt) const {
-    WorldOptions wo;
-    wo.faults = options().faults;
-    wo.max_recoveries = options().max_recoveries;
-    wo.checkpoint_interval = options().checkpoint_interval;
-    if (wo.faults == nullptr || !wo.faults->enabled() ||
-        wo.faults->crashes.empty()) {
-      return wo;
-    }
-    ckpt.emplace(p());
-    for (int rank = 0; rank < p(); ++rank) {
-      ckpt->save_shard(rank, shard_values(su, rank));
-    }
-    CheckpointStore* cp = &*ckpt;
-    wo.on_crash = [cp](const CrashInfo& crash) {
-      cp->scrub(crash.rank);
-      cp->restore(crash.rank);
-    };
-    return wo;
   }
 
   /// Replicate A into the rank's working layer-row and run the SDDMM dot
-  /// loop (B input blocks circulate). Returns the working block and
-  /// dots[j] for the rank's L pieces.
-  std::pair<std::shared_ptr<const DenseMatrix>,
-            std::vector<std::vector<Scalar>>>
+  /// loop (B input blocks circulate). Returns the working block and the
+  /// dot products of the rank's L pieces, flat as piece_offsets.
+  std::pair<std::shared_ptr<const DenseMatrix>, std::vector<Scalar>>
   replicate_and_dots(Comm& comm, const Setup& su, int rank, int u, int v,
                      const DenseMatrix& a, const DenseMatrix& b,
                      const WireCodec& codec,
                      const CacheUse& cu = {}) const {
-    const int L = grid_.layer_size();
     auto a_work = replicate_a(comm, su, u, v, a, codec, cu);
-    std::vector<std::vector<Scalar>> dots(static_cast<std::size_t>(L));
+    const auto off = piece_offsets(su, rank);
+    std::vector<Scalar> dots(off.back(), Scalar{0});
+    // The dots are stationary state (piece j's are written wholly at
+    // step j); journal them so a recovered attempt resumes with the
+    // completed pieces' dots intact.
+    const auto hooks = journal_state(dots);
     const auto body = [&](int j, DenseMatrix& bj) {
-      const auto& pc = piece(su, rank, j);
-      auto& d = dots[static_cast<std::size_t>(j)];
-      d.assign(pc.coo.size(), Scalar{0});
-      comm.stats().add_flops(masked_dot_products(pc.csr, *a_work, bj, d));
-    };
-    // The per-piece dot vectors are stationary state (each dots[j] is
-    // written wholly at step j); journal them so a recovered attempt
-    // resumes with the completed pieces' dots intact.
-    ShiftJournalHooks hooks;
-    hooks.pack_state = [&] {
-      MessageWords words;
-      for (const auto& d : dots) {
-        const MessageWords packed = pack_values(std::span<const Scalar>(d));
-        words.push_back(packed.size());
-        words.insert(words.end(), packed.begin(), packed.end());
-      }
-      return words;
-    };
-    hooks.unpack_state = [&](const MessageWords& words) {
-      std::size_t off = 0;
-      for (auto& d : dots) {
-        const auto len = static_cast<std::size_t>(words[off++]);
-        d = unpack_values(MessageWords(
-            words.begin() + static_cast<std::ptrdiff_t>(off),
-            words.begin() + static_cast<std::ptrdiff_t>(off + len)));
-        off += len;
-      }
+      const auto jj = static_cast<std::size_t>(j);
+      comm.stats().add_flops(masked_dot_products(
+          piece(su, rank, j).csr, *a_work, bj,
+          std::span<Scalar>(dots).subspan(off[jj], off[jj + 1] - off[jj])));
     };
     b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b), body,
            codec, &hooks);
     return {std::move(a_work), std::move(dots)};
   }
 
+  /// The SDDMM outputs of the rank's pieces (their values times their
+  /// dots), flat as piece_offsets.
+  std::vector<Scalar> hadamard(Comm& comm, std::span<const ShardView> mine,
+                               const std::vector<Scalar>& dots) const {
+    PhaseScope scope(comm.stats(), Phase::Computation);
+    std::vector<Scalar> out(dots.size());
+    std::size_t off = 0;
+    for (const ShardView& pc : mine) {
+      const std::size_t count = pc.values().size();
+      hadamard_values(pc.values(),
+                      std::span<const Scalar>(dots).subspan(off, count),
+                      std::span<Scalar>(out).subspan(off, count));
+      off += count;
+    }
+    comm.stats().add_flops(out.size());
+    return out;
+  }
+
   /// SpMMA propagation AND reduction: accumulate the layer-row partial
-  /// from circulating B blocks, then fiber reduce-scatter it into the
-  /// rank's output chunk. values overridable for the FusedMM SpMM pass.
-  void spmma_pass(Comm& comm, const Setup& su, int rank, int u, int v,
-                  const DenseMatrix& b,
-                  const std::vector<std::vector<Scalar>>* values,
+  /// of the pieces `mine` from circulating B blocks, then fiber
+  /// reduce-scatter it into the rank's output chunk.
+  void spmma_pass(Comm& comm, const Setup& su, int u, int v,
+                  const DenseMatrix& b, std::span<const ShardView> mine,
                   DenseMatrix& out, const WireCodec& codec) const {
     DenseMatrix partial(su.mL, su.r);
-    const auto body = [&](int j, DenseMatrix& bj) {
-      const auto& pc = piece(su, rank, j);
-      if (values == nullptr) {
-        comm.stats().add_flops(spmm_a(pc.csr, bj, partial));
-      } else {
-        comm.stats().add_flops(spmm_a(
-            csr_with_values(pc.csr,
-                            (*values)[static_cast<std::size_t>(j)]),
-            bj, partial));
-      }
-    };
-    ShiftJournalHooks hooks;
-    hooks.pack_state = [&] { return pack_dense(partial); };
-    hooks.unpack_state = [&](const MessageWords& words) {
-      partial = unpack_dense(words, su.mL, su.r);
-    };
-    b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b), body,
+    const auto hooks = journal_state(partial);
+    b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b),
+           [&](int j, DenseMatrix& bj) {
+             comm.stats().add_flops(spmm_a(
+                 mine[static_cast<std::size_t>(j)].csr(), bj, partial));
+           },
            codec, &hooks);
     reduce_partial(comm, su, u, v, partial, out, codec);
+  }
+
+  /// SpMMB propagation: accumulate the pieces `mine` against the
+  /// replicated A into circulating B-shaped blocks, and place the home
+  /// block that returns after the full ring trip.
+  void spmmb_pass(Comm& comm, const Setup& su, int u, int v,
+                  const DenseMatrix& a_work, std::span<const ShardView> mine,
+                  DenseMatrix& out, const WireCodec& codec) const {
+    const auto home = b_loop(
+        comm, su, u, v, /*mutates=*/true, DenseMatrix(su.b_blk, su.r),
+        [&](int j, DenseMatrix& acc) {
+          comm.stats().add_flops(
+              spmm_b(mine[static_cast<std::size_t>(j)].csr(), a_work, acc));
+        },
+        codec);
+    PhaseScope scope(comm.stats(), Phase::Computation);
+    place_block(out, home, b_row0(su, v, u), 0);
   }
 
   Grid15D grid_;
 };
 
-KernelResult DenseShift15D::do_run_kernel(const ExecContext& ctx,
-                                          Mode mode, const CooMatrix& s,
-                                          const DenseMatrix& a,
-                                          const DenseMatrix& b) const {
-  const Setup& su = setup_of(ctx);
-  KernelResult result;
-  // Every rank writes its disjoint block of the dense outputs, which
-  // together cover every row, so they start unwritten.
-  if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix::uninitialized(su.m, su.r);
-  } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix::uninitialized(su.n, su.r);
-  } else {
-    result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
-                               Scalar{0});
-  }
-  const int L = grid_.layer_size();
+void DenseShift15D::do_run_kernel(const ExecContext& ctx, Mode mode,
+                                  const CooMatrix&, const DenseMatrix& a,
+                                  const DenseMatrix& b,
+                                  KernelResult& out) const {
+  const auto& su = planned_setup<Setup>(ctx, kind());
   const WireCodec codec = effective_wire_codec(options(), ctx);
   // SpMMA never replicates A (its replication phase is the output
   // reduce-scatter), so only the A-consuming modes consult the cache.
   const CacheUse cu =
       mode == Mode::SpMMA ? CacheUse{} : cache_use(ctx, options());
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
+  Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
+  out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();
     const int u = grid_.u_of(rank), v = grid_.v_of(rank);
-    // Fault mode reads the rank's piece values through the checkpoint
-    // store's live copy instead of the shared setup table.
-    const std::vector<Scalar>* live = ckpt ? &ckpt->values(rank) : nullptr;
-    const auto live_vals = live_piece_values(su, rank, live);
-    const auto* vals = live != nullptr ? &live_vals : nullptr;
-    std::vector<CsrMatrix> live_csr;
-    if (vals != nullptr) {
-      for (int j = 0; j < L; ++j) {
-        live_csr.push_back(csr_with_values(
-            piece(su, rank, j).csr, (*vals)[static_cast<std::size_t>(j)]));
-      }
-    }
-    const auto kernel_csr = [&](int j) -> const CsrMatrix& {
-      return vals != nullptr ? live_csr[static_cast<std::size_t>(j)]
-                             : piece(su, rank, j).csr;
-    };
+    const auto mine = pieces_with(su, rank, rec.live(rank));
     switch (mode) {
       case Mode::SpMMA: {
-        spmma_pass(comm, su, rank, u, v, b, vals, result.dense, codec);
+        spmma_pass(comm, su, u, v, b, mine, out.dense, codec);
         return;
       }
       case Mode::SDDMM: {
@@ -417,43 +355,31 @@ KernelResult DenseShift15D::do_run_kernel(const ExecContext& ctx,
             replicate_and_dots(comm, su, rank, u, v, a, b, codec, cu);
         (void)a_work;
         PhaseScope scope(comm.stats(), Phase::Computation);
-        for (int j = 0; j < L; ++j) {
-          const auto& pc = piece(su, rank, j);
-          std::vector<Scalar> vals_j(pc.coo.size());
-          hadamard_values(vals != nullptr
-                              ? (*vals)[static_cast<std::size_t>(j)]
-                              : pc.coo.values,
-                          dots[static_cast<std::size_t>(j)], vals_j);
-          comm.stats().add_flops(pc.nnz());
-          scatter_values(vals_j, pc.entries, result.sddmm_values);
+        const auto vals = hadamard(comm, mine, dots);
+        const auto off = piece_offsets(su, rank);
+        for (int j = 0; j < grid_.layer_size(); ++j) {
+          const auto jj = static_cast<std::size_t>(j);
+          scatter_values(std::span<const Scalar>(vals).subspan(
+                             off[jj], off[jj + 1] - off[jj]),
+                         piece(su, rank, j).entries, out.sddmm_values);
         }
         return;
       }
       case Mode::SpMMB: {
         const auto a_work = replicate_a(comm, su, u, v, a, codec, cu);
-        const auto home = b_loop(
-            comm, su, u, v, /*mutates=*/true, DenseMatrix(su.b_blk, su.r),
-            [&](int j, DenseMatrix& acc) {
-              comm.stats().add_flops(spmm_b(kernel_csr(j), *a_work, acc));
-            },
-            codec);
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense, home, b_row0(su, v, u), 0);
+        spmmb_pass(comm, su, u, v, *a_work, mine, out.dense, codec);
         return;
       }
     }
     fail("1.5D-DenseShift: unknown mode");
-  }, wo);
-  return result;
+  }, rec.world_options());
 }
 
-FusedResult DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
-                                          FusedOrientation orientation,
-                                          Elision elision,
-                                          const CooMatrix& s,
-                                          const DenseMatrix& a,
-                                          const DenseMatrix& b,
-                                          int repetitions) const {
+void DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
+                                   FusedOrientation orientation,
+                                   Elision elision, const CooMatrix& s,
+                                   const DenseMatrix& a, const DenseMatrix& b,
+                                   int repetitions, FusedResult& out) const {
   if (orientation == FusedOrientation::B &&
       elision == Elision::LocalKernelFusion) {
     // The fused local kernel co-locates full rows of the OUTPUT-side
@@ -468,100 +394,50 @@ FusedResult DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
     const double setup_seconds = timer.seconds();
     ExecContext tctx = ctx;
     tctx.plan = tplan.get();
-    FusedResult out = do_run_fusedmm(tctx, FusedOrientation::A, elision, st,
-                                     b, a, repetitions);
+    do_run_fusedmm(tctx, FusedOrientation::A, elision, st, b, a, repetitions,
+                   out);
     out.stats.add_setup(1, setup_seconds);
-    return out;
+    return;
   }
-  const Setup& su = setup_of(ctx);
-  const int L = grid_.layer_size();
+  const auto& su = planned_setup<Setup>(ctx, kind());
   const WireCodec codec = effective_wire_codec(options(), ctx);
-  FusedResult result;
-  // Every rank writes its disjoint block, covering every row.
-  result.output = DenseMatrix::uninitialized(
-      orientation == FusedOrientation::A ? su.m : su.n, su.r);
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
+  Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
+  out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();
     const int u = grid_.u_of(rank), v = grid_.v_of(rank);
-    // Fault mode reads the rank's piece values through the checkpoint
-    // store's live copy instead of the shared setup table.
-    const std::vector<Scalar>* live = ckpt ? &ckpt->values(rank) : nullptr;
-    const auto live_vals = live_piece_values(su, rank, live);
-    const auto* vals = live != nullptr ? &live_vals : nullptr;
-    std::vector<CsrMatrix> live_csr;
-    if (vals != nullptr) {
-      for (int j = 0; j < L; ++j) {
-        live_csr.push_back(csr_with_values(
-            piece(su, rank, j).csr, (*vals)[static_cast<std::size_t>(j)]));
-      }
-    }
-    const auto kernel_csr = [&](int j) -> const CsrMatrix& {
-      return vals != nullptr ? live_csr[static_cast<std::size_t>(j)]
-                             : piece(su, rank, j).csr;
-    };
+    const auto mine = pieces_with(su, rank, rec.live(rank));
     for (int rep = 0; rep < repetitions; ++rep) {
       if (elision == Elision::LocalKernelFusion) {
         // Single propagation loop with the fused local kernel.
         const auto fused_a = replicate_a(comm, su, u, v, a, codec);
         DenseMatrix partial(su.mL, su.r);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(partial); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          partial = unpack_dense(words, su.mL, su.r);
-        };
+        const auto hooks = journal_state(partial);
         b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b),
                [&](int j, DenseMatrix& bj) {
                  comm.stats().add_flops(
-                     fusedmm_a(kernel_csr(j), *fused_a, bj, partial));
+                     fusedmm_a(mine[static_cast<std::size_t>(j)].csr(),
+                               *fused_a, bj, partial));
                },
                codec, &hooks);
-        reduce_partial(comm, su, u, v, partial, result.output, codec);
+        reduce_partial(comm, su, u, v, partial, out.output, codec);
         continue;
       }
-      // SDDMM pass.
+      // SDDMM pass, then the SpMM pass on its output values.
       const auto [a_work, dots] =
           replicate_and_dots(comm, su, rank, u, v, a, b, codec);
-      std::vector<std::vector<Scalar>> r_values(
-          static_cast<std::size_t>(L));
-      {
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        for (int j = 0; j < L; ++j) {
-          const auto& pc = piece(su, rank, j);
-          auto& vals_j = r_values[static_cast<std::size_t>(j)];
-          vals_j.resize(pc.coo.size());
-          hadamard_values(vals != nullptr
-                              ? (*vals)[static_cast<std::size_t>(j)]
-                              : pc.coo.values,
-                          dots[static_cast<std::size_t>(j)], vals_j);
-          comm.stats().add_flops(pc.nnz());
-        }
-      }
-      // SpMM pass on the SDDMM output values.
+      const auto r_values = hadamard(comm, mine, dots);
+      const auto r_pieces = pieces_with(su, rank, &r_values);
       if (orientation == FusedOrientation::A) {
-        spmma_pass(comm, su, rank, u, v, b, &r_values, result.output,
-                   codec);
+        spmma_pass(comm, su, u, v, b, r_pieces, out.output, codec);
       } else {
         // Unelided sequence: the SpMM pass replicates A again instead
         // of reusing the SDDMM pass's copy (the gathered bits are the
         // same, so the repeat's result is discarded).
         if (elision == Elision::None) replicate_a(comm, su, u, v, a, codec);
-        const auto home = b_loop(
-            comm, su, u, v, /*mutates=*/true, DenseMatrix(su.b_blk, su.r),
-            [&](int j, DenseMatrix& acc) {
-              comm.stats().add_flops(spmm_b(
-                  csr_with_values(piece(su, rank, j).csr,
-                                  r_values[static_cast<std::size_t>(j)]),
-                  *a_work, acc));
-            },
-            codec);
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output, home, b_row0(su, v, u), 0);
+        spmmb_pass(comm, su, u, v, *a_work, r_pieces, out.output, codec);
       }
     }
-  }, wo);
-  return result;
+  }, rec.world_options());
 }
 
 // ------------------------------------------------------------ sparse shift
@@ -579,16 +455,15 @@ class SparseShift15D final : public DistAlgorithm {
  protected:
   std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
                                                Index r) const override {
-    return std::make_shared<Snapshot>(make_setup(s, r));
+    return freeze_setup(make_setup(s, r));
   }
-  KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b) const override;
-  FusedResult do_run_fusedmm(const ExecContext& ctx,
-                             FusedOrientation orientation, Elision elision,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b,
-                             int repetitions) const override;
+  void do_run_kernel(const ExecContext& ctx, Mode mode, const CooMatrix& s,
+                     const DenseMatrix& a, const DenseMatrix& b,
+                     KernelResult& out) const override;
+  void do_run_fusedmm(const ExecContext& ctx, FusedOrientation orientation,
+                      Elision elision, const CooMatrix& s,
+                      const DenseMatrix& a, const DenseMatrix& b,
+                      int repetitions, FusedResult& out) const override;
 
  private:
   struct Setup {
@@ -606,18 +481,6 @@ class SparseShift15D final : public DistAlgorithm {
     /// position v's wants in the row-sparse collectives.
     std::vector<std::vector<Index>> layer_support;
   };
-
-  struct Snapshot final : PlanData {
-    explicit Snapshot(Setup setup) : su(std::move(setup)) {}
-    Setup su;
-  };
-
-  const Setup& setup_of(const ExecContext& ctx) const {
-    const auto* snap = dynamic_cast<const Snapshot*>(ctx.plan);
-    check(snap != nullptr,
-          "1.5D-SparseShift: ExecContext plan was not built by this driver");
-    return snap->su;
-  }
 
   Setup make_setup(const CooMatrix& s, Index r) const {
     const int L = grid_.layer_size();
@@ -713,39 +576,13 @@ class SparseShift15D final : public DistAlgorithm {
     }, state);
   }
 
-  /// The rank's home piece values — the rank-local sparse memory the
-  /// checkpoint store snapshots (non-home pieces conceptually arrive via
-  /// the ring payload from their own — also checkpointed — owners).
-  std::vector<Scalar> shard_values(const Setup& su, int rank) const {
+  /// The rank's stationary shard: its home piece values (non-home pieces
+  /// conceptually arrive via the ring payload from their own owners).
+  /// The 1.5D family holds no replicas, so it names no peers and a crash
+  /// restores the checkpoint, then the journaled loops resume.
+  StationaryShard shard(const Setup& su, int rank) const {
     const auto& v = piece(su, grid_.v_of(rank), grid_.u_of(rank)).coo.values;
-    return {v.begin(), v.end()};
-  }
-
-  /// Crash recovery for the unreplicated sparse-shift family: snapshot
-  /// every rank's home piece values into the checkpoint store before the
-  /// world runs; on_crash restores the scrubbed shard through the
-  /// digest check and the journaled shift loops resume past the last
-  /// jointly completed step.
-  WorldOptions fault_options(const Setup& su,
-                             std::optional<CheckpointStore>& ckpt) const {
-    WorldOptions wo;
-    wo.faults = options().faults;
-    wo.max_recoveries = options().max_recoveries;
-    wo.checkpoint_interval = options().checkpoint_interval;
-    if (wo.faults == nullptr || !wo.faults->enabled() ||
-        wo.faults->crashes.empty()) {
-      return wo;
-    }
-    ckpt.emplace(p());
-    for (int rank = 0; rank < p(); ++rank) {
-      ckpt->save_shard(rank, shard_values(su, rank));
-    }
-    CheckpointStore* cp = &*ckpt;
-    wo.on_crash = [cp](const CrashInfo& crash) {
-      cp->scrub(crash.rank);
-      cp->restore(crash.rank);
-    };
-    return wo;
+    return {{v.begin(), v.end()}, {}};
   }
 
   /// Replicate A and circulate the home piece's dot payload for L steps
@@ -776,51 +613,29 @@ class SparseShift15D final : public DistAlgorithm {
   Grid15D grid_;
 };
 
-KernelResult SparseShift15D::do_run_kernel(const ExecContext& ctx,
-                                           Mode mode, const CooMatrix& s,
-                                           const DenseMatrix& a,
-                                           const DenseMatrix& b) const {
-  const Setup& su = setup_of(ctx);
-  KernelResult result;
-  // Every rank writes its disjoint block of the dense outputs, which
-  // together cover every row, so they start unwritten.
-  if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix::uninitialized(su.m, su.r);
-  } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix::uninitialized(su.n, su.r);
-  } else {
-    result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
-                               Scalar{0});
-  }
+void SparseShift15D::do_run_kernel(const ExecContext& ctx, Mode mode,
+                                   const CooMatrix&, const DenseMatrix& a,
+                                   const DenseMatrix& b,
+                                   KernelResult& out) const {
+  const auto& su = planned_setup<Setup>(ctx, kind());
   const WireCodec codec = effective_wire_codec(options(), ctx);
   // SpMMA never replicates A (its replication phase is the output
   // reduce-scatter), so only the A-consuming modes consult the cache.
   const CacheUse cu =
       mode == Mode::SpMMA ? CacheUse{} : cache_use(ctx, options());
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
+  Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
+  out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();
     const int u = grid_.u_of(rank), v = grid_.v_of(rank);
     const auto b_local = local_b(su, u, v, b);
-    // Fault mode reads the rank's home piece values through the
-    // checkpoint store's live copy instead of the shared setup table
-    // (non-home pieces conceptually arrive via the ring payload).
-    const std::vector<Scalar>* live = ckpt ? &ckpt->values(rank) : nullptr;
-    const CsrMatrix live_home =
-        live != nullptr ? csr_with_values(piece(su, v, u).csr, *live)
-                        : CsrMatrix();
+    const ShardView home(piece(su, v, u), rec.live(rank));
     const auto kernel_csr = [&](int j) -> const CsrMatrix& {
-      return live != nullptr && j == u ? live_home : piece(su, v, j).csr;
+      return j == u ? home.csr() : piece(su, v, j).csr;
     };
     switch (mode) {
       case Mode::SpMMA: {
         DenseMatrix partial(su.m, su.rL);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(partial); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          partial = unpack_dense(words, su.m, su.rL);
-        };
+        const auto hooks = journal_state(partial);
         s_loop(comm, u, v, /*mutates=*/false,
                pack_triplets(piece(su, v, u).coo, codec),
                [&](int j, MessageWords&) {
@@ -828,7 +643,7 @@ KernelResult SparseShift15D::do_run_kernel(const ExecContext& ctx,
                      spmm_a(kernel_csr(j), b_local, partial));
                },
                &hooks);
-        reduce_partial(comm, su, u, v, partial, result.dense, codec);
+        reduce_partial(comm, su, u, v, partial, out.dense, codec);
         return;
       }
       case Mode::SDDMM: {
@@ -838,24 +653,16 @@ KernelResult SparseShift15D::do_run_kernel(const ExecContext& ctx,
             sddmm_pass(comm, su, u, v, a, b_local, codec, cu);
         (void)a_work;
         PhaseScope scope(comm.stats(), Phase::Computation);
-        const auto& home = piece(su, v, u);
-        std::vector<Scalar> vals(home.coo.size());
-        hadamard_values(live != nullptr
-                            ? std::span<const Scalar>(*live)
-                            : std::span<const Scalar>(home.coo.values),
-                        dots.values, vals);
-        comm.stats().add_flops(home.nnz());
-        scatter_values(vals, home.entries, result.sddmm_values);
+        std::vector<Scalar> vals(home.values().size());
+        hadamard_values(home.values(), dots.values, vals);
+        comm.stats().add_flops(vals.size());
+        scatter_values(vals, piece(su, v, u).entries, out.sddmm_values);
         return;
       }
       case Mode::SpMMB: {
         const auto a_work = replicate_a(comm, su, u, v, a, codec, cu);
         DenseMatrix b_out(su.n / c(), su.rL);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(b_out); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          b_out = unpack_dense(words, su.n / c(), su.rL);
-        };
+        const auto hooks = journal_state(b_out);
         s_loop(comm, u, v, /*mutates=*/false,
                pack_triplets(piece(su, v, u).coo, codec),
                [&](int j, MessageWords&) {
@@ -864,63 +671,43 @@ KernelResult SparseShift15D::do_run_kernel(const ExecContext& ctx,
                },
                &hooks);
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense, b_out,
-                    static_cast<Index>(v) * (su.n / c()),
+        place_block(out.dense, b_out, static_cast<Index>(v) * (su.n / c()),
                     static_cast<Index>(u) * su.rL);
         return;
       }
     }
     fail("1.5D-SparseShift: unknown mode");
-  }, wo);
-  return result;
+  }, rec.world_options());
 }
 
-FusedResult SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
-                                           FusedOrientation orientation,
-                                           Elision elision,
-                                           const CooMatrix&,
-                                           const DenseMatrix& a,
-                                           const DenseMatrix& b,
-                                           int repetitions) const {
-  const Setup& su = setup_of(ctx);
+void SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
+                                    FusedOrientation orientation,
+                                    Elision elision, const CooMatrix&,
+                                    const DenseMatrix& a,
+                                    const DenseMatrix& b, int repetitions,
+                                    FusedResult& out) const {
+  const auto& su = planned_setup<Setup>(ctx, kind());
   const WireCodec codec = effective_wire_codec(options(), ctx);
-  FusedResult result;
-  // Every rank writes its disjoint block, covering every row.
-  result.output = DenseMatrix::uninitialized(
-      orientation == FusedOrientation::A ? su.m : su.n, su.r);
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
+  Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
+  out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();
     const int u = grid_.u_of(rank), v = grid_.v_of(rank);
     const auto b_local = local_b(su, u, v, b);
-    // Fault mode reads the rank's home piece values through the
-    // checkpoint store's live copy instead of the shared setup table.
-    const std::vector<Scalar>* live = ckpt ? &ckpt->values(rank) : nullptr;
+    const ShardView home(piece(su, v, u), rec.live(rank));
     for (int rep = 0; rep < repetitions; ++rep) {
       // SDDMM pass: dot products circulate with the pieces.
       const auto [a_work, dots] =
           sddmm_pass(comm, su, u, v, a, b_local, codec);
-      std::vector<Scalar> r_values(piece(su, v, u).coo.size());
-      {
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        hadamard_values(
-            live != nullptr
-                ? std::span<const Scalar>(*live)
-                : std::span<const Scalar>(piece(su, v, u).coo.values),
-            dots.values, r_values);
-        comm.stats().add_flops(piece(su, v, u).nnz());
-      }
       // SpMM pass: pieces circulate carrying the SDDMM output values.
       Triplets r_piece = piece(su, v, u).coo;
-      r_piece.values = r_values;
+      {
+        PhaseScope scope(comm.stats(), Phase::Computation);
+        hadamard_values(home.values(), dots.values, r_piece.values);
+        comm.stats().add_flops(r_piece.size());
+      }
       if (orientation == FusedOrientation::A) {
         DenseMatrix partial(su.m, su.rL);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(partial); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          partial = unpack_dense(words, su.m, su.rL);
-        };
+        const auto hooks = journal_state(partial);
         s_loop(comm, u, v, /*mutates=*/false, pack_triplets(r_piece, codec),
                [&](int j, MessageWords& block) {
                  const auto payload = unpack_triplets(block, codec);
@@ -929,7 +716,7 @@ FusedResult SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
                      b_local, partial));
                },
                &hooks);
-        reduce_partial(comm, su, u, v, partial, result.output, codec);
+        reduce_partial(comm, su, u, v, partial, out.output, codec);
       } else {
         // Unelided sequence: the SpMM-B pass replicates A again instead
         // of reusing the SDDMM pass's copy (result discarded; orientation
@@ -937,11 +724,7 @@ FusedResult SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
         // re-replicate).
         if (elision == Elision::None) replicate_a(comm, su, u, v, a, codec);
         DenseMatrix b_out(su.n / c(), su.rL);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(b_out); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          b_out = unpack_dense(words, su.n / c(), su.rL);
-        };
+        const auto hooks = journal_state(b_out);
         s_loop(comm, u, v, /*mutates=*/false, pack_triplets(r_piece, codec),
                [&](int j, MessageWords& block) {
                  const auto payload = unpack_triplets(block, codec);
@@ -951,13 +734,11 @@ FusedResult SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
                },
                &hooks);
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output, b_out,
-                    static_cast<Index>(v) * (su.n / c()),
+        place_block(out.output, b_out, static_cast<Index>(v) * (su.n / c()),
                     static_cast<Index>(u) * su.rL);
       }
     }
-  }, wo);
-  return result;
+  }, rec.world_options());
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 /// per-cell buffer and are summed across the fiber with one all-reduce.
 
 #include <memory>
-#include <optional>
 
 #include "common/error.hpp"
 #include "dist/families.hpp"
@@ -26,8 +25,6 @@
 #include "local/sddmm.hpp"
 #include "local/spmm.hpp"
 #include "runtime/collectives.hpp"
-#include "runtime/checkpoint.hpp"
-#include "runtime/recovery.hpp"
 #include "runtime/world.hpp"
 #include "sparse/partition.hpp"
 
@@ -49,16 +46,15 @@ class DenseRepl25D final : public DistAlgorithm {
  protected:
   std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
                                                Index r) const override {
-    return std::make_shared<Snapshot>(make_setup(s, r));
+    return freeze_setup(make_setup(s, r));
   }
-  KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b) const override;
-  FusedResult do_run_fusedmm(const ExecContext& ctx,
-                             FusedOrientation orientation, Elision elision,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b,
-                             int repetitions) const override;
+  void do_run_kernel(const ExecContext& ctx, Mode mode, const CooMatrix& s,
+                     const DenseMatrix& a, const DenseMatrix& b,
+                     KernelResult& out) const override;
+  void do_run_fusedmm(const ExecContext& ctx, FusedOrientation orientation,
+                      Elision elision, const CooMatrix& s,
+                      const DenseMatrix& a, const DenseMatrix& b,
+                      int repetitions, FusedResult& out) const override;
 
  private:
   struct Setup {
@@ -74,18 +70,6 @@ class DenseRepl25D final : public DistAlgorithm {
     /// fiber's c member supports are contiguous in fiber (w) order.
     std::vector<std::vector<Index>> support;
   };
-
-  struct Snapshot final : PlanData {
-    explicit Snapshot(Setup setup) : su(std::move(setup)) {}
-    Setup su;
-  };
-
-  const Setup& setup_of(const ExecContext& ctx) const {
-    const auto* snap = dynamic_cast<const Snapshot*>(ctx.plan);
-    check(snap != nullptr,
-          "2.5D-DenseRepl: ExecContext plan was not built by this driver");
-    return snap->su;
-  }
 
   Setup make_setup(const CooMatrix& s, Index r) const {
     const int q = grid_.q();
@@ -196,54 +180,20 @@ class DenseRepl25D final : public DistAlgorithm {
   /// (u, v, w): Cannon skew (u + v + t) mod q.
   int k_at(int u, int v, int t) const { return (u + v + t) % grid_.q(); }
 
-  /// Fault-mode world options. With crashes in the plan, `store` models
-  /// each rank's rank-local sparse memory — its home piece's values —
-  /// as replicated along its row ring (the ring traffic materializes a
-  /// copy of every circulating piece on every ring peer), and on_crash
-  /// scrubs the crashed rank and rebuilds the shard from a digest-valid
-  /// survivor. When no peer survives (q == 1 rings have no redundancy)
-  /// recovery falls back to the digest-verified checkpoint store and the
-  /// restored bytes are adopted back into the replica store. The kernels
-  /// then read home-piece values through the store (see live_values) so
-  /// the scrub/rebuild cycle touches the data the computation actually
-  /// uses.
-  WorldOptions fault_options(const Setup& su,
-                             std::optional<ReplicaStore>& store,
-                             std::optional<CheckpointStore>& ckpt) const {
-    WorldOptions wo;
-    wo.faults = options().faults;
-    wo.max_recoveries = options().max_recoveries;
-    wo.checkpoint_interval = options().checkpoint_interval;
-    if (wo.faults == nullptr || !wo.faults->enabled() ||
-        wo.faults->crashes.empty()) {
-      return wo;
+  /// The rank's stationary shard: its home piece (u, k0, w), replicated
+  /// around its row ring (the ring traffic materializes a copy of every
+  /// circulating piece on every ring peer), so the ring peers are where
+  /// a crashed shard is rebuilt from. A p = c grid leaves every ring
+  /// with one member and no peer; its crashes restore the checkpoint.
+  StationaryShard shard(const Setup& su, int rank) const {
+    const int u = grid_.u_of(rank), v = grid_.v_of(rank),
+              w = grid_.w_of(rank);
+    const auto& values = piece(su, u, k_at(u, v, 0), w).coo.values;
+    StationaryShard out{{values.begin(), values.end()}, {}};
+    for (const int m : grid_.row_members(u, w)) {
+      if (m != rank) out.peers.push_back(m);
     }
-    store.emplace(p());
-    ckpt.emplace(p());
-    for (int rank = 0; rank < p(); ++rank) {
-      const int u = grid_.u_of(rank), v = grid_.v_of(rank),
-                w = grid_.w_of(rank);
-      std::vector<int> peers;
-      for (const int m : grid_.row_members(u, w)) {
-        if (m != rank) peers.push_back(m);
-      }
-      const auto& shard = piece(su, u, k_at(u, v, 0), w).coo.values;
-      ckpt->save_shard(rank, {shard.begin(), shard.end()});
-      store->set_shard(rank, shard, std::move(peers));
-    }
-    store->finalize();
-    ReplicaStore* sp = &*store;
-    CheckpointStore* cp = &*ckpt;
-    wo.on_crash = [sp, cp](const CrashInfo& crash) {
-      sp->scrub(crash.rank);
-      if (sp->can_reconstruct(crash.rank)) {
-        sp->reconstruct(crash.rank);
-      } else {
-        cp->restore(crash.rank);
-        sp->adopt(crash.rank, cp->values(crash.rank));
-      }
-    };
-    return wo;
+    return out;
   }
 
   /// Global row of B column block k (for layer w).
@@ -296,56 +246,35 @@ class DenseRepl25D final : public DistAlgorithm {
   Grid25D grid_;
 };
 
-KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
-                                         const CooMatrix& s,
-                                         const DenseMatrix& a,
-                                         const DenseMatrix& b) const {
-  const Setup& su = setup_of(ctx);
-  KernelResult result;
-  // Every rank writes its disjoint block of the dense outputs, which
-  // together cover every row, so they start unwritten.
-  if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix::uninitialized(su.m, su.r);
-  } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix::uninitialized(su.n, su.r);
-  } else {
-    result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
-                               Scalar{0});
-  }
+void DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
+                                 const CooMatrix&, const DenseMatrix& a,
+                                 const DenseMatrix& b,
+                                 KernelResult& out) const {
+  const auto& su = planned_setup<Setup>(ctx, kind());
   const int q = grid_.q();
   const WireCodec codec = effective_wire_codec(options(), ctx);
-  std::optional<ReplicaStore> store;
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, store, ckpt);
+  Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
   // One driver-thread cache decision for the whole run; SpMMA never
   // consults the cache (its Replication phase is the output
   // reduce-scatter, not a reusable input gather).
   const CacheUse cu =
       mode == Mode::SpMMA ? CacheUse{} : cache_use(ctx, options());
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
+  out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();
     const int u = grid_.u_of(rank), v = grid_.v_of(rank),
               w = grid_.w_of(rank);
     const int k0 = k_at(u, v, 0);
     const auto row_ring = grid_.row_members(u, w);
     const auto col_ring = grid_.col_members(v, w);
-    // Crash mode: the rank's home-piece values live in the replica
-    // store (scrubbed and rebuilt across recoveries); everything the
-    // kernels read of them routes through here. Fault-free this is the
-    // setup table itself — zero overhead, bit-identical.
-    const std::vector<Scalar>* live =
-        store ? &store->values(rank) : nullptr;
+    const auto* live = rec.live(rank);
+    const ShardView home(piece(su, u, k0, w), live);
     const auto home_triplets = [&] {
       Triplets t = piece(su, u, k0, w).coo;
       if (live != nullptr) t.values = *live;
       return t;
     };
-    const CsrMatrix live_home_csr =
-        live != nullptr ? csr_with_values(piece(su, u, k0, w).csr, *live)
-                        : CsrMatrix();
     const auto kernel_csr = [&](int k) -> const CsrMatrix& {
-      return live != nullptr && k == k0 ? live_home_csr
-                                        : piece(su, u, k, w).csr;
+      return k == k0 ? home.csr() : piece(su, u, k, w).csr;
     };
     switch (mode) {
       case Mode::SpMMA: {
@@ -359,17 +288,13 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
             ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
                          b0_block(su, k0, v, w, b), bcomp)};
         DenseMatrix partial(su.mq, su.rq);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(partial); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          partial = unpack_dense(words, su.mq, su.rq);
-        };
+        const auto hooks = journal_state(partial);
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
           comm.stats().add_flops(
               spmm_a(kernel_csr(k), channels[1].dense, partial));
         }, &hooks);
-        reduce_partial(comm, su, u, v, w, partial, result.dense, codec);
+        reduce_partial(comm, su, u, v, w, partial, out.dense, codec);
         return;
       }
       case Mode::SDDMM: {
@@ -377,13 +302,10 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
             sddmm_pass(comm, su, u, v, w, a, b, codec, cu);
         (void)a_work;
         PhaseScope scope(comm.stats(), Phase::Computation);
-        const auto& home = piece(su, u, k0, w);
-        const auto& home_values =
-            live != nullptr ? *live : home.coo.values;
-        std::vector<Scalar> vals(home.coo.size());
-        hadamard_values(home_values, dots.values, vals);
-        comm.stats().add_flops(home.nnz());
-        scatter_values(vals, home.entries, result.sddmm_values);
+        std::vector<Scalar> vals(home.values().size());
+        hadamard_values(home.values(), dots.values, vals);
+        comm.stats().add_flops(vals.size());
+        scatter_values(vals, piece(su, u, k0, w).entries, out.sddmm_values);
         return;
       }
       case Mode::SpMMB: {
@@ -401,63 +323,47 @@ KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
               spmm_b(kernel_csr(k), *a_work, channels[1].dense));
         });
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense, channels[1].dense, b_row0(su, k0, w),
+        place_block(out.dense, channels[1].dense, b_row0(su, k0, w),
                     static_cast<Index>(v) * su.rq);
         return;
       }
     }
     fail("2.5D-DenseRepl: unknown mode");
-  }, wo);
-  return result;
+  }, rec.world_options());
 }
 
-FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
-                                         FusedOrientation orientation,
-                                         Elision elision,
-                                         const CooMatrix&,
-                                         const DenseMatrix& a,
-                                         const DenseMatrix& b,
-                                         int repetitions) const {
-  const Setup& su = setup_of(ctx);
+void DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
+                                  FusedOrientation orientation,
+                                  Elision elision, const CooMatrix&,
+                                  const DenseMatrix& a, const DenseMatrix& b,
+                                  int repetitions, FusedResult& out) const {
+  const auto& su = planned_setup<Setup>(ctx, kind());
   const int q = grid_.q();
   const WireCodec codec = effective_wire_codec(options(), ctx);
-  FusedResult result;
-  // Every rank writes its disjoint block, covering every row.
-  result.output = DenseMatrix::uninitialized(
-      orientation == FusedOrientation::A ? su.m : su.n, su.r);
-  std::optional<ReplicaStore> store;
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, store, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
+  Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
+  out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();
     const int u = grid_.u_of(rank), v = grid_.v_of(rank),
               w = grid_.w_of(rank);
     const int k0 = k_at(u, v, 0);
     const auto row_ring = grid_.row_members(u, w);
     const auto col_ring = grid_.col_members(v, w);
-    const std::vector<Scalar>* live =
-        store ? &store->values(rank) : nullptr;
+    const ShardView home(piece(su, u, k0, w), rec.live(rank));
     for (int rep = 0; rep < repetitions; ++rep) {
       // SDDMM pass: dots circulate with the S pieces, B input blocks
       // circulate on the column ring.
       const auto [a_work, dots] =
           sddmm_pass(comm, su, u, v, w, a, b, codec);
-      std::vector<Scalar> r_values;
+      // SpMM pass: the S pieces circulate carrying the SDDMM output.
+      Triplets r_piece = piece(su, u, k0, w).coo;
       {
         PhaseScope scope(comm.stats(), Phase::Computation);
-        const auto& home = piece(su, u, k0, w);
-        const auto& home_values =
-            live != nullptr ? *live : home.coo.values;
-        r_values.resize(home.coo.size());
-        hadamard_values(home_values, dots.values, r_values);
-        comm.stats().add_flops(home.nnz());
+        hadamard_values(home.values(), dots.values, r_piece.values);
+        comm.stats().add_flops(r_piece.size());
       }
       // Unelided sequence: the SpMM pass replicates A again (result
       // discarded — the gathered bits are unchanged).
       if (elision == Elision::None) replicate_a(comm, su, u, v, w, a, codec);
-      // SpMM pass: the S pieces circulate carrying the SDDMM output.
-      Triplets r_piece = piece(su, u, k0, w).coo;
-      r_piece.values = r_values;
       ShiftChannel chs = ring_channel(row_ring, v, kTagShift,
                                       /*mutates=*/false,
                                       pack_triplets(r_piece, codec));
@@ -469,11 +375,7 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
             ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
                          b0_block(su, k0, v, w, b), bcomp)};
         DenseMatrix partial(su.mq, su.rq);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(partial); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          partial = unpack_dense(words, su.mq, su.rq);
-        };
+        const auto hooks = journal_state(partial);
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
           const auto payload = unpack_triplets(channels[0].block, codec);
@@ -482,7 +384,7 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
                                      payload.values),
                      channels[1].dense, partial));
         }, &hooks);
-        reduce_partial(comm, su, u, v, w, partial, result.output, codec);
+        reduce_partial(comm, su, u, v, w, partial, out.output, codec);
       } else {
         const ShiftCompression bcomp =
             b_compression(su, u, v, w, /*mutates=*/true, codec);
@@ -499,12 +401,11 @@ FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
                      *a_work, channels[1].dense));
         });
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output, channels[1].dense, b_row0(su, k0, w),
+        place_block(out.output, channels[1].dense, b_row0(su, k0, w),
                     static_cast<Index>(v) * su.rq);
       }
     }
-  }, wo);
-  return result;
+  }, rec.world_options());
 }
 
 // -------------------------------------------------------- sparse replicate
@@ -522,16 +423,15 @@ class SparseRepl25D final : public DistAlgorithm {
  protected:
   std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
                                                Index r) const override {
-    return std::make_shared<Snapshot>(make_setup(s, r));
+    return freeze_setup(make_setup(s, r));
   }
-  KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b) const override;
-  FusedResult do_run_fusedmm(const ExecContext& ctx,
-                             FusedOrientation orientation, Elision elision,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b,
-                             int repetitions) const override;
+  void do_run_kernel(const ExecContext& ctx, Mode mode, const CooMatrix& s,
+                     const DenseMatrix& a, const DenseMatrix& b,
+                     KernelResult& out) const override;
+  void do_run_fusedmm(const ExecContext& ctx, FusedOrientation orientation,
+                      Elision elision, const CooMatrix& s,
+                      const DenseMatrix& a, const DenseMatrix& b,
+                      int repetitions, FusedResult& out) const override;
 
  private:
   struct Setup {
@@ -545,18 +445,6 @@ class SparseRepl25D final : public DistAlgorithm {
     /// monotone offsets into the cell's entry range).
     std::vector<std::vector<Index>> value_split;
   };
-
-  struct Snapshot final : PlanData {
-    explicit Snapshot(Setup setup) : su(std::move(setup)) {}
-    Setup su;
-  };
-
-  const Setup& setup_of(const ExecContext& ctx) const {
-    const auto* snap = dynamic_cast<const Snapshot*>(ctx.plan);
-    check(snap != nullptr,
-          "2.5D-SparseRepl: ExecContext plan was not built by this driver");
-    return snap->su;
-  }
 
   Setup make_setup(const CooMatrix& s, Index r) const {
     const int q = grid_.q();
@@ -635,8 +523,9 @@ class SparseRepl25D final : public DistAlgorithm {
         codec);
   }
 
-  /// All-gather the cell's canonically split values along the fiber;
-  /// returns the full value vector (cost: (c-1)/c * cell_nnz words).
+  /// All-gather the cell's canonically split values along the fiber,
+  /// this rank contributing `slice` (see value_slice); returns the full
+  /// value vector (cost: (c-1)/c * cell_nnz words).
   /// The replication traffic of this family is already sparsity-sized
   /// (values and dot buffers, no dense row blocks), so the
   /// options().replication knob has nothing to elide here: SparseRows
@@ -646,24 +535,12 @@ class SparseRepl25D final : public DistAlgorithm {
   /// stationary cells' supports (A by rows, B by columns) — see
   /// a_compression / b_compression below.
   std::vector<Scalar> gather_values(Comm& comm, const Setup& su, int u,
-                                    int v, int w,
-                                    const std::vector<Scalar>* live,
+                                    int v, std::span<const Scalar> slice,
                                     const WireCodec& codec) const {
     PhaseScope scope(comm.stats(), Phase::Replication);
     Group fiber(comm, grid_.fiber_members(u, v));
     const auto& split = su.value_split[static_cast<std::size_t>(
         u * grid_.q() + v)];
-    const auto& values = cell(su, u, v).coo.values;
-    const auto begin = static_cast<std::size_t>(
-        split[static_cast<std::size_t>(w)]);
-    const auto end = static_cast<std::size_t>(
-        split[static_cast<std::size_t>(w) + 1]);
-    // Crash mode routes the rank's canonical slice through the replica
-    // store — exactly the memory a crash scrubs and a recovery rebuilds.
-    const auto slice =
-        live != nullptr
-            ? std::span<const Scalar>(*live)
-            : std::span<const Scalar>(values.data() + begin, end - begin);
     // Low-precision payloads pad each member's last word, so the gathered
     // stream is decoded member by member against the canonical split
     // (the counts travel out of band with the plan).
@@ -671,7 +548,7 @@ class SparseRepl25D final : public DistAlgorithm {
     const auto words =
         fiber.allgather_words(pack_values(slice, codec), &offsets);
     std::vector<Scalar> full;
-    full.reserve(values.size());
+    full.reserve(cell(su, u, v).coo.size());
     for (int i = 0; i < c(); ++i) {
       const auto ii = static_cast<std::size_t>(i);
       const MessageWords chunk(
@@ -685,305 +562,208 @@ class SparseRepl25D final : public DistAlgorithm {
     return full;
   }
 
-  /// Fault-mode world options, mirroring DenseRepl25D::fault_options:
-  /// here a rank's rank-local sparse memory is its canonical
-  /// value_split[w] slice of cell (u, v), replicated across the c fiber
-  /// ranks by every gather_values call — so the fiber members are the
-  /// peers a crashed slice is rebuilt from, and c == 1 fibers have no
-  /// redundancy — recovery then falls back to the digest-verified
-  /// checkpoint store and adopts the restored bytes into the replica
-  /// store).
-  WorldOptions fault_options(const Setup& su,
-                             std::optional<ReplicaStore>& store,
-                             std::optional<CheckpointStore>& ckpt) const {
-    WorldOptions wo;
-    wo.faults = options().faults;
-    wo.max_recoveries = options().max_recoveries;
-    wo.checkpoint_interval = options().checkpoint_interval;
-    if (wo.faults == nullptr || !wo.faults->enabled() ||
-        wo.faults->crashes.empty()) {
-      return wo;
+  /// The rank's canonical value_split[w] slice of cell (u, v) — its
+  /// stationary shard — as the kernels read it: the recovery store's
+  /// live copy when `live` is set, else the planned values.
+  std::span<const Scalar> value_slice(
+      const Setup& su, int u, int v, int w,
+      const std::vector<Scalar>* live = nullptr) const {
+    if (live != nullptr) return *live;
+    const auto& split = su.value_split[static_cast<std::size_t>(
+        u * grid_.q() + v)];
+    const auto begin = split[static_cast<std::size_t>(w)];
+    return std::span<const Scalar>(cell(su, u, v).coo.values)
+        .subspan(static_cast<std::size_t>(begin),
+                 static_cast<std::size_t>(
+                     split[static_cast<std::size_t>(w) + 1] - begin));
+  }
+
+  /// The rank's stationary shard: its value slice, which every
+  /// gather_values call replicates across the c fiber ranks, so the
+  /// fiber peers are where a crashed slice is rebuilt from. A c = 1
+  /// fiber has no peer; its crashes restore the checkpoint.
+  StationaryShard shard(const Setup& su, int rank) const {
+    const int u = grid_.u_of(rank), v = grid_.v_of(rank),
+              w = grid_.w_of(rank);
+    const auto slice = value_slice(su, u, v, w);
+    StationaryShard out{{slice.begin(), slice.end()}, {}};
+    for (const int m : grid_.fiber_members(u, v)) {
+      if (m != rank) out.peers.push_back(m);
     }
-    store.emplace(p());
-    ckpt.emplace(p());
-    for (int rank = 0; rank < p(); ++rank) {
-      const int u = grid_.u_of(rank), v = grid_.v_of(rank),
-                w = grid_.w_of(rank);
-      const auto& split = su.value_split[static_cast<std::size_t>(
-          u * grid_.q() + v)];
-      const auto& values = cell(su, u, v).coo.values;
-      std::vector<Scalar> shard(
-          values.begin() + split[static_cast<std::size_t>(w)],
-          values.begin() + split[static_cast<std::size_t>(w) + 1]);
-      std::vector<int> peers;
-      for (const int m : grid_.fiber_members(u, v)) {
-        if (m != rank) peers.push_back(m);
-      }
-      ckpt->save_shard(rank, {shard.begin(), shard.end()});
-      store->set_shard(rank, std::move(shard), std::move(peers));
-    }
-    store->finalize();
-    ReplicaStore* sp = &*store;
-    CheckpointStore* cp = &*ckpt;
-    wo.on_crash = [sp, cp](const CrashInfo& crash) {
-      sp->scrub(crash.rank);
-      if (sp->can_reconstruct(crash.rank)) {
-        sp->reconstruct(crash.rank);
-      } else {
-        cp->restore(crash.rank);
-        sp->adopt(crash.rank, cp->values(crash.rank));
-      }
-    };
-    return wo;
+    return out;
+  }
+
+  /// The A (B) width slice resident on rank (u, v, w) at step 0.
+  DenseMatrix a0_slice(const Setup& su, int u, int v, int w,
+                       const DenseMatrix& a) const {
+    return dense_block(a, static_cast<Index>(u) * su.mq, su.mq,
+                       slice_at(u, v, w, 0) * su.rqc, su.rqc);
+  }
+  DenseMatrix b0_slice(const Setup& su, int u, int v, int w,
+                       const DenseMatrix& b) const {
+    return dense_block(b, static_cast<Index>(v) * su.nq, su.nq,
+                       slice_at(u, v, w, 0) * su.rqc, su.rqc);
+  }
+
+  /// The SDDMM dot loop: both dense slices circulate while the cell's
+  /// dot buffer stays put, then one fiber all-reduce sums the c ranks'
+  /// width-slice partials. Returns the cell's full dot products.
+  std::vector<Scalar> cell_dots(Comm& comm, const Setup& su, int u, int v,
+                                int w, const DenseMatrix& a,
+                                const DenseMatrix& b,
+                                const WireCodec& codec) const {
+    const auto& sc = cell(su, u, v);
+    std::vector<Scalar> dots(sc.coo.size(), Scalar{0});
+    const ShiftCompression acomp =
+        a_compression(su, u, v, /*mutates=*/false, codec);
+    const ShiftCompression bcomp =
+        b_compression(su, u, v, /*mutates=*/false, codec);
+    ShiftChannel channels[] = {
+        ring_channel(grid_.row_members(u, w), v, kTagShift,
+                     /*mutates=*/false, a0_slice(su, u, v, w, a), acomp),
+        ring_channel(grid_.col_members(v, w), u, kTagShiftDense,
+                     /*mutates=*/false, b0_slice(su, u, v, w, b), bcomp)};
+    const auto hooks = journal_state(dots);
+    run_shift_loop(comm, options().schedule, grid_.q(), channels, [&](int) {
+      comm.stats().add_flops(masked_dot_products(
+          sc.csr, channels[0].dense, channels[1].dense, dots));
+    }, &hooks);
+    PhaseScope scope(comm.stats(), Phase::Replication);
+    Group fiber(comm, grid_.fiber_members(u, v));
+    return fiber.allreduce(dots);
+  }
+
+  /// SpMMA pass over the stationary cell `csr`: the B slices circulate
+  /// alongside the circulating A-shaped accumulators, which land home
+  /// after q steps and are placed into the output.
+  void spmma_pass(Comm& comm, const Setup& su, int u, int v, int w,
+                  const CsrMatrix& csr, const DenseMatrix& b,
+                  DenseMatrix& out, const WireCodec& codec) const {
+    const ShiftCompression acomp =
+        a_compression(su, u, v, /*mutates=*/true, codec);
+    const ShiftCompression bcomp =
+        b_compression(su, u, v, /*mutates=*/false, codec);
+    ShiftChannel channels[] = {
+        ring_channel(grid_.row_members(u, w), v, kTagShift,
+                     /*mutates=*/true, DenseMatrix(su.mq, su.rqc), acomp),
+        ring_channel(grid_.col_members(v, w), u, kTagShiftDense,
+                     /*mutates=*/false, b0_slice(su, u, v, w, b), bcomp)};
+    run_shift_loop(comm, options().schedule, grid_.q(), channels, [&](int) {
+      comm.stats().add_flops(
+          spmm_a(csr, channels[1].dense, channels[0].dense));
+    });
+    PhaseScope scope(comm.stats(), Phase::Computation);
+    place_block(out, channels[0].dense, static_cast<Index>(u) * su.mq,
+                slice_at(u, v, w, 0) * su.rqc);
+  }
+
+  /// SpMMB pass, the mirror image: A slices circulate alongside the
+  /// circulating B-shaped accumulators.
+  void spmmb_pass(Comm& comm, const Setup& su, int u, int v, int w,
+                  const CsrMatrix& csr, const DenseMatrix& a,
+                  DenseMatrix& out, const WireCodec& codec) const {
+    const ShiftCompression acomp =
+        a_compression(su, u, v, /*mutates=*/false, codec);
+    const ShiftCompression bcomp =
+        b_compression(su, u, v, /*mutates=*/true, codec);
+    ShiftChannel channels[] = {
+        ring_channel(grid_.row_members(u, w), v, kTagShift,
+                     /*mutates=*/false, a0_slice(su, u, v, w, a), acomp),
+        ring_channel(grid_.col_members(v, w), u, kTagShiftDense,
+                     /*mutates=*/true, DenseMatrix(su.nq, su.rqc), bcomp)};
+    run_shift_loop(comm, options().schedule, grid_.q(), channels, [&](int) {
+      comm.stats().add_flops(
+          spmm_b(csr, channels[0].dense, channels[1].dense));
+    });
+    PhaseScope scope(comm.stats(), Phase::Computation);
+    place_block(out, channels[1].dense, static_cast<Index>(v) * su.nq,
+                slice_at(u, v, w, 0) * su.rqc);
   }
 
   Grid25D grid_;
 };
 
-KernelResult SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
-                                          const CooMatrix& s,
-                                          const DenseMatrix& a,
-                                          const DenseMatrix& b) const {
-  const Setup& su = setup_of(ctx);
-  KernelResult result;
-  // Every rank writes its disjoint block of the dense outputs, which
-  // together cover every row, so they start unwritten.
-  if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix::uninitialized(su.m, su.r);
-  } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix::uninitialized(su.n, su.r);
-  } else {
-    result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
-                               Scalar{0});
-  }
-  const int q = grid_.q();
+void SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
+                                  const CooMatrix&, const DenseMatrix& a,
+                                  const DenseMatrix& b,
+                                  KernelResult& out) const {
+  const auto& su = planned_setup<Setup>(ctx, kind());
   const WireCodec codec = effective_wire_codec(options(), ctx);
-  std::optional<ReplicaStore> store;
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, store, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
+  Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
+  out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();
     const int u = grid_.u_of(rank), v = grid_.v_of(rank),
               w = grid_.w_of(rank);
-    const auto row_ring = grid_.row_members(u, w);
-    const auto col_ring = grid_.col_members(v, w);
-    const Index s0 = slice_at(u, v, w, 0);
     const auto& sc = cell(su, u, v);
-    const std::vector<Scalar>* live =
-        store ? &store->values(rank) : nullptr;
-    const auto a_piece = [&] {
-      return dense_block(a, static_cast<Index>(u) * su.mq, su.mq,
-                         s0 * su.rqc, su.rqc);
-    };
-    const auto b_piece = [&] {
-      return dense_block(b, static_cast<Index>(v) * su.nq, su.nq,
-                         s0 * su.rqc, su.rqc);
-    };
     // The cell's values are canonically split across the fiber; every
     // kernel starts by assembling the full value vector.
-    const auto values_full = gather_values(comm, su, u, v, w, live, codec);
+    const auto values_full = gather_values(
+        comm, su, u, v, value_slice(su, u, v, w, rec.live(rank)), codec);
     switch (mode) {
       case Mode::SDDMM: {
-        std::vector<Scalar> dots(sc.coo.size(), Scalar{0});
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/false, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/false, codec);
-        ShiftChannel channels[] = {
-            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
-                         a_piece(), acomp),
-            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
-                         b_piece(), bcomp)};
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] {
-          return pack_values(std::span<const Scalar>(dots));
-        };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          dots = unpack_values(words);
-        };
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          comm.stats().add_flops(masked_dot_products(
-              sc.csr, channels[0].dense, channels[1].dense, dots));
-        }, &hooks);
-        std::vector<Scalar> dots_full;
-        {
-          PhaseScope scope(comm.stats(), Phase::Replication);
-          Group fiber(comm, grid_.fiber_members(u, v));
-          dots_full = fiber.allreduce(dots);
-        }
+        const auto dots_full = cell_dots(comm, su, u, v, w, a, b, codec);
         // Each fiber rank finalizes its canonical value range.
         PhaseScope scope(comm.stats(), Phase::Computation);
         const auto& split = su.value_split[static_cast<std::size_t>(
-            u * q + v)];
+            u * grid_.q() + v)];
         for (Index k = split[static_cast<std::size_t>(w)];
              k < split[static_cast<std::size_t>(w) + 1]; ++k) {
           const auto kk = static_cast<std::size_t>(k);
-          result.sddmm_values[static_cast<std::size_t>(sc.entries[kk])] =
+          out.sddmm_values[static_cast<std::size_t>(sc.entries[kk])] =
               values_full[kk] * dots_full[kk];
         }
         comm.stats().add_flops(sc.nnz() / std::max(1, c()));
         return;
       }
       case Mode::SpMMA: {
-        const auto cell_csr = csr_with_values(sc.csr, values_full);
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/true, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/false, codec);
-        ShiftChannel channels[] = {
-            ring_channel(row_ring, v, kTagShift, /*mutates=*/true,
-                         DenseMatrix(su.mq, su.rqc), acomp),
-            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
-                         b_piece(), bcomp)};
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          comm.stats().add_flops(
-              spmm_a(cell_csr, channels[1].dense, channels[0].dense));
-        });
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense, channels[0].dense,
-                    static_cast<Index>(u) * su.mq, s0 * su.rqc);
+        spmma_pass(comm, su, u, v, w, csr_with_values(sc.csr, values_full),
+                   b, out.dense, codec);
         return;
       }
       case Mode::SpMMB: {
-        const auto cell_csr = csr_with_values(sc.csr, values_full);
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/false, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/true, codec);
-        ShiftChannel channels[] = {
-            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
-                         a_piece(), acomp),
-            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/true,
-                         DenseMatrix(su.nq, su.rqc), bcomp)};
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          comm.stats().add_flops(
-              spmm_b(cell_csr, channels[0].dense, channels[1].dense));
-        });
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense, channels[1].dense,
-                    static_cast<Index>(v) * su.nq, s0 * su.rqc);
+        spmmb_pass(comm, su, u, v, w, csr_with_values(sc.csr, values_full),
+                   a, out.dense, codec);
         return;
       }
     }
     fail("2.5D-SparseRepl: unknown mode");
-  }, wo);
-  return result;
+  }, rec.world_options());
 }
 
-FusedResult SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
-                                          FusedOrientation orientation,
-                                          Elision, const CooMatrix&,
-                                          const DenseMatrix& a,
-                                          const DenseMatrix& b,
-                                          int repetitions) const {
-  const Setup& su = setup_of(ctx);
-  const int q = grid_.q();
+void SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
+                                   FusedOrientation orientation, Elision,
+                                   const CooMatrix&, const DenseMatrix& a,
+                                   const DenseMatrix& b, int repetitions,
+                                   FusedResult& out) const {
+  const auto& su = planned_setup<Setup>(ctx, kind());
   const WireCodec codec = effective_wire_codec(options(), ctx);
-  FusedResult result;
-  // Every rank writes its disjoint block, covering every row.
-  result.output = DenseMatrix::uninitialized(
-      orientation == FusedOrientation::A ? su.m : su.n, su.r);
-  std::optional<ReplicaStore> store;
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, store, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
+  Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
+  out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();
     const int u = grid_.u_of(rank), v = grid_.v_of(rank),
               w = grid_.w_of(rank);
-    const auto row_ring = grid_.row_members(u, w);
-    const auto col_ring = grid_.col_members(v, w);
-    const Index s0 = slice_at(u, v, w, 0);
     const auto& sc = cell(su, u, v);
-    const std::vector<Scalar>* live =
-        store ? &store->values(rank) : nullptr;
-    const auto a_piece = [&] {
-      return dense_block(a, static_cast<Index>(u) * su.mq, su.mq,
-                         s0 * su.rqc, su.rqc);
-    };
-    const auto b_piece = [&] {
-      return dense_block(b, static_cast<Index>(v) * su.nq, su.nq,
-                         s0 * su.rqc, su.rqc);
-    };
+    const auto slice = value_slice(su, u, v, w, rec.live(rank));
     for (int rep = 0; rep < repetitions; ++rep) {
       // SDDMM pass: both dense slices circulate, the dot buffer stays.
-      const auto values_full =
-          gather_values(comm, su, u, v, w, live, codec);
-      std::vector<Scalar> dots(sc.coo.size(), Scalar{0});
-      {
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/false, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/false, codec);
-        ShiftChannel channels[] = {
-            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
-                         a_piece(), acomp),
-            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
-                         b_piece(), bcomp)};
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] {
-          return pack_values(std::span<const Scalar>(dots));
-        };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          dots = unpack_values(words);
-        };
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          comm.stats().add_flops(masked_dot_products(
-              sc.csr, channels[0].dense, channels[1].dense, dots));
-        }, &hooks);
-      }
-      std::vector<Scalar> dots_full;
-      {
-        PhaseScope scope(comm.stats(), Phase::Replication);
-        Group fiber(comm, grid_.fiber_members(u, v));
-        dots_full = fiber.allreduce(dots);
-      }
+      const auto values_full = gather_values(comm, su, u, v, slice, codec);
+      const auto dots_full = cell_dots(comm, su, u, v, w, a, b, codec);
       std::vector<Scalar> r_values(sc.coo.size());
       {
         PhaseScope scope(comm.stats(), Phase::Computation);
         hadamard_values(values_full, dots_full, r_values);
         comm.stats().add_flops(sc.nnz());
       }
-      const auto r_csr = csr_with_values(sc.csr, r_values);
       // SpMM pass: the input slices circulate again, now alongside the
       // circulating output accumulators.
+      const auto r_csr = csr_with_values(sc.csr, r_values);
       if (orientation == FusedOrientation::A) {
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/true, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/false, codec);
-        ShiftChannel channels[] = {
-            ring_channel(row_ring, v, kTagShift, /*mutates=*/true,
-                         DenseMatrix(su.mq, su.rqc), acomp),
-            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
-                         b_piece(), bcomp)};
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          comm.stats().add_flops(
-              spmm_a(r_csr, channels[1].dense, channels[0].dense));
-        });
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output, channels[0].dense,
-                    static_cast<Index>(u) * su.mq, s0 * su.rqc);
+        spmma_pass(comm, su, u, v, w, r_csr, b, out.output, codec);
       } else {
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/false, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/true, codec);
-        ShiftChannel channels[] = {
-            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
-                         a_piece(), acomp),
-            ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/true,
-                         DenseMatrix(su.nq, su.rqc), bcomp)};
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          comm.stats().add_flops(
-              spmm_b(r_csr, channels[0].dense, channels[1].dense));
-        });
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output, channels[1].dense,
-                    static_cast<Index>(v) * su.nq, s0 * su.rqc);
+        spmmb_pass(comm, su, u, v, w, r_csr, a, out.output, codec);
       }
     }
-  }, wo);
-  return result;
+  }, rec.world_options());
 }
 
 } // namespace

@@ -3,9 +3,10 @@
 /// The immutable Plan / execute split over the distributed drivers.
 ///
 /// `make_plan` runs every data-dependent setup step of a driver once —
-/// grid placement, shards, row/col support unions, compression
-/// schedules — and freezes the result in a `Plan` that can be executed
-/// any number of times. `Plan::execute` is bit-identical to the classic
+/// grid placement, shards, row/col support unions — and freezes the
+/// result in a `Plan` that can be executed any number of times (each
+/// execute still derives the propagation compression schedules from
+/// the frozen supports). `Plan::execute` is bit-identical to the classic
 /// `DistAlgorithm::run_kernel` call for the same inputs, but its stats
 /// report zero setup builds and zero setup seconds: the per-request cost
 /// is the kernel alone. A serving layer keeps one Plan (plus a resident

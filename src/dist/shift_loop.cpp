@@ -99,6 +99,26 @@ void restore_payload(ShiftChannel& ch, const MessageWords& words) {
 
 } // namespace
 
+ShiftJournalHooks journal_state(DenseMatrix& state) {
+  ShiftJournalHooks hooks;
+  hooks.pack_state = [&state] { return pack_dense(state); };
+  hooks.unpack_state = [&state](const MessageWords& words) {
+    state = unpack_dense(words, state.rows(), state.cols());
+  };
+  return hooks;
+}
+
+ShiftJournalHooks journal_state(std::vector<Scalar>& state) {
+  ShiftJournalHooks hooks;
+  hooks.pack_state = [&state] {
+    return pack_values(std::span<const Scalar>(state));
+  };
+  hooks.unpack_state = [&state](const MessageWords& words) {
+    state = unpack_values(words);
+  };
+  return hooks;
+}
+
 void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
                     std::span<ShiftChannel> channels,
                     const std::function<void(int)>& compute,

@@ -108,11 +108,18 @@ struct ShiftChannel {
 /// snapshot through unpack_state and resumes at the next step — the
 /// outputs stay bit-identical because the replayed suffix starts from
 /// exactly the state the completed prefix left behind. Drivers without
-/// extra state pass nothing.
+/// extra state pass nothing; the others build the hooks with
+/// journal_state.
 struct ShiftJournalHooks {
   std::function<MessageWords()> pack_state;
   std::function<void(const MessageWords&)> unpack_state;
 };
+
+/// Hooks that journal one stationary accumulator: a dense partial (the
+/// SpMM passes) or a value vector (SDDMM dots). The state must outlive
+/// the loop and keep its shape; a restore overwrites it in place.
+ShiftJournalHooks journal_state(DenseMatrix& state);
+ShiftJournalHooks journal_state(std::vector<Scalar>& state);
 
 /// Run `steps` propagation rounds. compute(step) reads (and for mutating
 /// channels rewrites) the resident blocks; communication is charged to

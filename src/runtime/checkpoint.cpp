@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "runtime/fault.hpp"
@@ -34,13 +35,13 @@ std::uint64_t values_digest(std::span<const Scalar> values) {
   return fnv1a_words(words.data(), words.size());
 }
 
-CheckpointStore::CheckpointStore(int num_ranks)
-    : entries_(static_cast<std::size_t>(num_ranks)) {
+CheckpointStore::CheckpointStore(int num_ranks, std::string stem)
+    : entries_(static_cast<std::size_t>(num_ranks)), stem_(std::move(stem)) {
   if (const char* dir = std::getenv("DSK_CKPT_DIR")) dir_ = dir;
 }
 
 std::string CheckpointStore::shard_path(int rank) const {
-  return dir_ + "/shard_" + std::to_string(rank) + ".ckpt";
+  return dir_ + "/" + stem_ + "_" + std::to_string(rank) + ".ckpt";
 }
 
 void CheckpointStore::write_disk(int rank) const {

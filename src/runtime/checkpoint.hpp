@@ -31,8 +31,10 @@ std::uint64_t values_digest(std::span<const Scalar> values);
 class CheckpointStore {
  public:
   /// Reads `DSK_CKPT_DIR` once at construction; when set, shards are
-  /// mirrored to `<dir>/shard_<rank>.ckpt` and restores prefer the file.
-  explicit CheckpointStore(int num_ranks);
+  /// mirrored to `<dir>/<stem>_<rank>.ckpt` and restores prefer the
+  /// file. Stores that can be alive at the same time use distinct stems,
+  /// so neither overwrites the other's files.
+  explicit CheckpointStore(int num_ranks, std::string stem = "shard");
 
   /// Snapshot the rank's shard values into the stable store (and the
   /// disk backend when enabled). The live copy kernels read through
@@ -75,6 +77,7 @@ class CheckpointStore {
   };
   std::vector<Entry> entries_;
   std::string dir_; ///< empty = in-memory only
+  std::string stem_;
   int saves_ = 0;
   int restores_ = 0;
 };

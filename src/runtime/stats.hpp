@@ -250,10 +250,10 @@ class WorldStats {
   }
 
   /// Plan/execute accounting: how many times this call built the
-  /// per-driver Setup (grid, shards, support unions, compression
-  /// schedules) and how long those builds took. A fresh `run_kernel` /
-  /// `run_fusedmm` call reports (1, measured); executing a prebuilt
-  /// `Plan` reports (0, 0.0) — the setup was paid once at plan time.
+  /// per-driver Setup (grid, shards, support unions) and how long those
+  /// builds took. A fresh `run_kernel` / `run_fusedmm` call reports
+  /// (1, measured); executing a prebuilt `Plan` reports (0, 0.0) — the
+  /// setup was paid once at plan time.
   /// 1.5D dense shifting's orientation-B `LocalKernelFusion` also builds
   /// a setup of Sᵀ on every call and adds (1, measured) to either
   /// report. A degraded run's re-plan onto the smaller world is reported

@@ -23,6 +23,7 @@
 
 #include "common/rng.hpp"
 #include "dist/algorithm.hpp"
+#include "dist/plan.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/world.hpp"
@@ -376,6 +377,71 @@ TEST(FaultTolerance, FusedMmCrashRecoversBitIdentically) {
     EXPECT_EQ(got.output.max_abs_diff(clean.output), 0.0);
     EXPECT_EQ(got.stats.recoveries(), 1);
   }
+}
+
+TEST(FaultTolerance, EveryEntryPointHealsACrash) {
+  // One crash through every supported (family, entry point): the three
+  // kernels of each grid family, the baseline's SpMMA, and every
+  // FusedMM orientation x elision the family admits. Each run must heal
+  // with exactly one recovery and match the clean run bit for bit.
+  const Problem pr = make_problem(32, 48, 8, 67);
+  struct Family {
+    AlgorithmKind kind;
+    int p;
+    int c;
+    const char* crash;
+  };
+  const Family families[] = {
+      {AlgorithmKind::DenseShift15D, 8, 2, "crash=3@step:1"},
+      {AlgorithmKind::SparseShift15D, 8, 2, "crash=3@step:1"},
+      {AlgorithmKind::DenseRepl25D, 8, 2, "crash=3@step:1"},
+      {AlgorithmKind::SparseRepl25D, 8, 2, "crash=3@step:1"},
+      {AlgorithmKind::Baseline1D, 4, 1, "crash=1@any:0"},
+  };
+  int kernel_cases = 0;
+  int fused_cases = 0;
+  for (const Family& f : families) {
+    const FaultPlan plan = parse_fault_plan(f.crash);
+    AlgorithmOptions options;
+    options.faults = &plan;
+    const auto clean = make_algorithm(f.kind, f.p, f.c);
+    const auto faulty = make_algorithm(f.kind, f.p, f.c, options);
+    for (const Mode mode : {Mode::SDDMM, Mode::SpMMA, Mode::SpMMB}) {
+      if (f.kind == AlgorithmKind::Baseline1D && mode != Mode::SpMMA) {
+        continue;
+      }
+      SCOPED_TRACE(to_string(f.kind) + " " + to_string(mode));
+      const KernelResult want = clean->run_kernel(mode, pr.s, pr.a, pr.b);
+      const KernelResult got = faulty->run_kernel(mode, pr.s, pr.a, pr.b);
+      EXPECT_EQ(got.dense.max_abs_diff(want.dense), 0.0);
+      EXPECT_EQ(got.sddmm_values, want.sddmm_values);
+      EXPECT_EQ(got.stats.recoveries(), 1);
+      ++kernel_cases;
+    }
+    for (const FusedOrientation orientation :
+         {FusedOrientation::A, FusedOrientation::B}) {
+      for (const Elision elision :
+           {Elision::None, Elision::ReplicationReuse,
+            Elision::LocalKernelFusion}) {
+        if (!clean->supports(elision) ||
+            (f.kind == AlgorithmKind::Baseline1D &&
+             orientation == FusedOrientation::B)) {
+          continue;
+        }
+        SCOPED_TRACE(to_string(f.kind) + " FusedMM " +
+                     to_string(orientation) + " " + to_string(elision));
+        const FusedResult want =
+            clean->run_fusedmm(orientation, elision, pr.s, pr.a, pr.b);
+        const FusedResult got =
+            faulty->run_fusedmm(orientation, elision, pr.s, pr.a, pr.b);
+        EXPECT_EQ(got.output.max_abs_diff(want.output), 0.0);
+        EXPECT_EQ(got.stats.recoveries(), 1);
+        ++fused_cases;
+      }
+    }
+  }
+  EXPECT_EQ(kernel_cases, 13);
+  EXPECT_EQ(fused_cases, 17);
 }
 
 TEST(FaultTolerance, SingleReplicaCrashHealsFromCheckpoint) {
@@ -764,6 +830,53 @@ TEST(CheckpointStoreTest, DiskBackendRestoresAndDetectsCorruption) {
   }
   ::unsetenv("DSK_CKPT_DIR");
   fs::remove_all(dir);
+}
+
+TEST(CheckpointStoreTest, DiskBackendKeepsRunAndDegradeCheckpointsApart) {
+  // Drivers under DSK_CKPT_DIR: a fault-free run writes nothing, a
+  // degraded run restores its input checkpoint even though the crashed
+  // run's per-rank checkpoints share the directory, and a crash heals
+  // from the files on disk.
+  namespace fs = std::filesystem;
+  std::string dir_name =
+      (fs::temp_directory_path() / "dsk_ckpt_runs_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir_name.data()), nullptr);
+  const fs::path dir = dir_name;
+  ::setenv("DSK_CKPT_DIR", dir.c_str(), 1);
+  // Unset the variable and remove the directory even if a run throws.
+  struct Cleanup {
+    fs::path dir;
+    ~Cleanup() {
+      ::unsetenv("DSK_CKPT_DIR");
+      fs::remove_all(dir);
+    }
+  } cleanup{dir};
+  const Problem pr = make_problem(32, 48, 8, 71);
+  const Plan plan = make_plan(AlgorithmKind::DenseShift15D, 8, 2, pr.s,
+                              pr.a.cols());
+  const KernelResult clean = plan.execute(Mode::SpMMA, pr.s, pr.a, pr.b);
+  EXPECT_TRUE(fs::is_empty(dir));
+  {
+    const FaultPlan faults = parse_fault_plan("crash=1@any:0");
+    AlgorithmOptions options;
+    options.faults = &faults;
+    options.max_recoveries = 0;
+    options.degrade = true;
+    const KernelResult got = run_kernel_opts(
+        AlgorithmKind::DenseShift15D, 8, 2, Mode::SpMMA, pr, options);
+    EXPECT_LE(got.dense.max_abs_diff(clean.dense), 1e-9);
+    EXPECT_EQ(got.stats.degraded_rank(), 1);
+    EXPECT_EQ(got.stats.degraded_from(), 8);
+    EXPECT_EQ(got.stats.degraded_to(), 7);
+  }
+  {
+    const FaultPlan faults = parse_fault_plan("crash=3@step:1");
+    const KernelResult got = run_kernel_with(
+        AlgorithmKind::DenseShift15D, 8, 2, Mode::SpMMA, pr, &faults);
+    EXPECT_EQ(got.dense.max_abs_diff(clean.dense), 0.0);
+    EXPECT_EQ(got.stats.recoveries(), 1);
+    EXPECT_TRUE(fs::exists(dir / "shard_3.ckpt"));
+  }
 }
 
 // ---------------------------------------------------------------------

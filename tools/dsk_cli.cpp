@@ -563,6 +563,12 @@ int main(int argc, char** argv) {
     Timer timer;
     WorldStats stats;
     double max_err = -1;
+    // Max absolute error relative to the reference's norm (at least 1).
+    const auto rel_err = [](const DenseMatrix& got,
+                            const DenseMatrix& want) {
+      return got.max_abs_diff(want) /
+             std::max<Scalar>(want.frobenius_norm(), 1.0);
+    };
 
     if (opt.op == "fusedmm-a" || opt.op == "fusedmm-b") {
       const auto orientation = opt.op == "fusedmm-a" ? FusedOrientation::A
@@ -570,13 +576,12 @@ int main(int argc, char** argv) {
       auto result = algo->run_fusedmm(orientation, elision, padded.s,
                                       padded.a, padded.b, opt.reps);
       stats = std::move(result.stats);
-      if (opt.verify && kind != AlgorithmKind::Baseline1D) {
-        const auto expected =
+      if (opt.verify) {
+        max_err = rel_err(
+            result.output,
             orientation == FusedOrientation::A
                 ? reference_fusedmm_a(padded.s, padded.a, padded.b)
-                : reference_fusedmm_b(padded.s, padded.a, padded.b);
-        max_err = result.output.max_abs_diff(expected) /
-                  std::max<Scalar>(expected.frobenius_norm(), 1.0);
+                : reference_fusedmm_b(padded.s, padded.a, padded.b));
       }
     } else {
       Mode mode;
@@ -587,13 +592,15 @@ int main(int argc, char** argv) {
       auto result = algo->run_kernel(mode, padded.s, padded.a, padded.b);
       stats = std::move(result.stats);
       if (opt.verify && mode == Mode::SpMMA) {
-        const auto expected = reference_spmm_a(padded.s, padded.b);
-        max_err = result.dense.max_abs_diff(expected) /
-                  std::max<Scalar>(expected.frobenius_norm(), 1.0);
+        max_err = rel_err(result.dense, reference_spmm_a(padded.s, padded.b));
       } else if (opt.verify && mode == Mode::SpMMB) {
-        const auto expected = reference_spmm_b(padded.s, padded.a);
-        max_err = result.dense.max_abs_diff(expected) /
-                  std::max<Scalar>(expected.frobenius_norm(), 1.0);
+        max_err = rel_err(result.dense, reference_spmm_b(padded.s, padded.a));
+      } else if (opt.verify) {
+        // SDDMM values in S's entry order, compared as one column.
+        const auto expected = reference_sddmm(padded.s, padded.a, padded.b);
+        const Index nnz = expected.nnz();
+        max_err = rel_err(DenseMatrix(nnz, 1, result.sddmm_values),
+                          DenseMatrix(nnz, 1, expected.values()));
       }
     }
     const double wall = timer.seconds();
