@@ -6,7 +6,8 @@
 ///   seed      — the seed repo's kernels: generic scalar inner loop
 ///               (replicated here verbatim as the baseline)
 ///   tuned     — the current library kernels: width-specialized
-///               (r in {32,64,128}) inner loops
+///               (r in {16,32,64,128}) inner loops; 16 is the 2.5D
+///               sparse-replicating slice width r/(qc) at r = 32, q = 2
 ///
 /// Results are printed as a table and written as a flat JSON array
 /// (default BENCH_local_kernels.json) with one record per (kernel, impl,
@@ -295,7 +296,7 @@ int main(int argc, char** argv) {
   Harness h;
   h.min_total = opt.quick ? 0.05 : 0.5;
   h.max_iters = opt.quick ? 3 : 10;
-  for (const Index r : {Index{32}, Index{64}, Index{128}}) {
+  for (const Index r : {Index{16}, Index{32}, Index{64}, Index{128}}) {
     bench_width(h, opt, r);
   }
   if (!h.records.write(opt.out)) {

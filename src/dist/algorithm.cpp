@@ -75,9 +75,7 @@ Result run_degradable(const DistAlgorithm& algo, const ExecContext& ctx,
                       const Rerun& rerun, const Unpad& unpad) {
   const AlgorithmOptions& options = algo.options();
   if (!options.degrade || !can_crash(options)) return attempt();
-  // Its own file stem: the run's per-rank checkpoints must not overwrite
-  // the input's file under DSK_CKPT_DIR.
-  CheckpointStore inputs(1, "degrade_input");
+  CheckpointStore inputs(1);
   inputs.save_shard(0, {s.values().begin(), s.values().end()});
   try {
     return attempt();

@@ -524,8 +524,10 @@ class SparseRepl25D final : public DistAlgorithm {
   }
 
   /// All-gather the cell's canonically split values along the fiber,
-  /// this rank contributing `slice` (see value_slice); returns the full
-  /// value vector (cost: (c-1)/c * cell_nnz words).
+  /// this rank contributing `slice` (see value_slice), into `full`;
+  /// returns the full value vector (cost: (c-1)/c * cell_nnz words). A
+  /// one-rank fiber is the rank itself: its slice is the whole cell, so
+  /// it gathers nothing and returns `slice`.
   /// The replication traffic of this family is already sparsity-sized
   /// (values and dot buffers, no dense row blocks), so the
   /// options().replication knob has nothing to elide here: SparseRows
@@ -534,9 +536,11 @@ class SparseRepl25D final : public DistAlgorithm {
   /// this family: both circulating dense slices compress against the
   /// stationary cells' supports (A by rows, B by columns) — see
   /// a_compression / b_compression below.
-  std::vector<Scalar> gather_values(Comm& comm, const Setup& su, int u,
-                                    int v, std::span<const Scalar> slice,
-                                    const WireCodec& codec) const {
+  std::span<const Scalar> gather_values(Comm& comm, const Setup& su, int u,
+                                        int v, std::span<const Scalar> slice,
+                                        const WireCodec& codec,
+                                        std::vector<Scalar>& full) const {
+    if (c() == 1) return slice;
     PhaseScope scope(comm.stats(), Phase::Replication);
     Group fiber(comm, grid_.fiber_members(u, v));
     const auto& split = su.value_split[static_cast<std::size_t>(
@@ -547,7 +551,7 @@ class SparseRepl25D final : public DistAlgorithm {
     std::vector<std::size_t> offsets;
     const auto words =
         fiber.allgather_words(pack_values(slice, codec), &offsets);
-    std::vector<Scalar> full;
+    full.clear();
     full.reserve(cell(su, u, v).coo.size());
     for (int i = 0; i < c(); ++i) {
       const auto ii = static_cast<std::size_t>(i);
@@ -607,7 +611,8 @@ class SparseRepl25D final : public DistAlgorithm {
 
   /// The SDDMM dot loop: both dense slices circulate while the cell's
   /// dot buffer stays put, then one fiber all-reduce sums the c ranks'
-  /// width-slice partials. Returns the cell's full dot products.
+  /// width-slice partials (a one-rank fiber's buffer is returned as is).
+  /// Returns the cell's full dot products.
   std::vector<Scalar> cell_dots(Comm& comm, const Setup& su, int u, int v,
                                 int w, const DenseMatrix& a,
                                 const DenseMatrix& b,
@@ -630,7 +635,7 @@ class SparseRepl25D final : public DistAlgorithm {
     }, &hooks);
     PhaseScope scope(comm.stats(), Phase::Replication);
     Group fiber(comm, grid_.fiber_members(u, v));
-    return fiber.allreduce(dots);
+    return fiber.allreduce(std::move(dots));
   }
 
   /// SpMMA pass over the stationary cell `csr`: the B slices circulate
@@ -697,8 +702,10 @@ void SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
     const auto& sc = cell(su, u, v);
     // The cell's values are canonically split across the fiber; every
     // kernel starts by assembling the full value vector.
-    const auto values_full = gather_values(
-        comm, su, u, v, value_slice(su, u, v, w, rec.live(rank)), codec);
+    std::vector<Scalar> gathered;
+    const auto values_full =
+        gather_values(comm, su, u, v, value_slice(su, u, v, w, rec.live(rank)),
+                      codec, gathered);
     switch (mode) {
       case Mode::SDDMM: {
         const auto dots_full = cell_dots(comm, su, u, v, w, a, b, codec);
@@ -744,9 +751,11 @@ void SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
               w = grid_.w_of(rank);
     const auto& sc = cell(su, u, v);
     const auto slice = value_slice(su, u, v, w, rec.live(rank));
+    std::vector<Scalar> gathered;
     for (int rep = 0; rep < repetitions; ++rep) {
       // SDDMM pass: both dense slices circulate, the dot buffer stays.
-      const auto values_full = gather_values(comm, su, u, v, slice, codec);
+      const auto values_full =
+          gather_values(comm, su, u, v, slice, codec, gathered);
       const auto dots_full = cell_dots(comm, su, u, v, w, a, b, codec);
       std::vector<Scalar> r_values(sc.coo.size());
       {

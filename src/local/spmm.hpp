@@ -6,7 +6,8 @@
 ///   SpMMB: B += S^T . A    (output has B's shape)
 ///
 /// Both kernels are serial row loops, width-specialized for the paper's
-/// benchmark widths r in {32, 64, 128} (see width_dispatch.hpp).
+/// benchmark widths r in {32, 64, 128} and the 2.5D slice width 16 (see
+/// width_dispatch.hpp).
 
 #include "dense/dense_matrix.hpp"
 #include "sparse/csr.hpp"

@@ -1,6 +1,9 @@
 #include "runtime/checkpoint.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +19,11 @@ namespace {
 
 /// File layout: [magic, rank, digest, count, count Scalar words].
 constexpr std::uint64_t kCkptMagic = 0x64736b2d636b7074ull; // "dsk-ckpt"
+
+/// Numbers the stores of the process for their file names.
+std::atomic<std::uint64_t> g_stores{0};
+/// Restores served from disk, over every store (disk_restores()).
+std::atomic<int> g_disk_restores{0};
 
 [[noreturn]] void restore_error(int rank, const std::string& why) {
   CrashInfo info;
@@ -35,13 +43,28 @@ std::uint64_t values_digest(std::span<const Scalar> values) {
   return fnv1a_words(words.data(), words.size());
 }
 
-CheckpointStore::CheckpointStore(int num_ranks, std::string stem)
-    : entries_(static_cast<std::size_t>(num_ranks)), stem_(std::move(stem)) {
-  if (const char* dir = std::getenv("DSK_CKPT_DIR")) dir_ = dir;
+CheckpointStore::CheckpointStore(int num_ranks)
+    : entries_(static_cast<std::size_t>(num_ranks)) {
+  if (const char* dir = std::getenv("DSK_CKPT_DIR")) {
+    prefix_ = std::string(dir) + "/ckpt_" + std::to_string(::getpid()) +
+              "_" + std::to_string(g_stores.fetch_add(1)) + "_";
+  }
 }
 
+CheckpointStore::~CheckpointStore() {
+  if (prefix_.empty()) return;
+  for (std::size_t rank = 0; rank < entries_.size(); ++rank) {
+    if (entries_[rank].present) {
+      std::remove(shard_path(static_cast<int>(rank)).c_str());
+    }
+  }
+}
+
+int CheckpointStore::disk_restores() { return g_disk_restores.load(); }
+
 std::string CheckpointStore::shard_path(int rank) const {
-  return dir_ + "/" + stem_ + "_" + std::to_string(rank) + ".ckpt";
+  if (prefix_.empty()) return {};
+  return prefix_ + std::to_string(rank) + ".ckpt";
 }
 
 void CheckpointStore::write_disk(int rank) const {
@@ -92,7 +115,7 @@ void CheckpointStore::save_shard(int rank, std::vector<Scalar> values) {
   e.digest = values_digest(e.stable);
   e.present = true;
   ++saves_;
-  if (!dir_.empty()) write_disk(rank);
+  if (!prefix_.empty()) write_disk(rank);
 }
 
 const std::vector<Scalar>& CheckpointStore::values(int rank) const {
@@ -110,9 +133,10 @@ CheckpointStore::Restore CheckpointStore::restore(int rank) {
   if (!e.present) restore_error(rank, "no checkpoint was ever saved");
   Restore out;
   std::vector<Scalar> stable;
-  if (!dir_.empty()) {
+  if (!prefix_.empty()) {
     stable = read_disk(rank);
     out.from_disk = true;
+    ++g_disk_restores;
   } else {
     stable = e.stable;
   }

@@ -31,10 +31,12 @@ std::uint64_t values_digest(std::span<const Scalar> values);
 class CheckpointStore {
  public:
   /// Reads `DSK_CKPT_DIR` once at construction; when set, shards are
-  /// mirrored to `<dir>/<stem>_<rank>.ckpt` and restores prefer the
-  /// file. Stores that can be alive at the same time use distinct stems,
-  /// so neither overwrites the other's files.
-  explicit CheckpointStore(int num_ranks, std::string stem = "shard");
+  /// mirrored to files in that directory (see shard_path) and restores
+  /// prefer the file. The destructor removes the files the store wrote.
+  explicit CheckpointStore(int num_ranks);
+  ~CheckpointStore();
+  CheckpointStore(const CheckpointStore&) = delete;
+  CheckpointStore& operator=(const CheckpointStore&) = delete;
 
   /// Snapshot the rank's shard values into the stable store (and the
   /// disk backend when enabled). The live copy kernels read through
@@ -64,8 +66,17 @@ class CheckpointStore {
   int saves() const { return saves_; }
   int restores() const { return restores_; }
 
- private:
+  /// Restores served from a disk file, summed over every store of this
+  /// process (the files themselves are gone once their store is).
+  static int disk_restores();
+
+  /// The rank's file under the disk backend, or "" when it is off:
+  /// `<dir>/ckpt_<pid>_<store>_<rank>.ckpt`, where <store> numbers the
+  /// stores of the process, so no two live stores — in one process or in
+  /// processes sharing the directory — write the same file.
   std::string shard_path(int rank) const;
+
+ private:
   void write_disk(int rank) const;
   std::vector<Scalar> read_disk(int rank) const;
 
@@ -76,8 +87,7 @@ class CheckpointStore {
     bool present = false;
   };
   std::vector<Entry> entries_;
-  std::string dir_; ///< empty = in-memory only
-  std::string stem_;
+  std::string prefix_; ///< `<dir>/ckpt_<pid>_<store>_`; empty = in memory
   int saves_ = 0;
   int restores_ = 0;
 };

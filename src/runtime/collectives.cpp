@@ -491,20 +491,18 @@ DenseMatrix Group::sendrecv_cols(int to_pos, int from_pos,
   return landed;
 }
 
-std::vector<Scalar> Group::allreduce(std::span<const Scalar> local) {
+std::vector<Scalar> Group::allreduce(std::vector<Scalar> local) {
   const int g = size();
-  if (g == 1) {
-    return std::vector<Scalar>(local.begin(), local.end());
-  }
+  if (g == 1) return local;
   // Pad to a multiple of g so reduce-scatter chunks are equal.
+  const std::size_t length = local.size();
   const std::size_t padded =
-      (local.size() + static_cast<std::size_t>(g) - 1) /
+      (length + static_cast<std::size_t>(g) - 1) /
       static_cast<std::size_t>(g) * static_cast<std::size_t>(g);
-  std::vector<Scalar> work(local.begin(), local.end());
-  work.resize(padded, Scalar{0});
-  const auto chunk = reduce_scatter(work);
+  local.resize(padded, Scalar{0});
+  const auto chunk = reduce_scatter(local);
   auto full = allgather(chunk);
-  full.resize(local.size());
+  full.resize(length);
   return full;
 }
 

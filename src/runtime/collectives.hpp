@@ -192,9 +192,9 @@ class Group {
       Index width, const WireCodec& codec = {});
 
   /// reduce-scatter followed by all-gather (both ring): every rank gets
-  /// the full elementwise sum. local must have the same length everywhere
-  /// and be divisible by size().
-  std::vector<Scalar> allreduce(std::span<const Scalar> local);
+  /// the full elementwise sum. local must have the same length
+  /// everywhere. A one-member group returns local itself.
+  std::vector<Scalar> allreduce(std::vector<Scalar> local);
 
   /// Scatter+all-gather broadcast from group position root_pos
   /// (bandwidth ~2*words/g per rank instead of a root hot-spot).

@@ -785,7 +785,8 @@ TEST(CheckpointStoreTest, DiskBackendRestoresAndDetectsCorruption) {
   {
     CheckpointStore store(1);
     store.save_shard(0, {4.0, 5.0});
-    const fs::path file = dir / "shard_0.ckpt";
+    const fs::path file = store.shard_path(0);
+    EXPECT_EQ(file.parent_path(), dir);
     EXPECT_TRUE(fs::exists(file));
     store.scrub(0);
     const auto restored = store.restore(0);
@@ -836,7 +837,7 @@ TEST(CheckpointStoreTest, DiskBackendKeepsRunAndDegradeCheckpointsApart) {
   // Drivers under DSK_CKPT_DIR: a fault-free run writes nothing, a
   // degraded run restores its input checkpoint even though the crashed
   // run's per-rank checkpoints share the directory, and a crash heals
-  // from the files on disk.
+  // from the files on disk. Every run removes its files.
   namespace fs = std::filesystem;
   std::string dir_name =
       (fs::temp_directory_path() / "dsk_ckpt_runs_XXXXXX").string();
@@ -862,21 +863,74 @@ TEST(CheckpointStoreTest, DiskBackendKeepsRunAndDegradeCheckpointsApart) {
     options.faults = &faults;
     options.max_recoveries = 0;
     options.degrade = true;
+    const int disk_restores = CheckpointStore::disk_restores();
     const KernelResult got = run_kernel_opts(
         AlgorithmKind::DenseShift15D, 8, 2, Mode::SpMMA, pr, options);
     EXPECT_LE(got.dense.max_abs_diff(clean.dense), 1e-9);
     EXPECT_EQ(got.stats.degraded_rank(), 1);
     EXPECT_EQ(got.stats.degraded_from(), 8);
     EXPECT_EQ(got.stats.degraded_to(), 7);
+    // The input checkpoint came back from its file.
+    EXPECT_EQ(CheckpointStore::disk_restores(), disk_restores + 1);
+    EXPECT_TRUE(fs::is_empty(dir));
   }
   {
     const FaultPlan faults = parse_fault_plan("crash=3@step:1");
+    const int disk_restores = CheckpointStore::disk_restores();
     const KernelResult got = run_kernel_with(
         AlgorithmKind::DenseShift15D, 8, 2, Mode::SpMMA, pr, &faults);
     EXPECT_EQ(got.dense.max_abs_diff(clean.dense), 0.0);
     EXPECT_EQ(got.stats.recoveries(), 1);
-    EXPECT_TRUE(fs::exists(dir / "shard_3.ckpt"));
+    // Rank 3's shard came back from its file.
+    EXPECT_EQ(CheckpointStore::disk_restores(), disk_restores + 1);
+    EXPECT_TRUE(fs::is_empty(dir));
   }
+}
+
+TEST(CheckpointStoreTest, DiskBackendKeepsLiveStoresApart) {
+  // Two stores alive at once over one directory — as two processes that
+  // share DSK_CKPT_DIR have — each restore their own shards, and leave
+  // no file behind.
+  namespace fs = std::filesystem;
+  std::string dir_name =
+      (fs::temp_directory_path() / "dsk_ckpt_pair_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir_name.data()), nullptr);
+  const fs::path dir = dir_name;
+  ::setenv("DSK_CKPT_DIR", dir.c_str(), 1);
+  struct Cleanup {
+    fs::path dir;
+    ~Cleanup() {
+      ::unsetenv("DSK_CKPT_DIR");
+      fs::remove_all(dir);
+    }
+  } cleanup{dir};
+  const auto shard = [](int store, int rank) {
+    return std::vector<Scalar>{1.0 + store, -2.0 * rank, 0.5 * store};
+  };
+  // The rank's values after a scrub and a restore; empty when the
+  // restore rejects the file.
+  const auto restored = [](CheckpointStore& store, int rank) {
+    store.scrub(rank);
+    try {
+      store.restore(rank);
+    } catch (const WorldError&) {
+      return std::vector<Scalar>{};
+    }
+    return store.values(rank);
+  };
+  {
+    CheckpointStore first(2);
+    CheckpointStore second(2);
+    for (int rank = 0; rank < 2; ++rank) {
+      first.save_shard(rank, shard(0, rank));
+      second.save_shard(rank, shard(1, rank));
+    }
+    for (int rank = 0; rank < 2; ++rank) {
+      EXPECT_EQ(restored(first, rank), shard(0, rank)) << "rank " << rank;
+      EXPECT_EQ(restored(second, rank), shard(1, rank)) << "rank " << rank;
+    }
+  }
+  EXPECT_TRUE(fs::is_empty(dir));
 }
 
 // ---------------------------------------------------------------------

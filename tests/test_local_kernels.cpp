@@ -196,6 +196,8 @@ TEST(CooKernels, OffsetsTranslateBlocks) {
 }
 
 TEST(WidthDispatch, PicksSpecializedInstances) {
+  EXPECT_EQ(dispatch_width(16, [](auto w) { return decltype(w)::value; }),
+            16);
   EXPECT_EQ(dispatch_width(32, [](auto w) { return decltype(w)::value; }),
             32);
   EXPECT_EQ(dispatch_width(64, [](auto w) { return decltype(w)::value; }),
@@ -204,6 +206,51 @@ TEST(WidthDispatch, PicksSpecializedInstances) {
             128);
   EXPECT_EQ(dispatch_width(33, [](auto w) { return decltype(w)::value; }), 0);
   EXPECT_EQ(dispatch_width(1, [](auto w) { return decltype(w)::value; }), 0);
+}
+
+/// The 8-lane order written as a plain scalar loop on a lane array: lane
+/// l sums a[f] * b[f] over f = l mod 8 in order of f, then lanes 0..7
+/// are added in order. dot_w must reproduce it bit for bit.
+template <int W>
+Scalar eight_lane_dot(const Scalar* a, const Scalar* b) {
+  Scalar lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  for (int f = 0; f < W; f += 8) {
+    for (int l = 0; l < 8; ++l) {
+      lanes[l] += a[f + l] * b[f + l];
+    }
+  }
+  Scalar dot = 0;
+  for (int l = 0; l < 8; ++l) {
+    dot += lanes[l];
+  }
+  return dot;
+}
+
+template <int W>
+void expect_dot_keeps_lane_order(std::uint64_t seed) {
+  Rng rng(seed);
+  DenseMatrix a(64, W), b(64, W);
+  a.fill_random(rng);
+  b.fill_random(rng);
+  // A row whose products cancel in pairs and a row of mixed magnitudes.
+  for (Index f = 0; f < W; ++f) {
+    a(0, f) = a(0, f - f % 2);
+    b(0, f) = f % 2 == 0 ? b(0, f) : -b(0, f - 1);
+    a(1, f) = std::ldexp(a(1, f), static_cast<int>(f % 5) * 20 - 40);
+  }
+  for (Index i = 0; i < a.rows(); ++i) {
+    const Scalar got = dot_w<W>(a.row(i).data(), b.row(i).data(), W);
+    const Scalar want = eight_lane_dot<W>(a.row(i).data(), b.row(i).data());
+    EXPECT_EQ(std::signbit(got), std::signbit(want)) << "W " << W;
+    EXPECT_EQ(got, want) << "W " << W << " row " << i;
+  }
+}
+
+TEST(WidthDispatch, DotKeepsTheEightLaneOrderBitForBit) {
+  expect_dot_keeps_lane_order<16>(11);
+  expect_dot_keeps_lane_order<32>(12);
+  expect_dot_keeps_lane_order<64>(13);
+  expect_dot_keeps_lane_order<128>(14);
 }
 
 // ------------------------------------------------------------------
@@ -297,14 +344,14 @@ void expect_kernels_match_reference(const Fixture& f) {
 }
 
 TEST(BalancedKernels, MatchReferenceAcrossWidths) {
-  for (const Index r : {1, 32, 33, 128}) {
+  for (const Index r : {1, 16, 32, 33, 128}) {
     expect_kernels_match_reference(
         make_power_law(256, r, 1000 + static_cast<std::uint64_t>(r)));
   }
 }
 
 TEST(BalancedKernels, AllNnzInOneRow) {
-  for (const Index r : {32, 33}) {
+  for (const Index r : {16, 32, 33}) {
     expect_kernels_match_reference(make_one_hot_row(128, r, 7));
   }
 }
