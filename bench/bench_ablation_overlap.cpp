@@ -191,7 +191,7 @@ int main() {
   bool repl_counts_unchanged = true;
   bool repl_nonregressing = true;
   for (const ReplicationMode mode :
-       {ReplicationMode::Dense, ReplicationMode::SparseRows}) {
+       {ReplicationMode::Dense, ReplicationMode::Auto}) {
     const auto kind = AlgorithmKind::DenseShift15D;
     const auto elision = Elision::ReplicationReuse;
     // Interleave the trials (one of each schedule per round) so a slow

@@ -7,21 +7,21 @@
 ///
 /// Section 2 measures the SpComm3D-style replication collectives: for
 /// each family with dense fiber collectives, max-per-rank replication
-/// words under the Dense / SparseRows / Auto modes on a power-law
-/// (R-MAT) instance. Section 3 measures the column-support PROPAGATION
+/// words under the Dense and Auto modes on a power-law (R-MAT)
+/// instance. Section 3 measures the column-support PROPAGATION
 /// collectives the same way: max-per-rank propagation words under the
-/// Dense / SparseCols / Auto modes for every family with dense
-/// circulating blocks. Section 4 sweeps the wire codecs
-/// (runtime/wire.hpp): precision x index codec under the Auto
-/// collectives, on the R-MAT instance and a near-dense one where only
-/// header compression makes the sparse path pay. `--out <path>` writes
-/// every measurement as JSON records for the perf-trajectory baseline
-/// (BENCH_replication.json); the process exits nonzero if Auto ever
-/// moves more words than Dense in sections 2-3, if Auto propagation
-/// fails to show a STRICT saving on the R-MAT instance for the
-/// compressible families, or if the Auto index codec ever moves more
-/// words than raw-header Auto (or fails to strictly undercut it on a
-/// near-dense instance), so CI catches word regressions.
+/// Dense and Auto modes for every family with dense circulating blocks.
+/// Section 4 sweeps the wire codecs (runtime/wire.hpp): precision x
+/// index codec (Raw, Auto) under the Auto collectives, on the R-MAT
+/// instance and a near-dense one where only header compression makes
+/// the sparse path pay. `--out <path>` writes every measurement as JSON
+/// records for the perf-trajectory baseline (BENCH_replication.json);
+/// the process exits nonzero if Auto ever moves more words than Dense in
+/// sections 2-3, if Auto propagation fails to show a STRICT saving on
+/// the R-MAT instance for the compressible families, or if the Auto
+/// index codec ever moves more words than raw-header Auto (or fails to
+/// strictly undercut it on a near-dense instance), so CI catches word
+/// regressions.
 
 #include <cmath>
 
@@ -61,10 +61,10 @@ std::uint64_t replication_words(AlgorithmKind kind, int p, int c,
   return result.stats.max_words(Phase::Replication);
 }
 
-/// Section 2: sparse vs dense replication collectives on a power-law
+/// Section 2: Auto vs dense replication collectives on a power-law
 /// instance. Returns false if Auto ever moves more words than Dense.
 bool run_mode_comparison(JsonRecords& records) {
-  print_header("Replication collectives: dense vs sparse-rows (R-MAT)");
+  print_header("Replication collectives: dense vs auto (R-MAT)");
   const Index n = 512 * env_scale();
   const Index d = 4;
   const Index r = 32;
@@ -80,15 +80,14 @@ bool run_mode_comparison(JsonRecords& records) {
       {AlgorithmKind::DenseRepl25D, 16, 4},
       {AlgorithmKind::SparseRepl25D, 16, 4},
   };
-  std::printf("%-18s %4s %3s | %12s %12s %12s | %8s\n", "algorithm", "p",
-              "c", "dense", "sparse-rows", "auto", "saving");
+  std::printf("%-18s %4s %3s | %12s %12s | %8s\n", "algorithm", "p", "c",
+              "dense", "auto", "saving");
   bool auto_bounded = true;
   for (const auto& gc : cases) {
-    std::uint64_t words[3] = {0, 0, 0};
+    std::uint64_t words[2] = {0, 0};
     const ReplicationMode modes[] = {ReplicationMode::Dense,
-                                     ReplicationMode::SparseRows,
                                      ReplicationMode::Auto};
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
       words[i] = replication_words(gc.kind, gc.p, gc.c, w, modes[i]);
       records.add()
           .field("bench", "fig7_replication")
@@ -105,14 +104,13 @@ bool run_mode_comparison(JsonRecords& records) {
     }
     const double saving =
         words[0] > 0
-            ? 100.0 * (1.0 - static_cast<double>(words[2]) / words[0])
+            ? 100.0 * (1.0 - static_cast<double>(words[1]) / words[0])
             : 0.0;
-    std::printf("%-18s %4d %3d | %12llu %12llu %12llu | %7.1f%%\n",
+    std::printf("%-18s %4d %3d | %12llu %12llu | %7.1f%%\n",
                 to_string(gc.kind).c_str(), gc.p, gc.c,
                 static_cast<unsigned long long>(words[0]),
-                static_cast<unsigned long long>(words[1]),
-                static_cast<unsigned long long>(words[2]), saving);
-    auto_bounded &= words[2] <= words[0];
+                static_cast<unsigned long long>(words[1]), saving);
+    auto_bounded &= words[1] <= words[0];
   }
   std::printf("\nInvariant: auto <= dense on every instance — %s.\n",
               auto_bounded ? "HOLDS" : "VIOLATED");
@@ -136,7 +134,7 @@ std::uint64_t propagation_words(AlgorithmKind kind, int p, int c,
 /// homeward hop alone guarantees a saving whenever a ring is longer
 /// than one).
 bool run_propagation_comparison(JsonRecords& records) {
-  print_header("Propagation collectives: dense vs sparse-cols (R-MAT)");
+  print_header("Propagation collectives: dense vs auto (R-MAT)");
   const Index n = 512 * env_scale();
   const Index d = 4;
   const Index r = 32;
@@ -153,15 +151,14 @@ bool run_propagation_comparison(JsonRecords& records) {
       {AlgorithmKind::DenseRepl25D, 16, 4, true},
       {AlgorithmKind::SparseRepl25D, 16, 4, true},
   };
-  std::printf("%-18s %4s %3s | %12s %12s %12s | %8s\n", "algorithm", "p",
-              "c", "dense", "sparse-cols", "auto", "saving");
+  std::printf("%-18s %4s %3s | %12s %12s | %8s\n", "algorithm", "p", "c",
+              "dense", "auto", "saving");
   bool gates_hold = true;
   for (const auto& gc : cases) {
-    std::uint64_t words[3] = {0, 0, 0};
+    std::uint64_t words[2] = {0, 0};
     const PropagationMode modes[] = {PropagationMode::Dense,
-                                     PropagationMode::SparseCols,
                                      PropagationMode::Auto};
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
       words[i] = propagation_words(gc.kind, gc.p, gc.c, w, modes[i]);
       records.add()
           .field("bench", "fig7_propagation")
@@ -179,15 +176,14 @@ bool run_propagation_comparison(JsonRecords& records) {
     }
     const double saving =
         words[0] > 0
-            ? 100.0 * (1.0 - static_cast<double>(words[2]) / words[0])
+            ? 100.0 * (1.0 - static_cast<double>(words[1]) / words[0])
             : 0.0;
-    std::printf("%-18s %4d %3d | %12llu %12llu %12llu | %7.1f%%\n",
+    std::printf("%-18s %4d %3d | %12llu %12llu | %7.1f%%\n",
                 to_string(gc.kind).c_str(), gc.p, gc.c,
                 static_cast<unsigned long long>(words[0]),
-                static_cast<unsigned long long>(words[1]),
-                static_cast<unsigned long long>(words[2]), saving);
-    gates_hold &= words[2] <= words[0];
-    if (gc.compressible) gates_hold &= words[2] < words[0];
+                static_cast<unsigned long long>(words[1]), saving);
+    gates_hold &= words[1] <= words[0];
+    if (gc.compressible) gates_hold &= words[1] < words[0];
   }
   std::printf("\nInvariants: auto <= dense everywhere, auto < dense on "
               "the compressible families — %s.\n",
@@ -223,8 +219,7 @@ std::uint64_t auto_comm_words(AlgorithmKind kind, int p, int c,
   AlgorithmOptions options;
   options.replication = ReplicationMode::Auto;
   options.propagation = PropagationMode::Auto;
-  options.wire_precision = codec.precision;
-  options.index_codec = codec.index_codec;
+  options.codec = codec;
   auto algo = make_algorithm(kind, p, c, options);
   const auto result = algo->run_fusedmm(FusedOrientation::A,
                                         Elision::None, w.s, w.a, w.b, 1);
@@ -233,10 +228,11 @@ std::uint64_t auto_comm_words(AlgorithmKind kind, int p, int c,
 }
 
 /// Section 4: wire codecs (runtime/wire.hpp) under the Auto collectives.
-/// Sweeps precision x index codec on the power-law instance plus a
-/// near-dense one where raw sparse headers price the row-sparse path
-/// OUT of Auto (support ~ 0.98 rows: support*(r+1) > rows*r) but the
-/// bitmap codec prices it back IN (support*r + rows/64 < rows*r).
+/// Sweeps precision x {Raw, Auto} index codec on the power-law instance
+/// plus a near-dense one where raw sparse headers price the row-sparse
+/// path OUT of Auto (support ~ 0.98 rows: support*(r+1) > rows*r) but
+/// the Auto index codec's bitmap prices it back IN
+/// (support*r + rows/64 < rows*r).
 /// Returns false unless Auto with the Auto index codec — still exact,
 /// full-precision values — moves at most as many max-per-rank words as
 /// today's raw-header Auto on EVERY instance, and strictly fewer on at
@@ -262,9 +258,7 @@ bool run_wire_comparison(JsonRecords& records) {
   const WirePrecision precisions[] = {WirePrecision::Full,
                                       WirePrecision::F32,
                                       WirePrecision::BF16};
-  const IndexCodec index_codecs[] = {IndexCodec::Raw,
-                                     IndexCodec::DeltaVarint,
-                                     IndexCodec::Bitmap, IndexCodec::Auto};
+  const IndexCodec index_codecs[] = {IndexCodec::Raw, IndexCodec::Auto};
   const int p = 16;
   const int c = 4;
   bool never_worse = true;

@@ -9,10 +9,13 @@
 ///               (r in {16,32,64,128}) inner loops; 16 is the 2.5D
 ///               sparse-replicating slice width r/(qc) at r = 32, q = 2
 ///
-/// Results are printed as a table and written as a flat JSON array
-/// (default BENCH_local_kernels.json) with one record per (kernel, impl,
-/// r): kernel, impl, n, nnz, r, seconds, gflops — the repo's
-/// perf-trajectory format.
+/// The two implementations of a kernel are timed alternately, one
+/// repetition of each per round, so a slow stretch of a shared host hits
+/// both alike. Results are printed as a table and written as a flat JSON
+/// array (default BENCH_local_kernels.json) with one record per (kernel,
+/// impl, r): kernel, impl, n, nnz, r, seconds (the median repetition),
+/// gflops, and on tuned records speedup_vs_seed — the median over rounds
+/// of seed time / tuned time — the repo's perf-trajectory format.
 ///
 /// Usage: bench_local_kernels [--n N] [--edges-per-row E]
 ///                            [--out PATH] [--quick]
@@ -21,6 +24,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -151,33 +155,69 @@ Instance make_instance(Index n, Index edges_per_row, Index r) {
   return inst;
 }
 
-/// Best-of-k wall time of fn (after one warmup call), where k grows
-/// until min_total seconds have been spent or max_iters is reached.
-template <typename Fn>
-double measure_seconds(const Fn& fn, double min_total, int max_iters) {
-  fn(); // warmup
-  double best = 1e300;
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+double time_once(const std::function<void()>& fn) {
+  Timer t;
+  fn();
+  return t.seconds();
+}
+
+/// Medians of the seed and tuned repetitions and of the per-round
+/// seed/tuned time ratio.
+struct PairedTimes {
+  double seed_seconds;
+  double tuned_seconds;
+  double speedup;
+};
+
+/// After one warm-up call of each, time `seed` and `tuned` alternately,
+/// one repetition of each per round (which goes first alternates too),
+/// for at least three rounds and until min_total seconds have been spent
+/// or max_rounds is reached.
+PairedTimes measure_pair(const std::function<void()>& seed,
+                         const std::function<void()>& tuned,
+                         double min_total, int max_rounds) {
+  seed();
+  tuned();
+  std::vector<double> seed_s, tuned_s, speedups;
   double spent = 0;
-  for (int i = 0; i < max_iters && (i < 2 || spent < min_total); ++i) {
-    Timer t;
-    fn();
-    const double s = t.seconds();
-    best = std::min(best, s);
-    spent += s;
+  for (int i = 0; i < max_rounds && (i < 3 || spent < min_total); ++i) {
+    double s = 0;
+    double t = 0;
+    if (i % 2 == 0) {
+      s = time_once(seed);
+      t = time_once(tuned);
+    } else {
+      t = time_once(tuned);
+      s = time_once(seed);
+    }
+    seed_s.push_back(s);
+    tuned_s.push_back(t);
+    speedups.push_back(s / t);
+    spent += s + t;
   }
-  return best;
+  return {median(seed_s), median(tuned_s), median(speedups)};
 }
 
 struct Harness {
   bench::JsonRecords records;
   double min_total;
-  int max_iters;
+  int max_rounds;
 
-  void report(const std::string& kernel, const std::string& impl,
-              const Instance& inst, Index r, double seconds,
-              std::uint64_t flops) {
+  bench::JsonRecords::Record& report(const std::string& kernel,
+                                     const std::string& impl,
+                                     const Instance& inst, Index r,
+                                     double seconds, std::uint64_t flops) {
     const double gflops = static_cast<double>(flops) / seconds * 1e-9;
-    records.add()
+    std::printf("%-10s %-6s r=%-4lld  %8.4fs  %7.2f GFLOP/s",
+                kernel.c_str(), impl.c_str(), static_cast<long long>(r),
+                seconds, gflops);
+    return records.add()
         .field("kernel", kernel)
         .field("impl", impl)
         .field("n", static_cast<std::int64_t>(inst.s.rows()))
@@ -185,17 +225,17 @@ struct Harness {
         .field("r", static_cast<std::int64_t>(r))
         .field("seconds", seconds)
         .field("gflops", gflops);
-    std::printf("%-10s %-6s r=%-4lld  %8.4fs  %7.2f GFLOP/s\n",
-                kernel.c_str(), impl.c_str(), static_cast<long long>(r),
-                seconds, gflops);
   }
 
-  template <typename Fn>
-  void run(const std::string& kernel, const std::string& impl,
-           const Instance& inst, Index r, std::uint64_t flops,
-           const Fn& fn) {
-    report(kernel, impl, inst, r, measure_seconds(fn, min_total, max_iters),
-           flops);
+  void run(const std::string& kernel, const Instance& inst, Index r,
+           std::uint64_t flops, const std::function<void()>& seed,
+           const std::function<void()>& tuned) {
+    const PairedTimes t = measure_pair(seed, tuned, min_total, max_rounds);
+    report(kernel, "seed", inst, r, t.seed_seconds, flops);
+    std::printf("\n");
+    report(kernel, "tuned", inst, r, t.tuned_seconds, flops)
+        .field("speedup_vs_seed", t.speedup);
+    std::printf("  %5.2fx vs seed\n", t.speedup);
   }
 };
 
@@ -215,39 +255,46 @@ void bench_width(Harness& h, const Options& opt, Index r) {
   DenseMatrix b_out(inst.s.cols(), r);
   std::vector<Scalar> dots(static_cast<std::size_t>(inst.s.nnz()));
 
-  h.run("spmm_a", "seed", inst, r, flops2, [&] {
-    a_out.fill(0);
-    seed_spmm_a(inst.s, inst.b, a_out);
-  });
-  h.run("spmm_b", "seed", inst, r, flops2, [&] {
-    b_out.fill(0);
-    seed_spmm_b(inst.s, inst.a, b_out);
-  });
-  h.run("sddmm", "seed", inst, r, flops2, [&] {
-    std::fill(dots.begin(), dots.end(), Scalar{0});
-    seed_sddmm(inst.s, inst.a, inst.b, dots);
-  });
-  h.run("fusedmm_a", "seed", inst, r, flops4, [&] {
-    a_out.fill(0);
-    seed_fusedmm_a(inst.s, inst.a, inst.b, a_out);
-  });
-
-  h.run("spmm_a", "tuned", inst, r, flops2, [&] {
-    a_out.fill(0);
-    spmm_a(inst.s, inst.b, a_out);
-  });
-  h.run("spmm_b", "tuned", inst, r, flops2, [&] {
-    b_out.fill(0);
-    spmm_b(inst.s, inst.a, b_out);
-  });
-  h.run("sddmm", "tuned", inst, r, flops2, [&] {
-    std::fill(dots.begin(), dots.end(), Scalar{0});
-    masked_dot_products(inst.s, inst.a, inst.b, dots);
-  });
-  h.run("fusedmm_a", "tuned", inst, r, flops4, [&] {
-    a_out.fill(0);
-    fusedmm_a(inst.s, inst.a, inst.b, a_out);
-  });
+  h.run(
+      "spmm_a", inst, r, flops2,
+      [&] {
+        a_out.fill(0);
+        seed_spmm_a(inst.s, inst.b, a_out);
+      },
+      [&] {
+        a_out.fill(0);
+        spmm_a(inst.s, inst.b, a_out);
+      });
+  h.run(
+      "spmm_b", inst, r, flops2,
+      [&] {
+        b_out.fill(0);
+        seed_spmm_b(inst.s, inst.a, b_out);
+      },
+      [&] {
+        b_out.fill(0);
+        spmm_b(inst.s, inst.a, b_out);
+      });
+  h.run(
+      "sddmm", inst, r, flops2,
+      [&] {
+        std::fill(dots.begin(), dots.end(), Scalar{0});
+        seed_sddmm(inst.s, inst.a, inst.b, dots);
+      },
+      [&] {
+        std::fill(dots.begin(), dots.end(), Scalar{0});
+        masked_dot_products(inst.s, inst.a, inst.b, dots);
+      });
+  h.run(
+      "fusedmm_a", inst, r, flops4,
+      [&] {
+        a_out.fill(0);
+        seed_fusedmm_a(inst.s, inst.a, inst.b, a_out);
+      },
+      [&] {
+        a_out.fill(0);
+        fusedmm_a(inst.s, inst.a, inst.b, a_out);
+      });
 }
 
 /// Strict integer flag value: the whole token must parse and be >= 1, so
@@ -294,8 +341,8 @@ int main(int argc, char** argv) {
   }
 
   Harness h;
-  h.min_total = opt.quick ? 0.05 : 0.5;
-  h.max_iters = opt.quick ? 3 : 10;
+  h.min_total = opt.quick ? 0.05 : 1.0;
+  h.max_rounds = opt.quick ? 3 : 21;
   for (const Index r : {Index{16}, Index{32}, Index{64}, Index{128}}) {
     bench_width(h, opt, r);
   }

@@ -159,7 +159,7 @@ std::vector<Recommendation> AlsServer::extract_top_k(
 std::vector<std::vector<Recommendation>> AlsServer::top_k(
     std::span<const Index> user_ids, int k, bool exact_ties) {
   check(k >= 1, "AlsServer: top_k needs k >= 1");
-  check(!(exact_ties && exec_.wire_precision == WirePrecision::BF16),
+  check(!(exact_ties && exec_.codec.precision == WirePrecision::BF16),
         "AlsServer: request demands exact top-k ties, but the server's "
         "bf16 wire precision can merge distinct scores into fabricated "
         "ties — serve this request from a full or f32 precision server");
@@ -182,8 +182,6 @@ std::vector<std::vector<Recommendation>> AlsServer::top_k(
     const Index width = batch.columns.cols();
     ExecuteOptions exec;
     exec.world = world_.get();
-    exec.wire_precision = exec_.wire_precision;
-    exec.index_codec = exec_.index_codec;
     const KernelResult result =
         score_plan(width).execute(Mode::SpMMB, s_pad_, batch.columns,
                                   DenseMatrix(s_pad_.cols(), width), exec);
@@ -202,7 +200,7 @@ std::vector<std::vector<Recommendation>> AlsServer::top_k(
 std::vector<Recommendation> AlsServer::top_k_one(Index user, int k,
                                                  bool exact_ties) {
   check(k >= 1, "AlsServer: top_k needs k >= 1");
-  check(!(exact_ties && exec_.wire_precision == WirePrecision::BF16),
+  check(!(exact_ties && exec_.codec.precision == WirePrecision::BF16),
         "AlsServer: request demands exact top-k ties, but the server's "
         "bf16 wire precision can merge distinct scores into fabricated "
         "ties — serve this request from a full or f32 precision server");
@@ -214,8 +212,6 @@ std::vector<Recommendation> AlsServer::top_k_one(Index user, int k,
   }
   ExecuteOptions exec;
   exec.world = world_.get();
-  exec.wire_precision = exec_.wire_precision;
-  exec.index_codec = exec_.index_codec;
   const KernelResult result =
       score_plan(width).execute(Mode::SpMMB, s_pad_, narrow,
                                 DenseMatrix(s_pad_.cols(), width), exec);
@@ -230,8 +226,6 @@ Scalar AlsServer::observed_rmse() {
   ExecuteOptions exec;
   exec.world = world_.get();
   exec.cache = cache_.get();
-  exec.wire_precision = exec_.wire_precision;
-  exec.index_codec = exec_.index_codec;
   const KernelResult result =
       rmse_plan_->execute(Mode::SDDMM, mask_pad_, a_pad_, b_pad_, exec);
   report_.rmse_calls += 1;

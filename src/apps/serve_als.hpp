@@ -49,9 +49,9 @@ struct AlsServerConfig {
   AlsConfig train;                  ///< trained fault-free at startup
   /// Serving-time execution knobs (schedule / replication / propagation
   /// / faults / wire codec); faults are cleared automatically after a
-  /// degrade. The wire codec is forwarded into every pass through
-  /// ExecuteOptions; bf16 precision is rejected by requests demanding
-  /// exact top-k ties (see top_k).
+  /// degrade. Every Plan the server builds carries the wire codec; bf16
+  /// precision is rejected by requests demanding exact top-k ties (see
+  /// top_k).
   AlgorithmOptions exec;
   Index batch_width = 128;          ///< max requests per kernel pass
   /// Reshard when a pass's load_imbalance exceeds this (0 = never).
@@ -98,12 +98,12 @@ class AlsServer {
   const ServeReport& report() const { return report_; }
 
   /// Top-k unrated items for each requested user, served in batched
-  /// kernel passes of up to batch_width requests. The configured wire
-  /// codec (AlsServerConfig::exec) rides each pass through
-  /// ExecuteOptions. `exact_ties` declares the request demands exact
-  /// top-k tie resolution: bf16 wire precision is rejected, because its
-  /// quantized scores can merge distinct full-precision scores into
-  /// fabricated ties (full and f32 keep score ordering reproducible).
+  /// kernel passes of up to batch_width requests, on plans built with
+  /// the configured wire codec (AlsServerConfig::exec). `exact_ties`
+  /// declares the request demands exact top-k tie resolution: bf16 wire
+  /// precision is rejected, because its quantized scores can merge
+  /// distinct full-precision scores into fabricated ties (full and f32
+  /// keep score ordering reproducible).
   std::vector<std::vector<Recommendation>> top_k(
       std::span<const Index> user_ids, int k, bool exact_ties = false);
 

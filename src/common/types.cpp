@@ -49,7 +49,6 @@ std::string to_string(FusedOrientation o) {
 std::string to_string(ReplicationMode mode) {
   switch (mode) {
     case ReplicationMode::Dense: return "Dense";
-    case ReplicationMode::SparseRows: return "SparseRows";
     case ReplicationMode::Auto: return "Auto";
   }
   return "?";
@@ -58,7 +57,6 @@ std::string to_string(ReplicationMode mode) {
 std::string to_string(PropagationMode mode) {
   switch (mode) {
     case PropagationMode::Dense: return "Dense";
-    case PropagationMode::SparseCols: return "SparseCols";
     case PropagationMode::Auto: return "Auto";
   }
   return "?";
@@ -76,8 +74,6 @@ std::string to_string(WirePrecision precision) {
 std::string to_string(IndexCodec codec) {
   switch (codec) {
     case IndexCodec::Raw: return "Raw";
-    case IndexCodec::DeltaVarint: return "DeltaVarint";
-    case IndexCodec::Bitmap: return "Bitmap";
     case IndexCodec::Auto: return "Auto";
   }
   return "?";

@@ -51,27 +51,26 @@ enum class AlgorithmKind {
 
 /// How the replication-phase fiber collectives move dense row blocks
 /// (SpComm3D / SparCML direction): Dense ships whole blocks through the
-/// ring collectives; SparseRows ships only the rows in the local sparse
-/// block's support, plus an index header, point to point; Auto compares
-/// the two word counts for the group at hand and picks the cheaper.
+/// ring collectives — the paper's Table III cost; Auto compares, for the
+/// group at hand, the dense ring against shipping each member only the
+/// rows in its sparse block's support (plus an index header, point to
+/// point) and takes the sparse plan only when it moves fewer words.
 enum class ReplicationMode {
   Dense,
-  SparseRows,
   Auto,
 };
 
 /// How the propagation-phase cyclic shifts move the dense B-side blocks
 /// (the nonzero-granular SpComm3D direction, applied to the shift loop
 /// instead of the fiber collectives): Dense forwards whole blocks —
-/// the paper's Table III cost; SparseCols ships, per hop, only the block
-/// rows in the column support of the pieces the rest of the ring trip
-/// still consumes (read-only payloads) or has written so far
-/// (accumulators), as [count, cols..., values...] messages; Auto decides
-/// per hop, taking the sparse message only when it is smaller than the
-/// dense block, so max-per-rank propagation words never exceed Dense.
+/// the paper's Table III cost; Auto decides per hop whether to ship only
+/// the block rows in the column support of the pieces the rest of the
+/// ring trip still consumes (read-only payloads) or has written so far
+/// (accumulators), as a [count, cols..., values...] message, taking it
+/// only when it is smaller than the dense block, so max-per-rank
+/// propagation words never exceed Dense.
 enum class PropagationMode {
   Dense,
-  SparseCols,
   Auto,
 };
 
@@ -91,17 +90,15 @@ enum class WirePrecision {
 };
 
 /// Index-header representation for the sorted support lists in
-/// row/col-support messages. Raw ships one word per index (today's
-/// format); DeltaVarint ships LEB128-coded gaps byte-packed into words;
-/// Bitmap ships a fixed ceil(block_rows/64)-word membership mask. Auto
-/// picks, per message, whichever encodes smallest (ties resolved
-/// Raw < DeltaVarint < Bitmap), so Auto is never larger than Raw. Both
-/// endpoints derive the choice from the shared support tables — no
-/// descriptor word travels on the wire.
+/// row/col-support messages. Raw ships one word per index (the
+/// historical format); Auto picks, per message, the smallest of Raw,
+/// LEB128-coded gaps byte-packed into words, and a fixed
+/// ceil(block_rows/64)-word membership bitmap (ties resolved in that
+/// order), so Auto is never larger than Raw. Both endpoints derive the
+/// choice from the shared support tables — no descriptor word travels
+/// on the wire.
 enum class IndexCodec {
   Raw,
-  DeltaVarint,
-  Bitmap,
   Auto,
 };
 

@@ -16,14 +16,6 @@
 
 namespace dsk {
 
-WireCodec effective_wire_codec(const AlgorithmOptions& options,
-                               const ExecContext& ctx) {
-  WireCodec codec{options.wire_precision, options.index_codec};
-  if (ctx.wire_precision) codec.precision = *ctx.wire_precision;
-  if (ctx.index_codec) codec.index_codec = *ctx.index_codec;
-  return codec;
-}
-
 void DistAlgorithm::validate_dims(Index m, Index n, Index r) const {
   check(m >= 1 && n >= 1 && r >= 1, "validate_dims: empty problem ", m,
         " x ", n, " x ", r);
@@ -69,10 +61,10 @@ bool can_crash(const AlgorithmOptions& options) {
 /// of the sparse input. `rerun(sub, padded)` runs the call on the smaller
 /// driver and `unpad(out)` trims its output back to the caller's shape.
 template <class Result, class Attempt, class Rerun, class Unpad>
-Result run_degradable(const DistAlgorithm& algo, const ExecContext& ctx,
-                      const CooMatrix& s, const DenseMatrix& a,
-                      const DenseMatrix& b, const Attempt& attempt,
-                      const Rerun& rerun, const Unpad& unpad) {
+Result run_degradable(const DistAlgorithm& algo, const CooMatrix& s,
+                      const DenseMatrix& a, const DenseMatrix& b,
+                      const Attempt& attempt, const Rerun& rerun,
+                      const Unpad& unpad) {
   const AlgorithmOptions& options = algo.options();
   if (!options.degrade || !can_crash(options)) return attempt();
   CheckpointStore inputs(1);
@@ -88,14 +80,10 @@ Result run_degradable(const DistAlgorithm& algo, const ExecContext& ctx,
     CooMatrix healed = s;
     std::copy(saved.begin(), saved.end(), healed.values().begin());
     // The dead rank is gone from the new grid, so the shrunken world runs
-    // fault-free. Per-call codec overrides would be lost across the
-    // re-plan; the effective codec is baked into its options instead.
+    // fault-free.
     AlgorithmOptions sub_options = options;
     sub_options.faults = nullptr;
     sub_options.degrade = false;
-    const WireCodec codec = effective_wire_codec(options, ctx);
-    sub_options.wire_precision = codec.precision;
-    sub_options.index_codec = codec.index_codec;
     const auto sub = make_algorithm(algo.kind(), p2, c2, sub_options);
     Result out =
         rerun(*sub, pad_problem(algo.kind(), p2, c2, healed, a, b));
@@ -159,7 +147,7 @@ KernelResult DistAlgorithm::run_planned_kernel(const ExecContext& ctx,
     return out;
   };
   return run_degradable<KernelResult>(
-      *this, ctx, s, a, b, attempt,
+      *this, s, a, b, attempt,
       [&](const DistAlgorithm& sub, const PaddedProblem& padded) {
         return sub.run_kernel(mode, padded.s, padded.a, padded.b);
       },
@@ -230,7 +218,7 @@ FusedResult DistAlgorithm::run_planned_fusedmm(
     return out;
   };
   return run_degradable<FusedResult>(
-      *this, ctx, s, a, b, attempt,
+      *this, s, a, b, attempt,
       [&](const DistAlgorithm& sub, const PaddedProblem& padded) {
         return sub.run_fusedmm(orientation, elision, padded.s, padded.a,
                                padded.b, repetitions);
@@ -552,7 +540,7 @@ class Baseline1D final : public DistAlgorithm {
                  const DenseMatrix& b, bool fused, int repetitions,
                  DenseMatrix& out) const {
     const auto& su = planned_setup<Setup>(ctx, kind());
-    const WireCodec codec = effective_wire_codec(options(), ctx);
+    const WireCodec& codec = options().codec;
     Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
     return run_in(ctx.world, p(), [&](Comm& comm) {
       const int rank = comm.rank();

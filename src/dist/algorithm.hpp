@@ -14,7 +14,6 @@
 /// load-balanced inputs.
 
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -33,27 +32,26 @@ namespace dsk {
 /// `replication` selects how the replication-phase fiber collectives
 /// move the A-side row blocks (SpComm3D direction): Dense ships whole
 /// blocks through the ring collectives — the paper's Table III cost,
-/// kept as the default so the exact cost-model tests stay exact;
-/// SparseRows ships only the rows in the local sparse block's support
-/// plus an index header; Auto picks whichever moves fewer words for the
-/// fiber at hand. All three modes produce bit-identical outputs. The
-/// knob is a no-op for families whose replication traffic is already
-/// sparsity-sized (2.5D sparse replicating) or absent (1D baseline).
+/// kept as the default so the exact cost-model tests stay exact; Auto
+/// ships only the rows in each local sparse block's support plus an
+/// index header whenever that moves fewer words for the fiber at hand.
+/// Both modes produce bit-identical outputs. The knob is a no-op for
+/// families whose replication traffic is already sparsity-sized (2.5D
+/// sparse replicating) or absent (1D baseline).
 /// `propagation` selects how the propagation-phase cyclic shifts move
 /// the dense B-side blocks (the nonzero-granular SpComm3D direction
 /// applied to the shift loop): Dense forwards whole blocks — the
 /// paper's Table III cost, kept as the default so the exact cost-model
-/// tests stay exact; SparseCols ships, per hop, only the block rows in
-/// the column support the rest of the ring trip still consumes (or, for
-/// circulating accumulators, has written so far) as
-/// [count, cols..., values...] messages; Auto decides per hop, so
-/// max-per-rank propagation words never exceed Dense. All modes are
-/// bit-identical. The knob is a no-op for channels that are already
-/// sparsity-sized (the circulating COO triplets of 1.5D sparse shifting
-/// and the 2.5D S pieces) and for the 1D baseline's support-sized
-/// fetches; the 2.5D sparse-replicating family compresses BOTH of its
-/// circulating dense slices (rows by row support, columns by column
-/// support).
+/// tests stay exact; Auto decides per hop whether to ship only the block
+/// rows in the column support the rest of the ring trip still consumes
+/// (or, for circulating accumulators, has written so far) as a
+/// [count, cols..., values...] message, so max-per-rank propagation
+/// words never exceed Dense. Both modes are bit-identical. The knob is
+/// a no-op for channels that are already sparsity-sized (the
+/// circulating COO triplets of 1.5D sparse shifting and the 2.5D S
+/// pieces) and for the 1D baseline's support-sized fetches; the 2.5D
+/// sparse-replicating family compresses BOTH of its circulating dense
+/// slices (rows by row support, columns by column support).
 struct FaultPlan;
 
 struct AlgorithmOptions {
@@ -79,17 +77,18 @@ struct AlgorithmOptions {
   bool degrade = false;
   /// Wire codec for every block message class (dense hops, row/col
   /// support messages, circulating triplets, bare value fibers).
-  /// `wire_precision` selects the value encoding: Full keeps the
+  /// `codec.precision` selects the value encoding: Full keeps the
   /// historical one-word-per-value layout (and Table III exactness);
   /// F32 / BF16 pack 2 / 4 values per word, shrinking wire words at a
-  /// documented accuracy cost. `index_codec` selects the support-header
-  /// encoding: Raw keeps the historical one-word-per-index layout;
-  /// DeltaVarint / Bitmap shrink dense-support headers; Auto picks the
-  /// smallest per message. Dot-sum collectives (allreduce / broadcast /
-  /// scalar gathers), checkpoints, and journal snapshots always stay
-  /// full precision — the codec governs block wire traffic only.
-  WirePrecision wire_precision = WirePrecision::Full;
-  IndexCodec index_codec = IndexCodec::Raw;
+  /// documented accuracy cost. `codec.index_codec` selects the
+  /// support-header encoding: Raw keeps the historical one-word-per-index
+  /// layout; Auto picks the smallest encoding per message. Only row- and
+  /// col-support messages carry index headers, so the index codec acts
+  /// only where `replication` or `propagation` is Auto. Dot-sum
+  /// collectives (allreduce / broadcast / scalar gathers), checkpoints,
+  /// and journal snapshots always stay full precision — the codec
+  /// governs block wire traffic only.
+  WireCodec codec{};
 };
 
 /// Result of one unified kernel call. `dense` holds the global SpMM
@@ -127,17 +126,7 @@ struct ExecContext {
   const PlanData* plan = nullptr;
   SimWorld* world = nullptr;
   ReplicationCache* cache = nullptr;
-  /// Optional per-call wire-codec overrides (the serving layer threads
-  /// request-level choices through here): when set they replace the
-  /// driver options' wire_precision / index_codec for this call only.
-  std::optional<WirePrecision> wire_precision;
-  std::optional<IndexCodec> index_codec;
 };
-
-/// The wire codec one call runs with: the driver options' settings
-/// unless the ExecContext overrides them per call.
-WireCodec effective_wire_codec(const AlgorithmOptions& options,
-                               const ExecContext& ctx);
 
 /// Result of a FusedMM call: the A-shaped (orientation A) or B-shaped
 /// (orientation B) global output.

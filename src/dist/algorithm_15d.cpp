@@ -335,7 +335,7 @@ void DenseShift15D::do_run_kernel(const ExecContext& ctx, Mode mode,
                                   const DenseMatrix& b,
                                   KernelResult& out) const {
   const auto& su = planned_setup<Setup>(ctx, kind());
-  const WireCodec codec = effective_wire_codec(options(), ctx);
+  const WireCodec& codec = options().codec;
   // SpMMA never replicates A (its replication phase is the output
   // reduce-scatter), so only the A-consuming modes consult the cache.
   const CacheUse cu =
@@ -400,7 +400,7 @@ void DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
     return;
   }
   const auto& su = planned_setup<Setup>(ctx, kind());
-  const WireCodec codec = effective_wire_codec(options(), ctx);
+  const WireCodec& codec = options().codec;
   Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
   out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();
@@ -618,7 +618,7 @@ void SparseShift15D::do_run_kernel(const ExecContext& ctx, Mode mode,
                                    const DenseMatrix& b,
                                    KernelResult& out) const {
   const auto& su = planned_setup<Setup>(ctx, kind());
-  const WireCodec codec = effective_wire_codec(options(), ctx);
+  const WireCodec& codec = options().codec;
   // SpMMA never replicates A (its replication phase is the output
   // reduce-scatter), so only the A-consuming modes consult the cache.
   const CacheUse cu =
@@ -687,7 +687,7 @@ void SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
                                     const DenseMatrix& b, int repetitions,
                                     FusedResult& out) const {
   const auto& su = planned_setup<Setup>(ctx, kind());
-  const WireCodec codec = effective_wire_codec(options(), ctx);
+  const WireCodec& codec = options().codec;
   Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
   out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();

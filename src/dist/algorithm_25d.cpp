@@ -252,7 +252,7 @@ void DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
                                  KernelResult& out) const {
   const auto& su = planned_setup<Setup>(ctx, kind());
   const int q = grid_.q();
-  const WireCodec codec = effective_wire_codec(options(), ctx);
+  const WireCodec& codec = options().codec;
   Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
   // One driver-thread cache decision for the whole run; SpMMA never
   // consults the cache (its Replication phase is the output
@@ -339,7 +339,7 @@ void DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
                                   int repetitions, FusedResult& out) const {
   const auto& su = planned_setup<Setup>(ctx, kind());
   const int q = grid_.q();
-  const WireCodec codec = effective_wire_codec(options(), ctx);
+  const WireCodec& codec = options().codec;
   Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
   out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();
@@ -530,10 +530,9 @@ class SparseRepl25D final : public DistAlgorithm {
   /// it gathers nothing and returns `slice`.
   /// The replication traffic of this family is already sparsity-sized
   /// (values and dot buffers, no dense row blocks), so the
-  /// options().replication knob has nothing to elide here: SparseRows
-  /// and Auto behave exactly like Dense. The PROPAGATION knob, by
-  /// contrast, bites twice in
-  /// this family: both circulating dense slices compress against the
+  /// options().replication knob has nothing to elide here: Auto behaves
+  /// exactly like Dense. The PROPAGATION knob, by contrast, bites twice
+  /// in this family: both circulating dense slices compress against the
   /// stationary cells' supports (A by rows, B by columns) — see
   /// a_compression / b_compression below.
   std::span<const Scalar> gather_values(Comm& comm, const Setup& su, int u,
@@ -693,7 +692,7 @@ void SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
                                   const DenseMatrix& b,
                                   KernelResult& out) const {
   const auto& su = planned_setup<Setup>(ctx, kind());
-  const WireCodec codec = effective_wire_codec(options(), ctx);
+  const WireCodec& codec = options().codec;
   Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
   out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();
@@ -743,7 +742,7 @@ void SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
                                    const DenseMatrix& b, int repetitions,
                                    FusedResult& out) const {
   const auto& su = planned_setup<Setup>(ctx, kind());
-  const WireCodec codec = effective_wire_codec(options(), ctx);
+  const WireCodec& codec = options().codec;
   Recovery rec(options(), p(), [&](int rank) { return shard(su, rank); });
   out.stats = run_in(ctx.world, p(), [&](Comm& comm) {
     const int rank = comm.rank();

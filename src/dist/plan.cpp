@@ -60,8 +60,6 @@ ExecContext Plan::context(const CooMatrix& s, Index r,
   ctx.plan = data_.get();
   ctx.world = exec.world;
   ctx.cache = exec.cache;
-  ctx.wire_precision = exec.wire_precision;
-  ctx.index_codec = exec.index_codec;
   return ctx;
 }
 

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "dist/algorithm.hpp"
 
@@ -32,17 +31,11 @@ namespace dsk {
 /// SimWorld reused across requests (must have exactly the driver's p
 /// ranks); `cache` is an optional cross-call replicated-factor cache
 /// (see dist/replication_cache.hpp). Both borrowed, both optional —
-/// defaults execute on a one-shot world with no cache.
-/// `wire_precision` / `index_codec`, when set, override the plan
-/// options' wire codec for this request only (forwarded into
-/// ExecContext; see effective_wire_codec in dist/algorithm.hpp) — a
-/// serving layer can trade accuracy for wire words per request without
-/// rebuilding the Plan.
+/// defaults execute on a one-shot world with no cache. The wire codec is
+/// the plan options' (AlgorithmOptions::codec).
 struct ExecuteOptions {
   SimWorld* world = nullptr;
   ReplicationCache* cache = nullptr;
-  std::optional<WirePrecision> wire_precision;
-  std::optional<IndexCodec> index_codec;
 };
 
 /// Fingerprint of (s, r): dims, nnz, the requested width, and every

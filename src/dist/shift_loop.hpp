@@ -41,12 +41,12 @@ enum class ShiftSchedule {
 };
 
 /// The wire description of one circulating dense payload: its shape and
-/// codec, plus — under PropagationMode::SparseCols / Auto — its
-/// column-support compression: per hop, only the block rows
-/// the rest of the ring trip still needs travel, as
-/// [count, cols..., values...] messages (shards.hpp's col_support is
-/// where the lists come from — the rows of a circulating B-side block a
-/// piece's kernels touch are exactly its sparse columns).
+/// codec, plus — under PropagationMode::Auto — its column-support
+/// compression: per hop, only the block rows the rest of the ring trip
+/// still needs travel, as [count, cols..., values...] messages
+/// (shards.hpp's col_support is where the lists come from — the rows of
+/// a circulating B-side block a piece's kernels touch are exactly its
+/// sparse columns).
 ///
 /// The schedules are per-rank slices of a shared per-(block, hop) plan:
 /// `send_rows[t]` lists, sorted, the payload rows this rank ships on
@@ -61,7 +61,7 @@ enum class ShiftSchedule {
 /// arrival, which is what the consumers' kernels (which never read
 /// them) and the final home placement (whose untouched rows are zero in
 /// the true output) expect; outputs are therefore bit-identical to
-/// Dense in every mode. Build with make_ring_compression.
+/// Dense. Build with make_ring_compression.
 struct ShiftCompression {
   PropagationMode mode = PropagationMode::Dense;
   Index block_rows = 0;

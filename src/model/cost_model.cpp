@@ -66,8 +66,7 @@ double expected_index_words(double support, double block_rows,
   const double raw = support;
   if (codec == IndexCodec::Raw) return raw;
   const double bitmap = std::ceil(block_rows / 64.0);
-  if (codec == IndexCodec::Bitmap) return bitmap;
-  // DeltaVarint: LEB128 bytes of the mean gap (7 payload bits per byte),
+  // LEB128 gaps: the bytes of the mean gap (7 payload bits per byte),
   // one such gap per support row, byte-packed into words.
   double gap = support > 0 ? block_rows / support : 1.0;
   double bytes_per_gap = 1.0;
@@ -76,8 +75,7 @@ double expected_index_words(double support, double block_rows,
     bytes_per_gap += 1.0;
   }
   const double varint = std::ceil(support * bytes_per_gap / 8.0);
-  if (codec == IndexCodec::DeltaVarint) return varint;
-  return std::min({raw, varint, bitmap}); // Auto, ties Raw first
+  return std::min({raw, varint, bitmap});
 }
 
 double expected_distinct(double draws, double bins) {
@@ -87,34 +85,34 @@ double expected_distinct(double draws, double bins) {
 
 namespace {
 
-/// Expected words of one compressed hop whose remaining consumers draw
-/// `draws` uniform nonzeros over `block_rows` rows of a width-wide
-/// block: header + encoded support rows + index section, nothing when
-/// no consumer remains. With auto_hops the encoded dense block wins
-/// whenever it is smaller (the shift loop's per-link crossover applied
-/// in expectation).
+/// Expected words of one hop whose remaining consumers draw `draws`
+/// uniform nonzeros over `block_rows` rows of a width-wide block: the
+/// smaller of the encoded dense block and the compressed message
+/// (header + encoded support rows + index section) — the shift loop's
+/// per-link crossover applied in expectation — and nothing when no
+/// consumer remains.
 double sparse_hop_words(double draws, double block_rows, double width,
-                        bool auto_hops, const WireCodec& codec) {
+                        const WireCodec& codec) {
+  if (draws <= 0) return 0.0; // nothing left to ship
   const double dense = block_rows * row_words(width, codec.precision);
-  if (draws <= 0) return 0.0; // nothing left to ship; sparse always wins
   const double support = expected_distinct(draws, block_rows);
   const double sparse =
       1.0 + support * row_words(width, codec.precision) +
       expected_index_words(support, block_rows, codec.index_codec);
-  return auto_hops ? std::min(dense, sparse) : sparse;
+  return std::min(dense, sparse);
 }
 
 /// Sum of the per-hop expected words over one read-only ring trip of
 /// `ring` hops: the hop after step t serves the ring-1-t remaining
 /// consumers, each drawing `draws_per_consumer` nonzeros.
 double sparse_ring_words(double ring, double draws_per_consumer,
-                         double block_rows, double width, bool auto_hops,
+                         double block_rows, double width,
                          const WireCodec& codec) {
   if (ring <= 1) return 0; // self-shifts are free
   double total = 0;
   for (double t = 0; t < ring; t += 1) {
     total += sparse_hop_words((ring - 1 - t) * draws_per_consumer,
-                              block_rows, width, auto_hops, codec);
+                              block_rows, width, codec);
   }
   return total;
 }
@@ -131,7 +129,6 @@ double triplet_factor(WirePrecision precision) {
 double expected_sparse_propagation_words(AlgorithmKind kind,
                                          Elision elision,
                                          const CostInputs& in,
-                                         bool auto_hops,
                                          const WireCodec& codec) {
   switch (kind) {
     case AlgorithmKind::DenseShift15D: {
@@ -140,7 +137,7 @@ double expected_sparse_propagation_words(AlgorithmKind kind,
       const double L = layer_count(in);
       const double loops = elision == Elision::LocalKernelFusion ? 1 : 2;
       return loops * sparse_ring_words(L, in.nnz / (in.p * L), in.n / in.p,
-                                       in.r, auto_hops, codec);
+                                       in.r, codec);
     }
     case AlgorithmKind::DenseRepl25D: {
       // The n/(qc)-row B blocks compress; the circulating COO triplets
@@ -153,8 +150,7 @@ double expected_sparse_propagation_words(AlgorithmKind kind,
                 : 0.0;
       return triplets + 2.0 * sparse_ring_words(q, in.nnz / in.p,
                                                 in.n / (q * in.c),
-                                                in.r / q, auto_hops,
-                                                codec);
+                                                in.r / q, codec);
     }
     case AlgorithmKind::SparseRepl25D: {
       // Both dense slices compress against the stationary cells: A by
@@ -164,15 +160,13 @@ double expected_sparse_propagation_words(AlgorithmKind kind,
       const double q = grid.q();
       const double width = in.r / (q * in.c);
       const double draws = in.nnz / (q * q);
-      return 2.0 * (sparse_ring_words(q, draws, in.m / q, width,
-                                      auto_hops, codec) +
-                    sparse_ring_words(q, draws, in.n / q, width,
-                                      auto_hops, codec));
+      return 2.0 * (sparse_ring_words(q, draws, in.m / q, width, codec) +
+                    sparse_ring_words(q, draws, in.n / q, width, codec));
     }
     case AlgorithmKind::SparseShift15D:
     case AlgorithmKind::Baseline1D:
       // Propagation is already sparsity-sized (COO triplets / distinct
-      // remote-row fetches); the column-support mode changes nothing.
+      // remote-row fetches); the propagation mode changes nothing.
       return fusedmm_cost(kind, elision, in, ReplicationMode::Dense,
                           PropagationMode::Dense, codec)
           .propagation_words;
@@ -210,7 +204,7 @@ double expected_sparse_replication_words(AlgorithmKind kind,
     case AlgorithmKind::SparseRepl25D:
     case AlgorithmKind::Baseline1D:
       // Replication is already sparsity-sized (value vectors) or absent;
-      // the row-sparse mode changes nothing.
+      // the replication mode changes nothing.
       return fusedmm_cost(kind, elision, in, ReplicationMode::Dense,
                           PropagationMode::Dense, codec)
           .replication_words;
@@ -227,17 +221,13 @@ CommCost fusedmm_cost(AlgorithmKind kind, Elision elision,
     CommCost cost = fusedmm_cost(kind, elision, in, ReplicationMode::Dense,
                                  PropagationMode::Dense, codec);
     if (mode != ReplicationMode::Dense) {
-      const double sparse =
-          expected_sparse_replication_words(kind, elision, in, codec);
-      cost.replication_words =
-          mode == ReplicationMode::SparseRows
-              ? sparse
-              : std::min(cost.replication_words, sparse);
+      cost.replication_words = std::min(
+          cost.replication_words,
+          expected_sparse_replication_words(kind, elision, in, codec));
     }
     if (propagation != PropagationMode::Dense) {
-      cost.propagation_words = expected_sparse_propagation_words(
-          kind, elision, in,
-          /*auto_hops=*/propagation == PropagationMode::Auto, codec);
+      cost.propagation_words =
+          expected_sparse_propagation_words(kind, elision, in, codec);
     }
     return cost;
   }

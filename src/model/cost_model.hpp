@@ -40,31 +40,31 @@ struct CommCost {
 /// fusion outside 1.5D dense shifting) or the grid is invalid.
 ///
 /// `mode` selects the replication-collective cost: Dense reproduces the
-/// exact Table III fiber terms; SparseRows replaces them with the
+/// exact Table III fiber terms; Auto takes the smaller of those and the
 /// EXPECTED supported-row traffic of the row-sparse collectives under a
 /// uniform sparsity pattern (support * (r + 1) scalars-plus-index words
-/// per fiber peer, plus one header word per message); Auto takes the
-/// smaller of the two, mirroring Group::allgatherv_rows' decision.
-/// Families whose replication traffic is already sparsity-sized (2.5D
-/// sparse replicating) or absent (1D baseline) are mode-independent.
+/// per fiber peer, plus one header word per message), mirroring
+/// Group::allgatherv_rows' decision. Families whose replication traffic
+/// is already sparsity-sized (2.5D sparse replicating) or absent (1D
+/// baseline) are mode-independent.
 ///
 /// `propagation` selects the shift-loop cost the same way: Dense keeps
-/// the exact Table III propagation terms; SparseCols replaces the dense
-/// circulating-block words with the EXPECTED column-support traffic of
-/// the compressed hops (expected_sparse_propagation_words below); Auto
-/// takes the per-hop minimum, mirroring the shift loop's per-link
-/// crossover. Channels that are already sparsity-sized (the circulating
-/// COO triplets) and the 1D baseline's support-sized fetches are
-/// propagation-mode-independent.
+/// the exact Table III propagation terms; Auto replaces the dense
+/// circulating-block words with the per-hop minimum of the dense block
+/// and the EXPECTED column-support message
+/// (expected_sparse_propagation_words below), mirroring the shift loop's
+/// per-link crossover. Channels that are already sparsity-sized (the
+/// circulating COO triplets) and the 1D baseline's support-sized fetches
+/// are propagation-mode-independent.
 ///
 /// `codec` prices the wire codec the runtime applies at hop boundaries
 /// (runtime/wire.hpp): low-precision values shrink every value payload
 /// by the values-per-word factor (dense rows pad per row, flat runs —
-/// triplet values, bare value fibers — pad once), and the index codecs
-/// shrink the expected support headers (DeltaVarint via the LEB128
-/// length of the mean gap, Bitmap to ceil(rows/64), Auto to the
-/// smallest). Dot-sum collectives stay full precision, mirroring the
-/// runtime. The default codec reproduces the exact Table III terms.
+/// triplet values, bare value fibers — pad once), and the Auto index
+/// codec shrinks the expected support headers (to the smallest of Raw,
+/// the LEB128 length of the mean gap, and a ceil(rows/64) bitmap).
+/// Dot-sum collectives stay full precision, mirroring the runtime. The
+/// default codec reproduces the exact Table III terms.
 CommCost fusedmm_cost(AlgorithmKind kind, Elision elision,
                       const CostInputs& in,
                       ReplicationMode mode = ReplicationMode::Dense,
@@ -78,23 +78,23 @@ double expected_distinct(double draws, double bins);
 
 /// Expected index-section words of a sorted `support`-row header over a
 /// `block_rows`-row block under `codec` — the continuous mirror of
-/// wire.hpp's encoded_index_words (DeltaVarint priced at the LEB128
-/// length of the mean gap; Auto takes the smallest, ties Raw first).
-/// Exposed for tests and the predictor.
+/// wire.hpp's encoded_index_words (Auto takes the smallest of Raw, the
+/// LEB128 length of the mean gap, and the bitmap). Exposed for tests and
+/// the predictor.
 double expected_index_words(double support, double block_rows,
                             IndexCodec codec);
 
-/// The expected per-rank replication words fusedmm_cost uses for
-/// SparseRows mode, exposed for tests and the predictor.
+/// The expected per-rank replication words of the row-sparse plan, which
+/// fusedmm_cost's Auto mode weighs against Dense; exposed for tests and
+/// the predictor.
 double expected_sparse_replication_words(AlgorithmKind kind,
                                          Elision elision,
                                          const CostInputs& in,
                                          const WireCodec& codec = {});
 
-/// The expected per-rank propagation words fusedmm_cost uses for
-/// SparseCols mode (`auto_hops` false) and the Auto per-hop crossover
-/// (`auto_hops` true: each hop contributes min(dense, sparse), the rule
-/// the shift loop applies per link on actual supports). Modeled for the
+/// The expected per-rank propagation words fusedmm_cost uses for Auto
+/// mode: each hop contributes min(dense, sparse), the rule the shift
+/// loop applies per link on actual supports. Modeled for the
 /// unfused read-only FusedMM pair under a uniform sparsity pattern: the
 /// hop after step t of an L-step ring carries the expected distinct
 /// column support of the L-1-t REMAINING consumers — 1 header +
@@ -110,7 +110,6 @@ double expected_sparse_replication_words(AlgorithmKind kind,
 double expected_sparse_propagation_words(AlgorithmKind kind,
                                          Elision elision,
                                          const CostInputs& in,
-                                         bool auto_hops = false,
                                          const WireCodec& codec = {});
 
 /// Words/messages for one unified kernel call (SDDMM or either SpMM —

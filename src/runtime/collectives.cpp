@@ -28,33 +28,13 @@ void add_scalars(std::span<Scalar> acc, const MessageWords& words) {
 
 } // namespace
 
-// Thin delegates into the wire-codec layer (wire.hpp) — the byte
-// layout, validation, and accounting live there, in one place.
-
-MessageWords pack_cols_block(const MessageWords& dense, Index block_rows,
-                             Index width, std::span<const Index> cols,
-                             const WireCodec& codec) {
-  return encode_cols_block(dense, block_rows, width, cols, codec);
-}
-
-MessageWords unpack_cols_block(const MessageWords& words, Index block_rows,
-                               Index width, std::span<const Index> cols,
-                               const WireCodec& codec) {
-  return decode_cols_block(words, block_rows, width, cols, codec);
-}
-
 bool propagation_hop_is_sparse(PropagationMode mode,
                                std::span<const Index> cols,
                                Index block_rows, Index width,
                                const WireCodec& codec) {
-  switch (mode) {
-    case PropagationMode::Dense: return false;
-    case PropagationMode::SparseCols: return true;
-    case PropagationMode::Auto:
-      return encoded_cols_words(cols, block_rows, width, codec) <
+  return mode == PropagationMode::Auto &&
+         encoded_cols_words(cols, block_rows, width, codec) <
              encoded_dense_words(block_rows, width, codec);
-  }
-  return false;
 }
 
 Group::Group(Comm& comm, std::vector<int> members)
@@ -184,9 +164,9 @@ std::vector<Index> rebase_rows(std::span<const Index> rows, Index base) {
   return local;
 }
 
-/// Table shape is checked in every mode; the per-list invariants only
-/// when the table will actually drive a plan (explicit Dense never
-/// reads it, and the drivers leave the lists empty in that mode).
+/// Table shape is checked in both modes; the per-list invariants only
+/// when the table can drive a plan (Dense never reads it, and the
+/// drivers leave the lists empty in that mode).
 void validate_support_table(std::span<const std::vector<Index>> wants,
                             int g, Index total_rows, ReplicationMode mode) {
   check(static_cast<int>(wants.size()) == g,
@@ -204,83 +184,43 @@ void validate_support_table(std::span<const std::vector<Index>> wants,
   }
 }
 
-} // namespace
-
-namespace {
-
-/// One walk over the (receiver t, sender q) plan matrix: group-total
-/// words and the worst member's sent/received words. Both the public
-/// total and Auto's per-rank crossover derive from this single pass, so
-/// a wire-format change cannot drift them apart.
-struct PlanTraffic {
-  std::uint64_t total = 0;
-  std::uint64_t worst_rank = 0;
-};
-
-PlanTraffic plan_traffic(std::span<const std::vector<Index>> wants,
-                         Index block_rows, Index width,
-                         const WireCodec& codec) {
+/// True when the row-sparse plan beats the dense ring for the group: the
+/// inputs are identical on every member, so so is the answer. Shared by
+/// both collectives so the two directions of a fiber exchange can never
+/// disagree on the crossover rule. One walk over the (receiver t, sender
+/// q) plan matrix prices each message with the codec layer (default:
+/// 1 + k*(1 + width), the historical charge). The comparison is
+/// per-rank, not group-total: the sparse plan wins only when its WORST
+/// member (max of sent and received words — the reduce-scatter direction
+/// is the transpose, covered by taking both axes) moves fewer words than
+/// the uniform dense ring cost, so the max-over-ranks replication words
+/// under Auto can never exceed Dense — even for skewed supports
+/// concentrated in one member's row slice. Both sides are ENCODED sizes,
+/// so a codec that shrinks the index headers moves the crossover toward
+/// higher support densities.
+bool sparse_plan_wins(std::span<const std::vector<Index>> wants,
+                      Index block_rows, Index width,
+                      const WireCodec& codec) {
   const auto g = wants.size();
   std::vector<std::uint64_t> sent(g, 0), received(g, 0);
-  PlanTraffic plan;
   for (std::size_t t = 0; t < g; ++t) {
     for (std::size_t q = 0; q < g; ++q) {
       if (q == t) continue;
       const auto rows = support_in_range(
           wants[t], static_cast<Index>(q) * block_rows, block_rows);
       if (rows.empty()) continue;
-      // The wire layout of one row message — count header, index
-      // section, per-row values — priced by the codec layer (default:
-      // 1 + k*(1 + width), the historical charge).
       const std::uint64_t message = encoded_rows_words(
           rebase_rows(rows, static_cast<Index>(q) * block_rows), block_rows,
           width, codec);
-      plan.total += message;
       sent[q] += message;
       received[t] += message;
     }
   }
+  std::uint64_t worst_rank = 0;
   for (std::size_t q = 0; q < g; ++q) {
-    plan.worst_rank = std::max({plan.worst_rank, sent[q], received[q]});
+    worst_rank = std::max({worst_rank, sent[q], received[q]});
   }
-  return plan;
-}
-
-} // namespace
-
-std::uint64_t Group::sparse_plan_words(
-    std::span<const std::vector<Index>> wants, Index block_rows,
-    Index width, const WireCodec& codec) {
-  return plan_traffic(wants, block_rows, width, codec).total;
-}
-
-namespace {
-
-/// Resolve Auto into the plan the whole group agrees on: the inputs are
-/// identical on every member, so so is the choice. Shared by both
-/// collectives so the two directions of a fiber exchange can never
-/// disagree on the crossover rule. The comparison is per-rank, not
-/// group-total: the sparse plan is taken only when its WORST member
-/// (max of sent and received words — the reduce-scatter direction is
-/// the transpose, covered by taking both axes) moves fewer words than
-/// the uniform dense ring cost, so the max-over-ranks replication words
-/// under Auto can never exceed Dense — even for skewed supports
-/// concentrated in one member's row slice.
-ReplicationMode resolve_mode(ReplicationMode mode,
-                             std::span<const std::vector<Index>> wants,
-                             Index block_rows, Index width, int g,
-                             const WireCodec& codec) {
-  if (mode != ReplicationMode::Auto) return mode;
-  // Both sides of the crossover are ENCODED sizes, so a codec that
-  // shrinks the index headers moves the crossover toward higher support
-  // densities while Auto stays no worse than Dense per rank.
-  const std::uint64_t dense_rank_words =
-      static_cast<std::uint64_t>(g - 1) *
-      encoded_dense_words(block_rows, width, codec);
-  return plan_traffic(wants, block_rows, width, codec).worst_rank <
-                 dense_rank_words
-             ? ReplicationMode::SparseRows
-             : ReplicationMode::Dense;
+  return worst_rank < (g - 1) * encoded_dense_words(block_rows, width, codec);
 }
 
 } // namespace
@@ -297,7 +237,6 @@ DenseMatrix Group::allgatherv_rows(const DenseMatrix& src, Index row0,
         ") outside a ", src.rows(), "-row input");
   validate_support_table(wants, g, static_cast<Index>(g) * block_rows,
                          mode);
-  mode = resolve_mode(mode, wants, block_rows, width, g, codec);
   const auto block_words = static_cast<std::size_t>(block_rows) *
                            static_cast<std::size_t>(width);
   const auto own = src.data().subspan(
@@ -310,7 +249,8 @@ DenseMatrix Group::allgatherv_rows(const DenseMatrix& src, Index row0,
                   static_cast<std::ptrdiff_t>(
                       static_cast<std::size_t>(origin) * block_words));
   };
-  if (mode == ReplicationMode::Dense) {
+  if (mode == ReplicationMode::Dense ||
+      !sparse_plan_wins(wants, block_rows, width, codec)) {
     // Every row of the result gets written (this member's rows, then
     // each peer's block as it lands), so it starts unwritten. The ring
     // of allgather_words: at step s, forward the block that originated
@@ -378,9 +318,9 @@ DenseMatrix Group::reduce_scatter_rows(
   const Index block_rows = partial.rows() / g;
   const Index width = partial.cols();
   validate_support_table(wants, g, partial.rows(), mode);
-  mode = resolve_mode(mode, wants, block_rows, width, g, codec);
   const Index chunk0 = static_cast<Index>(pos_) * block_rows;
-  if (mode == ReplicationMode::Dense) {
+  if (mode == ReplicationMode::Dense ||
+      !sparse_plan_wins(wants, block_rows, width, codec)) {
     if (g == 1 || block_rows == 0) {
       return partial.row_block(chunk0, chunk0 + block_rows);
     }
@@ -393,7 +333,7 @@ DenseMatrix Group::reduce_scatter_rows(
     // rounded exactly as in reduce_scatter. The last chunk folded is
     // this member's own. At a lossy precision the running sums
     // re-quantize per hop — the one wire path whose rounding depends on
-    // the replication mode. Empty chunks send nothing.
+    // the replication plan. Empty chunks send nothing.
     const auto block_words = static_cast<std::size_t>(block_rows) *
                              static_cast<std::size_t>(width);
     const auto chunk = [&](int idx) {

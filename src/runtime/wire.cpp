@@ -158,17 +158,33 @@ std::uint64_t varint_words(std::span<const Index> indices) {
   return (varint_bytes(indices) + 7) / 8;
 }
 
-/// Section words under a CONCRETE codec (Auto already resolved).
-std::uint64_t index_section_words(std::span<const Index> indices,
-                                 Index block_rows, IndexCodec codec) {
-  switch (codec) {
-    case IndexCodec::Raw: return indices.size();
-    case IndexCodec::DeltaVarint: return varint_words(indices);
-    case IndexCodec::Bitmap: return bitmap_words(block_rows);
-    case IndexCodec::Auto: break;
+/// The index-section encodings a message can carry: one word per
+/// index, LEB128-coded gaps byte-packed into words, or a membership
+/// bitmap over the block's rows.
+enum class Section { Raw, Leb128, Bitmap };
+
+std::uint64_t section_words(std::span<const Index> indices,
+                            Index block_rows, Section section) {
+  switch (section) {
+    case Section::Raw: return indices.size();
+    case Section::Leb128: return varint_words(indices);
+    case Section::Bitmap: return bitmap_words(block_rows);
   }
-  check(false, "wire: index_section_words on unresolved Auto");
   return 0;
+}
+
+/// The section one message carries: Raw when asked for, else (Auto) the
+/// smallest encoding of `indices` against a `block_rows`-row block, ties
+/// resolved Raw < LEB128 < bitmap. A pure function of (indices,
+/// block_rows), so sender and receiver always agree.
+Section choose_section(std::span<const Index> indices, Index block_rows,
+                       IndexCodec codec) {
+  if (codec == IndexCodec::Raw) return Section::Raw;
+  const std::uint64_t raw = indices.size();
+  const std::uint64_t leb = varint_words(indices);
+  const std::uint64_t bm = bitmap_words(block_rows);
+  if (raw <= leb && raw <= bm) return Section::Raw;
+  return leb <= bm ? Section::Leb128 : Section::Bitmap;
 }
 
 void check_index_range(std::span<const Index> indices, Index block_rows) {
@@ -179,15 +195,15 @@ void check_index_range(std::span<const Index> indices, Index block_rows) {
 }
 
 void put_index_section(MessageWords& out, std::span<const Index> indices,
-                       Index block_rows, IndexCodec codec) {
+                       Index block_rows, Section section) {
   check_index_range(indices, block_rows);
-  switch (codec) {
-    case IndexCodec::Raw:
+  switch (section) {
+    case Section::Raw:
       for (const Index c : indices) {
         out.push_back(static_cast<std::uint64_t>(c));
       }
       return;
-    case IndexCodec::DeltaVarint: {
+    case Section::Leb128: {
       std::vector<std::uint8_t> bytes;
       bytes.reserve(static_cast<std::size_t>(varint_bytes(indices)));
       for (std::size_t k = 0; k < indices.size(); ++k) {
@@ -207,7 +223,7 @@ void put_index_section(MessageWords& out, std::span<const Index> indices,
       }
       return;
     }
-    case IndexCodec::Bitmap: {
+    case Section::Bitmap: {
       const std::size_t old = out.size();
       out.resize(old + static_cast<std::size_t>(bitmap_words(block_rows)),
                  0);
@@ -217,31 +233,29 @@ void put_index_section(MessageWords& out, std::span<const Index> indices,
       }
       return;
     }
-    case IndexCodec::Auto: break;
   }
-  check(false, "wire: put_index_section on unresolved Auto");
 }
 
 /// Validate that the section at `cursor` encodes exactly `expected`
-/// under the concrete `codec`; advances the cursor past it. Every index,
+/// as `section`; advances the cursor past it. Every index,
 /// the stream length, and (for the byte codecs) the padding are checked,
 /// so a truncated or tampered section is a structured error.
 void take_index_section(const MessageWords& words, std::size_t& cursor,
                         std::span<const Index> expected, Index block_rows,
-                        IndexCodec codec) {
+                        Section section) {
   const auto need = static_cast<std::size_t>(
-      index_section_words(expected, block_rows, codec));
+      section_words(expected, block_rows, section));
   check(cursor + need <= words.size(),
         "wire: truncated index section (", words.size() - cursor,
         " words left, section needs ", need, ")");
-  switch (codec) {
-    case IndexCodec::Raw:
+  switch (section) {
+    case Section::Raw:
       for (std::size_t k = 0; k < expected.size(); ++k) {
         check(static_cast<Index>(words[cursor + k]) == expected[k],
               "wire: row mismatch against the support table");
       }
       break;
-    case IndexCodec::DeltaVarint: {
+    case Section::Leb128: {
       const std::uint8_t* bytes =
           reinterpret_cast<const std::uint8_t*>(words.data() + cursor);
       const std::size_t nbytes = need * 8;
@@ -268,7 +282,7 @@ void take_index_section(const MessageWords& words, std::size_t& cursor,
       }
       break;
     }
-    case IndexCodec::Bitmap: {
+    case Section::Bitmap: {
       std::size_t k = 0;
       for (Index c = 0; c < block_rows; ++c) {
         const bool set =
@@ -290,8 +304,6 @@ void take_index_section(const MessageWords& words, std::size_t& cursor,
       }
       break;
     }
-    case IndexCodec::Auto:
-      check(false, "wire: take_index_section on unresolved Auto");
   }
   cursor += need;
 }
@@ -304,21 +316,10 @@ std::uint64_t row_values_words(std::int64_t rows, Index width,
 
 } // namespace
 
-IndexCodec choose_index_codec(std::span<const Index> indices,
-                              Index block_rows, IndexCodec requested) {
-  if (requested != IndexCodec::Auto) return requested;
-  const std::uint64_t raw = indices.size();
-  const std::uint64_t dv = varint_words(indices);
-  const std::uint64_t bm = bitmap_words(block_rows);
-  if (raw <= dv && raw <= bm) return IndexCodec::Raw;
-  if (dv <= bm) return IndexCodec::DeltaVarint;
-  return IndexCodec::Bitmap;
-}
-
 std::uint64_t encoded_index_words(std::span<const Index> indices,
                                   Index block_rows, IndexCodec codec) {
-  return index_section_words(
-      indices, block_rows, choose_index_codec(indices, block_rows, codec));
+  return section_words(indices, block_rows,
+                       choose_section(indices, block_rows, codec));
 }
 
 std::uint64_t encoded_values_words(std::int64_t count,
@@ -456,8 +457,7 @@ MessageWords write_support(std::span<const Index> support, Index block_rows,
       encoded_cols_words(support, block_rows, width, codec), 1)));
   out.push_back(static_cast<std::uint64_t>(support.size()));
   put_index_section(out, support, block_rows,
-                    choose_index_codec(support, block_rows,
-                                       codec.index_codec));
+                    choose_section(support, block_rows, codec.index_codec));
   for (std::size_t k = 0; k < support.size(); ++k) put(out, k);
   return out;
 }
@@ -476,8 +476,7 @@ void read_support(const MessageWords& words, std::span<const Index> support,
         " rows, support expects ", support.size());
   check_index_range(support, block_rows);
   take_index_section(words, cursor, support, block_rows,
-                     choose_index_codec(support, block_rows,
-                                        codec.index_codec));
+                     choose_section(support, block_rows, codec.index_codec));
   for (std::size_t k = 0; k < support.size(); ++k) take(words, cursor, k);
   check(cursor == words.size(), what, ": oversized message");
 }

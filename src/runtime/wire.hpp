@@ -22,11 +22,11 @@
 ///    in full precision. Quantization is idempotent — re-encoding an
 ///    already-quantized value is exact — so forwarding an unmodified
 ///    block along a multi-hop ring does not compound the error.
-///  - `IndexCodec::DeltaVarint` / `Bitmap` re-encode the sorted support
-///    index section; `Auto` picks the smallest per message (ties
-///    resolved Raw < DeltaVarint < Bitmap), so Auto never exceeds Raw.
-///    Both endpoints resolve the choice from the shared support tables —
-///    no descriptor word travels.
+///  - `IndexCodec::Auto` re-encodes the sorted support index section as
+///    the smallest of one word per index, LEB128-coded gaps and a
+///    membership bitmap, per message (ties resolved in that order), so
+///    Auto never exceeds Raw. Both endpoints resolve the choice from the
+///    shared support tables — no descriptor word travels.
 ///
 /// Decoders validate everything against the expected support: count
 /// headers, every index, exact payload length (truncated or
@@ -52,15 +52,9 @@ struct WireTriplets {
 
 // --- index sections (sorted, distinct, block-local support lists) ------
 
-/// Resolve `Auto` to a concrete index codec for one message: the
-/// smallest encoding of `indices` against a `block_rows`-row block,
-/// ties resolved Raw < DeltaVarint < Bitmap. Non-Auto requests pass
-/// through. Pure function of (indices, block_rows), so sender and
-/// receiver always agree.
-IndexCodec choose_index_codec(std::span<const Index> indices,
-                              Index block_rows, IndexCodec requested);
-
-/// Words of the index section alone under a concrete (or Auto) codec.
+/// Words of the index section alone: one per index under Raw, the
+/// smallest encoding of `indices` against a `block_rows`-row block
+/// under Auto.
 std::uint64_t encoded_index_words(std::span<const Index> indices,
                                   Index block_rows, IndexCodec codec);
 
@@ -91,8 +85,8 @@ void decode_dense(const MessageWords& wire, DenseMatrix& block,
 // --- COO triplets [count, rows..., cols..., values...] -----------------
 
 /// Triplet index arrays ride Raw in every codec — COO columns are
-/// unsorted, so the gap/bitmap codecs do not apply; only the value
-/// payload honors `codec.precision`.
+/// unsorted, so the gap and bitmap encodings do not apply; only the
+/// value payload honors `codec.precision`.
 std::uint64_t encoded_triplets_words(std::int64_t count,
                                      const WireCodec& codec);
 MessageWords encode_triplets(std::span<const Index> rows,

@@ -133,7 +133,10 @@ TEST_P(CollectiveSweep, RejectsRaggedLastBlock) {
 
 /// Support regimes for the row-sparse replication collectives: nobody
 /// needs anything, each member needs one row, every member needs the
-/// whole block (the density crossover's far side).
+/// whole block (the density crossover's far side). Auto takes the
+/// sparse plan on the first two (wherever a peer exists) and the dense
+/// one on the full support, where each row's index word prices the
+/// sparse plan out.
 enum class Support { Empty, SingleRow, Full };
 
 std::vector<std::vector<Index>> make_wants(Support regime, int g,
@@ -167,6 +170,26 @@ DenseMatrix member_block(int member) {
   return block;
 }
 
+/// Total words of the row-sparse plan for `wants` over kBlockRows-row
+/// member blocks: one message per non-empty (receiver t, sender q)
+/// intersection, priced by the codec layer.
+std::uint64_t sparse_plan_words(const std::vector<std::vector<Index>>& wants) {
+  const auto g = static_cast<Index>(wants.size());
+  std::uint64_t total = 0;
+  for (Index t = 0; t < g; ++t) {
+    for (Index q = 0; q < g; ++q) {
+      if (q == t) continue;
+      std::vector<Index> rows;
+      for (const Index row : wants[static_cast<std::size_t>(t)]) {
+        const Index local = row - q * kBlockRows;
+        if (0 <= local && local < kBlockRows) rows.push_back(local);
+      }
+      total += encoded_rows_words(rows, kBlockRows, kWidth, WireCodec{});
+    }
+  }
+  return total;
+}
+
 /// Member `member`'s reduce-scatter partial: random values on the rows of
 /// its own support, zero elsewhere — exactly the contract the SpMM-A
 /// drivers satisfy.
@@ -191,8 +214,7 @@ TEST_P(CollectiveSweep, AllgathervRowsDeliversSupportedRowsExactly) {
        {Support::Empty, Support::SingleRow, Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
     for (const ReplicationMode mode :
-         {ReplicationMode::Dense, ReplicationMode::SparseRows,
-          ReplicationMode::Auto}) {
+         {ReplicationMode::Dense, ReplicationMode::Auto}) {
       run_spmd(g, [&](Comm& comm) {
         Group group(comm, all_ranks(g));
         const auto out =
@@ -239,14 +261,19 @@ TEST_P(CollectiveSweep, AllgathervRowsWordCountsMatchThePlan) {
     const std::uint64_t dense_words =
         static_cast<std::uint64_t>(g) * static_cast<std::uint64_t>(g - 1) *
         kBlockRows * kWidth;
-    const std::uint64_t plan_words =
-        Group::sparse_plan_words(wants, kBlockRows, kWidth);
     EXPECT_EQ(total_words(ReplicationMode::Dense), dense_words);
-    EXPECT_EQ(total_words(ReplicationMode::SparseRows), plan_words);
     // Auto decides on the plan's worst member, not group totals (see
-    // AutoDecidesPerRankNotOnGroupTotals); the guaranteed property is
-    // that it never moves more words than the dense ring.
-    EXPECT_LE(total_words(ReplicationMode::Auto), dense_words);
+    // AutoDecidesPerRankNotOnGroupTotals): the sparse plan, priced
+    // exactly, on the thin supports, and the dense ring on the full one.
+    const std::uint64_t auto_words = total_words(ReplicationMode::Auto);
+    if (regime == Support::Full) {
+      EXPECT_EQ(auto_words, dense_words);
+    } else {
+      EXPECT_EQ(auto_words, sparse_plan_words(wants));
+      if (g > 1) {
+        EXPECT_LT(auto_words, dense_words);
+      }
+    }
   }
 }
 
@@ -256,32 +283,36 @@ TEST_P(CollectiveSweep, ReduceScatterRowsBitIdenticalToDense) {
   for (const Support regime :
        {Support::Empty, Support::SingleRow, Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
-    const auto run_mode = [&](ReplicationMode mode) {
+    const auto run_mode = [&](ReplicationMode mode, std::uint64_t& words) {
       std::vector<DenseMatrix> chunks(static_cast<std::size_t>(g));
-      run_spmd(g, [&](Comm& comm) {
+      const auto stats = run_spmd(g, [&](Comm& comm) {
+        PhaseScope scope(comm.stats(), Phase::Replication);
         Group group(comm, all_ranks(g));
         chunks[static_cast<std::size_t>(comm.rank())] =
             group.reduce_scatter_rows(
                 member_partial(wants, comm.rank(), total_rows, 800), wants,
                 mode);
       });
+      words = stats.max_words(Phase::Replication);
       return chunks;
     };
-    const auto dense = run_mode(ReplicationMode::Dense);
-    for (const ReplicationMode mode :
-         {ReplicationMode::SparseRows, ReplicationMode::Auto}) {
-      const auto got = run_mode(mode);
-      for (int rank = 0; rank < g; ++rank) {
-        const auto& want = dense[static_cast<std::size_t>(rank)];
-        const auto& have = got[static_cast<std::size_t>(rank)];
-        ASSERT_EQ(have.rows(), want.rows());
-        for (Index i = 0; i < want.rows(); ++i) {
-          for (Index j = 0; j < want.cols(); ++j) {
-            // Bit-identical, not merely close: the sparse fold follows
-            // the dense ring's accumulation order.
-            EXPECT_EQ(have(i, j), want(i, j))
-                << to_string(mode) << " rank " << rank;
-          }
+    std::uint64_t dense_words = 0;
+    std::uint64_t auto_words = 0;
+    const auto dense = run_mode(ReplicationMode::Dense, dense_words);
+    const auto got = run_mode(ReplicationMode::Auto, auto_words);
+    // The thin supports take the row-sparse fold.
+    if (regime != Support::Full && g > 1) {
+      EXPECT_LT(auto_words, dense_words);
+    }
+    for (int rank = 0; rank < g; ++rank) {
+      const auto& want = dense[static_cast<std::size_t>(rank)];
+      const auto& have = got[static_cast<std::size_t>(rank)];
+      ASSERT_EQ(have.rows(), want.rows());
+      for (Index i = 0; i < want.rows(); ++i) {
+        for (Index j = 0; j < want.cols(); ++j) {
+          // Bit-identical, not merely close: the sparse fold follows
+          // the dense ring's accumulation order.
+          EXPECT_EQ(have(i, j), want(i, j)) << "rank " << rank;
         }
       }
     }
@@ -300,9 +331,10 @@ bool meets_block(const std::vector<Index>& support, int block) {
 /// allgatherv_rows against the generic ring all-gather of the flattened
 /// blocks, across every support regime (empty included) and mode: the
 /// dense plan reproduces the ring bit for bit with identical per-rank
-/// words and messages (one message per hop); the row-sparse plan
-/// delivers the same bits on every row it ships and mails exactly one
-/// message per non-empty (sender, receiver) pair.
+/// words and messages (one message per hop); the row-sparse plan Auto
+/// takes on the thin supports delivers the same bits on every row it
+/// ships, mails exactly one message per non-empty (sender, receiver)
+/// pair, and sends fewer words than the ring.
 TEST_P(CollectiveSweep, AllgathervRowsMatchesRingAllgather) {
   const int g = GetParam();
   const Index total_rows = static_cast<Index>(g) * kBlockRows;
@@ -317,7 +349,9 @@ TEST_P(CollectiveSweep, AllgathervRowsMatchesRingAllgather) {
           group.allgather(member_block(comm.rank()).data());
     });
     for (const ReplicationMode mode :
-         {ReplicationMode::Dense, ReplicationMode::SparseRows}) {
+         {ReplicationMode::Dense, ReplicationMode::Auto}) {
+      const bool sparse_plan =
+          mode == ReplicationMode::Auto && regime != Support::Full;
       std::vector<DenseMatrix> got(static_cast<std::size_t>(g));
       const auto stats = run_spmd(g, [&](Comm& comm) {
         PhaseScope scope(comm.stats(), Phase::Replication);
@@ -330,7 +364,7 @@ TEST_P(CollectiveSweep, AllgathervRowsMatchesRingAllgather) {
         const auto& have = got[static_cast<std::size_t>(rank)];
         ASSERT_EQ(have.rows(), total_rows);
         std::vector<char> shipped(static_cast<std::size_t>(total_rows),
-                                  mode == ReplicationMode::Dense ? 1 : 0);
+                                  sparse_plan ? 0 : 1);
         for (Index i = 0; i < kBlockRows; ++i) {
           shipped[static_cast<std::size_t>(rank * kBlockRows + i)] = 1;
         }
@@ -348,9 +382,9 @@ TEST_P(CollectiveSweep, AllgathervRowsMatchesRingAllgather) {
           }
         }
         const auto& counters = stats.rank(rank).phase(Phase::Replication);
-        if (mode == ReplicationMode::Dense) {
-          const auto& ring_counters =
-              ring_stats.rank(rank).phase(Phase::Replication);
+        const auto& ring_counters =
+            ring_stats.rank(rank).phase(Phase::Replication);
+        if (!sparse_plan) {
           EXPECT_EQ(counters.words_sent, ring_counters.words_sent)
               << "rank " << rank;
           EXPECT_EQ(counters.messages_sent, ring_counters.messages_sent)
@@ -364,6 +398,10 @@ TEST_P(CollectiveSweep, AllgathervRowsMatchesRingAllgather) {
             }
           }
           EXPECT_EQ(counters.messages_sent, messages) << "rank " << rank;
+          if (g > 1) {
+            EXPECT_LT(counters.words_sent, ring_counters.words_sent)
+                << "rank " << rank;
+          }
         }
       }
     }
@@ -373,9 +411,10 @@ TEST_P(CollectiveSweep, AllgathervRowsMatchesRingAllgather) {
 /// reduce_scatter_rows against the generic ring reduce-scatter of the
 /// flattened partial, across every support regime (empty included): the
 /// dense plan reproduces it bit for bit with identical per-rank words
-/// and messages (one message per hop), and the row-sparse plan — which
-/// folds in the same order (see ReduceScatterRowsBitIdenticalToDense) —
-/// mails exactly one message per non-empty (sender, receiver) pair.
+/// and messages (one message per hop), and the row-sparse plan Auto
+/// takes on the thin supports — which folds in the same order (see
+/// ReduceScatterRowsBitIdenticalToDense) — mails exactly one message
+/// per non-empty (sender, receiver) pair and fewer words than the ring.
 TEST_P(CollectiveSweep, ReduceScatterRowsMatchesRingReduceScatter) {
   const int g = GetParam();
   const Index total_rows = static_cast<Index>(g) * kBlockRows;
@@ -390,7 +429,9 @@ TEST_P(CollectiveSweep, ReduceScatterRowsMatchesRingReduceScatter) {
           member_partial(wants, comm.rank(), total_rows, 900).data());
     });
     for (const ReplicationMode mode :
-         {ReplicationMode::Dense, ReplicationMode::SparseRows}) {
+         {ReplicationMode::Dense, ReplicationMode::Auto}) {
+      const bool sparse_plan =
+          mode == ReplicationMode::Auto && regime != Support::Full;
       std::vector<DenseMatrix> got(static_cast<std::size_t>(g));
       const auto stats = run_spmd(g, [&](Comm& comm) {
         PhaseScope scope(comm.stats(), Phase::Replication);
@@ -402,7 +443,9 @@ TEST_P(CollectiveSweep, ReduceScatterRowsMatchesRingReduceScatter) {
       });
       for (int rank = 0; rank < g; ++rank) {
         const auto& counters = stats.rank(rank).phase(Phase::Replication);
-        if (mode == ReplicationMode::SparseRows) {
+        const auto& ring_counters =
+            ring_stats.rank(rank).phase(Phase::Replication);
+        if (sparse_plan) {
           // This member mails its own support, split by receiver block —
           // the transpose of the all-gather plan.
           std::uint64_t messages = 0;
@@ -413,6 +456,10 @@ TEST_P(CollectiveSweep, ReduceScatterRowsMatchesRingReduceScatter) {
             }
           }
           EXPECT_EQ(counters.messages_sent, messages) << "rank " << rank;
+          if (g > 1) {
+            EXPECT_LT(counters.words_sent, ring_counters.words_sent)
+                << "rank " << rank;
+          }
           continue;
         }
         const auto& want = ring[static_cast<std::size_t>(rank)];
@@ -425,8 +472,6 @@ TEST_P(CollectiveSweep, ReduceScatterRowsMatchesRingReduceScatter) {
                 << "rank " << rank;
           }
         }
-        const auto& ring_counters =
-            ring_stats.rank(rank).phase(Phase::Replication);
         EXPECT_EQ(counters.words_sent, ring_counters.words_sent)
             << "rank " << rank;
         EXPECT_EQ(counters.messages_sent, ring_counters.messages_sent)
@@ -437,11 +482,13 @@ TEST_P(CollectiveSweep, ReduceScatterRowsMatchesRingReduceScatter) {
 }
 
 /// Column-support compressed shift hops (Group::sendrecv_cols): a full
-/// ring exchange where every member ships its block's supported rows to
-/// its left neighbour. Received rows must equal the sender's block on
-/// the support and zero elsewhere, and the word counts must pin to the
-/// [count, cols..., values...] plan — including the empty support, which
-/// sends nothing at all.
+/// ring exchange where every member ships its block to its left
+/// neighbour. On the thin supports Auto compresses the hop: received
+/// rows equal the sender's block on the support and zero elsewhere, and
+/// the word counts pin to the [count, cols..., values...] message —
+/// including the empty support, which sends nothing at all. On the full
+/// support the index words price compression out and the whole block
+/// travels.
 TEST_P(CollectiveSweep, SendrecvColsDeliversSupportAndPinsWords) {
   const int g = GetParam();
   // Per-pair support lists: what member (t+1) % g ships to member t —
@@ -450,8 +497,9 @@ TEST_P(CollectiveSweep, SendrecvColsDeliversSupportAndPinsWords) {
        {Support::Empty, Support::SingleRow, Support::Full}) {
     const auto hop_rows = make_wants(regime, g, kBlockRows);
     for (const PropagationMode mode :
-         {PropagationMode::Dense, PropagationMode::SparseCols,
-          PropagationMode::Auto}) {
+         {PropagationMode::Dense, PropagationMode::Auto}) {
+      const bool sparse_hop =
+          mode == PropagationMode::Auto && regime != Support::Full;
       auto stats = run_spmd(g, [&](Comm& comm) {
         PhaseScope scope(comm.stats(), Phase::Propagation);
         Group group(comm, all_ranks(g));
@@ -467,13 +515,8 @@ TEST_P(CollectiveSweep, SendrecvColsDeliversSupportAndPinsWords) {
         const auto want = member_block(from);
         ASSERT_EQ(landed.rows(), kBlockRows);
         std::vector<char> on_support(static_cast<std::size_t>(kBlockRows),
-                                     0);
-        if (mode == PropagationMode::Dense ||
-            (mode == PropagationMode::Auto &&
-             !sparse_cols_hop_wins(recv_rows.size(), kBlockRows,
-                                   kWidth))) {
-          std::fill(on_support.begin(), on_support.end(), 1);
-        } else {
+                                     sparse_hop ? 0 : 1);
+        if (sparse_hop) {
           for (const Index row : recv_rows) {
             on_support[static_cast<std::size_t>(row)] = 1;
           }
@@ -494,40 +537,39 @@ TEST_P(CollectiveSweep, SendrecvColsDeliversSupportAndPinsWords) {
         if (g == 1) break; // self-exchange still moves one message here
         const auto& rows = hop_rows[static_cast<std::size_t>(
             (rank - 1 + g) % g)]; // what this rank SENDS
-        std::uint64_t want_words = dense_hop_words;
-        if (mode == PropagationMode::SparseCols ||
-            (mode == PropagationMode::Auto &&
-             sparse_cols_hop_wins(rows.size(), kBlockRows, kWidth))) {
-          want_words = sparse_cols_words(rows.size(), kWidth);
-        }
-        EXPECT_EQ(stats.rank(rank).phase(Phase::Propagation).words_sent,
-                  want_words)
-            << to_string(mode) << " rank " << rank;
-        // The enforced invariant behind Auto: never more than dense
-        // (explicit SparseCols, like SparseRows, may exceed it — a full
-        // support costs the extra index words).
-        if (mode != PropagationMode::SparseCols) {
-          EXPECT_LE(stats.rank(rank).phase(Phase::Propagation).words_sent,
-                    dense_hop_words);
+        const std::uint64_t words =
+            stats.rank(rank).phase(Phase::Propagation).words_sent;
+        if (sparse_hop) {
+          EXPECT_EQ(words, encoded_cols_words(rows, kBlockRows, kWidth,
+                                              WireCodec{}))
+              << "rank " << rank;
+          EXPECT_LT(words, dense_hop_words) << "rank " << rank;
+        } else {
+          EXPECT_EQ(words, dense_hop_words)
+              << to_string(mode) << " rank " << rank;
         }
       }
     }
   }
 }
 
-/// The cols-block wire triple directly: pack produces exactly
-/// sparse_cols_words words, unpack restores the dense payload with
-/// zeros off-support, and the empty support ships nothing — the
-/// pack/unpack/words lockstep dsk_lint's P1 check requires a test to
-/// pin.
+/// The cols-block wire triple on a raw dense image: encode produces
+/// exactly encoded_cols_words words — under the default codec a count
+/// header plus an index word and the values per row — decode restores
+/// the dense payload with zeros off-support, and the empty support
+/// ships nothing: the encode/decode/words lockstep dsk_lint's P1 check
+/// requires a test to pin.
 TEST(ColsBlockWire, PackUnpackWordsStayInLockstep) {
+  const WireCodec codec{};
   const auto dense = pack_dense(member_block(3));
   const std::vector<Index> support = {0, 2, 5};
   const auto packed =
-      pack_cols_block(dense, kBlockRows, kWidth, support);
-  EXPECT_EQ(packed.size(), sparse_cols_words(support.size(), kWidth));
+      encode_cols_block(dense, kBlockRows, kWidth, support, codec);
+  EXPECT_EQ(packed.size(),
+            encoded_cols_words(support, kBlockRows, kWidth, codec));
+  EXPECT_EQ(packed.size(), 1 + support.size() * (1 + kWidth));
   const auto restored =
-      unpack_cols_block(packed, kBlockRows, kWidth, support);
+      decode_cols_block(packed, kBlockRows, kWidth, support, codec);
   const auto want = member_block(3);
   const auto got = unpack_dense(restored, kBlockRows, kWidth);
   std::vector<char> on_support(static_cast<std::size_t>(kBlockRows), 0);
@@ -543,28 +585,29 @@ TEST(ColsBlockWire, PackUnpackWordsStayInLockstep) {
     }
   }
 
-  // Empty support: the packer still emits its count header, but the
+  // Empty support: the encoder still emits its count header, but the
   // wire cost is zero because every caller skips the hop outright —
-  // which is exactly what sparse_cols_words(0, w) == 0 accounts for.
+  // which is exactly what encoded_cols_words of it accounts for.
   const std::vector<Index> empty;
-  const auto empty_packed = pack_cols_block(dense, kBlockRows, kWidth, empty);
+  const auto empty_packed =
+      encode_cols_block(dense, kBlockRows, kWidth, empty, codec);
   EXPECT_EQ(empty_packed.size(), 1u);
   EXPECT_EQ(empty_packed.front(), 0u);
-  EXPECT_EQ(sparse_cols_words(0, kWidth), 0u);
+  EXPECT_EQ(encoded_cols_words(empty, kBlockRows, kWidth, codec), 0u);
   const auto empty_restored =
-      unpack_cols_block(empty_packed, kBlockRows, kWidth, empty);
+      decode_cols_block(empty_packed, kBlockRows, kWidth, empty, codec);
   EXPECT_TRUE(std::all_of(empty_restored.begin(), empty_restored.end(),
                           [](std::uint64_t w) { return w == 0; }));
 
   // Truncated and trailing-garbage messages are rejected.
   auto corrupt = packed;
   corrupt.pop_back();
-  EXPECT_THROW(unpack_cols_block(corrupt, kBlockRows, kWidth, support),
-               Error);
+  EXPECT_THROW(
+      decode_cols_block(corrupt, kBlockRows, kWidth, support, codec), Error);
   corrupt = packed;
   corrupt.push_back(0);
-  EXPECT_THROW(unpack_cols_block(corrupt, kBlockRows, kWidth, support),
-               Error);
+  EXPECT_THROW(
+      decode_cols_block(corrupt, kBlockRows, kWidth, support, codec), Error);
 }
 
 TEST(SparseCollectives, AutoDecidesPerRankNotOnGroupTotals) {

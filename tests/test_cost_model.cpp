@@ -211,33 +211,28 @@ TEST(CostModel, ExpectedDistinctSanity) {
 TEST(CostModel, SparseReplicationTermsBelowDenseOnSparseInputs) {
   // nnz/p far below the working-block row count: the expected support is
   // a fraction of the block, so shipping support*(r+1) words beats the
-  // dense (c-1)*m*r/p fiber term. Propagation is untouched by the knob.
+  // dense (c-1)*m*r/p fiber term and Auto takes it. Propagation is
+  // untouched by the knob.
   const CostInputs in{1 << 16, 1 << 16, 64, 2.0 * (1 << 16), 16, 4};
   for (const auto kind :
        {AlgorithmKind::DenseShift15D, AlgorithmKind::SparseShift15D,
         AlgorithmKind::DenseRepl25D}) {
     const auto dense = fusedmm_cost(kind, Elision::None, in);
-    const auto sparse = fusedmm_cost(kind, Elision::None, in,
-                                     ReplicationMode::SparseRows);
     const auto autod =
         fusedmm_cost(kind, Elision::None, in, ReplicationMode::Auto);
-    EXPECT_LT(sparse.replication_words, dense.replication_words)
-        << to_string(kind);
-    EXPECT_DOUBLE_EQ(autod.replication_words,
-                     std::min(dense.replication_words,
-                              sparse.replication_words))
-        << to_string(kind);
-    EXPECT_DOUBLE_EQ(sparse.propagation_words, dense.propagation_words)
+    EXPECT_LT(autod.replication_words, dense.replication_words)
         << to_string(kind);
     EXPECT_DOUBLE_EQ(
-        sparse.replication_words,
+        autod.replication_words,
         expected_sparse_replication_words(kind, Elision::None, in))
         << to_string(kind);
-    // Replication reuse halves the fiber-operation count in every mode.
+    EXPECT_DOUBLE_EQ(autod.propagation_words, dense.propagation_words)
+        << to_string(kind);
+    // Replication reuse halves the fiber-operation count in both modes.
     const auto reuse = fusedmm_cost(kind, Elision::ReplicationReuse, in,
-                                    ReplicationMode::SparseRows);
+                                    ReplicationMode::Auto);
     EXPECT_DOUBLE_EQ(reuse.replication_words,
-                     sparse.replication_words / 2)
+                     autod.replication_words / 2)
         << to_string(kind);
   }
 }
@@ -251,11 +246,10 @@ TEST(CostModel, AutoFallsBackToDenseOnDenseSupports) {
        {AlgorithmKind::DenseShift15D, AlgorithmKind::SparseShift15D,
         AlgorithmKind::DenseRepl25D}) {
     const auto dense = fusedmm_cost(kind, Elision::None, in);
-    const auto sparse = fusedmm_cost(kind, Elision::None, in,
-                                     ReplicationMode::SparseRows);
     const auto autod =
         fusedmm_cost(kind, Elision::None, in, ReplicationMode::Auto);
-    EXPECT_GT(sparse.replication_words, dense.replication_words)
+    EXPECT_GT(expected_sparse_replication_words(kind, Elision::None, in),
+              dense.replication_words)
         << to_string(kind);
     EXPECT_DOUBLE_EQ(autod.replication_words, dense.replication_words)
         << to_string(kind);
@@ -264,31 +258,23 @@ TEST(CostModel, AutoFallsBackToDenseOnDenseSupports) {
 
 TEST(CostModel, SparsePropagationTermsBelowDenseOnSparseInputs) {
   // Sparse instance: the circulating blocks' expected column supports
-  // are small fractions of the block rows, so the compressed hops beat
-  // the dense shift terms on every family with dense circulating
+  // are small fractions of the block rows, so Auto's compressed hops
+  // beat the dense shift terms on every family with dense circulating
   // payloads; replication is untouched by the knob.
   const CostInputs in{1 << 16, 1 << 16, 64, 2.0 * (1 << 16), 16, 4};
   for (const auto kind :
        {AlgorithmKind::DenseShift15D, AlgorithmKind::DenseRepl25D,
         AlgorithmKind::SparseRepl25D}) {
     const auto dense = fusedmm_cost(kind, Elision::None, in);
-    const auto sparse =
-        fusedmm_cost(kind, Elision::None, in, ReplicationMode::Dense,
-                     PropagationMode::SparseCols);
     const auto autod =
         fusedmm_cost(kind, Elision::None, in, ReplicationMode::Dense,
                      PropagationMode::Auto);
-    EXPECT_LT(sparse.propagation_words, dense.propagation_words)
+    EXPECT_LT(autod.propagation_words, dense.propagation_words)
         << to_string(kind);
-    // Auto decides per hop, so it is bounded by BOTH whole-plan costs.
-    EXPECT_LE(autod.propagation_words, dense.propagation_words)
-        << to_string(kind);
-    EXPECT_LE(autod.propagation_words, sparse.propagation_words)
-        << to_string(kind);
-    EXPECT_DOUBLE_EQ(sparse.replication_words, dense.replication_words)
+    EXPECT_DOUBLE_EQ(autod.replication_words, dense.replication_words)
         << to_string(kind);
     EXPECT_DOUBLE_EQ(
-        sparse.propagation_words,
+        autod.propagation_words,
         expected_sparse_propagation_words(kind, Elision::None, in))
         << to_string(kind);
   }
@@ -300,7 +286,7 @@ TEST(CostModel, SparsePropagationTermsBelowDenseOnSparseInputs) {
                            kind == AlgorithmKind::Baseline1D ? 1 : 4};
     EXPECT_DOUBLE_EQ(
         fusedmm_cost(kind, Elision::None, one_c, ReplicationMode::Dense,
-                     PropagationMode::SparseCols)
+                     PropagationMode::Auto)
             .propagation_words,
         fusedmm_cost(kind, Elision::None, one_c).propagation_words)
         << to_string(kind);
@@ -318,24 +304,21 @@ TEST(CostModel, SparsePropagationTermsBelowDenseOnSparseInputs) {
 TEST(CostModel, AutoPropagationFallsBackToDenseHopByHop) {
   // Nearly every block row expected in support: each non-terminal hop's
   // sparse message pays an index word per row and loses to the dense
-  // block, so Auto (the per-hop minimum) must sit strictly below
-  // explicit SparseCols — and never above Dense. Note SparseCols can
-  // still undercut the dense TOTAL here: the homeward hop of a
-  // read-only ring carries nothing, a structural discount of one full
-  // block per trip that no index overhead can cancel.
+  // block, so Auto (the per-hop minimum) ships those hops dense. Only
+  // the homeward hop of each read-only ring trip, which carries
+  // nothing, is saved: exactly one dense block per trip, two trips per
+  // FusedMM pair. Both families' circulating blocks hold 16384 words
+  // here (n/p x r for 1.5D, n/(qc) x r/q with q = 2 for 2.5D).
   const CostInputs in{1 << 12, 1 << 12, 64, 600.0 * (1 << 12), 16, 4};
+  const double block_words = 16384;
   for (const auto kind :
        {AlgorithmKind::DenseShift15D, AlgorithmKind::DenseRepl25D}) {
     const auto dense = fusedmm_cost(kind, Elision::None, in);
-    const auto sparse =
-        fusedmm_cost(kind, Elision::None, in, ReplicationMode::Dense,
-                     PropagationMode::SparseCols);
     const auto autod =
         fusedmm_cost(kind, Elision::None, in, ReplicationMode::Dense,
                      PropagationMode::Auto);
-    EXPECT_LT(autod.propagation_words, sparse.propagation_words)
-        << to_string(kind);
-    EXPECT_LE(autod.propagation_words, dense.propagation_words)
+    EXPECT_DOUBLE_EQ(dense.propagation_words - autod.propagation_words,
+                     2 * block_words)
         << to_string(kind);
   }
 }
@@ -345,9 +328,7 @@ TEST(CostModel, ReplicationModeIsANoOpForSparseSizedFamilies) {
   // nothing in the replication phase: the mode cannot change either.
   const CostInputs repl{1 << 16, 1 << 16, 64, 8.0 * (1 << 16), 16, 4};
   const CostInputs base{1 << 16, 1 << 16, 64, 8.0 * (1 << 16), 16, 1};
-  for (const auto mode :
-       {ReplicationMode::Dense, ReplicationMode::SparseRows,
-        ReplicationMode::Auto}) {
+  for (const auto mode : {ReplicationMode::Dense, ReplicationMode::Auto}) {
     EXPECT_DOUBLE_EQ(
         fusedmm_cost(AlgorithmKind::SparseRepl25D, Elision::None, repl,
                      mode)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "common/rng.hpp"
 #include "dist/algorithm.hpp"
@@ -250,6 +251,12 @@ TEST(DistBaseline, FusedSurrogateCostsTwoSpmms) {
 
 // ------------------------------------------------- replication modes
 
+/// Replication plus propagation words of the critical rank.
+std::uint64_t transport_words(const WorldStats& stats) {
+  return stats.max_words(Phase::Replication) +
+         stats.max_words(Phase::Propagation);
+}
+
 bool bit_identical(const DenseMatrix& x, const DenseMatrix& y) {
   if (!x.same_shape(y)) return false;
   const auto xs = x.data();
@@ -317,24 +324,35 @@ TEST(ReplicationModes, BitIdenticalOutputsAcrossAllDrivers) {
       return std::pair(std::move(kernels), std::move(fused));
     };
     const auto dense = run_mode(ReplicationMode::Dense);
-    for (const ReplicationMode mode :
-         {ReplicationMode::SparseRows, ReplicationMode::Auto}) {
-      const auto got = run_mode(mode);
-      ASSERT_EQ(got.first.size(), dense.first.size());
-      for (std::size_t k = 0; k < dense.first.size(); ++k) {
-        EXPECT_TRUE(
-            bit_identical(got.first[k].dense, dense.first[k].dense))
-            << to_string(cfg.kind) << " " << to_string(mode);
-        EXPECT_EQ(got.first[k].sddmm_values, dense.first[k].sddmm_values)
-            << to_string(cfg.kind) << " " << to_string(mode);
-      }
-      ASSERT_EQ(got.second.size(), dense.second.size());
-      for (std::size_t k = 0; k < dense.second.size(); ++k) {
-        EXPECT_TRUE(
-            bit_identical(got.second[k].output, dense.second[k].output))
-            << to_string(cfg.kind) << " " << to_string(mode)
-            << " fused case " << k;
-      }
+    const auto got = run_mode(ReplicationMode::Auto);
+    ASSERT_EQ(got.first.size(), dense.first.size());
+    for (std::size_t k = 0; k < dense.first.size(); ++k) {
+      EXPECT_TRUE(bit_identical(got.first[k].dense, dense.first[k].dense))
+          << to_string(cfg.kind) << " kernel case " << k;
+      EXPECT_EQ(got.first[k].sddmm_values, dense.first[k].sddmm_values)
+          << to_string(cfg.kind) << " kernel case " << k;
+    }
+    ASSERT_EQ(got.second.size(), dense.second.size());
+    for (std::size_t k = 0; k < dense.second.size(); ++k) {
+      EXPECT_TRUE(
+          bit_identical(got.second[k].output, dense.second[k].output))
+          << to_string(cfg.kind) << " fused case " << k;
+    }
+    // The families with dense fiber collectives take the row-sparse plan
+    // in every case on this instance.
+    if (cfg.kind == AlgorithmKind::SparseRepl25D ||
+        cfg.kind == AlgorithmKind::Baseline1D) {
+      continue;
+    }
+    for (std::size_t k = 0; k < dense.first.size(); ++k) {
+      EXPECT_LT(got.first[k].stats.max_words(Phase::Replication),
+                dense.first[k].stats.max_words(Phase::Replication))
+          << to_string(cfg.kind) << " kernel case " << k;
+    }
+    for (std::size_t k = 0; k < dense.second.size(); ++k) {
+      EXPECT_LT(got.second[k].stats.max_words(Phase::Replication),
+                dense.second[k].stats.max_words(Phase::Replication))
+          << to_string(cfg.kind) << " fused case " << k;
     }
   }
 }
@@ -344,8 +362,10 @@ TEST(ReplicationModes, BitIdenticalOutputsAcrossAllDrivers) {
 /// transport choices may change the words on the wire, never the
 /// decoded values (quantization is per value and idempotent, so
 /// re-forwarding and the sparse/dense crossovers all see the same
-/// payloads). The lossy codecs must also stay within their
-/// quantization error bounds of the exact default-codec output.
+/// payloads). On this instance the Auto modes move fewer words than the
+/// dense ones under every codec, so the sparse paths are in play. The
+/// lossy codecs must also stay within their quantization error bounds of
+/// the exact default-codec output.
 TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
   const auto problem = make_rmat_problem(128, 128, 32, 256, 7071);
   const std::vector<Config> configs = {
@@ -356,8 +376,8 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
   };
   const std::pair<WireCodec, Scalar> codec_cases[] = {
       {WireCodec{WirePrecision::Full, IndexCodec::Auto}, kTol},
-      {WireCodec{WirePrecision::F32, IndexCodec::DeltaVarint}, 1e-4},
-      {WireCodec{WirePrecision::BF16, IndexCodec::Bitmap}, 5e-2},
+      {WireCodec{WirePrecision::F32, IndexCodec::Raw}, 1e-4},
+      {WireCodec{WirePrecision::BF16, IndexCodec::Auto}, 5e-2},
   };
   for (const auto& cfg : configs) {
     const auto run = [&](const WireCodec& codec, ShiftSchedule schedule,
@@ -366,8 +386,7 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
       options.schedule = schedule;
       options.replication = repl;
       options.propagation = prop;
-      options.wire_precision = codec.precision;
-      options.index_codec = codec.index_codec;
+      options.codec = codec;
       auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
       return algo->run_fusedmm(FusedOrientation::A, Elision::None,
                                problem.s, problem.a, problem.b);
@@ -387,12 +406,19 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
           for (const PropagationMode prop :
                {PropagationMode::Dense, PropagationMode::Auto}) {
             const auto got = run(codec, schedule, repl, prop);
+            const auto label =
+                to_string(cfg.kind) + " " + to_string(codec.precision) +
+                "/" + to_string(codec.index_codec) + " schedule " +
+                std::to_string(static_cast<int>(schedule)) + " " +
+                to_string(repl) + " " + to_string(prop);
             EXPECT_TRUE(bit_identical(got.output, reference.output))
-                << to_string(cfg.kind) << " "
-                << to_string(codec.precision) << "/"
-                << to_string(codec.index_codec) << " schedule "
-                << static_cast<int>(schedule) << " " << to_string(repl)
-                << " " << to_string(prop);
+                << label;
+            if (repl == ReplicationMode::Auto &&
+                prop == PropagationMode::Auto) {
+              EXPECT_LT(transport_words(got.stats),
+                        transport_words(reference.stats))
+                  << label;
+            }
           }
         }
       }
@@ -419,12 +445,20 @@ TEST(CompressedTransport, KernelsMatchReference) {
   // Propagation compression rides along with each replication mode, so
   // the sweep also pins the column-support wire paths (and the
   // row-sparse reduce-scatter SpMMA ends with) against the serial
-  // references.
+  // references. On this instance both pairs move fewer FusedMM words
+  // than Dense/Dense in every family but 1.5D sparse shifting, whose
+  // circulating triplets are already sparsity-sized and whose fiber
+  // supports are dense enough that Auto keeps the ring.
   const std::pair<ReplicationMode, PropagationMode> mode_pairs[] = {
-      {ReplicationMode::Dense, PropagationMode::SparseCols},
+      {ReplicationMode::Dense, PropagationMode::Auto},
       {ReplicationMode::Auto, PropagationMode::Auto},
   };
   for (const auto& cfg : configs) {
+    const auto dense_words = transport_words(
+        make_algorithm(cfg.kind, cfg.p, cfg.c)
+            ->run_fusedmm(FusedOrientation::A, Elision::None, problem.s,
+                          problem.a, problem.b)
+            .stats);
     for (const auto& [mode, propagation] : mode_pairs) {
       AlgorithmOptions options;
       options.replication = mode;
@@ -452,13 +486,15 @@ TEST(CompressedTransport, KernelsMatchReference) {
             << to_string(cfg.kind) << " " << to_string(mode) << " entry "
             << k;
       }
-      EXPECT_LE(rel_diff(algo->run_fusedmm(FusedOrientation::A,
+      const auto fused = algo->run_fusedmm(FusedOrientation::A,
                                            Elision::None, problem.s,
-                                           problem.a, problem.b)
-                             .output,
-                         want_f),
-                kTol)
+                                           problem.a, problem.b);
+      EXPECT_LE(rel_diff(fused.output, want_f), kTol)
           << to_string(cfg.kind) << " " << to_string(mode);
+      if (cfg.kind != AlgorithmKind::SparseShift15D) {
+        EXPECT_LT(transport_words(fused.stats), dense_words)
+            << to_string(cfg.kind) << " " << to_string(mode);
+      }
     }
   }
 }
@@ -495,9 +531,9 @@ TEST(ReplicationModes, AutoNeverMovesMoreReplicationWordsThanDense) {
 
 TEST(ReplicationModes, SparseRowsStrictlyCheaperOnPowerLawInstance) {
   // The acceptance instance: an R-MAT pattern leaves a large fraction of
-  // each working block's rows untouched, so shipping only the support
-  // must move strictly fewer replication words than the dense fibers —
-  // for every family with dense fiber collectives.
+  // each working block's rows untouched, so Auto ships only the support
+  // rows and must move strictly fewer replication words than the dense
+  // fibers — for every family with dense fiber collectives.
   const auto problem = make_rmat_problem(128, 128, 32, 256, 2028);
   const std::vector<Config> configs = {
       {AlgorithmKind::DenseShift15D, 8, 2},
@@ -514,8 +550,7 @@ TEST(ReplicationModes, SparseRowsStrictlyCheaperOnPowerLawInstance) {
                             problem.a, problem.b);
       return result.stats.max_words(Phase::Replication);
     };
-    EXPECT_LT(words(ReplicationMode::SparseRows),
-              words(ReplicationMode::Dense))
+    EXPECT_LT(words(ReplicationMode::Auto), words(ReplicationMode::Dense))
         << to_string(cfg.kind);
   }
 }

@@ -379,12 +379,15 @@ TEST(FaultTolerance, FusedMmCrashRecoversBitIdentically) {
   }
 }
 
-TEST(FaultTolerance, EveryEntryPointHealsACrash) {
-  // One crash through every supported (family, entry point): the three
-  // kernels of each grid family, the baseline's SpMMA, and every
-  // FusedMM orientation x elision the family admits. Each run must heal
-  // with exactly one recovery and match the clean run bit for bit.
-  const Problem pr = make_problem(32, 48, 8, 67);
+/// One crash through every supported (family, entry point) under the
+/// transport `options`: the three kernels of each grid family, the
+/// baseline's SpMMA, and every FusedMM orientation x elision the family
+/// admits. `message_faults` (fault-plan entries, possibly empty) rides
+/// along with each crash. Each run must heal with exactly one recovery
+/// and match the clean run bit for bit.
+void expect_every_entry_point_heals(const Problem& pr,
+                                    const AlgorithmOptions& options,
+                                    const std::string& message_faults) {
   struct Family {
     AlgorithmKind kind;
     int p;
@@ -401,11 +404,11 @@ TEST(FaultTolerance, EveryEntryPointHealsACrash) {
   int kernel_cases = 0;
   int fused_cases = 0;
   for (const Family& f : families) {
-    const FaultPlan plan = parse_fault_plan(f.crash);
-    AlgorithmOptions options;
-    options.faults = &plan;
-    const auto clean = make_algorithm(f.kind, f.p, f.c);
-    const auto faulty = make_algorithm(f.kind, f.p, f.c, options);
+    const FaultPlan plan = parse_fault_plan(message_faults + f.crash);
+    AlgorithmOptions faulty_options = options;
+    faulty_options.faults = &plan;
+    const auto clean = make_algorithm(f.kind, f.p, f.c, options);
+    const auto faulty = make_algorithm(f.kind, f.p, f.c, faulty_options);
     for (const Mode mode : {Mode::SDDMM, Mode::SpMMA, Mode::SpMMB}) {
       if (f.kind == AlgorithmKind::Baseline1D && mode != Mode::SpMMA) {
         continue;
@@ -442,6 +445,53 @@ TEST(FaultTolerance, EveryEntryPointHealsACrash) {
   }
   EXPECT_EQ(kernel_cases, 13);
   EXPECT_EQ(fused_cases, 17);
+}
+
+/// Replication plus propagation words of the critical rank.
+std::uint64_t transport_words(const WorldStats& stats) {
+  return stats.max_words(Phase::Replication) +
+         stats.max_words(Phase::Propagation);
+}
+
+TEST(FaultTolerance, EveryEntryPointHealsACrash) {
+  // Dense transports on an Erdos-Renyi instance.
+  expect_every_entry_point_heals(make_problem(32, 48, 8, 67),
+                                 AlgorithmOptions{}, "");
+  // Auto transports on a power-law instance where every kernel of every
+  // grid family moves fewer words than under Dense, so row- and
+  // column-support messages are on the wire when the rank dies: with the
+  // Raw and the Auto index codec, alone and with message faults.
+  Rng rng(67);
+  Problem pr{rmat(64, 64, 4 * 64, rng), DenseMatrix(64, 8),
+             DenseMatrix(64, 8)};
+  pr.a.fill_random(rng);
+  pr.b.fill_random(rng);
+  AlgorithmOptions sparse;
+  sparse.replication = ReplicationMode::Auto;
+  sparse.propagation = PropagationMode::Auto;
+  for (const auto kind :
+       {AlgorithmKind::DenseShift15D, AlgorithmKind::SparseShift15D,
+        AlgorithmKind::DenseRepl25D, AlgorithmKind::SparseRepl25D}) {
+    for (const Mode mode : {Mode::SDDMM, Mode::SpMMA, Mode::SpMMB}) {
+      EXPECT_LT(
+          transport_words(
+              run_kernel_opts(kind, 8, 2, mode, pr, sparse).stats),
+          transport_words(
+              run_kernel_opts(kind, 8, 2, mode, pr, AlgorithmOptions{})
+                  .stats))
+          << to_string(kind) << " " << to_string(mode);
+    }
+  }
+  for (const IndexCodec index_codec : {IndexCodec::Raw, IndexCodec::Auto}) {
+    sparse.codec.index_codec = index_codec;
+    for (const char* message_faults :
+         {"", "seed=3,drop=0.02,dup=0.01,corrupt=0.01,delay=0.01,"
+              "timeout_ms=10,"}) {
+      SCOPED_TRACE(to_string(index_codec) + " codec, faults '" +
+                   message_faults + "'");
+      expect_every_entry_point_heals(pr, sparse, message_faults);
+    }
+  }
 }
 
 TEST(FaultTolerance, SingleReplicaCrashHealsFromCheckpoint) {

@@ -88,43 +88,51 @@ AlsServerConfig small_server_config(AlgorithmKind kind =
 
 /// The tentpole guarantee: one Plan executed N times is bit-identical to
 /// N fresh per-call runs, across every family and the whole
-/// {schedule} x {replication} x {propagation} option cube, and the
-/// executes rebuild zero setup state.
+/// {schedule} x {replication} x {propagation} option cube, under the
+/// default wire codec and a lossy one with compressed index headers,
+/// and the executes rebuild zero setup state.
 TEST(Plan, ExecuteMatchesFreshCallsAcrossOptionCube) {
-  for (const Config& cfg : kFamilies) {
-    for (const ShiftSchedule schedule :
-         {ShiftSchedule::DoubleBuffered, ShiftSchedule::BulkSynchronous}) {
-      for (const ReplicationMode replication :
-           {ReplicationMode::Dense, ReplicationMode::SparseRows}) {
-        for (const PropagationMode propagation :
-             {PropagationMode::Dense, PropagationMode::SparseCols}) {
+  std::vector<AlgorithmOptions> cube;
+  for (const ShiftSchedule schedule :
+       {ShiftSchedule::DoubleBuffered, ShiftSchedule::BulkSynchronous}) {
+    for (const ReplicationMode replication :
+         {ReplicationMode::Dense, ReplicationMode::Auto}) {
+      for (const PropagationMode propagation :
+           {PropagationMode::Dense, PropagationMode::Auto}) {
+        for (const WireCodec codec :
+             {WireCodec{}, WireCodec{WirePrecision::BF16, IndexCodec::Auto}}) {
           AlgorithmOptions options;
           options.schedule = schedule;
           options.replication = replication;
           options.propagation = propagation;
-          // The 1D baseline only implements SpMMA.
-          const Mode mode = cfg.kind == AlgorithmKind::Baseline1D
-                                ? Mode::SpMMA
-                                : Mode::SpMMB;
-          const auto prob = small_problem(cfg);
-          const Plan plan = make_plan(cfg.kind, cfg.p, cfg.c, prob.s,
-                                      prob.a.cols(), options);
-          auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
-          for (int round = 0; round < 2; ++round) {
-            auto planned = plan.execute(mode, prob.s, prob.a, prob.b);
-            auto fresh = algo->run_kernel(mode, prob.s, prob.a, prob.b);
-            EXPECT_EQ(planned.dense.max_abs_diff(fresh.dense), 0.0)
-                << to_string(cfg.kind) << " round " << round;
-            EXPECT_EQ(planned.stats.setup_builds(), 0);
-            EXPECT_EQ(planned.stats.setup_seconds(), 0.0);
-            EXPECT_EQ(fresh.stats.setup_builds(), 1);
-            EXPECT_GT(fresh.stats.setup_seconds(), 0.0);
-            EXPECT_EQ(planned.stats.max_words(Phase::Replication),
-                      fresh.stats.max_words(Phase::Replication));
-            EXPECT_EQ(planned.stats.max_words(Phase::Propagation),
-                      fresh.stats.max_words(Phase::Propagation));
-          }
+          options.codec = codec;
+          cube.push_back(options);
         }
+      }
+    }
+  }
+  for (const Config& cfg : kFamilies) {
+    for (const AlgorithmOptions& options : cube) {
+      // The 1D baseline only implements SpMMA.
+      const Mode mode = cfg.kind == AlgorithmKind::Baseline1D ? Mode::SpMMA
+                                                              : Mode::SpMMB;
+      const auto prob = small_problem(cfg);
+      const Plan plan = make_plan(cfg.kind, cfg.p, cfg.c, prob.s,
+                                  prob.a.cols(), options);
+      auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
+      for (int round = 0; round < 2; ++round) {
+        auto planned = plan.execute(mode, prob.s, prob.a, prob.b);
+        auto fresh = algo->run_kernel(mode, prob.s, prob.a, prob.b);
+        EXPECT_EQ(planned.dense.max_abs_diff(fresh.dense), 0.0)
+            << to_string(cfg.kind) << " round " << round;
+        EXPECT_EQ(planned.stats.setup_builds(), 0);
+        EXPECT_EQ(planned.stats.setup_seconds(), 0.0);
+        EXPECT_EQ(fresh.stats.setup_builds(), 1);
+        EXPECT_GT(fresh.stats.setup_seconds(), 0.0);
+        EXPECT_EQ(planned.stats.max_words(Phase::Replication),
+                  fresh.stats.max_words(Phase::Replication));
+        EXPECT_EQ(planned.stats.max_words(Phase::Propagation),
+                  fresh.stats.max_words(Phase::Propagation));
       }
     }
   }
@@ -262,44 +270,6 @@ TEST(Plan, RejectsMismatchedMatrixOrWidth) {
   const Plan copy_plan = make_plan(cfg.kind, cfg.p, cfg.c, copy, width);
   EXPECT_EQ(copy_plan.fingerprint(), plan.fingerprint());
   EXPECT_NO_THROW(copy_plan.execute(Mode::SpMMB, prob.s, prob.a, prob.b));
-}
-
-/// ExecuteOptions wire overrides reach the kernels: a Plan built with
-/// the default codec, executed with a bf16/auto override, is
-/// bit-identical (output and wire words) to a fresh driver configured
-/// with that codec — and the override actually shrinks the wire.
-TEST(Plan, WireOverridesMatchCodecConfiguredRuns) {
-  for (const Config& cfg : {kFamilies[0], kFamilies[3], kFamilies[4]}) {
-    const Mode mode = cfg.kind == AlgorithmKind::Baseline1D ? Mode::SpMMA
-                                                            : Mode::SpMMB;
-    const auto prob = small_problem(cfg);
-    const Plan plan =
-        make_plan(cfg.kind, cfg.p, cfg.c, prob.s, prob.a.cols());
-    AlgorithmOptions wired;
-    wired.wire_precision = WirePrecision::BF16;
-    wired.index_codec = IndexCodec::Auto;
-    auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, wired);
-    ExecuteOptions exec;
-    exec.wire_precision = WirePrecision::BF16;
-    exec.index_codec = IndexCodec::Auto;
-    const auto overridden =
-        plan.execute(mode, prob.s, prob.a, prob.b, exec);
-    const auto fresh = algo->run_kernel(mode, prob.s, prob.a, prob.b);
-    EXPECT_EQ(overridden.dense.max_abs_diff(fresh.dense), 0.0)
-        << to_string(cfg.kind);
-    EXPECT_EQ(overridden.stats.max_words(Phase::Replication),
-              fresh.stats.max_words(Phase::Replication));
-    EXPECT_EQ(overridden.stats.max_words(Phase::Propagation),
-              fresh.stats.max_words(Phase::Propagation));
-    // The same plan without the override keeps the full-precision wire.
-    const auto full = plan.execute(mode, prob.s, prob.a, prob.b);
-    EXPECT_GE(full.stats.max_words(Phase::Propagation),
-              overridden.stats.max_words(Phase::Propagation));
-    if (cfg.kind == AlgorithmKind::DenseShift15D) {
-      EXPECT_GT(full.stats.max_words(Phase::Propagation),
-                overridden.stats.max_words(Phase::Propagation));
-    }
-  }
 }
 
 /// A driver only accepts plan data it built itself.
@@ -528,15 +498,14 @@ TEST(AlsServerTest, DegradedReplanKeepsServing) {
   EXPECT_FALSE(server.report().degraded && server.p() == 4);
 }
 
-/// The configured wire codec rides every serving pass through
-/// ExecuteOptions: a bf16 server answers (batched still bit-identical
-/// to unbatched), but requests demanding exact top-k ties are rejected
+/// The configured wire codec rides every serving pass on the plans the
+/// server builds: a bf16 server answers (batched still bit-identical to
+/// unbatched), but requests demanding exact top-k ties are rejected
 /// under bf16 and accepted at full / f32 precision.
 TEST(AlsServerTest, WireCodecPassesThroughAndGuardsExactTies) {
   const CooMatrix ratings = synthetic_ratings(32, 24, 4, 15);
   AlsServerConfig lossy = small_server_config();
-  lossy.exec.wire_precision = WirePrecision::BF16;
-  lossy.exec.index_codec = IndexCodec::Auto;
+  lossy.exec.codec = {WirePrecision::BF16, IndexCodec::Auto};
   AlsServer server(ratings, lossy);
   const std::vector<Index> users = {2, 6, 19};
   const auto batched = server.top_k({users.data(), users.size()}, 3);
@@ -559,7 +528,7 @@ TEST(AlsServerTest, WireCodecPassesThroughAndGuardsExactTies) {
   // ...and fine at full and f32 wire precision.
   EXPECT_NO_THROW(exact.top_k_one(users[0], 3, true));
   AlsServerConfig f32 = small_server_config();
-  f32.exec.wire_precision = WirePrecision::F32;
+  f32.exec.codec.precision = WirePrecision::F32;
   AlsServer f32_server(ratings, f32);
   EXPECT_NO_THROW(f32_server.top_k_one(users[0], 3, true));
 }

@@ -1,7 +1,8 @@
 /// Wire-codec layer hardening (runtime/wire.hpp): round-trips for every
-/// message class under every precision x index-codec combination,
-/// adversarial support shapes, corrupt-message rejection (truncation,
-/// trailing garbage, tampered headers), quantization error bounds, the
+/// message class under every precision x index-codec combination, on
+/// support shapes that resolve the Auto index codec to each of its
+/// encodings, corrupt-message rejection (truncation, trailing garbage,
+/// tampered headers and index sections), quantization error bounds, the
 /// idempotence the multi-hop rings rely on, and the single support
 /// layout the row- and col-support messages share. These tests also pin
 /// the encode/decode/words triples for dsk_lint's P1 protocol account.
@@ -10,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,9 +23,7 @@ namespace {
 
 constexpr WirePrecision kPrecisions[] = {
     WirePrecision::Full, WirePrecision::F32, WirePrecision::BF16};
-constexpr IndexCodec kIndexCodecs[] = {
-    IndexCodec::Raw, IndexCodec::DeltaVarint, IndexCodec::Bitmap,
-    IndexCodec::Auto};
+constexpr IndexCodec kIndexCodecs[] = {IndexCodec::Raw, IndexCodec::Auto};
 
 /// Per-value relative error ceiling of one quantization (round to
 /// nearest even): 2^-25 for f32's 24-bit mantissa, 2^-9 for bf16's
@@ -210,28 +210,39 @@ TEST(WireTripletsCodec, RejectsCountsWhoseLengthWraps) {
   EXPECT_THROW(decode_triplets({0x7FFFFFFFFFFFFFFFull, 0, 0}, bf16), Error);
 }
 
-/// Support shapes chosen to favor each codec: a lone row (Raw), a tight
-/// cluster (DeltaVarint), a dense support over a small block (Bitmap),
-/// and the adversarial two-endpoint support whose single huge gap costs
-/// the varint codec most.
+/// Support shapes chosen so the Auto index codec resolves to each of its
+/// encodings: a lone row (raw), a tight cluster (LEB128 gaps), a dense
+/// support over a small block (bitmap), and the adversarial two-endpoint
+/// support whose single huge gap costs the gap encoding most.
+/// `auto_words` is the index section's size under Auto, worked out by
+/// hand: raw is one word per row, LEB128 one byte per gap below 128 (two
+/// below 2^14, three below 2^21) rounded up to words, the bitmap
+/// ceil(block_rows / 64) words.
 struct SupportCase {
   const char* name;
   Index block_rows;
   std::vector<Index> rows;
+  std::uint64_t auto_words;
 };
 
 std::vector<SupportCase> support_cases() {
   std::vector<SupportCase> cases;
-  cases.push_back({"single-first", 256, {0}});
-  cases.push_back({"single-last", 256, {255}});
-  cases.push_back({"endpoints", 1 << 20, {0, (1 << 20) - 1}});
-  SupportCase cluster{"cluster", 4096, {}};
+  // raw 1 = LEB128 1 (one byte) < bitmap 4: raw by the tie order.
+  cases.push_back({"single-first", 256, {0}, 1});
+  // raw 1 = LEB128 1 (two bytes) < bitmap 4: raw.
+  cases.push_back({"single-last", 256, {255}, 1});
+  // raw 2 > LEB128 1 (1 + 3 bytes) < bitmap 16384: LEB128.
+  cases.push_back({"endpoints", 1 << 20, {0, (1 << 20) - 1}, 1});
+  // raw 80 > LEB128 10 (80 one-byte gaps) < bitmap 64: LEB128.
+  SupportCase cluster{"cluster", 4096, {}, 10};
   for (Index i = 100; i < 180; ++i) cluster.rows.push_back(i);
   cases.push_back(std::move(cluster));
-  SupportCase full{"full", 192, {}};
+  // raw 192 > LEB128 24 > bitmap 3: bitmap.
+  SupportCase full{"full", 192, {}, 3};
   for (Index i = 0; i < 192; ++i) full.rows.push_back(i);
   cases.push_back(std::move(full));
-  SupportCase strided{"strided", 1024, {}};
+  // raw 342 > LEB128 43 (342 bytes) > bitmap 16: bitmap.
+  SupportCase strided{"strided", 1024, {}, 16};
   for (Index i = 0; i < 1024; i += 3) strided.rows.push_back(i);
   cases.push_back(std::move(strided));
   return cases;
@@ -241,26 +252,25 @@ TEST(WireIndexSections, AutoPicksTheSmallestAndNeverExceedsRaw) {
   for (const auto& sc : support_cases()) {
     const std::uint64_t raw = encoded_index_words(
         sc.rows, sc.block_rows, IndexCodec::Raw);
-    const std::uint64_t dv = encoded_index_words(
-        sc.rows, sc.block_rows, IndexCodec::DeltaVarint);
-    const std::uint64_t bm = encoded_index_words(
-        sc.rows, sc.block_rows, IndexCodec::Bitmap);
     const std::uint64_t chosen = encoded_index_words(
         sc.rows, sc.block_rows, IndexCodec::Auto);
-    EXPECT_EQ(chosen, std::min({raw, dv, bm})) << sc.name;
-    EXPECT_LE(chosen, raw) << sc.name;
     EXPECT_EQ(raw, sc.rows.size()) << sc.name;
-    // Tie order: Raw beats both byte codecs, DeltaVarint beats Bitmap.
-    const IndexCodec pick =
-        choose_index_codec(sc.rows, sc.block_rows, IndexCodec::Auto);
-    if (raw <= dv && raw <= bm) {
-      EXPECT_EQ(pick, IndexCodec::Raw) << sc.name;
-    } else if (dv <= bm) {
-      EXPECT_EQ(pick, IndexCodec::DeltaVarint) << sc.name;
-    } else {
-      EXPECT_EQ(pick, IndexCodec::Bitmap) << sc.name;
-    }
+    EXPECT_EQ(chosen, sc.auto_words) << sc.name;
+    EXPECT_LE(chosen, raw) << sc.name;
   }
+  // Ties resolve raw < LEB128 < bitmap, which shows in the section word
+  // itself. Row 255 of 256 is one word either raw or as the LEB128
+  // bytes {0xFF, 0x01}: the raw index travels.
+  const WireCodec auto_codec{WirePrecision::Full, IndexCodec::Auto};
+  const std::vector<Scalar> one = {1.0};
+  EXPECT_EQ(encode_rows(std::vector<Index>{255}, 256, 1, one, auto_codec)[1],
+            255u);
+  // Rows {0, 5, 9, 30} of 32 are one word as LEB128 gap bytes
+  // {0, 5, 4, 21} and one as the bitmap: the gap bytes travel.
+  const std::vector<Scalar> four = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_EQ(encode_rows(std::vector<Index>{0, 5, 9, 30}, 32, 1, four,
+                        auto_codec)[1],
+            0x15040500u);
 }
 
 TEST(WireColsBlock, RoundTripEveryCodecAndSupportShape) {
@@ -443,6 +453,93 @@ TEST(WireRows, RejectsCorruptMessages) {
                              codec),
                  Error);
   }
+}
+
+/// Decoding `words` as a width-1 row message over `rows` must throw an
+/// Error whose message names the check that fired.
+void expect_rejected(const MessageWords& words, const std::vector<Index>& rows,
+                     Index block_rows, const std::string& check_text) {
+  const WireCodec codec{WirePrecision::Full, IndexCodec::Auto};
+  try {
+    decode_rows(words, rows, block_rows, 1, codec);
+    ADD_FAILURE() << "accepted a message that should fail: " << check_text;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(check_text), std::string::npos)
+        << "expected '" << check_text << "', got: " << e.what();
+  }
+}
+
+/// A width-1 row message over `rows` under the Auto index codec; its
+/// index section starts at word 1.
+MessageWords auto_rows_message(const std::vector<Index>& rows,
+                               Index block_rows) {
+  const std::vector<Scalar> values(rows.size(), 1.0);
+  return encode_rows(rows, block_rows, 1, values,
+                     WireCodec{WirePrecision::Full, IndexCodec::Auto});
+}
+
+/// Sets byte `b` of the byte-packed index section that starts at word 1.
+void set_section_byte(MessageWords& words, std::size_t b,
+                      std::uint8_t value) {
+  auto& word = words[1 + b / 8];
+  const unsigned shift = 8 * static_cast<unsigned>(b % 8);
+  word = (word & ~(std::uint64_t{0xFF} << shift)) |
+         (std::uint64_t{value} << shift);
+}
+
+/// Every malformed-LEB128 check of the index-section decoder, reached
+/// through supports that Auto encodes as LEB128 gaps.
+TEST(WireIndexSections, Leb128DecoderRejectsMalformedSections) {
+  // Rows {3, 64, 100} of 128: three gap bytes in one word, five bytes
+  // of padding after them.
+  const std::vector<Index> sparse = {3, 64, 100};
+  ASSERT_EQ(encoded_index_words(sparse, 128, IndexCodec::Auto), 1u);
+  auto words = auto_rows_message(sparse, 128);
+  ASSERT_NO_THROW(decode_rows(words, sparse, 128, 1,
+                              WireCodec{WirePrecision::Full,
+                                        IndexCodec::Auto}));
+  set_section_byte(words, 7, 0x01);
+  expect_rejected(words, sparse, 128, "nonzero varint padding");
+
+  // Rows 100..179 of 4096: 80 one-byte gaps fill ten words exactly.
+  std::vector<Index> cluster;
+  for (Index i = 100; i < 180; ++i) cluster.push_back(i);
+  ASSERT_EQ(encoded_index_words(cluster, 4096, IndexCodec::Auto), 10u);
+  const auto good = auto_rows_message(cluster, 4096);
+  // The last gap's continuation bit runs the varint past the section.
+  words = good;
+  set_section_byte(words, 79, 0x81);
+  expect_rejected(words, cluster, 4096, "truncated varint index stream");
+  // An 11-byte varint (ten continuation bytes) overflows 64 bits.
+  words = good;
+  for (std::size_t b = 0; b < 10; ++b) set_section_byte(words, b, 0x80);
+  set_section_byte(words, 10, 0x01);
+  expect_rejected(words, cluster, 4096, "varint index overflows 64 bits");
+}
+
+/// Every malformed-bitmap check of the index-section decoder, reached
+/// through a support that Auto encodes as a bitmap.
+TEST(WireIndexSections, BitmapDecoderRejectsMalformedSections) {
+  // 99 of 100 rows (row 50 missing): a two-word bitmap, whose bits 36..63
+  // of the second word lie outside the block.
+  std::vector<Index> rows;
+  for (Index i = 0; i < 100; ++i) {
+    if (i != 50) rows.push_back(i);
+  }
+  ASSERT_EQ(encoded_index_words(rows, 100, IndexCodec::Auto), 2u);
+  const auto good = auto_rows_message(rows, 100);
+  ASSERT_NO_THROW(decode_rows(good, rows, 100, 1,
+                              WireCodec{WirePrecision::Full,
+                                        IndexCodec::Auto}));
+  auto words = good;
+  words[2] |= std::uint64_t{1} << 40; // row 104
+  expect_rejected(words, rows, 100, "bitmap sets rows outside the block");
+  words = good;
+  words[1] |= std::uint64_t{1} << 50; // row 50 added
+  expect_rejected(words, rows, 100, "row mismatch against the support table");
+  words = good;
+  words[2] &= ~(std::uint64_t{1} << 35); // row 99 dropped
+  expect_rejected(words, rows, 100, "bitmap omits expected support rows");
 }
 
 } // namespace

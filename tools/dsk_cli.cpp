@@ -71,15 +71,15 @@ constexpr FlagSpec kFlags[] = {
      "embedding width (serve: ALS rank)"},
     {"--seed", "N", FlagScope::Common, "1", "RNG seed"},
     {"--replication", "MODE", FlagScope::Common, "dense",
-     "dense | sparse | auto: how fiber collectives move A-side rows"},
+     "dense | auto: how fiber collectives move A-side rows"},
     {"--propagation", "MODE", FlagScope::Common, "dense",
-     "dense | sparse | auto: how cyclic shifts move dense B-side blocks"},
+     "dense | auto: how cyclic shifts move dense B-side blocks"},
     {"--schedule", "NAME", FlagScope::Common, "db",
      "db | bsp: propagation engine (both bit-identical)"},
     {"--wire-precision", "PREC", FlagScope::Common, "full",
      "full | f32 | bf16: value precision on the wire (lossy below full)"},
     {"--index-codec", "CODEC", FlagScope::Common, "raw",
-     "raw | delta-varint | bitmap | auto: support-index header encoding"},
+     "raw | auto: support-index header encoding (needs an auto mode)"},
     {"--faults", "SPEC", FlagScope::Common, "",
      "deterministic fault plan, e.g. \"seed=7,drop=0.02,crash=3@prop:2\""},
     {"--checkpoint-interval", "N", FlagScope::Common, "0",
@@ -312,14 +312,12 @@ Elision parse_elision(const std::string& name) {
 
 ReplicationMode parse_replication(const std::string& name) {
   if (name == "dense") return ReplicationMode::Dense;
-  if (name == "sparse") return ReplicationMode::SparseRows;
   if (name == "auto") return ReplicationMode::Auto;
   usage_and_exit(("unknown replication mode " + name).c_str());
 }
 
 PropagationMode parse_propagation(const std::string& name) {
   if (name == "dense") return PropagationMode::Dense;
-  if (name == "sparse") return PropagationMode::SparseCols;
   if (name == "auto") return PropagationMode::Auto;
   usage_and_exit(("unknown propagation mode " + name).c_str());
 }
@@ -333,8 +331,6 @@ WirePrecision parse_wire_precision(const std::string& name) {
 
 IndexCodec parse_index_codec(const std::string& name) {
   if (name == "raw") return IndexCodec::Raw;
-  if (name == "delta-varint") return IndexCodec::DeltaVarint;
-  if (name == "bitmap") return IndexCodec::Bitmap;
   if (name == "auto") return IndexCodec::Auto;
   usage_and_exit(("unknown index codec " + name).c_str());
 }
@@ -355,8 +351,16 @@ AlgorithmOptions validate_common(const Options& opt) {
   algo_options.replication = parse_replication(opt.replication);
   algo_options.propagation = parse_propagation(opt.propagation);
   algo_options.schedule = parse_schedule(opt.schedule);
-  algo_options.wire_precision = parse_wire_precision(opt.wire_precision);
-  algo_options.index_codec = parse_index_codec(opt.index_codec);
+  algo_options.codec.precision = parse_wire_precision(opt.wire_precision);
+  algo_options.codec.index_codec = parse_index_codec(opt.index_codec);
+  // Index headers ride only in row- and col-support messages, which only
+  // the Auto modes send.
+  if (algo_options.codec.index_codec != IndexCodec::Raw &&
+      algo_options.replication == ReplicationMode::Dense &&
+      algo_options.propagation == PropagationMode::Dense) {
+    usage_and_exit("--index-codec only applies with --replication auto or "
+                   "--propagation auto; refusing to silently ignore it");
+  }
   if (opt.faults.empty() &&
       (opt.checkpoint_interval_set || opt.max_recoveries_set ||
        opt.degrade)) {
@@ -551,8 +555,7 @@ int main(int argc, char** argv) {
                 to_string(algo_options.replication).c_str(),
                 to_string(algo_options.propagation).c_str(),
                 opt.schedule.c_str());
-    const WireCodec wire{algo_options.wire_precision,
-                         algo_options.index_codec};
+    const WireCodec& wire = algo_options.codec;
     if (!wire.is_default()) {
       std::printf("wire: precision = %s, index codec = %s\n",
                   to_string(wire.precision).c_str(),
@@ -653,8 +656,8 @@ int main(int argc, char** argv) {
       // tolerances track the value mantissas (f32 ~ 2^-24, bf16 ~ 2^-8)
       // with headroom for error accumulation across hops and reductions.
       const double tol =
-          algo_options.wire_precision == WirePrecision::Full  ? 1e-9
-          : algo_options.wire_precision == WirePrecision::F32 ? 1e-4
+          wire.precision == WirePrecision::Full  ? 1e-9
+          : wire.precision == WirePrecision::F32 ? 1e-4
                                                               : 5e-2;
       std::printf("verification vs serial reference: max rel err %.2e %s\n",
                   max_err, max_err < tol ? "[OK]" : "[FAIL]");
