@@ -75,8 +75,7 @@ Result run_degradable(const DistAlgorithm& algo, const CooMatrix& s,
     if (e.crash().rank < 0) throw;
     const auto [p2, c2] = shrink_config(algo.kind(), algo.p(), algo.c());
     // The re-plan must not trust memory a crashed world touched.
-    inputs.restore(0);
-    const auto& saved = inputs.values(0);
+    const auto saved = inputs.restore(0).values;
     CooMatrix healed = s;
     std::copy(saved.begin(), saved.end(), healed.values().begin());
     // The dead rank is gone from the new grid, so the shrunken world runs
@@ -297,7 +296,6 @@ Recovery::Recovery(const AlgorithmOptions& options, int p,
                    const std::function<StationaryShard(int rank)>& shard) {
   world_.faults = options.faults;
   world_.max_recoveries = options.max_recoveries;
-  world_.checkpoint_interval = options.checkpoint_interval;
   if (!can_crash(options)) return;
   replicas_.emplace(p);
   checkpoints_.emplace(p);
@@ -313,8 +311,8 @@ Recovery::Recovery(const AlgorithmOptions& options, int p,
     if (replicas_->can_reconstruct(crash.rank)) {
       replicas_->reconstruct(crash.rank);
     } else {
-      checkpoints_->restore(crash.rank);
-      replicas_->adopt(crash.rank, checkpoints_->values(crash.rank));
+      replicas_->adopt(crash.rank,
+                       checkpoints_->restore(crash.rank).values);
     }
   };
 }
@@ -529,8 +527,8 @@ class Baseline1D final : public DistAlgorithm {
 
   /// The rank's stationary shard: its CSR values. The baseline holds no
   /// replicas, so it names no peers and a crash restores the checkpoint;
-  /// the body then re-runs in full (the baseline has no shift loops to
-  /// journal, and the one-shot crash triggers never re-fire).
+  /// the body then re-runs in full, like every family's (the one-shot
+  /// crash triggers never re-fire).
   StationaryShard shard(const Setup& su, int rank) const {
     const auto values = su.shards[static_cast<std::size_t>(rank)].csr.values();
     return {{values.begin(), values.end()}, {}};

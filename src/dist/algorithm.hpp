@@ -63,12 +63,10 @@ struct AlgorithmOptions {
   /// rebuild the lost shard from their replicas (falling back to the
   /// digest-verified checkpoint store when no peer survives), and the
   /// 1.5D/1D families — which hold no redundancy — restore it from the
-  /// checkpoint store directly, then resume journaled shift loops.
+  /// checkpoint store directly; then the whole call re-runs, so outputs
+  /// and per-phase words equal the fault-free run's.
   const FaultPlan* faults = nullptr;
-  /// Crash-recovery knobs, only read when `faults` injects crashes:
-  /// journal/checkpoint snapshot cadence in shift steps (0 = every
-  /// step) and the recovery-attempt budget.
-  int checkpoint_interval = 0;
+  /// Recovery-attempt budget, only read when `faults` injects crashes.
   int max_recoveries = 4;
   /// Graceful degradation: when recovery is impossible or the budget is
   /// exhausted, re-shard the padded problem onto the largest valid
@@ -85,9 +83,9 @@ struct AlgorithmOptions {
   /// layout; Auto picks the smallest encoding per message. Only row- and
   /// col-support messages carry index headers, so the index codec acts
   /// only where `replication` or `propagation` is Auto. Dot-sum
-  /// collectives (allreduce / broadcast / scalar gathers), checkpoints,
-  /// and journal snapshots always stay full precision — the codec
-  /// governs block wire traffic only.
+  /// collectives (allreduce / broadcast / scalar gathers) and
+  /// checkpoints always stay full precision — the codec governs block
+  /// wire traffic only.
   WireCodec codec{};
 };
 

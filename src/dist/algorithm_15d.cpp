@@ -193,8 +193,7 @@ class DenseShift15D final : public DistAlgorithm {
   DenseMatrix b_loop(Comm& comm, const Setup& su, int u, int v,
                      bool mutates, DenseMatrix start,
                      const std::function<void(int, DenseMatrix&)>& body,
-                     const WireCodec& codec,
-                     const ShiftJournalHooks* state = nullptr) const {
+                     const WireCodec& codec) const {
     const int L = grid_.layer_size();
     const auto layer = grid_.layer_members(v);
     const ShiftCompression comp = b_compression(su, u, v, mutates, codec);
@@ -202,7 +201,7 @@ class DenseShift15D final : public DistAlgorithm {
                                    std::move(start), comp);
     run_shift_loop(comm, options().schedule, L, {&ch, 1}, [&](int t) {
       body((u + t) % L, ch.dense);
-    }, state);
+    });
     return std::move(ch.dense);
   }
 
@@ -225,7 +224,7 @@ class DenseShift15D final : public DistAlgorithm {
 
   /// The rank's stationary shard: its L piece value slices, flat. The
   /// 1.5D family holds no replicas, so it names no peers and a crash
-  /// restores the checkpoint, then the journaled loops resume.
+  /// restores the checkpoint, then the whole call re-runs.
   StationaryShard shard(const Setup& su, int rank) const {
     StationaryShard out;
     for (int j = 0; j < grid_.layer_size(); ++j) {
@@ -260,10 +259,6 @@ class DenseShift15D final : public DistAlgorithm {
     auto a_work = replicate_a(comm, su, u, v, a, codec, cu);
     const auto off = piece_offsets(su, rank);
     std::vector<Scalar> dots(off.back(), Scalar{0});
-    // The dots are stationary state (piece j's are written wholly at
-    // step j); journal them so a recovered attempt resumes with the
-    // completed pieces' dots intact.
-    const auto hooks = journal_state(dots);
     const auto body = [&](int j, DenseMatrix& bj) {
       const auto jj = static_cast<std::size_t>(j);
       comm.stats().add_flops(masked_dot_products(
@@ -271,7 +266,7 @@ class DenseShift15D final : public DistAlgorithm {
           std::span<Scalar>(dots).subspan(off[jj], off[jj + 1] - off[jj])));
     };
     b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b), body,
-           codec, &hooks);
+           codec);
     return {std::move(a_work), std::move(dots)};
   }
 
@@ -300,13 +295,12 @@ class DenseShift15D final : public DistAlgorithm {
                   const DenseMatrix& b, std::span<const ShardView> mine,
                   DenseMatrix& out, const WireCodec& codec) const {
     DenseMatrix partial(su.mL, su.r);
-    const auto hooks = journal_state(partial);
     b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b),
            [&](int j, DenseMatrix& bj) {
              comm.stats().add_flops(spmm_a(
                  mine[static_cast<std::size_t>(j)].csr(), bj, partial));
            },
-           codec, &hooks);
+           codec);
     reduce_partial(comm, su, u, v, partial, out, codec);
   }
 
@@ -411,14 +405,13 @@ void DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
         // Single propagation loop with the fused local kernel.
         const auto fused_a = replicate_a(comm, su, u, v, a, codec);
         DenseMatrix partial(su.mL, su.r);
-        const auto hooks = journal_state(partial);
         b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b),
                [&](int j, DenseMatrix& bj) {
                  comm.stats().add_flops(
                      fusedmm_a(mine[static_cast<std::size_t>(j)].csr(),
                                *fused_a, bj, partial));
                },
-               codec, &hooks);
+               codec);
         reduce_partial(comm, su, u, v, partial, out.output, codec);
         continue;
       }
@@ -565,21 +558,20 @@ class SparseShift15D final : public DistAlgorithm {
   /// Circulate the layer's S pieces for L steps.
   void s_loop(Comm& comm, int u, int v, bool mutates,
               MessageWords start,
-              const std::function<void(int, MessageWords&)>& body,
-              const ShiftJournalHooks* state = nullptr) const {
+              const std::function<void(int, MessageWords&)>& body) const {
     const int L = grid_.layer_size();
     const auto layer = grid_.layer_members(v);
     ShiftChannel ch =
         ring_channel(layer, u, kTagShift, mutates, std::move(start));
     run_shift_loop(comm, options().schedule, L, {&ch, 1}, [&](int t) {
       body((u + t) % L, ch.block);
-    }, state);
+    });
   }
 
   /// The rank's stationary shard: its home piece values (non-home pieces
   /// conceptually arrive via the ring payload from their own owners).
   /// The 1.5D family holds no replicas, so it names no peers and a crash
-  /// restores the checkpoint, then the journaled loops resume.
+  /// restores the checkpoint, then the whole call re-runs.
   StationaryShard shard(const Setup& su, int rank) const {
     const auto& v = piece(su, grid_.v_of(rank), grid_.u_of(rank)).coo.values;
     return {{v.begin(), v.end()}, {}};
@@ -635,14 +627,12 @@ void SparseShift15D::do_run_kernel(const ExecContext& ctx, Mode mode,
     switch (mode) {
       case Mode::SpMMA: {
         DenseMatrix partial(su.m, su.rL);
-        const auto hooks = journal_state(partial);
         s_loop(comm, u, v, /*mutates=*/false,
                pack_triplets(piece(su, v, u).coo, codec),
                [&](int j, MessageWords&) {
                  comm.stats().add_flops(
                      spmm_a(kernel_csr(j), b_local, partial));
-               },
-               &hooks);
+               });
         reduce_partial(comm, su, u, v, partial, out.dense, codec);
         return;
       }
@@ -662,14 +652,12 @@ void SparseShift15D::do_run_kernel(const ExecContext& ctx, Mode mode,
       case Mode::SpMMB: {
         const auto a_work = replicate_a(comm, su, u, v, a, codec, cu);
         DenseMatrix b_out(su.n / c(), su.rL);
-        const auto hooks = journal_state(b_out);
         s_loop(comm, u, v, /*mutates=*/false,
                pack_triplets(piece(su, v, u).coo, codec),
                [&](int j, MessageWords&) {
                  comm.stats().add_flops(
                      spmm_b(kernel_csr(j), *a_work, b_out));
-               },
-               &hooks);
+               });
         PhaseScope scope(comm.stats(), Phase::Computation);
         place_block(out.dense, b_out, static_cast<Index>(v) * (su.n / c()),
                     static_cast<Index>(u) * su.rL);
@@ -707,15 +695,13 @@ void SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
       }
       if (orientation == FusedOrientation::A) {
         DenseMatrix partial(su.m, su.rL);
-        const auto hooks = journal_state(partial);
         s_loop(comm, u, v, /*mutates=*/false, pack_triplets(r_piece, codec),
                [&](int j, MessageWords& block) {
                  const auto payload = unpack_triplets(block, codec);
                  comm.stats().add_flops(spmm_a(
                      csr_with_values(piece(su, v, j).csr, payload.values),
                      b_local, partial));
-               },
-               &hooks);
+               });
         reduce_partial(comm, su, u, v, partial, out.output, codec);
       } else {
         // Unelided sequence: the SpMM-B pass replicates A again instead
@@ -724,15 +710,13 @@ void SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
         // re-replicate).
         if (elision == Elision::None) replicate_a(comm, su, u, v, a, codec);
         DenseMatrix b_out(su.n / c(), su.rL);
-        const auto hooks = journal_state(b_out);
         s_loop(comm, u, v, /*mutates=*/false, pack_triplets(r_piece, codec),
                [&](int j, MessageWords& block) {
                  const auto payload = unpack_triplets(block, codec);
                  comm.stats().add_flops(spmm_b(
                      csr_with_values(piece(su, v, j).csr, payload.values),
                      *a_work, b_out));
-               },
-               &hooks);
+               });
         PhaseScope scope(comm.stats(), Phase::Computation);
         place_block(out.output, b_out, static_cast<Index>(v) * (su.n / c()),
                     static_cast<Index>(u) * su.rL);

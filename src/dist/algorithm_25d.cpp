@@ -288,12 +288,11 @@ void DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
             ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
                          b0_block(su, k0, v, w, b), bcomp)};
         DenseMatrix partial(su.mq, su.rq);
-        const auto hooks = journal_state(partial);
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
           comm.stats().add_flops(
               spmm_a(kernel_csr(k), channels[1].dense, partial));
-        }, &hooks);
+        });
         reduce_partial(comm, su, u, v, w, partial, out.dense, codec);
         return;
       }
@@ -375,7 +374,6 @@ void DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
             ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
                          b0_block(su, k0, v, w, b), bcomp)};
         DenseMatrix partial(su.mq, su.rq);
-        const auto hooks = journal_state(partial);
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
           const auto payload = unpack_triplets(channels[0].block, codec);
@@ -383,7 +381,7 @@ void DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
               spmm_a(csr_with_values(piece(su, u, k, w).csr,
                                      payload.values),
                      channels[1].dense, partial));
-        }, &hooks);
+        });
         reduce_partial(comm, su, u, v, w, partial, out.output, codec);
       } else {
         const ShiftCompression bcomp =
@@ -627,11 +625,10 @@ class SparseRepl25D final : public DistAlgorithm {
                      /*mutates=*/false, a0_slice(su, u, v, w, a), acomp),
         ring_channel(grid_.col_members(v, w), u, kTagShiftDense,
                      /*mutates=*/false, b0_slice(su, u, v, w, b), bcomp)};
-    const auto hooks = journal_state(dots);
     run_shift_loop(comm, options().schedule, grid_.q(), channels, [&](int) {
       comm.stats().add_flops(masked_dot_products(
           sc.csr, channels[0].dense, channels[1].dense, dots));
-    }, &hooks);
+    });
     PhaseScope scope(comm.stats(), Phase::Replication);
     Group fiber(comm, grid_.fiber_members(u, v));
     return fiber.allreduce(std::move(dots));

@@ -96,8 +96,8 @@ class Recovery {
   Recovery(const Recovery&) = delete;
   Recovery& operator=(const Recovery&) = delete;
 
-  /// The fault plan, recovery budget, journal cadence and on_crash
-  /// policy to run the world with.
+  /// The fault plan, recovery budget and on_crash policy to run the
+  /// world with.
   const WorldOptions& world_options() const { return world_; }
 
   /// The rank's live shard values, which the kernels must read so that

@@ -43,11 +43,6 @@ MessageWords pack_values(std::span<const Scalar> values,
   return encode_values(values, codec);
 }
 
-std::vector<Scalar> unpack_values(const MessageWords& words) {
-  return decode_values(words, static_cast<std::int64_t>(words.size()),
-                       WireCodec{});
-}
-
 std::vector<Scalar> unpack_values(const MessageWords& words,
                                   std::int64_t count,
                                   const WireCodec& codec) {

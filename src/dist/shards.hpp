@@ -59,10 +59,10 @@ inline std::uint64_t dense_words(Index rows, Index cols) {
 }
 
 /// Serialize a dense matrix's values (row-major, no header) — the raw
-/// full-precision image the journal snapshots of resident shift blocks
-/// and stationary accumulators hold. Wire-precision encoding happens at
-/// the hop boundary (shift_loop / collectives), never in a snapshot, so
-/// this pair has no codec parameter. Delegates into runtime/wire.hpp.
+/// full-precision image of a block, the words a Full-precision dense hop
+/// is charged. Wire-precision encoding happens at the hop boundary
+/// (shift_loop / collectives), so this pair has no codec parameter.
+/// Delegates into runtime/wire.hpp.
 MessageWords pack_dense(const DenseMatrix& m);
 
 /// Deserialize into a rows x cols matrix; throws on size mismatch.
@@ -77,10 +77,6 @@ inline std::uint64_t values_words(std::size_t count) {
 /// Serialize a bare value vector (delegates into runtime/wire.hpp).
 MessageWords pack_values(std::span<const Scalar> values,
                          const WireCodec& codec = {});
-
-/// Deserialize under the default codec (count inferred from the word
-/// count — only valid at Full precision).
-std::vector<Scalar> unpack_values(const MessageWords& words);
 
 /// Deserialize `count` values under any codec (low-precision payloads
 /// pad their last word, so the count travels out of band).

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "dist/shards.hpp"
-#include "runtime/recovery.hpp"
 #include "runtime/stats.hpp"
 
 namespace dsk {
@@ -83,46 +81,11 @@ void recv_hop(Comm& comm, ShiftChannel& ch, int step) {
                              comp->width, comp->codec);
 }
 
-/// Journal image of a channel's resident payload, and its inverse.
-MessageWords snapshot_payload(const ShiftChannel& ch) {
-  return ch.compression != nullptr ? pack_dense(ch.dense) : ch.block;
-}
-
-void restore_payload(ShiftChannel& ch, const MessageWords& words) {
-  if (ch.compression == nullptr) {
-    ch.block = words;
-  } else {
-    ch.dense = unpack_dense(words, ch.compression->block_rows,
-                            ch.compression->width);
-  }
-}
-
 } // namespace
-
-ShiftJournalHooks journal_state(DenseMatrix& state) {
-  ShiftJournalHooks hooks;
-  hooks.pack_state = [&state] { return pack_dense(state); };
-  hooks.unpack_state = [&state](const MessageWords& words) {
-    state = unpack_dense(words, state.rows(), state.cols());
-  };
-  return hooks;
-}
-
-ShiftJournalHooks journal_state(std::vector<Scalar>& state) {
-  ShiftJournalHooks hooks;
-  hooks.pack_state = [&state] {
-    return pack_values(std::span<const Scalar>(state));
-  };
-  hooks.unpack_state = [&state](const MessageWords& words) {
-    state = unpack_values(words);
-  };
-  return hooks;
-}
 
 void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
                     std::span<ShiftChannel> channels,
-                    const std::function<void(int)>& compute,
-                    const ShiftJournalHooks* state) {
+                    const std::function<void(int)>& compute) {
   for (const auto& ch : channels) {
     check(is_self(comm, ch) || (ch.send_to != comm.rank() &&
                                 ch.recv_from != comm.rank()),
@@ -141,32 +104,8 @@ void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
             comp->send_rows.size(), " steps, loop runs ", steps);
     }
   }
-  // Fault-mode journaling: snapshot the resident blocks (plus any
-  // driver state) after each completed step, and on a recovered attempt
-  // restore the last globally-completed step and skip its prefix.
-  StepJournal* journal = comm.journal();
-  int loop_id = -1;
-  int start_step = 0;
-  if (journal != nullptr) {
-    loop_id = journal->begin_loop(comm.rank(), steps);
-    const int resume = journal->resume_step(comm.rank(), loop_id);
-    if (resume >= 0) {
-      const auto& snap = journal->snapshot(comm.rank(), loop_id, resume);
-      check(snap.blocks.size() == channels.size(),
-            "run_shift_loop: journal snapshot has ", snap.blocks.size(),
-            " blocks for ", channels.size(), " channels");
-      for (std::size_t i = 0; i < channels.size(); ++i) {
-        restore_payload(channels[i], snap.blocks[i]);
-      }
-      if (state != nullptr && state->unpack_state) {
-        state->unpack_state(snap.state);
-      }
-      start_step = resume + 1;
-      journal->count_resumed(start_step);
-    }
-  }
   const bool overlap = schedule == ShiftSchedule::DoubleBuffered;
-  for (int step = start_step; step < steps; ++step) {
+  for (int step = 0; step < steps; ++step) {
     comm.on_shift_step(step);
     if (overlap) {
       // Forward read-only blocks before computing: the copy in flight is
@@ -196,21 +135,6 @@ void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
     if (!overlap) {
       PhaseScope scope(comm.stats(), Phase::Propagation);
       comm.barrier();
-    }
-    if (journal != nullptr) {
-      StepJournal::Snapshot snap;
-      // Non-retained steps (checkpoint interval > 1) skip the copy but
-      // still record completion, advancing the resume watermark.
-      if (journal->wants_snapshot(step)) {
-        snap.blocks.reserve(channels.size());
-        for (const auto& ch : channels) {
-          snap.blocks.push_back(snapshot_payload(ch));
-        }
-        if (state != nullptr && state->pack_state) {
-          snap.state = state->pack_state();
-        }
-      }
-      journal->record_step(comm.rank(), loop_id, step, std::move(snap));
     }
   }
 }

@@ -99,28 +99,6 @@ struct ShiftChannel {
   const ShiftCompression* compression = nullptr;
 };
 
-/// Crash-recovery packing of the driver state that lives OUTSIDE the
-/// channels — stationary accumulators the kernels rewrite in place
-/// (dense-repl SpMM partials, sparse-repl SDDMM dots). With a fault-mode
-/// journal active (Comm::journal() non-null) run_shift_loop snapshots
-/// every channel block plus pack_state() after each completed step, and
-/// a recovered attempt restores the last globally-completed step's
-/// snapshot through unpack_state and resumes at the next step — the
-/// outputs stay bit-identical because the replayed suffix starts from
-/// exactly the state the completed prefix left behind. Drivers without
-/// extra state pass nothing; the others build the hooks with
-/// journal_state.
-struct ShiftJournalHooks {
-  std::function<MessageWords()> pack_state;
-  std::function<void(const MessageWords&)> unpack_state;
-};
-
-/// Hooks that journal one stationary accumulator: a dense partial (the
-/// SpMM passes) or a value vector (SDDMM dots). The state must outlive
-/// the loop and keep its shape; a restore overwrites it in place.
-ShiftJournalHooks journal_state(DenseMatrix& state);
-ShiftJournalHooks journal_state(std::vector<Scalar>& state);
-
 /// Run `steps` propagation rounds. compute(step) reads (and for mutating
 /// channels rewrites) the resident blocks; communication is charged to
 /// Phase::Propagation and compute to Phase::Computation, so the
@@ -129,8 +107,7 @@ ShiftJournalHooks journal_state(std::vector<Scalar>& state);
 /// back home.
 void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
                     std::span<ShiftChannel> channels,
-                    const std::function<void(int)>& compute,
-                    const ShiftJournalHooks* state = nullptr);
+                    const std::function<void(int)>& compute);
 
 /// Channel over a ring given in member order: receive from the next
 /// member, send to the previous, so the resident block index advances by

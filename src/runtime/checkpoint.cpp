@@ -2,12 +2,10 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -111,48 +109,30 @@ std::vector<Scalar> CheckpointStore::read_disk(int rank) const {
 void CheckpointStore::save_shard(int rank, std::vector<Scalar> values) {
   auto& e = entries_[static_cast<std::size_t>(rank)];
   e.stable = std::move(values);
-  e.live = e.stable;
   e.digest = values_digest(e.stable);
   e.present = true;
   ++saves_;
   if (!prefix_.empty()) write_disk(rank);
 }
 
-const std::vector<Scalar>& CheckpointStore::values(int rank) const {
-  return entries_[static_cast<std::size_t>(rank)].live;
-}
-
-void CheckpointStore::scrub(int rank) {
-  auto& e = entries_[static_cast<std::size_t>(rank)];
-  std::fill(e.live.begin(), e.live.end(),
-            std::numeric_limits<Scalar>::quiet_NaN());
-}
-
 CheckpointStore::Restore CheckpointStore::restore(int rank) {
-  auto& e = entries_[static_cast<std::size_t>(rank)];
+  const auto& e = entries_[static_cast<std::size_t>(rank)];
   if (!e.present) restore_error(rank, "no checkpoint was ever saved");
   Restore out;
-  std::vector<Scalar> stable;
   if (!prefix_.empty()) {
-    stable = read_disk(rank);
+    out.values = read_disk(rank);
     out.from_disk = true;
     ++g_disk_restores;
   } else {
-    stable = e.stable;
+    out.values = e.stable;
   }
   // Re-fingerprint the content itself: a checkpoint whose bytes rotted
   // after save must not be handed to the recovered rank.
-  if (values_digest(stable) != e.digest) {
+  if (values_digest(out.values) != e.digest) {
     restore_error(rank, "stable-store digest mismatch");
   }
-  out.words = static_cast<std::uint64_t>(stable.size());
-  e.live = std::move(stable);
   ++restores_;
   return out;
-}
-
-std::uint64_t CheckpointStore::digest(int rank) const {
-  return entries_[static_cast<std::size_t>(rank)].digest;
 }
 
 bool CheckpointStore::saved(int rank) const {

@@ -3,17 +3,17 @@
 /// Digest-verified checkpoint store: the stable copy of each rank's shard
 /// values that crash recovery falls back to when no replica peer survives
 /// (q == 1 rings, c == 1 fibers, or the unreplicated 1.5D/1D families,
-/// which have no redundancy at all). The store keeps an in-memory "stable
-/// store" snapshot taken before the world runs; when `DSK_CKPT_DIR` names
-/// a directory, each shard is also persisted there as a binary file and
-/// restores prefer the on-disk copy. Every restore re-verifies the
-/// FNV-1a fingerprint recorded at save time, so a corrupted stable copy
+/// which have no redundancy at all). The store keeps one in-memory copy
+/// per shard, taken before the world runs; when `DSK_CKPT_DIR` names a
+/// directory, each shard is also persisted there as a binary file and
+/// restores read the file instead. Every restore re-verifies the FNV-1a
+/// fingerprint recorded at save time, so a corrupted stable copy
 /// surfaces as a structured WorldError instead of silently poisoning the
-/// recovered run.
+/// recovered run. The kernels never read this store: the caller installs
+/// a restore's values where they compute (ReplicaStore::adopt).
 ///
-/// Threading matches ReplicaStore: shards are saved before the world
-/// starts, rank threads only read their own live slice, and scrub/restore
-/// run between attempts on the recovery thread.
+/// Threading: shards are saved before the world starts and restores run
+/// between attempts on the recovery thread.
 
 #include <cstdint>
 #include <span>
@@ -39,28 +39,19 @@ class CheckpointStore {
   CheckpointStore& operator=(const CheckpointStore&) = delete;
 
   /// Snapshot the rank's shard values into the stable store (and the
-  /// disk backend when enabled). The live copy kernels read through
-  /// values() starts out identical.
+  /// disk backend when enabled).
   void save_shard(int rank, std::vector<Scalar> values);
 
-  /// The rank's live shard — fault-mode kernels read values through
-  /// this instead of the shared setup tables.
-  const std::vector<Scalar>& values(int rank) const;
-
-  /// Simulate the crash: NaN-fill the rank's live copy. The stable store
-  /// is untouched — that is the point of a checkpoint.
-  void scrub(int rank);
-
   struct Restore {
-    std::uint64_t words = 0;
+    std::vector<Scalar> values;
     bool from_disk = false;
   };
-  /// Rebuild the rank's live copy from the stable store (or the disk
-  /// file when the backend is enabled), re-verifying the recorded
-  /// digest. Throws WorldError on a missing or corrupted checkpoint.
+  /// The rank's saved values, read from the stable store (or the disk
+  /// file when the backend is enabled) and re-verified against the
+  /// recorded digest. Throws WorldError on a missing or corrupted
+  /// checkpoint.
   Restore restore(int rank);
 
-  std::uint64_t digest(int rank) const;
   bool saved(int rank) const;
 
   int saves() const { return saves_; }
@@ -81,7 +72,6 @@ class CheckpointStore {
   std::vector<Scalar> read_disk(int rank) const;
 
   struct Entry {
-    std::vector<Scalar> live;   ///< what kernels read; scrubbed on crash
     std::vector<Scalar> stable; ///< the checkpoint itself
     std::uint64_t digest = 0;
     bool present = false;

@@ -21,7 +21,6 @@ namespace dsk {
 
 class SimWorld;
 class ReliableTransport;
-class StepJournal;
 
 /// Distinct tag spaces keep independent protocols from interleaving.
 /// Messages between a (source, tag) pair are FIFO, matching MPI's
@@ -111,13 +110,10 @@ class Comm {
   // default fault-free mode, where send/recv take the legacy zero-
   // overhead path and move exactly the same words as ever) ---
   void set_fault_context(FaultInjector* injector,
-                         ReliableTransport* transport,
-                         StepJournal* journal) {
+                         ReliableTransport* transport) {
     injector_ = injector;
     transport_ = transport;
-    journal_ = journal;
   }
-  StepJournal* journal() { return journal_; }
 
   /// Crash trigger at a shift-step boundary (run_shift_loop calls this
   /// when entering each step; no-op without an injector).
@@ -126,10 +122,6 @@ class Comm {
       injector_->on_shift_step(rank_, stats_->current_phase(), step);
     }
   }
-
-  /// Per-rank run_shift_loop call counter — the journal's loop ids. The
-  /// SPMD bodies are symmetric, so ids line up across ranks.
-  int next_loop_id() { return next_loop_id_++; }
 
  private:
   /// Range-check the peer and give the injector its crash trigger.
@@ -144,64 +136,6 @@ class Comm {
   RankStats* stats_;
   FaultInjector* injector_ = nullptr;
   ReliableTransport* transport_ = nullptr;
-  StepJournal* journal_ = nullptr;
-  int next_loop_id_ = 0;
-};
-
-/// Pack/unpack helpers for messages carrying several arrays (e.g. a COO
-/// block's rows, cols, and values in a single 3*nnz-word message).
-class WordPacker {
- public:
-  template <typename T>
-  WordPacker& put(std::span<const T> data) {
-    static_assert(sizeof(T) == sizeof(std::uint64_t));
-    const std::size_t old = words_.size();
-    words_.resize(old + data.size());
-    if (!data.empty()) {
-      std::memcpy(words_.data() + old, data.data(),
-                  data.size() * sizeof(T));
-    }
-    return *this;
-  }
-  /// Single header word (e.g. a length prefix).
-  WordPacker& put_count(std::uint64_t value) {
-    words_.push_back(value);
-    return *this;
-  }
-  MessageWords take() { return std::move(words_); }
-
- private:
-  MessageWords words_;
-};
-
-class WordReader {
- public:
-  explicit WordReader(const MessageWords& words) : words_(words) {}
-
-  std::uint64_t take_count() {
-    check(cursor_ < words_.size(), "WordReader: out of data");
-    return words_[cursor_++];
-  }
-
-  template <typename T>
-  std::vector<T> take(std::size_t count) {
-    static_assert(sizeof(T) == sizeof(std::uint64_t));
-    check(cursor_ + count <= words_.size(),
-          "WordReader: requested ", count, " words with ",
-          words_.size() - cursor_, " remaining");
-    std::vector<T> out(count);
-    if (count > 0) {
-      std::memcpy(out.data(), words_.data() + cursor_, count * sizeof(T));
-    }
-    cursor_ += count;
-    return out;
-  }
-
-  bool exhausted() const { return cursor_ == words_.size(); }
-
- private:
-  const MessageWords& words_;
-  std::size_t cursor_ = 0;
 };
 
 } // namespace dsk

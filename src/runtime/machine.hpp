@@ -20,10 +20,6 @@ struct MachineModel {
   static MachineModel cori_knl() {
     return {2.0e-6, 1.0e-9, 1.0 / 15.0e9};
   }
-
-  /// Bandwidth-only model: isolates the word counts the paper's theory
-  /// analyzes (unit cost per word; alpha = gamma = 0).
-  static MachineModel bandwidth_only() { return {0.0, 1.0, 0.0}; }
 };
 
 } // namespace dsk

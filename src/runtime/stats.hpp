@@ -240,14 +240,10 @@ class WorldStats {
   /// the per-phase algorithm words).
   RetryCounters total_retry() const;
 
-  /// Rank crashes recovered (replica rebuild + re-run) during the run,
-  /// and shift steps the journal let the recovered attempts skip.
+  /// Rank crashes recovered (shard rebuild + re-run of the whole call)
+  /// during the run. The stats describe the last, complete attempt.
   int recoveries() const { return recoveries_; }
-  std::uint64_t resumed_steps() const { return resumed_steps_; }
-  void set_recovery_info(int recoveries, std::uint64_t resumed_steps) {
-    recoveries_ = recoveries;
-    resumed_steps_ = resumed_steps;
-  }
+  void set_recoveries(int recoveries) { recoveries_ = recoveries; }
 
   /// Plan/execute accounting: how many times this call built the
   /// per-driver Setup (grid, shards, support unions) and how long those
@@ -293,7 +289,6 @@ class WorldStats {
   int setup_builds_ = 0;
   double setup_seconds_ = 0.0;
   int recoveries_ = 0;
-  std::uint64_t resumed_steps_ = 0;
   int degraded_rank_ = -1;
   int degraded_from_ = 0;
   int degraded_to_ = 0;

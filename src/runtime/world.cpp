@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "common/error.hpp"
-#include "runtime/recovery.hpp"
 #include "runtime/wire.hpp"
 
 namespace dsk {
@@ -348,9 +347,7 @@ void SimWorld::barrier_wait(int rank) {
   // Abort only if the barrier itself was torn down: when the generation
   // advanced, every rank arrived before the abort, so the barrier
   // logically completed — return success and let the rank observe the
-  // abort at its next blocking operation. (This keeps post-barrier
-  // journal snapshots deterministic: a completed BSP step is recorded
-  // by every rank even when a peer crashes right after the barrier.)
+  // abort at its next blocking operation.
   if (barrier_generation_ == generation && aborted_) {
     fail_aborted_barrier(rank);
   }
@@ -464,7 +461,7 @@ std::string SimWorld::wait_graph_locked() const {
   return out.str();
 }
 
-void SimWorld::reset_for_attempt(bool fault_mode) {
+void SimWorld::reset_for_attempt() {
   {
     std::lock_guard<std::mutex> lock(barrier_mutex_);
     aborted_ = false;
@@ -479,7 +476,6 @@ void SimWorld::reset_for_attempt(bool fault_mode) {
   }
   // A clean previous run leaves empty mailboxes; an aborted or faulted
   // one may not (stale duplicates, parked delays, undelivered sends).
-  (void)fault_mode;
   for (auto& mailbox : mailboxes_) {
     mailbox->reset();
   }
@@ -496,13 +492,8 @@ WorldStats SimWorld::run(const std::function<void(Comm&)>& body,
           ? options.faults
           : nullptr;
   std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<StepJournal> journal;
   if (plan != nullptr) {
     injector = std::make_unique<FaultInjector>(*plan, num_ranks_);
-    if (!plan->crashes.empty()) {
-      journal = std::make_unique<StepJournal>(num_ranks_);
-      journal->set_interval(options.checkpoint_interval);
-    }
   }
   // Every failure that escapes a fault-mode run carries the plan's
   // replay string: a soak log alone is enough to reproduce it.
@@ -511,8 +502,7 @@ WorldStats SimWorld::run(const std::function<void(Comm&)>& body,
 
   int recoveries = 0;
   for (;;) {
-    reset_for_attempt(plan != nullptr);
-    if (journal) journal->begin_attempt();
+    reset_for_attempt();
     // Fresh transport per attempt: sequence numbers, wire log, and
     // parked deliveries all restart with the re-spawned ranks.
     std::unique_ptr<ReliableTransport> transport;
@@ -532,8 +522,7 @@ WorldStats SimWorld::run(const std::function<void(Comm&)>& body,
     for (int r = 0; r < num_ranks_; ++r) {
       threads.emplace_back([&, r] {
         Comm comm(*this, r, stats[static_cast<std::size_t>(r)]);
-        comm.set_fault_context(injector.get(), transport.get(),
-                               journal.get());
+        comm.set_fault_context(injector.get(), transport.get());
         try {
           body(comm);
         } catch (const RankCrashError& e) {
@@ -594,7 +583,6 @@ WorldStats SimWorld::run(const std::function<void(Comm&)>& body,
       std::rethrow_exception(first_error);
     }
     if (crash) {
-      if (journal) journal->seal();
       if (options.on_crash && recoveries < options.max_recoveries) {
         ++recoveries;
         // Repair (replica reconstruction) runs on this thread between
@@ -633,8 +621,7 @@ WorldStats SimWorld::run(const std::function<void(Comm&)>& body,
       }
     }
     WorldStats out(std::move(stats));
-    out.set_recovery_info(recoveries,
-                          journal ? journal->resumed_steps() : 0);
+    out.set_recoveries(recoveries);
     return out;
   }
 }

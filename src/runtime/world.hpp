@@ -13,8 +13,8 @@
 /// faults self-heal, with the retry traffic counted apart from the
 /// algorithm words), and rank crashes either recover — the on_crash
 /// repair callback rebuilds the lost shard from replicas or a
-/// digest-verified checkpoint and the world re-runs the body, resuming
-/// journaled shift loops — or surface as a structured WorldError naming
+/// digest-verified checkpoint and the world re-runs the whole body — or
+/// surface as a structured WorldError naming
 /// the failed rank, phase, and wait graph, with the fault plan's replay
 /// string embedded so the failure reproduces from the log alone.
 /// A deadlock watchdog aborts all-blocked worlds with the wait graph
@@ -34,22 +34,16 @@
 
 namespace dsk {
 
-class StepJournal;
-
 /// Per-run fault configuration. `faults` is borrowed (must outlive the
 /// run) and may be null (default fault-free mode). `on_crash` runs
 /// between attempts on the caller's thread after a rank crash, repairing
 /// the crashed rank's state (replica reconstruction or checkpoint
 /// restore); without it — or past max_recoveries — a crash surfaces as
-/// WorldError. `checkpoint_interval` sets the StepJournal snapshot
-/// cadence in shift steps (0 = every step); recovery then resumes from
-/// the newest retained snapshot no later than the last jointly completed
-/// step.
+/// WorldError.
 struct WorldOptions {
   const FaultPlan* faults = nullptr;
   std::function<void(const CrashInfo&)> on_crash;
   int max_recoveries = 4;
-  int checkpoint_interval = 0;
 };
 
 class SimWorld {
@@ -112,7 +106,7 @@ class SimWorld {
   bool deadlock_locked(std::string* graph) const;
   std::string wait_graph_locked() const;
   /// Restore a clean slate before (re)spawning the rank threads.
-  void reset_for_attempt(bool fault_mode);
+  void reset_for_attempt();
 
   int num_ranks_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;

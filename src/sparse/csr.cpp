@@ -1,7 +1,5 @@
 #include "sparse/csr.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace dsk {
@@ -31,10 +29,6 @@ CsrMatrix::CsrMatrix(Index rows, Index cols, std::vector<Index> row_ptr,
     check(0 <= j && j < cols_, "CsrMatrix: column ", j,
           " out of range [0, ", cols_, ")");
   }
-}
-
-void CsrMatrix::set_values(Scalar value) {
-  std::fill(values_.begin(), values_.end(), value);
 }
 
 } // namespace dsk

@@ -59,9 +59,6 @@ class CsrMatrix {
     return {values_.data() + begin, end - begin};
   }
 
-  /// Set every stored value (pattern unchanged).
-  void set_values(Scalar value);
-
  private:
   Index rows_ = 0;
   Index cols_ = 0;

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <unordered_set>
@@ -21,10 +20,6 @@ struct PhaseScope {
 struct Mailbox {
   std::optional<MessageWords> receive_for(int, int,
                                           std::chrono::milliseconds);
-};
-struct ShiftJournalHooks {
-  std::function<MessageWords()> pack_state;
-  std::function<void(const MessageWords&)> unpack_state;
 };
 
 // D1 clean: copy the unordered contents out, sort, THEN let them
@@ -44,12 +39,6 @@ std::size_t distinct_count(const std::unordered_set<Index>& seen) {
     n += column >= 0 ? 1 : 0;
   }
   return n;
-}
-
-// R1 clean: pack and unpack registered together.
-void register_hooks(ShiftJournalHooks& hooks, MessageWords& partial) {
-  hooks.pack_state = [&] { return partial; };
-  hooks.unpack_state = [&](const MessageWords& words) { partial = words; };
 }
 
 // W1 clean: named scope; timed receive under a bounded attempt cap.

@@ -1,8 +1,9 @@
 /// Fault-injection and recovery tests: pinned envelope faults with exact
 /// retry-counter assertions, cost-accounting invariance under message
 /// faults, rank-crash recovery sweeps over every driver family
-/// (bit-identical output after replica reconstruction or checkpoint
-/// restore + journal resume), checkpoint-store unit coverage including
+/// (bit-identical output and the clean run's per-phase traffic after
+/// replica reconstruction or checkpoint restore and a re-run of the
+/// whole call), checkpoint-store unit coverage including
 /// the disk backend, graceful shrink-and-replan degradation, fault-plan
 /// grammar hardening with an exact replay round trip, and a randomized
 /// soak across every driver that prints a deterministic replay string on
@@ -10,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -215,6 +216,17 @@ void expect_faults_invisible(const DenseMatrix& clean_out,
   EXPECT_GT(faulty.total_retry().envelope_words, 0u);
 }
 
+/// A recovered run re-runs the whole call, so the stats of its last
+/// attempt carry the clean run's per-phase maxima.
+void expect_clean_traffic(const WorldStats& got, const WorldStats& clean) {
+  for (const Phase phase : {Phase::Replication, Phase::Propagation}) {
+    EXPECT_EQ(got.max_words(phase), clean.max_words(phase))
+        << to_string(phase);
+    EXPECT_EQ(got.max_messages(phase), clean.max_messages(phase))
+        << to_string(phase);
+  }
+}
+
 TEST(FaultTolerance, MessageFaultsAreInvisibleToCostAccounting) {
   // Retry traffic lives in its own counters: the per-phase word and
   // message maxima the cost-model gates pin must be identical with and
@@ -260,8 +272,8 @@ TEST(FaultTolerance, MessageFaultsAreInvisibleToCostAccounting) {
 
 TEST(FaultTolerance, DenseReplCrashSweepRecoversBitIdentically) {
   // Crash every rank at every shift step of the 2.5D dense-replicating
-  // SpMMA: the surviving replicas reconstruct the lost shard, the step
-  // journal resumes the loop, and the output stays bit-identical.
+  // SpMMA: the surviving replicas reconstruct the lost shard, the call
+  // re-runs, and the output stays bit-identical.
   const Problem pr = make_problem(32, 48, 8, 13);
   const KernelResult clean = run_kernel_with(
       AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, nullptr);
@@ -304,35 +316,39 @@ TEST(FaultTolerance, SparseReplCrashSweepRecoversBitIdentically) {
   }
 }
 
-TEST(FaultTolerance, BspCrashAfterFirstStepResumesFromJournal) {
-  // Under the bulk-synchronous schedule every rank records its step-0
-  // snapshot before any rank can enter step 1 (the barrier completes
-  // for everyone even if a peer crashes right after it), so a crash at
-  // step 1 must resume — all 8 ranks skip the journaled step 0 — and
-  // never fall back to a full restart.
-  const Problem pr = make_problem(32, 48, 8, 29);
-  AlgorithmOptions clean_options;
-  clean_options.schedule = ShiftSchedule::BulkSynchronous;
-  const auto clean_algo =
-      make_algorithm(AlgorithmKind::DenseRepl25D, 8, 2, clean_options);
-  const KernelResult clean =
-      clean_algo->run_kernel(Mode::SpMMA, pr.s, pr.a, pr.b);
-
-  const FaultPlan plan = parse_fault_plan("crash=3@step:1");
-  AlgorithmOptions options = clean_options;
-  options.faults = &plan;
-  const auto algo =
-      make_algorithm(AlgorithmKind::DenseRepl25D, 8, 2, options);
-  const KernelResult got =
-      algo->run_kernel(Mode::SpMMA, pr.s, pr.a, pr.b);
-  EXPECT_EQ(got.dense.max_abs_diff(clean.dense), 0.0);
-  EXPECT_EQ(got.stats.recoveries(), 1);
-  EXPECT_EQ(got.stats.resumed_steps(), 8u); // step 0 skipped on 8 ranks
+TEST(FaultTolerance, BspCrashMidRingReportsCleanTraffic) {
+  // Under the bulk-synchronous schedule a crash after completed shift
+  // steps still heals by one full re-run: the output is bit-identical
+  // and the run reports exactly the clean run's per-phase words and
+  // messages, whichever steps the crashed attempt finished.
+  struct Case {
+    AlgorithmKind kind;
+    std::uint64_t seed;
+    const char* crash;
+  };
+  for (const Case& cs :
+       {Case{AlgorithmKind::DenseRepl25D, 29, "crash=3@step:1"},
+        Case{AlgorithmKind::DenseShift15D, 31, "crash=3@step:3"}}) {
+    SCOPED_TRACE(to_string(cs.kind) + " " + cs.crash);
+    const Problem pr = make_problem(32, 48, 8, cs.seed);
+    AlgorithmOptions base;
+    base.schedule = ShiftSchedule::BulkSynchronous;
+    const KernelResult clean =
+        run_kernel_opts(cs.kind, 8, 2, Mode::SpMMA, pr, base);
+    const FaultPlan plan = parse_fault_plan(cs.crash);
+    AlgorithmOptions options = base;
+    options.faults = &plan;
+    const KernelResult got =
+        run_kernel_opts(cs.kind, 8, 2, Mode::SpMMA, pr, options);
+    EXPECT_EQ(got.dense.max_abs_diff(clean.dense), 0.0);
+    EXPECT_EQ(got.stats.recoveries(), 1);
+    expect_clean_traffic(got.stats, clean.stats);
+  }
 }
 
 TEST(FaultTolerance, CrashDuringReplicationPhaseRecovers) {
-  // Comm-op triggers in the replication phase exercise the full-restart
-  // path (the crash lands before any journaled shift step).
+  // Comm-op triggers in the replication phase crash before the first
+  // shift step; the re-run heals them like any other crash.
   const Problem pr = make_problem(32, 48, 8, 13);
   const KernelResult clean = run_kernel_with(
       AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, nullptr);
@@ -383,8 +399,8 @@ TEST(FaultTolerance, FusedMmCrashRecoversBitIdentically) {
 /// transport `options`: the three kernels of each grid family, the
 /// baseline's SpMMA, and every FusedMM orientation x elision the family
 /// admits. `message_faults` (fault-plan entries, possibly empty) rides
-/// along with each crash. Each run must heal with exactly one recovery
-/// and match the clean run bit for bit.
+/// along with each crash. Each run must heal with exactly one recovery,
+/// match the clean run bit for bit and report its per-phase traffic.
 void expect_every_entry_point_heals(const Problem& pr,
                                     const AlgorithmOptions& options,
                                     const std::string& message_faults) {
@@ -419,6 +435,7 @@ void expect_every_entry_point_heals(const Problem& pr,
       EXPECT_EQ(got.dense.max_abs_diff(want.dense), 0.0);
       EXPECT_EQ(got.sddmm_values, want.sddmm_values);
       EXPECT_EQ(got.stats.recoveries(), 1);
+      expect_clean_traffic(got.stats, want.stats);
       ++kernel_cases;
     }
     for (const FusedOrientation orientation :
@@ -439,6 +456,7 @@ void expect_every_entry_point_heals(const Problem& pr,
             faulty->run_fusedmm(orientation, elision, pr.s, pr.a, pr.b);
         EXPECT_EQ(got.output.max_abs_diff(want.output), 0.0);
         EXPECT_EQ(got.stats.recoveries(), 1);
+        expect_clean_traffic(got.stats, want.stats);
         ++fused_cases;
       }
     }
@@ -552,8 +570,8 @@ TEST(FaultTolerance, UnreplicatedFamiliesHealFromCheckpoint) {
 
 TEST(FaultTolerance, DenseShiftCrashSweepRecoversBitIdentically) {
   // Crash every rank at every shift step of the 1.5D dense-shifting
-  // SpMMA: the checkpoint store restores the lost shard, the step
-  // journal resumes the loop, and the output stays bit-identical.
+  // SpMMA: the checkpoint store restores the lost shard, the call
+  // re-runs, and the output stays bit-identical.
   const Problem pr = make_problem(32, 48, 8, 47);
   const KernelResult clean = run_kernel_with(
       AlgorithmKind::DenseShift15D, 8, 2, Mode::SpMMA, pr, nullptr);
@@ -645,38 +663,6 @@ TEST(FaultTolerance, BaselineCrashSweepRecoversBitIdentically) {
           << "crash=" << rank << "@any:" << op;
     }
   }
-}
-
-TEST(FaultTolerance, CheckpointIntervalCoarsensJournalResume) {
-  // With interval k the journal retains every k-th step only, so a
-  // recovery resumes from the last retained step instead of the last
-  // completed one — fewer resumed steps, same bit-identical output.
-  const Problem pr = make_problem(32, 48, 8, 31);
-  AlgorithmOptions base;
-  base.schedule = ShiftSchedule::BulkSynchronous;
-  const KernelResult clean = run_kernel_opts(
-      AlgorithmKind::DenseShift15D, 8, 2, Mode::SpMMA, pr, base);
-
-  const FaultPlan plan = parse_fault_plan("crash=3@step:3");
-  AlgorithmOptions every = base;
-  every.faults = &plan;
-  const KernelResult fine = run_kernel_opts(
-      AlgorithmKind::DenseShift15D, 8, 2, Mode::SpMMA, pr, every);
-  EXPECT_EQ(fine.dense.max_abs_diff(clean.dense), 0.0);
-  EXPECT_EQ(fine.stats.recoveries(), 1);
-  // L = 4 steps; BSP barriers mean steps 0-2 are journaled everywhere,
-  // so all 8 ranks skip 3 steps each.
-  EXPECT_EQ(fine.stats.resumed_steps(), 24u);
-
-  AlgorithmOptions coarse = every;
-  coarse.checkpoint_interval = 2;
-  const KernelResult sparse = run_kernel_opts(
-      AlgorithmKind::DenseShift15D, 8, 2, Mode::SpMMA, pr, coarse);
-  EXPECT_EQ(sparse.dense.max_abs_diff(clean.dense), 0.0);
-  EXPECT_EQ(sparse.stats.recoveries(), 1);
-  // Retained steps are 1 and 3; the resume rounds down from 2 to 1, so
-  // each rank skips 2 steps.
-  EXPECT_EQ(sparse.stats.resumed_steps(), 16u);
 }
 
 TEST(FaultTolerance, RecoveryBudgetExhaustedCarriesReplayString) {
@@ -786,7 +772,7 @@ TEST(FaultTolerance, DoubleBufferedAllgatherCrashSweepHealsBitIdentically) {
 
 TEST(FaultTolerance, DoubleBufferedReduceScatterCrashSweepHealsBitIdentically) {
   // SpMMA's Replication phase is the fiber reduce-scatter after the
-  // shift loop, so these crashes land after journaled steps.
+  // shift loop, so these crashes land after every shift step ran.
   const Problem pr = make_problem(32, 48, 8, 43);
   const KernelResult clean = run_kernel_with(
       AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, nullptr);
@@ -801,22 +787,23 @@ TEST(FaultTolerance, DoubleBufferedReduceScatterCrashSweepHealsBitIdentically) {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint store unit coverage: in-memory scrub/restore, the disk
+// Checkpoint store unit coverage: in-memory save/restore, the disk
 // backend behind DSK_CKPT_DIR, and digest verification on restore.
 // ---------------------------------------------------------------------
 
 TEST(CheckpointStoreTest, InMemoryScrubAndRestoreRoundTrips) {
+  // The store keeps its own copy: scrubbing the rank's shard where it
+  // computes leaves the checkpoint intact.
   CheckpointStore store(2);
-  store.save_shard(0, {1.0, 2.5, -3.0});
+  std::vector<Scalar> shard{1.0, 2.5, -3.0};
+  store.save_shard(0, shard);
   EXPECT_TRUE(store.saved(0));
   EXPECT_FALSE(store.saved(1));
-  store.scrub(0);
-  ASSERT_EQ(store.values(0).size(), 3u);
-  EXPECT_TRUE(std::isnan(store.values(0)[0]));
+  std::fill(shard.begin(), shard.end(),
+            std::numeric_limits<Scalar>::quiet_NaN());
   const auto restored = store.restore(0);
-  EXPECT_EQ(restored.words, 3u);
   EXPECT_FALSE(restored.from_disk);
-  EXPECT_EQ(store.values(0), (std::vector<Scalar>{1.0, 2.5, -3.0}));
+  EXPECT_EQ(restored.values, (std::vector<Scalar>{1.0, 2.5, -3.0}));
   EXPECT_EQ(store.saves(), 1);
   EXPECT_EQ(store.restores(), 1);
 }
@@ -838,10 +825,9 @@ TEST(CheckpointStoreTest, DiskBackendRestoresAndDetectsCorruption) {
     const fs::path file = store.shard_path(0);
     EXPECT_EQ(file.parent_path(), dir);
     EXPECT_TRUE(fs::exists(file));
-    store.scrub(0);
     const auto restored = store.restore(0);
     EXPECT_TRUE(restored.from_disk);
-    EXPECT_EQ(store.values(0), (std::vector<Scalar>{4.0, 5.0}));
+    EXPECT_EQ(restored.values, (std::vector<Scalar>{4.0, 5.0}));
     // Flip a payload byte on disk: the digest recorded at save time must
     // catch the rot instead of handing poisoned bytes to the rank.
     {
@@ -851,7 +837,6 @@ TEST(CheckpointStoreTest, DiskBackendRestoresAndDetectsCorruption) {
       std::fputc(0x5a, f);
       std::fclose(f);
     }
-    store.scrub(0);
     EXPECT_THROW(store.restore(0), WorldError);
     // A rotted header must be rejected before its count word sizes any
     // allocation: 2^59 doubles is 4 EiB, 2^62 exceeds max_size().
@@ -866,7 +851,6 @@ TEST(CheckpointStoreTest, DiskBackendRestoresAndDetectsCorruption) {
     for (const std::uint64_t count : {std::uint64_t{1} << 59,
                                       std::uint64_t{1} << 62}) {
       rewrite_header_word(3, count);
-      store.scrub(0);
       EXPECT_THROW(store.restore(0), WorldError) << "count " << count;
     }
     rewrite_header_word(3, std::uint64_t{1} << 59);
@@ -876,7 +860,6 @@ TEST(CheckpointStoreTest, DiskBackendRestoresAndDetectsCorruption) {
       std::fputc(0x00, f); // first byte of the magic word
       std::fclose(f);
     }
-    store.scrub(0);
     EXPECT_THROW(store.restore(0), WorldError) << "bad magic, huge count";
   }
   ::unsetenv("DSK_CKPT_DIR");
@@ -957,16 +940,13 @@ TEST(CheckpointStoreTest, DiskBackendKeepsLiveStoresApart) {
   const auto shard = [](int store, int rank) {
     return std::vector<Scalar>{1.0 + store, -2.0 * rank, 0.5 * store};
   };
-  // The rank's values after a scrub and a restore; empty when the
-  // restore rejects the file.
+  // The rank's restored values; empty when the restore rejects the file.
   const auto restored = [](CheckpointStore& store, int rank) {
-    store.scrub(rank);
     try {
-      store.restore(rank);
+      return store.restore(rank).values;
     } catch (const WorldError&) {
       return std::vector<Scalar>{};
     }
-    return store.values(rank);
   };
   {
     CheckpointStore first(2);

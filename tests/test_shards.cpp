@@ -73,7 +73,9 @@ TEST(Shards, DenseRoundTripPreservesLayout) {
 TEST(Shards, ValuesRoundTrip) {
   const std::vector<Scalar> values{1.0, -2.0, 1e-300, 4e300};
   const auto words = pack_values(values);
-  EXPECT_EQ(unpack_values(words), values);
+  EXPECT_EQ(unpack_values(words, static_cast<std::int64_t>(values.size()),
+                          WireCodec{}),
+            values);
 }
 
 TEST(Shards, MismatchedTripletArraysRejected) {

@@ -82,8 +82,6 @@ constexpr FlagSpec kFlags[] = {
      "raw | auto: support-index header encoding (needs an auto mode)"},
     {"--faults", "SPEC", FlagScope::Common, "",
      "deterministic fault plan, e.g. \"seed=7,drop=0.02,crash=3@prop:2\""},
-    {"--checkpoint-interval", "N", FlagScope::Common, "0",
-     "checkpoint cadence in shift steps, 0 = every step (needs --faults)"},
     {"--max-recoveries", "N", FlagScope::Common, "4",
      "recovery budget before a crash is permanent (needs --faults)"},
     {"--degrade", "", FlagScope::Common, "",
@@ -134,8 +132,6 @@ struct Options {
   Index n = 8192;
   Index d = 8;
   Index r = 32;
-  int checkpoint_interval = 0;
-  bool checkpoint_interval_set = false;
   int max_recoveries = 4;
   bool max_recoveries_set = false;
   bool degrade = false;
@@ -272,10 +268,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--n") opt.n = number(Index{1});
     else if (arg == "--d") opt.d = number(Index{0});
     else if (arg == "--r") opt.r = number(Index{1});
-    else if (arg == "--checkpoint-interval") {
-      opt.checkpoint_interval = number(0);
-      opt.checkpoint_interval_set = true;
-    }
     else if (arg == "--max-recoveries") {
       opt.max_recoveries = number(0);
       opt.max_recoveries_set = true;
@@ -354,21 +346,39 @@ AlgorithmOptions validate_common(const Options& opt) {
   algo_options.codec.precision = parse_wire_precision(opt.wire_precision);
   algo_options.codec.index_codec = parse_index_codec(opt.index_codec);
   // Index headers ride only in row- and col-support messages, which only
-  // the Auto modes send.
-  if (algo_options.codec.index_codec != IndexCodec::Raw &&
-      algo_options.replication == ReplicationMode::Dense &&
-      algo_options.propagation == PropagationMode::Dense) {
-    usage_and_exit("--index-codec only applies with --replication auto or "
-                   "--propagation auto; refusing to silently ignore it");
+  // the Auto modes send, and only where an Auto mode ships dense-block
+  // rows: 1.5D sparse shifting circulates COO triplets, 2.5D sparse
+  // replicating gathers bare value slices, and the 1D baseline's fetches
+  // carry no index header.
+  if (algo_options.codec.index_codec != IndexCodec::Raw) {
+    const bool repl = algo_options.replication == ReplicationMode::Auto;
+    const bool prop = algo_options.propagation == PropagationMode::Auto;
+    if (!repl && !prop) {
+      usage_and_exit("--index-codec only applies with --replication auto "
+                     "or --propagation auto; refusing to silently ignore "
+                     "it");
+    }
+    const AlgorithmKind kind = parse_algo(opt.algo);
+    if (kind == AlgorithmKind::Baseline1D) {
+      usage_and_exit("--index-codec does not apply to --algo baseline, "
+                     "whose fetches carry no index header; refusing to "
+                     "silently ignore it");
+    }
+    if (kind == AlgorithmKind::SparseShift15D && !repl) {
+      usage_and_exit("--index-codec with --algo sparse-shift only applies "
+                     "with --replication auto (its shifts carry COO "
+                     "triplets); refusing to silently ignore it");
+    }
+    if (kind == AlgorithmKind::SparseRepl25D && !prop) {
+      usage_and_exit("--index-codec with --algo sparse-repl only applies "
+                     "with --propagation auto (its replication gathers "
+                     "bare values); refusing to silently ignore it");
+    }
   }
-  if (opt.faults.empty() &&
-      (opt.checkpoint_interval_set || opt.max_recoveries_set ||
-       opt.degrade)) {
-    usage_and_exit("--checkpoint-interval, --max-recoveries, and --degrade "
-                   "only apply with --faults; refusing to silently ignore "
-                   "them");
+  if (opt.faults.empty() && (opt.max_recoveries_set || opt.degrade)) {
+    usage_and_exit("--max-recoveries and --degrade only apply with "
+                   "--faults; refusing to silently ignore them");
   }
-  algo_options.checkpoint_interval = opt.checkpoint_interval;
   algo_options.max_recoveries = opt.max_recoveries;
   algo_options.degrade = opt.degrade;
   return algo_options;
@@ -636,10 +646,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(retry.corrupt_dropped),
                   static_cast<unsigned long long>(retry.reordered));
       std::printf("recoveries: %d rank crash(es) repaired (replicas or "
-                  "checkpoint restore), %llu journaled shift steps "
-                  "resumed\n",
-                  stats.recoveries(),
-                  static_cast<unsigned long long>(stats.resumed_steps()));
+                  "checkpoint restore)\n", stats.recoveries());
       if (stats.degraded()) {
         std::printf("degraded: rank %d lost for good; re-planned from "
                     "p = %d onto p = %d surviving ranks\n",

@@ -19,10 +19,8 @@ to get lucky:
                         be exercised by at least one file under tests/.
                         Pack/unpack/words falling out of lockstep is
                         how sparse wire formats rot.
-  R1 recovery pairing   A driver registering a journal pack hook
-                        (.pack_state = ...) must register the matching
-                        .unpack_state nearby, and every restore path
-                        (functions named restore/reconstruct/adopt in
+  R1 recovery digests   Every restore path (functions named
+                        restore/reconstruct/adopt in
                         src/runtime/checkpoint.* / recovery.*) must
                         verify a digest before the bytes are trusted.
   W1 phase/watchdog     PhaseScope must be a *named* local — an unnamed
@@ -66,7 +64,7 @@ import sys
 CHECKS = {
     "D1": "unordered-container iteration order escapes",
     "P1": "pack/unpack/words wire-protocol triple incomplete or untested",
-    "R1": "journal pack/unpack hooks unpaired or restore path skips digest",
+    "R1": "restore path skips digest verification",
     "W1": "unnamed PhaseScope temporary or unbounded timed receive",
     "A0": "malformed, unknown, or unused dsk-lint annotation",
 }
@@ -109,7 +107,6 @@ TOKEN_RE = re.compile(
 # receive: an attempt cap, a spin limit, or an explicit backoff series.
 W1_BACKOFF_RE = re.compile(r"max_attempts|SpinLimit|backoff|attempts")
 W1_BACKOFF_WINDOW = 45
-R1_PAIR_WINDOW = 60
 D1_SORT_WINDOW = 6
 
 
@@ -430,10 +427,6 @@ def collect_p1_symbols(sources):
         if not in_p1_scope(src.path):
             continue
         for tok, line in src.tokens:
-            # pack_state/unpack_state are the journal HOOKS (check R1's
-            # pairing domain), not wire messages with a words cost.
-            if tok in ("pack_state", "unpack_state"):
-                continue
             # Words helpers first: encoded_*_words would otherwise
             # token-match the encode_ front verb.
             if tok.endswith("_words") and len(tok) > len("_words"):
@@ -500,71 +493,40 @@ def check_p1(sources, test_identifiers):
 
 
 def check_r1(src):
+    """Restore paths must verify a digest before trusting bytes."""
     findings = []
+    if not in_r1_scope(src.path):
+        return findings
     tokens = src.tokens
-
-    # Journal hook pairing: every .pack_state = needs a nearby
-    # .unpack_state = (and vice versa).
-    def hook_lines(name):
-        out = []
-        for k, (tok, line) in enumerate(tokens):
-            if tok == name and k >= 1 and tokens[k - 1][0] == "." and \
-                    k + 1 < len(tokens) and tokens[k + 1][0] == "=":
-                out.append(line)
-        return out
-
-    pack_lines = hook_lines("pack_state")
-    unpack_lines = hook_lines("unpack_state")
-    for line in pack_lines:
-        if not any(abs(line - other) <= R1_PAIR_WINDOW
-                   for other in unpack_lines):
-            if not src.allowed(line, "R1"):
-                findings.append(Finding(
-                    src.path, line, "R1",
-                    "journal pack hook registered without a matching "
-                    ".unpack_state within the same registration site — "
-                    "a recovered attempt could not restore this state"))
-    for line in unpack_lines:
-        if not any(abs(line - other) <= R1_PAIR_WINDOW
-                   for other in pack_lines):
-            if not src.allowed(line, "R1"):
-                findings.append(Finding(
-                    src.path, line, "R1",
-                    "journal unpack hook registered without a matching "
-                    ".pack_state within the same registration site — "
-                    "nothing ever snapshots this state"))
-
-    # Restore paths must verify a digest before trusting bytes.
-    if in_r1_scope(src.path):
-        k = 0
-        while k < len(tokens):
-            tok, line = tokens[k]
-            if IDENT_RE.fullmatch(tok) and R1_RESTORE_NAME.match(tok) and \
-                    k + 1 < len(tokens) and tokens[k + 1][0] == "(":
-                close = match_forward(tokens, k + 1, "(", ")")
-                if close != -1 and close + 1 < len(tokens) and \
-                        tokens[close + 1][0] in ("{", "const", ":"):
-                    # Function definition (possibly const-qualified or
-                    # with a ctor init list): find the body.
-                    b = close + 1
-                    while b < len(tokens) and tokens[b][0] != "{":
-                        if tokens[b][0] == ";":
-                            b = -1
-                            break
-                        b += 1
-                    if b != -1 and b < len(tokens):
-                        end = match_forward(tokens, b, "{", "}")
-                        body = tokens[b:end if end != -1 else len(tokens)]
-                        if not any("digest" in t for t, _ in body):
-                            if not src.allowed(line, "R1"):
-                                findings.append(Finding(
-                                    src.path, line, "R1",
-                                    f"restore path '{tok}' never touches "
-                                    f"a digest — restored bytes must be "
-                                    f"verified before use"))
-                        k = end if end != -1 else k + 1
-                        continue
-            k += 1
+    k = 0
+    while k < len(tokens):
+        tok, line = tokens[k]
+        if IDENT_RE.fullmatch(tok) and R1_RESTORE_NAME.match(tok) and \
+                k + 1 < len(tokens) and tokens[k + 1][0] == "(":
+            close = match_forward(tokens, k + 1, "(", ")")
+            if close != -1 and close + 1 < len(tokens) and \
+                    tokens[close + 1][0] in ("{", "const", ":"):
+                # Function definition (possibly const-qualified or
+                # with a ctor init list): find the body.
+                b = close + 1
+                while b < len(tokens) and tokens[b][0] != "{":
+                    if tokens[b][0] == ";":
+                        b = -1
+                        break
+                    b += 1
+                if b != -1 and b < len(tokens):
+                    end = match_forward(tokens, b, "{", "}")
+                    body = tokens[b:end if end != -1 else len(tokens)]
+                    if not any("digest" in t for t, _ in body):
+                        if not src.allowed(line, "R1"):
+                            findings.append(Finding(
+                                src.path, line, "R1",
+                                f"restore path '{tok}' never touches "
+                                f"a digest — restored bytes must be "
+                                f"verified before use"))
+                    k = end if end != -1 else k + 1
+                    continue
+        k += 1
     return findings
 
 
