@@ -11,17 +11,16 @@
 /// instance. Section 3 measures the column-support PROPAGATION
 /// collectives the same way: max-per-rank propagation words under the
 /// Dense and Auto modes for every family with dense circulating blocks.
-/// Section 4 sweeps the wire codecs (runtime/wire.hpp): precision x
-/// index codec (Raw, Auto) under the Auto collectives, on the R-MAT
-/// instance and a near-dense one where only header compression makes
-/// the sparse path pay. `--out <path>` writes every measurement as JSON
-/// records for the perf-trajectory baseline (BENCH_replication.json);
-/// the process exits nonzero if Auto ever moves more words than Dense in
-/// sections 2-3, if Auto propagation fails to show a STRICT saving on
-/// the R-MAT instance for the compressible families, or if the Auto
-/// index codec ever moves more words than raw-header Auto (or fails to
-/// strictly undercut it on a near-dense instance), so CI catches word
-/// regressions.
+/// Section 4 sweeps the wire value precision (runtime/wire.hpp) under
+/// the Auto collectives, on the R-MAT instance and a near-dense one
+/// where sparse replication pays only through the bitmap support header.
+/// `--out <path>` writes every measurement as JSON records for the
+/// perf-trajectory baseline (BENCH_replication.json); the process exits
+/// nonzero if Auto ever moves more words than Dense in sections 2-4, if
+/// Auto propagation fails to show a STRICT saving on the R-MAT instance
+/// for the compressible families, or if Auto fails to strictly undercut
+/// Dense for every family on the near-dense instance, so CI catches
+/// word regressions.
 
 #include <cmath>
 
@@ -193,9 +192,9 @@ bool run_propagation_comparison(JsonRecords& records) {
 
 /// Near-dense row support: every 64th row left EMPTY so each 64-row
 /// fiber chunk supports exactly 63 of its 64 rows — inside the narrow
-/// band where raw sparse headers price the row-sparse path out of Auto
-/// (63*(r+1)+1 > 64*r at r=32) but compressed headers price it back in
-/// (63*r + one bitmap word < 64*r).
+/// band where one-word-per-row headers would price the row-sparse path
+/// out of Auto (63*(r+1)+1 > 64*r at r=32) but the bitmap header prices
+/// it back in (63*r + one bitmap word < 64*r).
 Workload make_banded_support_workload(Index n, Index d, Index r,
                                       std::uint64_t seed) {
   Rng rng(seed);
@@ -214,12 +213,17 @@ Workload make_banded_support_workload(Index n, Index d, Index r,
   return w;
 }
 
-std::uint64_t auto_comm_words(AlgorithmKind kind, int p, int c,
-                              const Workload& w, const WireCodec& codec) {
+/// Max-per-rank replication plus propagation words of one FusedMM call
+/// with both transports Auto (or both Dense) at value precision
+/// `precision`.
+std::uint64_t comm_words(AlgorithmKind kind, int p, int c, const Workload& w,
+                         bool auto_modes, WirePrecision precision) {
   AlgorithmOptions options;
-  options.replication = ReplicationMode::Auto;
-  options.propagation = PropagationMode::Auto;
-  options.codec = codec;
+  if (auto_modes) {
+    options.replication = ReplicationMode::Auto;
+    options.propagation = PropagationMode::Auto;
+  }
+  options.codec.precision = precision;
   auto algo = make_algorithm(kind, p, c, options);
   const auto result = algo->run_fusedmm(FusedOrientation::A,
                                         Elision::None, w.s, w.a, w.b, 1);
@@ -227,19 +231,19 @@ std::uint64_t auto_comm_words(AlgorithmKind kind, int p, int c,
          result.stats.max_words(Phase::Propagation);
 }
 
-/// Section 4: wire codecs (runtime/wire.hpp) under the Auto collectives.
-/// Sweeps precision x {Raw, Auto} index codec on the power-law instance
-/// plus a near-dense one where raw sparse headers price the row-sparse
-/// path OUT of Auto (support ~ 0.98 rows: support*(r+1) > rows*r) but
-/// the Auto index codec's bitmap prices it back IN
+/// Section 4: value precision (runtime/wire.hpp) under the Auto
+/// collectives, on the power-law instance plus a near-dense one where a
+/// one-word-per-row header would price the row-sparse path OUT of Auto
+/// (support ~ 0.98 rows: support*(r+1) > rows*r) but the bitmap the
+/// support header takes there prices it back IN
 /// (support*r + rows/64 < rows*r).
-/// Returns false unless Auto with the Auto index codec — still exact,
-/// full-precision values — moves at most as many max-per-rank words as
-/// today's raw-header Auto on EVERY instance, and strictly fewer on at
-/// least one near-dense instance.
+/// Returns false unless full-precision Auto moves at most as many
+/// max-per-rank words as Dense on EVERY instance, and strictly fewer for
+/// EVERY family on the near-dense one. 1.5D sparse shifting circulates
+/// triplets, so there only the row-support replication can save, and
+/// only with the bitmap header: the gate catches a header regression.
 bool run_wire_comparison(JsonRecords& records) {
-  print_header("Wire codecs: precision x index codec under Auto "
-               "(R-MAT + near-dense)");
+  print_header("Wire precision under Auto (R-MAT + near-dense)");
   const Index r = 32;
   struct Instance {
     const char* setup;
@@ -258,64 +262,56 @@ bool run_wire_comparison(JsonRecords& records) {
   const WirePrecision precisions[] = {WirePrecision::Full,
                                       WirePrecision::F32,
                                       WirePrecision::BF16};
-  const IndexCodec index_codecs[] = {IndexCodec::Raw, IndexCodec::Auto};
   const int p = 16;
   const int c = 4;
   bool never_worse = true;
-  bool strict_win = false;
+  bool near_dense_wins = true;
   std::printf("%-11s %-18s | %12s %12s | %8s\n", "setup", "algorithm",
-              "raw auto", "codec auto", "saving");
+              "dense", "auto", "saving");
   for (const auto& inst : instances) {
     for (const AlgorithmKind kind : kinds) {
-      std::uint64_t baseline = 0;
-      std::uint64_t codec_auto = 0;
+      const std::uint64_t dense =
+          comm_words(kind, p, c, inst.w, false, WirePrecision::Full);
+      std::uint64_t full_auto = 0;
       for (const WirePrecision precision : precisions) {
-        for (const IndexCodec index_codec : index_codecs) {
-          const WireCodec codec{precision, index_codec};
-          const std::uint64_t words =
-              auto_comm_words(kind, p, c, inst.w, codec);
-          if (codec.is_default()) baseline = words;
-          if (precision == WirePrecision::Full &&
-              index_codec == IndexCodec::Auto) {
-            codec_auto = words;
-          }
-          records.add()
-              .field("bench", "fig7_wire")
-              .field("setup", inst.setup)
-              .field("algorithm", to_string(kind))
-              .field("elision", to_string(Elision::None))
-              .field("replication", to_string(ReplicationMode::Auto))
-              .field("propagation", to_string(PropagationMode::Auto))
-              .field("precision", to_string(precision))
-              .field("index_codec", to_string(index_codec))
-              .field("p", p)
-              .field("c", c)
-              .field("n", static_cast<std::int64_t>(inst.w.s.rows()))
-              .field("nnz", static_cast<std::int64_t>(inst.w.s.nnz()))
-              .field("r", static_cast<std::int64_t>(inst.w.r))
-              .field("wire_words", words);
-        }
+        const std::uint64_t words =
+            comm_words(kind, p, c, inst.w, true, precision);
+        if (precision == WirePrecision::Full) full_auto = words;
+        records.add()
+            .field("bench", "fig7_wire")
+            .field("setup", inst.setup)
+            .field("algorithm", to_string(kind))
+            .field("elision", to_string(Elision::None))
+            .field("replication", to_string(ReplicationMode::Auto))
+            .field("propagation", to_string(PropagationMode::Auto))
+            .field("precision", to_string(precision))
+            .field("p", p)
+            .field("c", c)
+            .field("n", static_cast<std::int64_t>(inst.w.s.rows()))
+            .field("nnz", static_cast<std::int64_t>(inst.w.s.nnz()))
+            .field("r", static_cast<std::int64_t>(inst.w.r))
+            .field("wire_words", words);
       }
       const double saving =
-          baseline > 0
-              ? 100.0 * (1.0 - static_cast<double>(codec_auto) / baseline)
+          dense > 0
+              ? 100.0 * (1.0 - static_cast<double>(full_auto) / dense)
               : 0.0;
       std::printf("%-11s %-18s | %12llu %12llu | %7.1f%%\n", inst.setup,
                   to_string(kind).c_str(),
-                  static_cast<unsigned long long>(baseline),
-                  static_cast<unsigned long long>(codec_auto), saving);
-      never_worse &= codec_auto <= baseline;
+                  static_cast<unsigned long long>(dense),
+                  static_cast<unsigned long long>(full_auto), saving);
+      never_worse &= full_auto <= dense;
       if (std::string(inst.setup) == "near-dense") {
-        strict_win |= codec_auto < baseline;
+        near_dense_wins &= full_auto < dense;
       }
     }
   }
-  std::printf("\nInvariants: codec-auto <= raw-auto on every instance "
-              "— %s; strictly fewer words on a near-dense instance — "
-              "%s.\n",
+  std::printf("\nInvariants: auto <= dense on every instance — %s; "
+              "strictly fewer words for every family on the near-dense "
+              "instance — %s.\n",
               never_worse ? "HOLDS" : "VIOLATED",
-              strict_win ? "HOLDS" : "VIOLATED");
-  return never_worse && strict_win;
+              near_dense_wins ? "HOLDS" : "VIOLATED");
+  return never_worse && near_dense_wins;
 }
 
 } // namespace

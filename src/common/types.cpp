@@ -71,12 +71,4 @@ std::string to_string(WirePrecision precision) {
   return "?";
 }
 
-std::string to_string(IndexCodec codec) {
-  switch (codec) {
-    case IndexCodec::Raw: return "Raw";
-    case IndexCodec::Auto: return "Auto";
-  }
-  return "?";
-}
-
 } // namespace dsk

@@ -89,30 +89,15 @@ enum class WirePrecision {
   BF16,
 };
 
-/// Index-header representation for the sorted support lists in
-/// row/col-support messages. Raw ships one word per index (the
-/// historical format); Auto picks, per message, the smallest of Raw,
-/// LEB128-coded gaps byte-packed into words, and a fixed
-/// ceil(block_rows/64)-word membership bitmap (ties resolved in that
-/// order), so Auto is never larger than Raw. Both endpoints derive the
-/// choice from the shared support tables — no descriptor word travels
-/// on the wire.
-enum class IndexCodec {
-  Raw,
-  Auto,
-};
-
-/// The wire-format knobs every message class routes through — see
-/// src/runtime/wire.hpp for the codec layer itself. Default-constructed
-/// codecs reproduce today's byte layout exactly.
+/// The wire-format knob every block message class routes through — see
+/// src/runtime/wire.hpp for the codec layer itself. A default-constructed
+/// codec reproduces the Full-precision byte layout exactly. Support
+/// headers take no knob: every row- and col-support message carries the
+/// smallest encoding of its index section (wire.hpp).
 struct WireCodec {
   WirePrecision precision = WirePrecision::Full;
-  IndexCodec index_codec = IndexCodec::Raw;
 
-  bool is_default() const {
-    return precision == WirePrecision::Full &&
-           index_codec == IndexCodec::Raw;
-  }
+  bool is_default() const { return precision == WirePrecision::Full; }
   friend bool operator==(const WireCodec&, const WireCodec&) = default;
 };
 
@@ -154,6 +139,5 @@ std::string to_string(FusedOrientation o);
 std::string to_string(ReplicationMode mode);
 std::string to_string(PropagationMode mode);
 std::string to_string(WirePrecision precision);
-std::string to_string(IndexCodec codec);
 
 } // namespace dsk

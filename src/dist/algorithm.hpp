@@ -78,14 +78,10 @@ struct AlgorithmOptions {
   /// `codec.precision` selects the value encoding: Full keeps the
   /// historical one-word-per-value layout (and Table III exactness);
   /// F32 / BF16 pack 2 / 4 values per word, shrinking wire words at a
-  /// documented accuracy cost. `codec.index_codec` selects the
-  /// support-header encoding: Raw keeps the historical one-word-per-index
-  /// layout; Auto picks the smallest encoding per message. Only row- and
-  /// col-support messages carry index headers, so the index codec acts
-  /// only where `replication` or `propagation` is Auto. Dot-sum
-  /// collectives (allreduce / broadcast / scalar gathers) and
-  /// checkpoints always stay full precision — the codec governs block
-  /// wire traffic only.
+  /// documented accuracy cost. Support headers need no knob: every row-
+  /// and col-support message carries its smallest index section.
+  /// Dot-sum collectives (allreduce) and checkpoints always stay full
+  /// precision — the codec governs block wire traffic only.
   WireCodec codec{};
 };
 

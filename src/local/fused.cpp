@@ -9,8 +9,7 @@ namespace {
 
 template <int W>
 void fused_rows(const CsrMatrix& s, const DenseMatrix& a_in,
-                const DenseMatrix& b, DenseMatrix& a_out,
-                std::span<Scalar> r_values) {
+                const DenseMatrix& b, DenseMatrix& a_out) {
   const auto row_ptr = s.row_ptr();
   const auto col_idx = s.col_idx();
   const auto values = s.values();
@@ -23,9 +22,6 @@ void fused_rows(const CsrMatrix& s, const DenseMatrix& a_in,
       const auto kk = static_cast<std::size_t>(k);
       const Scalar* b_row = b.row(col_idx[kk]).data();
       const Scalar weight = values[kk] * dot_w<W>(a_row, b_row, r);
-      if (!r_values.empty()) {
-        r_values[kk] = weight;
-      }
       axpy_w<W>(weight, b_row, acc, r);
     }
   }
@@ -44,33 +40,14 @@ void validate(const CsrMatrix& s, const DenseMatrix& a_in,
         " != B width ", b.cols());
 }
 
-void run_fused(const CsrMatrix& s, const DenseMatrix& a_in,
-               const DenseMatrix& b, DenseMatrix& a_out,
-               std::span<Scalar> r_values) {
-  dispatch_width(b.cols(), [&](auto w) {
-    fused_rows<decltype(w)::value>(s, a_in, b, a_out, r_values);
-  });
-}
-
 } // namespace
 
 std::uint64_t fusedmm_a(const CsrMatrix& s, const DenseMatrix& a_in,
                         const DenseMatrix& b, DenseMatrix& a_out) {
   validate(s, a_in, b, a_out);
-  run_fused(s, a_in, b, a_out, {});
-  return 4ULL * static_cast<std::uint64_t>(s.nnz()) *
-         static_cast<std::uint64_t>(b.cols());
-}
-
-std::uint64_t fusedmm_a_with_values(const CsrMatrix& s,
-                                    const DenseMatrix& a_in,
-                                    const DenseMatrix& b, DenseMatrix& a_out,
-                                    std::span<Scalar> r_values) {
-  validate(s, a_in, b, a_out);
-  check(static_cast<Index>(r_values.size()) == s.nnz(),
-        "fusedmm_a_with_values: r_values length ", r_values.size(),
-        " != nnz ", s.nnz());
-  run_fused(s, a_in, b, a_out, r_values);
+  dispatch_width(b.cols(), [&](auto w) {
+    fused_rows<decltype(w)::value>(s, a_in, b, a_out);
+  });
   return 4ULL * static_cast<std::uint64_t>(s.nnz()) *
          static_cast<std::uint64_t>(b.cols());
 }

@@ -21,14 +21,4 @@ namespace dsk {
 std::uint64_t fusedmm_a(const CsrMatrix& s, const DenseMatrix& a_in,
                         const DenseMatrix& b, DenseMatrix& a_out);
 
-/// As fusedmm_a but also records the intermediate SDDMM values
-/// (r_values[k] = s_ij * <a_in_i, b_j>) — used by tests to confirm the
-/// fused kernel and the two-step path agree, and by applications that
-/// need the edge weights (e.g. ALS loss evaluation).
-std::uint64_t fusedmm_a_with_values(const CsrMatrix& s,
-                                    const DenseMatrix& a_in,
-                                    const DenseMatrix& b,
-                                    DenseMatrix& a_out,
-                                    std::span<Scalar> r_values);
-
 } // namespace dsk

@@ -54,17 +54,14 @@ double sparse_fiber_words(double block_nnz, double block_rows,
   const double per_peer = support / c;
   return (c - 1) *
          (per_peer * row_words(width, codec.precision) +
-          expected_index_words(per_peer, block_rows / c,
-                               codec.index_codec) +
+          expected_index_words(per_peer, block_rows / c) +
           1);
 }
 
 } // namespace
 
-double expected_index_words(double support, double block_rows,
-                            IndexCodec codec) {
+double expected_index_words(double support, double block_rows) {
   const double raw = support;
-  if (codec == IndexCodec::Raw) return raw;
   const double bitmap = std::ceil(block_rows / 64.0);
   // LEB128 gaps: the bytes of the mean gap (7 payload bits per byte),
   // one such gap per support row, byte-packed into words.
@@ -98,7 +95,7 @@ double sparse_hop_words(double draws, double block_rows, double width,
   const double support = expected_distinct(draws, block_rows);
   const double sparse =
       1.0 + support * row_words(width, codec.precision) +
-      expected_index_words(support, block_rows, codec.index_codec);
+      expected_index_words(support, block_rows);
   return std::min(dense, sparse);
 }
 
@@ -117,7 +114,7 @@ double sparse_ring_words(double ring, double draws_per_consumer,
   return total;
 }
 
-/// Encoded COO triplet words per nonzero: two Raw index words plus the
+/// Encoded COO triplet words per nonzero: two raw index words plus the
 /// flat value payload (wire.hpp's encoded_triplets_words continuously).
 double triplet_factor(WirePrecision precision) {
   return 2.0 +

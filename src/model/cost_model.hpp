@@ -42,8 +42,8 @@ struct CommCost {
 /// `mode` selects the replication-collective cost: Dense reproduces the
 /// exact Table III fiber terms; Auto takes the smaller of those and the
 /// EXPECTED supported-row traffic of the row-sparse collectives under a
-/// uniform sparsity pattern (support * (r + 1) scalars-plus-index words
-/// per fiber peer, plus one header word per message), mirroring
+/// uniform sparsity pattern (support * r scalars per fiber peer, plus
+/// the expected index section and one count word per message), mirroring
 /// Group::allgatherv_rows' decision. Families whose replication traffic
 /// is already sparsity-sized (2.5D sparse replicating) or absent (1D
 /// baseline) are mode-independent.
@@ -60,9 +60,9 @@ struct CommCost {
 /// `codec` prices the wire codec the runtime applies at hop boundaries
 /// (runtime/wire.hpp): low-precision values shrink every value payload
 /// by the values-per-word factor (dense rows pad per row, flat runs —
-/// triplet values, bare value fibers — pad once), and the Auto index
-/// codec shrinks the expected support headers (to the smallest of Raw,
-/// the LEB128 length of the mean gap, and a ceil(rows/64) bitmap).
+/// triplet values, bare value fibers — pad once). Expected support
+/// headers take the smallest of one word per index, the LEB128 length
+/// of the mean gap, and a ceil(rows/64) bitmap, as the runtime does.
 /// Dot-sum collectives stay full precision, mirroring the runtime. The
 /// default codec reproduces the exact Table III terms.
 CommCost fusedmm_cost(AlgorithmKind kind, Elision elision,
@@ -77,12 +77,11 @@ CommCost fusedmm_cost(AlgorithmKind kind, Elision elision,
 double expected_distinct(double draws, double bins);
 
 /// Expected index-section words of a sorted `support`-row header over a
-/// `block_rows`-row block under `codec` — the continuous mirror of
-/// wire.hpp's encoded_index_words (Auto takes the smallest of Raw, the
-/// LEB128 length of the mean gap, and the bitmap). Exposed for tests and
-/// the predictor.
-double expected_index_words(double support, double block_rows,
-                            IndexCodec codec);
+/// `block_rows`-row block — the continuous mirror of wire.hpp's
+/// encoded_index_words (the smallest of one word per index, the LEB128
+/// length of the mean gap, and the bitmap). Exposed for tests and the
+/// predictor.
+double expected_index_words(double support, double block_rows);
 
 /// The expected per-rank replication words of the row-sparse plan, which
 /// fusedmm_cost's Auto mode weighs against Dense; exposed for tests and
@@ -97,11 +96,12 @@ double expected_sparse_replication_words(AlgorithmKind kind,
 /// loop applies per link on actual supports. Modeled for the
 /// unfused read-only FusedMM pair under a uniform sparsity pattern: the
 /// hop after step t of an L-step ring carries the expected distinct
-/// column support of the L-1-t REMAINING consumers — 1 header +
-/// E[support]*(width+1) words, nothing at all on the homeward hop. The
-/// accumulator direction (SpMM-B passes) mirrors this with prefix
-/// unions, differing only in the endpoint hop; the closed form uses the
-/// read-only direction throughout, like the paper's pair accounting.
+/// column support of the L-1-t REMAINING consumers — 1 count word +
+/// E[support]*width words + the expected index section, nothing at all
+/// on the homeward hop. The accumulator direction (SpMM-B passes)
+/// mirrors this with prefix unions, differing only in the endpoint hop;
+/// the closed form uses the read-only direction throughout, like the
+/// paper's pair accounting.
 /// Families whose shifted payloads are already sparsity-sized (1.5D
 /// sparse shifting, 1D baseline) return the dense propagation words
 /// unchanged; the 2.5D families keep their triplet terms dense and

@@ -446,60 +446,4 @@ std::vector<Scalar> Group::allreduce(std::vector<Scalar> local) {
   return full;
 }
 
-void Group::broadcast(std::vector<Scalar>& data, int root_pos) {
-  const int g = size();
-  if (g == 1) return;
-  check(0 <= root_pos && root_pos < g, "Group::broadcast: bad root ",
-        root_pos);
-  // Scatter from the root, then ring all-gather: ~2N/g words per rank.
-  const std::size_t total = data.size();
-  const std::size_t chunk = (total + static_cast<std::size_t>(g) - 1) /
-                            static_cast<std::size_t>(g);
-  std::vector<Scalar> padded(data);
-  padded.resize(chunk * static_cast<std::size_t>(g), Scalar{0});
-
-  std::vector<Scalar> mine(chunk);
-  if (pos_ == root_pos) {
-    for (int q = 0; q < g; ++q) {
-      std::span<const Scalar> piece(padded.data() +
-                                        static_cast<std::size_t>(q) * chunk,
-                                    chunk);
-      if (q == pos_) {
-        mine.assign(piece.begin(), piece.end());
-      } else {
-        comm_.send_words(member(q), kTagBroadcast, to_words(piece));
-      }
-    }
-  } else {
-    const MessageWords words =
-        comm_.recv_words(member(root_pos), kTagBroadcast);
-    mine.resize(words.size());
-    std::memcpy(mine.data(), words.data(), words.size() * sizeof(Scalar));
-  }
-  auto full = allgather(mine);
-  full.resize(total);
-  data = std::move(full);
-}
-
-std::vector<MessageWords> Group::gather_words(
-    std::span<const std::uint64_t> local, int root_pos) {
-  const int g = size();
-  check(0 <= root_pos && root_pos < g, "Group::gather_words: bad root ",
-        root_pos);
-  if (pos_ != root_pos) {
-    comm_.send_words(member(root_pos), kTagGather,
-                     MessageWords(local.begin(), local.end()));
-    return {};
-  }
-  std::vector<MessageWords> out(static_cast<std::size_t>(g));
-  out[static_cast<std::size_t>(pos_)] =
-      MessageWords(local.begin(), local.end());
-  for (int q = 0; q < g; ++q) {
-    if (q == root_pos) continue;
-    out[static_cast<std::size_t>(q)] =
-        comm_.recv_words(member(q), kTagGather);
-  }
-  return out;
-}
-
 } // namespace dsk

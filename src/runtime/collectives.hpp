@@ -25,8 +25,8 @@ namespace dsk {
 /// compressed-hop code path (the shift loop's split exchange and
 /// Group::sendrecv_cols): Dense never compresses; Auto does when the
 /// ENCODED col-support message (wire.hpp's encoded_cols_words) is
-/// smaller than the encoded dense block, so an index codec that shrinks
-/// the header keeps the sparse hop winning at higher support densities.
+/// smaller than the encoded dense block, so the compressed header keeps
+/// the sparse hop winning at higher support densities.
 /// Sender and receiver evaluate it on the same support list, so the
 /// formats always agree — and keeping the rule in one place means they
 /// cannot drift apart.
@@ -80,9 +80,9 @@ class Group {
   /// under Auto never exceed Dense — even for skewed supports.
   /// Supported rows are bit-identical in both modes.
   /// All row-sparse collectives and the dense rings accept a WireCodec:
-  /// the default reproduces the historical byte layout, a non-default
-  /// codec re-encodes every hop's payload (and Auto's crossover compares
-  /// the ENCODED sizes). Decoded values accumulate in full precision.
+  /// the default reproduces the historical value layout, a lossy
+  /// precision re-encodes every hop's payload (and Auto's crossover
+  /// compares the ENCODED sizes). Decoded values accumulate in full precision.
   DenseMatrix allgatherv_rows(const DenseMatrix& local,
                               std::span<const std::vector<Index>> wants,
                               ReplicationMode mode,
@@ -132,17 +132,6 @@ class Group {
   /// the full elementwise sum. local must have the same length
   /// everywhere. A one-member group returns local itself.
   std::vector<Scalar> allreduce(std::vector<Scalar> local);
-
-  /// Scatter+all-gather broadcast from group position root_pos
-  /// (bandwidth ~2*words/g per rank instead of a root hot-spot).
-  /// data must be sized identically on all ranks; root's content wins.
-  void broadcast(std::vector<Scalar>& data, int root_pos);
-
-  /// Gather variable-length word vectors at group position root_pos;
-  /// non-roots return an empty vector. Intended for result verification
-  /// (tag it Phase::Other so it stays out of algorithm cost).
-  std::vector<MessageWords> gather_words(std::span<const std::uint64_t> local,
-                                         int root_pos);
 
  private:
   int right() const { return members_[(static_cast<std::size_t>(pos_) + 1) %

@@ -30,8 +30,6 @@ enum CommTag : int {
   kTagShift = 1,
   kTagAllgather = 2,
   kTagReduceScatter = 3,
-  kTagBroadcast = 4,
-  kTagGather = 5,
   kTagFetch = 6,
   kTagFetchReply = 7,
   /// Second shift channel: the 2.5D loops circulate a sparse block and a
@@ -95,12 +93,6 @@ class Comm {
     }
     return out;
   }
-
-  /// Cyclic-shift exchange: send to `destination`, receive from `source`
-  /// (both may equal this rank, in which case the data is passed through
-  /// without being charged as communication).
-  MessageWords shift_exchange(int destination, int source,
-                              MessageWords words, int tag = kTagShift);
 
   /// Global barrier across all ranks (no cost charged; the paper's model
   /// ignores synchronization cost next to bandwidth terms).

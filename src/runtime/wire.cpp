@@ -1,6 +1,7 @@
 #include "runtime/wire.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -140,64 +141,55 @@ std::uint64_t leb128_len(std::uint64_t v) {
   return len;
 }
 
-/// Byte length of the LEB128 gap stream: the first index absolute, then
-/// the strictly positive gaps between consecutive indices.
-std::uint64_t varint_bytes(std::span<const Index> indices) {
-  std::uint64_t bytes = 0;
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    const Index prev = k == 0 ? 0 : indices[k - 1];
-    const Index gap = k == 0 ? indices[0] : indices[k] - prev;
-    check(gap >= 0 && (k == 0 || gap > 0),
-          "wire: index list is not sorted and distinct");
-    bytes += leb128_len(static_cast<std::uint64_t>(gap));
-  }
-  return bytes;
-}
-
+/// Words of the LEB128 gap stream of a sorted, distinct list: the first
+/// index absolute, then the strictly positive gaps, byte-packed.
 std::uint64_t varint_words(std::span<const Index> indices) {
-  return (varint_bytes(indices) + 7) / 8;
-}
-
-/// The index-section encodings a message can carry: one word per
-/// index, LEB128-coded gaps byte-packed into words, or a membership
-/// bitmap over the block's rows.
-enum class Section { Raw, Leb128, Bitmap };
-
-std::uint64_t section_words(std::span<const Index> indices,
-                            Index block_rows, Section section) {
-  switch (section) {
-    case Section::Raw: return indices.size();
-    case Section::Leb128: return varint_words(indices);
-    case Section::Bitmap: return bitmap_words(block_rows);
+  std::uint64_t bytes = 0;
+  std::uint64_t prev = 0;
+  for (const Index c : indices) {
+    bytes += leb128_len(static_cast<std::uint64_t>(c) - prev);
+    prev = static_cast<std::uint64_t>(c);
   }
-  return 0;
+  return (bytes + 7) / 8;
 }
 
-/// The section one message carries: Raw when asked for, else (Auto) the
-/// smallest encoding of `indices` against a `block_rows`-row block, ties
-/// resolved Raw < LEB128 < bitmap. A pure function of (indices,
-/// block_rows), so sender and receiver always agree.
-Section choose_section(std::span<const Index> indices, Index block_rows,
-                       IndexCodec codec) {
-  if (codec == IndexCodec::Raw) return Section::Raw;
+/// The index-section encodings a message can carry — one word per
+/// index, LEB128-coded gaps byte-packed into words, or a membership
+/// bitmap over the block's rows — with the section's size in words.
+struct Section {
+  enum Kind { Raw, Leb128, Bitmap } kind;
+  std::uint64_t words;
+};
+
+/// The section one message carries: the smallest encoding of `indices`
+/// against a `block_rows`-row block, ties resolved raw < LEB128 <
+/// bitmap. A pure function of (indices, block_rows), so sender and
+/// receiver always agree. Every LEB128 gap takes at least one byte, so
+/// a bitmap below ceil(k/8) words beats both others without a scan.
+Section choose_section(std::span<const Index> indices, Index block_rows) {
   const std::uint64_t raw = indices.size();
-  const std::uint64_t leb = varint_words(indices);
   const std::uint64_t bm = bitmap_words(block_rows);
-  if (raw <= leb && raw <= bm) return Section::Raw;
-  return leb <= bm ? Section::Leb128 : Section::Bitmap;
+  if (bm < (raw + 7) / 8) return {Section::Bitmap, bm};
+  const std::uint64_t leb = varint_words(indices);
+  if (raw <= leb && raw <= bm) return {Section::Raw, raw};
+  if (leb <= bm) return {Section::Leb128, leb};
+  return {Section::Bitmap, bm};
 }
 
-void check_index_range(std::span<const Index> indices, Index block_rows) {
+/// A support list must be sorted, distinct and inside the block.
+void check_support(std::span<const Index> indices, Index block_rows) {
+  Index prev = -1;
   for (const Index c : indices) {
     check(0 <= c && c < block_rows, "wire: support row ", c,
           " outside [0, ", block_rows, ")");
+    check(c > prev, "wire: index list is not sorted and distinct");
+    prev = c;
   }
 }
 
 void put_index_section(MessageWords& out, std::span<const Index> indices,
-                       Index block_rows, Section section) {
-  check_index_range(indices, block_rows);
-  switch (section) {
+                       Section section) {
+  switch (section.kind) {
     case Section::Raw:
       for (const Index c : indices) {
         out.push_back(static_cast<std::uint64_t>(c));
@@ -205,17 +197,18 @@ void put_index_section(MessageWords& out, std::span<const Index> indices,
       return;
     case Section::Leb128: {
       std::vector<std::uint8_t> bytes;
-      bytes.reserve(static_cast<std::size_t>(varint_bytes(indices)));
-      for (std::size_t k = 0; k < indices.size(); ++k) {
-        std::uint64_t v = static_cast<std::uint64_t>(
-            k == 0 ? indices[0] : indices[k] - indices[k - 1]);
+      bytes.reserve(static_cast<std::size_t>(section.words) * 8);
+      std::uint64_t prev = 0;
+      for (const Index c : indices) {
+        std::uint64_t v = static_cast<std::uint64_t>(c) - prev;
+        prev = static_cast<std::uint64_t>(c);
         while (v >= 0x80) {
           bytes.push_back(static_cast<std::uint8_t>(v) | 0x80);
           v >>= 7;
         }
         bytes.push_back(static_cast<std::uint8_t>(v));
       }
-      bytes.resize((bytes.size() + 7) / 8 * 8, 0);
+      bytes.resize(static_cast<std::size_t>(section.words) * 8, 0);
       for (std::size_t b = 0; b < bytes.size(); b += 8) {
         std::uint64_t w;
         std::memcpy(&w, bytes.data() + b, 8);
@@ -225,8 +218,7 @@ void put_index_section(MessageWords& out, std::span<const Index> indices,
     }
     case Section::Bitmap: {
       const std::size_t old = out.size();
-      out.resize(old + static_cast<std::size_t>(bitmap_words(block_rows)),
-                 0);
+      out.resize(old + static_cast<std::size_t>(section.words), 0);
       for (const Index c : indices) {
         out[old + static_cast<std::size_t>(c / 64)] |=
             std::uint64_t{1} << (c % 64);
@@ -243,12 +235,11 @@ void put_index_section(MessageWords& out, std::span<const Index> indices,
 void take_index_section(const MessageWords& words, std::size_t& cursor,
                         std::span<const Index> expected, Index block_rows,
                         Section section) {
-  const auto need = static_cast<std::size_t>(
-      section_words(expected, block_rows, section));
+  const auto need = static_cast<std::size_t>(section.words);
   check(cursor + need <= words.size(),
         "wire: truncated index section (", words.size() - cursor,
         " words left, section needs ", need, ")");
-  switch (section) {
+  switch (section.kind) {
     case Section::Raw:
       for (std::size_t k = 0; k < expected.size(); ++k) {
         check(static_cast<Index>(words[cursor + k]) == expected[k],
@@ -283,24 +274,26 @@ void take_index_section(const MessageWords& words, std::size_t& cursor,
       break;
     }
     case Section::Bitmap: {
-      std::size_t k = 0;
-      for (Index c = 0; c < block_rows; ++c) {
-        const bool set =
-            (words[cursor + static_cast<std::size_t>(c / 64)] >>
-             (c % 64)) & 1;
-        if (set) {
-          check(k < expected.size() && expected[k] == c,
-                "wire: row mismatch against the support table");
-          ++k;
-        }
-      }
-      check(k == expected.size(),
-            "wire: bitmap omits expected support rows");
       // Bits at and above block_rows must be clear.
       if (block_rows % 64 != 0) {
         const std::uint64_t tail =
             words[cursor + need - 1] >> (block_rows % 64);
         check(tail == 0, "wire: bitmap sets rows outside the block");
+      }
+      // As many bits as expected rows, and each expected row's bit set,
+      // is the same set.
+      std::size_t set = 0;
+      for (std::size_t w = 0; w < need; ++w) {
+        set += static_cast<std::size_t>(std::popcount(words[cursor + w]));
+      }
+      check(set <= expected.size(),
+            "wire: row mismatch against the support table");
+      check(set == expected.size(),
+            "wire: bitmap omits expected support rows");
+      for (const Index c : expected) {
+        check(((words[cursor + static_cast<std::size_t>(c / 64)] >>
+                (c % 64)) & 1) != 0,
+              "wire: row mismatch against the support table");
       }
       break;
     }
@@ -317,9 +310,8 @@ std::uint64_t row_values_words(std::int64_t rows, Index width,
 } // namespace
 
 std::uint64_t encoded_index_words(std::span<const Index> indices,
-                                  Index block_rows, IndexCodec codec) {
-  return section_words(indices, block_rows,
-                       choose_section(indices, block_rows, codec));
+                                  Index block_rows) {
+  return choose_section(indices, block_rows).words;
 }
 
 std::uint64_t encoded_values_words(std::int64_t count,
@@ -439,7 +431,7 @@ std::uint64_t encoded_cols_words(std::span<const Index> cols,
                                  Index block_rows, Index width,
                                  const WireCodec& codec) {
   if (cols.empty()) return 0;
-  return 1 + encoded_index_words(cols, block_rows, codec.index_codec) +
+  return 1 + encoded_index_words(cols, block_rows) +
          row_values_words(static_cast<std::int64_t>(cols.size()), width,
                           codec.precision);
 }
@@ -452,12 +444,15 @@ namespace {
 template <typename PutRow>
 MessageWords write_support(std::span<const Index> support, Index block_rows,
                            Index width, const WireCodec& codec, PutRow put) {
+  check_support(support, block_rows);
+  const Section section = choose_section(support, block_rows);
   MessageWords out;
-  out.reserve(static_cast<std::size_t>(std::max<std::uint64_t>(
-      encoded_cols_words(support, block_rows, width, codec), 1)));
+  out.reserve(static_cast<std::size_t>(
+      1 + section.words +
+      row_values_words(static_cast<std::int64_t>(support.size()), width,
+                       codec.precision)));
   out.push_back(static_cast<std::uint64_t>(support.size()));
-  put_index_section(out, support, block_rows,
-                    choose_section(support, block_rows, codec.index_codec));
+  put_index_section(out, support, section);
   for (std::size_t k = 0; k < support.size(); ++k) put(out, k);
   return out;
 }
@@ -467,16 +462,15 @@ MessageWords write_support(std::span<const Index> support, Index block_rows,
 /// consumes the k-th support row's values.
 template <typename TakeRow>
 void read_support(const MessageWords& words, std::span<const Index> support,
-                  Index block_rows, const WireCodec& codec, const char* what,
-                  TakeRow take) {
+                  Index block_rows, const char* what, TakeRow take) {
   check(!words.empty(), what, ": empty message");
   std::size_t cursor = 0;
   const auto count = words[cursor++];
   check(count == support.size(), what, ": message carries ", count,
         " rows, support expects ", support.size());
-  check_index_range(support, block_rows);
+  check_support(support, block_rows);
   take_index_section(words, cursor, support, block_rows,
-                     choose_section(support, block_rows, codec.index_codec));
+                     choose_section(support, block_rows));
   for (std::size_t k = 0; k < support.size(); ++k) take(words, cursor, k);
   check(cursor == words.size(), what, ": oversized message");
 }
@@ -508,7 +502,7 @@ MessageWords decode_cols_block(const MessageWords& words, Index block_rows,
   // would hold.
   MessageWords dense(row_offset(block_rows, width), 0);
   std::vector<Scalar> row(static_cast<std::size_t>(width));
-  read_support(words, cols, block_rows, codec, "decode_cols_block",
+  read_support(words, cols, block_rows, "decode_cols_block",
                [&](const MessageWords& w, std::size_t& cursor,
                    std::size_t k) {
                  take_row(w, cursor, row.data(), width, codec.precision);
@@ -534,7 +528,7 @@ MessageWords encode_cols_block(const DenseMatrix& block,
 void decode_cols_block(const MessageWords& words,
                        std::span<const Index> cols, DenseMatrix& block,
                        const WireCodec& codec) {
-  read_support(words, cols, block.rows(), codec, "decode_cols_block",
+  read_support(words, cols, block.rows(), "decode_cols_block",
                [&](const MessageWords& w, std::size_t& cursor,
                    std::size_t k) {
                  take_row(w, cursor, block.row(cols[k]).data(),
@@ -567,7 +561,7 @@ std::vector<Scalar> decode_rows(const MessageWords& words,
                                 Index block_rows, Index width,
                                 const WireCodec& codec) {
   std::vector<Scalar> values(rows.size() * static_cast<std::size_t>(width));
-  read_support(words, rows, block_rows, codec, "decode_rows",
+  read_support(words, rows, block_rows, "decode_rows",
                [&](const MessageWords& w, std::size_t& cursor,
                    std::size_t k) {
                  take_row(w, cursor,

@@ -9,11 +9,10 @@
 /// file, so word counts and byte layouts cannot drift between the
 /// packers, the accounting (`encoded_*_words`), and the Auto crossovers.
 ///
-/// A default-constructed `WireCodec` (Full precision, Raw indices)
-/// reproduces the historical byte layout exactly — one 64-bit word per
-/// value and per index — which keeps the paper's Table III accounting
-/// and every bit-identity test untouched. Non-default codecs change the
-/// wire image only:
+/// A default-constructed `WireCodec` (Full precision) reproduces the
+/// historical value layout exactly — one 64-bit word per value — which
+/// keeps the paper's Table III accounting and every bit-identity test
+/// untouched. The lossy precisions change the wire image only:
 ///
 ///  - `WirePrecision::F32` / `BF16` truncate each value to 32/16 bits
 ///    and pack 2/4 per word. Values are packed **per logical row** (the
@@ -22,11 +21,12 @@
 ///    in full precision. Quantization is idempotent — re-encoding an
 ///    already-quantized value is exact — so forwarding an unmodified
 ///    block along a multi-hop ring does not compound the error.
-///  - `IndexCodec::Auto` re-encodes the sorted support index section as
-///    the smallest of one word per index, LEB128-coded gaps and a
-///    membership bitmap, per message (ties resolved in that order), so
-///    Auto never exceeds Raw. Both endpoints resolve the choice from the
-///    shared support tables — no descriptor word travels.
+///
+/// Every row- and col-support message carries its sorted support index
+/// section as the smallest of one word per index, LEB128-coded gaps and
+/// a membership bitmap (ties resolved in that order), so the header
+/// never exceeds one word per index. Both endpoints resolve the choice
+/// from the shared support tables — no descriptor word travels.
 ///
 /// Decoders validate everything against the expected support: count
 /// headers, every index, exact payload length (truncated or
@@ -52,11 +52,10 @@ struct WireTriplets {
 
 // --- index sections (sorted, distinct, block-local support lists) ------
 
-/// Words of the index section alone: one per index under Raw, the
-/// smallest encoding of `indices` against a `block_rows`-row block
-/// under Auto.
+/// Words of the index section alone: the smallest encoding of
+/// `indices` against a `block_rows`-row block.
 std::uint64_t encoded_index_words(std::span<const Index> indices,
-                                  Index block_rows, IndexCodec codec);
+                                  Index block_rows);
 
 // --- flat value vectors (no header; count known out of band) -----------
 

@@ -277,15 +277,6 @@ DenseMatrix Comm::recv_block(int source, int tag, Index rows, Index cols,
   return std::move(payload.block);
 }
 
-MessageWords Comm::shift_exchange(int destination, int source,
-                                  MessageWords words, int tag) {
-  if (destination == rank_ && source == rank_) {
-    return words; // single-processor ring: no communication
-  }
-  send_words(destination, tag, std::move(words));
-  return recv_words(source, tag);
-}
-
 void Comm::barrier() { world_->barrier_wait(rank_); }
 
 SimWorld::SimWorld(int num_ranks)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
 #include <unordered_set>
 #include <vector>
@@ -60,27 +59,6 @@ CooMatrix erdos_renyi_fixed_row(Index rows, Index cols, Index nnz_per_row,
     }
   }
   out.sort_and_combine();
-  return out;
-}
-
-CooMatrix erdos_renyi_bernoulli(Index rows, Index cols, double prob,
-                                Rng& rng) {
-  check(prob >= 0.0 && prob <= 1.0, "erdos_renyi_bernoulli: prob ", prob,
-        " outside [0,1]");
-  CooMatrix out(rows, cols);
-  if (prob == 0.0) return out;
-  // Geometric skipping: visit present entries directly instead of testing
-  // all rows*cols cells.
-  const double log1m = std::log1p(-prob);
-  const auto total = static_cast<double>(rows) * static_cast<double>(cols);
-  double pos = -1.0;
-  for (;;) {
-    const double u = std::max(rng.next_double(), 1e-300);
-    pos += 1.0 + std::floor(std::log(u) / log1m);
-    if (pos >= total) break;
-    const auto flat = static_cast<Index>(pos);
-    out.push_back(flat / cols, flat % cols, rng.next_in(-1.0, 1.0));
-  }
   return out;
 }
 

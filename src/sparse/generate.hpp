@@ -18,11 +18,6 @@ namespace dsk {
 CooMatrix erdos_renyi_fixed_row(Index rows, Index cols, Index nnz_per_row,
                                 Rng& rng);
 
-/// Bernoulli Erdős–Rényi G(rows x cols, prob); each entry present
-/// independently with probability prob.
-CooMatrix erdos_renyi_bernoulli(Index rows, Index cols, double prob,
-                                Rng& rng);
-
 /// R-MAT parameters. Defaults are the Graph500 constants, which give the
 /// heavy-tailed degree distribution of web/social graphs (uk-2002,
 /// twitter7, ...).

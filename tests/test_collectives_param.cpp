@@ -97,18 +97,6 @@ TEST_P(CollectiveSweep, RingCostIsExact) {
   }
 }
 
-TEST_P(CollectiveSweep, BroadcastFromEveryRoot) {
-  const int g = GetParam();
-  for (int root = 0; root < g; ++root) {
-    run_spmd(g, [&](Comm& comm) {
-      Group group(comm, all_ranks(g));
-      std::vector<Scalar> data(9, comm.rank() == root ? 3.75 : -1.0);
-      group.broadcast(data, root);
-      for (const auto x : data) EXPECT_EQ(x, 3.75);
-    });
-  }
-}
-
 TEST_P(CollectiveSweep, RejectsRaggedLastBlock) {
   // Regression: the equal-block-size check used to stop one block short
   // (b + 1 < offsets.size()), so a ragged FINAL block was silently
@@ -131,13 +119,19 @@ TEST_P(CollectiveSweep, RejectsRaggedLastBlock) {
       Error);
 }
 
+constexpr Index kBlockRows = 64;
+constexpr Index kWidth = 3;
+
 /// Support regimes for the row-sparse replication collectives: nobody
-/// needs anything, each member needs one row, every member needs the
-/// whole block (the density crossover's far side). Auto takes the
-/// sparse plan on the first two (wherever a peer exists) and the dense
-/// one on the full support, where each row's index word prices the
-/// sparse plan out.
-enum class Support { Empty, SingleRow, Full };
+/// needs anything, each member needs one row, each member needs all but
+/// one row of every kBlockRows-row block, every member needs the whole
+/// block (the density crossover's far side). Auto takes the sparse plan
+/// on the first three (wherever a peer exists) and the dense one on the
+/// full support, where the count and index words price the sparse plan
+/// out. On the near-full support only the one-word bitmap header keeps
+/// the sparse message (1 + 1 + 63 * kWidth words) below the dense block
+/// (64 * kWidth): one word per row, or 63 LEB128 gap bytes, would not.
+enum class Support { Empty, SingleRow, NearFull, Full };
 
 std::vector<std::vector<Index>> make_wants(Support regime, int g,
                                            Index total_rows) {
@@ -151,6 +145,11 @@ std::vector<std::vector<Index>> make_wants(Support regime, int g,
       case Support::SingleRow:
         w.push_back(rng.next_index(0, total_rows));
         break;
+      case Support::NearFull:
+        for (Index row = 0; row < total_rows; ++row) {
+          if (row % kBlockRows != t % kBlockRows) w.push_back(row);
+        }
+        break;
       case Support::Full:
         w.resize(static_cast<std::size_t>(total_rows));
         std::iota(w.begin(), w.end(), Index{0});
@@ -159,9 +158,6 @@ std::vector<std::vector<Index>> make_wants(Support regime, int g,
   }
   return wants;
 }
-
-constexpr Index kBlockRows = 6;
-constexpr Index kWidth = 3;
 
 DenseMatrix member_block(int member) {
   DenseMatrix block(kBlockRows, kWidth);
@@ -211,7 +207,8 @@ TEST_P(CollectiveSweep, AllgathervRowsDeliversSupportedRowsExactly) {
     expected.place(member_block(q), static_cast<Index>(q) * kBlockRows, 0);
   }
   for (const Support regime :
-       {Support::Empty, Support::SingleRow, Support::Full}) {
+       {Support::Empty, Support::SingleRow, Support::NearFull,
+        Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
     for (const ReplicationMode mode :
          {ReplicationMode::Dense, ReplicationMode::Auto}) {
@@ -244,7 +241,8 @@ TEST_P(CollectiveSweep, AllgathervRowsWordCountsMatchThePlan) {
   const int g = GetParam();
   const Index total_rows = static_cast<Index>(g) * kBlockRows;
   for (const Support regime :
-       {Support::Empty, Support::SingleRow, Support::Full}) {
+       {Support::Empty, Support::SingleRow, Support::NearFull,
+        Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
     const auto total_words = [&](ReplicationMode mode) {
       auto stats = run_spmd(g, [&](Comm& comm) {
@@ -264,7 +262,8 @@ TEST_P(CollectiveSweep, AllgathervRowsWordCountsMatchThePlan) {
     EXPECT_EQ(total_words(ReplicationMode::Dense), dense_words);
     // Auto decides on the plan's worst member, not group totals (see
     // AutoDecidesPerRankNotOnGroupTotals): the sparse plan, priced
-    // exactly, on the thin supports, and the dense ring on the full one.
+    // exactly, on the thin and near-full supports, and the dense ring on
+    // the full one.
     const std::uint64_t auto_words = total_words(ReplicationMode::Auto);
     if (regime == Support::Full) {
       EXPECT_EQ(auto_words, dense_words);
@@ -281,7 +280,8 @@ TEST_P(CollectiveSweep, ReduceScatterRowsBitIdenticalToDense) {
   const int g = GetParam();
   const Index total_rows = static_cast<Index>(g) * kBlockRows;
   for (const Support regime :
-       {Support::Empty, Support::SingleRow, Support::Full}) {
+       {Support::Empty, Support::SingleRow, Support::NearFull,
+        Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
     const auto run_mode = [&](ReplicationMode mode, std::uint64_t& words) {
       std::vector<DenseMatrix> chunks(static_cast<std::size_t>(g));
@@ -300,7 +300,7 @@ TEST_P(CollectiveSweep, ReduceScatterRowsBitIdenticalToDense) {
     std::uint64_t auto_words = 0;
     const auto dense = run_mode(ReplicationMode::Dense, dense_words);
     const auto got = run_mode(ReplicationMode::Auto, auto_words);
-    // The thin supports take the row-sparse fold.
+    // The thin and near-full supports take the row-sparse fold.
     if (regime != Support::Full && g > 1) {
       EXPECT_LT(auto_words, dense_words);
     }
@@ -332,14 +332,15 @@ bool meets_block(const std::vector<Index>& support, int block) {
 /// blocks, across every support regime (empty included) and mode: the
 /// dense plan reproduces the ring bit for bit with identical per-rank
 /// words and messages (one message per hop); the row-sparse plan Auto
-/// takes on the thin supports delivers the same bits on every row it
+/// takes below the full support delivers the same bits on every row it
 /// ships, mails exactly one message per non-empty (sender, receiver)
 /// pair, and sends fewer words than the ring.
 TEST_P(CollectiveSweep, AllgathervRowsMatchesRingAllgather) {
   const int g = GetParam();
   const Index total_rows = static_cast<Index>(g) * kBlockRows;
   for (const Support regime :
-       {Support::Empty, Support::SingleRow, Support::Full}) {
+       {Support::Empty, Support::SingleRow, Support::NearFull,
+        Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
     std::vector<std::vector<Scalar>> ring(static_cast<std::size_t>(g));
     const auto ring_stats = run_spmd(g, [&](Comm& comm) {
@@ -412,14 +413,15 @@ TEST_P(CollectiveSweep, AllgathervRowsMatchesRingAllgather) {
 /// flattened partial, across every support regime (empty included): the
 /// dense plan reproduces it bit for bit with identical per-rank words
 /// and messages (one message per hop), and the row-sparse plan Auto
-/// takes on the thin supports — which folds in the same order (see
+/// takes below the full support — which folds in the same order (see
 /// ReduceScatterRowsBitIdenticalToDense) — mails exactly one message
 /// per non-empty (sender, receiver) pair and fewer words than the ring.
 TEST_P(CollectiveSweep, ReduceScatterRowsMatchesRingReduceScatter) {
   const int g = GetParam();
   const Index total_rows = static_cast<Index>(g) * kBlockRows;
   for (const Support regime :
-       {Support::Empty, Support::SingleRow, Support::Full}) {
+       {Support::Empty, Support::SingleRow, Support::NearFull,
+        Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
     std::vector<std::vector<Scalar>> ring(static_cast<std::size_t>(g));
     const auto ring_stats = run_spmd(g, [&](Comm& comm) {
@@ -483,18 +485,19 @@ TEST_P(CollectiveSweep, ReduceScatterRowsMatchesRingReduceScatter) {
 
 /// Column-support compressed shift hops (Group::sendrecv_cols): a full
 /// ring exchange where every member ships its block to its left
-/// neighbour. On the thin supports Auto compresses the hop: received
+/// neighbour. Below the full support Auto compresses the hop: received
 /// rows equal the sender's block on the support and zero elsewhere, and
 /// the word counts pin to the [count, cols..., values...] message —
 /// including the empty support, which sends nothing at all. On the full
-/// support the index words price compression out and the whole block
+/// support the header prices compression out and the whole block
 /// travels.
 TEST_P(CollectiveSweep, SendrecvColsDeliversSupportAndPinsWords) {
   const int g = GetParam();
   // Per-pair support lists: what member (t+1) % g ships to member t —
   // i.e. hop_rows[t] is the support of the hop RECEIVED by member t.
   for (const Support regime :
-       {Support::Empty, Support::SingleRow, Support::Full}) {
+       {Support::Empty, Support::SingleRow, Support::NearFull,
+        Support::Full}) {
     const auto hop_rows = make_wants(regime, g, kBlockRows);
     for (const PropagationMode mode :
          {PropagationMode::Dense, PropagationMode::Auto}) {
@@ -555,7 +558,8 @@ TEST_P(CollectiveSweep, SendrecvColsDeliversSupportAndPinsWords) {
 
 /// The cols-block wire triple on a raw dense image: encode produces
 /// exactly encoded_cols_words words — under the default codec a count
-/// header plus an index word and the values per row — decode restores
+/// header, a one-word index section (the three LEB128 gap bytes, the
+/// smallest section here) and the values per row — decode restores
 /// the dense payload with zeros off-support, and the empty support
 /// ships nothing: the encode/decode/words lockstep dsk_lint's P1 check
 /// requires a test to pin.
@@ -567,7 +571,7 @@ TEST(ColsBlockWire, PackUnpackWordsStayInLockstep) {
       encode_cols_block(dense, kBlockRows, kWidth, support, codec);
   EXPECT_EQ(packed.size(),
             encoded_cols_words(support, kBlockRows, kWidth, codec));
-  EXPECT_EQ(packed.size(), 1 + support.size() * (1 + kWidth));
+  EXPECT_EQ(packed.size(), 1 + 1 + support.size() * kWidth);
   const auto restored =
       decode_cols_block(packed, kBlockRows, kWidth, support, codec);
   const auto want = member_block(3);
@@ -612,9 +616,9 @@ TEST(ColsBlockWire, PackUnpackWordsStayInLockstep) {
 
 TEST(SparseCollectives, AutoDecidesPerRankNotOnGroupTotals) {
   // Skewed supports: member 0 wants EVERY row, member 1 wants nothing.
-  // The group-total sparse words (1 + 6*(3+1) = 25) undercut the dense
-  // ring total (2 * 6*3 = 36), but member 1 alone would send 25 > its
-  // 18-word dense share. Auto must therefore stay dense — the enforced
+  // The group-total sparse words (1 + 1 + 64*3 = 194, a one-word bitmap
+  // header) undercut the dense ring total (2 * 64*3 = 384), but member 1
+  // alone would send 194 > its 192-word dense share. Auto must therefore stay dense — the enforced
   // invariant is max-PER-RANK words <= Dense, and a total-words
   // crossover would violate it exactly here.
   const int g = 2;

@@ -239,8 +239,8 @@ TEST(CostModel, SparseReplicationTermsBelowDenseOnSparseInputs) {
 
 TEST(CostModel, AutoFallsBackToDenseOnDenseSupports) {
   // nnz so large every block row is expected to be supported: the sparse
-  // plan pays the extra index word per row and loses; Auto must take the
-  // dense term.
+  // plan pays its count and index header on top of every row and loses;
+  // Auto must take the dense term.
   const CostInputs in{1 << 12, 1 << 12, 64, 600.0 * (1 << 12), 16, 4};
   for (const auto kind :
        {AlgorithmKind::DenseShift15D, AlgorithmKind::SparseShift15D,
@@ -303,8 +303,9 @@ TEST(CostModel, SparsePropagationTermsBelowDenseOnSparseInputs) {
 
 TEST(CostModel, AutoPropagationFallsBackToDenseHopByHop) {
   // Nearly every block row expected in support: each non-terminal hop's
-  // sparse message pays an index word per row and loses to the dense
-  // block, so Auto (the per-hop minimum) ships those hops dense. Only
+  // sparse message pays its count and index header on top of every row
+  // and loses to the dense block, so Auto (the per-hop minimum) ships
+  // those hops dense. Only
   // the homeward hop of each read-only ring trip, which carries
   // nothing, is saved: exactly one dense block per trip, two trips per
   // FusedMM pair. Both families' circulating blocks hold 16384 words

@@ -375,9 +375,9 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
       {AlgorithmKind::SparseRepl25D, 8, 2},
   };
   const std::pair<WireCodec, Scalar> codec_cases[] = {
-      {WireCodec{WirePrecision::Full, IndexCodec::Auto}, kTol},
-      {WireCodec{WirePrecision::F32, IndexCodec::Raw}, 1e-4},
-      {WireCodec{WirePrecision::BF16, IndexCodec::Auto}, 5e-2},
+      {WireCodec{WirePrecision::Full}, kTol},
+      {WireCodec{WirePrecision::F32}, 1e-4},
+      {WireCodec{WirePrecision::BF16}, 5e-2},
   };
   for (const auto& cfg : configs) {
     const auto run = [&](const WireCodec& codec, ShiftSchedule schedule,
@@ -408,7 +408,7 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
             const auto got = run(codec, schedule, repl, prop);
             const auto label =
                 to_string(cfg.kind) + " " + to_string(codec.precision) +
-                "/" + to_string(codec.index_codec) + " schedule " +
+                " schedule " +
                 std::to_string(static_cast<int>(schedule)) + " " +
                 to_string(repl) + " " + to_string(prop);
             EXPECT_TRUE(bit_identical(got.output, reference.output))

@@ -477,8 +477,8 @@ TEST(FaultTolerance, EveryEntryPointHealsACrash) {
                                  AlgorithmOptions{}, "");
   // Auto transports on a power-law instance where every kernel of every
   // grid family moves fewer words than under Dense, so row- and
-  // column-support messages are on the wire when the rank dies: with the
-  // Raw and the Auto index codec, alone and with message faults.
+  // column-support messages are on the wire when the rank dies: alone
+  // and with message faults.
   Rng rng(67);
   Problem pr{rmat(64, 64, 4 * 64, rng), DenseMatrix(64, 8),
              DenseMatrix(64, 8)};
@@ -500,15 +500,11 @@ TEST(FaultTolerance, EveryEntryPointHealsACrash) {
           << to_string(kind) << " " << to_string(mode);
     }
   }
-  for (const IndexCodec index_codec : {IndexCodec::Raw, IndexCodec::Auto}) {
-    sparse.codec.index_codec = index_codec;
-    for (const char* message_faults :
-         {"", "seed=3,drop=0.02,dup=0.01,corrupt=0.01,delay=0.01,"
-              "timeout_ms=10,"}) {
-      SCOPED_TRACE(to_string(index_codec) + " codec, faults '" +
-                   message_faults + "'");
-      expect_every_entry_point_heals(pr, sparse, message_faults);
-    }
+  for (const char* message_faults :
+       {"", "seed=3,drop=0.02,dup=0.01,corrupt=0.01,delay=0.01,"
+            "timeout_ms=10,"}) {
+    SCOPED_TRACE(std::string("faults '") + message_faults + "'");
+    expect_every_entry_point_heals(pr, sparse, message_faults);
   }
 }
 

@@ -88,21 +88,6 @@ TEST(ErdosRenyi, SeedDeterminism) {
   }
 }
 
-TEST(ErdosRenyiBernoulli, DensityIsRoughlyRight) {
-  Rng rng(11);
-  const double prob = 0.01;
-  const auto s = erdos_renyi_bernoulli(512, 512, prob, rng);
-  const double expected = 512.0 * 512.0 * prob;
-  EXPECT_GT(static_cast<double>(s.nnz()), 0.8 * expected);
-  EXPECT_LT(static_cast<double>(s.nnz()), 1.2 * expected);
-}
-
-TEST(ErdosRenyiBernoulli, EdgeProbabilities) {
-  Rng rng(12);
-  EXPECT_EQ(erdos_renyi_bernoulli(100, 100, 0.0, rng).nnz(), 0);
-  EXPECT_THROW(erdos_renyi_bernoulli(10, 10, 1.5, rng), Error);
-}
-
 TEST(Rmat, ProducesSkewedDegrees) {
   Rng rng(13);
   const auto s = rmat(1 << 12, 1 << 12, 1 << 15, rng);

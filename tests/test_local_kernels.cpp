@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "dense/dense_ops.hpp"
-#include "local/coo_kernels.hpp"
 #include "local/fused.hpp"
 #include "local/gat_kernels.hpp"
 #include "local/reference.hpp"
@@ -16,15 +15,6 @@
 
 namespace dsk {
 namespace {
-
-/// Triplet arrays in the wire format of the sparse-shifting algorithms
-/// (mirrors the dist-layer shard payload; local stand-in until src/dist
-/// lands).
-struct Triplets {
-  std::vector<Index> rows;
-  std::vector<Index> cols;
-  std::vector<Scalar> values;
-};
 
 struct Fixture {
   CooMatrix coo;
@@ -136,17 +126,6 @@ TEST(LocalFused, MatchesTwoStepComposition) {
             1e-10);
 }
 
-TEST(LocalFused, RecordsIntermediateValues) {
-  auto f = make_fixture();
-  DenseMatrix out(f.csr.rows(), f.a.cols());
-  std::vector<Scalar> r_values(static_cast<std::size_t>(f.csr.nnz()));
-  fusedmm_a_with_values(f.csr, f.a, f.b, out, r_values);
-  const auto r = sddmm(f.csr, f.a, f.b);
-  for (std::size_t k = 0; k < r_values.size(); ++k) {
-    EXPECT_NEAR(r_values[k], r.values()[k], kTol);
-  }
-}
-
 TEST(LocalFused, FlopCountIsDouble) {
   auto f = make_fixture();
   DenseMatrix out(f.csr.rows(), f.a.cols());
@@ -154,45 +133,6 @@ TEST(LocalFused, FlopCountIsDouble) {
   DenseMatrix out2(f.csr.rows(), f.a.cols());
   const auto spmm_flops = spmm_a(f.csr, f.b, out2);
   EXPECT_EQ(fused_flops, 2 * spmm_flops);
-}
-
-TEST(CooKernels, MatchCsrKernels) {
-  auto f = make_fixture();
-  Triplets t;
-  t.rows.assign(f.coo.row_idx().begin(), f.coo.row_idx().end());
-  t.cols.assign(f.coo.col_idx().begin(), f.coo.col_idx().end());
-  t.values.assign(f.coo.values().begin(), f.coo.values().end());
-
-  DenseMatrix a_coo(f.csr.rows(), f.a.cols());
-  spmm_a_coo(t.rows, t.cols, t.values, f.b, a_coo, 0, 0);
-  DenseMatrix a_csr(f.csr.rows(), f.a.cols());
-  spmm_a(f.csr, f.b, a_csr);
-  EXPECT_LT(a_coo.max_abs_diff(a_csr), kTol);
-
-  DenseMatrix b_coo(f.csr.cols(), f.a.cols());
-  spmm_b_coo(t.rows, t.cols, t.values, f.a, b_coo, 0, 0);
-  DenseMatrix b_csr(f.csr.cols(), f.a.cols());
-  spmm_b(f.csr, f.a, b_csr);
-  EXPECT_LT(b_coo.max_abs_diff(b_csr), kTol);
-}
-
-TEST(CooKernels, OffsetsTranslateBlocks) {
-  auto f = make_fixture(16, 16, 4);
-  // Shift all coordinates by a block offset and compensate with kernel
-  // offsets.
-  Triplets t;
-  for (Index k = 0; k < f.coo.nnz(); ++k) {
-    t.rows.push_back(f.coo.entry(k).row + 100);
-    t.cols.push_back(f.coo.entry(k).col + 200);
-    t.values.push_back(f.coo.entry(k).value);
-  }
-  DenseMatrix out(16, 4);
-  spmm_a_coo(t.rows, t.cols, t.values, f.b, out, 100, 200);
-  EXPECT_LT(out.max_abs_diff(reference_spmm_a(f.coo, f.b)), kTol);
-  // Out-of-range coordinates are rejected.
-  DenseMatrix small(8, 4);
-  EXPECT_THROW(spmm_a_coo(t.rows, t.cols, t.values, f.b, small, 100, 200),
-               Error);
 }
 
 TEST(WidthDispatch, PicksSpecializedInstances) {

@@ -100,7 +100,7 @@ TEST(Plan, ExecuteMatchesFreshCallsAcrossOptionCube) {
       for (const PropagationMode propagation :
            {PropagationMode::Dense, PropagationMode::Auto}) {
         for (const WireCodec codec :
-             {WireCodec{}, WireCodec{WirePrecision::BF16, IndexCodec::Auto}}) {
+             {WireCodec{}, WireCodec{WirePrecision::BF16}}) {
           AlgorithmOptions options;
           options.schedule = schedule;
           options.replication = replication;
@@ -505,7 +505,7 @@ TEST(AlsServerTest, DegradedReplanKeepsServing) {
 TEST(AlsServerTest, WireCodecPassesThroughAndGuardsExactTies) {
   const CooMatrix ratings = synthetic_ratings(32, 24, 4, 15);
   AlsServerConfig lossy = small_server_config();
-  lossy.exec.codec = {WirePrecision::BF16, IndexCodec::Auto};
+  lossy.exec.codec = {WirePrecision::BF16};
   AlsServer server(ratings, lossy);
   const std::vector<Index> users = {2, 6, 19};
   const auto batched = server.top_k({users.data(), users.size()}, 3);

@@ -287,15 +287,6 @@ TEST(Permute, PreservesValuesAndDegrees) {
   }
 }
 
-TEST(Partition, UniformBlocks) {
-  const auto part = BlockPartition::uniform(12, 3);
-  EXPECT_EQ(part.num_blocks(), 3);
-  EXPECT_EQ(part.begin(1), 4);
-  EXPECT_EQ(part.end(2), 12);
-  EXPECT_EQ(part.block_of(7), 1);
-  EXPECT_THROW(BlockPartition::uniform(10, 3), Error);
-}
-
 TEST(PartitionUniform, CoversRangeEvenly) {
   const auto bounds = partition_uniform(10, 4);
   EXPECT_EQ(bounds.front(), 0);
@@ -306,27 +297,6 @@ TEST(PartitionUniform, CoversRangeEvenly) {
     EXPECT_LE(len, 3);
   }
   EXPECT_EQ(partition_uniform(0, 3), (std::vector<Index>{0, 0, 0, 0}));
-}
-
-TEST(Partition, GridSplitCoversEverything) {
-  Rng rng(8);
-  CooMatrix coo(8, 12);
-  for (int k = 0; k < 40; ++k) {
-    coo.push_back(rng.next_index(0, 8), rng.next_index(0, 12),
-                  rng.next_in(-1, 1));
-  }
-  coo.sort_and_combine();
-  const auto grid = split_coo_grid(coo, BlockPartition::uniform(8, 2),
-                                   BlockPartition::uniform(12, 3));
-  Index total = 0;
-  for (const auto& row : grid) {
-    for (const auto& cell : row) {
-      EXPECT_EQ(cell.rows(), 4);
-      EXPECT_EQ(cell.cols(), 4);
-      total += cell.nnz();
-    }
-  }
-  EXPECT_EQ(total, coo.nnz());
 }
 
 } // namespace

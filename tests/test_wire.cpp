@@ -1,8 +1,8 @@
 /// Wire-codec layer hardening (runtime/wire.hpp): round-trips for every
-/// message class under every precision x index-codec combination, on
-/// support shapes that resolve the Auto index codec to each of its
-/// encodings, corrupt-message rejection (truncation, trailing garbage,
-/// tampered headers and index sections), quantization error bounds, the
+/// message class under every precision, on support shapes whose smallest
+/// index section is each of its encodings, corrupt-message rejection
+/// (truncation, trailing garbage, unsorted supports, tampered headers
+/// and index sections), quantization error bounds, the
 /// idempotence the multi-hop rings rely on, and the single support
 /// layout the row- and col-support messages share. These tests also pin
 /// the encode/decode/words triples for dsk_lint's P1 protocol account.
@@ -23,7 +23,6 @@ namespace {
 
 constexpr WirePrecision kPrecisions[] = {
     WirePrecision::Full, WirePrecision::F32, WirePrecision::BF16};
-constexpr IndexCodec kIndexCodecs[] = {IndexCodec::Raw, IndexCodec::Auto};
 
 /// Per-value relative error ceiling of one quantization (round to
 /// nearest even): 2^-25 for f32's 24-bit mantissa, 2^-9 for bf16's
@@ -65,7 +64,7 @@ TEST(WireValues, RoundTripAllPrecisions) {
                                   std::size_t{17}}) {
     const auto values = gaussian_values(count, 11 + count);
     for (const WirePrecision precision : kPrecisions) {
-      const WireCodec codec{precision, IndexCodec::Raw};
+      const WireCodec codec{precision};
       const auto words = encode_values(values, codec);
       EXPECT_EQ(words.size(),
                 encoded_values_words(static_cast<std::int64_t>(count),
@@ -95,7 +94,7 @@ TEST(WireValues, QuantizationIsIdempotent) {
   const auto values = gaussian_values(13, 31);
   for (const WirePrecision precision :
        {WirePrecision::F32, WirePrecision::BF16}) {
-    const WireCodec codec{precision, IndexCodec::Raw};
+    const WireCodec codec{precision};
     const auto once = encode_values(values, codec);
     const auto decoded = decode_values(once, 13, codec);
     const auto twice = encode_values(decoded, codec);
@@ -106,7 +105,7 @@ TEST(WireValues, QuantizationIsIdempotent) {
 TEST(WireValues, RejectsWrongLength) {
   const auto values = gaussian_values(5, 41);
   for (const WirePrecision precision : kPrecisions) {
-    const WireCodec codec{precision, IndexCodec::Raw};
+    const WireCodec codec{precision};
     auto words = encode_values(values, codec);
     words.push_back(0); // trailing garbage
     EXPECT_THROW(decode_values(words, 5, codec), Error);
@@ -125,7 +124,7 @@ TEST(WireDense, RoundTripAllPrecisions) {
       gaussian_values(static_cast<std::size_t>(rows * width), 51);
   const DenseMatrix block(rows, width, values);
   for (const WirePrecision precision : kPrecisions) {
-    const WireCodec codec{precision, IndexCodec::Raw};
+    const WireCodec codec{precision};
     const auto wire = encode_dense(block, codec);
     EXPECT_EQ(wire.size(), encoded_dense_words(rows, width, codec));
     DenseMatrix back = DenseMatrix::uninitialized(rows, width);
@@ -142,7 +141,7 @@ TEST(WireDense, RoundTripAllPrecisions) {
 }
 
 TEST(WireDense, RejectsWrongSizes) {
-  const WireCodec bf16{WirePrecision::BF16, IndexCodec::Raw};
+  const WireCodec bf16{WirePrecision::BF16};
   const DenseMatrix block(2, 3);
   auto wire = encode_dense(block, bf16);
   DenseMatrix back(2, 3);
@@ -161,7 +160,7 @@ TEST(WireTripletsCodec, RoundTripAllPrecisions) {
   const std::vector<Index> cols = {5, 1, 3, 0};
   const auto values = gaussian_values(4, 61);
   for (const WirePrecision precision : kPrecisions) {
-    const WireCodec codec{precision, IndexCodec::Raw};
+    const WireCodec codec{precision};
     const auto words = encode_triplets(rows, cols, values, codec);
     EXPECT_EQ(words.size(), encoded_triplets_words(4, codec));
     const auto back = decode_triplets(words, codec);
@@ -171,7 +170,7 @@ TEST(WireTripletsCodec, RoundTripAllPrecisions) {
   }
   // Empty triplets are one header word under every precision.
   for (const WirePrecision precision : kPrecisions) {
-    const WireCodec codec{precision, IndexCodec::Raw};
+    const WireCodec codec{precision};
     const auto words = encode_triplets({}, {}, {}, codec);
     EXPECT_EQ(words.size(), 1u);
     EXPECT_EQ(decode_triplets(words, codec).rows.size(), 0u);
@@ -183,7 +182,7 @@ TEST(WireTripletsCodec, RejectsCorruptMessages) {
   const std::vector<Index> cols = {0, 2};
   const auto values = gaussian_values(2, 71);
   for (const WirePrecision precision : kPrecisions) {
-    const WireCodec codec{precision, IndexCodec::Raw};
+    const WireCodec codec{precision};
     auto words = encode_triplets(rows, cols, values, codec);
     words.push_back(0); // trailing garbage
     EXPECT_THROW(decode_triplets(words, codec), Error);
@@ -203,26 +202,26 @@ TEST(WireTripletsCodec, RejectsCountsWhoseLengthWraps) {
   const WireCodec full{};
   EXPECT_THROW(decode_triplets({0xAAAAAAAAAAAAAAABull, 0}, full), Error);
   EXPECT_THROW(decode_triplets({0x5555555555555556ull, 0, 0}, full), Error);
-  const WireCodec f32{WirePrecision::F32, IndexCodec::Raw};
+  const WireCodec f32{WirePrecision::F32};
   EXPECT_THROW(decode_triplets({0x6666666666666667ull, 0, 0}, f32), Error);
   EXPECT_THROW(decode_triplets({0x7FFFFFFFFFFFFFFFull, 0, 0}, f32), Error);
-  const WireCodec bf16{WirePrecision::BF16, IndexCodec::Raw};
+  const WireCodec bf16{WirePrecision::BF16};
   EXPECT_THROW(decode_triplets({0x7FFFFFFFFFFFFFFFull, 0, 0}, bf16), Error);
 }
 
-/// Support shapes chosen so the Auto index codec resolves to each of its
+/// Support shapes chosen so the smallest index section is each of its
 /// encodings: a lone row (raw), a tight cluster (LEB128 gaps), a dense
 /// support over a small block (bitmap), and the adversarial two-endpoint
 /// support whose single huge gap costs the gap encoding most.
-/// `auto_words` is the index section's size under Auto, worked out by
-/// hand: raw is one word per row, LEB128 one byte per gap below 128 (two
-/// below 2^14, three below 2^21) rounded up to words, the bitmap
+/// `section_words` is the smallest section's size, worked out by hand:
+/// raw is one word per row, LEB128 one byte per gap below 128 (two below
+/// 2^14, three below 2^21) rounded up to words, the bitmap
 /// ceil(block_rows / 64) words.
 struct SupportCase {
   const char* name;
   Index block_rows;
   std::vector<Index> rows;
-  std::uint64_t auto_words;
+  std::uint64_t section_words;
 };
 
 std::vector<SupportCase> support_cases() {
@@ -250,26 +249,22 @@ std::vector<SupportCase> support_cases() {
 
 TEST(WireIndexSections, AutoPicksTheSmallestAndNeverExceedsRaw) {
   for (const auto& sc : support_cases()) {
-    const std::uint64_t raw = encoded_index_words(
-        sc.rows, sc.block_rows, IndexCodec::Raw);
-    const std::uint64_t chosen = encoded_index_words(
-        sc.rows, sc.block_rows, IndexCodec::Auto);
-    EXPECT_EQ(raw, sc.rows.size()) << sc.name;
-    EXPECT_EQ(chosen, sc.auto_words) << sc.name;
-    EXPECT_LE(chosen, raw) << sc.name;
+    const std::uint64_t chosen =
+        encoded_index_words(sc.rows, sc.block_rows);
+    EXPECT_EQ(chosen, sc.section_words) << sc.name;
+    EXPECT_LE(chosen, sc.rows.size()) << sc.name;
   }
   // Ties resolve raw < LEB128 < bitmap, which shows in the section word
   // itself. Row 255 of 256 is one word either raw or as the LEB128
   // bytes {0xFF, 0x01}: the raw index travels.
-  const WireCodec auto_codec{WirePrecision::Full, IndexCodec::Auto};
   const std::vector<Scalar> one = {1.0};
-  EXPECT_EQ(encode_rows(std::vector<Index>{255}, 256, 1, one, auto_codec)[1],
+  EXPECT_EQ(encode_rows(std::vector<Index>{255}, 256, 1, one, WireCodec{})[1],
             255u);
   // Rows {0, 5, 9, 30} of 32 are one word as LEB128 gap bytes
   // {0, 5, 4, 21} and one as the bitmap: the gap bytes travel.
   const std::vector<Scalar> four = {1.0, 2.0, 3.0, 4.0};
   EXPECT_EQ(encode_rows(std::vector<Index>{0, 5, 9, 30}, 32, 1, four,
-                        auto_codec)[1],
+                        WireCodec{})[1],
             0x15040500u);
 }
 
@@ -283,38 +278,36 @@ TEST(WireColsBlock, RoundTripEveryCodecAndSupportShape) {
     std::memcpy(image.data(), values.data(),
                 values.size() * sizeof(Scalar));
     for (const WirePrecision precision : kPrecisions) {
-      for (const IndexCodec index_codec : kIndexCodecs) {
-        const WireCodec codec{precision, index_codec};
-        const auto words =
-            encode_cols_block(image, sc.block_rows, width, sc.rows, codec);
-        EXPECT_EQ(words.size(),
-                  encoded_cols_words(sc.rows, sc.block_rows, width, codec))
-            << sc.name;
-        const auto dense = decode_cols_block(words, sc.block_rows, width,
-                                             sc.rows, codec);
-        ASSERT_EQ(dense.size(), image.size()) << sc.name;
-        // Supported rows round-trip within the precision bound;
-        // unsupported rows are exactly zero.
-        std::size_t k = 0;
-        for (Index row = 0; row < sc.block_rows; ++row) {
-          const bool supported =
-              k < sc.rows.size() && sc.rows[k] == row;
-          for (Index j = 0; j < width; ++j) {
-            const auto at = static_cast<std::size_t>(row * width + j);
-            Scalar got;
-            std::memcpy(&got, &dense[at], sizeof got);
-            if (!supported) {
-              EXPECT_EQ(got, 0.0) << sc.name;
-            } else if (precision == WirePrecision::Full) {
-              EXPECT_EQ(got, values[at]) << sc.name;
-            } else {
-              EXPECT_LE(std::abs(got - values[at]),
-                        precision_bound(precision) * std::abs(values[at]))
-                  << sc.name;
-            }
+      const WireCodec codec{precision};
+      const auto words =
+          encode_cols_block(image, sc.block_rows, width, sc.rows, codec);
+      EXPECT_EQ(words.size(),
+                encoded_cols_words(sc.rows, sc.block_rows, width, codec))
+          << sc.name;
+      const auto dense = decode_cols_block(words, sc.block_rows, width,
+                                           sc.rows, codec);
+      ASSERT_EQ(dense.size(), image.size()) << sc.name;
+      // Supported rows round-trip within the precision bound;
+      // unsupported rows are exactly zero.
+      std::size_t k = 0;
+      for (Index row = 0; row < sc.block_rows; ++row) {
+        const bool supported =
+            k < sc.rows.size() && sc.rows[k] == row;
+        for (Index j = 0; j < width; ++j) {
+          const auto at = static_cast<std::size_t>(row * width + j);
+          Scalar got;
+          std::memcpy(&got, &dense[at], sizeof got);
+          if (!supported) {
+            EXPECT_EQ(got, 0.0) << sc.name;
+          } else if (precision == WirePrecision::Full) {
+            EXPECT_EQ(got, values[at]) << sc.name;
+          } else {
+            EXPECT_LE(std::abs(got - values[at]),
+                      precision_bound(precision) * std::abs(values[at]))
+                << sc.name;
           }
-          if (supported) ++k;
         }
+        if (supported) ++k;
       }
     }
   }
@@ -322,11 +315,9 @@ TEST(WireColsBlock, RoundTripEveryCodecAndSupportShape) {
 
 TEST(WireColsBlock, EmptySupportSendsNothing) {
   for (const WirePrecision precision : kPrecisions) {
-    for (const IndexCodec index_codec : kIndexCodecs) {
-      EXPECT_EQ(encoded_cols_words({}, 64, 8,
-                                   WireCodec{precision, index_codec}),
-                0u);
-    }
+    EXPECT_EQ(encoded_cols_words({}, 64, 8,
+                                 WireCodec{precision}),
+              0u);
   }
 }
 
@@ -338,36 +329,34 @@ TEST(WireColsBlock, RejectsCorruptMessages) {
       static_cast<std::size_t>(block_rows * width), 91);
   MessageWords image(values.size());
   std::memcpy(image.data(), values.data(), values.size() * sizeof(Scalar));
-  for (const IndexCodec index_codec : kIndexCodecs) {
-    const WireCodec codec{WirePrecision::BF16, index_codec};
-    const auto good = encode_cols_block(image, block_rows, width, cols,
-                                        codec);
-    ASSERT_NO_THROW(decode_cols_block(good, block_rows, width, cols,
-                                      codec));
-    auto tampered = good;
-    tampered.push_back(0); // trailing garbage
-    EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
-                                   codec),
-                 Error);
-    tampered = good;
-    tampered.pop_back(); // truncated payload
-    EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
-                                   codec),
-                 Error);
-    tampered = good;
-    tampered[0] += 1; // count disagrees with the support table
-    EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
-                                   codec),
-                 Error);
-    tampered = good;
-    tampered[1] ^= 1; // index section disagrees with the support table
-    EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
-                                   codec),
-                 Error);
-    EXPECT_THROW(decode_cols_block(MessageWords{}, block_rows, width,
-                                   cols, codec),
-                 Error);
-  }
+  const WireCodec codec{WirePrecision::BF16};
+  const auto good = encode_cols_block(image, block_rows, width, cols,
+                                      codec);
+  ASSERT_NO_THROW(decode_cols_block(good, block_rows, width, cols,
+                                    codec));
+  auto tampered = good;
+  tampered.push_back(0); // trailing garbage
+  EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
+                                 codec),
+               Error);
+  tampered = good;
+  tampered.pop_back(); // truncated payload
+  EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
+                                 codec),
+               Error);
+  tampered = good;
+  tampered[0] += 1; // count disagrees with the support table
+  EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
+                                 codec),
+               Error);
+  tampered = good;
+  tampered[1] ^= 1; // index section disagrees with the support table
+  EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
+                                 codec),
+               Error);
+  EXPECT_THROW(decode_cols_block(MessageWords{}, block_rows, width,
+                                 cols, codec),
+               Error);
 }
 
 TEST(WireRows, RoundTripEveryCodecAndSupportShape) {
@@ -376,17 +365,15 @@ TEST(WireRows, RoundTripEveryCodecAndSupportShape) {
     const auto values = gaussian_values(
         sc.rows.size() * static_cast<std::size_t>(width), 101);
     for (const WirePrecision precision : kPrecisions) {
-      for (const IndexCodec index_codec : kIndexCodecs) {
-        const WireCodec codec{precision, index_codec};
-        const auto words =
-            encode_rows(sc.rows, sc.block_rows, width, values, codec);
-        EXPECT_EQ(words.size(),
-                  encoded_rows_words(sc.rows, sc.block_rows, width, codec))
-            << sc.name;
-        expect_within_bound(
-            decode_rows(words, sc.rows, sc.block_rows, width, codec),
-            values, precision);
-      }
+      const WireCodec codec{precision};
+      const auto words =
+          encode_rows(sc.rows, sc.block_rows, width, values, codec);
+      EXPECT_EQ(words.size(),
+                encoded_rows_words(sc.rows, sc.block_rows, width, codec))
+          << sc.name;
+      expect_within_bound(
+          decode_rows(words, sc.rows, sc.block_rows, width, codec),
+          values, precision);
     }
   }
 }
@@ -411,14 +398,12 @@ TEST(WireRows, WireImageMatchesColsBlock) {
                   image_values.begin() + (row + 1) * width);
   }
   for (const WirePrecision precision : kPrecisions) {
-    for (const IndexCodec index_codec : kIndexCodecs) {
-      const WireCodec codec{precision, index_codec};
-      EXPECT_EQ(encode_rows(rows, block_rows, width, values, codec),
-                encode_cols_block(image, block_rows, width, rows, codec))
-          << to_string(precision) << " " << to_string(index_codec);
-      EXPECT_EQ(encoded_rows_words(rows, block_rows, width, codec),
-                encoded_cols_words(rows, block_rows, width, codec));
-    }
+    const WireCodec codec{precision};
+    EXPECT_EQ(encode_rows(rows, block_rows, width, values, codec),
+              encode_cols_block(image, block_rows, width, rows, codec))
+        << to_string(precision);
+    EXPECT_EQ(encoded_rows_words(rows, block_rows, width, codec),
+              encoded_cols_words(rows, block_rows, width, codec));
   }
   EXPECT_EQ(encoded_rows_words({}, block_rows, width, WireCodec{}), 0u);
 }
@@ -429,37 +414,43 @@ TEST(WireRows, RejectsCorruptMessages) {
   const std::vector<Index> rows = {0, 5, 9, 30};
   const auto values = gaussian_values(
       rows.size() * static_cast<std::size_t>(width), 111);
-  for (const IndexCodec index_codec : kIndexCodecs) {
-    const WireCodec codec{WirePrecision::F32, index_codec};
-    const auto good = encode_rows(rows, block_rows, width, values, codec);
-    ASSERT_NO_THROW(decode_rows(good, rows, block_rows, width, codec));
-    auto tampered = good;
-    tampered[0] += 1; // count header disagrees with the support
-    EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
-                 Error);
-    tampered = good;
-    tampered[1] ^= 2; // index section disagrees with the support table
-    EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
-                 Error);
-    tampered = good;
-    tampered.push_back(7); // trailing garbage
-    EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
-                 Error);
-    tampered = good;
-    tampered.pop_back(); // truncated values
-    EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
-                 Error);
-    EXPECT_THROW(decode_rows(MessageWords{}, rows, block_rows, width,
-                             codec),
-                 Error);
-  }
+  const WireCodec codec{WirePrecision::F32};
+  const auto good = encode_rows(rows, block_rows, width, values, codec);
+  ASSERT_NO_THROW(decode_rows(good, rows, block_rows, width, codec));
+  auto tampered = good;
+  tampered[0] += 1; // count header disagrees with the support
+  EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
+               Error);
+  tampered = good;
+  tampered[1] ^= 2; // index section disagrees with the support table
+  EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
+               Error);
+  tampered = good;
+  tampered.push_back(7); // trailing garbage
+  EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
+               Error);
+  tampered = good;
+  tampered.pop_back(); // truncated values
+  EXPECT_THROW(decode_rows(tampered, rows, block_rows, width, codec),
+               Error);
+  EXPECT_THROW(decode_rows(MessageWords{}, rows, block_rows, width,
+                           codec),
+               Error);
+  // A support must be sorted and distinct even where its section needs
+  // no gap scan: every row of the block, descending, would be a bitmap.
+  std::vector<Index> descending;
+  for (Index row = block_rows - 1; row >= 0; --row) descending.push_back(row);
+  const auto all_values = gaussian_values(
+      descending.size() * static_cast<std::size_t>(width), 113);
+  EXPECT_THROW(
+      encode_rows(descending, block_rows, width, all_values, codec), Error);
 }
 
 /// Decoding `words` as a width-1 row message over `rows` must throw an
 /// Error whose message names the check that fired.
 void expect_rejected(const MessageWords& words, const std::vector<Index>& rows,
                      Index block_rows, const std::string& check_text) {
-  const WireCodec codec{WirePrecision::Full, IndexCodec::Auto};
+  const WireCodec codec{};
   try {
     decode_rows(words, rows, block_rows, 1, codec);
     ADD_FAILURE() << "accepted a message that should fail: " << check_text;
@@ -469,13 +460,12 @@ void expect_rejected(const MessageWords& words, const std::vector<Index>& rows,
   }
 }
 
-/// A width-1 row message over `rows` under the Auto index codec; its
+/// A width-1 row message over `rows` at full precision; its
 /// index section starts at word 1.
-MessageWords auto_rows_message(const std::vector<Index>& rows,
-                               Index block_rows) {
+MessageWords rows_message(const std::vector<Index>& rows,
+                          Index block_rows) {
   const std::vector<Scalar> values(rows.size(), 1.0);
-  return encode_rows(rows, block_rows, 1, values,
-                     WireCodec{WirePrecision::Full, IndexCodec::Auto});
+  return encode_rows(rows, block_rows, 1, values, WireCodec{});
 }
 
 /// Sets byte `b` of the byte-packed index section that starts at word 1.
@@ -488,24 +478,22 @@ void set_section_byte(MessageWords& words, std::size_t b,
 }
 
 /// Every malformed-LEB128 check of the index-section decoder, reached
-/// through supports that Auto encodes as LEB128 gaps.
+/// through supports whose smallest section is LEB128 gaps.
 TEST(WireIndexSections, Leb128DecoderRejectsMalformedSections) {
   // Rows {3, 64, 100} of 128: three gap bytes in one word, five bytes
   // of padding after them.
   const std::vector<Index> sparse = {3, 64, 100};
-  ASSERT_EQ(encoded_index_words(sparse, 128, IndexCodec::Auto), 1u);
-  auto words = auto_rows_message(sparse, 128);
-  ASSERT_NO_THROW(decode_rows(words, sparse, 128, 1,
-                              WireCodec{WirePrecision::Full,
-                                        IndexCodec::Auto}));
+  ASSERT_EQ(encoded_index_words(sparse, 128), 1u);
+  auto words = rows_message(sparse, 128);
+  ASSERT_NO_THROW(decode_rows(words, sparse, 128, 1, WireCodec{}));
   set_section_byte(words, 7, 0x01);
   expect_rejected(words, sparse, 128, "nonzero varint padding");
 
   // Rows 100..179 of 4096: 80 one-byte gaps fill ten words exactly.
   std::vector<Index> cluster;
   for (Index i = 100; i < 180; ++i) cluster.push_back(i);
-  ASSERT_EQ(encoded_index_words(cluster, 4096, IndexCodec::Auto), 10u);
-  const auto good = auto_rows_message(cluster, 4096);
+  ASSERT_EQ(encoded_index_words(cluster, 4096), 10u);
+  const auto good = rows_message(cluster, 4096);
   // The last gap's continuation bit runs the varint past the section.
   words = good;
   set_section_byte(words, 79, 0x81);
@@ -518,7 +506,7 @@ TEST(WireIndexSections, Leb128DecoderRejectsMalformedSections) {
 }
 
 /// Every malformed-bitmap check of the index-section decoder, reached
-/// through a support that Auto encodes as a bitmap.
+/// through a support whose smallest section is a bitmap.
 TEST(WireIndexSections, BitmapDecoderRejectsMalformedSections) {
   // 99 of 100 rows (row 50 missing): a two-word bitmap, whose bits 36..63
   // of the second word lie outside the block.
@@ -526,11 +514,9 @@ TEST(WireIndexSections, BitmapDecoderRejectsMalformedSections) {
   for (Index i = 0; i < 100; ++i) {
     if (i != 50) rows.push_back(i);
   }
-  ASSERT_EQ(encoded_index_words(rows, 100, IndexCodec::Auto), 2u);
-  const auto good = auto_rows_message(rows, 100);
-  ASSERT_NO_THROW(decode_rows(good, rows, 100, 1,
-                              WireCodec{WirePrecision::Full,
-                                        IndexCodec::Auto}));
+  ASSERT_EQ(encoded_index_words(rows, 100), 2u);
+  const auto good = rows_message(rows, 100);
+  ASSERT_NO_THROW(decode_rows(good, rows, 100, 1, WireCodec{}));
   auto words = good;
   words[2] |= std::uint64_t{1} << 40; // row 104
   expect_rejected(words, rows, 100, "bitmap sets rows outside the block");
@@ -540,6 +526,10 @@ TEST(WireIndexSections, BitmapDecoderRejectsMalformedSections) {
   words = good;
   words[2] &= ~(std::uint64_t{1} << 35); // row 99 dropped
   expect_rejected(words, rows, 100, "bitmap omits expected support rows");
+  words = good;
+  words[1] |= std::uint64_t{1} << 50;    // row 50 added and
+  words[2] &= ~(std::uint64_t{1} << 35); // row 99 dropped: same count
+  expect_rejected(words, rows, 100, "row mismatch against the support table");
 }
 
 } // namespace

@@ -40,8 +40,8 @@ NONDETERMINISTIC_SUFFIXES = ("_seconds",)
 # checker covers every bench format: the fig4/fig8 records, the fig7
 # replication-mode records ("mode"), the fig7 propagation records
 # ("replication" + "propagation", whose deterministic value field is
-# propagation_words), and the fig7 wire-codec records ("precision" +
-# "index_codec", whose deterministic value field is wire_words).
+# propagation_words), and the fig7 wire-precision records ("precision",
+# whose deterministic value field is wire_words).
 KEY_FIELDS = (
     "bench",
     "setup",
@@ -51,7 +51,6 @@ KEY_FIELDS = (
     "replication",
     "propagation",
     "precision",
-    "index_codec",
     "kernel",
     "impl",
     "p",

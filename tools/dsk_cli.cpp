@@ -78,8 +78,6 @@ constexpr FlagSpec kFlags[] = {
      "db | bsp: propagation engine (both bit-identical)"},
     {"--wire-precision", "PREC", FlagScope::Common, "full",
      "full | f32 | bf16: value precision on the wire (lossy below full)"},
-    {"--index-codec", "CODEC", FlagScope::Common, "raw",
-     "raw | auto: support-index header encoding (needs an auto mode)"},
     {"--faults", "SPEC", FlagScope::Common, "",
      "deterministic fault plan, e.g. \"seed=7,drop=0.02,crash=3@prop:2\""},
     {"--max-recoveries", "N", FlagScope::Common, "4",
@@ -122,7 +120,6 @@ struct Options {
   std::string propagation = "dense";
   std::string schedule = "db";
   std::string wire_precision = "full";
-  std::string index_codec = "raw";
   std::string faults;
   std::string matrix_path;
   bool use_rmat = false;
@@ -258,7 +255,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--propagation") opt.propagation = next();
     else if (arg == "--schedule") opt.schedule = next();
     else if (arg == "--wire-precision") opt.wire_precision = next();
-    else if (arg == "--index-codec") opt.index_codec = next();
     else if (arg == "--faults") opt.faults = next();
     else if (arg == "--mtx") opt.matrix_path = next();
     else if (arg == "--rmat") opt.use_rmat = true;
@@ -321,12 +317,6 @@ WirePrecision parse_wire_precision(const std::string& name) {
   usage_and_exit(("unknown wire precision " + name).c_str());
 }
 
-IndexCodec parse_index_codec(const std::string& name) {
-  if (name == "raw") return IndexCodec::Raw;
-  if (name == "auto") return IndexCodec::Auto;
-  usage_and_exit(("unknown index codec " + name).c_str());
-}
-
 ShiftSchedule parse_schedule(const std::string& name) {
   if (name == "db" || name == "double-buffered") {
     return ShiftSchedule::DoubleBuffered;
@@ -344,37 +334,6 @@ AlgorithmOptions validate_common(const Options& opt) {
   algo_options.propagation = parse_propagation(opt.propagation);
   algo_options.schedule = parse_schedule(opt.schedule);
   algo_options.codec.precision = parse_wire_precision(opt.wire_precision);
-  algo_options.codec.index_codec = parse_index_codec(opt.index_codec);
-  // Index headers ride only in row- and col-support messages, which only
-  // the Auto modes send, and only where an Auto mode ships dense-block
-  // rows: 1.5D sparse shifting circulates COO triplets, 2.5D sparse
-  // replicating gathers bare value slices, and the 1D baseline's fetches
-  // carry no index header.
-  if (algo_options.codec.index_codec != IndexCodec::Raw) {
-    const bool repl = algo_options.replication == ReplicationMode::Auto;
-    const bool prop = algo_options.propagation == PropagationMode::Auto;
-    if (!repl && !prop) {
-      usage_and_exit("--index-codec only applies with --replication auto "
-                     "or --propagation auto; refusing to silently ignore "
-                     "it");
-    }
-    const AlgorithmKind kind = parse_algo(opt.algo);
-    if (kind == AlgorithmKind::Baseline1D) {
-      usage_and_exit("--index-codec does not apply to --algo baseline, "
-                     "whose fetches carry no index header; refusing to "
-                     "silently ignore it");
-    }
-    if (kind == AlgorithmKind::SparseShift15D && !repl) {
-      usage_and_exit("--index-codec with --algo sparse-shift only applies "
-                     "with --replication auto (its shifts carry COO "
-                     "triplets); refusing to silently ignore it");
-    }
-    if (kind == AlgorithmKind::SparseRepl25D && !prop) {
-      usage_and_exit("--index-codec with --algo sparse-repl only applies "
-                     "with --propagation auto (its replication gathers "
-                     "bare values); refusing to silently ignore it");
-    }
-  }
   if (opt.faults.empty() && (opt.max_recoveries_set || opt.degrade)) {
     usage_and_exit("--max-recoveries and --degrade only apply with "
                    "--faults; refusing to silently ignore them");
@@ -567,9 +526,8 @@ int main(int argc, char** argv) {
                 opt.schedule.c_str());
     const WireCodec& wire = algo_options.codec;
     if (!wire.is_default()) {
-      std::printf("wire: precision = %s, index codec = %s\n",
-                  to_string(wire.precision).c_str(),
-                  to_string(wire.index_codec).c_str());
+      std::printf("wire: precision = %s\n",
+                  to_string(wire.precision).c_str());
     }
 
     auto algo = make_algorithm(kind, opt.p, opt.c, algo_options);
