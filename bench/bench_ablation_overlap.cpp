@@ -47,12 +47,13 @@ Measured run_measured(AlgorithmKind kind, Elision elision, int p, int c,
   AlgorithmOptions options;
   options.schedule = schedule;
   options.replication = mode;
-  auto algo = make_algorithm(kind, p, c, options);
+  // Planned outside the timed trials, so they compare executes only.
+  const Plan plan = make_plan(kind, p, c, w.s, w.a.cols(), options);
   Measured best;
   for (int trial = 0; trial < trials; ++trial) {
     Timer timer;
-    auto result = algo->run_fusedmm(FusedOrientation::A, elision, w.s,
-                                    w.a, w.b, kRepeats);
+    auto result = plan.execute_fusedmm(FusedOrientation::A, elision, w.s,
+                                       w.a, w.b, kRepeats);
     const double wall = timer.seconds();
     if (trial == 0 || wall < best.wall_seconds) {
       best.wall_seconds = wall;
@@ -90,9 +91,10 @@ int main() {
           w.r % (p / best.c) != 0) {
         continue;
       }
-      auto algo = make_algorithm(variant.kind, p, best.c);
-      const auto result = algo->run_fusedmm(
-          FusedOrientation::A, variant.elision, w.s, w.a, w.b);
+      const auto result =
+          make_plan(variant.kind, p, best.c, w.s, w.a.cols())
+              .execute_fusedmm(FusedOrientation::A, variant.elision, w.s,
+                               w.a, w.b);
       const auto m = machine();
       const double bulk = result.stats.modeled_kernel_seconds(m);
       const double overlapped = result.stats.modeled_overlap_seconds(m);

@@ -60,14 +60,14 @@ int main() {
   std::printf("%-22s %18.2f %18.2f\n", "block nnz max/mean",
               block_imbalance(raw, p), block_imbalance(permuted.matrix, p));
 
-  auto algo = make_algorithm(AlgorithmKind::SparseShift15D, p, c);
   const auto m = machine();
-  const auto run_raw = algo->run_fusedmm(FusedOrientation::A,
-                                         Elision::ReplicationReuse, raw, a,
-                                         b);
-  const auto run_perm = algo->run_fusedmm(FusedOrientation::A,
-                                          Elision::ReplicationReuse,
-                                          permuted.matrix, a, b);
+  const auto run = [&](const CooMatrix& s) {
+    return make_plan(AlgorithmKind::SparseShift15D, p, c, s, r)
+        .execute_fusedmm(FusedOrientation::A, Elision::ReplicationReuse, s,
+                         a, b);
+  };
+  const auto run_raw = run(raw);
+  const auto run_perm = run(permuted.matrix);
 
   const double comm_raw = run_raw.stats.modeled_comm_seconds(m);
   const double comm_perm = run_perm.stats.modeled_comm_seconds(m);

@@ -26,8 +26,8 @@
 
 #if __has_include("dist/algorithm.hpp")
 #define DSK_BENCH_HAVE_DIST 1
-#include "dist/algorithm.hpp"
 #include "dist/grid.hpp"
+#include "dist/plan.hpp"
 #include "model/optimal_c.hpp"
 #include "model/predictor.hpp"
 #include "runtime/machine.hpp"
@@ -196,9 +196,9 @@ inline RunOutcome run_fusedmm_once(AlgorithmKind kind, Elision elision,
                                    int p, int c, const Workload& w,
                                    FusedOrientation orientation =
                                        FusedOrientation::A) {
-  auto algo = make_algorithm(kind, p, c);
-  const auto result =
-      algo->run_fusedmm(orientation, elision, w.s, w.a, w.b, 1);
+  const auto result = make_plan(kind, p, c, w.s, w.a.cols())
+                          .execute_fusedmm(orientation, elision, w.s, w.a,
+                                           w.b);
   const auto m = machine();
   RunOutcome out;
   out.replication_seconds =

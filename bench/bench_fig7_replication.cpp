@@ -54,9 +54,9 @@ std::uint64_t replication_words(AlgorithmKind kind, int p, int c,
                                 const Workload& w, ReplicationMode mode) {
   AlgorithmOptions options;
   options.replication = mode;
-  auto algo = make_algorithm(kind, p, c, options);
-  const auto result = algo->run_fusedmm(FusedOrientation::A,
-                                        Elision::None, w.s, w.a, w.b, 1);
+  const auto result = make_plan(kind, p, c, w.s, w.a.cols(), options)
+                          .execute_fusedmm(FusedOrientation::A,
+                                           Elision::None, w.s, w.a, w.b);
   return result.stats.max_words(Phase::Replication);
 }
 
@@ -120,9 +120,9 @@ std::uint64_t propagation_words(AlgorithmKind kind, int p, int c,
                                 const Workload& w, PropagationMode mode) {
   AlgorithmOptions options;
   options.propagation = mode;
-  auto algo = make_algorithm(kind, p, c, options);
-  const auto result = algo->run_fusedmm(FusedOrientation::A,
-                                        Elision::None, w.s, w.a, w.b, 1);
+  const auto result = make_plan(kind, p, c, w.s, w.a.cols(), options)
+                          .execute_fusedmm(FusedOrientation::A,
+                                           Elision::None, w.s, w.a, w.b);
   return result.stats.max_words(Phase::Propagation);
 }
 
@@ -224,9 +224,9 @@ std::uint64_t comm_words(AlgorithmKind kind, int p, int c, const Workload& w,
     options.propagation = PropagationMode::Auto;
   }
   options.codec.precision = precision;
-  auto algo = make_algorithm(kind, p, c, options);
-  const auto result = algo->run_fusedmm(FusedOrientation::A,
-                                        Elision::None, w.s, w.a, w.b, 1);
+  const auto result = make_plan(kind, p, c, w.s, w.a.cols(), options)
+                          .execute_fusedmm(FusedOrientation::A,
+                                           Elision::None, w.s, w.a, w.b);
   return result.stats.max_words(Phase::Replication) +
          result.stats.max_words(Phase::Propagation);
 }

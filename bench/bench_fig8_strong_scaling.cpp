@@ -130,10 +130,11 @@ int main(int argc, char** argv) {
     std::vector<double> baseline(node_counts.size(), -1);
     std::vector<double> baseline_comm(node_counts.size(), -1);
     for (std::size_t i = 0; i < node_counts.size(); ++i) {
-      auto algo =
-          make_algorithm(AlgorithmKind::Baseline1D, node_counts[i], 1);
-      const auto result = algo->run_fusedmm(FusedOrientation::A,
-                                            Elision::None, w.s, w.a, w.b);
+      const auto result =
+          make_plan(AlgorithmKind::Baseline1D, node_counts[i], 1, w.s,
+                    w.a.cols())
+              .execute_fusedmm(FusedOrientation::A, Elision::None, w.s, w.a,
+                               w.b);
       const auto m = machine();
       baseline_comm[i] = kPaperCalls * result.stats.modeled_comm_seconds(m);
       baseline[i] =

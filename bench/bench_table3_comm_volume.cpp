@@ -46,9 +46,10 @@ int main() {
   }
 
   for (const auto& cs : cases) {
-    auto algo = make_algorithm(cs.variant.kind, cs.p, cs.c);
-    const auto result = algo->run_fusedmm(FusedOrientation::A,
-                                          cs.variant.elision, w.s, w.a, w.b);
+    const auto result =
+        make_plan(cs.variant.kind, cs.p, cs.c, w.s, w.a.cols())
+            .execute_fusedmm(FusedOrientation::A, cs.variant.elision, w.s,
+                             w.a, w.b);
     const auto measured = result.stats.max_words(Phase::Replication) +
                           result.stats.max_words(Phase::Propagation);
     const auto model = fusedmm_cost(cs.variant.kind, cs.variant.elision,

@@ -12,7 +12,7 @@
 #include <cstdlib>
 
 #include "common/rng.hpp"
-#include "dist/algorithm.hpp"
+#include "dist/plan.hpp"
 #include "model/predictor.hpp"
 #include "sparse/generate.hpp"
 
@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
   DenseMatrix a(n, r), b(n, r);
   a.fill_random(rng);
   b.fill_random(rng);
-  auto algo = make_algorithm(best.kind, p, best.c);
-  const auto run =
-      algo->run_fusedmm(FusedOrientation::A, best.elision, s, a, b);
+  const auto run = make_plan(best.kind, p, best.c, s, r)
+                       .execute_fusedmm(FusedOrientation::A, best.elision, s,
+                                        a, b);
   const auto measured = run.stats.max_words(Phase::Replication) +
                         run.stats.max_words(Phase::Propagation);
   std::printf("\npredicted winner measured on the simulator: "

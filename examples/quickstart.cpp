@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "common/rng.hpp"
-#include "dist/algorithm.hpp"
+#include "dist/plan.hpp"
 #include "local/reference.hpp"
 #include "model/cost_model.hpp"
 #include "sparse/generate.hpp"
@@ -33,9 +33,10 @@ int main() {
               static_cast<long long>(r));
 
   // 16 simulated ranks, replication factor 4 (the paper's optimal
-  // c = sqrt(p) for the unoptimized sequence).
+  // c = sqrt(p) for the unoptimized sequence). The plan sets up the
+  // sparsity pattern once; all three elisions execute on it.
   const int p = 16, c = 4;
-  auto algo = make_algorithm(AlgorithmKind::DenseShift15D, p, c);
+  const Plan plan = make_plan(AlgorithmKind::DenseShift15D, p, c, s, r);
 
   std::printf("\n%-22s %14s %14s %10s\n", "elision", "repl words",
               "prop words", "max err");
@@ -43,7 +44,7 @@ int main() {
        {Elision::None, Elision::ReplicationReuse,
         Elision::LocalKernelFusion}) {
     const auto result =
-        algo->run_fusedmm(FusedOrientation::A, elision, s, a, b);
+        plan.execute_fusedmm(FusedOrientation::A, elision, s, a, b);
     const auto expected = reference_fusedmm_a(s, a, b);
     const double err = result.output.max_abs_diff(expected) /
                        expected.frobenius_norm();

@@ -4,7 +4,10 @@
 
 #include "common/rng.hpp"
 #include "dense/dense_ops.hpp"
+#include "dist/plan.hpp"
+#include "dist/problem.hpp"
 #include "local/reference.hpp"
+#include "runtime/world.hpp"
 
 namespace dsk {
 
@@ -25,30 +28,42 @@ CooMatrix indicator(const CooMatrix& observed) {
 /// (B update); `s`/`mask` are the observations and their indicator in
 /// the orientation's layout (the caller passes S for A-updates, the same
 /// S for B-updates — the kernels handle the transposition internally).
-void cg_half_sweep(const DistAlgorithm& algo, const AlsConfig& config,
-                   const CooMatrix& observed, const CooMatrix& mask,
-                   FusedOrientation orientation, const DenseMatrix& other,
-                   DenseMatrix& x, AppCosts& costs) {
+/// Every kernel runs on the resident `world`.
+void cg_half_sweep(const AlsConfig& config, const CooMatrix& observed,
+                   const CooMatrix& mask, FusedOrientation orientation,
+                   const DenseMatrix& other, DenseMatrix& x,
+                   SimWorld& world, AppCosts& costs) {
   const Index rows = x.rows();
   const Index r = x.cols();
   const auto m = static_cast<double>(rows);
+  const ExecuteOptions exec{.world = &world};
 
   // Per-iteration application-side charges (documented in app_stats.hpp):
   // two batched dot reductions and the axpy flops; plus one output
   // redistribution per FusedMM for displaced output layouts.
   const double dot_words =
-      rowdot_reduction_words(algo.kind(), config.p, config.c, m);
+      rowdot_reduction_words(config.kind, config.p, config.c, m);
   const double redist_words = redistribution_words(
-      algo.kind(), m, static_cast<double>(r), config.p);
+      config.kind, m, static_cast<double>(r), config.p);
 
+  // x is the A operand of an A update and the B operand of a B update.
+  const bool a_side = orientation == FusedOrientation::A;
+
+  // rhs = SpMM(observed) in the matching orientation, on a temporary
+  // plan that is gone before the mask's is built: one setup is alive at
+  // a time.
+  KernelResult rhs_result =
+      make_plan(config.kind, config.p, config.c, observed, r)
+          .execute(a_side ? Mode::SpMMA : Mode::SpMMB, observed,
+                   a_side ? x : other, a_side ? other : x, exec);
+  costs.add_kernel(rhs_result.stats, config.machine);
+  DenseMatrix rhs = std::move(rhs_result.dense);
+
+  const Plan plan = make_plan(config.kind, config.p, config.c, mask, r);
   auto matvec = [&](const DenseMatrix& v) {
-    FusedResult fused = orientation == FusedOrientation::A
-                            ? algo.run_fusedmm(FusedOrientation::A,
-                                               config.elision, mask, v,
-                                               other)
-                            : algo.run_fusedmm(FusedOrientation::B,
-                                               config.elision, mask, other,
-                                               v);
+    FusedResult fused =
+        plan.execute_fusedmm(orientation, config.elision, mask,
+                             a_side ? v : other, a_side ? other : v, 1, exec);
     costs.add_kernel(fused.stats, config.machine);
     costs.add_app_comm(redist_words, config.machine);
     axpy(config.lambda, v, fused.output);
@@ -56,14 +71,6 @@ void cg_half_sweep(const DistAlgorithm& algo, const AlsConfig& config,
         static_cast<std::uint64_t>(2 * rows * r), config.p, config.machine);
     return std::move(fused.output);
   };
-
-  // rhs = SpMM(observed) in the matching orientation.
-  KernelResult rhs_result =
-      orientation == FusedOrientation::A
-          ? algo.run_kernel(Mode::SpMMA, observed, x, other)
-          : algo.run_kernel(Mode::SpMMB, observed, other, x);
-  costs.add_kernel(rhs_result.stats, config.machine);
-  DenseMatrix rhs = std::move(rhs_result.dense);
 
   // Batched CG: every row runs its own CG with shared kernel calls.
   DenseMatrix residual = rhs;
@@ -124,10 +131,11 @@ AlsResult run_als(const CooMatrix& observed, const AlsConfig& config) {
   check(observed.nnz() > 0, "run_als: no observations");
   check(config.rank >= 1 && config.cg_iterations >= 1 && config.sweeps >= 1,
         "run_als: invalid configuration");
-  auto algo = make_algorithm(config.kind, config.p, config.c);
-  check(algo->supports(config.elision), "run_als: ", to_string(config.kind),
-        " does not support ", to_string(config.elision));
-  algo->validate_dims(observed.rows(), observed.cols(), config.rank);
+  check(supports(config.kind, config.elision), "run_als: ",
+        to_string(config.kind), " does not support ",
+        to_string(config.elision));
+  validate_dims(config.kind, config.p, config.c, observed.rows(),
+                observed.cols(), config.rank);
 
   const CooMatrix mask = indicator(observed);
 
@@ -142,11 +150,12 @@ AlsResult run_als(const CooMatrix& observed, const AlsConfig& config) {
   result.loss_history.push_back(
       als_loss(observed, result.a, result.b, config.lambda));
 
+  SimWorld world(config.p);
   for (int sweep = 0; sweep < config.sweeps; ++sweep) {
-    cg_half_sweep(*algo, config, observed, mask, FusedOrientation::A,
-                  result.b, result.a, result.costs);
-    cg_half_sweep(*algo, config, observed, mask, FusedOrientation::B,
-                  result.a, result.b, result.costs);
+    cg_half_sweep(config, observed, mask, FusedOrientation::A, result.b,
+                  result.a, world, result.costs);
+    cg_half_sweep(config, observed, mask, FusedOrientation::B, result.a,
+                  result.b, world, result.costs);
     result.loss_history.push_back(
         als_loss(observed, result.a, result.b, config.lambda));
     // Loss evaluation: one SDDMM-equivalent pass.

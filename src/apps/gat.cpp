@@ -4,7 +4,9 @@
 
 #include "common/rng.hpp"
 #include "dense/dense_ops.hpp"
+#include "dist/plan.hpp"
 #include "local/gat_kernels.hpp"
+#include "runtime/world.hpp"
 #include "sparse/convert.hpp"
 
 namespace dsk {
@@ -108,12 +110,9 @@ GatResult gat_forward(const CooMatrix& adjacency,
   check(!(config.softmax && config.elision == Elision::LocalKernelFusion),
         "gat_forward: local kernel fusion is incompatible with softmax "
         "edge regularization (paper Section VI-E)");
-  auto algo = make_algorithm(config.kind, config.p, config.c);
-  check(algo->supports(config.elision), "gat_forward: ",
+  check(supports(config.kind, config.elision), "gat_forward: ",
         to_string(config.kind), " does not support ",
         to_string(config.elision));
-  algo->validate_dims(adjacency.rows(), adjacency.cols(),
-                      config.out_features);
 
   const Index n = adjacency.rows();
   GatResult result{
@@ -121,9 +120,13 @@ GatResult gat_forward(const CooMatrix& adjacency,
       {}};
 
   // An indicator copy drives the SDDMM (values multiply the dots, so use
-  // ones and keep the raw logits).
+  // ones and keep the raw logits). Its one plan serves every head.
   CooMatrix mask = adjacency;
   for (auto& v : mask.values()) v = 1.0;
+  const Plan mask_plan = make_plan(config.kind, config.p, config.c, mask,
+                                   config.out_features);
+  SimWorld world(config.p);
+  const ExecuteOptions exec{.world = &world};
 
   const auto weights = make_weights(features.cols(), config.out_features,
                                     config.heads, config.seed);
@@ -145,7 +148,7 @@ GatResult gat_forward(const CooMatrix& adjacency,
 
     // Distributed SDDMM producing the attention logits.
     auto [ua, vb] = logit_embeddings(u, v, config.out_features);
-    const auto logits = algo->run_kernel(Mode::SDDMM, mask, ua, vb);
+    const auto logits = mask_plan.execute(Mode::SDDMM, mask, ua, vb, exec);
     result.costs.add_kernel(logits.stats, config.machine);
 
     // LeakyReLU + softmax: row statistics need one combine across the
@@ -162,8 +165,11 @@ GatResult gat_forward(const CooMatrix& adjacency,
           config.machine);
     }
 
-    // Distributed aggregation H' = S' . (HW).
-    const auto aggregated = algo->run_kernel(Mode::SpMMA, attn, hw, hw);
+    // Distributed aggregation H' = S' . (HW). The attention values
+    // change per head, so each head plans its own S'.
+    const auto aggregated =
+        make_plan(config.kind, config.p, config.c, attn, config.out_features)
+            .execute(Mode::SpMMA, attn, hw, hw, exec);
     result.costs.add_kernel(aggregated.stats, config.machine);
     result.costs.add_app_comm(
         redistribution_words(config.kind, static_cast<double>(n),

@@ -4,6 +4,8 @@
 
 #include "common/rng.hpp"
 #include "dense/dense_ops.hpp"
+#include "dist/plan.hpp"
+#include "runtime/world.hpp"
 
 namespace dsk {
 
@@ -61,7 +63,6 @@ CooMatrix row_normalized(const CooMatrix& adjacency) {
 GnnResult gnn_forward(const CooMatrix& adjacency,
                       const DenseMatrix& features, const GnnConfig& config) {
   validate(adjacency, features, config);
-  auto algo = make_algorithm(config.kind, config.p, config.c);
 
   const CooMatrix s = config.normalize_adjacency
                           ? row_normalized(adjacency)
@@ -69,10 +70,13 @@ GnnResult gnn_forward(const CooMatrix& adjacency,
   const auto weights = make_weights(config);
 
   GnnResult result;
+  SimWorld world(config.p);
+  const ExecuteOptions exec{.world = &world};
   DenseMatrix h = features;
   for (std::size_t l = 0; l < weights.size(); ++l) {
     const Index width_out = config.layer_widths[l + 1];
-    algo->validate_dims(s.rows(), s.cols(), width_out);
+    // One plan per layer: the width is part of the setup.
+    const Plan plan = make_plan(config.kind, config.p, config.c, s, width_out);
 
     // Local feature transform H W (each rank transforms its rows).
     DenseMatrix hw(h.rows(), width_out);
@@ -82,7 +86,7 @@ GnnResult gnn_forward(const CooMatrix& adjacency,
         config.p, config.machine);
 
     // Distributed aggregation S . (H W).
-    auto aggregated = algo->run_kernel(Mode::SpMMA, s, hw, hw);
+    auto aggregated = plan.execute(Mode::SpMMA, s, hw, hw, exec);
     result.costs.add_kernel(aggregated.stats, config.machine);
     result.costs.add_app_comm(
         redistribution_words(config.kind, static_cast<double>(s.rows()),

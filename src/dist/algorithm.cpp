@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "dist/families.hpp"
 #include "dist/replication_cache.hpp"
 #include "dist/grid.hpp"
@@ -16,215 +15,39 @@
 
 namespace dsk {
 
-void DistAlgorithm::validate_dims(Index m, Index n, Index r) const {
-  check(m >= 1 && n >= 1 && r >= 1, "validate_dims: empty problem ", m,
-        " x ", n, " x ", r);
-  const auto req = dims_requirement(kind_, p_, c_);
-  check(m % req.m_multiple == 0, to_string(kind_), ": m = ", m,
-        " is not a multiple of ", req.m_multiple, " (p=", p_, " c=", c_,
-        "); call pad_problem first");
-  check(n % req.n_multiple == 0, to_string(kind_), ": n = ", n,
-        " is not a multiple of ", req.n_multiple, " (p=", p_, " c=", c_,
-        "); call pad_problem first");
-  check(r % req.r_multiple == 0, to_string(kind_), ": r = ", r,
-        " is not a multiple of ", req.r_multiple, " (p=", p_, " c=", c_,
-        "); call pad_problem first");
-}
-
-namespace {
-
-void validate_inputs(const DistAlgorithm& algo, const CooMatrix& s,
-                     const DenseMatrix& a, const DenseMatrix& b) {
-  check(s.is_sorted_unique(),
-        to_string(algo.kind()),
-        ": sparse input must be sorted with unique entries "
-        "(call sort_and_combine first)");
-  check(a.rows() == s.rows(), to_string(algo.kind()), ": A has ", a.rows(),
-        " rows, S has ", s.rows());
-  check(b.rows() == s.cols(), to_string(algo.kind()), ": B has ", b.rows(),
-        " rows, S has ", s.cols(), " cols");
-  check(a.cols() == b.cols(), to_string(algo.kind()), ": A width ",
-        a.cols(), " != B width ", b.cols());
-  algo.validate_dims(s.rows(), s.cols(), a.cols());
-}
-
-/// True when the options' fault plan injects rank crashes — the only
-/// runs that build recovery stores or arm degradation.
-bool can_crash(const AlgorithmOptions& options) {
-  return options.faults != nullptr && options.faults->enabled() &&
-         !options.faults->crashes.empty();
-}
-
-/// Run `attempt` and, when degradation is armed and the run loses a rank
-/// for good, re-shard the padded problem onto the largest valid smaller
-/// grid and re-run there, fault-free, from a digest-verified checkpoint
-/// of the sparse input. `rerun(sub, padded)` runs the call on the smaller
-/// driver and `unpad(out)` trims its output back to the caller's shape.
-template <class Result, class Attempt, class Rerun, class Unpad>
-Result run_degradable(const DistAlgorithm& algo, const CooMatrix& s,
-                      const DenseMatrix& a, const DenseMatrix& b,
-                      const Attempt& attempt, const Rerun& rerun,
-                      const Unpad& unpad) {
-  const AlgorithmOptions& options = algo.options();
-  if (!options.degrade || !can_crash(options)) return attempt();
-  CheckpointStore inputs(1);
-  inputs.save_shard(0, {s.values().begin(), s.values().end()});
-  try {
-    return attempt();
-  } catch (const WorldError& e) {
-    if (e.crash().rank < 0) throw;
-    const auto [p2, c2] = shrink_config(algo.kind(), algo.p(), algo.c());
-    // The re-plan must not trust memory a crashed world touched.
-    const auto saved = inputs.restore(0).values;
-    CooMatrix healed = s;
-    std::copy(saved.begin(), saved.end(), healed.values().begin());
-    // The dead rank is gone from the new grid, so the shrunken world runs
-    // fault-free.
-    AlgorithmOptions sub_options = options;
-    sub_options.faults = nullptr;
-    sub_options.degrade = false;
-    const auto sub = make_algorithm(algo.kind(), p2, c2, sub_options);
-    Result out =
-        rerun(*sub, pad_problem(algo.kind(), p2, c2, healed, a, b));
-    unpad(out);
-    // The smaller world's re-plan is reported by degraded(), not as a
-    // setup build of this call.
-    out.stats.set_setup(0, 0.0);
-    out.stats.set_degradation(e.crash().rank, algo.p(), p2);
-    return out;
+bool supports(AlgorithmKind kind, Elision elision) {
+  switch (kind) {
+    case AlgorithmKind::DenseShift15D:
+      return true;
+    case AlgorithmKind::SparseShift15D:
+    case AlgorithmKind::DenseRepl25D:
+      return elision != Elision::LocalKernelFusion;
+    case AlgorithmKind::SparseRepl25D:
+    case AlgorithmKind::Baseline1D:
+      return elision == Elision::None;
   }
+  return false;
 }
 
-} // namespace
-
-std::shared_ptr<const PlanData> DistAlgorithm::make_plan_data(
-    const CooMatrix& s, Index r) const {
-  check(s.is_sorted_unique(), to_string(kind_),
-        ": sparse input must be sorted with unique entries "
-        "(call sort_and_combine first)");
-  validate_dims(s.rows(), s.cols(), r);
-  return do_make_plan(s, r);
+std::string unsupported_reason(AlgorithmKind kind, Mode mode) {
+  if (kind == AlgorithmKind::Baseline1D && mode != Mode::SpMMA) {
+    return "1D-Baseline supports SpMMA only (the paper's baseline runs "
+           "FusedMM as two SpMM calls)";
+  }
+  return {};
 }
 
-KernelResult DistAlgorithm::run_kernel(Mode mode, const CooMatrix& s,
-                                       const DenseMatrix& a,
-                                       const DenseMatrix& b) const {
-  validate_inputs(*this, s, a, b);
-  Timer timer;
-  const auto plan = do_make_plan(s, a.cols());
-  const double setup_seconds = timer.seconds();
-  ExecContext ctx;
-  ctx.plan = plan.get();
-  KernelResult out = run_planned_kernel(ctx, mode, s, a, b);
-  out.stats.add_setup(1, setup_seconds);
-  return out;
-}
-
-KernelResult DistAlgorithm::run_kernel(const ExecContext& ctx, Mode mode,
-                                       const CooMatrix& s,
-                                       const DenseMatrix& a,
-                                       const DenseMatrix& b) const {
-  check(ctx.plan != nullptr, to_string(kind_),
-        ": ExecContext carries no plan; build one with make_plan_data");
-  validate_inputs(*this, s, a, b);
-  return run_planned_kernel(ctx, mode, s, a, b);
-}
-
-KernelResult DistAlgorithm::run_planned_kernel(const ExecContext& ctx,
-                                               Mode mode, const CooMatrix& s,
-                                               const DenseMatrix& a,
-                                               const DenseMatrix& b) const {
-  const auto attempt = [&] {
-    KernelResult out;
-    if (mode == Mode::SDDMM) {
-      out.sddmm_values.assign(static_cast<std::size_t>(s.nnz()), Scalar{0});
-    } else {
-      out.dense = DenseMatrix::uninitialized(
-          mode == Mode::SpMMA ? s.rows() : s.cols(), a.cols());
-    }
-    do_run_kernel(ctx, mode, s, a, b, out);
-    return out;
-  };
-  return run_degradable<KernelResult>(
-      *this, s, a, b, attempt,
-      [&](const DistAlgorithm& sub, const PaddedProblem& padded) {
-        return sub.run_kernel(mode, padded.s, padded.a, padded.b);
-      },
-      [&](KernelResult& out) {
-        if (mode == Mode::SpMMA) {
-          out.dense = unpad_dense(out.dense, s.rows(), a.cols());
-        } else if (mode == Mode::SpMMB) {
-          out.dense = unpad_dense(out.dense, s.cols(), a.cols());
-        } else {
-          // Padding adds no nonzeros, so the SDDMM values come back in
-          // the original entry order already.
-          check(out.sddmm_values.size() ==
-                    static_cast<std::size_t>(s.nnz()),
-                "degraded SDDMM returned ", out.sddmm_values.size(),
-                " values for ", s.nnz(), " nonzeros");
-        }
-      });
-}
-
-FusedResult DistAlgorithm::run_fusedmm(FusedOrientation orientation,
-                                       Elision elision, const CooMatrix& s,
-                                       const DenseMatrix& a,
-                                       const DenseMatrix& b,
-                                       int repetitions) const {
-  check(supports(elision), to_string(kind_), " does not support ",
-        to_string(elision));
-  check(repetitions >= 1, "run_fusedmm: repetitions must be positive, got ",
-        repetitions);
-  validate_inputs(*this, s, a, b);
-  Timer timer;
-  const auto plan = do_make_plan(s, a.cols());
-  const double setup_seconds = timer.seconds();
-  ExecContext ctx;
-  ctx.plan = plan.get();
-  FusedResult out =
-      run_planned_fusedmm(ctx, orientation, elision, s, a, b, repetitions);
-  out.stats.add_setup(1, setup_seconds);
-  return out;
-}
-
-FusedResult DistAlgorithm::run_fusedmm(const ExecContext& ctx,
-                                       FusedOrientation orientation,
-                                       Elision elision, const CooMatrix& s,
-                                       const DenseMatrix& a,
-                                       const DenseMatrix& b,
-                                       int repetitions) const {
-  check(ctx.plan != nullptr, to_string(kind_),
-        ": ExecContext carries no plan; build one with make_plan_data");
-  check(supports(elision), to_string(kind_), " does not support ",
-        to_string(elision));
-  check(repetitions >= 1, "run_fusedmm: repetitions must be positive, got ",
-        repetitions);
-  validate_inputs(*this, s, a, b);
-  return run_planned_fusedmm(ctx, orientation, elision, s, a, b,
-                             repetitions);
-}
-
-FusedResult DistAlgorithm::run_planned_fusedmm(
-    const ExecContext& ctx, FusedOrientation orientation, Elision elision,
-    const CooMatrix& s, const DenseMatrix& a, const DenseMatrix& b,
-    int repetitions) const {
-  const Index out_rows =
-      orientation == FusedOrientation::A ? s.rows() : s.cols();
-  const auto attempt = [&] {
-    FusedResult out;
-    out.output = DenseMatrix::uninitialized(out_rows, a.cols());
-    do_run_fusedmm(ctx, orientation, elision, s, a, b, repetitions, out);
-    return out;
-  };
-  return run_degradable<FusedResult>(
-      *this, s, a, b, attempt,
-      [&](const DistAlgorithm& sub, const PaddedProblem& padded) {
-        return sub.run_fusedmm(orientation, elision, padded.s, padded.a,
-                               padded.b, repetitions);
-      },
-      [&](FusedResult& out) {
-        out.output = unpad_dense(out.output, out_rows, a.cols());
-      });
+std::string unsupported_reason(AlgorithmKind kind,
+                               FusedOrientation orientation,
+                               Elision elision) {
+  if (!supports(kind, elision)) {
+    return to_string(kind) + " does not support " + to_string(elision);
+  }
+  if (kind == AlgorithmKind::Baseline1D &&
+      orientation != FusedOrientation::A) {
+    return "1D-Baseline supports FusedMM orientation A only";
+  }
+  return {};
 }
 
 bool valid_config(AlgorithmKind kind, int p, int c) {
@@ -251,6 +74,141 @@ std::pair<int, int> shrink_config(AlgorithmKind kind, int p, int c) {
        " grid smaller than p=", p, " c=", c);
 }
 
+namespace detail {
+namespace {
+
+void check_shapes(AlgorithmKind kind, const CooMatrix& s,
+                  const DenseMatrix& a, const DenseMatrix& b) {
+  check(a.rows() == s.rows(), to_string(kind), ": A has ", a.rows(),
+        " rows, S has ", s.rows());
+  check(b.rows() == s.cols(), to_string(kind), ": B has ", b.rows(),
+        " rows, S has ", s.cols(), " cols");
+  check(a.cols() == b.cols(), to_string(kind), ": A width ", a.cols(),
+        " != B width ", b.cols());
+}
+
+/// True when the options' fault plan injects rank crashes — the only
+/// runs that build recovery stores or arm degradation.
+bool can_crash(const AlgorithmOptions& options) {
+  return options.faults != nullptr && options.faults->enabled() &&
+         !options.faults->crashes.empty();
+}
+
+/// Run `attempt` and, when degradation is armed and the run loses a rank
+/// for good, re-shard the padded problem onto the largest valid smaller
+/// grid and re-run there, fault-free, from a digest-verified checkpoint
+/// of the sparse input. `rerun(sub, ctx, padded)` runs the call on the
+/// smaller driver's plan and `unpad(out)` trims its output back to the
+/// caller's shape.
+template <class Result, class Attempt, class Rerun, class Unpad>
+Result run_degradable(const DistAlgorithm& algo, const CooMatrix& s,
+                      const DenseMatrix& a, const DenseMatrix& b,
+                      const Attempt& attempt, const Rerun& rerun,
+                      const Unpad& unpad) {
+  const AlgorithmOptions& options = algo.options();
+  if (!options.degrade || !can_crash(options)) return attempt();
+  CheckpointStore inputs(1);
+  inputs.save_shard(0, {s.values().begin(), s.values().end()});
+  try {
+    return attempt();
+  } catch (const WorldError& e) {
+    if (e.crash().rank < 0) throw;
+    const auto [p2, c2] = shrink_config(algo.kind(), algo.p(), algo.c());
+    // The re-plan must not trust memory a crashed world touched.
+    const auto saved = inputs.restore(0).values;
+    CooMatrix healed = s;
+    std::copy(saved.begin(), saved.end(), healed.values().begin());
+    // The dead rank is gone from the new grid, so the shrunken world runs
+    // fault-free.
+    AlgorithmOptions sub_options = options;
+    sub_options.faults = nullptr;
+    sub_options.degrade = false;
+    const auto sub = make_algorithm(algo.kind(), p2, c2, sub_options);
+    const PaddedProblem padded =
+        pad_problem(algo.kind(), p2, c2, healed, a, b);
+    const auto plan = sub->make_plan_data(padded.s, padded.a.cols());
+    ExecContext ctx;
+    ctx.plan = plan.get();
+    Result out = rerun(*sub, ctx, padded);
+    unpad(out);
+    out.stats.set_degradation(e.crash().rank, algo.p(), p2);
+    return out;
+  }
+}
+
+} // namespace
+
+KernelResult DistAlgorithm::run_kernel(const ExecContext& ctx, Mode mode,
+                                       const CooMatrix& s,
+                                       const DenseMatrix& a,
+                                       const DenseMatrix& b) const {
+  const std::string why = unsupported_reason(kind_, mode);
+  check(why.empty(), why);
+  check_shapes(kind_, s, a, b);
+  const auto attempt = [&] {
+    KernelResult out;
+    if (mode == Mode::SDDMM) {
+      out.sddmm_values.assign(static_cast<std::size_t>(s.nnz()), Scalar{0});
+    } else {
+      out.dense = DenseMatrix::uninitialized(
+          mode == Mode::SpMMA ? s.rows() : s.cols(), a.cols());
+    }
+    do_run_kernel(ctx, mode, s, a, b, out);
+    return out;
+  };
+  return run_degradable<KernelResult>(
+      *this, s, a, b, attempt,
+      [&](const DistAlgorithm& sub, const ExecContext& sub_ctx,
+          const PaddedProblem& padded) {
+        return sub.run_kernel(sub_ctx, mode, padded.s, padded.a, padded.b);
+      },
+      [&](KernelResult& out) {
+        if (mode == Mode::SpMMA) {
+          out.dense = unpad_dense(out.dense, s.rows(), a.cols());
+        } else if (mode == Mode::SpMMB) {
+          out.dense = unpad_dense(out.dense, s.cols(), a.cols());
+        } else {
+          // Padding adds no nonzeros, so the SDDMM values come back in
+          // the original entry order already.
+          check(out.sddmm_values.size() ==
+                    static_cast<std::size_t>(s.nnz()),
+                "degraded SDDMM returned ", out.sddmm_values.size(),
+                " values for ", s.nnz(), " nonzeros");
+        }
+      });
+}
+
+FusedResult DistAlgorithm::run_fusedmm(const ExecContext& ctx,
+                                       FusedOrientation orientation,
+                                       Elision elision, const CooMatrix& s,
+                                       const DenseMatrix& a,
+                                       const DenseMatrix& b,
+                                       int repetitions) const {
+  const std::string why = unsupported_reason(kind_, orientation, elision);
+  check(why.empty(), why);
+  check(repetitions >= 1, "run_fusedmm: repetitions must be positive, got ",
+        repetitions);
+  check_shapes(kind_, s, a, b);
+  const Index out_rows =
+      orientation == FusedOrientation::A ? s.rows() : s.cols();
+  const auto attempt = [&] {
+    FusedResult out;
+    out.output = DenseMatrix::uninitialized(out_rows, a.cols());
+    do_run_fusedmm(ctx, orientation, elision, s, a, b, repetitions, out);
+    return out;
+  };
+  return run_degradable<FusedResult>(
+      *this, s, a, b, attempt,
+      [&](const DistAlgorithm& sub, const ExecContext& sub_ctx,
+          const PaddedProblem& padded) {
+        return sub.run_fusedmm(sub_ctx, orientation, elision, padded.s,
+                               padded.a, padded.b, repetitions);
+      },
+      [&](FusedResult& out) {
+        out.output = unpad_dense(out.output, out_rows, a.cols());
+      });
+}
+
 std::unique_ptr<DistAlgorithm> make_algorithm(AlgorithmKind kind, int p,
                                               int c,
                                               const AlgorithmOptions& options) {
@@ -258,20 +216,18 @@ std::unique_ptr<DistAlgorithm> make_algorithm(AlgorithmKind kind, int p,
         to_string(kind), " p=", p, " c=", c);
   switch (kind) {
     case AlgorithmKind::DenseShift15D:
-      return detail::make_dense_shift_15d(p, c, options);
+      return make_dense_shift_15d(p, c, options);
     case AlgorithmKind::SparseShift15D:
-      return detail::make_sparse_shift_15d(p, c, options);
+      return make_sparse_shift_15d(p, c, options);
     case AlgorithmKind::DenseRepl25D:
-      return detail::make_dense_repl_25d(p, c, options);
+      return make_dense_repl_25d(p, c, options);
     case AlgorithmKind::SparseRepl25D:
-      return detail::make_sparse_repl_25d(p, c, options);
+      return make_sparse_repl_25d(p, c, options);
     case AlgorithmKind::Baseline1D:
-      return detail::make_baseline_1d(p, c, options);
+      return make_baseline_1d(p, c, options);
   }
   fail("make_algorithm: unknown algorithm kind");
 }
-
-namespace detail {
 
 CsrMatrix csr_with_values(const CsrMatrix& pattern,
                           std::span<const Scalar> values) {
@@ -367,32 +323,24 @@ class Baseline1D final : public DistAlgorithm {
   Baseline1D(int p, int c, const AlgorithmOptions& options)
       : DistAlgorithm(AlgorithmKind::Baseline1D, p, c, options) {}
 
-  bool supports(Elision elision) const override {
-    return elision == Elision::None;
-  }
-
- protected:
-  std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
-                                               Index r) const override {
+  std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
+                                                 Index r) const override {
     return freeze_setup(make_setup(s, r));
   }
 
-  void do_run_kernel(const ExecContext& ctx, Mode mode, const CooMatrix&,
+ protected:
+  /// unsupported_reason admits SpMMA and orientation-A FusedMM only.
+  void do_run_kernel(const ExecContext& ctx, Mode, const CooMatrix&,
                      const DenseMatrix& a, const DenseMatrix& b,
                      KernelResult& out) const override {
-    check(mode == Mode::SpMMA,
-          "1D-Baseline supports SpMMA only (the paper's baseline runs "
-          "FusedMM as two SpMM calls)");
     out.stats = run(ctx, a, b, /*fused=*/false, /*repetitions=*/1,
                     out.dense);
   }
 
-  void do_run_fusedmm(const ExecContext& ctx, FusedOrientation orientation,
-                      Elision, const CooMatrix&, const DenseMatrix& a,
+  void do_run_fusedmm(const ExecContext& ctx, FusedOrientation, Elision,
+                      const CooMatrix&, const DenseMatrix& a,
                       const DenseMatrix& b, int repetitions,
                       FusedResult& out) const override {
-    check(orientation == FusedOrientation::A,
-          "1D-Baseline supports FusedMM orientation A only");
     out.stats = run(ctx, a, b, /*fused=*/true, repetitions, out.output);
   }
 
@@ -413,10 +361,6 @@ class Baseline1D final : public DistAlgorithm {
     su.m = s.rows();
     su.n = s.cols();
     su.r = r;
-    check(su.m % p() == 0 && su.n % p() == 0,
-          "1D-Baseline: m = ", su.m, ", n = ", su.n,
-          " must be multiples of p = ", p(),
-          "; call pad_problem first");
     su.row_blk = su.m / p();
     su.col_blk = su.n / p();
     su.cols.resize(static_cast<std::size_t>(p()));

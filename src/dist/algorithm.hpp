@@ -1,19 +1,23 @@
 #pragma once
 /// \file algorithm.hpp
-/// The distributed algorithm drivers (paper Section V): 1.5D
-/// dense-shifting (Algorithm 1), 1.5D sparse-shifting, the 2.5D
-/// dense-replicating (Algorithm 2) and sparse-replicating variants, and
-/// the PETSc-like 1D block-row baseline. Every driver runs the unified
-/// kernel (SDDMM / SpMMA / SpMMB — Section IV-A) and FusedMM in both
-/// orientations with the communication-eliding strategies of Section
-/// IV-B, over the simulated runtime with word-exact cost accounting.
+/// What callers of the distributed algorithm drivers (paper Section V)
+/// name: the options, the results, and which family runs which op. The
+/// families are 1.5D dense-shifting (Algorithm 1), 1.5D sparse-shifting,
+/// the 2.5D dense-replicating (Algorithm 2) and sparse-replicating
+/// variants, and the PETSc-like 1D block-row baseline. Every driver runs
+/// the unified kernel (SDDMM / SpMMA / SpMMB — Section IV-A) and FusedMM
+/// in both orientations with the communication-eliding strategies of
+/// Section IV-B, over the simulated runtime with word-exact cost
+/// accounting. The drivers themselves are internal (dist/families.hpp);
+/// the one way to run them is `make_plan` + `Plan::execute` in
+/// dist/plan.hpp.
 ///
 /// All algorithms verify against the same serial references; the cost
 /// property tests additionally assert that the measured replication and
 /// propagation words equal the paper's Table III closed forms exactly on
 /// load-balanced inputs.
 
-#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,34 +98,6 @@ struct KernelResult {
   WorldStats stats;
 };
 
-class SimWorld;
-class ReplicationCache;
-
-/// Type-erased per-driver setup snapshot (grid, shards, support unions)
-/// built once by `DistAlgorithm::make_plan_data` and reusable across
-/// calls. Each driver derives its own snapshot and rejects foreign ones,
-/// so a plan can only be executed by the driver configuration that built
-/// it. Immutable after construction.
-struct PlanData {
-  PlanData() = default;
-  PlanData(const PlanData&) = delete;
-  PlanData& operator=(const PlanData&) = delete;
-  virtual ~PlanData() = default;
-};
-
-/// Per-call execution context for the plan/execute path. `plan` is the
-/// prebuilt setup snapshot (null = build fresh inside the call); `world`
-/// is an optional resident SimWorld to run on instead of a one-shot
-/// world (must match the driver's p); `cache` is an optional cross-call
-/// replicated-factor cache (see dist/replication_cache.hpp) consulted by
-/// the blocking replication prologues — ignored by families whose
-/// replication is already sparsity-sized and whenever faults are armed.
-struct ExecContext {
-  const PlanData* plan = nullptr;
-  SimWorld* world = nullptr;
-  ReplicationCache* cache = nullptr;
-};
-
 /// Result of a FusedMM call: the A-shaped (orientation A) or B-shaped
 /// (orientation B) global output.
 struct FusedResult {
@@ -129,98 +105,22 @@ struct FusedResult {
   WorldStats stats;
 };
 
-class DistAlgorithm {
- public:
-  DistAlgorithm(AlgorithmKind kind, int p, int c,
-                const AlgorithmOptions& options)
-      : kind_(kind), p_(p), c_(c), options_(options) {}
-  virtual ~DistAlgorithm() = default;
+/// True when the family admits the eliding strategy (paper Figure 1:
+/// local kernel fusion needs co-located full rows, so only 1.5D dense
+/// shifting supports it; 2.5D sparse replication and the 1D baseline
+/// elide nothing).
+bool supports(AlgorithmKind kind, Elision elision);
 
-  AlgorithmKind kind() const { return kind_; }
-  int p() const { return p_; }
-  int c() const { return c_; }
-  const AlgorithmOptions& options() const { return options_; }
+/// Why the family cannot run the unified kernel in `mode`, or empty when
+/// it can: the 1D baseline runs SpMMA only.
+std::string unsupported_reason(AlgorithmKind kind, Mode mode);
 
-  /// True when the family admits the eliding strategy (paper Figure 1:
-  /// local kernel fusion needs co-located full rows, so only 1.5D dense
-  /// shifting supports it; 2.5D sparse replication elides nothing).
-  virtual bool supports(Elision elision) const = 0;
-
-  /// Throws unless (m, n, r) divide the family's block grid (the
-  /// multiples advertised by dims_requirement in dist/problem.hpp).
-  void validate_dims(Index m, Index n, Index r) const;
-
-  /// Build this driver's setup snapshot for (s, r) without running
-  /// anything: grid placement, shards, and row/col support unions (each
-  /// execute still derives its propagation compression schedules from
-  /// them). The snapshot is immutable and reusable — pass it back
-  /// through ExecContext::plan to skip per-call setup.
-  /// Prefer the `Plan` wrapper in dist/plan.hpp, which also fingerprints
-  /// the inputs the snapshot was built from.
-  std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
-                                                 Index r) const;
-
-  /// Run one unified kernel over the simulated machine and gather the
-  /// global result. Inputs: s sorted with unique entries, a sized
-  /// s.rows() x r, b sized s.cols() x r. SpMMA reads only b, SpMMB only
-  /// a, SDDMM both. Builds the setup fresh (stats report one setup
-  /// build) and runs on a one-shot world.
-  KernelResult run_kernel(Mode mode, const CooMatrix& s,
-                          const DenseMatrix& a, const DenseMatrix& b) const;
-
-  /// Plan/execute variant: run against a prebuilt snapshot (and
-  /// optionally a resident world and replication cache). ctx.plan must
-  /// come from this driver configuration's make_plan_data for the same
-  /// (s, r); stats report zero setup builds. Bit-identical to the fresh
-  /// overload.
-  KernelResult run_kernel(const ExecContext& ctx, Mode mode,
-                          const CooMatrix& s, const DenseMatrix& a,
-                          const DenseMatrix& b) const;
-
-  /// Run FusedMM (SDDMM feeding SpMM) `repetitions` times with the given
-  /// eliding strategy; communication scales exactly linearly in
-  /// repetitions and the output is that of a single call.
-  FusedResult run_fusedmm(FusedOrientation orientation, Elision elision,
-                          const CooMatrix& s, const DenseMatrix& a,
-                          const DenseMatrix& b, int repetitions = 1) const;
-
-  /// Plan/execute variant of run_fusedmm (see the kernel overload).
-  FusedResult run_fusedmm(const ExecContext& ctx,
-                          FusedOrientation orientation, Elision elision,
-                          const CooMatrix& s, const DenseMatrix& a,
-                          const DenseMatrix& b, int repetitions = 1) const;
-
- protected:
-  virtual std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
-                                                       Index r) const = 0;
-  /// Run one call into `out`, whose output arrives allocated: a dense
-  /// result unwritten (the ranks' disjoint blocks cover every row), SDDMM
-  /// values zeroed. The family fills it and sets out.stats.
-  virtual void do_run_kernel(const ExecContext& ctx, Mode mode,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b,
-                             KernelResult& out) const = 0;
-  virtual void do_run_fusedmm(const ExecContext& ctx,
-                              FusedOrientation orientation, Elision elision,
-                              const CooMatrix& s, const DenseMatrix& a,
-                              const DenseMatrix& b, int repetitions,
-                              FusedResult& out) const = 0;
-
- private:
-  KernelResult run_planned_kernel(const ExecContext& ctx, Mode mode,
-                                  const CooMatrix& s, const DenseMatrix& a,
-                                  const DenseMatrix& b) const;
-  FusedResult run_planned_fusedmm(const ExecContext& ctx,
-                                  FusedOrientation orientation,
-                                  Elision elision, const CooMatrix& s,
-                                  const DenseMatrix& a, const DenseMatrix& b,
-                                  int repetitions) const;
-
-  AlgorithmKind kind_;
-  int p_;
-  int c_;
-  AlgorithmOptions options_;
-};
+/// Why the family cannot run FusedMM in this orientation and elision, or
+/// empty when it can: the elision must be supported, and the 1D baseline
+/// runs orientation A only.
+std::string unsupported_reason(AlgorithmKind kind,
+                               FusedOrientation orientation,
+                               Elision elision);
 
 /// True when (p, c) forms a valid grid for the family (c | p; 2.5D
 /// additionally needs p/c square; the baseline has no replication).
@@ -230,9 +130,5 @@ bool valid_config(AlgorithmKind kind, int p, int c);
 /// grid a degraded run re-plans onto after losing a rank. Throws when no
 /// smaller valid configuration exists (p == 1).
 std::pair<int, int> shrink_config(AlgorithmKind kind, int p, int c);
-
-/// Build a driver; throws on invalid (p, c).
-std::unique_ptr<DistAlgorithm> make_algorithm(
-    AlgorithmKind kind, int p, int c, const AlgorithmOptions& options = {});
 
 } // namespace dsk

@@ -38,13 +38,12 @@ class DenseShift15D final : public DistAlgorithm {
       : DistAlgorithm(AlgorithmKind::DenseShift15D, p, c, options),
         grid_(p, c) {}
 
-  bool supports(Elision) const override { return true; }
-
- protected:
-  std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
-                                               Index r) const override {
+  std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
+                                                 Index r) const override {
     return freeze_setup(make_setup(s, r));
   }
+
+ protected:
   void do_run_kernel(const ExecContext& ctx, Mode mode, const CooMatrix& s,
                      const DenseMatrix& a, const DenseMatrix& b,
                      KernelResult& out) const override;
@@ -74,10 +73,6 @@ class DenseShift15D final : public DistAlgorithm {
     su.m = s.rows();
     su.n = s.cols();
     su.r = r;
-    check(su.m % p() == 0 && su.n % p() == 0,
-          "1.5D-DenseShift: m = ", su.m, ", n = ", su.n,
-          " must be multiples of p = ", p(),
-          "; call pad_problem first");
     su.mL = su.m / L;
     su.a_blk = su.m / p();
     su.b_blk = su.n / p();
@@ -384,7 +379,7 @@ void DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
     Timer timer;
     auto st = s.transposed();
     st.sort_and_combine();
-    const auto tplan = do_make_plan(st, b.cols());
+    const auto tplan = make_plan_data(st, b.cols());
     const double setup_seconds = timer.seconds();
     ExecContext tctx = ctx;
     tctx.plan = tplan.get();
@@ -441,15 +436,12 @@ class SparseShift15D final : public DistAlgorithm {
       : DistAlgorithm(AlgorithmKind::SparseShift15D, p, c, options),
         grid_(p, c) {}
 
-  bool supports(Elision elision) const override {
-    return elision != Elision::LocalKernelFusion;
+  std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
+                                                 Index r) const override {
+    return freeze_setup(make_setup(s, r));
   }
 
  protected:
-  std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
-                                               Index r) const override {
-    return freeze_setup(make_setup(s, r));
-  }
   void do_run_kernel(const ExecContext& ctx, Mode mode, const CooMatrix& s,
                      const DenseMatrix& a, const DenseMatrix& b,
                      KernelResult& out) const override;
@@ -481,10 +473,6 @@ class SparseShift15D final : public DistAlgorithm {
     su.m = s.rows();
     su.n = s.cols();
     su.r = r;
-    check(su.m % p() == 0 && su.n % p() == 0 && su.r % L == 0,
-          "1.5D-SparseShift: m = ", su.m, ", n = ", su.n,
-          " must be multiples of p = ", p(), " and r = ", su.r,
-          " a multiple of p/c = ", L, "; call pad_problem first");
     su.mc = su.m / c();
     su.mL = su.m / L;
     su.ncg = su.n / c();

@@ -39,15 +39,12 @@ class DenseRepl25D final : public DistAlgorithm {
       : DistAlgorithm(AlgorithmKind::DenseRepl25D, p, c, options),
         grid_(p, c) {}
 
-  bool supports(Elision elision) const override {
-    return elision != Elision::LocalKernelFusion;
+  std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
+                                                 Index r) const override {
+    return freeze_setup(make_setup(s, r));
   }
 
  protected:
-  std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
-                                               Index r) const override {
-    return freeze_setup(make_setup(s, r));
-  }
   void do_run_kernel(const ExecContext& ctx, Mode mode, const CooMatrix& s,
                      const DenseMatrix& a, const DenseMatrix& b,
                      KernelResult& out) const override;
@@ -78,10 +75,6 @@ class DenseRepl25D final : public DistAlgorithm {
     su.n = s.cols();
     su.r = r;
     const Index qc = static_cast<Index>(q) * c();
-    check(su.m % qc == 0 && su.n % qc == 0 && su.r % q == 0,
-          "2.5D-DenseRepl: m = ", su.m, ", n = ", su.n,
-          " must be multiples of q*c = ", qc, " and r = ", su.r,
-          " a multiple of q = ", q, "; call pad_problem first");
     su.mq = su.m / q;
     su.mqc = su.mq / c();
     su.nqc = su.n / qc;
@@ -414,15 +407,12 @@ class SparseRepl25D final : public DistAlgorithm {
       : DistAlgorithm(AlgorithmKind::SparseRepl25D, p, c, options),
         grid_(p, c) {}
 
-  bool supports(Elision elision) const override {
-    return elision == Elision::None;
+  std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
+                                                 Index r) const override {
+    return freeze_setup(make_setup(s, r));
   }
 
  protected:
-  std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
-                                               Index r) const override {
-    return freeze_setup(make_setup(s, r));
-  }
   void do_run_kernel(const ExecContext& ctx, Mode mode, const CooMatrix& s,
                      const DenseMatrix& a, const DenseMatrix& b,
                      KernelResult& out) const override;
@@ -450,12 +440,6 @@ class SparseRepl25D final : public DistAlgorithm {
     su.m = s.rows();
     su.n = s.cols();
     su.r = r;
-    check(su.m % q == 0 && su.n % q == 0 &&
-              su.r % (static_cast<Index>(q) * c()) == 0,
-          "2.5D-SparseRepl: m = ", su.m, ", n = ", su.n,
-          " must be multiples of q = ", q, " and r = ", su.r,
-          " a multiple of q*c = ",
-          static_cast<Index>(q) * c(), "; call pad_problem first");
     su.mq = su.m / q;
     su.nq = su.n / q;
     su.rqc = su.r / (static_cast<Index>(q) * c());

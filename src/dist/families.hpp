@@ -1,22 +1,112 @@
 #pragma once
 /// \file families.hpp
-/// Internal: per-family driver factories (implemented in
-/// algorithm_15d.cpp / algorithm_25d.cpp / algorithm.cpp) plus what the
-/// family drivers share: typed plan snapshots, crash recovery, and the
-/// view of a shard with the values its kernels read. Not part of the
-/// public API.
+/// Internal: the driver interface every family implements, the factory
+/// and per-family constructors (implemented in algorithm_15d.cpp /
+/// algorithm_25d.cpp / algorithm.cpp), plus what the family drivers
+/// share: typed plan snapshots, crash recovery, and the view of a shard
+/// with the values its kernels read. Not part of the public API: callers
+/// run the drivers through `make_plan` + `Plan::execute` (dist/plan.hpp).
 
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "common/error.hpp"
 #include "dist/algorithm.hpp"
+#include "dist/replication_cache.hpp"
 #include "dist/shards.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/world.hpp"
 
 namespace dsk::detail {
+
+/// Type-erased per-driver setup snapshot (grid, shards, support unions)
+/// built once by `DistAlgorithm::make_plan_data` and reusable across
+/// calls. Each driver derives its own snapshot and rejects foreign ones,
+/// so a plan can only be executed by the driver configuration that built
+/// it. Immutable after construction.
+struct PlanData {
+  PlanData() = default;
+  PlanData(const PlanData&) = delete;
+  PlanData& operator=(const PlanData&) = delete;
+  virtual ~PlanData() = default;
+};
+
+/// Per-call execution context. `plan` is the prebuilt setup snapshot;
+/// `world` is an optional resident SimWorld to run on instead of a
+/// one-shot world (must match the driver's p); `cache` is an optional
+/// cross-call replicated-factor cache (see dist/replication_cache.hpp)
+/// consulted by the blocking replication prologues — ignored by families
+/// whose replication is already sparsity-sized and whenever faults are
+/// armed.
+struct ExecContext {
+  const PlanData* plan = nullptr;
+  SimWorld* world = nullptr;
+  ReplicationCache* cache = nullptr;
+};
+
+class DistAlgorithm {
+ public:
+  DistAlgorithm(AlgorithmKind kind, int p, int c,
+                const AlgorithmOptions& options)
+      : kind_(kind), p_(p), c_(c), options_(options) {}
+  virtual ~DistAlgorithm() = default;
+
+  AlgorithmKind kind() const { return kind_; }
+  int p() const { return p_; }
+  int c() const { return c_; }
+  const AlgorithmOptions& options() const { return options_; }
+
+  /// Build this driver's setup snapshot for (s, r) without running
+  /// anything: grid placement, shards, and row/col support unions (each
+  /// run still derives its propagation compression schedules from them).
+  /// s must be sorted with unique entries and (m, n, r) must pass
+  /// validate_dims; make_plan checks both before calling this.
+  virtual std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
+                                                         Index r) const = 0;
+
+  /// Run one unified kernel against ctx.plan, which must come from this
+  /// driver configuration's make_plan_data for the same (s, r), and
+  /// gather the global result. a is sized s.rows() x r, b s.cols() x r;
+  /// SpMMA reads only b, SpMMB only a, SDDMM both. Checks the op and the
+  /// dense shapes; S itself is pinned by the Plan's fingerprint.
+  KernelResult run_kernel(const ExecContext& ctx, Mode mode,
+                          const CooMatrix& s, const DenseMatrix& a,
+                          const DenseMatrix& b) const;
+
+  /// Run FusedMM (SDDMM feeding SpMM) `repetitions` times with the given
+  /// eliding strategy; communication scales exactly linearly in
+  /// repetitions and the output is that of a single call.
+  FusedResult run_fusedmm(const ExecContext& ctx,
+                          FusedOrientation orientation, Elision elision,
+                          const CooMatrix& s, const DenseMatrix& a,
+                          const DenseMatrix& b, int repetitions = 1) const;
+
+ protected:
+  /// Run one call into `out`, whose output arrives allocated: a dense
+  /// result unwritten (the ranks' disjoint blocks cover every row), SDDMM
+  /// values zeroed. The family fills it and sets out.stats.
+  virtual void do_run_kernel(const ExecContext& ctx, Mode mode,
+                             const CooMatrix& s, const DenseMatrix& a,
+                             const DenseMatrix& b,
+                             KernelResult& out) const = 0;
+  virtual void do_run_fusedmm(const ExecContext& ctx,
+                              FusedOrientation orientation, Elision elision,
+                              const CooMatrix& s, const DenseMatrix& a,
+                              const DenseMatrix& b, int repetitions,
+                              FusedResult& out) const = 0;
+
+ private:
+  AlgorithmKind kind_;
+  int p_;
+  int c_;
+  AlgorithmOptions options_;
+};
+
+/// Build a driver; throws on invalid (p, c).
+std::unique_ptr<DistAlgorithm> make_algorithm(
+    AlgorithmKind kind, int p, int c, const AlgorithmOptions& options = {});
 
 std::unique_ptr<DistAlgorithm> make_dense_shift_15d(
     int p, int c, const AlgorithmOptions& options);
@@ -120,8 +210,8 @@ void scatter_values(std::span<const Scalar> local,
 
 /// Run the SPMD body on the resident world if the ExecContext carries
 /// one (its size must match num_ranks), else on a one-shot world. The
-/// drivers' run paths all go through here so plan execution against a
-/// resident SimWorld and classic per-call execution share one code path.
+/// drivers' run paths all go through here so executes with and without a
+/// resident SimWorld share one code path.
 WorldStats run_in(SimWorld* world, int num_ranks,
                   const std::function<void(Comm&)>& body,
                   const WorldOptions& options);

@@ -7,6 +7,8 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "dist/families.hpp"
+#include "dist/problem.hpp"
 
 namespace dsk {
 namespace {
@@ -50,23 +52,19 @@ std::uint64_t plan_fingerprint(const CooMatrix& s, Index r) {
   return mix(h, hv);
 }
 
-ExecContext Plan::context(const CooMatrix& s, Index r,
-                          const ExecuteOptions& exec) const {
+void Plan::check_fingerprint(const CooMatrix& s, Index r) const {
   check(plan_fingerprint(s, r) == fingerprint_,
         "Plan: executed against a different (matrix, width) than it was "
         "built for — the frozen shards would not match; rebuild with "
         "make_plan");
-  ExecContext ctx;
-  ctx.plan = data_.get();
-  ctx.world = exec.world;
-  ctx.cache = exec.cache;
-  return ctx;
 }
 
 KernelResult Plan::execute(Mode mode, const CooMatrix& s,
                            const DenseMatrix& a, const DenseMatrix& b,
                            const ExecuteOptions& exec) const {
-  return algo_->run_kernel(context(s, a.cols(), exec), mode, s, a, b);
+  check_fingerprint(s, a.cols());
+  return algo_->run_kernel({data_.get(), exec.world, exec.cache}, mode, s,
+                           a, b);
 }
 
 FusedResult Plan::execute_fusedmm(FusedOrientation orientation,
@@ -74,15 +72,20 @@ FusedResult Plan::execute_fusedmm(FusedOrientation orientation,
                                   const DenseMatrix& a, const DenseMatrix& b,
                                   int repetitions,
                                   const ExecuteOptions& exec) const {
-  return algo_->run_fusedmm(context(s, a.cols(), exec), orientation, elision,
-                            s, a, b, repetitions);
+  check_fingerprint(s, a.cols());
+  return algo_->run_fusedmm({data_.get(), exec.world, exec.cache},
+                            orientation, elision, s, a, b, repetitions);
 }
 
 Plan make_plan(AlgorithmKind kind, int p, int c, const CooMatrix& s, Index r,
                const AlgorithmOptions& options) {
   Plan plan;
   Timer timer;
-  plan.algo_ = make_algorithm(kind, p, c, options);
+  plan.algo_ = detail::make_algorithm(kind, p, c, options);
+  check(s.is_sorted_unique(), to_string(kind),
+        ": sparse input must be sorted with unique entries "
+        "(call sort_and_combine first)");
+  validate_dims(kind, p, c, s.rows(), s.cols(), r);
   plan.data_ = plan.algo_->make_plan_data(s, r);
   plan.build_seconds_ = timer.seconds();
   plan.m_ = s.rows();

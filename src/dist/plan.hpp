@@ -1,23 +1,26 @@
 #pragma once
 /// \file plan.hpp
-/// The immutable Plan / execute split over the distributed drivers.
+/// The one way to run a distributed driver: build an immutable Plan,
+/// then execute it.
 ///
 /// `make_plan` runs every data-dependent setup step of a driver once —
 /// grid placement, shards, row/col support unions — and freezes the
 /// result in a `Plan` that can be executed any number of times (each
 /// execute still derives the propagation compression schedules from
-/// the frozen supports). `Plan::execute` is bit-identical to the classic
-/// `DistAlgorithm::run_kernel` call for the same inputs, but its stats
-/// report zero setup builds and zero setup seconds: the per-request cost
-/// is the kernel alone. A serving layer keeps one Plan (plus a resident
-/// SimWorld and an optional ReplicationCache) alive across requests; see
-/// apps/serve_als.hpp for the first tenant.
+/// the frozen supports). An execute's stats report zero setup builds and
+/// zero setup seconds: the per-call cost is the kernel alone. Callers
+/// that run many kernels on one sparsity pattern (the ALS, GNN and GAT
+/// apps; the serving layer in apps/serve_als.hpp) keep a Plan, a
+/// resident SimWorld and optionally a ReplicationCache alive across
+/// calls.
 ///
-/// Safety: the Plan remembers a fingerprint of the sparse matrix and
-/// width it was built from, and every execute re-derives and compares
-/// it, so a Plan cannot silently run against a matrix it was not built
-/// for (the snapshot embeds S's shards — running it against different
-/// values would compute garbage). Plans are cheap to copy (shared
+/// Safety: make_plan checks that S is sorted with unique entries and that
+/// its dims divide the family's grid. The Plan remembers a fingerprint of
+/// the sparse matrix and width it was built from, and every execute
+/// re-derives and compares it, so a Plan cannot silently run against a
+/// matrix it was not built for (the snapshot embeds S's shards — running
+/// it against different values would compute garbage); an execute then
+/// checks only the dense shapes. Plans are cheap to copy (shared
 /// immutable state) and safe to share between threads once built.
 
 #include <cstdint>
@@ -26,6 +29,13 @@
 #include "dist/algorithm.hpp"
 
 namespace dsk {
+
+class SimWorld;
+class ReplicationCache;
+namespace detail {
+class DistAlgorithm;
+struct PlanData;
+} // namespace detail
 
 /// Per-request execution environment. `world` is an optional resident
 /// SimWorld reused across requests (must have exactly the driver's p
@@ -47,12 +57,6 @@ std::uint64_t plan_fingerprint(const CooMatrix& s, Index r);
 
 class Plan {
  public:
-  AlgorithmKind kind() const { return algo_->kind(); }
-  int p() const { return algo_->p(); }
-  int c() const { return algo_->c(); }
-  const AlgorithmOptions& options() const { return algo_->options(); }
-  const DistAlgorithm& algorithm() const { return *algo_; }
-
   Index rows() const { return m_; }
   Index cols() const { return n_; }
   Index width() const { return r_; }
@@ -63,15 +67,19 @@ class Plan {
   /// amortized_setup_share).
   double build_seconds() const { return build_seconds_; }
 
-  /// Run one unified kernel against the frozen snapshot. Inputs must be
-  /// the same s (and width) the Plan was built from; a, b as in
-  /// DistAlgorithm::run_kernel. Bit-identical to a fresh call; stats
-  /// report zero setup builds.
+  /// Run one unified kernel against the frozen snapshot and gather the
+  /// global result. s (and the width) must be the ones the Plan was built
+  /// from; a is sized s.rows() x r and b s.cols() x r. SpMMA reads only
+  /// b, SpMMB only a, SDDMM both. Throws when the family cannot run
+  /// `mode` (see unsupported_reason).
   KernelResult execute(Mode mode, const CooMatrix& s, const DenseMatrix& a,
                        const DenseMatrix& b,
                        const ExecuteOptions& exec = {}) const;
 
-  /// FusedMM against the frozen snapshot (see execute).
+  /// Run FusedMM (SDDMM feeding SpMM) `repetitions` times with the given
+  /// eliding strategy against the frozen snapshot (inputs as in
+  /// execute); communication scales exactly linearly in repetitions and
+  /// the output is that of a single call.
   FusedResult execute_fusedmm(FusedOrientation orientation, Elision elision,
                               const CooMatrix& s, const DenseMatrix& a,
                               const DenseMatrix& b, int repetitions = 1,
@@ -83,11 +91,10 @@ class Plan {
 
   Plan() = default;
 
-  ExecContext context(const CooMatrix& s, Index r,
-                      const ExecuteOptions& exec) const;
+  void check_fingerprint(const CooMatrix& s, Index r) const;
 
-  std::shared_ptr<const DistAlgorithm> algo_;
-  std::shared_ptr<const PlanData> data_;
+  std::shared_ptr<const detail::DistAlgorithm> algo_;
+  std::shared_ptr<const detail::PlanData> data_;
   Index m_ = 0, n_ = 0, r_ = 0, nnz_ = 0;
   std::uint64_t fingerprint_ = 0;
   double build_seconds_ = 0.0;

@@ -54,6 +54,22 @@ DimsRequirement dims_requirement(AlgorithmKind kind, int p, int c) {
   fail("dims_requirement: unknown algorithm kind");
 }
 
+void validate_dims(AlgorithmKind kind, int p, int c, Index m, Index n,
+                   Index r) {
+  check(m >= 1 && n >= 1 && r >= 1, "validate_dims: empty problem ", m,
+        " x ", n, " x ", r);
+  const auto req = dims_requirement(kind, p, c);
+  check(m % req.m_multiple == 0, to_string(kind), ": m = ", m,
+        " is not a multiple of ", req.m_multiple, " (p=", p, " c=", c,
+        "); call pad_problem first");
+  check(n % req.n_multiple == 0, to_string(kind), ": n = ", n,
+        " is not a multiple of ", req.n_multiple, " (p=", p, " c=", c,
+        "); call pad_problem first");
+  check(r % req.r_multiple == 0, to_string(kind), ": r = ", r,
+        " is not a multiple of ", req.r_multiple, " (p=", p, " c=", c,
+        "); call pad_problem first");
+}
+
 PaddedProblem pad_problem(AlgorithmKind kind, int p, int c,
                           const CooMatrix& s, const DenseMatrix& a,
                           const DenseMatrix& b) {

@@ -23,6 +23,11 @@ struct DimsRequirement {
 /// Requirements for (kind, p, c); throws on invalid grids.
 DimsRequirement dims_requirement(AlgorithmKind kind, int p, int c);
 
+/// Throws unless the problem is non-empty and (m, n, r) are multiples of
+/// dims_requirement(kind, p, c) (call pad_problem first).
+void validate_dims(AlgorithmKind kind, int p, int c, Index m, Index n,
+                   Index r);
+
 struct PaddedProblem {
   CooMatrix s;
   DenseMatrix a;

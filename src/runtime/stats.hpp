@@ -245,21 +245,15 @@ class WorldStats {
   int recoveries() const { return recoveries_; }
   void set_recoveries(int recoveries) { recoveries_ = recoveries; }
 
-  /// Plan/execute accounting: how many times this call built the
+  /// Plan/execute accounting: how many times this call built a
   /// per-driver Setup (grid, shards, support unions) and how long those
-  /// builds took. A fresh `run_kernel` / `run_fusedmm` call reports
-  /// (1, measured); executing a prebuilt `Plan` reports (0, 0.0) — the
-  /// setup was paid once at plan time.
-  /// 1.5D dense shifting's orientation-B `LocalKernelFusion` also builds
-  /// a setup of Sᵀ on every call and adds (1, measured) to either
-  /// report. A degraded run's re-plan onto the smaller world is reported
-  /// by degraded(), not here.
+  /// builds took. A `Plan::execute` reports (0, 0.0) — the setup was paid
+  /// once at plan time — except 1.5D dense shifting's orientation-B
+  /// `LocalKernelFusion`, which builds a setup of Sᵀ on every call and
+  /// reports (1, measured). A degraded run's re-plan onto the smaller
+  /// world is reported by degraded(), not here.
   int setup_builds() const { return setup_builds_; }
   double setup_seconds() const { return setup_seconds_; }
-  void set_setup(int builds, double seconds) {
-    setup_builds_ = builds;
-    setup_seconds_ = seconds;
-  }
   void add_setup(int builds, double seconds) {
     setup_builds_ += builds;
     setup_seconds_ += seconds;

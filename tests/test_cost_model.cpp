@@ -12,8 +12,8 @@
 #include <set>
 
 #include "common/rng.hpp"
-#include "dist/algorithm.hpp"
 #include "dist/grid.hpp"
+#include "dist/plan.hpp"
 #include "model/cost_model.hpp"
 #include "model/optimal_c.hpp"
 #include "model/predictor.hpp"
@@ -55,15 +55,14 @@ struct Measured {
 Measured run_measured(AlgorithmKind kind, Elision elision, int p, int c,
                       const CooMatrix& s, const DenseMatrix& a,
                       const DenseMatrix& b) {
-  auto algo = make_algorithm(kind, p, c);
   // Measure in each engine's native orientation: the model describes the
   // native data movement (replicate the m-side, shift the n-side); the
   // other orientation is the same engine on the transposed problem.
   const auto orientation = elision == Elision::LocalKernelFusion
                                ? FusedOrientation::A
                                : FusedOrientation::B;
-  const auto result =
-      algo->run_fusedmm(orientation, elision, s, a, b, 1);
+  const auto result = make_plan(kind, p, c, s, a.cols())
+                          .execute_fusedmm(orientation, elision, s, a, b);
   return {result.stats.max_words(Phase::Replication),
           result.stats.max_words(Phase::Propagation)};
 }

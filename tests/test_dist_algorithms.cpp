@@ -10,7 +10,7 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "dist/algorithm.hpp"
+#include "dist/plan.hpp"
 #include "local/reference.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/generate.hpp"
@@ -89,27 +89,30 @@ class DistKernel : public ::testing::TestWithParam<Config> {
 
 TEST_P(DistKernel, SpmmAMatchesReference) {
   const auto cfg = GetParam();
-  auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c);
+  const Plan plan =
+      make_plan(cfg.kind, cfg.p, cfg.c, problem_.s, problem_.a.cols());
   const auto result =
-      algo->run_kernel(Mode::SpMMA, problem_.s, problem_.a, problem_.b);
+      plan.execute(Mode::SpMMA, problem_.s, problem_.a, problem_.b);
   const auto expected = reference_spmm_a(problem_.s, problem_.b);
   EXPECT_LT(rel_diff(result.dense, expected), kTol);
 }
 
 TEST_P(DistKernel, SpmmBMatchesReference) {
   const auto cfg = GetParam();
-  auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c);
+  const Plan plan =
+      make_plan(cfg.kind, cfg.p, cfg.c, problem_.s, problem_.a.cols());
   const auto result =
-      algo->run_kernel(Mode::SpMMB, problem_.s, problem_.a, problem_.b);
+      plan.execute(Mode::SpMMB, problem_.s, problem_.a, problem_.b);
   const auto expected = reference_spmm_b(problem_.s, problem_.a);
   EXPECT_LT(rel_diff(result.dense, expected), kTol);
 }
 
 TEST_P(DistKernel, SddmmMatchesReference) {
   const auto cfg = GetParam();
-  auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c);
+  const Plan plan =
+      make_plan(cfg.kind, cfg.p, cfg.c, problem_.s, problem_.a.cols());
   const auto result =
-      algo->run_kernel(Mode::SDDMM, problem_.s, problem_.a, problem_.b);
+      plan.execute(Mode::SDDMM, problem_.s, problem_.a, problem_.b);
   const auto expected =
       reference_sddmm(problem_.s, problem_.a, problem_.b);
   ASSERT_EQ(result.sddmm_values.size(),
@@ -186,9 +189,10 @@ class DistFused : public ::testing::TestWithParam<FusedConfig> {
 
 TEST_P(DistFused, MatchesReference) {
   const auto cfg = GetParam();
-  auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c);
-  const auto result = algo->run_fusedmm(cfg.orientation, cfg.elision,
-                                        problem_.s, problem_.a, problem_.b);
+  const Plan plan =
+      make_plan(cfg.kind, cfg.p, cfg.c, problem_.s, problem_.a.cols());
+  const auto result = plan.execute_fusedmm(
+      cfg.orientation, cfg.elision, problem_.s, problem_.a, problem_.b);
   const auto expected =
       cfg.orientation == FusedOrientation::A
           ? reference_fusedmm_a(problem_.s, problem_.a, problem_.b)
@@ -199,10 +203,11 @@ TEST_P(DistFused, MatchesReference) {
 TEST_P(DistFused, RepetitionsScaleCommunication) {
   const auto cfg = GetParam();
   if (cfg.p > 8) return; // keep the sweep fast
-  auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c);
-  const auto once = algo->run_fusedmm(cfg.orientation, cfg.elision,
-                                      problem_.s, problem_.a, problem_.b, 1);
-  const auto thrice = algo->run_fusedmm(
+  const Plan plan =
+      make_plan(cfg.kind, cfg.p, cfg.c, problem_.s, problem_.a.cols());
+  const auto once = plan.execute_fusedmm(
+      cfg.orientation, cfg.elision, problem_.s, problem_.a, problem_.b, 1);
+  const auto thrice = plan.execute_fusedmm(
       cfg.orientation, cfg.elision, problem_.s, problem_.a, problem_.b, 3);
   for (const Phase phase : {Phase::Replication, Phase::Propagation}) {
     EXPECT_EQ(thrice.stats.max_words(phase), 3 * once.stats.max_words(phase))
@@ -218,9 +223,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DistFused,
 TEST(DistBaseline, SpmmAMatchesReference) {
   const auto problem = make_problem(64, 128, 16, 31);
   for (const int p : {1, 4, 8}) {
-    auto algo = make_algorithm(AlgorithmKind::Baseline1D, p, 1);
+    const Plan plan =
+        make_plan(AlgorithmKind::Baseline1D, p, 1, problem.s, problem.a.cols());
     const auto result =
-        algo->run_kernel(Mode::SpMMA, problem.s, problem.a, problem.b);
+        plan.execute(Mode::SpMMA, problem.s, problem.a, problem.b);
     const auto expected = reference_spmm_a(problem.s, problem.b);
     EXPECT_LT(rel_diff(result.dense, expected), kTol) << "p=" << p;
   }
@@ -228,23 +234,23 @@ TEST(DistBaseline, SpmmAMatchesReference) {
 
 TEST(DistBaseline, RejectsUnsupportedModes) {
   const auto problem = make_problem(16, 16, 4, 5);
-  auto algo = make_algorithm(AlgorithmKind::Baseline1D, 4, 1);
-  EXPECT_THROW(
-      algo->run_kernel(Mode::SDDMM, problem.s, problem.a, problem.b),
-      Error);
-  EXPECT_THROW(
-      algo->run_kernel(Mode::SpMMB, problem.s, problem.a, problem.b),
-      Error);
+  const Plan plan =
+      make_plan(AlgorithmKind::Baseline1D, 4, 1, problem.s, problem.a.cols());
+  EXPECT_THROW(plan.execute(Mode::SDDMM, problem.s, problem.a, problem.b),
+               Error);
+  EXPECT_THROW(plan.execute(Mode::SpMMB, problem.s, problem.a, problem.b),
+               Error);
 }
 
 TEST(DistBaseline, FusedSurrogateCostsTwoSpmms) {
   const auto problem = make_problem(64, 128, 16, 31);
-  auto algo = make_algorithm(AlgorithmKind::Baseline1D, 4, 1);
+  const Plan plan =
+      make_plan(AlgorithmKind::Baseline1D, 4, 1, problem.s, problem.a.cols());
   const auto kernel =
-      algo->run_kernel(Mode::SpMMA, problem.s, problem.a, problem.b);
+      plan.execute(Mode::SpMMA, problem.s, problem.a, problem.b);
   const auto fused =
-      algo->run_fusedmm(FusedOrientation::A, Elision::None, problem.s,
-                        problem.a, problem.b);
+      plan.execute_fusedmm(
+          FusedOrientation::A, Elision::None, problem.s, problem.a, problem.b);
   EXPECT_EQ(fused.stats.max_words(Phase::Propagation),
             2 * kernel.stats.max_words(Phase::Propagation));
 }
@@ -293,20 +299,21 @@ TEST(ReplicationModes, BitIdenticalOutputsAcrossAllDrivers) {
     const auto run_mode = [&](ReplicationMode mode) {
       AlgorithmOptions options;
       options.replication = mode;
-      auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
+      const Plan plan = make_plan(cfg.kind, cfg.p, cfg.c, problem.s,
+                                  problem.a.cols(), options);
       std::vector<KernelResult> kernels;
       std::vector<FusedResult> fused;
       if (cfg.kind == AlgorithmKind::Baseline1D) {
-        kernels.push_back(algo->run_kernel(Mode::SpMMA, problem.s,
-                                           problem.a, problem.b));
-        fused.push_back(algo->run_fusedmm(FusedOrientation::A,
-                                          Elision::None, problem.s,
-                                          problem.a, problem.b));
+        kernels.push_back(
+            plan.execute(Mode::SpMMA, problem.s, problem.a, problem.b));
+        fused.push_back(plan.execute_fusedmm(FusedOrientation::A,
+                                             Elision::None, problem.s,
+                                             problem.a, problem.b));
         return std::pair(std::move(kernels), std::move(fused));
       }
       for (const Mode mode_k : {Mode::SpMMA, Mode::SpMMB, Mode::SDDMM}) {
-        kernels.push_back(algo->run_kernel(mode_k, problem.s, problem.a,
-                                           problem.b));
+        kernels.push_back(
+            plan.execute(mode_k, problem.s, problem.a, problem.b));
       }
       // Every supported (orientation, elision) pair: orientation B and
       // the elisions exercise distinct replicate/reduce call sites.
@@ -315,10 +322,10 @@ TEST(ReplicationModes, BitIdenticalOutputsAcrossAllDrivers) {
         for (const auto elision :
              {Elision::None, Elision::ReplicationReuse,
               Elision::LocalKernelFusion}) {
-          if (!algo->supports(elision)) continue;
-          fused.push_back(algo->run_fusedmm(orientation, elision,
-                                            problem.s, problem.a,
-                                            problem.b));
+          if (!supports(cfg.kind, elision)) continue;
+          fused.push_back(plan.execute_fusedmm(orientation, elision,
+                                               problem.s, problem.a,
+                                               problem.b));
         }
       }
       return std::pair(std::move(kernels), std::move(fused));
@@ -387,9 +394,10 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
       options.replication = repl;
       options.propagation = prop;
       options.codec = codec;
-      auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
-      return algo->run_fusedmm(FusedOrientation::A, Elision::None,
-                               problem.s, problem.a, problem.b);
+      const Plan plan = make_plan(
+          cfg.kind, cfg.p, cfg.c, problem.s, problem.a.cols(), options);
+      return plan.execute_fusedmm(
+          FusedOrientation::A, Elision::None, problem.s, problem.a, problem.b);
     };
     const auto exact = run(WireCodec{}, ShiftSchedule::DoubleBuffered,
                            ReplicationMode::Dense, PropagationMode::Dense);
@@ -455,29 +463,30 @@ TEST(CompressedTransport, KernelsMatchReference) {
   };
   for (const auto& cfg : configs) {
     const auto dense_words = transport_words(
-        make_algorithm(cfg.kind, cfg.p, cfg.c)
-            ->run_fusedmm(FusedOrientation::A, Elision::None, problem.s,
-                          problem.a, problem.b)
+        make_plan(cfg.kind, cfg.p, cfg.c, problem.s, problem.a.cols())
+            .execute_fusedmm(FusedOrientation::A, Elision::None, problem.s,
+                             problem.a, problem.b)
             .stats);
     for (const auto& [mode, propagation] : mode_pairs) {
       AlgorithmOptions options;
       options.replication = mode;
       options.propagation = propagation;
-      auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
-      EXPECT_LE(rel_diff(algo->run_kernel(Mode::SpMMA, problem.s,
-                                          problem.a, problem.b)
+      const Plan plan = make_plan(
+          cfg.kind, cfg.p, cfg.c, problem.s, problem.a.cols(), options);
+      EXPECT_LE(rel_diff(plan.execute(Mode::SpMMA, problem.s, problem.a,
+                                      problem.b)
                              .dense,
                          want_a),
                 kTol)
           << to_string(cfg.kind) << " " << to_string(mode);
-      EXPECT_LE(rel_diff(algo->run_kernel(Mode::SpMMB, problem.s,
-                                          problem.a, problem.b)
+      EXPECT_LE(rel_diff(plan.execute(Mode::SpMMB, problem.s, problem.a,
+                                      problem.b)
                              .dense,
                          want_b),
                 kTol)
           << to_string(cfg.kind) << " " << to_string(mode);
-      const auto sddmm = algo->run_kernel(Mode::SDDMM, problem.s,
-                                          problem.a, problem.b);
+      const auto sddmm =
+          plan.execute(Mode::SDDMM, problem.s, problem.a, problem.b);
       ASSERT_EQ(sddmm.sddmm_values.size(),
                 static_cast<std::size_t>(want_sddmm.nnz()));
       for (Index k = 0; k < want_sddmm.nnz(); ++k) {
@@ -486,9 +495,8 @@ TEST(CompressedTransport, KernelsMatchReference) {
             << to_string(cfg.kind) << " " << to_string(mode) << " entry "
             << k;
       }
-      const auto fused = algo->run_fusedmm(FusedOrientation::A,
-                                           Elision::None, problem.s,
-                                           problem.a, problem.b);
+      const auto fused = plan.execute_fusedmm(
+          FusedOrientation::A, Elision::None, problem.s, problem.a, problem.b);
       EXPECT_LE(rel_diff(fused.output, want_f), kTol)
           << to_string(cfg.kind) << " " << to_string(mode);
       if (cfg.kind != AlgorithmKind::SparseShift15D) {
@@ -516,10 +524,11 @@ TEST(ReplicationModes, AutoNeverMovesMoreReplicationWordsThanDense) {
       const auto words = [&](ReplicationMode mode) {
         AlgorithmOptions options;
         options.replication = mode;
-        auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
-        const auto result = algo->run_fusedmm(
-            FusedOrientation::A, Elision::None, problem->s, problem->a,
-            problem->b);
+        const Plan plan = make_plan(
+            cfg.kind, cfg.p, cfg.c, problem->s, problem->a.cols(), options);
+        const auto result = plan.execute_fusedmm(FusedOrientation::A,
+                                                 Elision::None, problem->s,
+                                                 problem->a, problem->b);
         return result.stats.max_words(Phase::Replication);
       };
       EXPECT_LE(words(ReplicationMode::Auto),
@@ -544,10 +553,11 @@ TEST(ReplicationModes, SparseRowsStrictlyCheaperOnPowerLawInstance) {
     const auto words = [&](ReplicationMode mode) {
       AlgorithmOptions options;
       options.replication = mode;
-      auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
+      const Plan plan = make_plan(
+          cfg.kind, cfg.p, cfg.c, problem.s, problem.a.cols(), options);
       const auto result =
-          algo->run_fusedmm(FusedOrientation::A, Elision::None, problem.s,
-                            problem.a, problem.b);
+          plan.execute_fusedmm(FusedOrientation::A, Elision::None, problem.s,
+                               problem.a, problem.b);
       return result.stats.max_words(Phase::Replication);
     };
     EXPECT_LT(words(ReplicationMode::Auto), words(ReplicationMode::Dense))
@@ -560,19 +570,15 @@ TEST(DistSetupGuards, UnpaddedProblemsFailWithActionableMessage) {
   // a zero block size; the families must reject the shape up front and
   // point at pad_problem.
   Rng rng(9);
-  auto s = erdos_renyi_fixed_row(6, 6, 2, rng);
-  DenseMatrix a(6, 4), b(6, 4);
-  a.fill_random(rng);
-  b.fill_random(rng);
+  const auto s = erdos_renyi_fixed_row(6, 6, 2, rng);
   for (const auto kind :
        {AlgorithmKind::DenseShift15D, AlgorithmKind::SparseShift15D,
         AlgorithmKind::DenseRepl25D, AlgorithmKind::SparseRepl25D,
         AlgorithmKind::Baseline1D}) {
     const int p = kind == AlgorithmKind::Baseline1D ? 8 : 16;
     const int c = kind == AlgorithmKind::Baseline1D ? 1 : 4;
-    auto algo = make_algorithm(kind, p, c);
     try {
-      algo->run_kernel(Mode::SpMMA, s, a, b);
+      make_plan(kind, p, c, s, /*r=*/4);
       FAIL() << to_string(kind) << ": undersized problem was accepted";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find("pad_problem"),
@@ -584,30 +590,32 @@ TEST(DistSetupGuards, UnpaddedProblemsFailWithActionableMessage) {
 
 TEST(DistValidation, RejectsUnsupportedElision) {
   const auto problem = make_problem(64, 128, 16, 7);
-  auto sparse_shift = make_algorithm(AlgorithmKind::SparseShift15D, 4, 2);
-  EXPECT_THROW(sparse_shift->run_fusedmm(FusedOrientation::A,
-                                         Elision::LocalKernelFusion,
-                                         problem.s, problem.a, problem.b),
+  const Plan sparse_shift = make_plan(
+      AlgorithmKind::SparseShift15D, 4, 2, problem.s, problem.a.cols());
+  EXPECT_THROW(sparse_shift.execute_fusedmm(FusedOrientation::A,
+                                            Elision::LocalKernelFusion,
+                                            problem.s, problem.a, problem.b),
                Error);
-  auto sparse_repl = make_algorithm(AlgorithmKind::SparseRepl25D, 4, 1);
-  EXPECT_THROW(sparse_repl->run_fusedmm(FusedOrientation::B,
-                                        Elision::ReplicationReuse,
-                                        problem.s, problem.a, problem.b),
+  const Plan sparse_repl = make_plan(
+      AlgorithmKind::SparseRepl25D, 4, 1, problem.s, problem.a.cols());
+  EXPECT_THROW(sparse_repl.execute_fusedmm(FusedOrientation::B,
+                                           Elision::ReplicationReuse,
+                                           problem.s, problem.a, problem.b),
                Error);
-  auto dense_repl = make_algorithm(AlgorithmKind::DenseRepl25D, 4, 1);
-  EXPECT_THROW(dense_repl->run_fusedmm(FusedOrientation::A,
-                                       Elision::LocalKernelFusion,
-                                       problem.s, problem.a, problem.b),
+  const Plan dense_repl =
+      make_plan(AlgorithmKind::DenseRepl25D, 4, 1, problem.s, problem.a.cols());
+  EXPECT_THROW(dense_repl.execute_fusedmm(FusedOrientation::A,
+                                          Elision::LocalKernelFusion,
+                                          problem.s, problem.a, problem.b),
                Error);
 }
 
 TEST(DistValidation, RejectsIndivisibleDims) {
   // m=60 is not divisible by p=8.
   const auto problem = make_problem(60, 120, 16, 7);
-  auto algo = make_algorithm(AlgorithmKind::DenseShift15D, 8, 2);
-  EXPECT_THROW(
-      algo->run_kernel(Mode::SpMMA, problem.s, problem.a, problem.b),
-      Error);
+  EXPECT_THROW(make_plan(AlgorithmKind::DenseShift15D, 8, 2, problem.s,
+                         problem.a.cols()),
+               Error);
 }
 
 TEST(DistValidation, RejectsInvalidGrids) {
@@ -616,23 +624,26 @@ TEST(DistValidation, RejectsInvalidGrids) {
   EXPECT_TRUE(valid_config(AlgorithmKind::DenseRepl25D, 8, 2));
   EXPECT_TRUE(valid_config(AlgorithmKind::SparseRepl25D, 12, 3)); // q=2
   EXPECT_FALSE(valid_config(AlgorithmKind::SparseRepl25D, 12, 2));
-  EXPECT_THROW(make_algorithm(AlgorithmKind::DenseRepl25D, 8, 1), Error);
+  const auto problem = make_problem(64, 128, 16, 7);
+  EXPECT_THROW(make_plan(AlgorithmKind::DenseRepl25D, 8, 1, problem.s,
+                         problem.a.cols()),
+               Error);
 }
 
 TEST(DistValidation, RejectsUnsortedSparseInput) {
   CooMatrix s(8, 8);
   s.push_back(3, 3, 1.0);
   s.push_back(1, 1, 1.0); // out of order
-  DenseMatrix a(8, 4), b(8, 4);
-  auto algo = make_algorithm(AlgorithmKind::DenseShift15D, 4, 2);
-  EXPECT_THROW(algo->run_kernel(Mode::SpMMA, s, a, b), Error);
+  EXPECT_THROW(make_plan(AlgorithmKind::DenseShift15D, 4, 2, s, /*r=*/4),
+               Error);
 }
 
 TEST(DistValidation, RejectsShapeMismatch) {
   const auto problem = make_problem(64, 128, 16, 7);
   DenseMatrix wrong_a(32, 16);
-  auto algo = make_algorithm(AlgorithmKind::DenseShift15D, 4, 2);
-  EXPECT_THROW(algo->run_kernel(Mode::SpMMA, problem.s, wrong_a, problem.b),
+  const Plan plan = make_plan(AlgorithmKind::DenseShift15D, 4, 2, problem.s,
+                              problem.a.cols());
+  EXPECT_THROW(plan.execute(Mode::SpMMA, problem.s, wrong_a, problem.b),
                Error);
 }
 
@@ -649,8 +660,8 @@ TEST(DistEdgeCases, VerySparseMatrix) {
   for (const auto kind :
        {AlgorithmKind::DenseShift15D, AlgorithmKind::SparseShift15D,
         AlgorithmKind::DenseRepl25D, AlgorithmKind::SparseRepl25D}) {
-    auto algo = make_algorithm(kind, 16, 4);
-    const auto result = algo->run_kernel(Mode::SpMMA, s, a, b);
+    const Plan plan = make_plan(kind, 16, 4, s, a.cols());
+    const auto result = plan.execute(Mode::SpMMA, s, a, b);
     EXPECT_LT(rel_diff(result.dense, reference_spmm_a(s, b)), kTol)
         << to_string(kind);
   }
@@ -663,15 +674,14 @@ TEST(DistEdgeCases, WideAndTallAspects) {
   for (const auto kind :
        {AlgorithmKind::DenseShift15D, AlgorithmKind::SparseShift15D,
         AlgorithmKind::DenseRepl25D, AlgorithmKind::SparseRepl25D}) {
-    auto algo = make_algorithm(kind, 8, 2);
+    const Plan plan = make_plan(kind, 8, 2, problem.s, problem.a.cols());
     const auto spmm =
-        algo->run_kernel(Mode::SpMMB, problem.s, problem.a, problem.b);
+        plan.execute(Mode::SpMMB, problem.s, problem.a, problem.b);
     EXPECT_LT(rel_diff(spmm.dense, reference_spmm_b(problem.s, problem.a)),
               kTol)
         << to_string(kind);
-    const auto fused = algo->run_fusedmm(FusedOrientation::B,
-                                         Elision::None, problem.s,
-                                         problem.a, problem.b);
+    const auto fused = plan.execute_fusedmm(
+        FusedOrientation::B, Elision::None, problem.s, problem.a, problem.b);
     EXPECT_LT(rel_diff(fused.output,
                        reference_fusedmm_b(problem.s, problem.a, problem.b)),
               kTol)
@@ -683,10 +693,11 @@ TEST(DistEdgeCases, WidthOneEmbeddings) {
   // r = 1 (SpMV-like): valid for the dense-shifting family, which has no
   // r divisibility constraint.
   const auto problem = make_problem(64, 128, 1, 43);
-  auto algo = make_algorithm(AlgorithmKind::DenseShift15D, 8, 2);
-  const auto result = algo->run_fusedmm(FusedOrientation::A,
-                                        Elision::LocalKernelFusion,
-                                        problem.s, problem.a, problem.b);
+  const Plan plan = make_plan(
+      AlgorithmKind::DenseShift15D, 8, 2, problem.s, problem.a.cols());
+  const auto result = plan.execute_fusedmm(FusedOrientation::A,
+                                           Elision::LocalKernelFusion,
+                                           problem.s, problem.a, problem.b);
   EXPECT_LT(rel_diff(result.output,
                      reference_fusedmm_a(problem.s, problem.a, problem.b)),
             kTol);
@@ -698,9 +709,9 @@ TEST(DistEdgeCases, SingleRankAllAlgorithms) {
        {AlgorithmKind::DenseShift15D, AlgorithmKind::SparseShift15D,
         AlgorithmKind::DenseRepl25D, AlgorithmKind::SparseRepl25D,
         AlgorithmKind::Baseline1D}) {
-    auto algo = make_algorithm(kind, 1, 1);
+    const Plan plan = make_plan(kind, 1, 1, problem.s, problem.a.cols());
     const auto result =
-        algo->run_kernel(Mode::SpMMA, problem.s, problem.a, problem.b);
+        plan.execute(Mode::SpMMA, problem.s, problem.a, problem.b);
     EXPECT_LT(rel_diff(result.dense, reference_spmm_a(problem.s, problem.b)),
               kTol)
         << to_string(kind);

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "dist/algorithm.hpp"
 #include "dist/plan.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/fault.hpp"
@@ -180,8 +179,8 @@ Problem make_problem(Index m, Index n, Index r, std::uint64_t seed) {
 KernelResult run_kernel_opts(AlgorithmKind kind, int p, int c, Mode mode,
                              const Problem& pr,
                              const AlgorithmOptions& options) {
-  const auto algo = make_algorithm(kind, p, c, options);
-  return algo->run_kernel(mode, pr.s, pr.a, pr.b);
+  const Plan plan = make_plan(kind, p, c, pr.s, pr.a.cols(), options);
+  return plan.execute(mode, pr.s, pr.a, pr.b);
 }
 
 KernelResult run_kernel_with(AlgorithmKind kind, int p, int c, Mode mode,
@@ -250,9 +249,10 @@ TEST(FaultTolerance, MessageFaultsAreInvisibleToCostAccounting) {
     const auto fused = [&](const FaultPlan* faults) {
       AlgorithmOptions options;
       options.faults = faults;
-      return make_algorithm(AlgorithmKind::DenseShift15D, 8, 2, options)
-          ->run_fusedmm(FusedOrientation::A, Elision::LocalKernelFusion,
-                        pr.s, pr.a, pr.b);
+      return make_plan(AlgorithmKind::DenseShift15D, 8, 2, pr.s, pr.a.cols(),
+                       options)
+          .execute_fusedmm(FusedOrientation::A, Elision::LocalKernelFusion,
+                           pr.s, pr.a, pr.b);
     };
     const FusedResult clean = fused(nullptr);
     const FusedResult faulty = fused(&plan);
@@ -363,32 +363,32 @@ TEST(FaultTolerance, FusedMmCrashRecoversBitIdentically) {
   const Problem pr = make_problem(32, 48, 8, 15);
   {
     const AlgorithmOptions base;
-    const auto algo =
-        make_algorithm(AlgorithmKind::DenseRepl25D, 8, 2, base);
-    const FusedResult clean = algo->run_fusedmm(
+    const Plan algo =
+        make_plan(AlgorithmKind::DenseRepl25D, 8, 2, pr.s, pr.a.cols(), base);
+    const FusedResult clean = algo.execute_fusedmm(
         FusedOrientation::A, Elision::None, pr.s, pr.a, pr.b, 2);
     const FaultPlan plan = parse_fault_plan("crash=6@step:1");
     AlgorithmOptions options;
     options.faults = &plan;
-    const auto faulty =
-        make_algorithm(AlgorithmKind::DenseRepl25D, 8, 2, options);
-    const FusedResult got = faulty->run_fusedmm(
+    const Plan faulty = make_plan(
+        AlgorithmKind::DenseRepl25D, 8, 2, pr.s, pr.a.cols(), options);
+    const FusedResult got = faulty.execute_fusedmm(
         FusedOrientation::A, Elision::None, pr.s, pr.a, pr.b, 2);
     EXPECT_EQ(got.output.max_abs_diff(clean.output), 0.0);
     EXPECT_EQ(got.stats.recoveries(), 1);
   }
   {
     const AlgorithmOptions base;
-    const auto algo =
-        make_algorithm(AlgorithmKind::SparseRepl25D, 8, 2, base);
-    const FusedResult clean = algo->run_fusedmm(
+    const Plan algo =
+        make_plan(AlgorithmKind::SparseRepl25D, 8, 2, pr.s, pr.a.cols(), base);
+    const FusedResult clean = algo.execute_fusedmm(
         FusedOrientation::B, Elision::None, pr.s, pr.a, pr.b, 1);
     const FaultPlan plan = parse_fault_plan("crash=1@step:1");
     AlgorithmOptions options;
     options.faults = &plan;
-    const auto faulty =
-        make_algorithm(AlgorithmKind::SparseRepl25D, 8, 2, options);
-    const FusedResult got = faulty->run_fusedmm(
+    const Plan faulty = make_plan(
+        AlgorithmKind::SparseRepl25D, 8, 2, pr.s, pr.a.cols(), options);
+    const FusedResult got = faulty.execute_fusedmm(
         FusedOrientation::B, Elision::None, pr.s, pr.a, pr.b, 1);
     EXPECT_EQ(got.output.max_abs_diff(clean.output), 0.0);
     EXPECT_EQ(got.stats.recoveries(), 1);
@@ -423,15 +423,16 @@ void expect_every_entry_point_heals(const Problem& pr,
     const FaultPlan plan = parse_fault_plan(message_faults + f.crash);
     AlgorithmOptions faulty_options = options;
     faulty_options.faults = &plan;
-    const auto clean = make_algorithm(f.kind, f.p, f.c, options);
-    const auto faulty = make_algorithm(f.kind, f.p, f.c, faulty_options);
+    const Plan clean = make_plan(f.kind, f.p, f.c, pr.s, pr.a.cols(), options);
+    const Plan faulty =
+        make_plan(f.kind, f.p, f.c, pr.s, pr.a.cols(), faulty_options);
     for (const Mode mode : {Mode::SDDMM, Mode::SpMMA, Mode::SpMMB}) {
       if (f.kind == AlgorithmKind::Baseline1D && mode != Mode::SpMMA) {
         continue;
       }
       SCOPED_TRACE(to_string(f.kind) + " " + to_string(mode));
-      const KernelResult want = clean->run_kernel(mode, pr.s, pr.a, pr.b);
-      const KernelResult got = faulty->run_kernel(mode, pr.s, pr.a, pr.b);
+      const KernelResult want = clean.execute(mode, pr.s, pr.a, pr.b);
+      const KernelResult got = faulty.execute(mode, pr.s, pr.a, pr.b);
       EXPECT_EQ(got.dense.max_abs_diff(want.dense), 0.0);
       EXPECT_EQ(got.sddmm_values, want.sddmm_values);
       EXPECT_EQ(got.stats.recoveries(), 1);
@@ -443,17 +444,15 @@ void expect_every_entry_point_heals(const Problem& pr,
       for (const Elision elision :
            {Elision::None, Elision::ReplicationReuse,
             Elision::LocalKernelFusion}) {
-        if (!clean->supports(elision) ||
-            (f.kind == AlgorithmKind::Baseline1D &&
-             orientation == FusedOrientation::B)) {
+        if (!unsupported_reason(f.kind, orientation, elision).empty()) {
           continue;
         }
         SCOPED_TRACE(to_string(f.kind) + " FusedMM " +
                      to_string(orientation) + " " + to_string(elision));
         const FusedResult want =
-            clean->run_fusedmm(orientation, elision, pr.s, pr.a, pr.b);
+            clean.execute_fusedmm(orientation, elision, pr.s, pr.a, pr.b);
         const FusedResult got =
-            faulty->run_fusedmm(orientation, elision, pr.s, pr.a, pr.b);
+            faulty.execute_fusedmm(orientation, elision, pr.s, pr.a, pr.b);
         EXPECT_EQ(got.output.max_abs_diff(want.output), 0.0);
         EXPECT_EQ(got.stats.recoveries(), 1);
         expect_clean_traffic(got.stats, want.stats);

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "dist/plan.hpp"
 #include "dist/problem.hpp"
 #include "dist/shift_loop.hpp"
 #include "runtime/world.hpp"
@@ -44,15 +45,17 @@ TEST(Overlap, SchedulesAreBitIdentical) {
     const int p = 8, c = 2;
     const auto padded = pad_problem(kind, p, c, raw.s, raw.a, raw.b);
     AlgorithmOptions bulk{ShiftSchedule::BulkSynchronous};
-    auto bulk_algo = make_algorithm(kind, p, c, bulk);
-    const auto fused_bulk = bulk_algo->run_fusedmm(
+    const Plan bulk_plan =
+        make_plan(kind, p, c, padded.s, padded.a.cols(), bulk);
+    const auto fused_bulk = bulk_plan.execute_fusedmm(
         FusedOrientation::B, Elision::None, padded.s, padded.a, padded.b);
-    const auto spmm_bulk = bulk_algo->run_kernel(Mode::SpMMA, padded.s,
-                                                 padded.a, padded.b);
+    const auto spmm_bulk =
+        bulk_plan.execute(Mode::SpMMA, padded.s, padded.a, padded.b);
     AlgorithmOptions overlapped{ShiftSchedule::DoubleBuffered};
-    auto algo = make_algorithm(kind, p, c, overlapped);
-    const auto fused = algo->run_fusedmm(FusedOrientation::B, Elision::None,
-                                         padded.s, padded.a, padded.b);
+    const Plan plan =
+        make_plan(kind, p, c, padded.s, padded.a.cols(), overlapped);
+    const auto fused = plan.execute_fusedmm(
+        FusedOrientation::B, Elision::None, padded.s, padded.a, padded.b);
     // Bit-identical: the schedules run the same local kernels on the
     // same blocks in the same order; zero tolerance.
     EXPECT_EQ(fused_bulk.output.max_abs_diff(fused.output), 0.0)
@@ -66,7 +69,7 @@ TEST(Overlap, SchedulesAreBitIdentical) {
           << to_string(kind) << " " << to_string(phase);
     }
     const auto spmm =
-        algo->run_kernel(Mode::SpMMA, padded.s, padded.a, padded.b);
+        plan.execute(Mode::SpMMA, padded.s, padded.a, padded.b);
     EXPECT_EQ(spmm_bulk.dense.max_abs_diff(spmm.dense), 0.0)
         << to_string(kind);
   }
@@ -103,12 +106,12 @@ TEST(Overlap, ScheduleReplicationPropagationCubeBitIdentical) {
                                  : FusedOrientation::B;
     AlgorithmOptions reference_options;
     reference_options.schedule = ShiftSchedule::BulkSynchronous;
-    auto reference =
-        make_algorithm(cfg.kind, cfg.p, cfg.c, reference_options);
-    const auto want = reference->run_fusedmm(
+    const Plan reference = make_plan(
+        cfg.kind, cfg.p, cfg.c, padded.s, padded.a.cols(), reference_options);
+    const auto want = reference.execute_fusedmm(
         orientation, Elision::None, padded.s, padded.a, padded.b);
-    const auto want_spmm = reference->run_kernel(Mode::SpMMA, padded.s,
-                                                 padded.a, padded.b);
+    const auto want_spmm =
+        reference.execute(Mode::SpMMA, padded.s, padded.a, padded.b);
     for (const ShiftSchedule schedule :
          {ShiftSchedule::BulkSynchronous, ShiftSchedule::DoubleBuffered}) {
       for (const ReplicationMode replication :
@@ -119,17 +122,18 @@ TEST(Overlap, ScheduleReplicationPropagationCubeBitIdentical) {
           options.schedule = schedule;
           options.replication = replication;
           options.propagation = propagation;
-          auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
+          const Plan plan = make_plan(
+              cfg.kind, cfg.p, cfg.c, padded.s, padded.a.cols(), options);
           const auto label = to_string(cfg.kind) + " " +
                              to_string(replication) + " " +
                              to_string(propagation);
-          const auto fused = algo->run_fusedmm(
+          const auto fused = plan.execute_fusedmm(
               orientation, Elision::None, padded.s, padded.a, padded.b);
           EXPECT_EQ(want.output.max_abs_diff(fused.output), 0.0) << label;
           // SpMM-A exercises the row-sparse reduce-scatter and the
           // compressed read-only channels together.
-          const auto spmm = algo->run_kernel(Mode::SpMMA, padded.s,
-                                             padded.a, padded.b);
+          const auto spmm =
+              plan.execute(Mode::SpMMA, padded.s, padded.a, padded.b);
           EXPECT_EQ(want_spmm.dense.max_abs_diff(spmm.dense), 0.0)
               << label;
           const std::pair<const WorldStats*, const WorldStats*> pairs[] = {
@@ -190,17 +194,18 @@ TEST(Overlap, SparsePropagationKernelsBitIdentical) {
           AlgorithmKind::DenseRepl25D, AlgorithmKind::SparseRepl25D}) {
       const auto& raw = input.raw;
       const auto padded = pad_problem(kind, 8, 2, raw.s, raw.a, raw.b);
-      auto dense = make_algorithm(kind, 8, 2);
+      const Plan dense = make_plan(kind, 8, 2, padded.s, padded.a.cols());
       AlgorithmOptions options;
       options.propagation = PropagationMode::Auto;
       options.schedule = ShiftSchedule::BulkSynchronous;
       options.replication = ReplicationMode::Auto;
-      auto algo = make_algorithm(kind, 8, 2, options);
+      const Plan plan =
+          make_plan(kind, 8, 2, padded.s, padded.a.cols(), options);
       for (const Mode mode : {Mode::SpMMB, Mode::SDDMM}) {
         const auto want =
-            dense->run_kernel(mode, padded.s, padded.a, padded.b);
+            dense.execute(mode, padded.s, padded.a, padded.b);
         const auto got =
-            algo->run_kernel(mode, padded.s, padded.a, padded.b);
+            plan.execute(mode, padded.s, padded.a, padded.b);
         const auto label = to_string(kind) + " " + to_string(mode) + " " +
                            std::to_string(raw.s.rows()) + "x" +
                            std::to_string(raw.s.cols());
@@ -234,12 +239,14 @@ void expect_sddmm_values_schedule_invariant(const Problem& raw,
     bulk_options.replication = replication;
     AlgorithmOptions buffered_options = bulk_options;
     buffered_options.schedule = ShiftSchedule::DoubleBuffered;
-    auto bulk = make_algorithm(kind, 8, 2, bulk_options);
-    auto buffered = make_algorithm(kind, 8, 2, buffered_options);
+    const Plan bulk =
+        make_plan(kind, 8, 2, padded.s, padded.a.cols(), bulk_options);
+    const Plan buffered =
+        make_plan(kind, 8, 2, padded.s, padded.a.cols(), buffered_options);
     const auto lhs =
-        bulk->run_kernel(Mode::SDDMM, padded.s, padded.a, padded.b);
+        bulk.execute(Mode::SDDMM, padded.s, padded.a, padded.b);
     const auto rhs =
-        buffered->run_kernel(Mode::SDDMM, padded.s, padded.a, padded.b);
+        buffered.execute(Mode::SDDMM, padded.s, padded.a, padded.b);
     ASSERT_EQ(lhs.sddmm_values.size(), rhs.sddmm_values.size());
     for (std::size_t k = 0; k < lhs.sddmm_values.size(); ++k) {
       EXPECT_EQ(lhs.sddmm_values[k], rhs.sddmm_values[k])
@@ -313,9 +320,10 @@ TEST(Overlap, MeasuredSpansAreRecorded) {
   const auto raw = make_rmat_problem(64, 64, 8, 99);
   const auto padded = pad_problem(AlgorithmKind::DenseShift15D, 4, 2,
                                   raw.s, raw.a, raw.b);
-  auto algo = make_algorithm(AlgorithmKind::DenseShift15D, 4, 2);
-  const auto result = algo->run_fusedmm(FusedOrientation::A, Elision::None,
-                                        padded.s, padded.a, padded.b);
+  const Plan plan =
+      make_plan(AlgorithmKind::DenseShift15D, 4, 2, padded.s, padded.a.cols());
+  const auto result = plan.execute_fusedmm(
+      FusedOrientation::A, Elision::None, padded.s, padded.a, padded.b);
   EXPECT_GT(result.stats.measured_phase_seconds(Phase::Propagation), 0.0);
   EXPECT_GT(result.stats.measured_phase_seconds(Phase::Computation), 0.0);
   EXPECT_GE(result.stats.measured_kernel_seconds(),

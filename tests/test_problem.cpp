@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "dist/plan.hpp"
 #include "dist/problem.hpp"
 #include "local/reference.hpp"
 #include "sparse/generate.hpp"
@@ -38,9 +39,9 @@ TEST(Problem, PaddedKernelMatchesUnpaddedReference) {
                            ? 2
                            : 1;
     const auto padded = pad_problem(kind, p, c, s, a, b);
-    auto algo = make_algorithm(kind, p, c);
-    const auto result =
-        algo->run_kernel(Mode::SpMMA, padded.s, padded.a, padded.b);
+    const auto result = make_plan(kind, p, c, padded.s, padded.a.cols())
+                            .execute(Mode::SpMMA, padded.s, padded.a,
+                                     padded.b);
     const auto sliced = unpad_dense(result.dense, 50, 9);
     const auto expected = reference_spmm_a(s, b);
     EXPECT_LT(sliced.max_abs_diff(expected), 1e-9) << to_string(kind);
@@ -53,14 +54,13 @@ TEST(Problem, RequirementsMatchValidateDims) {
         AlgorithmKind::DenseRepl25D, AlgorithmKind::SparseRepl25D}) {
     const int p = 16, c = 4;
     const auto req = dims_requirement(kind, p, c);
-    auto algo = make_algorithm(kind, p, c);
     // The advertised multiples must be accepted...
-    algo->validate_dims(req.m_multiple, req.n_multiple,
-                        req.r_multiple * 2);
+    validate_dims(kind, p, c, req.m_multiple, req.n_multiple,
+                  req.r_multiple * 2);
     // ...and one-off sizes rejected (where the multiple is > 1).
     if (req.m_multiple > 1) {
-      EXPECT_THROW(algo->validate_dims(req.m_multiple + 1, req.n_multiple,
-                                       req.r_multiple),
+      EXPECT_THROW(validate_dims(kind, p, c, req.m_multiple + 1,
+                                 req.n_multiple, req.r_multiple),
                    Error)
           << to_string(kind);
     }

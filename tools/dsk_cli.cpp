@@ -32,7 +32,7 @@
 #include "apps/serve_als.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "dist/algorithm.hpp"
+#include "dist/plan.hpp"
 #include "dist/problem.hpp"
 #include "local/reference.hpp"
 #include "model/cost_model.hpp"
@@ -291,6 +291,14 @@ AlgorithmKind parse_algo(const std::string& name) {
   usage_and_exit(("unknown algorithm " + name).c_str());
 }
 
+/// The unified-kernel mode of a --op that is not FusedMM.
+Mode parse_mode(const std::string& name) {
+  if (name == "sddmm") return Mode::SDDMM;
+  if (name == "spmma") return Mode::SpMMA;
+  if (name == "spmmb") return Mode::SpMMB;
+  usage_and_exit(("unknown op " + name).c_str());
+}
+
 Elision parse_elision(const std::string& name) {
   if (name == "none") return Elision::None;
   if (name == "reuse") return Elision::ReplicationReuse;
@@ -483,6 +491,14 @@ int main(int argc, char** argv) {
   }
   const AlgorithmKind kind = parse_algo(opt.algo);
   const Elision elision = parse_elision(opt.elision);
+  const bool fused = opt.op == "fusedmm-a" || opt.op == "fusedmm-b";
+  const auto orientation =
+      opt.op == "fusedmm-b" ? FusedOrientation::B : FusedOrientation::A;
+  const Mode mode = fused ? Mode::SpMMA : parse_mode(opt.op);
+  const std::string why = fused
+                              ? unsupported_reason(kind, orientation, elision)
+                              : unsupported_reason(kind, mode);
+  if (!why.empty()) usage_and_exit(why.c_str());
 
   try {
     FaultPlan fault_plan;
@@ -530,8 +546,9 @@ int main(int argc, char** argv) {
                   to_string(wire.precision).c_str());
     }
 
-    auto algo = make_algorithm(kind, opt.p, opt.c, algo_options);
     Timer timer;
+    const Plan plan = make_plan(kind, opt.p, opt.c, padded.s, padded.a.cols(),
+                                algo_options);
     WorldStats stats;
     double max_err = -1;
     // Max absolute error relative to the reference's norm (at least 1).
@@ -541,11 +558,9 @@ int main(int argc, char** argv) {
              std::max<Scalar>(want.frobenius_norm(), 1.0);
     };
 
-    if (opt.op == "fusedmm-a" || opt.op == "fusedmm-b") {
-      const auto orientation = opt.op == "fusedmm-a" ? FusedOrientation::A
-                                                     : FusedOrientation::B;
-      auto result = algo->run_fusedmm(orientation, elision, padded.s,
-                                      padded.a, padded.b, opt.reps);
+    if (fused) {
+      auto result = plan.execute_fusedmm(orientation, elision, padded.s,
+                                         padded.a, padded.b, opt.reps);
       stats = std::move(result.stats);
       if (opt.verify) {
         max_err = rel_err(
@@ -555,12 +570,7 @@ int main(int argc, char** argv) {
                 : reference_fusedmm_b(padded.s, padded.a, padded.b));
       }
     } else {
-      Mode mode;
-      if (opt.op == "sddmm") mode = Mode::SDDMM;
-      else if (opt.op == "spmma") mode = Mode::SpMMA;
-      else if (opt.op == "spmmb") mode = Mode::SpMMB;
-      else usage_and_exit(("unknown op " + opt.op).c_str());
-      auto result = algo->run_kernel(mode, padded.s, padded.a, padded.b);
+      auto result = plan.execute(mode, padded.s, padded.a, padded.b);
       stats = std::move(result.stats);
       if (opt.verify && mode == Mode::SpMMA) {
         max_err = rel_err(result.dense, reference_spmm_a(padded.s, padded.b));
