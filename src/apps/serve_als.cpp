@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 
 #include "dist/problem.hpp"
@@ -117,109 +118,58 @@ const Plan& AlsServer::score_plan(Index width) {
   return it->second;
 }
 
-std::vector<Scalar> AlsServer::similarity_column(Index user) const {
-  check(user >= 0 && user < users(), "AlsServer: user ", user,
-        " out of range [0, ", users(), ")");
-  std::vector<Scalar> column(static_cast<std::size_t>(s_pad_.rows()),
-                             Scalar{0});
-  const auto anchor = a_.row(user);
-  for (Index i = 0; i < users(); ++i) {
-    const auto row = a_.row(i);
-    Scalar dot = 0;
-    for (std::size_t f = 0; f < row.size(); ++f) dot += row[f] * anchor[f];
-    column[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
-        dot;
-  }
-  return column;
-}
-
-std::vector<Recommendation> AlsServer::extract_top_k(
-    const DenseMatrix& scores, Index column, Index user, int k) const {
-  const auto& seen = rated_[static_cast<std::size_t>(user)];
-  std::vector<Recommendation> candidates;
-  candidates.reserve(static_cast<std::size_t>(items()));
-  for (Index item = 0; item < items(); ++item) {
-    if (std::binary_search(seen.begin(), seen.end(), item)) continue;
-    candidates.push_back({item, scores(item, column)});
-  }
-  const auto count = std::min(static_cast<std::size_t>(k),
-                              candidates.size());
-  std::partial_sort(
-      candidates.begin(),
-      candidates.begin() + static_cast<std::ptrdiff_t>(count),
-      candidates.end(),
-      [](const Recommendation& x, const Recommendation& y) {
-        if (x.score != y.score) return x.score > y.score;
-        return x.item < y.item;
-      });
-  candidates.resize(count);
-  return candidates;
-}
-
-std::vector<std::vector<Recommendation>> AlsServer::top_k(
-    std::span<const Index> user_ids, int k, bool exact_ties) {
+void AlsServer::check_request(std::span<const Index> user_ids, int k,
+                              bool exact_ties) const {
   check(k >= 1, "AlsServer: top_k needs k >= 1");
   check(!(exact_ties && exec_.codec.precision == WirePrecision::BF16),
         "AlsServer: request demands exact top-k ties, but the server's "
         "bf16 wire precision can merge distinct scores into fabricated "
         "ties — serve this request from a full or f32 precision server");
+  for (const Index user : user_ids) {
+    check(user >= 0 && user < users(), "AlsServer: user ", user,
+          " out of range [0, ", users(), ")");
+  }
+}
+
+std::vector<std::vector<Recommendation>> AlsServer::score(
+    std::span<const Index> user_ids, Index width, int k) {
+  DenseMatrix sim = DenseMatrix::uninitialized(s_pad_.rows(), width);
+  fill_similarity_block(a_, perm_, user_ids, sim);
+  const ExecuteOptions exec{.world = world_.get()};
+  const KernelResult result =
+      score_plan(width).execute(Mode::SpMMB, s_pad_, sim,
+                                DenseMatrix(s_pad_.cols(), width), exec);
+  report_.batches += 1;
+  report_.requests += static_cast<int>(user_ids.size());
+  auto answers = top_k_unrated(result.dense, items(), user_ids, rated_, k);
+  absorb(result.stats);
+  return answers;
+}
+
+std::vector<std::vector<Recommendation>> AlsServer::top_k(
+    std::span<const Index> user_ids, int k, bool exact_ties) {
+  check_request(user_ids, k, exact_ties);
   std::vector<std::vector<Recommendation>> out;
   out.reserve(user_ids.size());
-  std::size_t taken = 0;
-  while (taken < user_ids.size()) {
-    // Batches are built against the CURRENT residency, one at a time —
-    // a degrade or reshard absorbed after a batch re-permutes the rows,
-    // so columns must never outlive the residency they were built for.
-    RequestBatcher batcher(s_pad_.rows(), config_.batch_width,
-                           width_multiple_);
-    const std::size_t until =
-        std::min(taken + static_cast<std::size_t>(config_.batch_width),
-                 user_ids.size());
-    for (std::size_t i = taken; i < until; ++i) {
-      batcher.enqueue(similarity_column(user_ids[i]));
-    }
-    const auto batch = batcher.take();
-    const Index width = batch.columns.cols();
-    ExecuteOptions exec;
-    exec.world = world_.get();
-    const KernelResult result =
-        score_plan(width).execute(Mode::SpMMB, s_pad_, batch.columns,
-                                  DenseMatrix(s_pad_.cols(), width), exec);
-    report_.batches += 1;
-    report_.requests += static_cast<int>(batch.real);
-    for (Index j = 0; j < batch.real; ++j) {
-      out.push_back(
-          extract_top_k(result.dense, j, user_ids[taken + static_cast<std::size_t>(j)], k));
-    }
-    taken = until;
-    absorb(result.stats);
+  // Each pass is filled against the CURRENT residency: a degrade or
+  // reshard absorbed after a pass re-permutes the rows and may change
+  // the width multiple.
+  const auto most = static_cast<std::size_t>(config_.batch_width);
+  for (std::size_t taken = 0; taken < user_ids.size(); taken += most) {
+    const auto batch =
+        user_ids.subspan(taken, std::min(most, user_ids.size() - taken));
+    const Index width =
+        snap_batch_width(static_cast<Index>(batch.size()),
+                         config_.batch_width, width_multiple_);
+    std::ranges::move(score(batch, width, k), std::back_inserter(out));
   }
   return out;
 }
 
 std::vector<Recommendation> AlsServer::top_k_one(Index user, int k,
                                                  bool exact_ties) {
-  check(k >= 1, "AlsServer: top_k needs k >= 1");
-  check(!(exact_ties && exec_.codec.precision == WirePrecision::BF16),
-        "AlsServer: request demands exact top-k ties, but the server's "
-        "bf16 wire precision can merge distinct scores into fabricated "
-        "ties — serve this request from a full or f32 precision server");
-  const Index width = width_multiple_;
-  DenseMatrix narrow(s_pad_.rows(), width);
-  const auto column = similarity_column(user);
-  for (Index i = 0; i < narrow.rows(); ++i) {
-    narrow(i, 0) = column[static_cast<std::size_t>(i)];
-  }
-  ExecuteOptions exec;
-  exec.world = world_.get();
-  const KernelResult result =
-      score_plan(width).execute(Mode::SpMMB, s_pad_, narrow,
-                                DenseMatrix(s_pad_.cols(), width), exec);
-  report_.batches += 1;
-  report_.requests += 1;
-  auto recs = extract_top_k(result.dense, 0, user, k);
-  absorb(result.stats);
-  return recs;
+  check_request({&user, 1}, k, exact_ties);
+  return std::move(score({&user, 1}, width_multiple_, k).front());
 }
 
 Scalar AlsServer::observed_rmse() {

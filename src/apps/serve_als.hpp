@@ -4,19 +4,20 @@
 /// (apps/als.hpp), then answers scoring requests from resident state —
 /// an immutable Plan per request width (dist/plan.hpp), one resident
 /// SimWorld reused by every request, and a cross-call ReplicationCache
-/// for the stationary factor. Requests batch through apps/serving.hpp.
+/// for the stationary factor.
 ///
-/// Scoring: a request for user u builds the user-similarity column
-///   sim_u[i] = <a_i, a_u>                        (local, factor-space)
-/// and one batched SpMMB pass over the ratings
-///   scores = S^T · [sim_{u_1} | ... | sim_{u_k}]
-/// ranks every item by similarity-weighted popularity. Column j of the
-/// batched pass is bit-identical to serving request j alone, so the
-/// batcher is a pure traffic optimization. The per-batch request matrix
-/// is never cacheable (it changes every call); the cache serves
-/// observed_rmse, whose SDDMM replicates the stationary factor A —
-/// after the first call its replication traffic drops to zero until the
-/// server reshards or degrades.
+/// Scoring: a pass for users u_1..u_b fills the similarity block
+///   sim(i, j) = <a_i, a_{u_j}>                   (local, factor-space)
+/// in place (fill_similarity_block, apps/serving.hpp), runs one SpMMB
+///   scores = S^T · sim
+/// to rank every item by similarity-weighted popularity, and picks each
+/// request's top k unrated items in one item-order sweep (top_k_unrated).
+/// Column j of a batched pass is bit-identical to serving request j
+/// alone, so batching is a pure traffic optimization. The similarity
+/// block is never cacheable (it changes every call); the cache serves
+/// observed_rmse, whose SDDMM replicates the stationary factor A — after
+/// the first call its replication traffic drops to zero until the server
+/// reshards or degrades.
 ///
 /// Failure story (PR-6/7 carried through the Plan): faults armed in
 /// AlsServerConfig::exec apply to serving requests. Recoverable crashes
@@ -59,11 +60,6 @@ struct AlsServerConfig {
   std::uint64_t reshard_seed = 0xBA7C4;
 };
 
-struct Recommendation {
-  Index item = 0;
-  Scalar score = 0;
-};
-
 /// Counters the server accumulates across requests (tests and the CLI
 /// read these; setup_builds staying 0 is the resident-plan guarantee).
 struct ServeReport {
@@ -98,8 +94,9 @@ class AlsServer {
   const ServeReport& report() const { return report_; }
 
   /// Top-k unrated items for each requested user, served in batched
-  /// kernel passes of up to batch_width requests, on plans built with
-  /// the configured wire codec (AlsServerConfig::exec). `exact_ties`
+  /// kernel passes of up to batch_width requests (every id is checked
+  /// before the first pass runs), on plans built with the configured
+  /// wire codec (AlsServerConfig::exec). `exact_ties`
   /// declares the request demands exact top-k tie resolution: bf16 wire
   /// precision is rejected, because its quantized scores can merge
   /// distinct full-precision scores into fabricated ties (full and f32
@@ -108,7 +105,7 @@ class AlsServer {
       std::span<const Index> user_ids, int k, bool exact_ties = false);
 
   /// One user through an unbatched narrow pass (the minimal planned
-  /// width) — the baseline the batcher is measured against. `exact_ties`
+  /// width) — the baseline batching is measured against. `exact_ties`
   /// as in top_k.
   std::vector<Recommendation> top_k_one(Index user, int k,
                                         bool exact_ties = false);
@@ -125,10 +122,11 @@ class AlsServer {
  private:
   void build_resident();
   const Plan& score_plan(Index width);
-  std::vector<Scalar> similarity_column(Index user) const;
-  std::vector<Recommendation> extract_top_k(const DenseMatrix& scores,
-                                            Index column, Index user,
-                                            int k) const;
+  void check_request(std::span<const Index> user_ids, int k,
+                     bool exact_ties) const;
+  /// One kernel pass of `width` columns for `user_ids` (at most width).
+  std::vector<std::vector<Recommendation>> score(
+      std::span<const Index> user_ids, Index width, int k);
   void absorb(const WorldStats& stats);
   void retire_cache();
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "local/width_dispatch.hpp"
 
 namespace dsk {
 
@@ -20,34 +21,89 @@ Index snap_batch_width(Index pending, Index max_width, Index multiple) {
   return (width + multiple - 1) / multiple * multiple;
 }
 
-RequestBatcher::RequestBatcher(Index rows, Index max_width, Index multiple)
-    : rows_(rows), max_width_(max_width), multiple_(multiple) {
-  check(rows >= 1, "RequestBatcher: rows must be positive");
-  check(max_width >= 1 && multiple >= 1,
-        "RequestBatcher: max_width and multiple must be positive");
-}
-
-void RequestBatcher::enqueue(std::vector<Scalar> column) {
-  check(static_cast<Index>(column.size()) == rows_,
-        "RequestBatcher: column has ", column.size(), " entries, need ",
-        rows_);
-  pending_.push_back(std::move(column));
-}
-
-RequestBatcher::Batch RequestBatcher::take() {
-  check(!pending_.empty(), "RequestBatcher: take() with nothing pending");
-  Batch batch;
-  batch.real = std::min(pending(), max_width_);
-  const Index width = snap_batch_width(batch.real, max_width_, multiple_);
-  batch.columns = DenseMatrix(rows_, width);
-  for (Index j = 0; j < batch.real; ++j) {
-    const auto& column = pending_.front();
-    for (Index i = 0; i < rows_; ++i) {
-      batch.columns(i, j) = column[static_cast<std::size_t>(i)];
-    }
-    pending_.pop_front();
+void fill_similarity_block(const DenseMatrix& a, std::span<const Index> perm,
+                           std::span<const Index> users, DenseMatrix& block) {
+  const Index m = a.rows();
+  const Index r = a.cols();
+  const auto real = static_cast<Index>(users.size());
+  check(static_cast<Index>(perm.size()) == m && block.rows() >= m &&
+            block.cols() >= real,
+        "fill_similarity_block: ", perm.size(), " row targets and ", real,
+        " requests for ", m, " rows into a ", block.rows(), " x ",
+        block.cols(), " block");
+  // The anchors sit in one contiguous block the whole sweep reads.
+  DenseMatrix anchors = DenseMatrix::uninitialized(real, r);
+  for (Index j = 0; j < real; ++j) {
+    const Index user = users[static_cast<std::size_t>(j)];
+    check(user >= 0 && user < m, "fill_similarity_block: user ", user,
+          " out of range [0, ", m, ")");
+    std::ranges::copy(a.row(user), anchors.row(j).begin());
   }
-  return batch;
+  dispatch_width(r, [&](auto w) {
+    constexpr int kW = decltype(w)::value;
+    for (Index i = 0; i < m; ++i) {
+      const Index dst = perm[static_cast<std::size_t>(i)];
+      check(dst >= 0 && dst < m, "fill_similarity_block: row target ", dst,
+            " out of range [0, ", m, ")");
+      const Scalar* row = a.row(i).data();
+      const auto out = block.row(dst);
+      for (Index j = 0; j < real; ++j) {
+        out[static_cast<std::size_t>(j)] =
+            dot_w<kW>(row, anchors.row(j).data(), r);
+      }
+      std::fill(out.begin() + real, out.end(), Scalar{0});
+    }
+  });
+  for (Index i = m; i < block.rows(); ++i) {
+    std::ranges::fill(block.row(i), Scalar{0});
+  }
+}
+
+std::vector<std::vector<Recommendation>> top_k_unrated(
+    const DenseMatrix& scores, Index items, std::span<const Index> users,
+    std::span<const std::vector<Index>> rated, int k) {
+  check(k >= 1, "top_k_unrated: needs k >= 1");
+  check(items >= 0 && items <= scores.rows() &&
+            static_cast<Index>(users.size()) <= scores.cols(),
+        "top_k_unrated: ", items, " items and ", users.size(),
+        " requests from a ", scores.rows(), " x ", scores.cols(),
+        " score block");
+  const auto better = [](const Recommendation& x, const Recommendation& y) {
+    return x.score != y.score ? x.score > y.score : x.item < y.item;
+  };
+  const auto keep = static_cast<std::size_t>(k);
+  // Per request: the rated items the sweep has not passed yet, and a
+  // heap of the best items so far with the worst of them on top.
+  std::vector<std::span<const Index>> rated_ahead;
+  rated_ahead.reserve(users.size());
+  for (const Index user : users) {
+    check(user >= 0 && static_cast<std::size_t>(user) < rated.size(),
+          "top_k_unrated: user ", user, " has no rated list");
+    rated_ahead.emplace_back(rated[static_cast<std::size_t>(user)]);
+  }
+  std::vector<std::vector<Recommendation>> heaps(users.size());
+  for (Index item = 0; item < items; ++item) {
+    const auto row = scores.row(item);
+    for (std::size_t j = 0; j < heaps.size(); ++j) {
+      auto& ahead = rated_ahead[j];
+      while (!ahead.empty() && ahead.front() < item) ahead = ahead.subspan(1);
+      if (!ahead.empty() && ahead.front() == item) continue;
+      auto& heap = heaps[j];
+      const Recommendation candidate{item, row[j]};
+      if (heap.size() < keep) {
+        heap.push_back(candidate);
+        std::ranges::push_heap(heap, better);
+      } else if (candidate.score > heap.front().score) {
+        // Items arrive in ascending order, so a candidate that ties the
+        // worst kept score ranks below it.
+        std::ranges::pop_heap(heap, better);
+        heap.back() = candidate;
+        std::ranges::push_heap(heap, better);
+      }
+    }
+  }
+  for (auto& heap : heaps) std::ranges::sort_heap(heap, better);
+  return heaps;
 }
 
 } // namespace dsk

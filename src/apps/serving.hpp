@@ -1,21 +1,28 @@
 #pragma once
 /// \file serving.hpp
-/// Request batching for the serving layer (dist/plan.hpp): many narrow
-/// right-hand sides coalesce into one wide kernel pass. A request is a
-/// single column; serving them one at a time pays the per-call
-/// replication traffic once per request, while a batched pass pays it
-/// once per batch (and lands on the local kernels' specialized widths —
-/// width_dispatch peaks at r in {32, 64, 128}). Column j of a batched
-/// SpMM output equals the unbatched output for request j bit-exactly:
-/// the kernels never mix columns, so batching changes traffic, not
-/// results.
+/// The host-side halves of one batched scoring pass of the serving layer
+/// (apps/serve_als.hpp). Many narrow requests coalesce into one wide
+/// SpMMB: serving them one at a time pays the per-call replication
+/// traffic once per request, while a batched pass pays it once per batch
+/// (and lands on the local kernels' specialized widths — width_dispatch
+/// peaks at r in {32, 64, 128}). fill_similarity_block writes the pass's
+/// input in one row-major sweep; top_k_unrated reads its output in one
+/// item-order sweep. Column j of a pass depends on request j alone: the
+/// fill computes it with one dot kernel whatever the batch, and the SpMM
+/// kernels never mix columns, so a batched answer equals the unbatched
+/// one bit-exactly — batching changes traffic, not results.
 
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "dense/dense_matrix.hpp"
 
 namespace dsk {
+
+struct Recommendation {
+  Index item = 0;
+  Scalar score = 0;
+};
 
 /// Snap a pending-request count to a kernel sweet-spot width: the
 /// smallest of {32, 64, 128} that fits at least min(pending, max_width)
@@ -26,35 +33,21 @@ namespace dsk {
 Index snap_batch_width(Index pending, Index max_width = 128,
                        Index multiple = 1);
 
-/// FIFO coalescer: enqueue request columns, take() packs up to
-/// max_width of them into one rows x snapped-width matrix. Trailing
-/// pad columns are zero — harmless extra width that keeps every pass
-/// on a planned width.
-class RequestBatcher {
- public:
-  RequestBatcher(Index rows, Index max_width = 128, Index multiple = 1);
+/// Write every entry of `block`, so it may arrive uninitialized: row
+/// perm[i], column j gets <a_i, a_{users[j]}>, each computed by dot_w at
+/// the width dispatch_width picks for a.cols(); rows from a.rows() on
+/// and columns from users.size() on are exactly zero. `perm` must map
+/// the rows of `a` one to one onto [0, a.rows()).
+void fill_similarity_block(const DenseMatrix& a, std::span<const Index> perm,
+                           std::span<const Index> users, DenseMatrix& block);
 
-  Index rows() const { return rows_; }
-  Index max_width() const { return max_width_; }
-  Index pending() const { return static_cast<Index>(pending_.size()); }
-
-  /// Queue one request column (must have exactly rows() entries).
-  void enqueue(std::vector<Scalar> column);
-
-  struct Batch {
-    DenseMatrix columns; ///< rows x snapped width, request j in column j
-    Index real = 0;      ///< leading columns that carry requests
-  };
-
-  /// Pack the oldest min(pending, max_width) requests into one pass.
-  /// Throws when nothing is pending.
-  Batch take();
-
- private:
-  Index rows_;
-  Index max_width_;
-  Index multiple_;
-  std::deque<std::vector<Scalar>> pending_;
-};
+/// The k best unrated items of each request, best first. Request j scores
+/// item i < items with scores(i, j), skips the items listed in
+/// rated[users[j]] (ascending), and ranks by score descending, then item
+/// ascending; fewer than k unrated items return them all. One sweep in
+/// item order serves the whole batch.
+std::vector<std::vector<Recommendation>> top_k_unrated(
+    const DenseMatrix& scores, Index items, std::span<const Index> users,
+    std::span<const std::vector<Index>> rated, int k);
 
 } // namespace dsk

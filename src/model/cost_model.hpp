@@ -148,7 +148,7 @@ double amortized_setup_share(double build_seconds, double request_seconds,
 
 /// Modeled per-rank traffic ratio of serving `k` narrow width-r
 /// requests one kernel call at a time versus one batched k*r-wide call
-/// (the serving batcher's coalescing, apps/serving.hpp): words(k calls
+/// (the serving layer's batched passes, apps/serving.hpp): words(k calls
 /// at in.r) / words(1 call at k*in.r). Greater than 1 means batching
 /// wins on traffic — replication words are paid once instead of k times
 /// while propagation scales with total width either way.

@@ -363,7 +363,7 @@ TEST(ReplicationCacheTest, FaultsDisableTheCache) {
   EXPECT_EQ(cache.misses(), 0u);
 }
 
-// --- Request batching ---------------------------------------------------
+// --- Batched scoring passes --------------------------------------------
 
 TEST(Serving, SnapBatchWidthPicksSweetSpots) {
   EXPECT_EQ(snap_batch_width(1), 32);
@@ -379,20 +379,133 @@ TEST(Serving, SnapBatchWidthPicksSweetSpots) {
   EXPECT_EQ(snap_batch_width(10, 128, 48), 48);
 }
 
-TEST(Serving, BatcherTakesFifoAndPadsWithZeros) {
-  RequestBatcher batcher(4, 32, 1);
-  batcher.enqueue({1, 2, 3, 4});
-  batcher.enqueue({5, 6, 7, 8});
-  EXPECT_EQ(batcher.pending(), 2);
-  const auto batch = batcher.take();
-  EXPECT_EQ(batch.real, 2);
-  EXPECT_EQ(batch.columns.rows(), 4);
-  EXPECT_EQ(batch.columns.cols(), 32);
-  EXPECT_EQ(batch.columns(0, 0), 1.0);
-  EXPECT_EQ(batch.columns(3, 1), 8.0);
-  EXPECT_EQ(batch.columns(0, 2), 0.0);
-  EXPECT_EQ(batcher.pending(), 0);
-  EXPECT_THROW(batcher.enqueue({1, 2, 3}), Error); // wrong length
+/// Request j lands in column j at row perm[i]; every entry of the block
+/// is written, pad rows and pad columns as exact zeros, so the block may
+/// arrive uninitialized.
+TEST(Serving, FillPlacesRequestsAndPadsWithZeros) {
+  Rng rng(21);
+  DenseMatrix a(5, 8);
+  a.fill_random(rng);
+  const std::vector<Index> perm = {3, 0, 4, 1, 2};
+  const std::vector<Index> users = {4, 1, 4};
+  DenseMatrix block(7, 32);
+  block.fill(std::nan(""));
+  fill_similarity_block(a, perm, users, block);
+  for (Index i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < users.size(); ++j) {
+      // Width 8 takes the generic dot, which sums in order of f.
+      Scalar dot = 0;
+      for (Index f = 0; f < a.cols(); ++f) dot += a(i, f) * a(users[j], f);
+      EXPECT_EQ(block(perm[static_cast<std::size_t>(i)],
+                      static_cast<Index>(j)),
+                dot);
+    }
+    for (Index j = 3; j < block.cols(); ++j) {
+      EXPECT_EQ(block(perm[static_cast<std::size_t>(i)], j), 0.0);
+    }
+  }
+  for (Index i = a.rows(); i < block.rows(); ++i) {
+    for (Index j = 0; j < block.cols(); ++j) EXPECT_EQ(block(i, j), 0.0);
+  }
+  const std::vector<Index> bad_user = {5};
+  EXPECT_THROW(fill_similarity_block(a, perm, bad_user, block), Error);
+  const std::vector<Index> short_perm = {0, 1};
+  EXPECT_THROW(fill_similarity_block(a, short_perm, users, block), Error);
+  DenseMatrix narrow(7, 2);
+  EXPECT_THROW(fill_similarity_block(a, perm, users, narrow), Error);
+}
+
+/// The reference for top_k_unrated: a full sort of one request's unrated
+/// items.
+std::vector<Recommendation> sorted_unrated(const DenseMatrix& scores,
+                                           Index column, Index items,
+                                           const std::vector<Index>& rated,
+                                           int k) {
+  std::vector<Recommendation> all;
+  for (Index item = 0; item < items; ++item) {
+    if (!std::binary_search(rated.begin(), rated.end(), item)) {
+      all.push_back({item, scores(item, column)});
+    }
+  }
+  std::sort(all.begin(), all.end(),
+            [](const Recommendation& x, const Recommendation& y) {
+              if (x.score != y.score) return x.score > y.score;
+              return x.item < y.item;
+            });
+  all.resize(std::min(all.size(), static_cast<std::size_t>(k)));
+  return all;
+}
+
+void expect_same(const std::vector<Recommendation>& got,
+                 const std::vector<Recommendation>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].item, want[i].item);
+    EXPECT_EQ(got[i].score, want[i].score);
+  }
+}
+
+TEST(Serving, TopKUnratedPutsTheLowerItemFirstOnTies) {
+  // Items 1, 3 and 4 tie at the top; 0 and 5 tie below them.
+  const DenseMatrix scores(6, 1, std::vector<Scalar>{1, 2, 0.5, 2, 2, 1});
+  const std::vector<std::vector<Index>> rated = {{}};
+  const std::vector<Index> users = {0};
+  const auto got = top_k_unrated(scores, 6, users, rated, 4);
+  expect_same(got.front(), {{1, 2}, {3, 2}, {4, 2}, {0, 1}});
+}
+
+TEST(Serving, TopKUnratedSkipsRatedItemsAtBothEnds) {
+  // Row 4 is padding: its score never competes.
+  const DenseMatrix scores(5, 3, std::vector<Scalar>{9, 1, 5,   //
+                                                     3, 2, 4,   //
+                                                     7, 3, 3,   //
+                                                     8, 4, 2,   //
+                                                     99, 99, 99});
+  // User 0 rated the first and the last item, user 1 rated everything,
+  // user 2 nothing; column j answers users[j].
+  const std::vector<std::vector<Index>> rated = {{0, 3}, {0, 1, 2, 3}, {}};
+  const std::vector<Index> users = {0, 1, 2};
+  const auto got = top_k_unrated(scores, 4, users, rated, 10);
+  ASSERT_EQ(got.size(), 3u);
+  // k above the unrated count: every unrated item, sorted.
+  expect_same(got[0], {{2, 7}, {1, 3}});
+  EXPECT_TRUE(got[1].empty());
+  expect_same(got[2], {{0, 5}, {1, 4}, {2, 3}, {3, 2}});
+  EXPECT_THROW(top_k_unrated(scores, 4, users, rated, 0), Error);
+  EXPECT_THROW(top_k_unrated(scores, 6, users, rated, 1), Error);
+  const std::vector<Index> unknown = {3};
+  EXPECT_THROW(top_k_unrated(scores, 4, unknown, rated, 1), Error);
+}
+
+TEST(Serving, TopKUnratedMatchesAFullSort) {
+  Rng rng(2027);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Index items = rng.next_index(1, 40);
+    const Index requests = rng.next_index(1, 5);
+    // Padded rows and columns hold scores that must never be picked.
+    DenseMatrix scores(items + 2, requests + 1);
+    scores.fill(1e9);
+    std::vector<std::vector<Index>> rated(static_cast<std::size_t>(requests));
+    std::vector<Index> users;
+    for (Index j = 0; j < requests; ++j) {
+      // Few distinct scores, so ties are common.
+      for (Index item = 0; item < items; ++item) {
+        scores(item, j) = static_cast<Scalar>(rng.next_index(0, 6)) * 0.5;
+        if (rng.next_index(0, 4) == 0) {
+          rated[static_cast<std::size_t>(j)].push_back(item);
+        }
+      }
+      users.push_back(j);
+    }
+    const int k = static_cast<int>(rng.next_index(1, items + 3));
+    const auto got = top_k_unrated(scores, items, users, rated, k);
+    ASSERT_EQ(got.size(), users.size());
+    for (Index j = 0; j < requests; ++j) {
+      expect_same(got[static_cast<std::size_t>(j)],
+                  sorted_unrated(scores, j, items,
+                                 rated[static_cast<std::size_t>(j)], k));
+    }
+  }
 }
 
 // --- The ALS server -----------------------------------------------------
@@ -426,6 +539,41 @@ TEST(AlsServerTest, BatchedEqualsUnbatched) {
       }
     }
   }
+}
+
+/// More requests than one pass holds: three passes (32 + 32 + 6), the
+/// answers in request order, each bit-identical in item and score to
+/// the narrow unbatched pass — at a width with no specialized dot
+/// (rank 8) and at a specialized one (rank 32).
+TEST(AlsServerTest, MultiBatchMatchesNarrowPasses) {
+  const CooMatrix ratings = synthetic_ratings(32, 24, 4, 16);
+  std::vector<Index> users;
+  for (Index i = 0; i < 70; ++i) users.push_back((i * 7) % 32);
+  for (const Index rank : {Index{8}, Index{32}}) {
+    AlsServerConfig config = small_server_config();
+    config.train.rank = rank;
+    AlsServer server(ratings, config);
+    const auto batched = server.top_k({users.data(), users.size()}, 5);
+    ASSERT_EQ(batched.size(), users.size());
+    EXPECT_EQ(server.report().batches, 3);
+    EXPECT_EQ(server.report().requests, 70);
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      expect_same(batched[i], server.top_k_one(users[i], 5));
+    }
+  }
+}
+
+/// Every id of a call is checked before its first pass: an id out of
+/// range in the second batch leaves no pass run and nothing counted.
+TEST(AlsServerTest, RejectsABadUserBeforeAnyPass) {
+  const CooMatrix ratings = synthetic_ratings(32, 24, 4, 17);
+  AlsServer server(ratings, small_server_config());
+  std::vector<Index> users(32, 3);
+  users.push_back(server.users());
+  EXPECT_THROW(server.top_k({users.data(), users.size()}, 3), Error);
+  EXPECT_THROW(server.top_k_one(-1, 3), Error);
+  EXPECT_EQ(server.report().batches, 0);
+  EXPECT_EQ(server.report().requests, 0);
 }
 
 TEST(AlsServerTest, RmseRidesTheCacheUntilReshard) {

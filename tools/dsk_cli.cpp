@@ -134,6 +134,7 @@ struct Options {
   bool degrade = false;
   std::uint64_t seed = 1;
   int reps = 1;
+  bool fusedmm_flag_given = false; ///< --elision or --reps passed
   Index users = 96;
   Index items = 64;
   int requests = 8;
@@ -250,7 +251,10 @@ Options parse(int argc, char** argv) {
     const auto number = [&](auto lo) { return parse_number(arg, next(), lo); };
     if (arg == "--op") opt.op = next();
     else if (arg == "--algo") opt.algo = next();
-    else if (arg == "--elision") opt.elision = next();
+    else if (arg == "--elision") {
+      opt.elision = next();
+      opt.fusedmm_flag_given = true;
+    }
     else if (arg == "--replication") opt.replication = next();
     else if (arg == "--propagation") opt.propagation = next();
     else if (arg == "--schedule") opt.schedule = next();
@@ -270,7 +274,10 @@ Options parse(int argc, char** argv) {
     }
     else if (arg == "--degrade") opt.degrade = true;
     else if (arg == "--seed") opt.seed = number(std::uint64_t{0});
-    else if (arg == "--reps") opt.reps = number(1);
+    else if (arg == "--reps") {
+      opt.reps = number(1);
+      opt.fusedmm_flag_given = true;
+    }
     else if (arg == "--users") opt.users = number(Index{1});
     else if (arg == "--items") opt.items = number(Index{1});
     else if (arg == "--requests") opt.requests = number(1);
@@ -376,12 +383,16 @@ CooMatrix synthetic_ratings(Index users, Index items, Index per_user,
   return ratings;
 }
 
-int serve_main(const Options& opt, AlgorithmOptions algo_options) {
+int serve_main(const Options& opt, AlgorithmKind kind,
+               AlgorithmOptions algo_options) {
   if (opt.batch_width != 32 && opt.batch_width != 64 &&
       opt.batch_width != 128) {
     usage_and_exit("--batch-width must be one of the kernel sweet spots "
                    "32, 64, or 128");
   }
+  // Scoring is an SpMMB pass, which the 1D baseline cannot run.
+  const std::string why = unsupported_reason(kind, Mode::SpMMB);
+  if (!why.empty()) usage_and_exit(why.c_str());
 
   FaultPlan fault_plan;
   if (!opt.faults.empty()) {
@@ -403,7 +414,12 @@ int serve_main(const Options& opt, AlgorithmOptions algo_options) {
 
   AlsServerConfig config;
   config.train.rank = opt.r;
-  config.train.kind = parse_algo(opt.algo);
+  config.train.kind = kind;
+  // Training elides what the family can: 2.5D sparse replication elides
+  // nothing.
+  config.train.elision = supports(kind, Elision::ReplicationReuse)
+                             ? Elision::ReplicationReuse
+                             : Elision::None;
   config.train.p = opt.p;
   config.train.c = opt.c;
   config.train.lambda = 0.05;
@@ -481,17 +497,29 @@ int serve_main(const Options& opt, AlgorithmOptions algo_options) {
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
   AlgorithmOptions algo_options = validate_common(opt);
+  const AlgorithmKind kind = parse_algo(opt.algo);
+  if (!valid_config(kind, opt.p, opt.c)) {
+    std::ostringstream message;
+    message << "--p " << opt.p << " --c " << opt.c
+            << " is not a grid for " << opt.algo
+            << ": c must divide p, dense-repl and sparse-repl also need "
+               "p/c to be a perfect square, and baseline needs c = 1";
+    usage_and_exit(message.str().c_str());
+  }
   if (opt.serve) {
     try {
-      return serve_main(opt, algo_options);
+      return serve_main(opt, kind, algo_options);
     } catch (const Error& e) {
       std::fprintf(stderr, "dsk_cli: error: %s\n", e.what());
       return 1;
     }
   }
-  const AlgorithmKind kind = parse_algo(opt.algo);
   const Elision elision = parse_elision(opt.elision);
   const bool fused = opt.op == "fusedmm-a" || opt.op == "fusedmm-b";
+  if (!fused && opt.fusedmm_flag_given) {
+    usage_and_exit("--elision and --reps only apply to --op fusedmm-a and "
+                   "fusedmm-b; refusing to silently ignore them");
+  }
   const auto orientation =
       opt.op == "fusedmm-b" ? FusedOrientation::B : FusedOrientation::A;
   const Mode mode = fused ? Mode::SpMMA : parse_mode(opt.op);
