@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <iterator>
 #include <numeric>
+#include <vector>
 
+#include "common/timer.hpp"
 #include "dist/problem.hpp"
+#include "sparse/partition.hpp"
 
 namespace dsk {
 
@@ -13,6 +17,17 @@ namespace {
 
 Index round_up(Index value, Index multiple) {
   return (value + multiple - 1) / multiple * multiple;
+}
+
+/// Run body(slice) on every rank of `world`, rank q taking the q-th
+/// contiguous share of [0, count) (shares may be empty).
+void run_sliced(SimWorld& world, Index count,
+                const std::function<void(Slice)>& body) {
+  const std::vector<Index> bounds = partition_uniform(count, world.size());
+  world.run([&](Comm& comm) {
+    const auto q = static_cast<std::size_t>(comm.rank());
+    body({bounds[q], bounds[q + 1]});
+  });
 }
 
 } // namespace
@@ -106,12 +121,14 @@ void AlsServer::retire_cache() {
   retired_misses_ += cache_->misses();
 }
 
-const Plan& AlsServer::score_plan(Index width) {
+const AlsServer::ScorePlan& AlsServer::score_plan(Index width) {
   auto it = score_plans_.find(width);
   if (it == score_plans_.end()) {
     it = score_plans_
-             .emplace(width, make_plan(config_.train.kind, p_, c_, s_pad_,
-                                       width, exec_))
+             .emplace(width,
+                      ScorePlan{make_plan(config_.train.kind, p_, c_, s_pad_,
+                                          width, exec_),
+                                DenseMatrix(s_pad_.cols(), width)})
              .first;
     report_.plan_builds += 1;
   }
@@ -133,15 +150,28 @@ void AlsServer::check_request(std::span<const Index> user_ids, int k,
 
 std::vector<std::vector<Recommendation>> AlsServer::score(
     std::span<const Index> user_ids, Index width, int k) {
+  const ScorePlan& pass = score_plan(width);
   DenseMatrix sim = DenseMatrix::uninitialized(s_pad_.rows(), width);
-  fill_similarity_block(a_, perm_, user_ids, sim);
+  std::vector<std::vector<Recommendation>> answers(user_ids.size());
+  const Timer clock;
+  run_sliced(*world_, sim.rows(), [&](Slice rows) {
+    fill_similarity_block(a_, perm_, user_ids, sim, rows);
+  });
+  const double filled = clock.seconds();
   const ExecuteOptions exec{.world = world_.get()};
   const KernelResult result =
-      score_plan(width).execute(Mode::SpMMB, s_pad_, sim,
-                                DenseMatrix(s_pad_.cols(), width), exec);
+      pass.plan.execute(Mode::SpMMB, s_pad_, sim, pass.unread_b, exec);
+  const double executed = clock.seconds();
+  run_sliced(*world_, static_cast<Index>(user_ids.size()),
+             [&](Slice requests) {
+               top_k_unrated(result.dense, items(), user_ids, rated_, k,
+                             requests, answers);
+             });
+  report_.fill_seconds += filled;
+  report_.execute_seconds += executed - filled;
+  report_.top_k_seconds += clock.seconds() - executed;
   report_.batches += 1;
   report_.requests += static_cast<int>(user_ids.size());
-  auto answers = top_k_unrated(result.dense, items(), user_ids, rated_, k);
   absorb(result.stats);
   return answers;
 }

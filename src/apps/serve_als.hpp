@@ -12,8 +12,15 @@
 ///   scores = S^T · sim
 /// to rank every item by similarity-weighted popularity, and picks each
 /// request's top k unrated items in one item-order sweep (top_k_unrated).
-/// Column j of a batched pass is bit-identical to serving request j
-/// alone, so batching is a pure traffic optimization. The similarity
+/// Both host halves run on the resident world's p ranks, one world run
+/// each: before the SpMMB, rank q fills the q-th contiguous share of the
+/// block's rows; after it, rank q picks top k for the q-th contiguous
+/// share of the pass's requests. Each rank writes only its own rows or
+/// answer slots, with the kernel and sweep a serial pass uses, so the
+/// answers do not depend on p. Column j of a batched pass is
+/// bit-identical to serving request j alone, so batching is a pure
+/// traffic optimization. SpMMB reads only the block, so each width's
+/// plan keeps one zero item-side input for every pass. The similarity
 /// block is never cacheable (it changes every call); the cache serves
 /// observed_rmse, whose SDDMM replicates the stationary factor A — after
 /// the first call its replication traffic drops to zero until the server
@@ -77,6 +84,11 @@ struct ServeReport {
   double last_imbalance = 1.0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  /// Wall seconds summed over every scoring pass, stage by stage: the
+  /// similarity fill, the SpMMB execute and the top-k pick.
+  double fill_seconds = 0;
+  double execute_seconds = 0;
+  double top_k_seconds = 0;
 };
 
 class AlsServer {
@@ -120,8 +132,15 @@ class AlsServer {
   void reshard();
 
  private:
+  /// A pass width's plan and the zero s_pad_.cols() x width input its
+  /// SpMMB is handed but never reads.
+  struct ScorePlan {
+    Plan plan;
+    DenseMatrix unread_b;
+  };
+
   void build_resident();
-  const Plan& score_plan(Index width);
+  const ScorePlan& score_plan(Index width);
   void check_request(std::span<const Index> user_ids, int k,
                      bool exact_ties) const;
   /// One kernel pass of `width` columns for `user_ids` (at most width).
@@ -146,7 +165,7 @@ class AlsServer {
   DenseMatrix b_pad_;
   Index width_multiple_ = 1; ///< current grid's r divisibility
 
-  std::map<Index, Plan> score_plans_;  ///< lazy, keyed by pass width
+  std::map<Index, ScorePlan> score_plans_;  ///< lazy, keyed by pass width
   std::optional<Plan> rmse_plan_;
   std::unique_ptr<SimWorld> world_;
   std::unique_ptr<ReplicationCache> cache_;

@@ -22,7 +22,8 @@ Index snap_batch_width(Index pending, Index max_width, Index multiple) {
 }
 
 void fill_similarity_block(const DenseMatrix& a, std::span<const Index> perm,
-                           std::span<const Index> users, DenseMatrix& block) {
+                           std::span<const Index> users, DenseMatrix& block,
+                           Slice rows) {
   const Index m = a.rows();
   const Index r = a.cols();
   const auto real = static_cast<Index>(users.size());
@@ -31,6 +32,10 @@ void fill_similarity_block(const DenseMatrix& a, std::span<const Index> perm,
         "fill_similarity_block: ", perm.size(), " row targets and ", real,
         " requests for ", m, " rows into a ", block.rows(), " x ",
         block.cols(), " block");
+  check(rows.begin >= 0 && rows.begin <= rows.end &&
+            rows.end <= block.rows(),
+        "fill_similarity_block: rows [", rows.begin, ", ", rows.end,
+        ") outside [0, ", block.rows(), ")");
   // The anchors sit in one contiguous block the whole sweep reads.
   DenseMatrix anchors = DenseMatrix::uninitialized(real, r);
   for (Index j = 0; j < real; ++j) {
@@ -39,9 +44,10 @@ void fill_similarity_block(const DenseMatrix& a, std::span<const Index> perm,
           " out of range [0, ", m, ")");
     std::ranges::copy(a.row(user), anchors.row(j).begin());
   }
+  const Index real_end = std::min(rows.end, m);
   dispatch_width(r, [&](auto w) {
     constexpr int kW = decltype(w)::value;
-    for (Index i = 0; i < m; ++i) {
+    for (Index i = rows.begin; i < real_end; ++i) {
       const Index dst = perm[static_cast<std::size_t>(i)];
       check(dst >= 0 && dst < m, "fill_similarity_block: row target ", dst,
             " out of range [0, ", m, ")");
@@ -54,37 +60,48 @@ void fill_similarity_block(const DenseMatrix& a, std::span<const Index> perm,
       std::fill(out.begin() + real, out.end(), Scalar{0});
     }
   });
-  for (Index i = m; i < block.rows(); ++i) {
+  for (Index i = std::max(rows.begin, m); i < rows.end; ++i) {
     std::ranges::fill(block.row(i), Scalar{0});
   }
 }
 
-std::vector<std::vector<Recommendation>> top_k_unrated(
-    const DenseMatrix& scores, Index items, std::span<const Index> users,
-    std::span<const std::vector<Index>> rated, int k) {
+void top_k_unrated(const DenseMatrix& scores, Index items,
+                   std::span<const Index> users,
+                   std::span<const std::vector<Index>> rated, int k,
+                   Slice requests,
+                   std::span<std::vector<Recommendation>> answers) {
   check(k >= 1, "top_k_unrated: needs k >= 1");
   check(items >= 0 && items <= scores.rows() &&
             static_cast<Index>(users.size()) <= scores.cols(),
         "top_k_unrated: ", items, " items and ", users.size(),
         " requests from a ", scores.rows(), " x ", scores.cols(),
         " score block");
+  check(answers.size() == users.size() && requests.begin >= 0 &&
+            requests.begin <= requests.end &&
+            requests.end <= static_cast<Index>(users.size()),
+        "top_k_unrated: requests [", requests.begin, ", ", requests.end,
+        ") of ", users.size(), " into ", answers.size(), " answer slots");
+  const auto first = static_cast<std::size_t>(requests.begin);
+  const auto count = static_cast<std::size_t>(requests.end - requests.begin);
   const auto better = [](const Recommendation& x, const Recommendation& y) {
     return x.score != y.score ? x.score > y.score : x.item < y.item;
   };
   const auto keep = static_cast<std::size_t>(k);
-  // Per request: the rated items the sweep has not passed yet, and a
-  // heap of the best items so far with the worst of them on top.
+  // Per request: the rated items the sweep has not passed yet, and (in
+  // its answer slot) a heap of the best items so far with the worst of
+  // them on top.
   std::vector<std::span<const Index>> rated_ahead;
-  rated_ahead.reserve(users.size());
-  for (const Index user : users) {
+  rated_ahead.reserve(count);
+  for (const Index user : users.subspan(first, count)) {
     check(user >= 0 && static_cast<std::size_t>(user) < rated.size(),
           "top_k_unrated: user ", user, " has no rated list");
     rated_ahead.emplace_back(rated[static_cast<std::size_t>(user)]);
   }
-  std::vector<std::vector<Recommendation>> heaps(users.size());
+  const auto heaps = answers.subspan(first, count);
+  for (auto& heap : heaps) heap.clear();
   for (Index item = 0; item < items; ++item) {
-    const auto row = scores.row(item);
-    for (std::size_t j = 0; j < heaps.size(); ++j) {
+    const Scalar* row = scores.row(item).data() + first;
+    for (std::size_t j = 0; j < count; ++j) {
       auto& ahead = rated_ahead[j];
       while (!ahead.empty() && ahead.front() < item) ahead = ahead.subspan(1);
       if (!ahead.empty() && ahead.front() == item) continue;
@@ -103,7 +120,6 @@ std::vector<std::vector<Recommendation>> top_k_unrated(
     }
   }
   for (auto& heap : heaps) std::ranges::sort_heap(heap, better);
-  return heaps;
 }
 
 } // namespace dsk

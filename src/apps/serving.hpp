@@ -6,11 +6,15 @@
 /// traffic once per request, while a batched pass pays it once per batch
 /// (and lands on the local kernels' specialized widths — width_dispatch
 /// peaks at r in {32, 64, 128}). fill_similarity_block writes the pass's
-/// input in one row-major sweep; top_k_unrated reads its output in one
-/// item-order sweep. Column j of a pass depends on request j alone: the
-/// fill computes it with one dot kernel whatever the batch, and the SpMM
-/// kernels never mix columns, so a batched answer equals the unbatched
-/// one bit-exactly — batching changes traffic, not results.
+/// input in row-major sweeps; top_k_unrated reads its output in
+/// item-order sweeps. Both take a Slice, so each rank of the server's
+/// resident world serves its own rows or requests, and the whole range
+/// is the serial pass. Column j of a pass depends on request j alone:
+/// the fill computes it with one dot kernel whatever the batch or the
+/// slice, the SpMM kernels never mix columns, and request j's pick reads
+/// column j alone — so a batched answer equals the unbatched one
+/// bit-exactly, on any number of ranks. Batching changes traffic, not
+/// results.
 
 #include <span>
 #include <vector>
@@ -33,21 +37,36 @@ struct Recommendation {
 Index snap_batch_width(Index pending, Index max_width = 128,
                        Index multiple = 1);
 
-/// Write every entry of `block`, so it may arrive uninitialized: row
-/// perm[i], column j gets <a_i, a_{users[j]}>, each computed by dot_w at
-/// the width dispatch_width picks for a.cols(); rows from a.rows() on
-/// and columns from users.size() on are exactly zero. `perm` must map
-/// the rows of `a` one to one onto [0, a.rows()).
-void fill_similarity_block(const DenseMatrix& a, std::span<const Index> perm,
-                           std::span<const Index> users, DenseMatrix& block);
+/// A contiguous share [begin, end) of one pass's rows or requests: the
+/// part one rank of the resident world serves. The whole range is the
+/// serial pass.
+struct Slice {
+  Index begin = 0;
+  Index end = 0;
+};
 
-/// The k best unrated items of each request, best first. Request j scores
-/// item i < items with scores(i, j), skips the items listed in
+/// Write rows `rows` of `block` (within [0, block.rows())), whole, so the
+/// block may arrive uninitialized: index i < a.rows() is row perm[i],
+/// whose column j gets <a_i, a_{users[j]}>, each computed by dot_w at the
+/// width dispatch_width picks for a.cols(), and whose columns from
+/// users.size() on are exactly zero; index i >= a.rows() is pad row i,
+/// exactly zero. `perm` must map the rows of `a` one to one onto
+/// [0, a.rows()), so slices that do not overlap write disjoint rows.
+void fill_similarity_block(const DenseMatrix& a, std::span<const Index> perm,
+                           std::span<const Index> users, DenseMatrix& block,
+                           Slice rows);
+
+/// The k best unrated items of requests `requests` (within
+/// [0, users.size())), best first, written to their own slots of
+/// `answers` (one per request; the other slots are left alone). Request j
+/// scores item i < items with scores(i, j), skips the items listed in
 /// rated[users[j]] (ascending), and ranks by score descending, then item
 /// ascending; fewer than k unrated items return them all. One sweep in
-/// item order serves the whole batch.
-std::vector<std::vector<Recommendation>> top_k_unrated(
-    const DenseMatrix& scores, Index items, std::span<const Index> users,
-    std::span<const std::vector<Index>> rated, int k);
+/// item order serves the slice.
+void top_k_unrated(const DenseMatrix& scores, Index items,
+                   std::span<const Index> users,
+                   std::span<const std::vector<Index>> rated, int k,
+                   Slice requests,
+                   std::span<std::vector<Recommendation>> answers);
 
 } // namespace dsk

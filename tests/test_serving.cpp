@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "runtime/fault.hpp"
 #include "runtime/world.hpp"
 #include "sparse/generate.hpp"
+#include "sparse/partition.hpp"
 
 namespace dsk {
 namespace {
@@ -379,6 +383,12 @@ TEST(Serving, SnapBatchWidthPicksSweetSpots) {
   EXPECT_EQ(snap_batch_width(10, 128, 48), 48);
 }
 
+bool same_bits(std::span<const Scalar> x, std::span<const Scalar> y) {
+  return std::ranges::equal(x, y, [](Scalar u, Scalar v) {
+    return std::bit_cast<std::uint64_t>(u) == std::bit_cast<std::uint64_t>(v);
+  });
+}
+
 /// Request j lands in column j at row perm[i]; every entry of the block
 /// is written, pad rows and pad columns as exact zeros, so the block may
 /// arrive uninitialized.
@@ -390,7 +400,8 @@ TEST(Serving, FillPlacesRequestsAndPadsWithZeros) {
   const std::vector<Index> users = {4, 1, 4};
   DenseMatrix block(7, 32);
   block.fill(std::nan(""));
-  fill_similarity_block(a, perm, users, block);
+  const Slice all{0, block.rows()};
+  fill_similarity_block(a, perm, users, block, all);
   for (Index i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < users.size(); ++j) {
       // Width 8 takes the generic dot, which sums in order of f.
@@ -408,11 +419,56 @@ TEST(Serving, FillPlacesRequestsAndPadsWithZeros) {
     for (Index j = 0; j < block.cols(); ++j) EXPECT_EQ(block(i, j), 0.0);
   }
   const std::vector<Index> bad_user = {5};
-  EXPECT_THROW(fill_similarity_block(a, perm, bad_user, block), Error);
+  EXPECT_THROW(fill_similarity_block(a, perm, bad_user, block, all), Error);
   const std::vector<Index> short_perm = {0, 1};
-  EXPECT_THROW(fill_similarity_block(a, short_perm, users, block), Error);
+  EXPECT_THROW(fill_similarity_block(a, short_perm, users, block, all),
+               Error);
   DenseMatrix narrow(7, 2);
-  EXPECT_THROW(fill_similarity_block(a, perm, users, narrow), Error);
+  EXPECT_THROW(fill_similarity_block(a, perm, users, narrow, all), Error);
+  EXPECT_THROW(fill_similarity_block(a, perm, users, block, {0, 8}), Error);
+  EXPECT_THROW(fill_similarity_block(a, perm, users, block, {3, 2}), Error);
+  EXPECT_THROW(fill_similarity_block(a, perm, users, block, {-1, 2}), Error);
+}
+
+/// One contiguous row slice per rank, empty slices and slices across the
+/// real/pad boundary included: each slice writes exactly its own block
+/// rows, with the bits of one whole-range fill — at a width with no
+/// specialized dot (8) and at a specialized one (32).
+TEST(Serving, SlicedFillsMatchTheWholeRangeFill) {
+  Rng rng(22);
+  const std::vector<Index> perm = {3, 0, 4, 1, 2};
+  const std::vector<Index> users = {4, 1, 4};
+  // Rows 5 and 6 are pad rows; 8 ranks leave one slice empty. Slice
+  // index i writes block row perm[i], or pad row i.
+  const std::vector<Index> source = {1, 3, 4, 0, 2, 5, 6};
+  DenseMatrix blank(7, 32);
+  blank.fill(std::nan(""));
+  for (const Index r : {Index{8}, Index{32}}) {
+    DenseMatrix a(5, r);
+    a.fill_random(rng);
+    DenseMatrix whole = blank;
+    fill_similarity_block(a, perm, users, whole, {0, whole.rows()});
+    for (const int p : {1, 2, 3, 4, 8}) {
+      DenseMatrix sliced = blank;
+      const std::vector<Index> bounds = partition_uniform(sliced.rows(), p);
+      for (std::size_t q = 0; q + 1 < bounds.size(); ++q) {
+        const Slice rows{bounds[q], bounds[q + 1]};
+        DenseMatrix alone = blank;
+        fill_similarity_block(a, perm, users, alone, rows);
+        fill_similarity_block(a, perm, users, sliced, rows);
+        for (Index row = 0; row < alone.rows(); ++row) {
+          const Index i = source[static_cast<std::size_t>(row)];
+          const bool mine = i >= rows.begin && i < rows.end;
+          EXPECT_TRUE(same_bits(alone.row(row),
+                                (mine ? whole : blank).row(row)))
+              << "r = " << r << ", p = " << p << ", slice " << q
+              << ", row " << row;
+        }
+      }
+      EXPECT_TRUE(same_bits(sliced.data(), whole.data()))
+          << "r = " << r << ", p = " << p;
+    }
+  }
 }
 
 /// The reference for top_k_unrated: a full sort of one request's unrated
@@ -441,8 +497,19 @@ void expect_same(const std::vector<Recommendation>& got,
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].item, want[i].item);
-    EXPECT_EQ(got[i].score, want[i].score);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].score),
+              std::bit_cast<std::uint64_t>(want[i].score));
   }
+}
+
+/// top_k_unrated over the whole batch: the serial pass.
+std::vector<std::vector<Recommendation>> top_k_whole(
+    const DenseMatrix& scores, Index items, const std::vector<Index>& users,
+    const std::vector<std::vector<Index>>& rated, int k) {
+  std::vector<std::vector<Recommendation>> answers(users.size());
+  top_k_unrated(scores, items, users, rated, k,
+                {0, static_cast<Index>(users.size())}, answers);
+  return answers;
 }
 
 TEST(Serving, TopKUnratedPutsTheLowerItemFirstOnTies) {
@@ -450,7 +517,7 @@ TEST(Serving, TopKUnratedPutsTheLowerItemFirstOnTies) {
   const DenseMatrix scores(6, 1, std::vector<Scalar>{1, 2, 0.5, 2, 2, 1});
   const std::vector<std::vector<Index>> rated = {{}};
   const std::vector<Index> users = {0};
-  const auto got = top_k_unrated(scores, 6, users, rated, 4);
+  const auto got = top_k_whole(scores, 6, users, rated, 4);
   expect_same(got.front(), {{1, 2}, {3, 2}, {4, 2}, {0, 1}});
 }
 
@@ -465,16 +532,24 @@ TEST(Serving, TopKUnratedSkipsRatedItemsAtBothEnds) {
   // user 2 nothing; column j answers users[j].
   const std::vector<std::vector<Index>> rated = {{0, 3}, {0, 1, 2, 3}, {}};
   const std::vector<Index> users = {0, 1, 2};
-  const auto got = top_k_unrated(scores, 4, users, rated, 10);
+  const auto got = top_k_whole(scores, 4, users, rated, 10);
   ASSERT_EQ(got.size(), 3u);
   // k above the unrated count: every unrated item, sorted.
   expect_same(got[0], {{2, 7}, {1, 3}});
   EXPECT_TRUE(got[1].empty());
   expect_same(got[2], {{0, 5}, {1, 4}, {2, 3}, {3, 2}});
-  EXPECT_THROW(top_k_unrated(scores, 4, users, rated, 0), Error);
-  EXPECT_THROW(top_k_unrated(scores, 6, users, rated, 1), Error);
+  EXPECT_THROW(top_k_whole(scores, 4, users, rated, 0), Error);
+  EXPECT_THROW(top_k_whole(scores, 6, users, rated, 1), Error);
   const std::vector<Index> unknown = {3};
-  EXPECT_THROW(top_k_unrated(scores, 4, unknown, rated, 1), Error);
+  EXPECT_THROW(top_k_whole(scores, 4, unknown, rated, 1), Error);
+  std::vector<std::vector<Recommendation>> slots(users.size());
+  EXPECT_THROW(top_k_unrated(scores, 4, users, rated, 1, {2, 4}, slots),
+               Error);
+  EXPECT_THROW(top_k_unrated(scores, 4, users, rated, 1, {2, 1}, slots),
+               Error);
+  std::vector<std::vector<Recommendation>> too_few(2);
+  EXPECT_THROW(top_k_unrated(scores, 4, users, rated, 1, {0, 2}, too_few),
+               Error);
 }
 
 TEST(Serving, TopKUnratedMatchesAFullSort) {
@@ -498,12 +573,53 @@ TEST(Serving, TopKUnratedMatchesAFullSort) {
       users.push_back(j);
     }
     const int k = static_cast<int>(rng.next_index(1, items + 3));
-    const auto got = top_k_unrated(scores, items, users, rated, k);
+    const auto got = top_k_whole(scores, items, users, rated, k);
     ASSERT_EQ(got.size(), users.size());
     for (Index j = 0; j < requests; ++j) {
       expect_same(got[static_cast<std::size_t>(j)],
                   sorted_unrated(scores, j, items,
                                  rated[static_cast<std::size_t>(j)], k));
+    }
+  }
+}
+
+/// Each rank's contiguous request slice, empty slices included, writes
+/// the whole batch's answers into its own slots and leaves every other
+/// slot alone.
+TEST(Serving, SlicedTopKMatchesTheWholeBatch) {
+  Rng rng(2029);
+  const std::vector<Recommendation> untouched = {{-1, -1}};
+  for (int trial = 0; trial < 50; ++trial) {
+    const Index items = rng.next_index(1, 30);
+    const Index requests = rng.next_index(1, 6);
+    DenseMatrix scores(items + 1, requests);
+    std::vector<std::vector<Index>> rated(3);
+    for (Index item = 0; item < items; ++item) {
+      for (Index j = 0; j < requests; ++j) {
+        scores(item, j) = static_cast<Scalar>(rng.next_index(0, 6)) * 0.5;
+      }
+      for (auto& list : rated) {
+        if (rng.next_index(0, 4) == 0) list.push_back(item);
+      }
+    }
+    // Requests repeat users, so slices share rated lists.
+    std::vector<Index> users;
+    for (Index j = 0; j < requests; ++j) users.push_back(rng.next_index(0, 3));
+    const int k = static_cast<int>(rng.next_index(1, items + 2));
+    const auto whole = top_k_whole(scores, items, users, rated, k);
+    for (const int p : {1, 2, 3, 4, 8}) {
+      const std::vector<Index> bounds = partition_uniform(requests, p);
+      for (std::size_t q = 0; q + 1 < bounds.size(); ++q) {
+        std::vector<std::vector<Recommendation>> answers(users.size(),
+                                                         untouched);
+        top_k_unrated(scores, items, users, rated, k,
+                      {bounds[q], bounds[q + 1]}, answers);
+        for (Index j = 0; j < requests; ++j) {
+          const bool mine = j >= bounds[q] && j < bounds[q + 1];
+          expect_same(answers[static_cast<std::size_t>(j)],
+                      mine ? whole[static_cast<std::size_t>(j)] : untouched);
+        }
+      }
     }
   }
 }
@@ -561,6 +677,54 @@ TEST(AlsServerTest, MultiBatchMatchesNarrowPasses) {
       expect_same(batched[i], server.top_k_one(users[i], 5));
     }
   }
+}
+
+/// An 8-rank world (p = 8, c = 2) splits each pass among its ranks: one
+/// request leaves seven ranks without a request to pick for, five
+/// requests give uneven shares; every answer equals the narrow pass.
+TEST(AlsServerTest, EightRankPassesMatchNarrowPasses) {
+  const CooMatrix ratings = synthetic_ratings(32, 24, 4, 18);
+  AlsServerConfig config = small_server_config();
+  config.train.p = 8;
+  config.train.c = 2;
+  AlsServer server(ratings, config);
+  ASSERT_EQ(server.p(), 8);
+  for (const std::vector<Index>& users :
+       {std::vector<Index>{11}, std::vector<Index>{3, 9, 14, 14, 27}}) {
+    const auto batched = server.top_k({users.data(), users.size()}, 4);
+    ASSERT_EQ(batched.size(), users.size());
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      expect_same(batched[i], server.top_k_one(users[i], 4));
+    }
+  }
+  EXPECT_EQ(server.report().setup_builds, 0);
+}
+
+/// Every pass adds its fill, execute and top-k wall seconds to the
+/// report; observed_rmse runs no scoring pass and adds none.
+TEST(AlsServerTest, ReportSumsStageSecondsPerPass) {
+  const CooMatrix ratings = synthetic_ratings(32, 24, 4, 19);
+  AlsServer server(ratings, small_server_config());
+  const auto stages = [&] {
+    const ServeReport& r = server.report();
+    return std::vector<double>{r.fill_seconds, r.execute_seconds,
+                               r.top_k_seconds};
+  };
+  std::vector<double> before = stages();
+  EXPECT_EQ(before, std::vector<double>(3, 0.0));
+  const auto expect_pass_adds_time = [&](const std::function<void()>& pass) {
+    pass();
+    const std::vector<double> after = stages();
+    for (std::size_t s = 0; s < after.size(); ++s) {
+      EXPECT_GT(after[s], before[s]) << "stage " << s;
+    }
+    server.observed_rmse();
+    EXPECT_EQ(stages(), after);
+    before = after;
+  };
+  expect_pass_adds_time([&] { server.top_k_one(5, 3); });
+  const std::vector<Index> users = {1, 2, 3};
+  expect_pass_adds_time([&] { server.top_k({users.data(), users.size()}, 3); });
 }
 
 /// Every id of a call is checked before its first pass: an id out of
@@ -649,6 +813,12 @@ TEST(AlsServerTest, DegradedReplanKeepsServing) {
     EXPECT_NEAR(degraded_recs[j].score, clean_recs[j].score, 1e-9);
   }
   EXPECT_FALSE(server.report().degraded && server.p() == 4);
+  // On the shrunken world, a batched pass still equals the narrow ones.
+  const auto shrunk = server.top_k({users.data(), users.size()}, 3);
+  ASSERT_EQ(shrunk.size(), users.size());
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    expect_same(shrunk[i], server.top_k_one(users[i], 3));
+  }
 }
 
 /// The configured wire codec rides every serving pass on the plans the

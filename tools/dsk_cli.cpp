@@ -19,8 +19,10 @@
 /// tools/check_options_doc.py in CI.
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -449,6 +451,10 @@ int serve_main(const Options& opt, AlgorithmKind kind,
               "setup builds during serving: %d)\n",
               report.requests, report.batches, report.plan_builds,
               report.setup_builds);
+  std::printf("pass wall time by stage: fill %.3f ms, execute %.3f ms, "
+              "top-k %.3f ms\n",
+              report.fill_seconds * 1e3, report.execute_seconds * 1e3,
+              report.top_k_seconds * 1e3);
   std::printf("cache: %llu hit(s), %llu miss(es); load imbalance %.2f; "
               "%d reshard(s)\n",
               static_cast<unsigned long long>(report.cache_hits),
@@ -473,7 +479,8 @@ int serve_main(const Options& opt, AlgorithmKind kind,
   std::printf("\n");
 
   // Batched-equals-unbatched spot check: the same user through a fresh
-  // one-request batch and through the narrow unbatched path must agree.
+  // one-request batch and through the narrow unbatched path must agree
+  // in every item and every score bit.
   const auto batched = server.top_k({&sample, 1}, opt.top_k);
   const auto narrow = server.top_k_one(sample, opt.top_k);
   bool ok = batched.front().size() == narrow.size();
@@ -481,7 +488,8 @@ int serve_main(const Options& opt, AlgorithmKind kind,
     for (std::size_t i = 0; i < narrow.size(); ++i) {
       const auto& x = batched.front()[i];
       const auto& y = narrow[i];
-      if (x.item != y.item || std::abs(x.score - y.score) > 1e-9) {
+      if (x.item != y.item || std::bit_cast<std::uint64_t>(x.score) !=
+                                  std::bit_cast<std::uint64_t>(y.score)) {
         ok = false;
         break;
       }
