@@ -25,7 +25,6 @@
 #include "bench_common.hpp"
 #include "dist/problem.hpp"
 #include "sparse/matrix_market.hpp"
-#include "sparse/permute.hpp"
 
 using namespace dsk;
 using namespace dsk::bench;
@@ -33,9 +32,9 @@ using namespace dsk::bench;
 namespace {
 
 /// When DSK_MATRIX_DIR holds <name>.mtx (the actual SuiteSparse file),
-/// load it, randomly permute rows/columns for load balance (paper
-/// Section VI), and zero-pad to the largest grid under test; otherwise
-/// fall back to the R-MAT stand-in.
+/// load it and zero-pad it to the largest grid under test (each plan
+/// balances the blocks of a skewed file itself, paper Section VI);
+/// otherwise fall back to the R-MAT stand-in.
 Workload load_or_generate(const char* name, Index sim_n, Index sim_d,
                           Index r, int max_p) {
   if (const char* dir = std::getenv("DSK_MATRIX_DIR"); dir != nullptr) {
@@ -47,14 +46,13 @@ Workload load_or_generate(const char* name, Index sim_n, Index sim_d,
     if (std::filesystem::exists(path)) {
       std::printf("loading real matrix %s\n", path.c_str());
       Rng rng(4242);
-      auto permuted =
-          random_permute(read_matrix_market_file(path.string()), rng);
-      DenseMatrix a(permuted.matrix.rows(), r);
-      DenseMatrix b(permuted.matrix.cols(), r);
+      const CooMatrix s = read_matrix_market_file(path.string());
+      DenseMatrix a(s.rows(), r);
+      DenseMatrix b(s.cols(), r);
       a.fill_random(rng);
       b.fill_random(rng);
-      auto padded = pad_problem(AlgorithmKind::DenseRepl25D, max_p, 4,
-                                permuted.matrix, a, b);
+      auto padded =
+          pad_problem(AlgorithmKind::DenseRepl25D, max_p, 4, s, a, b);
       return Workload{std::move(padded.s), std::move(padded.a),
                       std::move(padded.b), r};
     }

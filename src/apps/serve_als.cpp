@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <iterator>
-#include <numeric>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -33,10 +32,7 @@ void run_sliced(SimWorld& world, Index count,
 } // namespace
 
 AlsServer::AlsServer(const CooMatrix& ratings, const AlsServerConfig& config)
-    : config_(config),
-      exec_(config.exec),
-      ratings_(ratings),
-      reshard_rng_(config.reshard_seed) {
+    : config_(config), exec_(config.exec), ratings_(ratings) {
   check(ratings_.nnz() > 0, "AlsServer: no ratings");
   check(ratings_.is_sorted_unique(),
         "AlsServer: ratings must be sorted with unique entries "
@@ -66,38 +62,14 @@ AlsServer::AlsServer(const CooMatrix& ratings, const AlsServerConfig& config)
   a_ = unpad_dense(trained.a, ratings_.rows(), tc.rank);
   b_ = unpad_dense(trained.b, ratings_.cols(), tc.rank);
   loss_history_ = std::move(trained.loss_history);
-
-  perm_.resize(static_cast<std::size_t>(ratings_.rows()));
-  std::iota(perm_.begin(), perm_.end(), Index{0});
   build_resident();
 }
 
 AlsServer::~AlsServer() = default;
 
 void AlsServer::build_resident() {
-  const Index m = ratings_.rows();
-  const Index n = ratings_.cols();
-
-  // Apply the current row permutation to the observations and the user
-  // factors (scores and RMSE are permutation-invariant — only the rank
-  // placement of user rows moves).
-  CooMatrix permuted(m, n);
-  permuted.reserve(ratings_.nnz());
-  for (Index k = 0; k < ratings_.nnz(); ++k) {
-    const auto e = ratings_.entry(k);
-    permuted.push_back(perm_[static_cast<std::size_t>(e.row)], e.col,
-                       e.value);
-  }
-  permuted.sort_and_combine();
-  DenseMatrix a_perm(m, a_.cols());
-  for (Index i = 0; i < m; ++i) {
-    const auto src = a_.row(i);
-    const auto dst = a_perm.row(perm_[static_cast<std::size_t>(i)]);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-
   PaddedProblem padded =
-      pad_problem(config_.train.kind, p_, c_, permuted, a_perm, b_);
+      pad_problem(config_.train.kind, p_, c_, ratings_, a_, b_);
   s_pad_ = std::move(padded.s);
   a_pad_ = std::move(padded.a);
   b_pad_ = std::move(padded.b);
@@ -155,7 +127,7 @@ std::vector<std::vector<Recommendation>> AlsServer::score(
   std::vector<std::vector<Recommendation>> answers(user_ids.size());
   const Timer clock;
   run_sliced(*world_, sim.rows(), [&](Slice rows) {
-    fill_similarity_block(a_, perm_, user_ids, sim, rows);
+    fill_similarity_block(a_, user_ids, sim, rows);
   });
   const double filled = clock.seconds();
   const ExecuteOptions exec{.world = world_.get()};
@@ -181,9 +153,8 @@ std::vector<std::vector<Recommendation>> AlsServer::top_k(
   check_request(user_ids, k, exact_ties);
   std::vector<std::vector<Recommendation>> out;
   out.reserve(user_ids.size());
-  // Each pass is filled against the CURRENT residency: a degrade or
-  // reshard absorbed after a pass re-permutes the rows and may change
-  // the width multiple.
+  // Each pass runs on the CURRENT residency: a degrade absorbed after a
+  // pass re-plans onto a smaller grid and may change the width multiple.
   const auto most = static_cast<std::size_t>(config_.batch_width);
   for (std::size_t taken = 0; taken < user_ids.size(); taken += most) {
     const auto batch =
@@ -227,20 +198,6 @@ Scalar AlsServer::observed_rmse() {
   return rmse;
 }
 
-void AlsServer::reshard() {
-  std::vector<Index> perm(static_cast<std::size_t>(users()));
-  std::iota(perm.begin(), perm.end(), Index{0});
-  for (Index i = users() - 1; i > 0; --i) {
-    const Index j = reshard_rng_.next_index(0, i + 1);
-    std::swap(perm[static_cast<std::size_t>(i)],
-              perm[static_cast<std::size_t>(j)]);
-  }
-  perm_ = std::move(perm);
-  report_.reshards += 1;
-  report_.replans += 1;
-  build_resident();
-}
-
 void AlsServer::absorb(const WorldStats& stats) {
   report_.setup_builds += stats.setup_builds();
   report_.last_imbalance = stats.load_imbalance();
@@ -256,11 +213,6 @@ void AlsServer::absorb(const WorldStats& stats) {
     exec_.faults = nullptr;
     report_.replans += 1;
     build_resident();
-    return;
-  }
-  if (config_.reshard_threshold > 0 &&
-      report_.last_imbalance > config_.reshard_threshold) {
-    reshard();
   }
 }
 

@@ -24,7 +24,7 @@
 /// block is never cacheable (it changes every call); the cache serves
 /// observed_rmse, whose SDDMM replicates the stationary factor A — after
 /// the first call its replication traffic drops to zero until the server
-/// reshards or degrades.
+/// degrades.
 ///
 /// Failure story (PR-6/7 carried through the Plan): faults armed in
 /// AlsServerConfig::exec apply to serving requests. Recoverable crashes
@@ -33,11 +33,11 @@
 /// server re-plans once onto the shrunken grid (shrink_config), rebuilds
 /// its resident world and cache fault-free, and keeps serving.
 ///
-/// Load balance: every pass records WorldStats::load_imbalance. When it
-/// exceeds reshard_threshold between batches, the server draws a new
-/// random row permutation (moving hot user rows apart), rebuilds the
-/// Plan, and invalidates the cache — scores are permutation-invariant,
-/// so responses are unchanged.
+/// Load balance is the Plan's job (dist/plan.hpp): a skewed ratings
+/// pattern plans its user and item blocks by an order-keeping
+/// assignment, the same one for every pass width, so the server keeps
+/// the caller's row order throughout. Every pass records
+/// WorldStats::load_imbalance in the report.
 
 #include <map>
 #include <memory>
@@ -46,7 +46,6 @@
 
 #include "apps/als.hpp"
 #include "apps/serving.hpp"
-#include "common/rng.hpp"
 #include "dist/plan.hpp"
 #include "dist/replication_cache.hpp"
 #include "runtime/world.hpp"
@@ -62,9 +61,6 @@ struct AlsServerConfig {
   /// top_k).
   AlgorithmOptions exec;
   Index batch_width = 128;          ///< max requests per kernel pass
-  /// Reshard when a pass's load_imbalance exceeds this (0 = never).
-  double reshard_threshold = 0.0;
-  std::uint64_t reshard_seed = 0xBA7C4;
 };
 
 /// Counters the server accumulates across requests (tests and the CLI
@@ -75,8 +71,7 @@ struct ServeReport {
   int rmse_calls = 0;
   int setup_builds = 0;  ///< per-request setup builds (resident plan: 0)
   int plan_builds = 0;   ///< Plans built (lazy widths + rebuilds)
-  int replans = 0;       ///< resident rebuilds (degrade or reshard)
-  int reshards = 0;
+  int replans = 0;       ///< resident rebuilds (after a degrade)
   bool degraded = false;
   int degraded_rank = -1;
   int degraded_from = 0;
@@ -127,10 +122,6 @@ class AlsServer {
   /// cache, so repeat calls move zero replication words.
   Scalar observed_rmse();
 
-  /// Force a reshard now (new row permutation, plan rebuild, cache
-  /// invalidation) — the imbalance trigger calls this automatically.
-  void reshard();
-
  private:
   /// A pass width's plan and the zero s_pad_.cols() x width input its
   /// SpMMB is handed but never reads.
@@ -151,17 +142,16 @@ class AlsServer {
 
   AlsServerConfig config_;
   AlgorithmOptions exec_;    ///< current exec options (faults drop on degrade)
-  CooMatrix ratings_;        ///< original-order observations
+  CooMatrix ratings_;        ///< observations
   std::vector<std::vector<Index>> rated_;  ///< per user: rated items, sorted
-  DenseMatrix a_;            ///< user factors, original order, trained width
+  DenseMatrix a_;            ///< user factors, trained width
   DenseMatrix b_;            ///< item factors
   std::vector<Scalar> loss_history_;
 
   int p_ = 0, c_ = 0;        ///< current grid (shrinks on degrade)
-  std::vector<Index> perm_;  ///< original user row -> resident row
-  CooMatrix s_pad_;          ///< permuted + padded ratings
+  CooMatrix s_pad_;          ///< padded ratings
   CooMatrix mask_pad_;       ///< indicator of s_pad_ (rmse plan input)
-  DenseMatrix a_pad_;        ///< permuted + padded user factors
+  DenseMatrix a_pad_;        ///< padded user factors
   DenseMatrix b_pad_;
   Index width_multiple_ = 1; ///< current grid's r divisibility
 
@@ -171,7 +161,6 @@ class AlsServer {
   std::unique_ptr<ReplicationCache> cache_;
   std::uint64_t retired_hits_ = 0;   ///< hits of caches dropped by rebuilds
   std::uint64_t retired_misses_ = 0;
-  Rng reshard_rng_;
   ServeReport report_;
 };
 

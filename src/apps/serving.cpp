@@ -21,17 +21,14 @@ Index snap_batch_width(Index pending, Index max_width, Index multiple) {
   return (width + multiple - 1) / multiple * multiple;
 }
 
-void fill_similarity_block(const DenseMatrix& a, std::span<const Index> perm,
-                           std::span<const Index> users, DenseMatrix& block,
-                           Slice rows) {
+void fill_similarity_block(const DenseMatrix& a, std::span<const Index> users,
+                           DenseMatrix& block, Slice rows) {
   const Index m = a.rows();
   const Index r = a.cols();
   const auto real = static_cast<Index>(users.size());
-  check(static_cast<Index>(perm.size()) == m && block.rows() >= m &&
-            block.cols() >= real,
-        "fill_similarity_block: ", perm.size(), " row targets and ", real,
-        " requests for ", m, " rows into a ", block.rows(), " x ",
-        block.cols(), " block");
+  check(block.rows() >= m && block.cols() >= real,
+        "fill_similarity_block: ", real, " requests for ", m,
+        " rows into a ", block.rows(), " x ", block.cols(), " block");
   check(rows.begin >= 0 && rows.begin <= rows.end &&
             rows.end <= block.rows(),
         "fill_similarity_block: rows [", rows.begin, ", ", rows.end,
@@ -48,11 +45,8 @@ void fill_similarity_block(const DenseMatrix& a, std::span<const Index> perm,
   dispatch_width(r, [&](auto w) {
     constexpr int kW = decltype(w)::value;
     for (Index i = rows.begin; i < real_end; ++i) {
-      const Index dst = perm[static_cast<std::size_t>(i)];
-      check(dst >= 0 && dst < m, "fill_similarity_block: row target ", dst,
-            " out of range [0, ", m, ")");
       const Scalar* row = a.row(i).data();
-      const auto out = block.row(dst);
+      const auto out = block.row(i);
       for (Index j = 0; j < real; ++j) {
         out[static_cast<std::size_t>(j)] =
             dot_w<kW>(row, anchors.row(j).data(), r);

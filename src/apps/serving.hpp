@@ -46,15 +46,13 @@ struct Slice {
 };
 
 /// Write rows `rows` of `block` (within [0, block.rows())), whole, so the
-/// block may arrive uninitialized: index i < a.rows() is row perm[i],
-/// whose column j gets <a_i, a_{users[j]}>, each computed by dot_w at the
-/// width dispatch_width picks for a.cols(), and whose columns from
-/// users.size() on are exactly zero; index i >= a.rows() is pad row i,
-/// exactly zero. `perm` must map the rows of `a` one to one onto
-/// [0, a.rows()), so slices that do not overlap write disjoint rows.
-void fill_similarity_block(const DenseMatrix& a, std::span<const Index> perm,
-                           std::span<const Index> users, DenseMatrix& block,
-                           Slice rows);
+/// block may arrive uninitialized: row i < a.rows() gets
+/// <a_i, a_{users[j]}> in column j, each computed by dot_w at the width
+/// dispatch_width picks for a.cols(), and exactly zero in the columns
+/// from users.size() on; pad row i >= a.rows() is exactly zero. Slices
+/// that do not overlap write disjoint rows.
+void fill_similarity_block(const DenseMatrix& a, std::span<const Index> users,
+                           DenseMatrix& block, Slice rows);
 
 /// The k best unrated items of requests `requests` (within
 /// [0, users.size())), best first, written to their own slots of

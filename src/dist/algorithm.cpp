@@ -96,10 +96,10 @@ bool can_crash(const AlgorithmOptions& options) {
 
 /// Run `attempt` and, when degradation is armed and the run loses a rank
 /// for good, re-shard the padded problem onto the largest valid smaller
-/// grid and re-run there, fault-free, from a digest-verified checkpoint
-/// of the sparse input. `rerun(sub, ctx, padded)` runs the call on the
-/// smaller driver's plan and `unpad(out)` trims its output back to the
-/// caller's shape.
+/// grid (balanced by plan_setup's rule on that grid) and re-run there,
+/// fault-free, from a digest-verified checkpoint of the sparse input.
+/// `rerun(sub, ctx, padded)` runs the call on the smaller driver's plan
+/// and `unpad(out)` trims its output back to the caller's shape.
 template <class Result, class Attempt, class Rerun, class Unpad>
 Result run_degradable(const DistAlgorithm& algo, const CooMatrix& s,
                       const DenseMatrix& a, const DenseMatrix& b,
@@ -126,7 +126,7 @@ Result run_degradable(const DistAlgorithm& algo, const CooMatrix& s,
     const auto sub = make_algorithm(algo.kind(), p2, c2, sub_options);
     const PaddedProblem padded =
         pad_problem(algo.kind(), p2, c2, healed, a, b);
-    const auto plan = sub->make_plan_data(padded.s, padded.a.cols());
+    const auto plan = plan_setup(*sub, padded.s, padded.a.cols()).data;
     ExecContext ctx;
     ctx.plan = plan.get();
     Result out = rerun(*sub, ctx, padded);
@@ -323,9 +323,13 @@ class Baseline1D final : public DistAlgorithm {
   Baseline1D(int p, int c, const AlgorithmOptions& options)
       : DistAlgorithm(AlgorithmKind::Baseline1D, p, c, options) {}
 
-  std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
-                                                 Index r) const override {
-    return freeze_setup(make_setup(s, r));
+  /// Rows only: a rank's shard columns are the sorted list of B rows it
+  /// fetches, not a block, so balancing leaves the columns in place.
+  BlockGrid block_grid() const override { return {p(), 1}; }
+
+  std::shared_ptr<const PlanData> make_plan_data(
+      const CooMatrix& s, Index r, const BlockMaps& maps) const override {
+    return freeze_setup(make_setup(s, r, maps));
   }
 
  protected:
@@ -348,6 +352,7 @@ class Baseline1D final : public DistAlgorithm {
   struct Setup {
     Index m = 0, n = 0, r = 0;
     Index row_blk = 0, col_blk = 0;
+    BlockMaps maps;  ///< planned row order (columns keep theirs)
     /// Per rank: local block CSR with columns remapped to positions in
     /// `cols` (the sorted distinct global columns it touches).
     std::vector<SparseShard> shards;
@@ -356,13 +361,14 @@ class Baseline1D final : public DistAlgorithm {
     std::vector<std::vector<std::vector<Index>>> needs;
   };
 
-  Setup make_setup(const CooMatrix& s, Index r) const {
+  Setup make_setup(const CooMatrix& s, Index r, const BlockMaps& maps) const {
     Setup su;
     su.m = s.rows();
     su.n = s.cols();
     su.r = r;
     su.row_blk = su.m / p();
     su.col_blk = su.n / p();
+    su.maps = maps;
     su.cols.resize(static_cast<std::size_t>(p()));
     // Distinct column support per rank (entries are sorted, so a block's
     // columns arrive row-major; collect and sort-unique).
@@ -370,8 +376,8 @@ class Baseline1D final : public DistAlgorithm {
         static_cast<std::size_t>(p()));
     for (Index k = 0; k < s.nnz(); ++k) {
       const auto e = s.entry(k);
-      support[static_cast<std::size_t>(e.row / su.row_blk)].push_back(
-          e.col);
+      support[static_cast<std::size_t>(maps.rows(e.row) / su.row_blk)]
+          .push_back(e.col);
     }
     for (int k = 0; k < p(); ++k) {
       auto& cols = support[static_cast<std::size_t>(k)];
@@ -394,7 +400,8 @@ class Baseline1D final : public DistAlgorithm {
               su.row_blk,
               static_cast<Index>(
                   su.cols[static_cast<std::size_t>(bucket)].size()));
-        });
+        },
+        maps);
     su.needs.assign(static_cast<std::size_t>(p()),
                     std::vector<std::vector<Index>>(
                         static_cast<std::size_t>(p())));
@@ -499,8 +506,8 @@ class Baseline1D final : public DistAlgorithm {
         PhaseScope scope(comm.stats(), Phase::Computation);
         DenseMatrix block(su.row_blk, su.r);
         if (fused) {
-          const DenseMatrix a_block =
-              a.row_block(rank * su.row_blk, (rank + 1) * su.row_blk);
+          const DenseMatrix a_block = dense_block(
+              a, rank * su.row_blk, su.row_blk, 0, su.r, su.maps.rows.from);
           std::vector<Scalar> dots(shard.coo.size(), Scalar{0});
           comm.stats().add_flops(
               masked_dot_products(scsr, a_block, work, dots));
@@ -511,7 +518,7 @@ class Baseline1D final : public DistAlgorithm {
         } else {
           comm.stats().add_flops(spmm_a(scsr, work, block));
         }
-        place_block(out, block, rank * su.row_blk, 0);
+        place_block(out, block, rank * su.row_blk, 0, su.maps.rows.from);
       }
     }, rec.world_options());
   }

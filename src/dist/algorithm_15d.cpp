@@ -38,9 +38,14 @@ class DenseShift15D final : public DistAlgorithm {
       : DistAlgorithm(AlgorithmKind::DenseShift15D, p, c, options),
         grid_(p, c) {}
 
-  std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
-                                                 Index r) const override {
-    return freeze_setup(make_setup(s, r));
+  /// m/L row blocks, n/p column blocks (a piece's column range).
+  BlockGrid block_grid() const override {
+    return {grid_.layer_size(), p()};
+  }
+
+  std::shared_ptr<const PlanData> make_plan_data(
+      const CooMatrix& s, Index r, const BlockMaps& maps) const override {
+    return freeze_setup(make_setup(s, r, maps));
   }
 
  protected:
@@ -59,15 +64,19 @@ class DenseShift15D final : public DistAlgorithm {
     Index a_blk = 0; ///< canonical A block height m / p
     Index b_blk = 0; ///< shifting B block height n / p
     Index ncg = 0;   ///< layer column-group width n / c
+    BlockMaps maps;  ///< planned row / column order of S, A and B
     /// Piece (rank, j): rank's S sub-block meeting shifted B block j.
     std::vector<SparseShard> pieces;
     /// Row support of rank (u, v)'s mL-row working block (union over its
     /// L pieces), stored at u*c + v so each fiber's c member supports are
     /// contiguous — the wants table of the row-sparse collectives.
     std::vector<std::vector<Index>> support;
+    /// Wire schedules of each rank's circulating B payloads, at
+    /// rank * 2 + mutates (see b_compression).
+    std::vector<ShiftCompression> rings;
   };
 
-  Setup make_setup(const CooMatrix& s, Index r) const {
+  Setup make_setup(const CooMatrix& s, Index r, const BlockMaps& maps) const {
     const int L = grid_.layer_size();
     Setup su;
     su.m = s.rows();
@@ -77,6 +86,7 @@ class DenseShift15D final : public DistAlgorithm {
     su.a_blk = su.m / p();
     su.b_blk = su.n / p();
     su.ncg = su.n / c();
+    su.maps = maps;
     su.pieces = shard_coo(
         s, p() * L,
         [&](Index row, Index col) {
@@ -91,7 +101,8 @@ class DenseShift15D final : public DistAlgorithm {
           return std::pair<Index, Index>(
               row % su.mL, col - v * su.ncg - j * su.b_blk);
         },
-        [&](int) { return std::pair<Index, Index>(su.mL, su.b_blk); });
+        [&](int) { return std::pair<Index, Index>(su.mL, su.b_blk); },
+        maps);
     // Sized even in Dense mode (fiber_wants hands out spans into it);
     // the unions are only needed — and only computed — when the
     // row-sparse collectives may run.
@@ -106,6 +117,12 @@ class DenseShift15D final : public DistAlgorithm {
           su.support[static_cast<std::size_t>(u * c() + v)] =
               union_row_support(mine, su.mL);
         }
+      }
+    }
+    for (int rank = 0; rank < p(); ++rank) {
+      for (const bool mutates : {false, true}) {
+        su.rings.push_back(b_compression(su, grid_.u_of(rank),
+                                         grid_.v_of(rank), mutates));
       }
     }
     return su;
@@ -142,9 +159,9 @@ class DenseShift15D final : public DistAlgorithm {
     PhaseScope scope(comm.stats(), Phase::Replication);
     Group fiber(comm, grid_.fiber_members(u));
     const Index row0 = (static_cast<Index>(u) * c() + v) * su.a_blk;
-    auto out = std::make_shared<const DenseMatrix>(
-        fiber.allgatherv_rows(a, row0, su.a_blk, fiber_wants(su, u),
-                              options().replication, codec));
+    auto out = std::make_shared<const DenseMatrix>(fiber.allgatherv_rows(
+        a, row0, su.a_blk, fiber_wants(su, u), options().replication, codec,
+        su.maps.rows.from));
     if (cu.cache != nullptr) cu.cache->store(comm.rank(), out);
     return out;
   }
@@ -158,17 +175,16 @@ class DenseShift15D final : public DistAlgorithm {
     Group fiber(comm, grid_.fiber_members(u));
     auto chunk = fiber.reduce_scatter_rows(partial, fiber_wants(su, u),
                                            options().replication, codec);
-    place_block(out, chunk,
-                static_cast<Index>(u) * su.mL + v * su.a_blk, 0);
+    place_block(out, chunk, static_cast<Index>(u) * su.mL + v * su.a_blk,
+                0, su.maps.rows.from);
   }
 
   /// Column-support wire schedules of layer v's circulating B payloads
-  /// (inactive under Dense propagation, free to attach): block j's
-  /// consumer at step t is the rank at layer position (j - t) mod L,
-  /// touching exactly the rows in its piece-j column support.
+  /// (inactive under Dense propagation): block j's consumer at step t is
+  /// the rank at layer position (j - t) mod L, touching exactly the rows
+  /// in its piece-j column support. Built into the plan (Setup::rings).
   ShiftCompression b_compression(const Setup& su, int u, int v,
-                                 bool mutates,
-                                 const WireCodec& codec) const {
+                                 bool mutates) const {
     const int L = grid_.layer_size();
     return make_ring_compression(
         options().propagation, su.b_blk, su.r, L, u, mutates,
@@ -176,7 +192,7 @@ class DenseShift15D final : public DistAlgorithm {
           const int consumer = ((origin - step) % L + L) % L;
           return piece(su, grid_.rank_of(consumer, v), origin).col_support;
         },
-        codec);
+        options().codec);
   }
 
   /// Circulate the layer's B blocks (or B-shaped accumulators) for L
@@ -187,11 +203,12 @@ class DenseShift15D final : public DistAlgorithm {
   /// output.
   DenseMatrix b_loop(Comm& comm, const Setup& su, int u, int v,
                      bool mutates, DenseMatrix start,
-                     const std::function<void(int, DenseMatrix&)>& body,
-                     const WireCodec& codec) const {
+                     const std::function<void(int, DenseMatrix&)>& body)
+      const {
     const int L = grid_.layer_size();
     const auto layer = grid_.layer_members(v);
-    const ShiftCompression comp = b_compression(su, u, v, mutates, codec);
+    const ShiftCompression& comp = su.rings[static_cast<std::size_t>(
+        grid_.rank_of(u, v) * 2 + (mutates ? 1 : 0))];
     ShiftChannel ch = ring_channel(layer, u, kTagShift, mutates,
                                    std::move(start), comp);
     run_shift_loop(comm, options().schedule, L, {&ch, 1}, [&](int t) {
@@ -203,7 +220,8 @@ class DenseShift15D final : public DistAlgorithm {
   /// The B block resident on rank (u, v) at step 0, copied out of B.
   DenseMatrix home_b(const Setup& su, int u, int v,
                      const DenseMatrix& b) const {
-    return b.row_block(b_row0(su, v, u), b_row0(su, v, u) + su.b_blk);
+    return dense_block(b, b_row0(su, v, u), su.b_blk, 0, su.r,
+                       su.maps.cols.from);
   }
 
   /// Where the rank's pieces sit in its flat value vectors (the
@@ -260,8 +278,7 @@ class DenseShift15D final : public DistAlgorithm {
           piece(su, rank, j).csr, *a_work, bj,
           std::span<Scalar>(dots).subspan(off[jj], off[jj + 1] - off[jj])));
     };
-    b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b), body,
-           codec);
+    b_loop(comm, su, u, v, /*mutates=*/false, home_b(su, u, v, b), body);
     return {std::move(a_work), std::move(dots)};
   }
 
@@ -294,8 +311,7 @@ class DenseShift15D final : public DistAlgorithm {
            [&](int j, DenseMatrix& bj) {
              comm.stats().add_flops(spmm_a(
                  mine[static_cast<std::size_t>(j)].csr(), bj, partial));
-           },
-           codec);
+           });
     reduce_partial(comm, su, u, v, partial, out, codec);
   }
 
@@ -304,16 +320,15 @@ class DenseShift15D final : public DistAlgorithm {
   /// block that returns after the full ring trip.
   void spmmb_pass(Comm& comm, const Setup& su, int u, int v,
                   const DenseMatrix& a_work, std::span<const ShardView> mine,
-                  DenseMatrix& out, const WireCodec& codec) const {
+                  DenseMatrix& out) const {
     const auto home = b_loop(
         comm, su, u, v, /*mutates=*/true, DenseMatrix(su.b_blk, su.r),
         [&](int j, DenseMatrix& acc) {
           comm.stats().add_flops(
               spmm_b(mine[static_cast<std::size_t>(j)].csr(), a_work, acc));
-        },
-        codec);
+        });
     PhaseScope scope(comm.stats(), Phase::Computation);
-    place_block(out, home, b_row0(su, v, u), 0);
+    place_block(out, home, b_row0(su, v, u), 0, su.maps.cols.from);
   }
 
   Grid15D grid_;
@@ -356,7 +371,7 @@ void DenseShift15D::do_run_kernel(const ExecContext& ctx, Mode mode,
       }
       case Mode::SpMMB: {
         const auto a_work = replicate_a(comm, su, u, v, a, codec, cu);
-        spmmb_pass(comm, su, u, v, *a_work, mine, out.dense, codec);
+        spmmb_pass(comm, su, u, v, *a_work, mine, out.dense);
         return;
       }
     }
@@ -375,11 +390,12 @@ void DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
     // matrix; for a B-shaped output that is the transposed problem:
     // FusedMMB(S, A, B) = FusedMMA(S^T, B, A). The transposed problem
     // needs its own setup snapshot (the caller's plan describes s, not
-    // s^T), built here per call and reported as this call's setup build.
+    // s^T; its blocks balance by s^T's own skew), built here per call
+    // and reported as this call's setup build.
     Timer timer;
     auto st = s.transposed();
     st.sort_and_combine();
-    const auto tplan = make_plan_data(st, b.cols());
+    const auto tplan = plan_setup(*this, st, b.cols()).data;
     const double setup_seconds = timer.seconds();
     ExecContext tctx = ctx;
     tctx.plan = tplan.get();
@@ -405,8 +421,7 @@ void DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
                  comm.stats().add_flops(
                      fusedmm_a(mine[static_cast<std::size_t>(j)].csr(),
                                *fused_a, bj, partial));
-               },
-               codec);
+               });
         reduce_partial(comm, su, u, v, partial, out.output, codec);
         continue;
       }
@@ -422,7 +437,7 @@ void DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
         // of reusing the SDDMM pass's copy (the gathered bits are the
         // same, so the repeat's result is discarded).
         if (elision == Elision::None) replicate_a(comm, su, u, v, a, codec);
-        spmmb_pass(comm, su, u, v, *a_work, r_pieces, out.output, codec);
+        spmmb_pass(comm, su, u, v, *a_work, r_pieces, out.output);
       }
     }
   }, rec.world_options());
@@ -436,9 +451,14 @@ class SparseShift15D final : public DistAlgorithm {
       : DistAlgorithm(AlgorithmKind::SparseShift15D, p, c, options),
         grid_(p, c) {}
 
-  std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
-                                                 Index r) const override {
-    return freeze_setup(make_setup(s, r));
+  /// m/L piece rows, n/c layer column groups.
+  BlockGrid block_grid() const override {
+    return {grid_.layer_size(), c()};
+  }
+
+  std::shared_ptr<const PlanData> make_plan_data(
+      const CooMatrix& s, Index r, const BlockMaps& maps) const override {
+    return freeze_setup(make_setup(s, r, maps));
   }
 
  protected:
@@ -457,6 +477,7 @@ class SparseShift15D final : public DistAlgorithm {
     Index mL = 0;  ///< piece row-block height m / L
     Index ncg = 0; ///< layer column-group width n / c
     Index rL = 0;  ///< width slice r / L
+    BlockMaps maps;  ///< planned row / column order of S, A and B
     /// Piece (v, j): layer v's S block of piece-row j (rows global,
     /// columns rebased to the layer's column group).
     std::vector<SparseShard> pieces;
@@ -467,7 +488,7 @@ class SparseShift15D final : public DistAlgorithm {
     std::vector<std::vector<Index>> layer_support;
   };
 
-  Setup make_setup(const CooMatrix& s, Index r) const {
+  Setup make_setup(const CooMatrix& s, Index r, const BlockMaps& maps) const {
     const int L = grid_.layer_size();
     Setup su;
     su.m = s.rows();
@@ -477,6 +498,7 @@ class SparseShift15D final : public DistAlgorithm {
     su.mL = su.m / L;
     su.ncg = su.n / c();
     su.rL = su.r / L;
+    su.maps = maps;
     su.pieces = shard_coo(
         s, c() * L,
         [&](Index row, Index col) {
@@ -487,7 +509,7 @@ class SparseShift15D final : public DistAlgorithm {
         [&](Index row, Index col) {
           return std::pair<Index, Index>(row, col % su.ncg);
         },
-        [&](int) { return std::pair<Index, Index>(su.m, su.ncg); });
+        [&](int) { return std::pair<Index, Index>(su.m, su.ncg); }, maps);
     su.layer_support.assign(static_cast<std::size_t>(c()), {});
     if (options().replication != ReplicationMode::Dense) {
       for (int v = 0; v < c(); ++v) {
@@ -507,8 +529,9 @@ class SparseShift15D final : public DistAlgorithm {
   /// The rank's stationary width-slice of the layer's B row block.
   DenseMatrix local_b(const Setup& su, int u, int v,
                       const DenseMatrix& b) const {
-    return dense_block(b, static_cast<Index>(v) * (su.n / c()),
-                       su.n / c(), static_cast<Index>(u) * su.rL, su.rL);
+    return dense_block(b, static_cast<Index>(v) * su.ncg, su.ncg,
+                       static_cast<Index>(u) * su.rL, su.rL,
+                       su.maps.cols.from);
   }
 
   /// Fiber all-gather of the canonical A blocks into the full-m slice
@@ -524,7 +547,7 @@ class SparseShift15D final : public DistAlgorithm {
     Group fiber(comm, grid_.fiber_members(u));
     auto out = std::make_shared<const DenseMatrix>(fiber.allgatherv_rows(
         dense_block(a, static_cast<Index>(v) * su.mc, su.mc,
-                    static_cast<Index>(u) * su.rL, su.rL),
+                    static_cast<Index>(u) * su.rL, su.rL, su.maps.rows.from),
         su.layer_support, options().replication, codec));
     if (cu.cache != nullptr) cu.cache->store(comm.rank(), out);
     return out;
@@ -540,7 +563,7 @@ class SparseShift15D final : public DistAlgorithm {
     auto chunk = fiber.reduce_scatter_rows(partial, su.layer_support,
                                            options().replication, codec);
     place_block(out, chunk, static_cast<Index>(v) * su.mc,
-                static_cast<Index>(u) * su.rL);
+                static_cast<Index>(u) * su.rL, su.maps.rows.from);
   }
 
   /// Circulate the layer's S pieces for L steps.
@@ -647,8 +670,8 @@ void SparseShift15D::do_run_kernel(const ExecContext& ctx, Mode mode,
                      spmm_b(kernel_csr(j), *a_work, b_out));
                });
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(out.dense, b_out, static_cast<Index>(v) * (su.n / c()),
-                    static_cast<Index>(u) * su.rL);
+        place_block(out.dense, b_out, static_cast<Index>(v) * su.ncg,
+                    static_cast<Index>(u) * su.rL, su.maps.cols.from);
         return;
       }
     }
@@ -706,8 +729,8 @@ void SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
                      *a_work, b_out));
                });
         PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(out.output, b_out, static_cast<Index>(v) * (su.n / c()),
-                    static_cast<Index>(u) * su.rL);
+        place_block(out.output, b_out, static_cast<Index>(v) * su.ncg,
+                    static_cast<Index>(u) * su.rL, su.maps.cols.from);
       }
     }
   }, rec.world_options());

@@ -39,9 +39,14 @@ class DenseRepl25D final : public DistAlgorithm {
       : DistAlgorithm(AlgorithmKind::DenseRepl25D, p, c, options),
         grid_(p, c) {}
 
-  std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
-                                                 Index r) const override {
-    return freeze_setup(make_setup(s, r));
+  /// m/q row blocks, n/(qc) column blocks.
+  BlockGrid block_grid() const override {
+    return {grid_.q(), grid_.q() * c()};
+  }
+
+  std::shared_ptr<const PlanData> make_plan_data(
+      const CooMatrix& s, Index r, const BlockMaps& maps) const override {
+    return freeze_setup(make_setup(s, r, maps));
   }
 
  protected:
@@ -60,20 +65,25 @@ class DenseRepl25D final : public DistAlgorithm {
     Index mqc = 0; ///< canonical A chunk height m / (qc)
     Index nqc = 0; ///< shifting B block height n / (qc)
     Index rq = 0;  ///< width slice r / q
+    BlockMaps maps;  ///< planned row / column order of S, A and B
     /// Piece (u, k, w): S block of row-block u and column block k*c+w.
     std::vector<SparseShard> pieces;
     /// Row support of rank (u, *, w)'s mq-row working block (union over
     /// its q pieces — independent of v), stored at u*c + w so each
     /// fiber's c member supports are contiguous in fiber (w) order.
     std::vector<std::vector<Index>> support;
+    /// Wire schedules of each rank's circulating B blocks, at
+    /// rank * 2 + mutates (see b_compression).
+    std::vector<ShiftCompression> rings;
   };
 
-  Setup make_setup(const CooMatrix& s, Index r) const {
+  Setup make_setup(const CooMatrix& s, Index r, const BlockMaps& maps) const {
     const int q = grid_.q();
     Setup su;
     su.m = s.rows();
     su.n = s.cols();
     su.r = r;
+    su.maps = maps;
     const Index qc = static_cast<Index>(q) * c();
     su.mq = su.m / q;
     su.mqc = su.mq / c();
@@ -89,7 +99,7 @@ class DenseRepl25D final : public DistAlgorithm {
         [&](Index row, Index col) {
           return std::pair<Index, Index>(row % su.mq, col % su.nqc);
         },
-        [&](int) { return std::pair<Index, Index>(su.mq, su.nqc); });
+        [&](int) { return std::pair<Index, Index>(su.mq, su.nqc); }, maps);
     su.support.assign(static_cast<std::size_t>(q * c()), {});
     if (options().replication != ReplicationMode::Dense) {
       for (int u = 0; u < q; ++u) {
@@ -99,6 +109,13 @@ class DenseRepl25D final : public DistAlgorithm {
           su.support[static_cast<std::size_t>(u * c() + w)] =
               union_row_support(mine, su.mq);
         }
+      }
+    }
+    for (int rank = 0; rank < p(); ++rank) {
+      for (const bool mutates : {false, true}) {
+        su.rings.push_back(b_compression(su, grid_.u_of(rank),
+                                         grid_.v_of(rank), grid_.w_of(rank),
+                                         mutates));
       }
     }
     return su;
@@ -131,7 +148,7 @@ class DenseRepl25D final : public DistAlgorithm {
     Group fiber(comm, grid_.fiber_members(u, v));
     auto out = std::make_shared<const DenseMatrix>(fiber.allgatherv_rows(
         dense_block(a, static_cast<Index>(u) * su.mq + w * su.mqc, su.mqc,
-                    static_cast<Index>(v) * su.rq, su.rq),
+                    static_cast<Index>(v) * su.rq, su.rq, su.maps.rows.from),
         fiber_wants(su, u), options().replication, codec));
     if (cu.cache != nullptr) cu.cache->store(comm.rank(), out);
     return out;
@@ -146,18 +163,17 @@ class DenseRepl25D final : public DistAlgorithm {
     Group fiber(comm, grid_.fiber_members(u, v));
     auto chunk = fiber.reduce_scatter_rows(partial, fiber_wants(su, u),
                                            options().replication, codec);
-    place_block(out, chunk,
-                static_cast<Index>(u) * su.mq + w * su.mqc,
-                static_cast<Index>(v) * su.rq);
+    place_block(out, chunk, static_cast<Index>(u) * su.mq + w * su.mqc,
+                static_cast<Index>(v) * su.rq, su.maps.rows.from);
   }
 
   /// Column-support wire schedules of the circulating B blocks on the
   /// column ring of (v, w) (inactive under Dense propagation): block k's
   /// consumer at step t is the row-position u_t = (k - v - t) mod q,
   /// touching exactly the rows in its piece-(u_t, k, w) column support.
+  /// Built into the plan (Setup::rings).
   ShiftCompression b_compression(const Setup& su, int u, int v, int w,
-                                 bool mutates,
-                                 const WireCodec& codec) const {
+                                 bool mutates) const {
     const int q = grid_.q();
     return make_ring_compression(
         options().propagation, su.nqc, su.rq, q, k_at(u, v, 0), mutates,
@@ -166,7 +182,13 @@ class DenseRepl25D final : public DistAlgorithm {
           const int consumer = ((origin - v - step) % q + q) % q;
           return piece(su, consumer, origin, w).col_support;
         },
-        codec);
+        options().codec);
+  }
+
+  /// The rank's planned B ring schedules (b_compression).
+  const ShiftCompression& b_ring(const Setup& su, int rank,
+                                 bool mutates) const {
+    return su.rings[static_cast<std::size_t>(rank * 2 + (mutates ? 1 : 0))];
   }
 
   /// The resident S / B column-block ring index at step t on rank
@@ -199,7 +221,8 @@ class DenseRepl25D final : public DistAlgorithm {
   DenseMatrix b0_block(const Setup& su, int k0, int v, int w,
                        const DenseMatrix& b) const {
     return dense_block(b, b_row0(su, k0, w), su.nqc,
-                       static_cast<Index>(v) * su.rq, su.rq);
+                       static_cast<Index>(v) * su.rq, su.rq,
+                       su.maps.cols.from);
   }
 
   /// Replicate A and run the SDDMM dot loop (S dots circulate on the row
@@ -217,13 +240,12 @@ class DenseRepl25D final : public DistAlgorithm {
     auto a_work = replicate_a(comm, su, u, v, w, a, codec, cu);
     Triplets start = piece(su, u, k0, w).coo;
     start.values.assign(start.size(), Scalar{0});
-    const ShiftCompression bcomp =
-        b_compression(su, u, v, w, /*mutates=*/false, codec);
     ShiftChannel channels[] = {
         ring_channel(row_ring, v, kTagShift, /*mutates=*/true,
                      pack_triplets(start, codec)),
         ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
-                     b0_block(su, k0, v, w, b), bcomp)};
+                     b0_block(su, k0, v, w, b),
+                     b_ring(su, comm.rank(), /*mutates=*/false))};
     const auto body = [&](int t) {
       const int k = k_at(u, v, t);
       auto payload = unpack_triplets(channels[0].block, codec);
@@ -273,13 +295,12 @@ void DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
       case Mode::SpMMA: {
         // S pieces (with values) and B blocks circulate; the A-shaped
         // partial stays put and is reduce-scattered along the fiber.
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, w, /*mutates=*/false, codec);
         ShiftChannel channels[] = {
             ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
                          pack_triplets(home_triplets(), codec)),
             ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
-                         b0_block(su, k0, v, w, b), bcomp)};
+                         b0_block(su, k0, v, w, b),
+                         b_ring(su, rank, /*mutates=*/false))};
         DenseMatrix partial(su.mq, su.rq);
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
@@ -302,13 +323,12 @@ void DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
       }
       case Mode::SpMMB: {
         const auto a_work = replicate_a(comm, su, u, v, w, a, codec, cu);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, w, /*mutates=*/true, codec);
         ShiftChannel channels[] = {
             ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
                          pack_triplets(home_triplets(), codec)),
             ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/true,
-                         DenseMatrix(su.nqc, su.rq), bcomp)};
+                         DenseMatrix(su.nqc, su.rq),
+                         b_ring(su, rank, /*mutates=*/true))};
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
           comm.stats().add_flops(
@@ -316,7 +336,7 @@ void DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
         });
         PhaseScope scope(comm.stats(), Phase::Computation);
         place_block(out.dense, channels[1].dense, b_row0(su, k0, w),
-                    static_cast<Index>(v) * su.rq);
+                    static_cast<Index>(v) * su.rq, su.maps.cols.from);
         return;
       }
     }
@@ -360,12 +380,11 @@ void DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
                                       /*mutates=*/false,
                                       pack_triplets(r_piece, codec));
       if (orientation == FusedOrientation::A) {
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, w, /*mutates=*/false, codec);
         ShiftChannel channels[] = {
             std::move(chs),
             ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/false,
-                         b0_block(su, k0, v, w, b), bcomp)};
+                         b0_block(su, k0, v, w, b),
+                         b_ring(su, rank, /*mutates=*/false))};
         DenseMatrix partial(su.mq, su.rq);
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
@@ -377,12 +396,11 @@ void DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
         });
         reduce_partial(comm, su, u, v, w, partial, out.output, codec);
       } else {
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, w, /*mutates=*/true, codec);
         ShiftChannel channels[] = {
             std::move(chs),
             ring_channel(col_ring, u, kTagShiftDense, /*mutates=*/true,
-                         DenseMatrix(su.nqc, su.rq), bcomp)};
+                         DenseMatrix(su.nqc, su.rq),
+                         b_ring(su, rank, /*mutates=*/true))};
         run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
           const int k = k_at(u, v, t);
           const auto payload = unpack_triplets(channels[0].block, codec);
@@ -393,7 +411,7 @@ void DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
         });
         PhaseScope scope(comm.stats(), Phase::Computation);
         place_block(out.output, channels[1].dense, b_row0(su, k0, w),
-                    static_cast<Index>(v) * su.rq);
+                    static_cast<Index>(v) * su.rq, su.maps.cols.from);
       }
     }
   }, rec.world_options());
@@ -407,9 +425,12 @@ class SparseRepl25D final : public DistAlgorithm {
       : DistAlgorithm(AlgorithmKind::SparseRepl25D, p, c, options),
         grid_(p, c) {}
 
-  std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
-                                                 Index r) const override {
-    return freeze_setup(make_setup(s, r));
+  /// The q x q cells.
+  BlockGrid block_grid() const override { return {grid_.q(), grid_.q()}; }
+
+  std::shared_ptr<const PlanData> make_plan_data(
+      const CooMatrix& s, Index r, const BlockMaps& maps) const override {
+    return freeze_setup(make_setup(s, r, maps));
   }
 
  protected:
@@ -427,19 +448,26 @@ class SparseRepl25D final : public DistAlgorithm {
     Index mq = 0;  ///< cell height m / q
     Index nq = 0;  ///< cell width n / q
     Index rqc = 0; ///< width slice r / (qc)
+    BlockMaps maps;  ///< planned row / column order of S, A and B
     /// Cell (u, v), shared by its c fiber ranks.
     std::vector<SparseShard> cells;
     /// Per cell: value ownership boundaries across the fiber (c + 1
     /// monotone offsets into the cell's entry range).
     std::vector<std::vector<Index>> value_split;
+    /// Wire schedules of the slices circulating past cell (u, v) — the
+    /// same for its c fiber ranks — at (u * q + v) * 4 + side * 2 +
+    /// mutates, side 0 for A and 1 for B (see a_compression /
+    /// b_compression).
+    std::vector<ShiftCompression> rings;
   };
 
-  Setup make_setup(const CooMatrix& s, Index r) const {
+  Setup make_setup(const CooMatrix& s, Index r, const BlockMaps& maps) const {
     const int q = grid_.q();
     Setup su;
     su.m = s.rows();
     su.n = s.cols();
     su.r = r;
+    su.maps = maps;
     su.mq = su.m / q;
     su.nq = su.n / q;
     su.rqc = su.r / (static_cast<Index>(q) * c());
@@ -452,11 +480,21 @@ class SparseRepl25D final : public DistAlgorithm {
         [&](Index row, Index col) {
           return std::pair<Index, Index>(row % su.mq, col % su.nq);
         },
-        [&](int) { return std::pair<Index, Index>(su.mq, su.nq); });
+        [&](int) { return std::pair<Index, Index>(su.mq, su.nq); }, maps);
     su.value_split.reserve(su.cells.size());
     for (const auto& cell : su.cells) {
       su.value_split.push_back(partition_uniform(
           static_cast<Index>(cell.coo.size()), c()));
+    }
+    for (int u = 0; u < q; ++u) {
+      for (int v = 0; v < q; ++v) {
+        for (const bool mutates : {false, true}) {
+          su.rings.push_back(a_compression(su, u, v, mutates));
+        }
+        for (const bool mutates : {false, true}) {
+          su.rings.push_back(b_compression(su, u, v, mutates));
+        }
+      }
     }
     return su;
   }
@@ -478,9 +516,9 @@ class SparseRepl25D final : public DistAlgorithm {
   /// slices ride the column ring of (*, v, w) against the cells'
   /// COLUMN supports. Both directions cover the read-only inputs and
   /// the circulating SpMM accumulators (same supports, prefix unions).
+  /// Built into the plan (Setup::rings).
   ShiftCompression a_compression(const Setup& su, int u, int v,
-                                 bool mutates,
-                                 const WireCodec& codec) const {
+                                 bool mutates) const {
     const int q = grid_.q();
     return make_ring_compression(
         options().propagation, su.mq, su.rqc, q, v, mutates,
@@ -489,11 +527,10 @@ class SparseRepl25D final : public DistAlgorithm {
           const int consumer = ((origin - step) % q + q) % q;
           return cell(su, u, consumer).row_support;
         },
-        codec);
+        options().codec);
   }
   ShiftCompression b_compression(const Setup& su, int u, int v,
-                                 bool mutates,
-                                 const WireCodec& codec) const {
+                                 bool mutates) const {
     const int q = grid_.q();
     return make_ring_compression(
         options().propagation, su.nq, su.rqc, q, u, mutates,
@@ -502,7 +539,20 @@ class SparseRepl25D final : public DistAlgorithm {
           const int consumer = ((origin - step) % q + q) % q;
           return cell(su, consumer, v).col_support;
         },
-        codec);
+        options().codec);
+  }
+
+  /// The planned schedules of the A (B) slices circulating past cell
+  /// (u, v).
+  const ShiftCompression& a_ring(const Setup& su, int u, int v,
+                                 bool mutates) const {
+    return su.rings[static_cast<std::size_t>((u * grid_.q() + v) * 4 +
+                                             (mutates ? 1 : 0))];
+  }
+  const ShiftCompression& b_ring(const Setup& su, int u, int v,
+                                 bool mutates) const {
+    return su.rings[static_cast<std::size_t>((u * grid_.q() + v) * 4 + 2 +
+                                             (mutates ? 1 : 0))];
   }
 
   /// All-gather the cell's canonically split values along the fiber,
@@ -582,12 +632,14 @@ class SparseRepl25D final : public DistAlgorithm {
   DenseMatrix a0_slice(const Setup& su, int u, int v, int w,
                        const DenseMatrix& a) const {
     return dense_block(a, static_cast<Index>(u) * su.mq, su.mq,
-                       slice_at(u, v, w, 0) * su.rqc, su.rqc);
+                       slice_at(u, v, w, 0) * su.rqc, su.rqc,
+                       su.maps.rows.from);
   }
   DenseMatrix b0_slice(const Setup& su, int u, int v, int w,
                        const DenseMatrix& b) const {
     return dense_block(b, static_cast<Index>(v) * su.nq, su.nq,
-                       slice_at(u, v, w, 0) * su.rqc, su.rqc);
+                       slice_at(u, v, w, 0) * su.rqc, su.rqc,
+                       su.maps.cols.from);
   }
 
   /// The SDDMM dot loop: both dense slices circulate while the cell's
@@ -596,19 +648,16 @@ class SparseRepl25D final : public DistAlgorithm {
   /// Returns the cell's full dot products.
   std::vector<Scalar> cell_dots(Comm& comm, const Setup& su, int u, int v,
                                 int w, const DenseMatrix& a,
-                                const DenseMatrix& b,
-                                const WireCodec& codec) const {
+                                const DenseMatrix& b) const {
     const auto& sc = cell(su, u, v);
     std::vector<Scalar> dots(sc.coo.size(), Scalar{0});
-    const ShiftCompression acomp =
-        a_compression(su, u, v, /*mutates=*/false, codec);
-    const ShiftCompression bcomp =
-        b_compression(su, u, v, /*mutates=*/false, codec);
     ShiftChannel channels[] = {
         ring_channel(grid_.row_members(u, w), v, kTagShift,
-                     /*mutates=*/false, a0_slice(su, u, v, w, a), acomp),
+                     /*mutates=*/false, a0_slice(su, u, v, w, a),
+                     a_ring(su, u, v, /*mutates=*/false)),
         ring_channel(grid_.col_members(v, w), u, kTagShiftDense,
-                     /*mutates=*/false, b0_slice(su, u, v, w, b), bcomp)};
+                     /*mutates=*/false, b0_slice(su, u, v, w, b),
+                     b_ring(su, u, v, /*mutates=*/false))};
     run_shift_loop(comm, options().schedule, grid_.q(), channels, [&](int) {
       comm.stats().add_flops(masked_dot_products(
           sc.csr, channels[0].dense, channels[1].dense, dots));
@@ -623,46 +672,42 @@ class SparseRepl25D final : public DistAlgorithm {
   /// after q steps and are placed into the output.
   void spmma_pass(Comm& comm, const Setup& su, int u, int v, int w,
                   const CsrMatrix& csr, const DenseMatrix& b,
-                  DenseMatrix& out, const WireCodec& codec) const {
-    const ShiftCompression acomp =
-        a_compression(su, u, v, /*mutates=*/true, codec);
-    const ShiftCompression bcomp =
-        b_compression(su, u, v, /*mutates=*/false, codec);
+                  DenseMatrix& out) const {
     ShiftChannel channels[] = {
         ring_channel(grid_.row_members(u, w), v, kTagShift,
-                     /*mutates=*/true, DenseMatrix(su.mq, su.rqc), acomp),
+                     /*mutates=*/true, DenseMatrix(su.mq, su.rqc),
+                     a_ring(su, u, v, /*mutates=*/true)),
         ring_channel(grid_.col_members(v, w), u, kTagShiftDense,
-                     /*mutates=*/false, b0_slice(su, u, v, w, b), bcomp)};
+                     /*mutates=*/false, b0_slice(su, u, v, w, b),
+                     b_ring(su, u, v, /*mutates=*/false))};
     run_shift_loop(comm, options().schedule, grid_.q(), channels, [&](int) {
       comm.stats().add_flops(
           spmm_a(csr, channels[1].dense, channels[0].dense));
     });
     PhaseScope scope(comm.stats(), Phase::Computation);
     place_block(out, channels[0].dense, static_cast<Index>(u) * su.mq,
-                slice_at(u, v, w, 0) * su.rqc);
+                slice_at(u, v, w, 0) * su.rqc, su.maps.rows.from);
   }
 
   /// SpMMB pass, the mirror image: A slices circulate alongside the
   /// circulating B-shaped accumulators.
   void spmmb_pass(Comm& comm, const Setup& su, int u, int v, int w,
                   const CsrMatrix& csr, const DenseMatrix& a,
-                  DenseMatrix& out, const WireCodec& codec) const {
-    const ShiftCompression acomp =
-        a_compression(su, u, v, /*mutates=*/false, codec);
-    const ShiftCompression bcomp =
-        b_compression(su, u, v, /*mutates=*/true, codec);
+                  DenseMatrix& out) const {
     ShiftChannel channels[] = {
         ring_channel(grid_.row_members(u, w), v, kTagShift,
-                     /*mutates=*/false, a0_slice(su, u, v, w, a), acomp),
+                     /*mutates=*/false, a0_slice(su, u, v, w, a),
+                     a_ring(su, u, v, /*mutates=*/false)),
         ring_channel(grid_.col_members(v, w), u, kTagShiftDense,
-                     /*mutates=*/true, DenseMatrix(su.nq, su.rqc), bcomp)};
+                     /*mutates=*/true, DenseMatrix(su.nq, su.rqc),
+                     b_ring(su, u, v, /*mutates=*/true))};
     run_shift_loop(comm, options().schedule, grid_.q(), channels, [&](int) {
       comm.stats().add_flops(
           spmm_b(csr, channels[0].dense, channels[1].dense));
     });
     PhaseScope scope(comm.stats(), Phase::Computation);
     place_block(out, channels[1].dense, static_cast<Index>(v) * su.nq,
-                slice_at(u, v, w, 0) * su.rqc);
+                slice_at(u, v, w, 0) * su.rqc, su.maps.cols.from);
   }
 
   Grid25D grid_;
@@ -688,7 +733,7 @@ void SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
                       codec, gathered);
     switch (mode) {
       case Mode::SDDMM: {
-        const auto dots_full = cell_dots(comm, su, u, v, w, a, b, codec);
+        const auto dots_full = cell_dots(comm, su, u, v, w, a, b);
         // Each fiber rank finalizes its canonical value range.
         PhaseScope scope(comm.stats(), Phase::Computation);
         const auto& split = su.value_split[static_cast<std::size_t>(
@@ -704,12 +749,12 @@ void SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
       }
       case Mode::SpMMA: {
         spmma_pass(comm, su, u, v, w, csr_with_values(sc.csr, values_full),
-                   b, out.dense, codec);
+                   b, out.dense);
         return;
       }
       case Mode::SpMMB: {
         spmmb_pass(comm, su, u, v, w, csr_with_values(sc.csr, values_full),
-                   a, out.dense, codec);
+                   a, out.dense);
         return;
       }
     }
@@ -736,7 +781,7 @@ void SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
       // SDDMM pass: both dense slices circulate, the dot buffer stays.
       const auto values_full =
           gather_values(comm, su, u, v, slice, codec, gathered);
-      const auto dots_full = cell_dots(comm, su, u, v, w, a, b, codec);
+      const auto dots_full = cell_dots(comm, su, u, v, w, a, b);
       std::vector<Scalar> r_values(sc.coo.size());
       {
         PhaseScope scope(comm.stats(), Phase::Computation);
@@ -747,9 +792,9 @@ void SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
       // circulating output accumulators.
       const auto r_csr = csr_with_values(sc.csr, r_values);
       if (orientation == FusedOrientation::A) {
-        spmma_pass(comm, su, u, v, w, r_csr, b, out.output, codec);
+        spmma_pass(comm, su, u, v, w, r_csr, b, out.output);
       } else {
-        spmmb_pass(comm, su, u, v, w, r_csr, a, out.output, codec);
+        spmmb_pass(comm, su, u, v, w, r_csr, a, out.output);
       }
     }
   }, rec.world_options());

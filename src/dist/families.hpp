@@ -3,9 +3,10 @@
 /// Internal: the driver interface every family implements, the factory
 /// and per-family constructors (implemented in algorithm_15d.cpp /
 /// algorithm_25d.cpp / algorithm.cpp), plus what the family drivers
-/// share: typed plan snapshots, crash recovery, and the view of a shard
-/// with the values its kernels read. Not part of the public API: callers
-/// run the drivers through `make_plan` + `Plan::execute` (dist/plan.hpp).
+/// share: typed plan snapshots, the load-balance decision, crash
+/// recovery, and the view of a shard with the values its kernels read.
+/// Not part of the public API: callers run the drivers through
+/// `make_plan` + `Plan::execute` (dist/plan.hpp).
 
 #include <functional>
 #include <memory>
@@ -13,6 +14,7 @@
 
 #include "common/error.hpp"
 #include "dist/algorithm.hpp"
+#include "dist/plan.hpp"
 #include "dist/replication_cache.hpp"
 #include "dist/shards.hpp"
 #include "runtime/checkpoint.hpp"
@@ -58,13 +60,18 @@ class DistAlgorithm {
   int c() const { return c_; }
   const AlgorithmOptions& options() const { return options_; }
 
+  /// The row and column blocks of this family's sparse blocks: every
+  /// shard_coo bucket lies in one of their cells.
+  virtual BlockGrid block_grid() const = 0;
+
   /// Build this driver's setup snapshot for (s, r) without running
-  /// anything: grid placement, shards, and row/col support unions (each
-  /// run still derives its propagation compression schedules from them).
+  /// anything: grid placement, shards, row/col support unions and the
+  /// propagation compression schedules of every rank's rings, with S's
+  /// rows and columns in the planned order `maps` (on block_grid()).
   /// s must be sorted with unique entries and (m, n, r) must pass
   /// validate_dims; make_plan checks both before calling this.
-  virtual std::shared_ptr<const PlanData> make_plan_data(const CooMatrix& s,
-                                                         Index r) const = 0;
+  virtual std::shared_ptr<const PlanData> make_plan_data(
+      const CooMatrix& s, Index r, const BlockMaps& maps = {}) const = 0;
 
   /// Run one unified kernel against ctx.plan, which must come from this
   /// driver configuration's make_plan_data for the same (s, r), and
@@ -107,6 +114,35 @@ class DistAlgorithm {
 /// Build a driver; throws on invalid (p, c).
 std::unique_ptr<DistAlgorithm> make_algorithm(
     AlgorithmKind kind, int p, int c, const AlgorithmOptions& options = {});
+
+/// How a plan places S's rows and columns: by the block-imbalance rule
+/// (Auto, what every public path plans with), or forced to the caller's
+/// order (Off) or to a drawn order-keeping assignment (On) — for the
+/// benches and tests that compare natural with balanced blocks.
+enum class Balancing { Auto, Off, On };
+
+/// The block nnz imbalance (max x blocks / nnz) above which Auto
+/// balances.
+inline constexpr double kBalanceThreshold = 1.25;
+
+/// A driver's setup snapshot with its block placement decided.
+struct BalancedSetup {
+  std::shared_ptr<const PlanData> data;
+  bool balanced = false;
+  double block_imbalance = 1.0;  ///< of the planned blocks
+};
+
+/// Count S's nonzeros over algo's block_grid(), draw the seeded
+/// order-keeping BlockMaps when `balancing` asks for them, and build the
+/// driver's plan data for (s, r) on them. Every plan of a driver goes
+/// through here: make_plan, the degrade re-plan and 1.5D dense
+/// shifting's transposed orientation-B problem.
+BalancedSetup plan_setup(const DistAlgorithm& algo, const CooMatrix& s,
+                         Index r, Balancing balancing = Balancing::Auto);
+
+/// make_plan with the balancing forced (Balancing::Auto is make_plan).
+Plan make_plan(AlgorithmKind kind, int p, int c, const CooMatrix& s, Index r,
+               const AlgorithmOptions& options, Balancing balancing);
 
 std::unique_ptr<DistAlgorithm> make_dense_shift_15d(
     int p, int c, const AlgorithmOptions& options);

@@ -3,6 +3,7 @@
 
 #include "dist/plan.hpp"
 
+#include <array>
 #include <bit>
 
 #include "common/error.hpp"
@@ -27,6 +28,21 @@ constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t w) {
 }
 
 constexpr std::uint64_t word(Index i) { return static_cast<std::uint64_t>(i); }
+constexpr std::uint64_t word(Scalar x) {
+  return std::bit_cast<std::uint64_t>(x);
+}
+
+/// Per array, 8 independent hash lanes: word k goes into lane k mod 8,
+/// so the multiplies of neighbouring words overlap instead of waiting
+/// on each other (one pass feeds the three arrays' lanes side by side).
+/// Every lane step and every fold is a mix, so changing any single word
+/// changes its lane and then every later fold.
+constexpr std::size_t kLanes = 8;
+using Lanes = std::array<std::uint64_t, kLanes>;
+
+/// Seed of make_plan's order-keeping block assignments, so two plans of
+/// one pattern on one grid place it identically.
+constexpr std::uint64_t kBalanceSeed = 0x5EC7'10A1ULL;
 
 } // namespace
 
@@ -39,17 +55,24 @@ std::uint64_t plan_fingerprint(const CooMatrix& s, Index r) {
   const auto rows = s.row_idx();
   const auto cols = s.col_idx();
   const auto vals = s.values();
-  // Three independent chains, so the multiplies of one entry overlap
-  // instead of waiting on each other.
-  std::uint64_t hr = kFnvOffset, hc = kFnvOffset, hv = kFnvOffset;
-  for (std::size_t k = 0; k < vals.size(); ++k) {
-    hr = mix(hr, word(rows[k]));
-    hc = mix(hc, word(cols[k]));
-    hv = mix(hv, std::bit_cast<std::uint64_t>(vals[k]));
+  Lanes hr, hc, hv;
+  hr.fill(kFnvOffset);
+  hc.fill(kFnvOffset);
+  hv.fill(kFnvOffset);
+  const auto step = [&](std::size_t k, std::size_t lane) {
+    hr[lane] = mix(hr[lane], word(rows[k]));
+    hc[lane] = mix(hc[lane], word(cols[k]));
+    hv[lane] = mix(hv[lane], word(vals[k]));
+  };
+  const std::size_t whole = vals.size() - vals.size() % kLanes;
+  for (std::size_t k = 0; k < whole; k += kLanes) {
+    for (std::size_t lane = 0; lane < kLanes; ++lane) step(k + lane, lane);
   }
-  h = mix(h, hr);
-  h = mix(h, hc);
-  return mix(h, hv);
+  for (std::size_t k = whole; k < vals.size(); ++k) step(k, k - whole);
+  for (const Lanes* lanes : {&hr, &hc, &hv}) {
+    for (const std::uint64_t lane : *lanes) h = mix(h, lane);
+  }
+  return h;
 }
 
 void Plan::check_fingerprint(const CooMatrix& s, Index r) const {
@@ -79,14 +102,42 @@ FusedResult Plan::execute_fusedmm(FusedOrientation orientation,
 
 Plan make_plan(AlgorithmKind kind, int p, int c, const CooMatrix& s, Index r,
                const AlgorithmOptions& options) {
+  return detail::make_plan(kind, p, c, s, r, options,
+                           detail::Balancing::Auto);
+}
+
+namespace detail {
+
+BalancedSetup plan_setup(const DistAlgorithm& algo, const CooMatrix& s,
+                         Index r, Balancing balancing) {
+  const BlockGrid grid = algo.block_grid();
+  BalancedSetup out;
+  out.block_imbalance = block_imbalance(s, grid);
+  out.balanced = balancing == Balancing::On ||
+                 (balancing == Balancing::Auto &&
+                  out.block_imbalance > kBalanceThreshold);
+  BlockMaps maps;
+  if (out.balanced) {
+    maps = draw_block_maps(s, grid, kBalanceSeed);
+    out.block_imbalance = block_imbalance(s, grid, maps);
+  }
+  out.data = algo.make_plan_data(s, r, maps);
+  return out;
+}
+
+Plan make_plan(AlgorithmKind kind, int p, int c, const CooMatrix& s, Index r,
+               const AlgorithmOptions& options, Balancing balancing) {
   Plan plan;
   Timer timer;
-  plan.algo_ = detail::make_algorithm(kind, p, c, options);
+  plan.algo_ = make_algorithm(kind, p, c, options);
   check(s.is_sorted_unique(), to_string(kind),
         ": sparse input must be sorted with unique entries "
         "(call sort_and_combine first)");
   validate_dims(kind, p, c, s.rows(), s.cols(), r);
-  plan.data_ = plan.algo_->make_plan_data(s, r);
+  BalancedSetup setup = plan_setup(*plan.algo_, s, r, balancing);
+  plan.data_ = std::move(setup.data);
+  plan.balanced_ = setup.balanced;
+  plan.block_imbalance_ = setup.block_imbalance;
   plan.build_seconds_ = timer.seconds();
   plan.m_ = s.rows();
   plan.n_ = s.cols();
@@ -95,5 +146,7 @@ Plan make_plan(AlgorithmKind kind, int p, int c, const CooMatrix& s, Index r,
   plan.fingerprint_ = plan_fingerprint(s, r);
   return plan;
 }
+
+} // namespace detail
 
 } // namespace dsk

@@ -4,15 +4,29 @@
 /// then execute it.
 ///
 /// `make_plan` runs every data-dependent setup step of a driver once —
-/// grid placement, shards, row/col support unions — and freezes the
-/// result in a `Plan` that can be executed any number of times (each
-/// execute still derives the propagation compression schedules from
-/// the frozen supports). An execute's stats report zero setup builds and
-/// zero setup seconds: the per-call cost is the kernel alone. Callers
-/// that run many kernels on one sparsity pattern (the ALS, GNN and GAT
-/// apps; the serving layer in apps/serve_als.hpp) keep a Plan, a
-/// resident SimWorld and optionally a ReplicationCache alive across
-/// calls.
+/// load balance, grid placement, shards, row/col support unions and the
+/// propagation compression schedules of every rank's rings — and
+/// freezes the result in a `Plan` that can be executed any number of
+/// times. An execute derives nothing: its stats report zero setup builds
+/// and zero setup seconds, and the per-call cost is the kernels and hops
+/// alone. Callers that run many kernels on one sparsity pattern (the
+/// ALS, GNN and GAT apps; the serving layer in apps/serve_als.hpp) keep
+/// a Plan, a resident SimWorld and optionally a ReplicationCache alive
+/// across calls.
+///
+/// Load balance (paper Section VI): make_plan counts the nonzeros of the
+/// family's sparse blocks in one pass. When the heaviest block holds more
+/// than 1.25 times its share (max x blocks / nnz), the plan draws a
+/// seeded assignment of rows to the family's row blocks and of columns
+/// to its column blocks, in equal counts, keeping the caller's order
+/// inside each block. Shards hold S at these planned coordinates, an
+/// execute reads A and B through the assignment in the slices it copies
+/// anyway and writes outputs back through it, and SDDMM values stay in
+/// S's entry order — so callers see their own order, and nothing else
+/// changes but the summation order. The decision reads only the pattern
+/// and the family's grid, so outputs stay bit-identical across the
+/// schedule x replication x propagation cube; a pattern under the
+/// threshold plans exactly as if it were never measured.
 ///
 /// Safety: make_plan checks that S is sorted with unique entries and that
 /// its dims divide the family's grid. The Plan remembers a fingerprint of
@@ -32,9 +46,13 @@ namespace dsk {
 
 class SimWorld;
 class ReplicationCache;
+class Plan;
 namespace detail {
 class DistAlgorithm;
 struct PlanData;
+enum class Balancing;
+Plan make_plan(AlgorithmKind kind, int p, int c, const CooMatrix& s, Index r,
+               const AlgorithmOptions& options, Balancing balancing);
 } // namespace detail
 
 /// Per-request execution environment. `world` is an optional resident
@@ -50,8 +68,9 @@ struct ExecuteOptions {
 
 /// Fingerprint of (s, r): dims, nnz, the requested width, and every
 /// entry's row index, column index and value bits (so +0.0 and -0.0
-/// differ), hashed a 64-bit word at a time. Changing any single word
-/// always changes it. The Plan stores it at build time and every execute
+/// differ), hashed a 64-bit word at a time in 8 independent lanes per
+/// array that fold together at the end. Changing any single word always
+/// changes it. The Plan stores it at build time and every execute
 /// recomputes and checks it.
 std::uint64_t plan_fingerprint(const CooMatrix& s, Index r);
 
@@ -66,6 +85,13 @@ class Plan {
   /// execute call amortizes away (see model/cost_model.hpp's
   /// amortized_setup_share).
   double build_seconds() const { return build_seconds_; }
+  /// True when S's rows and columns are planned by a drawn order-keeping
+  /// block assignment (its natural blocks were skewed), false when they
+  /// keep the caller's order.
+  bool balanced() const { return balanced_; }
+  /// The planned sparse blocks' nnz imbalance: max x blocks / nnz over
+  /// the family's row-block x column-block cells (1.0 is even).
+  double block_imbalance() const { return block_imbalance_; }
 
   /// Run one unified kernel against the frozen snapshot and gather the
   /// global result. s (and the width) must be the ones the Plan was built
@@ -86,8 +112,10 @@ class Plan {
                               const ExecuteOptions& exec = {}) const;
 
  private:
-  friend Plan make_plan(AlgorithmKind kind, int p, int c, const CooMatrix& s,
-                        Index r, const AlgorithmOptions& options);
+  friend Plan detail::make_plan(AlgorithmKind kind, int p, int c,
+                                const CooMatrix& s, Index r,
+                                const AlgorithmOptions& options,
+                                detail::Balancing balancing);
 
   Plan() = default;
 
@@ -98,12 +126,15 @@ class Plan {
   Index m_ = 0, n_ = 0, r_ = 0, nnz_ = 0;
   std::uint64_t fingerprint_ = 0;
   double build_seconds_ = 0.0;
+  bool balanced_ = false;
+  double block_imbalance_ = 1.0;
 };
 
-/// Build a Plan: construct the driver for (kind, p, c, options), snapshot
-/// its setup for (s, r), and fingerprint the inputs. Throws on invalid
-/// (p, c), on dims that do not divide the family's grid (call
-/// pad_problem first), and on unsorted/duplicate entries in s.
+/// Build a Plan: construct the driver for (kind, p, c, options), balance
+/// S's blocks if they are skewed, snapshot the setup for (s, r), and
+/// fingerprint the inputs. Throws on invalid (p, c), on dims that do not
+/// divide the family's grid (call pad_problem first), and on
+/// unsorted/duplicate entries in s.
 Plan make_plan(AlgorithmKind kind, int p, int c, const CooMatrix& s, Index r,
                const AlgorithmOptions& options = {});
 

@@ -19,8 +19,9 @@
 /// world joined.
 ///
 /// The cache must be invalidated whenever the factor values change or
-/// the shards move (reshard / new Plan); the serving layer does this
-/// between batches, never while a world is running.
+/// the shards move (a new Plan); the serving layer builds a fresh cache
+/// whenever it re-plans, between batches, never while a world is
+/// running.
 /// Fault-armed runs bypass the cache (see detail::usable_cache).
 
 #include <atomic>
@@ -40,8 +41,8 @@ class ReplicationCache {
 
   int num_ranks() const { return static_cast<int>(slots_.size()); }
 
-  /// Drop all cached blocks. Call between runs only (the serving layer
-  /// invalidates on reshard and on factor updates).
+  /// Drop all cached blocks. Call between runs only, after the factor
+  /// values change.
   void invalidate() {
     for (auto& slot : slots_) slot.reset();
     filled_.store(0, std::memory_order_release);

@@ -2,7 +2,7 @@
 /// \file shards.hpp
 /// Block shards and wire formats for the distributed algorithms.
 ///
-/// Two concerns live here:
+/// Three concerns live here:
 ///   * Wire (de)serialization of the payloads the propagation phases
 ///     move: COO triplet blocks (3 words per nonzero plus a one-word
 ///     count header — exactly the paper's sparse-shift cost), dense
@@ -12,8 +12,14 @@
 ///     into the per-rank / per-piece blocks of a distribution, keeping
 ///     each nonzero's position in the global entry order so SDDMM
 ///     results can be scattered back without communication.
+///   * Load balance (paper Section VI): the block nnz imbalance of a
+///     distribution and the order-keeping row/column assignments
+///     (BlockMaps) that make_plan draws for a skewed pattern. Shards,
+///     dense slices and output placement all read through the maps.
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "dense/dense_matrix.hpp"
@@ -108,14 +114,67 @@ struct SparseShard {
   std::uint64_t nnz() const { return coo.values.size(); }
 };
 
+/// A family's sparse blocks: S's rows split into `row_blocks` equal
+/// intervals and its columns into `col_blocks`, and every shard_coo
+/// bucket of the family lies inside one (row block, column block) cell.
+struct BlockGrid {
+  int row_blocks = 1;
+  int col_blocks = 1;
+};
+
+/// An order-keeping assignment of one axis's indices to the equal blocks
+/// of a BlockGrid: `to[i]` is caller index i's planned index and `from`
+/// the inverse, and inside every block the planned indices keep the
+/// caller's order (the map is monotone there). Empty is the identity.
+struct AxisMap {
+  std::vector<Index> to;
+  std::vector<Index> from;
+
+  bool identity() const { return to.empty(); }
+  Index operator()(Index i) const {
+    return identity() ? i : to[static_cast<std::size_t>(i)];
+  }
+};
+
+/// The planned order of S's rows and columns. A shard holds S's entries
+/// at their planned coordinates, a dense slice reads A's (B's) rows
+/// through rows.from (cols.from), and an output block lands through the
+/// same map, so callers see their own order everywhere.
+struct BlockMaps {
+  AxisMap rows;
+  AxisMap cols;
+
+  bool identity() const { return rows.identity() && cols.identity(); }
+};
+
+/// Max over the grid's cells of their nnz, times the number of cells,
+/// over nnz (1.0 for an empty matrix), with S's entries placed through
+/// `maps`. Dims must divide the grid.
+double block_imbalance(const CooMatrix& s, BlockGrid grid,
+                       const BlockMaps& maps = {});
+
+/// A seeded assignment of S's rows to grid.row_blocks equal blocks and
+/// its columns to grid.col_blocks, keeping the caller's order inside
+/// each block. Each index's block is uniform and the counts are equal;
+/// the draw is stratified by nonzero count (every run of `blocks`
+/// indices of similar weight takes a random permutation of the blocks),
+/// so heavy rows and columns spread evenly. An axis with one block keeps
+/// the identity. Dims must divide the grid.
+BlockMaps draw_block_maps(const CooMatrix& s, BlockGrid grid,
+                          std::uint64_t seed);
+
 /// Bucket a sorted CooMatrix into `buckets` shards in one pass.
-/// bucket_of maps a global (row, col) to its bucket; rebase maps it to
+/// bucket_of maps a planned (row, col) to its bucket; rebase maps it to
 /// the block-local (row, col). shapes[b] gives shard b's block shape.
+/// Each entry is placed at its planned coordinates (maps.rows(i),
+/// maps.cols(j)); since every bucket lies in one cell of the maps' grid,
+/// where they are monotone, the buckets keep the global entry order.
 std::vector<SparseShard> shard_coo(
     const CooMatrix& s, int buckets,
     const std::function<int(Index, Index)>& bucket_of,
     const std::function<std::pair<Index, Index>(Index, Index)>& rebase,
-    const std::function<std::pair<Index, Index>(int)>& shape);
+    const std::function<std::pair<Index, Index>(int)>& shape,
+    const BlockMaps& maps = {});
 
 /// Sorted union of the given shards' row supports (each support must lie
 /// in [0, rows)). The drivers use this to build a rank's support over a
@@ -124,13 +183,17 @@ std::vector<Index> union_row_support(
     const std::vector<const SparseShard*>& shards, Index rows);
 
 /// The rows x cols sub-block of src starting at (row0, col0), copied.
+/// With a row map `from` (an AxisMap's planned -> caller order), block
+/// row i is src row from[row0 + i].
 DenseMatrix dense_block(const DenseMatrix& src, Index row0, Index rows,
-                        Index col0, Index cols);
+                        Index col0, Index cols,
+                        std::span<const Index> from = {});
 
-/// Copy src into dst starting at (row0, col0). Writers of disjoint
+/// Copy src into dst starting at (row0, col0); with a row map `from`,
+/// src row i lands on dst row from[row0 + i]. Writers of disjoint
 /// regions may call this concurrently (the distributed drivers assemble
 /// global outputs this way).
 void place_block(DenseMatrix& dst, const DenseMatrix& src, Index row0,
-                 Index col0);
+                 Index col0, std::span<const Index> from = {});
 
 } // namespace dsk

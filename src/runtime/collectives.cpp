@@ -229,39 +229,50 @@ DenseMatrix Group::allgatherv_rows(const DenseMatrix& src, Index row0,
                                    Index block_rows,
                                    std::span<const std::vector<Index>> wants,
                                    ReplicationMode mode,
-                                   const WireCodec& codec) {
+                                   const WireCodec& codec,
+                                   std::span<const Index> from) {
   const int g = size();
   const Index width = src.cols();
   check(0 <= row0 && 0 <= block_rows && row0 + block_rows <= src.rows(),
         "allgatherv_rows: rows [", row0, ", ", row0 + block_rows,
         ") outside a ", src.rows(), "-row input");
+  check(from.empty() || static_cast<Index>(from.size()) == src.rows(),
+        "allgatherv_rows: row map of ", from.size(), " entries for a ",
+        src.rows(), "-row input");
   validate_support_table(wants, g, static_cast<Index>(g) * block_rows,
                          mode);
   const auto block_words = static_cast<std::size_t>(block_rows) *
                            static_cast<std::size_t>(width);
-  const auto own = src.data().subspan(
-      static_cast<std::size_t>(row0) * static_cast<std::size_t>(width),
+  const bool dense = mode == ReplicationMode::Dense ||
+                     !sparse_plan_wins(wants, block_rows, width, codec);
+  // A dense result gets every row written (this member's rows, then each
+  // peer's block as it lands), so it starts unwritten; a sparse one
+  // leaves unsupported remote rows zero.
+  const Index total_rows = static_cast<Index>(g) * block_rows;
+  DenseMatrix out = dense ? DenseMatrix::uninitialized(total_rows, width)
+                          : DenseMatrix(total_rows, width);
+  const Index own0 = static_cast<Index>(pos_) * block_rows;
+  const auto own = out.data().subspan(
+      static_cast<std::size_t>(own0) * static_cast<std::size_t>(width),
       block_words);
-  const auto place = [&](DenseMatrix& out, int origin,
-                         std::span<const Scalar> rows) {
-    std::copy(rows.begin(), rows.end(),
-              out.data().begin() +
-                  static_cast<std::ptrdiff_t>(
-                      static_cast<std::size_t>(origin) * block_words));
-  };
-  if (mode == ReplicationMode::Dense ||
-      !sparse_plan_wins(wants, block_rows, width, codec)) {
-    // Every row of the result gets written (this member's rows, then
-    // each peer's block as it lands), so it starts unwritten. The ring
-    // of allgather_words: at step s, forward the block that originated
-    // at (pos - s) — a copy of this member's rows at s = 0, after that
-    // the block that landed at step s - 1 — and land the block from
-    // (pos - s - 1) with one copy. Quantization is idempotent, so at a
-    // lossy precision a forwarded block re-encodes bit-identically at
-    // every hop. Empty blocks send nothing.
-    DenseMatrix out =
-        DenseMatrix::uninitialized(static_cast<Index>(g) * block_rows, width);
-    place(out, pos_, own);
+  if (from.empty()) {
+    const auto in = src.data().subspan(
+        static_cast<std::size_t>(row0) * static_cast<std::size_t>(width),
+        block_words);
+    std::copy(in.begin(), in.end(), own.begin());
+  } else {
+    for (Index i = 0; i < block_rows; ++i) {
+      const auto row = src.row(from[static_cast<std::size_t>(row0 + i)]);
+      std::copy(row.begin(), row.end(), out.row(own0 + i).begin());
+    }
+  }
+  if (dense) {
+    // The ring of allgather_words: at step s, forward the block that
+    // originated at (pos - s) — a copy of this member's rows at s = 0,
+    // after that the block that landed at step s - 1 — and land the
+    // block from (pos - s - 1) with one copy. Quantization is
+    // idempotent, so at a lossy precision a forwarded block re-encodes
+    // bit-identically at every hop. Empty blocks send nothing.
     if (g > 1 && block_rows > 0) {
       DenseMatrix travelling = DenseMatrix::uninitialized(block_rows, width);
       std::copy(own.begin(), own.end(), travelling.data().begin());
@@ -270,16 +281,17 @@ DenseMatrix Group::allgatherv_rows(const DenseMatrix& src, Index row0,
                          codec);
         travelling = comm_.recv_block(left(), kTagAllgather, block_rows,
                                       width, codec);
-        place(out, (pos_ - s - 1 + g) % g, travelling.data());
+        const auto landed = travelling.data();
+        std::copy(landed.begin(), landed.end(),
+                  out.data().begin() +
+                      static_cast<std::ptrdiff_t>(
+                          static_cast<std::size_t>((pos_ - s - 1 + g) % g) *
+                          block_words));
       }
     }
     return out;
   }
-  // Unsupported remote rows stay zero.
-  DenseMatrix out(static_cast<Index>(g) * block_rows, width);
-  place(out, pos_, own);
   // Buffered sends first (deadlock-free), then blocking receives.
-  const Index own0 = static_cast<Index>(pos_) * block_rows;
   for (int t = 0; t < g; ++t) {
     if (t == pos_) continue;
     const auto rows = support_in_range(wants[static_cast<std::size_t>(t)],
@@ -288,7 +300,7 @@ DenseMatrix Group::allgatherv_rows(const DenseMatrix& src, Index row0,
     const auto wire_rows = rebase_rows(rows, own0);
     comm_.send_words(member(t), kTagSparseGather,
                      encode_rows(wire_rows, block_rows, width,
-                                 gather_rows(src, wire_rows, row0), codec));
+                                 gather_rows(out, wire_rows, own0), codec));
   }
   const auto& mine = wants[static_cast<std::size_t>(pos_)];
   for (int q = 0; q < g; ++q) {

@@ -92,11 +92,14 @@ class Group {
 
   /// The same collective with this member's block read in place as rows
   /// [row0, row0 + block_rows) of `src` — no copy of it on the way in.
+  /// With a row map `from` (src.rows() entries), block row i is src row
+  /// from[row0 + i] instead, gathered straight into the result.
   DenseMatrix allgatherv_rows(const DenseMatrix& src, Index row0,
                               Index block_rows,
                               std::span<const std::vector<Index>> wants,
                               ReplicationMode mode,
-                              const WireCodec& codec = {});
+                              const WireCodec& codec = {},
+                              std::span<const Index> from = {});
 
   /// Row-sparse reduce-scatter, the inverse: partial is a
   /// size()*block_rows x width accumulator whose nonzero rows are

@@ -260,9 +260,9 @@ class WorldStats {
   }
 
   /// Load-imbalance ratio: max over ranks of (total words sent + flops)
-  /// divided by the mean over ranks. 1.0 is perfectly balanced; the
-  /// serving layer reshards (new random permutation, new Plan) when
-  /// this drifts past a threshold. Returns 1.0 for empty/idle runs.
+  /// divided by the mean over ranks. 1.0 is perfectly balanced (make_plan
+  /// balances skewed blocks before any run, dist/plan.hpp); the serving
+  /// layer reports the last pass's. Returns 1.0 for empty/idle runs.
   double load_imbalance() const;
 
   /// Graceful degradation: set when a permanently lost rank made the

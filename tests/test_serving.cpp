@@ -1,6 +1,6 @@
 /// Serving-layer tests: the immutable Plan / execute split, resident
 /// worlds, the cross-call replication cache, request batching, and the
-/// ALS server's degrade / reshard behavior.
+/// ALS server's degrade behavior, on uniform and on skewed patterns.
 
 #include <gtest/gtest.h>
 
@@ -55,17 +55,26 @@ PaddedProblem small_problem(const Config& cfg, Index n = 48, Index d = 4,
   return pad_problem(cfg.kind, cfg.p, cfg.c, s, a, b);
 }
 
-CooMatrix synthetic_ratings(Index users, Index items, Index per_user,
-                            std::uint64_t seed) {
+/// R-MAT in natural vertex order: its hubs crowd the low indices, so
+/// every family's natural blocks are skewed and its plans balance.
+PaddedProblem skewed_problem(const Config& cfg, Index n = 256, Index d = 8,
+                             Index r = 8, std::uint64_t seed = 78) {
   Rng rng(seed);
+  CooMatrix s = rmat(n, n, d * n, rng);
+  DenseMatrix a(n, r), b(n, r);
+  a.fill_random(rng);
+  b.fill_random(rng);
+  return pad_problem(cfg.kind, cfg.p, cfg.c, s, a, b);
+}
+
+/// Ratings of a rank-4 model plus noise on `pattern`'s entries.
+CooMatrix ratings_on(const CooMatrix& pattern, Rng& rng) {
   const Index true_rank = 4;
-  DenseMatrix taste(users, true_rank);
-  DenseMatrix appeal(items, true_rank);
+  DenseMatrix taste(pattern.rows(), true_rank);
+  DenseMatrix appeal(pattern.cols(), true_rank);
   taste.fill_gaussian(rng, 1.0);
   appeal.fill_gaussian(rng, 1.0);
-  const CooMatrix pattern =
-      erdos_renyi_fixed_row(users, items, per_user, rng);
-  CooMatrix ratings(users, items);
+  CooMatrix ratings(pattern.rows(), pattern.cols());
   ratings.reserve(pattern.nnz());
   for (Index k = 0; k < pattern.nnz(); ++k) {
     const auto e = pattern.entry(k);
@@ -77,6 +86,23 @@ CooMatrix synthetic_ratings(Index users, Index items, Index per_user,
   }
   ratings.sort_and_combine();
   return ratings;
+}
+
+CooMatrix synthetic_ratings(Index users, Index items, Index per_user,
+                            std::uint64_t seed) {
+  Rng rng(seed);
+  const CooMatrix pattern =
+      erdos_renyi_fixed_row(users, items, per_user, rng);
+  return ratings_on(pattern, rng);
+}
+
+/// Ratings on an R-MAT pattern: hub users and hub items crowd the low
+/// indices.
+CooMatrix skewed_ratings(Index users, Index items, Index per_user,
+                         std::uint64_t seed) {
+  Rng rng(seed);
+  const CooMatrix pattern = rmat(users, items, per_user * users, rng);
+  return ratings_on(pattern, rng);
 }
 
 AlsServerConfig small_server_config(AlgorithmKind kind =
@@ -99,46 +125,51 @@ AlsServerConfig small_server_config(AlgorithmKind kind =
 /// kernel with the same output bits, a second execute of a plan repeats
 /// the first's bits, words and messages, and no execute rebuilds setup
 /// state — across every family, under the default wire codec and a lossy
-/// one.
+/// one, on a uniform pattern and on a skewed one whose plans balance.
 TEST(Plan, ExecuteIsBitIdenticalAcrossOptionCube) {
   for (const Config& cfg : kFamilies) {
     // The 1D baseline only implements SpMMA.
     const Mode mode = cfg.kind == AlgorithmKind::Baseline1D ? Mode::SpMMA
                                                             : Mode::SpMMB;
-    const auto prob = small_problem(cfg);
-    for (const WireCodec codec :
-         {WireCodec{}, WireCodec{WirePrecision::BF16}}) {
-      std::optional<DenseMatrix> first;
-      for (const ShiftSchedule schedule :
-           {ShiftSchedule::DoubleBuffered, ShiftSchedule::BulkSynchronous}) {
-        for (const ReplicationMode replication :
-             {ReplicationMode::Dense, ReplicationMode::Auto}) {
-          for (const PropagationMode propagation :
-               {PropagationMode::Dense, PropagationMode::Auto}) {
-            AlgorithmOptions options;
-            options.schedule = schedule;
-            options.replication = replication;
-            options.propagation = propagation;
-            options.codec = codec;
-            const Plan plan = make_plan(cfg.kind, cfg.p, cfg.c, prob.s,
-                                        prob.a.cols(), options);
-            const auto once = plan.execute(mode, prob.s, prob.a, prob.b);
-            const auto twice = plan.execute(mode, prob.s, prob.a, prob.b);
-            if (!first) first = once.dense;
-            EXPECT_EQ(once.dense.max_abs_diff(*first), 0.0)
-                << to_string(cfg.kind);
-            EXPECT_EQ(twice.dense.max_abs_diff(once.dense), 0.0)
-                << to_string(cfg.kind);
-            for (const Phase phase :
-                 {Phase::Replication, Phase::Propagation}) {
-              EXPECT_EQ(twice.stats.max_words(phase),
-                        once.stats.max_words(phase));
-              EXPECT_EQ(twice.stats.max_messages(phase),
-                        once.stats.max_messages(phase));
-            }
-            for (const KernelResult* result : {&once, &twice}) {
-              EXPECT_EQ(result->stats.setup_builds(), 0);
-              EXPECT_EQ(result->stats.setup_seconds(), 0.0);
+    for (const bool skewed : {false, true}) {
+      const auto prob = skewed ? skewed_problem(cfg) : small_problem(cfg);
+      for (const WireCodec codec :
+           {WireCodec{}, WireCodec{WirePrecision::BF16}}) {
+        std::optional<DenseMatrix> first;
+        for (const ShiftSchedule schedule : {ShiftSchedule::DoubleBuffered,
+                                             ShiftSchedule::BulkSynchronous}) {
+          for (const ReplicationMode replication :
+               {ReplicationMode::Dense, ReplicationMode::Auto}) {
+            for (const PropagationMode propagation :
+                 {PropagationMode::Dense, PropagationMode::Auto}) {
+              AlgorithmOptions options;
+              options.schedule = schedule;
+              options.replication = replication;
+              options.propagation = propagation;
+              options.codec = codec;
+              const Plan plan = make_plan(cfg.kind, cfg.p, cfg.c, prob.s,
+                                          prob.a.cols(), options);
+              if (skewed) {
+                EXPECT_TRUE(plan.balanced()) << to_string(cfg.kind);
+              }
+              const auto once = plan.execute(mode, prob.s, prob.a, prob.b);
+              const auto twice = plan.execute(mode, prob.s, prob.a, prob.b);
+              if (!first) first = once.dense;
+              EXPECT_EQ(once.dense.max_abs_diff(*first), 0.0)
+                  << to_string(cfg.kind);
+              EXPECT_EQ(twice.dense.max_abs_diff(once.dense), 0.0)
+                  << to_string(cfg.kind);
+              for (const Phase phase :
+                   {Phase::Replication, Phase::Propagation}) {
+                EXPECT_EQ(twice.stats.max_words(phase),
+                          once.stats.max_words(phase));
+                EXPECT_EQ(twice.stats.max_messages(phase),
+                          once.stats.max_messages(phase));
+              }
+              for (const KernelResult* result : {&once, &twice}) {
+                EXPECT_EQ(result->stats.setup_builds(), 0);
+                EXPECT_EQ(result->stats.setup_seconds(), 0.0);
+              }
             }
           }
         }
@@ -389,45 +420,39 @@ bool same_bits(std::span<const Scalar> x, std::span<const Scalar> y) {
   });
 }
 
-/// Request j lands in column j at row perm[i]; every entry of the block
-/// is written, pad rows and pad columns as exact zeros, so the block may
+/// Request j lands in column j of row i; every entry of the block is
+/// written, pad rows and pad columns as exact zeros, so the block may
 /// arrive uninitialized.
 TEST(Serving, FillPlacesRequestsAndPadsWithZeros) {
   Rng rng(21);
   DenseMatrix a(5, 8);
   a.fill_random(rng);
-  const std::vector<Index> perm = {3, 0, 4, 1, 2};
   const std::vector<Index> users = {4, 1, 4};
   DenseMatrix block(7, 32);
   block.fill(std::nan(""));
   const Slice all{0, block.rows()};
-  fill_similarity_block(a, perm, users, block, all);
+  fill_similarity_block(a, users, block, all);
   for (Index i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < users.size(); ++j) {
       // Width 8 takes the generic dot, which sums in order of f.
       Scalar dot = 0;
       for (Index f = 0; f < a.cols(); ++f) dot += a(i, f) * a(users[j], f);
-      EXPECT_EQ(block(perm[static_cast<std::size_t>(i)],
-                      static_cast<Index>(j)),
-                dot);
+      EXPECT_EQ(block(i, static_cast<Index>(j)), dot);
     }
-    for (Index j = 3; j < block.cols(); ++j) {
-      EXPECT_EQ(block(perm[static_cast<std::size_t>(i)], j), 0.0);
-    }
+    for (Index j = 3; j < block.cols(); ++j) EXPECT_EQ(block(i, j), 0.0);
   }
   for (Index i = a.rows(); i < block.rows(); ++i) {
     for (Index j = 0; j < block.cols(); ++j) EXPECT_EQ(block(i, j), 0.0);
   }
   const std::vector<Index> bad_user = {5};
-  EXPECT_THROW(fill_similarity_block(a, perm, bad_user, block, all), Error);
-  const std::vector<Index> short_perm = {0, 1};
-  EXPECT_THROW(fill_similarity_block(a, short_perm, users, block, all),
-               Error);
+  EXPECT_THROW(fill_similarity_block(a, bad_user, block, all), Error);
+  DenseMatrix short_block(4, 32);
+  EXPECT_THROW(fill_similarity_block(a, users, short_block, all), Error);
   DenseMatrix narrow(7, 2);
-  EXPECT_THROW(fill_similarity_block(a, perm, users, narrow, all), Error);
-  EXPECT_THROW(fill_similarity_block(a, perm, users, block, {0, 8}), Error);
-  EXPECT_THROW(fill_similarity_block(a, perm, users, block, {3, 2}), Error);
-  EXPECT_THROW(fill_similarity_block(a, perm, users, block, {-1, 2}), Error);
+  EXPECT_THROW(fill_similarity_block(a, users, narrow, all), Error);
+  EXPECT_THROW(fill_similarity_block(a, users, block, {0, 8}), Error);
+  EXPECT_THROW(fill_similarity_block(a, users, block, {3, 2}), Error);
+  EXPECT_THROW(fill_similarity_block(a, users, block, {-1, 2}), Error);
 }
 
 /// One contiguous row slice per rank, empty slices and slices across the
@@ -436,29 +461,25 @@ TEST(Serving, FillPlacesRequestsAndPadsWithZeros) {
 /// specialized dot (8) and at a specialized one (32).
 TEST(Serving, SlicedFillsMatchTheWholeRangeFill) {
   Rng rng(22);
-  const std::vector<Index> perm = {3, 0, 4, 1, 2};
   const std::vector<Index> users = {4, 1, 4};
-  // Rows 5 and 6 are pad rows; 8 ranks leave one slice empty. Slice
-  // index i writes block row perm[i], or pad row i.
-  const std::vector<Index> source = {1, 3, 4, 0, 2, 5, 6};
+  // Rows 5 and 6 are pad rows; 8 ranks leave one slice empty.
   DenseMatrix blank(7, 32);
   blank.fill(std::nan(""));
   for (const Index r : {Index{8}, Index{32}}) {
     DenseMatrix a(5, r);
     a.fill_random(rng);
     DenseMatrix whole = blank;
-    fill_similarity_block(a, perm, users, whole, {0, whole.rows()});
+    fill_similarity_block(a, users, whole, {0, whole.rows()});
     for (const int p : {1, 2, 3, 4, 8}) {
       DenseMatrix sliced = blank;
       const std::vector<Index> bounds = partition_uniform(sliced.rows(), p);
       for (std::size_t q = 0; q + 1 < bounds.size(); ++q) {
         const Slice rows{bounds[q], bounds[q + 1]};
         DenseMatrix alone = blank;
-        fill_similarity_block(a, perm, users, alone, rows);
-        fill_similarity_block(a, perm, users, sliced, rows);
+        fill_similarity_block(a, users, alone, rows);
+        fill_similarity_block(a, users, sliced, rows);
         for (Index row = 0; row < alone.rows(); ++row) {
-          const Index i = source[static_cast<std::size_t>(row)];
-          const bool mine = i >= rows.begin && i < rows.end;
+          const bool mine = row >= rows.begin && row < rows.end;
           EXPECT_TRUE(same_bits(alone.row(row),
                                 (mine ? whole : blank).row(row)))
               << "r = " << r << ", p = " << p << ", slice " << q
@@ -740,22 +761,46 @@ TEST(AlsServerTest, RejectsABadUserBeforeAnyPass) {
   EXPECT_EQ(server.report().requests, 0);
 }
 
-TEST(AlsServerTest, RmseRidesTheCacheUntilReshard) {
+/// The degrade path's fault plan: rank 1 is lost for good on the first
+/// serving run, and the server re-plans onto a smaller grid.
+AlsServerConfig degrading_config(FaultPlan& faults) {
+  AlsServerConfig config = small_server_config();
+  faults = parse_fault_plan("seed=9,crash=1@any:0");
+  config.exec.faults = &faults;
+  config.exec.max_recoveries = 0;
+  config.exec.degrade = true;
+  return config;
+}
+
+/// observed_rmse's stationary factor rides the replication cache, whose
+/// warm runs reuse the gathered block bit-exactly. A degrade rebuilds
+/// the residency and its cache (the faulted run itself uses none), so
+/// the shrunken grid re-gathers once and then hits again, with the same
+/// model up to summation order.
+TEST(AlsServerTest, RmseRidesTheCacheAfterDegrade) {
   const CooMatrix ratings = synthetic_ratings(32, 24, 4, 12);
-  AlsServer server(ratings, small_server_config());
-  const Scalar cold = server.observed_rmse();
-  const Scalar warm = server.observed_rmse();
-  EXPECT_EQ(cold, warm); // warm run reuses the cached gather bit-exactly
+  AlsServer clean(ratings, small_server_config());
+  const Scalar cold = clean.observed_rmse();
+  const Scalar warm = clean.observed_rmse();
+  EXPECT_EQ(cold, warm);
+  EXPECT_EQ(clean.report().cache_misses, 1u);
+  EXPECT_EQ(clean.report().cache_hits, 1u);
+
+  FaultPlan faults;
+  AlsServer server(ratings, degrading_config(faults));
+  const Scalar degraded = server.observed_rmse();
+  ASSERT_TRUE(server.report().degraded);
+  EXPECT_EQ(server.report().replans, 1);
+  EXPECT_EQ(server.report().cache_misses, 0u);
+  EXPECT_EQ(server.report().cache_hits, 0u);
+  const Scalar rebuilt_cold = server.observed_rmse();
+  const Scalar rebuilt_warm = server.observed_rmse();
+  EXPECT_EQ(rebuilt_cold, rebuilt_warm);
   EXPECT_EQ(server.report().cache_misses, 1u);
   EXPECT_EQ(server.report().cache_hits, 1u);
-  const auto before = server.top_k_one(5, 3);
-  server.reshard();
-  EXPECT_EQ(server.report().reshards, 1);
-  // The rebuilt residency re-gathers (a miss), and answers are unchanged
-  // up to summation order.
-  const Scalar after = server.observed_rmse();
-  EXPECT_NEAR(after, cold, 1e-9);
-  EXPECT_EQ(server.report().cache_misses, 2u);
+  EXPECT_NEAR(degraded, cold, 1e-9);
+  EXPECT_NEAR(rebuilt_cold, cold, 1e-9);
+  const auto before = clean.top_k_one(5, 3);
   const auto rebuilt = server.top_k_one(5, 3);
   ASSERT_EQ(before.size(), rebuilt.size());
   for (std::size_t j = 0; j < before.size(); ++j) {
@@ -764,22 +809,48 @@ TEST(AlsServerTest, RmseRidesTheCacheUntilReshard) {
   }
 }
 
-TEST(AlsServerTest, ImbalanceTriggerReshardsBetweenBatches) {
-  const CooMatrix ratings = synthetic_ratings(32, 24, 4, 13);
-  AlsServerConfig config = small_server_config();
-  // Any pass trips a threshold this tight; the server must reshard and
-  // keep answering.
-  config.reshard_threshold = 1.0 + 1e-12;
-  AlsServer server(ratings, config);
-  const std::vector<Index> users = {1, 2, 3};
-  const auto recs = server.top_k({users.data(), users.size()}, 3);
-  ASSERT_EQ(recs.size(), users.size());
-  EXPECT_GE(server.report().reshards, 1);
-  EXPECT_GT(server.report().last_imbalance, 0.0);
-  const auto again = server.top_k_one(1, 3);
-  ASSERT_EQ(again.size(), recs[0].size());
-  for (std::size_t j = 0; j < again.size(); ++j) {
-    EXPECT_EQ(again[j].item, recs[0][j].item);
+/// On skewed ratings every plan the server builds is balanced, the same
+/// assignment for every pass width, so a batched answer still equals the
+/// narrow pass in every bit — on the full grid and, after a degrade, on
+/// the shrunken one.
+TEST(AlsServerTest, SkewedRatingsBatchEqualsNarrowAcrossADegrade) {
+  const CooMatrix ratings = skewed_ratings(256, 128, 8, 16);
+  const AlsServerConfig config = small_server_config();
+  const auto planned_balanced = [&](int p, int c) {
+    const PaddedProblem padded =
+        pad_problem(config.train.kind, p, c, ratings,
+                    DenseMatrix(ratings.rows(), 8),
+                    DenseMatrix(ratings.cols(), 8));
+    return make_plan(config.train.kind, p, c, padded.s, 8).balanced();
+  };
+  ASSERT_TRUE(planned_balanced(4, 2));
+  const auto [p2, c2] = shrink_config(config.train.kind, 4, 2);
+  ASSERT_TRUE(planned_balanced(p2, c2));
+  // Hub users first, then a tail user.
+  const std::vector<Index> users = {0, 1, 2, 3, 100, 255};
+  const auto expect_batch_equals_narrow = [&](AlsServer& server) {
+    const auto batched = server.top_k({users.data(), users.size()}, 5);
+    ASSERT_EQ(batched.size(), users.size());
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      expect_same(batched[i], server.top_k_one(users[i], 5));
+    }
+  };
+  AlsServer clean(ratings, config);
+  expect_batch_equals_narrow(clean);
+
+  FaultPlan faults;
+  AlsServer server(ratings, degrading_config(faults));
+  const auto degraded = server.top_k({users.data(), users.size()}, 5);
+  ASSERT_TRUE(server.report().degraded);
+  EXPECT_EQ(server.p(), p2);
+  expect_batch_equals_narrow(server);
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    const auto want = clean.top_k_one(users[i], 5);
+    ASSERT_EQ(degraded[i].size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(degraded[i][j].item, want[j].item);
+      EXPECT_NEAR(degraded[i][j].score, want[j].score, 1e-9);
+    }
   }
 }
 

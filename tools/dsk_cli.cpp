@@ -42,7 +42,6 @@
 #include "runtime/machine.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/matrix_market.hpp"
-#include "sparse/permute.hpp"
 
 namespace {
 
@@ -109,8 +108,6 @@ constexpr FlagSpec kFlags[] = {
      "max requests per batched pass: 32 | 64 | 128"},
     {"--top-k", "N", FlagScope::Serve, "5",
      "recommendations per request"},
-    {"--reshard-threshold", "X", FlagScope::Serve, "0",
-     "reshard when a pass's load imbalance exceeds X (0 = never)"},
 };
 
 struct Options {
@@ -142,7 +139,6 @@ struct Options {
   int requests = 8;
   Index batch_width = 32;
   int top_k = 5;
-  double reshard_threshold = 0;
 };
 
 const char* scope_title(FlagScope scope) {
@@ -285,7 +281,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--requests") opt.requests = number(1);
     else if (arg == "--batch-width") opt.batch_width = number(Index{1});
     else if (arg == "--top-k") opt.top_k = number(1);
-    else if (arg == "--reshard-threshold") opt.reshard_threshold = number(0.0);
     else usage_and_exit(("unhandled option " + arg).c_str());
   }
   return opt;
@@ -430,7 +425,6 @@ int serve_main(const Options& opt, AlgorithmKind kind,
   config.train.seed = opt.seed;
   config.exec = algo_options;
   config.batch_width = opt.batch_width;
-  config.reshard_threshold = opt.reshard_threshold;
 
   Timer timer;
   AlsServer server(ratings, config);
@@ -455,11 +449,10 @@ int serve_main(const Options& opt, AlgorithmKind kind,
               "top-k %.3f ms\n",
               report.fill_seconds * 1e3, report.execute_seconds * 1e3,
               report.top_k_seconds * 1e3);
-  std::printf("cache: %llu hit(s), %llu miss(es); load imbalance %.2f; "
-              "%d reshard(s)\n",
+  std::printf("cache: %llu hit(s), %llu miss(es); load imbalance %.2f\n",
               static_cast<unsigned long long>(report.cache_hits),
               static_cast<unsigned long long>(report.cache_misses),
-              report.last_imbalance, report.reshards);
+              report.last_imbalance);
   if (report.degraded) {
     std::printf("degraded: rank %d lost for good; re-planned from p = %d "
                 "onto p = %d surviving ranks\n",
@@ -547,9 +540,8 @@ int main(int argc, char** argv) {
     CooMatrix s(0, 0);
     if (!opt.matrix_path.empty()) {
       std::printf("loading %s\n", opt.matrix_path.c_str());
-      auto loaded = read_matrix_market_file(opt.matrix_path);
-      // Random permutation for load balance, as the paper does on input.
-      s = random_permute(loaded, rng).matrix;
+      // The plan balances a skewed file's blocks (dist/plan.hpp).
+      s = read_matrix_market_file(opt.matrix_path);
     } else if (opt.use_rmat) {
       s = rmat(opt.n, opt.n, opt.n * opt.d, rng);
     } else {
@@ -585,6 +577,12 @@ int main(int argc, char** argv) {
     Timer timer;
     const Plan plan = make_plan(kind, opt.p, opt.c, padded.s, padded.a.cols(),
                                 algo_options);
+    if (plan.balanced()) {
+      std::printf("balance: rows and columns reassigned to even out skewed "
+                  "blocks (order kept inside each); block nnz imbalance "
+                  "now %.2f\n",
+                  plan.block_imbalance());
+    }
     WorldStats stats;
     double max_err = -1;
     // Max absolute error relative to the reference's norm (at least 1).
